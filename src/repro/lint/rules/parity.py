@@ -1,7 +1,7 @@
 """R004 — engine parity: fast-path entry points carry equivalence tests.
 
-``sim/vectorized.py``, ``sim/scan.py``, ``sim/scan_grid.py``,
-``sim/native.py`` and ``aliasing/vectorized.py`` re-implement the
+``sim/vectorized.py``, ``sim/scan.py``, ``sim/native.py`` and
+``aliasing/vectorized.py`` re-implement the
 reference engines in closed form; their correctness argument *is* the
 equivalence suite
 (bit-identical results on shared inputs).  A public function added to any of them without a test
@@ -25,7 +25,6 @@ __all__ = ["EngineParityRule", "public_functions"]
 _TARGETS = (
     "sim/vectorized.py",
     "sim/scan.py",
-    "sim/scan_grid.py",
     "sim/native.py",
     "aliasing/vectorized.py",
 )

@@ -41,10 +41,6 @@ fires at the same points every run.  The injectable sites:
                        engine raises before touching predictor state
 ``kernel-scan``        likewise for the numpy scan engine
 ``kernel-vectorized``  likewise for the vectorized loop engine
-``kernel-scan-grid``   counted per fused same-trace *group* dispatch in
-                       :mod:`repro.sim.parallel`; the group's grid call
-                       raises before touching predictor state and the
-                       runner recovers it per cell
 ``serving-shard``      counted per shard micro-batch flush in
                        :meth:`repro.serving.shard.Shard.flush`; the shard
                        crashes after the engine ran but *before* the
@@ -89,7 +85,6 @@ SITES = frozenset(
         "kernel-native",
         "kernel-scan",
         "kernel-vectorized",
-        "kernel-scan-grid",
         "serving-shard",
     }
 )

@@ -57,12 +57,28 @@ def encode_message(message: Dict[str, Any]) -> bytes:
     return (json.dumps(message, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _is_pc(value: Any) -> bool:
+    """A branch address that fits the traces' uint64 PC column."""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and 0 <= value < 2**64
+    )
+
+
+def _is_flag(value: Any) -> bool:
+    """A ``taken`` / ``conditional`` flag: JSON bool or integer 0/1."""
+    return isinstance(value, int) and value in (0, 1)
+
+
 def decode_request(line: bytes) -> Dict[str, Any]:
     """Parse and validate one request line.
 
     Raises :class:`ProtocolError` on undecodable JSON, a non-object
-    payload, an unknown ``op``, or missing required fields — the server
-    answers those with an error response rather than dying.
+    payload, an unknown ``op``, missing required fields, or an event
+    whose PC or flags are out of range — the server answers those with
+    an error response rather than dying, and a rejected ``events`` line
+    buffers nothing.
     """
     try:
         request = json.loads(line.decode("utf-8"))
@@ -91,11 +107,12 @@ def decode_request(line: bytes) -> Dict[str, Any]:
             if (
                 not isinstance(event, list)
                 or not 2 <= len(event) <= 3
-                or not isinstance(event[0], int)
-                or event[0] < 0
+                or not _is_pc(event[0])
+                or not all(_is_flag(flag) for flag in event[1:])
             ):
                 raise ProtocolError(
-                    "each event is [pc, taken] or [pc, taken, conditional]"
+                    "each event is [pc, taken] or [pc, taken, conditional] "
+                    "with 0 <= pc < 2**64 and flags bool or 0/1"
                 )
     if op == "restore" and not isinstance(request.get("state"), str):
         raise ProtocolError("restore needs a hex 'state' payload")

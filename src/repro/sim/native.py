@@ -422,13 +422,12 @@ def native_supports(predictor: BranchPredictor, trace: Trace) -> bool:
 
 
 def native_cell_ok(kind: str, entry_bits: int, banks: int, n: int) -> bool:
-    """Geometry half of :func:`native_supports`, for pre-planned cells.
+    """Geometry half of :func:`native_supports`, for a planned cell.
 
-    The fused grid engine classifies cells into the same ``add`` /
-    ``lazy1`` / ``partial`` kinds before deciding which buckets the C
-    kernels take over; this applies the word-width (block-relative for
-    PARTIAL) and aliasing-density gates without re-deriving the plan.
-    The caller still checks :func:`native_available` separately.
+    Applies the word-width (block-relative for PARTIAL) and
+    aliasing-density gates to a cell's ``add`` / ``lazy1`` / ``partial``
+    kind without re-deriving the plan.  The caller still checks
+    :func:`native_available` separately.
     """
     if kind == "partial":
         if n > _NATIVE_MAX_PARTIAL_DENSITY << entry_bits:
@@ -562,8 +561,7 @@ def run_table_kernel(
     miss count.
 
     ``values`` is the bank-concatenated int64 counter array, mutated in
-    place to the final state (any contiguous view works — the fused
-    grid passes per-cell slices of its bucket array).  ``outcomes`` is
+    place to the final state (any contiguous view works).  ``outcomes`` is
     the bool conditional-outcome stream; stages accumulate under
     ``"bucket"`` or ``"sort"`` (the grouping pass, by strategy) and
     ``"scan"`` (the fused walk).  ``threads`` defaults to the

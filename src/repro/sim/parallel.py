@@ -20,21 +20,10 @@ result grid *byte-identical* to a serial run:
   exact nesting order the serial sweep uses, so the
   :class:`~repro.sim.sweep.SweepResult` grids come out identical.
 
-Cells are executed through the fused sweep-grid engine
-(:func:`repro.sim.scan_grid.simulate_spec_grid`): each chunk's
-contiguous same-trace run of cells becomes *one* grid call, so fusable
-cells share packed sorts and segmented scans instead of re-running them
-per cell, and the rest fall back to per-cell
-:func:`repro.sim.vectorized.simulate_fast` inside the grid engine
-itself.  Grid results are bit-identical to per-cell runs, so chunking,
-recovery and the serial path all keep producing byte-identical grids.
-A grid call that fails outright (the ``kernel-scan-grid`` fault site,
-or a real kernel bug) is recovered by re-running just that group per
-cell — fused state is only written back after a grid call succeeds, so
-the retry sees fresh predictors.  :func:`grid_fusion_stats` exposes
-per-process fusion counters the way :func:`recovery_stats` does for
-worker recovery (workers accumulate their own; the parent's counters
-cover serial runs).
+Every cell runs on its own through
+:func:`repro.sim.vectorized.simulate_fast`, which picks the fastest
+engine tier that can express it; serial runs, worker chunks and the
+recovery paths below all execute that same per-cell loop.
 
 The worker count comes from the ``jobs`` argument threaded through the
 sweep helpers, the experiment runner, ``tools/run_full_experiments.py
@@ -72,11 +61,9 @@ import time
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.resilience.faults import InjectedFault, fault_active, maybe_fail
-from repro.util import envvars
+from repro.resilience.faults import InjectedFault, fault_active
 from repro.sim.config import make_predictor
 from repro.sim.metrics import SimulationResult
-from repro.sim.scan_grid import GridStats, simulate_spec_grid
 from repro.sim.vectorized import simulate_fast
 from repro.traces.synthetic.workloads import ibs_trace, trace_cache_key
 from repro.traces.trace import Trace
@@ -88,8 +75,6 @@ __all__ = [
     "simulate_specs",
     "recovery_stats",
     "reset_recovery_stats",
-    "grid_fusion_stats",
-    "reset_grid_fusion_stats",
 ]
 
 #: env var consulted when a ``jobs`` argument is left unset
@@ -124,29 +109,6 @@ _WARNED_OVERSUBSCRIBED = False
 
 #: per-process recovery counters; see :func:`recovery_stats`
 _RECOVERY: Dict[str, int] = {"retries": 0, "timeouts": 0, "serial_cells": 0}
-
-#: per-process fused-grid counters; see :func:`grid_fusion_stats`
-_FUSION = GridStats()
-
-
-def grid_fusion_stats() -> Dict[str, float]:
-    """A copy of this process's fused-grid dispatch counters.
-
-    The :meth:`~repro.sim.scan_grid.GridStats.as_dict` of every grid
-    call issued by this process's cell runners — worker processes keep
-    their own (they die with the pool), so under ``jobs>1`` the parent's
-    counters only cover cells it computed itself.
-    """
-    return _FUSION.as_dict()
-
-
-def reset_grid_fusion_stats() -> None:
-    """Zero the per-process fusion counters (tests and harnesses)."""
-    _FUSION.fused_cells = 0
-    _FUSION.fallback_cells = 0
-    _FUSION.dispatches = 0
-    _FUSION.fixpoint_bailouts = 0
-    _FUSION.native_cells = 0
 
 
 def recovery_stats() -> Dict[str, int]:
@@ -265,53 +227,23 @@ def _init_worker(descriptors: List[Tuple]) -> None:
             )
 
 
-def _run_cells_grouped(
+def _run_cells_serially(
     traces: Sequence[Trace], cells: Sequence[Tuple[int, str]]
 ) -> List[SimulationResult]:
-    """Simulate cells in order, fusing contiguous same-trace groups.
+    """Simulate cells one at a time, in order, in the calling process.
 
-    Each maximal run of cells over one trace becomes a single
-    :func:`repro.sim.scan_grid.simulate_spec_grid` call (the sweep
-    helpers emit cells trace-major, so a whole trace's column usually
-    arrives as one group).  Grid results are bit-identical to per-cell
-    ``simulate_fast``, so grouping never changes a grid byte.
-
-    A group whose grid call raises — the ``kernel-scan-grid`` fault
-    site, or an unexpected kernel failure — is recovered by re-running
-    exactly that group per cell: the grid engine only writes fused
-    state back after its kernels succeed, so the retry starts from the
-    same fresh predictors, and the recovery is again byte-identical.
+    Workers run their chunks through it, and the parent runs it for
+    serial sweeps and as the recovery last resort — there it never
+    crosses a process boundary, so it bypasses the worker fault sites
+    and recovery always terminates.  Each cell goes through the
+    module-level ``simulate_fast`` name, so a wrapper installed on
+    ``repro.sim.parallel.simulate_fast`` (``bench/`` attributes cells
+    to engine tiers this way) sees every cell.
     """
-    results: List[SimulationResult] = []
-    start = 0
-    while start < len(cells):
-        trace_index = cells[start][0]
-        end = start
-        while end < len(cells) and cells[end][0] == trace_index:
-            end += 1
-        specs = [spec for _, spec in cells[start:end]]
-        try:
-            maybe_fail("kernel-scan-grid")
-            results.extend(
-                simulate_spec_grid(
-                    traces[trace_index], specs, stats=_FUSION
-                )
-            )
-        except Exception as exc:
-            warnings.warn(
-                f"fused grid dispatch failed for {len(specs)} cell(s) "
-                f"({exc!r}); recovering them per cell",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            results.extend(
-                simulate_fast(
-                    make_predictor(spec), traces[trace_index], label=spec
-                )
-                for spec in specs
-            )
-        start = end
-    return results
+    return [
+        simulate_fast(make_predictor(spec), traces[index], label=spec)
+        for index, spec in cells
+    ]
 
 
 def _run_chunk(
@@ -329,7 +261,7 @@ def _run_chunk(
         raise InjectedFault("worker-crash")
     if fault == "hang":
         time.sleep(_HANG_SECONDS)
-    return _run_cells_grouped(_WORKER_TRACES, chunk)
+    return _run_cells_serially(_WORKER_TRACES, chunk)
 
 
 def _chunk_cells(
@@ -361,19 +293,6 @@ def _pool_context():
 
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _run_cells_in_parent(
-    traces: Sequence[Trace], cells: Sequence[Tuple[int, str]]
-) -> List[SimulationResult]:
-    """Compute cells serially in the calling process (the last resort).
-
-    Bypasses the *worker* fault sites by construction — it never
-    crosses a process boundary — so recovery always terminates; results
-    are identical to the worker path because both run the same grouped
-    fused dispatch (itself per-cell-recoverable) in cell order.
-    """
-    return _run_cells_grouped(traces, cells)
 
 
 def _submit(pool, chunk: Sequence[Tuple[int, str]]):
@@ -412,7 +331,7 @@ def run_cells(
         for trace in traces:
             # Materialise hot columns once, outside any timing loops.
             trace.sim_columns()
-        return _run_cells_in_parent(traces, cells)
+        return _run_cells_serially(traces, cells)
 
     _warn_oversubscribed(jobs)
     descriptors = _describe_traces(traces)
@@ -433,7 +352,7 @@ def run_cells(
             chunk = chunks[index]
             if pool_broken:
                 _RECOVERY["serial_cells"] += len(chunk)
-                by_chunk[index] = _run_cells_in_parent(traces, chunk)
+                by_chunk[index] = _run_cells_serially(traces, chunk)
                 continue
             timeout = (
                 None if cell_timeout is None else cell_timeout * len(chunk)
@@ -457,7 +376,7 @@ def run_cells(
                     pool.terminate()
                     pool_broken = True
                     _RECOVERY["serial_cells"] += len(chunk)
-                    by_chunk[index] = _run_cells_in_parent(traces, chunk)
+                    by_chunk[index] = _run_cells_serially(traces, chunk)
                     break
                 except Exception as exc:
                     if attempt < RETRY_LIMIT:
@@ -474,7 +393,7 @@ def run_cells(
                         stacklevel=2,
                     )
                     _RECOVERY["serial_cells"] += len(chunk)
-                    by_chunk[index] = _run_cells_in_parent(traces, chunk)
+                    by_chunk[index] = _run_cells_serially(traces, chunk)
                     break
         results: List[SimulationResult] = []
         for chunk_results in by_chunk:

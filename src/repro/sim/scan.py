@@ -272,7 +272,6 @@ def _run_level_scan(
     max_value: int,
     events: int,
     timer: StageTimer,
-    group_bounds: Optional[np.ndarray] = None,
 ) -> _RunScan:
     """Map composition over an already run-length-encoded event stream.
 
@@ -281,15 +280,6 @@ def _run_level_scan(
     table entry.  ``taken_sorted`` is carried through for callers that
     later expand per-event predictions; pure-wrongness consumers pass
     None.
-
-    ``group_bounds`` (optional, ascending run indices from 0 to
-    ``runs``) splits the doubling sweeps by independent table: fused
-    grids pass their per-block run ranges so each group stops at *its
-    own* anchoring depth instead of the global maximum — one dense
-    little table no longer drags every other cell through its deep
-    levels.  Boundaries must coincide with key changes (block starts
-    do), which makes skipping a finished group exactly the work the
-    segment guard would have discarded.
     """
     runs = len(run_starts)
     with timer.stage("scan"):
@@ -319,15 +309,7 @@ def _run_level_scan(
             new_seg | (run_len >= max_value), position, np.int32(-1)
         )
         np.maximum.accumulate(anchored, out=anchored)
-        gaps = position - anchored
-        group_levels: Optional[np.ndarray] = None
-        if group_bounds is not None and len(group_bounds) > 2:
-            group_levels = (
-                np.maximum.reduceat(gaps, group_bounds[:-1]) + 1
-            )
-            levels_needed = int(group_levels.max())
-        else:
-            levels_needed = int(gaps.max()) + 1
+        levels_needed = int((position - anchored).max()) + 1
 
         # Segmented Hillis-Steele scan: after the pass at distance d,
         # maps[:, i] composes runs (i-2d, i] of i's segment; the equality
@@ -344,43 +326,16 @@ def _run_level_scan(
         limit = np.iinfo(map_dtype).max
         clamp = max_value + 2 * levels_needed * cap > limit
         offset = 1
-
-        def _sweep(a: int, b: int) -> None:
-            # Runs [a, a + offset) would compose with a previous group
-            # (key mismatch: the guard discards it), so the tail slice
-            # starting at a + offset is the exact full-array update.
-            if b - a <= offset:
-                return
-            tail = maps[:, a + offset : b]
-            composed = maps[:, a : b - offset] + tail[0]
+        while offset < levels_needed:
+            tail = maps[:, offset:]
+            composed = maps[:, :-offset] + tail[0]
             if clamp:
                 np.maximum(composed[0], -cap, out=composed[0])
                 np.minimum(composed[0], cap, out=composed[0])
             np.maximum(composed[1:], tail[1], out=composed[1:])
             np.minimum(composed[1:], tail[2], out=composed[1:])
-            same = run_key[a + offset : b] == run_key[a : b - offset]
+            same = run_key[offset:] == run_key[:-offset]
             np.copyto(tail, composed, where=same)
-
-        while offset < levels_needed:
-            if group_levels is None:
-                _sweep(0, runs)
-            else:
-                # Passes past a group's own depth only re-compose maps
-                # beyond its anchors — function-preserving by the same
-                # argument that bounds levels_needed — so restricting
-                # each pass to the still-deepening groups (merged into
-                # contiguous slices) changes no downstream value.
-                act = np.flatnonzero(group_levels > offset)
-                i = 0
-                while i < len(act):
-                    j = i
-                    while j + 1 < len(act) and act[j + 1] == act[j] + 1:
-                        j += 1
-                    _sweep(
-                        int(group_bounds[act[i]]),
-                        int(group_bounds[act[j] + 1]),
-                    )
-                    i = j + 1
             offset <<= 1
 
         # Exclusive stage: the counter entering run i is the composed map
@@ -479,7 +434,7 @@ def _packed_runs(packed: np.ndarray, shift: int, timer: StageTimer):
     (``>= shift``) or the outcome bit (bit 0).  Returns ``(run_key,
     run_tak, run_len, run_starts)`` with the key and outcome extracted
     from each run's first word — no permutation gathers.  Works on any
-    unsigned word width (the fused grid kernel packs uint64).
+    unsigned word width.
     """
     m = len(packed)
     word = packed.dtype.type
@@ -533,9 +488,8 @@ _COUPLED_ROUND_LIMIT = 64
 #: (n=96473), gskew 3x4096 (24 ev/entry) takes ~4 rounds/block and
 #: matches the sequential loop, 3x1024 (94) is ~1.7x slower than the
 #: loop, and 3x64 (1507) is ~36 rounds/block — 10x slower.  Below this
-#: density the scan wins or ties and fused grids amortise the rest;
-#: above it the vectorized loop is strictly faster, so dense cells keep
-#: that tier.
+#: density the scan wins or ties; above it the vectorized loop is
+#: strictly faster, so dense cells keep that tier.
 _MAX_PARTIAL_DENSITY = 64
 
 #: lazily built composition / constancy LUTs (see ``_code_tables``)
@@ -888,7 +842,7 @@ def _pack_bank_blocks(
     outcome and original position all shift back out of the sorted
     words.  The caller picks the word width (``np.uint32`` when
     ``key_bits + shift <= 32``, ``np.uint64`` otherwise — the coupled
-    and fused kernels need the wider words for long traces).  The
+    kernels need the wider words for long traces).  The
     tagged key fits the bits above ``shift`` by the caller's width
     check, so the down-cast is exact.
     """

@@ -6,13 +6,10 @@ templates (see :mod:`repro.sim.config`) so experiment code reads like
 the figure captions: sizes for Figures 5/6/8, history lengths for
 Figures 7/12.
 
-Cells are emitted trace-major so each trace's column dispatches as one
-fused sweep-grid call (:mod:`repro.sim.scan_grid`) — fusable cells
-share packed sorts and segmented scans; the rest run per cell on the
-fastest supporting engine — and sweeps can fan out over a process pool:
-every sweep helper takes ``jobs`` (``None`` defers to the
-``REPRO_JOBS`` environment variable, declared in
-:mod:`repro.util.envvars`; see :mod:`repro.sim.parallel`).
+Each cell runs on the fastest engine that supports it, and sweeps can
+fan out over a process pool: every sweep helper takes ``jobs``
+(``None`` defers to the ``REPRO_JOBS`` environment variable, declared
+in :mod:`repro.util.envvars`; see :mod:`repro.sim.parallel`).
 Grids are deterministic and identical for any worker count.
 """
 

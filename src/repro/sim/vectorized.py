@@ -74,7 +74,7 @@ _MAX_HISTORY_BITS = 63
 #: registry (:mod:`repro.util.envvars`), re-exported here by name.
 ENGINE_ENV_VAR = envvars.ENGINE.name
 
-_ENGINE_NAMES = frozenset({"generic", "vectorized", "scan", "grid", "native"})
+_ENGINE_NAMES = frozenset({"generic", "vectorized", "scan", "native"})
 
 
 def forced_engine() -> Optional[str]:
@@ -84,11 +84,8 @@ def forced_engine() -> Optional[str]:
     ``native`` directly to that engine — a spec the engine cannot
     express raises its usual ``ValueError`` instead of silently falling
     back, which is the point: a forced benchmark or CI lane must fail
-    loudly rather than measure the wrong tier.  ``grid`` is interpreted
-    by :func:`repro.sim.scan_grid.simulate_grid` (force cell fusion,
-    skipping its size/population gates); ``simulate_fast`` treats it
-    like normal tiered dispatch so grid-internal fallback cells don't
-    recurse.  Unknown values raise ``ValueError`` immediately.
+    loudly rather than measure the wrong tier.  Unknown values raise
+    ``ValueError`` immediately.
     """
     value = envvars.ENGINE.text()
     if not value:
@@ -762,8 +759,6 @@ def simulate_fast(
         return simulate_scan(predictor, trace, warmup=warmup, label=label)
     if forced == "native":
         return simulate_native(predictor, trace, warmup=warmup, label=label)
-    # None or "grid": normal tiered dispatch (grid is a scan_grid-level
-    # concept; its fallback cells land here and must not recurse).
 
     tiers = []
     if native_supports(predictor, trace):

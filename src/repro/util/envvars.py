@@ -123,8 +123,8 @@ ENGINE = EnvVar(
     "REPRO_ENGINE",
     "choice",
     "(tiered dispatch)",
-    "Force one simulation engine: `generic`, `vectorized`, `scan`, "
-    "`grid` or `native`; unknown names fail loudly.",
+    "Force one simulation engine: `generic`, `vectorized`, `scan` or "
+    "`native`; unknown names fail loudly.",
 )
 
 FAULTS = EnvVar(

@@ -9,7 +9,7 @@ test can see.
 
 Each of the six IBS-named workloads runs at a small scale through every
 engine tier (generic interpreter, vectorized loop, transition scan,
-fused sweep-grid, native C kernel) for a spec family every tier can
+native C kernel) for a spec family every tier can
 express.  Counts are exact integers — the engines are deterministic and
 bit-identical, so the comparison is equality, not a tolerance.  The
 native tier is optional by design: its rows skip with an explicit
@@ -36,13 +36,12 @@ from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
 from repro.sim.native import native_available, native_supports, simulate_native
 from repro.sim.scan import simulate_scan
-from repro.sim.scan_grid import simulate_grid
 from repro.sim.vectorized import simulate_vectorized
 from repro.traces.synthetic.workloads import IBS_BENCHMARKS, ibs_trace
 
 GOLDEN_PATH = Path(__file__).parent / "golden_rates.json"
 
-#: Small enough to keep 6 workloads x 5 specs x 5 tiers cheap, large
+#: Small enough to keep 6 workloads x 5 specs x 4 tiers cheap, large
 #: enough that every workload has thousands of conditional branches.
 GOLDEN_SCALE = 0.05
 
@@ -108,22 +107,6 @@ def _measure_serving() -> dict:
     return out
 
 
-def _simulate_grid_pair(predictor, trace, label):
-    """The fused sweep-grid tier, forced through a real fused bucket.
-
-    A single-cell grid would fall back per cell (nothing to amortise),
-    so the golden row runs the spec as a two-member bucket — the fused
-    kernels with the pack cache engaged — and pins both members to the
-    same numbers.
-    """
-    twin = make_predictor(label)
-    first, second = simulate_grid(
-        [predictor, twin], trace, labels=[label, label]
-    )
-    assert first == second
-    return first
-
-
 def _simulate_native_checked(predictor, trace, label):
     """The native C tier, skipping where it cannot run.
 
@@ -147,7 +130,6 @@ ENGINES = {
     "generic": simulate,
     "vectorized": simulate_vectorized,
     "scan": simulate_scan,
-    "grid": _simulate_grid_pair,
     "native": _simulate_native_checked,
 }
 

@@ -157,4 +157,3 @@ class TestRealTree:
             for site in index.callers_of("repro.sim.native", "run_table_kernel")
         }
         assert ("repro.sim.native", "simulate_native") in callers
-        assert ("repro.sim.scan_grid", "_native_bucket") in callers

@@ -61,10 +61,11 @@ class TestParse:
         assert plan.should_fire("worker-crash")
 
     def test_unknown_site_rejected_with_known_list(self):
-        with pytest.raises(ValueError, match="unknown fault site"):
-            FaultPlan.parse("warp-core@1")
-        with pytest.raises(ValueError, match="worker-crash"):
-            FaultPlan.parse("warp-core@1")
+        for text in ("warp-core@1", "kernel-scan-grid@1"):
+            with pytest.raises(ValueError, match="unknown fault site"):
+                FaultPlan.parse(text)
+            with pytest.raises(ValueError, match="worker-crash"):
+                FaultPlan.parse(text)
 
     @pytest.mark.parametrize(
         "text",
@@ -150,6 +151,5 @@ class TestInjectedFault:
             "kernel-native",
             "kernel-scan",
             "kernel-vectorized",
-            "kernel-scan-grid",
             "serving-shard",
         }

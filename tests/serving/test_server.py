@@ -10,11 +10,13 @@ mid-stream snapshot/restore, and arbitrary flush boundaries.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.serving.client import PredictionClient, ServingError
+from repro.serving.protocol import ProtocolError, decode_request
 from repro.serving.server import PredictionServer, PredictionService
 from repro.sim.config import make_predictor
 from repro.sim.native import native_available
@@ -109,6 +111,27 @@ def _ibs_like(seed: int, length: int) -> Trace:
         takens.append((value >> 7) & 1)
         conditionals.append(0 if value % 13 == 0 else 1)
     return Trace.from_columns(pcs, takens, conditionals, name=f"sess{seed}")
+
+
+def _events_line(events) -> bytes:
+    return json.dumps(
+        {"op": "events", "session": "s", "events": events}
+    ).encode("utf-8")
+
+
+class TestEventValidation:
+    @pytest.mark.parametrize(
+        "event",
+        [[2**64, 1], [-1, 1], [4, 2], [4, 1, 2], [4, -1], [4, 0.5],
+         [True, 1], [4, "1"]],
+    )
+    def test_out_of_range_event_rejected(self, event):
+        with pytest.raises(ProtocolError, match="each event"):
+            decode_request(_events_line([[4, 1], event]))
+
+    def test_in_range_events_accepted(self):
+        events = [[0, 0], [2**64 - 1, 1], [4, True, False], [8, 0, 1]]
+        assert decode_request(_events_line(events))["events"] == events
 
 
 class TestInterleavedVsSerial:
@@ -314,28 +337,34 @@ class TestAsyncServer:
         assert served == _serial_finals(sessions, specs)
 
     def test_protocol_errors_are_answered_not_fatal(self):
+        lines = [
+            b"this is not json\n",
+            # The connection survives a garbage line...
+            b'{"op": "open", "session": "s", "spec": "bimodal:64"}\n',
+            # ...and an out-of-range PC is refused before it is buffered,
+            # so the session keeps syncing instead of raising forever.
+            b'{"op": "events", "session": "s", "events": [[%d, 1]]}\n'
+            % 2**64,
+            b'{"op": "sync", "session": "s"}\n',
+        ]
+
         async def scenario():
             async with PredictionServer(shards=1, batch_size=8) as server:
                 host, port = server.address
                 reader, writer = await asyncio.open_connection(host, port)
-                writer.write(b"this is not json\n")
-                await writer.drain()
-                line = await reader.readline()
-                # The connection survives a garbage line...
-                writer.write(
-                    b'{"op": "open", "session": "s", "spec": "bimodal:64"}\n'
-                )
-                await writer.drain()
-                second = await reader.readline()
+                responses = []
+                for line in lines:
+                    writer.write(line)
+                    await writer.drain()
+                    responses.append(json.loads(await reader.readline()))
                 writer.close()
                 await writer.wait_closed()
-                return line, second
+                return responses
 
-        import json
-
-        first, second = asyncio.run(scenario())
-        assert json.loads(first)["ok"] is False
-        assert json.loads(second)["ok"] is True
+        responses = asyncio.run(scenario())
+        assert [r["ok"] for r in responses] == [False, True, False, True]
+        assert "2**64" in responses[2]["error"]
+        assert responses[3]["conditional_branches"] == 0
 
     def test_unknown_session_error_surfaces_in_client(self):
         async def scenario():

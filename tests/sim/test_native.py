@@ -329,11 +329,12 @@ class TestForcedEngine:
         assert forced_engine() is None
 
     def test_unknown_value_fails_loudly(self, monkeypatch, tiny_trace):
-        monkeypatch.setenv("REPRO_ENGINE", "frobnicate")
-        with pytest.raises(ValueError, match="not a known engine"):
-            forced_engine()
-        with pytest.raises(ValueError, match="not a known engine"):
-            simulate_fast(make_predictor("bimodal:64"), tiny_trace)
+        for value in ("frobnicate", "grid"):
+            monkeypatch.setenv("REPRO_ENGINE", value)
+            with pytest.raises(ValueError, match="not a known engine"):
+                forced_engine()
+            with pytest.raises(ValueError, match="not a known engine"):
+                simulate_fast(make_predictor("bimodal:64"), tiny_trace)
 
     @pytest.mark.parametrize(
         "engine", ["generic", "vectorized", "scan", "native"]

@@ -14,13 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.sim.parallel as parallel_module
-from repro.resilience.faults import FAULTS_ENV_VAR, reset_faults
 from repro.sim.config import make_predictor
 from repro.sim.parallel import (
     JOBS_ENV_VAR,
     _chunk_cells,
-    grid_fusion_stats,
-    reset_grid_fusion_stats,
     resolve_jobs,
     run_cells,
     simulate_specs,
@@ -81,55 +78,63 @@ class TestRunCells:
         )
 
 
+def _record_dispatches(monkeypatch):
+    """Wrap the runner's ``simulate_fast`` and log ``(trace, label)``
+    for every cell it dispatches."""
+    seen = []
+
+    def recording(predictor, trace, warmup=0, label=None):
+        seen.append((trace, label))
+        return simulate_fast(predictor, trace, warmup=warmup, label=label)
+
+    monkeypatch.setattr(parallel_module, "simulate_fast", recording)
+    return seen
+
+
 class TestFusedGroupDispatch:
-    def test_serial_runner_fuses_trace_groups(self, tiny_trace, small_trace):
-        """A trace-major cell list dispatches one grid per trace group."""
-        reset_grid_fusion_stats()
+    """Serial dispatch of multi-trace cell lists: every cell reaches
+    ``simulate_fast`` exactly once, on its own trace, in input order,
+    and the results equal per-cell simulation."""
+
+    def test_serial_runner_fuses_trace_groups(
+        self, tiny_trace, small_trace, monkeypatch
+    ):
+        """A trace-major cell list runs cell by cell, in order."""
         specs = ["gshare:128:h4", "gshare:256:h4", "bimodal:128", "fa:16:h3"]
+        traces = [tiny_trace, small_trace]
         cells = [(0, s) for s in specs] + [(1, s) for s in specs]
         expected = [
-            simulate_fast(
-                make_predictor(spec),
-                [tiny_trace, small_trace][index],
-                label=spec,
-            )
+            simulate_fast(make_predictor(spec), traces[index], label=spec)
             for index, spec in cells
         ]
-        assert run_cells([tiny_trace, small_trace], cells, jobs=1) == expected
-        stats = grid_fusion_stats()
-        assert stats["dispatches"] == 2  # one fused kernel per trace group
-        assert stats["fused_cells"] == 6
-        assert stats["fallback_cells"] == 2
+        seen = _record_dispatches(monkeypatch)
+        assert run_cells(traces, cells, jobs=1) == expected
+        assert [label for _, label in seen] == [spec for _, spec in cells]
+        assert all(
+            trace is traces[index] for (trace, _), (index, _) in zip(seen, cells)
+        )
 
-    def test_alternating_traces_group_contiguously(self, tiny_trace):
-        """Grouping splits on trace changes only, preserving cell order."""
-        reset_grid_fusion_stats()
+    def test_alternating_traces_group_contiguously(
+        self, tiny_trace, small_trace, monkeypatch
+    ):
+        """Interleaved trace indices keep their cell order and traces."""
         cells = [
             (0, "gshare:128:h4"),
             (1, "gshare:128:h4"),
             (0, "bimodal:128"),
             (0, "gshare:64:h4"),
         ]
-        traces = [tiny_trace, tiny_trace]
+        traces = [tiny_trace, small_trace]
         expected = [
             simulate_fast(make_predictor(spec), traces[index], label=spec)
             for index, spec in cells
         ]
+        seen = _record_dispatches(monkeypatch)
         assert run_cells(traces, cells, jobs=1) == expected
-        # Three groups: [0], [1], [0, 0]; only the last can fuse.
-        assert grid_fusion_stats()["dispatches"] <= 1
-
-    def test_grid_failure_recovers_per_cell(self, tiny_trace, monkeypatch):
-        """kernel-scan-grid faults degrade to per-cell, byte-identically."""
-        cells = [(0, "gshare:128:h4"), (0, "gshare:256:h4")]
-        expected = run_cells([tiny_trace], cells, jobs=1)
-        monkeypatch.setenv(FAULTS_ENV_VAR, "kernel-scan-grid@1")
-        reset_faults()
-        with pytest.warns(RuntimeWarning, match="fused grid dispatch"):
-            degraded = run_cells([tiny_trace], cells, jobs=1)
-        monkeypatch.setenv(FAULTS_ENV_VAR, "")
-        reset_faults()
-        assert degraded == expected
+        assert [label for _, label in seen] == [spec for _, spec in cells]
+        assert all(
+            trace is traces[index] for (trace, _), (index, _) in zip(seen, cells)
+        )
 
 
 @pytest.mark.slow

@@ -22,16 +22,7 @@ Times, on one IBS-clone trace:
    (``measure_aliasing_reference`` once per size) vs the one-pass
    vectorized engine (``measure_aliasing_sweep``), checking the
    breakdowns are identical;
-5. **sweep_grid** — a Figure-5-shaped gshare/gskew-PARTIAL grid run
-   three ways: per-cell fast dispatch (``simulate_fast``, the scan
-   tier), per-cell vectorized loop, and the fused sweep-grid kernel
-   (``repro.sim.scan_grid.simulate_spec_grid``: one sorted pass per
-   bucket for the whole grid), with per-stage wall-clock, effective
-   branches/s (``branches x cells / wall``) and the fused dispatch
-   stats.  The grid runs at a capped trace scale so the fused kernel
-   is in its operating regime (above the cache crossover the add
-   buckets gate back to per-cell dispatch by design);
-6. **serving** — the multi-tenant serving layer under load:
+5. **serving** — the multi-tenant serving layer under load:
    ``repro.serving.loadgen`` replays every IBS workload as several
    interleaved sessions through one in-process
    :class:`~repro.serving.server.PredictionService`, reporting p50/p99
@@ -39,7 +30,7 @@ Times, on one IBS-clone trace:
    every tenant's counts and final predictor state against a serial
    ``simulate_fast`` run of the same sub-trace (``parity_gaps`` must
    stay empty — interleaving and batching are required to be invisible);
-7. **native** — the compiled C kernel (``repro.sim.native``) vs the
+6. **native** — the compiled C kernel (``repro.sim.native``) vs the
    numpy scan on the scan section's specs plus the LAZY/PARTIAL specs
    the C map-code walks now cover, with per-stage wall-clock
    (precompute / bucket or sort / scan / reduce), the grouping
@@ -61,10 +52,9 @@ Run:  python tools/bench_engine.py [--scale 0.4] [--jobs 1 2 4]
 
 ``--quick`` is the CI smoke lane: an R004/R006 parity plus
 R007/R008/R009 width-flow/C-ABI/env-contract pre-flight, a
-small fused-grid equivalence-and-timing pass, a native-vs-scan
-bit-identity sweep, and a small serving loadgen replay that fails on
-any tenant parity gap, exiting non-zero on any parity gap or engine
-mismatch (the native check green-skips when the backend is
+native-vs-scan bit-identity sweep, and a small serving loadgen replay
+that fails on any tenant parity gap, exiting non-zero on any parity
+gap or engine mismatch (the native check green-skips when the backend is
 unavailable), and leaving ``BENCH_engine.json`` untouched unless
 ``--out`` is given explicitly.
 
@@ -100,7 +90,6 @@ from repro.sim.parallel import run_cells
 from repro.sim.profile import StageTimer
 from repro.serving.loadgen import run_loadgen
 from repro.sim.scan import scan_supports, simulate_scan
-from repro.sim.scan_grid import GridStats, simulate_spec_grid
 from repro.sim.vectorized import simulate_fast, simulate_vectorized
 from repro.sim.vectorized import supports as vector_supports
 from repro.traces.synthetic.workloads import ibs_trace
@@ -145,43 +134,11 @@ ALIASING_SIZES = [1 << n for n in range(5, 14)]  # the Figure 1/2 grid
 ALIASING_HISTORY_BITS = 4
 ALIASING_SCHEMES = ("gshare", "gselect")
 
-#: Fused-grid shapes, timed separately because the two bucket kinds
-#: amortise differently: ``add`` buckets (always-update) fuse their
-#: sort+scan bookkeeping, PARTIAL buckets amortise per-round dispatch
-#: but pay max-rounds over the bucket, so a mixed Figure-5 column's
-#: ratio is a wall-clock-weighted blend of the two.
-GRID_SHAPES = {
-    "always_update_column": [
-        f"gshare:{size}:h8" for size in (64, 256, "1k", "4k")
-    ],
-    "partial_column": [
-        f"gskew:3x{size}:h8:partial" for size in (256, "1k", "4k")
-    ],
-    "figure5_mixed": [
-        template.format(size=size)
-        for size in (64, 256, "1k", "4k")
-        for template in ("gshare:{size}:h8", "gskew:3x{size}:h8:partial")
-    ],
-}
-
 #: The issue's throughput target for the native C kernel.  Recorded
 #: next to the measurement (``target_met``) so the report stays honest
 #: when the hardware says no — docs/performance.md carries the
 #: stage-level account either way.
 NATIVE_TARGET_BRANCHES_PER_S = 100_000_000
-
-#: The fused kernel's operating regime: above the cache crossover
-#: (``repro.sim.scan_grid._FUSE_MAX_EVENTS`` events) the fused working
-#: set falls out of cache and add/lazy1 buckets gate back to per-cell
-#: dispatch by design, so the grid section times a sub-scale trace
-#: where fusion actually engages.
-GRID_SCALE_CAP = 0.15
-
-#: The issue's wall-clock target for the fused grid vs per-cell scan
-#: dispatch.  Recorded next to the measurement so the report is honest
-#: when the hardware says no — see docs/performance.md for the
-#: stage-level profile showing the kernel is throughput-bound.
-GRID_TARGET_SPEEDUP = 3.0
 
 
 #: Per-measurement trial policy: at least ``--repeat`` trials, then keep
@@ -652,112 +609,6 @@ def bench_aliasing(trace, repeat):
     }
 
 
-def bench_sweep_grid(benchmark, scale, repeat):
-    """Fused sweep-grid kernel vs per-cell scan vs vectorized loop."""
-    scale = min(scale, GRID_SCALE_CAP)
-    trace = ibs_trace(benchmark, scale=scale)
-    trace.sim_columns()
-    branches = trace.conditional_count
-    print(f"  trace: {branches} branches ({benchmark} x{scale})")
-
-    rows = []
-    for shape, specs in GRID_SHAPES.items():
-        cells = len(specs)
-
-        def per_cell_fast():
-            return [
-                simulate_fast(make_predictor(spec), trace, label=spec)
-                for spec in specs
-            ]
-
-        per_cell_s, expected = _best_of(repeat, per_cell_fast)
-
-        def per_cell_vectorized():
-            return [
-                simulate_vectorized(make_predictor(spec), trace, label=spec)
-                for spec in specs
-            ]
-
-        vectorized_s, loop_results = _best_of(repeat, per_cell_vectorized)
-
-        stage_best = {}
-
-        def _fused_trial():
-            timer = StageTimer()
-            stats = GridStats()
-            results = simulate_spec_grid(
-                trace, specs, stage_timer=timer, stats=stats
-            )
-            return timer, stats, results
-
-        def _note_stages(trial):
-            for name, seconds in trial[0].totals.items():
-                stage_best[name] = min(
-                    stage_best.get(name, float("inf")), seconds
-                )
-
-        fused_s, (_, stats, fused_results) = _best_of(
-            repeat, _fused_trial, on_trial=_note_stages
-        )
-
-        identical = fused_results == expected and loop_results == expected
-        speedup_scan = per_cell_s / fused_s
-        rows.append(
-            {
-                "grid": shape,
-                "cells": cells,
-                "specs": specs,
-                "per_cell_scan_s": round(per_cell_s, 4),
-                "vectorized_s": round(vectorized_s, 4),
-                "fused_s": round(fused_s, 4),
-                "effective_branches_per_s": {
-                    "fused": round(branches * cells / fused_s),
-                    "per_cell_scan": round(branches * cells / per_cell_s),
-                    "vectorized": round(branches * cells / vectorized_s),
-                },
-                "speedup_vs_per_cell_scan": round(speedup_scan, 2),
-                "speedup_vs_vectorized": round(vectorized_s / fused_s, 2),
-                "fused_cells_per_dispatch": round(
-                    stats.fused_cells_per_dispatch, 2
-                ),
-                "stages_s": {
-                    name: round(seconds, 6)
-                    for name, seconds in sorted(stage_best.items())
-                },
-                "grid_stats": stats.as_dict(),
-                "identical": identical,
-            }
-        )
-        print(
-            f"  {shape:22s} ({cells} cells) per-cell scan "
-            f"{per_cell_s * 1e3:7.2f}ms  vectorized "
-            f"{vectorized_s * 1e3:7.2f}ms  fused {fused_s * 1e3:7.2f}ms  "
-            f"x{speedup_scan:4.2f} vs scan  "
-            f"{branches * cells / fused_s / 1e6:6.1f}M eff br/s  "
-            f"{'ok' if identical else 'MISMATCH'}"
-        )
-
-    best_speedup = max(row["speedup_vs_per_cell_scan"] for row in rows)
-    identical = all(row["identical"] for row in rows)
-    if best_speedup < GRID_TARGET_SPEEDUP:
-        print(
-            f"  note: best x{best_speedup:.2f} is below the x"
-            f"{GRID_TARGET_SPEEDUP:.0f} target — the kernel is "
-            "throughput-bound, not overhead-bound (docs/performance.md)"
-        )
-    return {
-        "cpu_count": os.cpu_count(),
-        "benchmark": benchmark,
-        "scale": scale,
-        "conditional_branches": branches,
-        "target_speedup_vs_per_cell_scan": GRID_TARGET_SPEEDUP,
-        "target_met": best_speedup >= GRID_TARGET_SPEEDUP,
-        "best_speedup_vs_per_cell_scan": best_speedup,
-        "rows": rows,
-        "identical": identical,
-    }
-
-
 #: the rules the --quick pre-flight runs over the hot-path modules:
 #: R004/R006 (every timed entry point has an equivalence test) plus the
 #: dataflow rules R007 (packing expressions fit their dtype or carry a
@@ -782,7 +633,6 @@ def check_engine_parity() -> list:
         [
             REPO_ROOT / "src/repro/sim/vectorized.py",
             REPO_ROOT / "src/repro/sim/scan.py",
-            REPO_ROOT / "src/repro/sim/scan_grid.py",
             REPO_ROOT / "src/repro/sim/native.py",
             REPO_ROOT / "src/repro/aliasing/vectorized.py",
         ],
@@ -815,7 +665,7 @@ def main() -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke: parity pre-flight + small fused-grid check; "
+        help="CI smoke: parity pre-flight + native and serving parity; "
         "fails on parity gaps or mismatches, writes nothing by default",
     )
     args = parser.parse_args()
@@ -824,8 +674,6 @@ def main() -> int:
     parity_gaps = check_engine_parity()
 
     if args.quick:
-        print("sweep_grid smoke (fused vs per-cell scan vs vectorized):")
-        sweep_grid = bench_sweep_grid(args.benchmark, 0.05, repeat=1)
         print("native smoke (native vs scan bit-identity):")
         native_smoke = quick_native_check(args.benchmark)
         print("serving smoke (interleaved loadgen vs serial):")
@@ -837,7 +685,6 @@ def main() -> int:
             "cpu_count": os.cpu_count(),
             "quick": True,
             "engine_parity_gaps": parity_gaps,
-            "sweep_grid": sweep_grid,
             "native": native_smoke,
             "serving": serving_smoke,
         }
@@ -848,15 +695,12 @@ def main() -> int:
             print(f"wrote {args.out}")
         if parity_gaps:
             print("ERROR: engine pre-flight gaps; see warnings above")
-        if not sweep_grid["identical"]:
-            print("ERROR: fused grid disagrees with per-cell engines")
         if not native_smoke["identical"]:
             print("ERROR: native kernel disagrees with the scan tier")
         if not serving_smoke["identical"]:
             print("ERROR: interleaved serving disagrees with serial runs")
         ok = (
             not parity_gaps
-            and sweep_grid["identical"]
             and native_smoke["identical"]
             and serving_smoke["identical"]
         )
@@ -878,8 +722,6 @@ def main() -> int:
     sweep = bench_sweep(trace, args.jobs, args.repeat)
     print("aliasing (streaming reference vs one-pass vectorized):")
     aliasing = bench_aliasing(trace, args.repeat)
-    print("sweep_grid (fused vs per-cell scan vs vectorized):")
-    sweep_grid = bench_sweep_grid(args.benchmark, args.scale, args.repeat)
     print("serving (interleaved multi-tenant loadgen):")
     serving = bench_serving(args.scale)
     print("native (C kernel vs numpy scan):")
@@ -897,7 +739,6 @@ def main() -> int:
         "scan": scan,
         "sweep": sweep,
         "aliasing": aliasing,
-        "sweep_grid": sweep_grid,
         "serving": serving,
         "native": native,
     }
@@ -910,7 +751,6 @@ def main() -> int:
         and all(row["identical"] for row in scan["rows"])
         and sweep["identical"]
         and aliasing["identical"]
-        and sweep_grid["identical"]
         and serving["identical"]
         and all(
             row.get("identical", True) for row in native["rows"]
