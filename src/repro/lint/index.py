@@ -169,8 +169,8 @@ class ProjectIndex:
         """Split a fully-qualified path into ``(module, symbol-path)``.
 
         Chooses the *longest* module prefix known to the index, so
-        ``repro.sim.native.run_table_kernel`` resolves to the module
-        ``repro.sim.native`` with symbol ``run_table_kernel`` even
+        ``repro.sim.native.simulate_native`` resolves to the module
+        ``repro.sim.native`` with symbol ``simulate_native`` even
         though ``repro.sim`` is also a module.
         """
         parts = dotted.split(".")
@@ -268,7 +268,7 @@ class ProjectIndex:
 
         The undirected ball around a function: its callees, its
         callers, their callees, and so on.  R007 searches this set for
-        width guards — a gate like ``word_width_ok`` typically sits one
+        width guards — a gate like ``scan_supports`` typically sits one
         hop *up* (in the caller that decides to take the fast path) and
         one or two hops *sideways* (a helper the caller consults).
         """

@@ -23,11 +23,10 @@ This rule checks all three surfaces against each other:
    the parameter's base type, and the numpy dtype the dataflow lattice
    (:mod:`repro.lint.dataflow`) infers for ``arr`` must be
    byte-compatible with ``T``.  Dtypes for function parameters are
-   seeded from *call sites* through the project index — that is how the
-   bank-concatenated ``values`` array, built in ``simulate_native``,
-   types the buffer passed inside ``run_table_kernel``.  A
+   seeded from *call sites* through the project index, so an array
+   built in one function types the buffer a helper it calls passes.  A
    ``from_buffer`` result bound to a name is traced through its
-   definitions (both branches of the ``wrong_buffer`` idiom), and
+   definitions (a name assigned on both branches of an ``if``), and
    ``ffi.NULL`` satisfies any pointer.
 
 Unknown dtypes stay silent: the rule only reports when two *known*

@@ -32,10 +32,12 @@ import json
 from typing import Any, Dict
 
 __all__ = [
+    "EVENT_ERROR",
     "ProtocolError",
     "decode_request",
     "encode_message",
     "error_response",
+    "is_event",
     "ok_response",
 ]
 
@@ -71,6 +73,23 @@ def _is_flag(value: Any) -> bool:
     return isinstance(value, int) and value in (0, 1)
 
 
+#: The error answering an ``events`` list with a malformed entry.
+EVENT_ERROR = (
+    "each event is [pc, taken] or [pc, taken, conditional] "
+    "with 0 <= pc < 2**64 and flags bool or 0/1"
+)
+
+
+def is_event(value: Any) -> bool:
+    """One ``events`` entry: ``[pc, taken]`` or ``[pc, taken, conditional]``."""
+    return (
+        isinstance(value, list)
+        and 2 <= len(value) <= 3
+        and _is_pc(value[0])
+        and all(_is_flag(flag) for flag in value[1:])
+    )
+
+
 def decode_request(line: bytes) -> Dict[str, Any]:
     """Parse and validate one request line.
 
@@ -103,17 +122,8 @@ def decode_request(line: bytes) -> Dict[str, Any]:
         events = request.get("events")
         if not isinstance(events, list):
             raise ProtocolError("events needs an 'events' list")
-        for event in events:
-            if (
-                not isinstance(event, list)
-                or not 2 <= len(event) <= 3
-                or not _is_pc(event[0])
-                or not all(_is_flag(flag) for flag in event[1:])
-            ):
-                raise ProtocolError(
-                    "each event is [pc, taken] or [pc, taken, conditional] "
-                    "with 0 <= pc < 2**64 and flags bool or 0/1"
-                )
+        if not all(is_event(event) for event in events):
+            raise ProtocolError(EVENT_ERROR)
     if op == "restore" and not isinstance(request.get("state"), str):
         raise ProtocolError("restore needs a hex 'state' payload")
     return request

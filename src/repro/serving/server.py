@@ -27,10 +27,12 @@ import asyncio
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.serving.protocol import (
+    EVENT_ERROR,
     ProtocolError,
     decode_request,
     encode_message,
     error_response,
+    is_event,
     ok_response,
 )
 from repro.serving.shard import Shard, ShardRing
@@ -71,9 +73,9 @@ class PredictionService:
     def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Dispatch one validated request (see protocol module for ops).
 
-        Client errors (unknown sessions, spec conflicts, corrupt state
-        payloads) come back as error responses; anything else is a
-        server bug and propagates.
+        Client errors (unknown sessions, spec conflicts, malformed
+        events, corrupt state payloads) come back as error responses;
+        anything else is a server bug and propagates.
         """
         op = request["op"]
         if op == "stats":
@@ -121,6 +123,13 @@ class PredictionService:
     def _handle_events(
         self, shard: Shard, session: str, events: List[list]
     ) -> Dict[str, Any]:
+        # In-process callers skip decode_request, so check every event
+        # before buffering any: one bad PC would otherwise sit in the
+        # buffer and fail every later flush of the session.
+        if not isinstance(events, list) or not all(
+            is_event(event) for event in events
+        ):
+            return error_response(EVENT_ERROR)
         full = False
         for event in events:
             pc, taken = event[0], bool(event[1])

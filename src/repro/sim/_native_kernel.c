@@ -1,673 +1,164 @@
-/* Native scan kernel: packed-word grouping + fused counter walks.
+/* Native simulation kernel: one sequential walk over precomputed index
+ * streams.
  *
- * The C twin of the scan-expressible paths of repro.sim.scan: events
- * are packed into `key | position | outcome` uint64 words (bank tags
- * ride in the key bits, added by the Python caller), grouped per table
- * entry, and then walked sequentially per group.  The walk fuses what
- * the numpy engine spreads over run encoding, map composition and
- * sparse reductions into one cache-friendly loop: within a group the
- * saturating counter is a register, and group changes are one store +
- * one load.
+ * Every index-expressible predictor's table indices are a pure function
+ * of the trace, so repro.sim.vectorized precomputes them in numpy; what
+ * remains is the counter walk itself, whose reads feed later
+ * predictions.  This file walks the events strictly in trace order,
+ * exactly as repro.sim.engine.simulate does, so it is exact for every
+ * update policy by construction — including PARTIAL and LAZY, where
+ * each bank's training reads the overall majority vote and the banks
+ * form one coupled state machine.
  *
- * Grouping strategies (picked by the Python driver, identical output):
+ * Entry points (pinned to scalar oracles by name in
+ * tests/sim/test_native.py; the R006 lint rule keeps that true):
  *
- *   repro_pack_bucket  direct counting sort over the *real* key range
- *                      — one histogram + prefix + scatter when the
- *                      table is cache-resident (every paper geometry);
- *   repro_pack_sort    per-bank LSD radix over the entry bytes only,
- *                      for wide geometries the bucket histogram would
- *                      not fit.  Banks are independent sorts (the tag
- *                      is constant inside a bank block and bank blocks
- *                      are laid out tag-ascending, so concatenating
- *                      per-bank sorted blocks IS the globally grouped
- *                      order).
+ *   repro_walk        1, 3 or 5 voted banks of saturating counters
+ *                     under TOTAL / PARTIAL / LAZY update (a plain
+ *                     table is one bank under TOTAL);
+ *   repro_walk_agree  the agree predictor: a gshare-indexed PHT of
+ *                     "agrees with bias" counters plus a biasing-bit
+ *                     table that latches on a slot's first execution.
  *
- * Both are stable counting sorts, and a stable grouped order is
- * *unique* — so the threaded variants below (per-chunk histograms, a
- * serial offset fold, then a parallel scatter) produce byte-identical
- * output at every worker count, which is what lets REPRO_NATIVE_THREADS
- * vary freely without perturbing a single result bit.
- *
- * Walk kernels (all pinned to scalar oracles by
- * tests/sim/test_native.py; the R006 lint rule keeps every entry point
- * named there):
- *
- *   repro_scan_sorted         always-update tables; prediction is
- *                             `value >= threshold`, training saturates
- *                             in [0, max_value] toward the outcome,
- *                             and with `banks > 1` the (odd, tie-free)
- *                             majority vote is counted through the
- *                             complement trick — "majority of banks
- *                             wrong" IS "overall prediction wrong" —
- *                             exactly like repro.sim.scan._scan_voted.
- *   repro_scan_lazy1          single-bank LAZY: train only when the
- *                             prediction was wrong.
- *   repro_scan_partial_round  one Jacobi round of the multi-bank
- *                             PARTIAL vote-wrongness fixpoint (see
- *                             repro.sim.scan._scan_coupled): given a
- *                             per-event wrongness guess, walk every
- *                             bank with the exact PARTIAL training
- *                             rule and recount the vote.
- *
- * Threading uses a tiny persistent pthreads pool (lazy-spawned, the
- * caller participates as worker 0, capped at REPRO_KERNEL_MAX_THREADS).
- * On platforms without pthreads every entry point degrades to the
- * serial path — same unique output, just one worker.
+ * Counter conventions (both walks): predict taken when
+ * `value >= threshold`; training saturates in [0, max_value] toward the
+ * trained direction.  Events below `warmup` train but are not scored.
  */
 
 #include <stdint.h>
-#include <string.h>
 
-#ifndef _WIN32
-#include <pthread.h>
-#define REPRO_HAVE_PTHREADS 1
-#endif
+#define REPRO_POLICY_TOTAL 0
+#define REPRO_POLICY_PARTIAL 1
+#define REPRO_POLICY_LAZY 2
 
-#define REPRO_KERNEL_MAX_THREADS 16
+#define REPRO_MAX_BANKS 5
 
-typedef void (*repro_task_fn)(void *ctx, int32_t worker, int32_t nworkers);
-
-/* Which grouping backend this build threads with: 1 = pthreads pool,
- * 0 = serial fallback.  Surfaced through repro.sim.native.compiler_info
- * and the BENCH_engine.json native header. */
-int32_t repro_thread_backend(void)
+static inline int64_t repro_step(int64_t value, int32_t up, int64_t max_value)
 {
-#ifdef REPRO_HAVE_PTHREADS
-    return 1;
-#else
-    return 0;
-#endif
+    if (up)
+        return value < max_value ? value + 1 : value;
+    return value > 0 ? value - 1 : value;
 }
 
-#ifdef REPRO_HAVE_PTHREADS
-
-/* Persistent worker pool.  Helpers are spawned lazily under the lock
- * and park on `work_cv`; a job publishes (fn, ctx, nworkers), bumps the
- * generation and broadcasts; the caller runs as worker 0 and then waits
- * on `done_cv` until every participating helper has checked back in.
- * `spawn_gen` pins each helper's first observed generation to its spawn
- * point so a helper created just before a job cannot mistake that job's
- * generation bump for one it already served. */
-static struct {
-    pthread_mutex_t lock;
-    pthread_cond_t work_cv;
-    pthread_cond_t done_cv;
-    pthread_t threads[REPRO_KERNEL_MAX_THREADS];
-    uint64_t spawn_gen[REPRO_KERNEL_MAX_THREADS];
-    repro_task_fn fn;
-    void *ctx;
-    int32_t nworkers;
-    int32_t spawned;
-    int32_t remaining;
-    uint64_t generation;
-} pool = {
-    PTHREAD_MUTEX_INITIALIZER,
-    PTHREAD_COND_INITIALIZER,
-    PTHREAD_COND_INITIALIZER,
-    {0}, {0}, 0, 0, 0, 0, 0, 0,
-};
-
-static void *pool_main(void *arg)
+/* The walk body, inlined with constant `banks` and `policy` so each of
+ * the dispatched specialisations unrolls its bank loops. */
+static inline int64_t walk(const uint32_t *indices, const uint8_t *outcomes,
+                           int64_t n, const int32_t banks,
+                           const int32_t policy, int64_t threshold,
+                           int64_t max_value, int64_t *values,
+                           int64_t entries, int64_t warmup)
 {
-    int32_t helper = (int32_t)(intptr_t)arg; /* this thread is worker helper+1 */
-    uint64_t seen;
-
-    pthread_mutex_lock(&pool.lock);
-    seen = pool.spawn_gen[helper];
-    for (;;) {
-        while (pool.generation == seen)
-            pthread_cond_wait(&pool.work_cv, &pool.lock);
-        seen = pool.generation;
-        if (helper + 1 < pool.nworkers) {
-            repro_task_fn fn = pool.fn;
-            void *ctx = pool.ctx;
-            int32_t nw = pool.nworkers;
-            pthread_mutex_unlock(&pool.lock);
-            fn(ctx, helper + 1, nw);
-            pthread_mutex_lock(&pool.lock);
-            if (--pool.remaining == 0)
-                pthread_cond_signal(&pool.done_cv);
-        }
-    }
-    return NULL; /* unreachable; helpers live for the process */
-}
-
-#endif /* REPRO_HAVE_PTHREADS */
-
-/* Run fn(ctx, worker, nworkers) on `threads` cooperating workers.
- * Worker 0 is the calling thread; helpers come from the pool.  Falls
- * back to a single serial invocation when threads <= 1, pthreads are
- * unavailable, or helper spawning fails (the worker count silently
- * clamps to what actually spawned — output never depends on it). */
-static void run_parallel(repro_task_fn fn, void *ctx, int32_t threads)
-{
-    if (threads > REPRO_KERNEL_MAX_THREADS)
-        threads = REPRO_KERNEL_MAX_THREADS;
-#ifdef REPRO_HAVE_PTHREADS
-    if (threads > 1) {
-        pthread_mutex_lock(&pool.lock);
-        while (pool.spawned < threads - 1) {
-            pool.spawn_gen[pool.spawned] = pool.generation;
-            if (pthread_create(&pool.threads[pool.spawned], NULL, pool_main,
-                               (void *)(intptr_t)pool.spawned) != 0)
-                break;
-            pool.spawned++;
-        }
-        if (threads > pool.spawned + 1)
-            threads = pool.spawned + 1;
-        if (threads > 1) {
-            pool.fn = fn;
-            pool.ctx = ctx;
-            pool.nworkers = threads;
-            pool.remaining = threads - 1;
-            pool.generation++;
-            pthread_cond_broadcast(&pool.work_cv);
-            pthread_mutex_unlock(&pool.lock);
-            fn(ctx, 0, threads);
-            pthread_mutex_lock(&pool.lock);
-            while (pool.remaining > 0)
-                pthread_cond_wait(&pool.done_cv, &pool.lock);
-            pthread_mutex_unlock(&pool.lock);
-            return;
-        }
-        pthread_mutex_unlock(&pool.lock);
-    }
-#endif
-    fn(ctx, 0, 1);
-}
-
-/* [lo, hi) slice of [0, total) owned by `worker` of `nworkers`. */
-static void chunk_bounds(int64_t total, int32_t worker, int32_t nworkers,
-                         int64_t *lo, int64_t *hi)
-{
-    *lo = total * worker / nworkers;
-    *hi = total * (worker + 1) / nworkers;
-}
-
-/* -- direct bucketing -------------------------------------------------- */
-
-struct bucket_ctx {
-    const uint64_t *keys;
-    const uint8_t *outcomes;
-    int64_t n;
-    int64_t m;
-    int32_t shift;
-    int64_t entries;
-    int64_t *counts; /* nworkers x entries histogram / offset slots */
-    uint64_t *out;
-};
-
-static void bucket_count_task(void *arg, int32_t worker, int32_t nworkers)
-{
-    struct bucket_ctx *ctx = arg;
-    int64_t *counts = ctx->counts + (int64_t)worker * ctx->entries;
-    int64_t lo, hi, i;
-
-    chunk_bounds(ctx->m, worker, nworkers, &lo, &hi);
-    memset(counts, 0, (size_t)ctx->entries * sizeof(int64_t));
-    for (i = lo; i < hi; i++)
-        counts[ctx->keys[i]]++;
-}
-
-static void bucket_scatter_task(void *arg, int32_t worker, int32_t nworkers)
-{
-    struct bucket_ctx *ctx = arg;
-    int64_t *offsets = ctx->counts + (int64_t)worker * ctx->entries;
-    int64_t lo, hi, i, event;
-    int32_t shift = ctx->shift;
-
-    chunk_bounds(ctx->m, worker, nworkers, &lo, &hi);
-    event = lo % ctx->n; /* one division per chunk, not per element */
-    for (i = lo; i < hi; i++) {
-        uint64_t key = ctx->keys[i];
-        ctx->out[offsets[key]++] = (key << shift)
-                                 | ((uint64_t)event << 1)
-                                 | (uint64_t)ctx->outcomes[event];
-        if (++event == ctx->n)
-            event = 0;
-    }
-}
-
-/* Pack per-bank key streams into grouped `key | position | outcome`
- * words by counting-sorting over the real key range (no digit rounds).
- *
- *   keys      banks*n global keys, bank-major (tags already applied)
- *   outcomes  n bytes, 0/1 per event (shared by every bank)
- *   n         events per bank
- *   banks     bank count (blocks in `keys`)
- *   shift     bit position of the key field: position|outcome width
- *   entries   total key slots = banks << entry_bits
- *   counts    threads*entries int64 scratch (histograms then offsets)
- *   out       banks*n words, receives the grouped order
- *   threads   cooperating workers (clamped; 1 = serial)
- *
- * Stability: worker chunks are contiguous ascending input ranges and
- * the offset fold walks key-major then worker-major, so element order
- * within a key is exactly input order — the unique stable grouping the
- * radix path also produces, at any worker count.
- */
-void repro_pack_bucket(const uint64_t *keys, const uint8_t *outcomes,
-                       int64_t n, int32_t banks, int32_t shift,
-                       int64_t entries, int64_t *counts, uint64_t *out,
-                       int32_t threads)
-{
-    struct bucket_ctx ctx;
-    int64_t m = (int64_t)banks * n;
-    int64_t total = 0;
-    int64_t k;
-    int32_t t;
-
-    if (m == 0)
-        return;
-    if (threads < 1)
-        threads = 1;
-    if (threads > REPRO_KERNEL_MAX_THREADS)
-        threads = REPRO_KERNEL_MAX_THREADS;
-    if (threads > m)
-        threads = (int32_t)m;
-
-    ctx.keys = keys;
-    ctx.outcomes = outcomes;
-    ctx.n = n;
-    ctx.m = m;
-    ctx.shift = shift;
-    ctx.entries = entries;
-    ctx.counts = counts;
-    ctx.out = out;
-
-    run_parallel(bucket_count_task, &ctx, threads);
-    /* Serial fold: per-key, earlier workers scatter first (stability). */
-    for (k = 0; k < entries; k++) {
-        for (t = 0; t < threads; t++) {
-            int64_t *slot = counts + (int64_t)t * entries + k;
-            int64_t c = *slot;
-            *slot = total;
-            total += c;
-        }
-    }
-    run_parallel(bucket_scatter_task, &ctx, threads);
-}
-
-/* -- per-bank LSD radix ------------------------------------------------ */
-
-struct radix_ctx {
-    const uint64_t *src;
-    uint64_t *dst;
-    int64_t n;
-    int32_t bit;
-    int64_t counts[REPRO_KERNEL_MAX_THREADS][256];
-};
-
-static void radix_count_task(void *arg, int32_t worker, int32_t nworkers)
-{
-    struct radix_ctx *ctx = arg;
-    int64_t *counts = ctx->counts[worker];
-    int64_t lo, hi, i;
-    int32_t bit = ctx->bit;
-
-    chunk_bounds(ctx->n, worker, nworkers, &lo, &hi);
-    memset(counts, 0, 256 * sizeof(int64_t));
-    for (i = lo; i < hi; i++)
-        counts[(ctx->src[i] >> bit) & 0xff]++;
-}
-
-static void radix_scatter_task(void *arg, int32_t worker, int32_t nworkers)
-{
-    struct radix_ctx *ctx = arg;
-    int64_t *offsets = ctx->counts[worker];
-    int64_t lo, hi, i;
-    int32_t bit = ctx->bit;
-
-    chunk_bounds(ctx->n, worker, nworkers, &lo, &hi);
-    for (i = lo; i < hi; i++) {
-        uint64_t word = ctx->src[i];
-        ctx->dst[offsets[(word >> bit) & 0xff]++] = word;
-    }
-}
-
-/* One stable counting pass over `n` words on the byte at `bit`, with
- * `threads` workers (chunk histograms -> serial digit-major/worker-major
- * fold -> chunked scatter; unique stable output at any worker count). */
-static void radix_pass(const uint64_t *src, uint64_t *dst, int64_t n,
-                       int32_t bit, int32_t threads)
-{
-    struct radix_ctx ctx;
-    int64_t total = 0;
-    int32_t d, t;
-
-    if (threads > n)
-        threads = (int32_t)n;
-    if (threads < 1)
-        threads = 1;
-    ctx.src = src;
-    ctx.dst = dst;
-    ctx.n = n;
-    ctx.bit = bit;
-    run_parallel(radix_count_task, &ctx, threads);
-    for (d = 0; d < 256; d++) {
-        for (t = 0; t < threads; t++) {
-            int64_t c = ctx.counts[t][d];
-            ctx.counts[t][d] = total;
-            total += c;
-        }
-    }
-    run_parallel(radix_scatter_task, &ctx, threads);
-}
-
-struct pack_ctx {
-    const uint64_t *keys;
-    const uint8_t *outcomes;
-    int64_t n;
-    int32_t banks;
-    int32_t shift;
-    uint64_t *words;
-};
-
-static void pack_words_task(void *arg, int32_t worker, int32_t nworkers)
-{
-    struct pack_ctx *ctx = arg;
-    int64_t m = (int64_t)ctx->banks * ctx->n;
-    int64_t lo, hi, i, event;
-    int32_t shift = ctx->shift;
-
-    chunk_bounds(m, worker, nworkers, &lo, &hi);
-    event = (ctx->n > 0) ? lo % ctx->n : 0;
-    for (i = lo; i < hi; i++) {
-        ctx->words[i] = (ctx->keys[i] << shift)
-                      | ((uint64_t)event << 1)
-                      | (uint64_t)ctx->outcomes[event];
-        if (++event == ctx->n)
-            event = 0;
-    }
-}
-
-struct bank_sort_ctx {
-    uint64_t *src;     /* bank-major packed words (pass-parity buffer) */
-    uint64_t *dst;     /* ping-pong partner */
-    int64_t n;
-    int32_t banks;
-    int32_t shift;
-    int32_t passes;
-};
-
-static void sort_one_bank(struct bank_sort_ctx *ctx, int32_t bank,
-                          int32_t threads)
-{
-    uint64_t *a = ctx->src + (int64_t)bank * ctx->n;
-    uint64_t *b = ctx->dst + (int64_t)bank * ctx->n;
-    int32_t p;
-
-    for (p = 0; p < ctx->passes; p++) {
-        uint64_t *swap;
-        radix_pass(a, b, ctx->n, ctx->shift + 8 * p, threads);
-        swap = a;
-        a = b;
-        b = swap;
-    }
-}
-
-static void bank_sort_task(void *arg, int32_t worker, int32_t nworkers)
-{
-    struct bank_sort_ctx *ctx = arg;
-    int32_t bank;
-
-    for (bank = worker; bank < ctx->banks; bank += nworkers)
-        sort_one_bank(ctx, bank, 1);
-}
-
-/* Pack per-bank key streams into grouped words via per-bank LSD radix
- * over the entry bytes only — the wide-geometry fallback of
- * repro_pack_bucket.
- *
- *   keys       banks*n global keys, bank-major (tags already applied)
- *   outcomes   n bytes, 0/1 per event (shared by every bank)
- *   n          events per bank
- *   banks      bank count (blocks in `keys`)
- *   shift      bit position of the key field: position|outcome width
- *   entry_bits per-bank entry index width — the sorted byte span; the
- *              constant tag above it never needs a pass, and each
- *              bank's block sorts independently (concatenated blocks
- *              are tag-ascending, i.e. already globally grouped)
- *   out        banks*n words, receives the grouped order
- *   scratch    banks*n words of ping-pong space
- *   threads    cooperating workers: banks spread over workers when
- *              there are several, otherwise the single bank's passes
- *              run chunk-parallel (both orders give the unique stable
- *              grouping, so the choice never shows in the output)
- */
-void repro_pack_sort(const uint64_t *keys, const uint8_t *outcomes,
-                     int64_t n, int32_t banks, int32_t shift,
-                     int32_t entry_bits, uint64_t *out, uint64_t *scratch,
-                     int32_t threads)
-{
-    struct pack_ctx pack;
-    struct bank_sort_ctx sort;
-    int32_t passes = (entry_bits + 7) / 8;
-    int64_t m = (int64_t)banks * n;
-    /* Ping-pong parity: the final pass must land in `out`. */
-    uint64_t *first = (passes % 2 == 0) ? out : scratch;
-
-    if (m == 0)
-        return;
-    if (threads < 1)
-        threads = 1;
-    if (threads > REPRO_KERNEL_MAX_THREADS)
-        threads = REPRO_KERNEL_MAX_THREADS;
-
-    pack.keys = keys;
-    pack.outcomes = outcomes;
-    pack.n = n;
-    pack.banks = banks;
-    pack.shift = shift;
-    pack.words = first;
-    run_parallel(pack_words_task, &pack,
-                 (int32_t)(threads > m ? m : threads));
-    if (passes == 0)
-        return; /* entry_bits == 0: one key per bank, already grouped */
-
-    sort.src = first;
-    sort.dst = (first == out) ? scratch : out;
-    sort.n = n;
-    sort.banks = banks;
-    sort.shift = shift;
-    sort.passes = passes;
-    if (banks > 1 && threads > 1) {
-        /* Bank-parallel: each worker owns whole banks (serial passes). */
-        run_parallel(bank_sort_task, &sort,
-                     threads < banks ? threads : banks);
-    } else {
-        int32_t bank;
-        for (bank = 0; bank < banks; bank++)
-            sort_one_bank(&sort, bank, threads);
-    }
-}
-
-/* -- fused counter walks ----------------------------------------------- */
-
-/* Walk grouped words through saturating counters; return the miss
- * count.
- *
- *   sorted_words  m words from repro_pack_bucket / repro_pack_sort
- *   m             total (bank, event) pairs
- *   shift         key-field bit position (as in the grouping pass)
- *   threshold     predict taken when value >= threshold
- *   max_value     counters saturate in [0, max_value]
- *   values        table entries indexed by global key; mutated to the
- *                 final counter state (bit-identical to the generic
- *                 engine's)
- *   warmup        events below this position train but never score
- *   banks         1: misses counted directly per wrong scored event
- *   majority      votes for a wrong overall prediction (banks/2 + 1)
- *   wrong_counts  n int32 slots when banks > 1 (zeroed here), else NULL
- *   n             events per bank (positions run [0, n))
- */
-int64_t repro_scan_sorted(const uint64_t *sorted_words, int64_t m,
-                          int32_t shift, int64_t threshold,
-                          int64_t max_value, int64_t *values,
-                          int64_t warmup, int32_t banks, int32_t majority,
-                          int32_t *wrong_counts, int64_t n)
-{
-    uint64_t pos_mask = (shift > 1) ? ((1ull << (shift - 1)) - 1) : 0;
     int64_t misses = 0;
-    int64_t prev_key = -1;
-    int64_t value = 0;
     int64_t i;
-
-    if (banks > 1)
-        memset(wrong_counts, 0, (size_t)n * sizeof(int32_t));
-
-    for (i = 0; i < m; i++) {
-        uint64_t word = sorted_words[i];
-        int64_t key = (int64_t)(word >> shift);
-        int64_t pos = (int64_t)((word >> 1) & pos_mask);
-        int64_t outcome = (int64_t)(word & 1);
-        int64_t wrong;
-
-        if (key != prev_key) {
-            if (prev_key >= 0)
-                values[prev_key] = value;
-            value = values[key];
-            prev_key = key;
-        }
-        wrong = (value >= threshold) != outcome;
-        if (banks == 1)
-            misses += wrong & (pos >= warmup);
-        else
-            wrong_counts[pos] += (int32_t)wrong;
-        if (outcome) {
-            if (value < max_value)
-                value++;
-        } else if (value > 0) {
-            value--;
-        }
-    }
-    if (prev_key >= 0)
-        values[prev_key] = value;
-
-    if (banks > 1) {
-        int64_t start = (warmup < n) ? warmup : n;
-        for (i = start; i < n; i++)
-            misses += wrong_counts[i] >= majority;
-    }
-    return misses;
-}
-
-/* Walk grouped single-bank words under the LAZY (train-on-miss) policy;
- * return the miss count.  Same word layout and counter conventions as
- * repro_scan_sorted with banks == 1, except training happens *only*
- * when the prediction was wrong — the C twin of
- * repro.sim.scan._scan_single_lazy.
- */
-int64_t repro_scan_lazy1(const uint64_t *sorted_words, int64_t m,
-                         int32_t shift, int64_t threshold,
-                         int64_t max_value, int64_t *values, int64_t warmup)
-{
-    uint64_t pos_mask = (shift > 1) ? ((1ull << (shift - 1)) - 1) : 0;
-    int64_t misses = 0;
-    int64_t prev_key = -1;
-    int64_t value = 0;
-    int64_t i;
-
-    for (i = 0; i < m; i++) {
-        uint64_t word = sorted_words[i];
-        int64_t key = (int64_t)(word >> shift);
-        int64_t pos = (int64_t)((word >> 1) & pos_mask);
-        int64_t outcome = (int64_t)(word & 1);
-
-        if (key != prev_key) {
-            if (prev_key >= 0)
-                values[prev_key] = value;
-            value = values[key];
-            prev_key = key;
-        }
-        if ((value >= threshold) != outcome) {
-            misses += pos >= warmup;
-            if (outcome) {
-                if (value < max_value)
-                    value++;
-            } else if (value > 0) {
-                value--;
-            }
-        }
-    }
-    if (prev_key >= 0)
-        values[prev_key] = value;
-    return misses;
-}
-
-/* One Jacobi round of the multi-bank PARTIAL vote-wrongness fixpoint.
- *
- * Given the per-event overall-wrongness guess `w`, walk every bank's
- * grouped words with the exact PARTIAL rule — a bank trains toward the
- * outcome iff the overall vote was (guessed) wrong OR its own
- * prediction matched the outcome — and recount the vote into `w_new`
- * through the complement trick.  Returns how many events changed
- * wrongness; 0 means `w` reproduced itself, i.e. the fixpoint (the
- * true trajectory — see repro.sim.scan._scan_coupled for the
- * causality argument).
- *
- *   sorted_words  m grouped words for one checkpoint block (all banks)
- *   m             banks * n words
- *   shift         key-field bit position
- *   threshold     predict taken when value >= threshold
- *   max_value     counters saturate in [0, max_value]
- *   values        bank-concatenated counters at *block entry*; mutated
- *                 to the block-final state of this round's trajectory
- *                 (the caller re-seeds it from a snapshot every round)
- *   w             n bytes: current overall-wrongness guess per event
- *   w_new         n bytes: receives the recounted wrongness
- *   majority      votes for a wrong overall prediction (banks/2 + 1)
- *   wrong_counts  n int32 scratch slots (zeroed here)
- *   n             events in the block (positions run [0, n))
- */
-int64_t repro_scan_partial_round(const uint64_t *sorted_words, int64_t m,
-                                 int32_t shift, int64_t threshold,
-                                 int64_t max_value, int64_t *values,
-                                 const uint8_t *w, uint8_t *w_new,
-                                 int32_t majority, int32_t *wrong_counts,
-                                 int64_t n)
-{
-    uint64_t pos_mask = (shift > 1) ? ((1ull << (shift - 1)) - 1) : 0;
-    int64_t changed = 0;
-    int64_t prev_key = -1;
-    int64_t value = 0;
-    int64_t i;
-
-    memset(wrong_counts, 0, (size_t)n * sizeof(int32_t));
-
-    for (i = 0; i < m; i++) {
-        uint64_t word = sorted_words[i];
-        int64_t key = (int64_t)(word >> shift);
-        int64_t pos = (int64_t)((word >> 1) & pos_mask);
-        int64_t outcome = (int64_t)(word & 1);
-        int64_t own_wrong;
-
-        if (key != prev_key) {
-            if (prev_key >= 0)
-                values[prev_key] = value;
-            value = values[key];
-            prev_key = key;
-        }
-        own_wrong = (value >= threshold) != outcome;
-        wrong_counts[pos] += (int32_t)own_wrong;
-        /* PARTIAL: train on overall-wrong, or strengthen an agreeing
-         * bank on overall-correct (own_wrong == 0 means agreement). */
-        if (w[pos] || !own_wrong) {
-            if (outcome) {
-                if (value < max_value)
-                    value++;
-            } else if (value > 0) {
-                value--;
-            }
-        }
-    }
-    if (prev_key >= 0)
-        values[prev_key] = value;
+    int32_t b;
 
     for (i = 0; i < n; i++) {
-        uint8_t wrong = wrong_counts[i] >= majority;
-        w_new[i] = wrong;
-        changed += wrong != w[i];
+        int64_t *slot[REPRO_MAX_BANKS];
+        int64_t value[REPRO_MAX_BANKS];
+        int32_t own[REPRO_MAX_BANKS];
+        int32_t taken = outcomes[i];
+        int32_t votes = 0;
+        int32_t wrong;
+
+        for (b = 0; b < banks; b++) {
+            slot[b] = values + b * entries + indices[b * n + i];
+            value[b] = *slot[b];
+            own[b] = value[b] >= threshold;
+            votes += own[b];
+        }
+        wrong = (2 * votes > banks) != taken;
+        misses += wrong & (i >= warmup);
+        for (b = 0; b < banks; b++) {
+            /* TOTAL trains every bank; PARTIAL all banks on an overall
+             * miss, else only the banks that predicted the outcome;
+             * LAZY all banks on an overall miss only. */
+            if (policy == REPRO_POLICY_TOTAL || wrong
+                || (policy == REPRO_POLICY_PARTIAL && own[b] == taken))
+                *slot[b] = repro_step(value[b], taken, max_value);
+        }
     }
-    return changed;
+    return misses;
+}
+
+/* Walk `n` events through `banks` majority-voted tables; return the
+ * misses at positions >= warmup, or -1 for an unsupported bank count or
+ * policy.
+ *
+ *   indices    bank-major: indices[b * n + i] is bank b's entry for
+ *              event i
+ *   outcomes   n bytes, 1 = taken
+ *   banks      1, 3 or 5
+ *   policy     REPRO_POLICY_TOTAL / _PARTIAL / _LAZY
+ *   values     bank-major counters, `entries` per bank; mutated to the
+ *              final state (bit-identical to the generic engine's)
+ */
+int64_t repro_walk(const uint32_t *indices, const uint8_t *outcomes,
+                   int64_t n, int32_t banks, int32_t policy,
+                   int64_t threshold, int64_t max_value, int64_t *values,
+                   int64_t entries, int64_t warmup)
+{
+#define REPRO_WALK(B, P)                                                  \
+    walk(indices, outcomes, n, B, P, threshold, max_value, values,        \
+         entries, warmup)
+#define REPRO_WALK_POLICIES(B)                                            \
+    switch (policy) {                                                     \
+    case REPRO_POLICY_TOTAL:                                              \
+        return REPRO_WALK(B, REPRO_POLICY_TOTAL);                         \
+    case REPRO_POLICY_PARTIAL:                                            \
+        return REPRO_WALK(B, REPRO_POLICY_PARTIAL);                       \
+    case REPRO_POLICY_LAZY:                                               \
+        return REPRO_WALK(B, REPRO_POLICY_LAZY);                          \
+    }                                                                     \
+    return -1
+
+    switch (banks) {
+    case 1:
+        REPRO_WALK_POLICIES(1);
+    case 3:
+        REPRO_WALK_POLICIES(3);
+    case 5:
+        REPRO_WALK_POLICIES(5);
+    }
+    return -1;
+#undef REPRO_WALK_POLICIES
+#undef REPRO_WALK
+}
+
+/* Walk `n` events through an agree predictor; return the misses at
+ * positions >= warmup.
+ *
+ *   indices   n PHT entries (gshare index per event)
+ *   slots     n biasing-bit slots
+ *   values    PHT counters, mutated to the final state
+ *   bias      biasing bits: -1 = unlatched, else the latched outcome;
+ *             mutated as slots latch
+ *
+ * The prediction uses the slot's bias as it stands (default taken when
+ * unlatched); the slot then latches to the outcome on its first
+ * execution, and the PHT trains toward "the outcome agreed with the
+ * bias" — the order AgreePredictor.predict_and_update uses.
+ */
+int64_t repro_walk_agree(const uint32_t *indices, const uint32_t *slots,
+                         const uint8_t *outcomes, int64_t n,
+                         int64_t threshold, int64_t max_value,
+                         int64_t *values, int8_t *bias, int64_t warmup)
+{
+    int64_t misses = 0;
+    int64_t i;
+
+    for (i = 0; i < n; i++) {
+        int64_t *slot = values + indices[i];
+        int8_t *latch = bias + slots[i];
+        int64_t value = *slot;
+        int32_t taken = outcomes[i];
+        int32_t predicted_bias = *latch < 0 ? 1 : *latch;
+        int32_t prediction =
+            value >= threshold ? predicted_bias : !predicted_bias;
+
+        misses += (prediction != taken) & (i >= warmup);
+        if (*latch < 0)
+            *latch = (int8_t)taken;
+        *slot = repro_step(value, taken == *latch, max_value);
+    }
+    return misses;
 }

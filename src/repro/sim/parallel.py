@@ -207,15 +207,7 @@ def _describe_traces(traces: Sequence[Trace]) -> List[Tuple]:
 
 
 def _init_worker(descriptors: List[Tuple]) -> None:
-    """Pool initializer: materialise every sweep trace once per worker.
-
-    Also pins ``REPRO_NATIVE_THREADS=1`` (unless the user set it): with
-    one process per CPU the native kernel's own thread pool would just
-    oversubscribe the machine, and the kernel is byte-identical at
-    every thread count, so serial-per-worker is pure win.
-    """
-    if not envvars.NATIVE_THREADS.is_set():
-        os.environ[envvars.NATIVE_THREADS.name] = "1"
+    """Pool initializer: materialise every sweep trace once per worker."""
     _WORKER_TRACES.clear()
     for descriptor in descriptors:
         if descriptor[0] == "ibs":

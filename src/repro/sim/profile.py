@@ -10,8 +10,7 @@ distinguishes "a few hard branches" from "diffuse aliasing".
 The same "where, not just how much" question applies to the fast
 engines' wall-clock: :class:`StageTimer` accumulates per-stage seconds
 (history precompute / group argsort / scan / reduce; the native C tier
-reports ``bucket`` for its sort-free direct-bucket grouping, ``sort``
-for the LSD radix fallback, ``scan`` for the fused counter walk, and
+reports ``scan`` for its sequential counter walk, and the scan tier
 ``counter_loop`` when a PARTIAL fixpoint bails to the exact sequential
 loop) when passed to ``simulate_vectorized`` /
 ``simulate_scan`` / ``simulate_native`` via their ``stage_timer``

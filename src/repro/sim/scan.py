@@ -92,12 +92,11 @@ Coverage — which specs the scan expresses
   because at first-touch events "PHT wrong" and "prediction wrong"
   decouple.
 
-The compiled native tier (:mod:`repro.sim.native`) now covers most of
-this ground with sequential C walks — always-update, single-bank LAZY,
-and multi-bank PARTIAL below its density ceiling — and outranks this
-module in the ``simulate_fast`` ladder.  The scan tier remains the
-fastest path for agree (bias expansion), extreme-density PARTIAL, and
-every geometry on hosts without a C compiler.
+The compiled native tier (:mod:`repro.sim.native`) walks every
+index-expressible spec — all of the above, plus multi-bank LAZY — in
+trace order in C, which needs none of this module's grouping or
+fixpoint machinery, and outranks it in the ``simulate_fast`` ladder.
+This tier is the fallback for hosts without a C compiler.
 
 Like the vectorized engine, index streams assume the predictor starts
 with a fresh (all-zero) history register — the state a newly
@@ -127,11 +126,9 @@ from repro.sim.metrics import SimulationResult
 from repro.sim.profile import NULL_STAGE_TIMER, StageTimer
 from repro.sim.vectorized import (
     _MAX_HISTORY_BITS,
-    _cond_history,
+    _agree_streams,
     _cond_takens,
-    _cond_words,
     _final_history,
-    _gshare_stream,
     _index_streams,
     _run_plan,
 )
@@ -1221,15 +1218,7 @@ def _scan_agree(
     counters = predictor.pht.counters
     n = len(outcomes)
     with timer.stage("precompute"):
-        words = _cond_words(trace)
-        hist = _cond_history(
-            trace, predictor.history_bits, predictor.history.value
-        )
-        pht_keys = _gshare_stream(
-            words, hist, predictor.index_bits, predictor.history_bits
-        ).astype(np.uint32)
-        slot_mask = np.uint64((1 << predictor.bias_table_bits) - 1)
-        slots = (words & slot_mask).astype(np.int64)
+        pht_keys, slots = _agree_streams(predictor, trace)
 
         bias_table = predictor._bias
         pre_bias = np.array(

@@ -20,20 +20,23 @@ event stream before simulation starts.  This engine exploits that:
 Step 3 is not actually irreducible: for always-update configurations each
 table entry is an independent FSM driven only by the outcomes that hit it,
 and :mod:`repro.sim.scan` replaces the loop with a grouped transition-
-composition scan (see ``docs/performance.md``).  This module keeps the
-loop because coupled-update policies (PARTIAL/LAZY on multi-bank skewed
-predictors) genuinely need it: there each bank's training decision reads
-the *overall* majority vote, which depends on the other banks' counters
-at that instant, so no single bank's state is a function of its own event
-substream alone.
+composition scan (see ``docs/performance.md``).  Coupled-update policies
+(PARTIAL/LAZY on multi-bank skewed predictors) genuinely need a
+sequential walk: there each bank's training decision reads the *overall*
+majority vote, which depends on the other banks' counters at that
+instant, so no single bank's state is a function of its own event
+substream alone.  :mod:`repro.sim.native` runs that same walk in C; this
+loop is its fallback on hosts without a compiler.
 
 The result is behaviourally identical to :func:`repro.sim.engine.simulate`
 (asserted by the equivalence suite in ``tests/sim/test_vectorized.py``,
 like the fused fast paths in the predictors themselves), including the
 predictor's final counter and history state.  :func:`simulate_fast`
-dispatches each spec to the fastest expressible engine — scan, then this
-loop engine, then the generic interpreter for anything neither can
-express (tagged, per-address, hybrid and custom-skew schemes).
+dispatches each spec to the fastest expressible engine — the native C
+walk over these same index streams, then (without a compiler) the scan
+tier and this loop engine, then the generic interpreter for anything
+none of them can express (tagged, per-address, hybrid and custom-skew
+schemes).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import numpy as np
 from repro.core.egskew import EnhancedSkewedPredictor
 from repro.core.gskew import SkewedPredictor
 from repro.core.update import UpdatePolicy
+from repro.predictors.agree import AgreePredictor
 from repro.predictors.base import BranchPredictor
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gselect import GselectPredictor
@@ -371,6 +375,24 @@ def _index_streams(
     return None
 
 
+def _agree_streams(
+    predictor: AgreePredictor, trace: Trace
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Agree's PHT index and biasing-bit slot per conditional branch.
+
+    The PHT is gshare-indexed from the predictor's live history register;
+    the biasing bits are indexed by word address.  Both index Python-list
+    tables, so both fit uint32.
+    """
+    words = _cond_words(trace)
+    hist = _cond_history(trace, predictor.history_bits, predictor.history.value)
+    pht = _gshare_stream(
+        words, hist, predictor.index_bits, predictor.history_bits
+    )
+    slot_mask = np.uint64((1 << predictor.bias_table_bits) - 1)
+    return pht.astype(np.uint32), (words & slot_mask).astype(np.uint32)
+
+
 def supports(predictor: BranchPredictor, trace: Trace) -> bool:
     """True if ``predictor`` has a vectorized fast path over ``trace``."""
     kind = type(predictor)
@@ -680,23 +702,6 @@ def simulate_vectorized(
     )
 
 
-def _snapshot_state(predictor: BranchPredictor) -> PredictorState:
-    """Capture the mutable state a fast engine could dirty before failing.
-
-    The PR 5 flat-list snapshots grew into :class:`PredictorState`
-    (:mod:`repro.sim.state`), which covers *every* family — not just the
-    fast-tier ones — and serializes; this wrapper survives as the
-    rollback hook so :func:`simulate_fast` and the recovery tests share
-    one capture path.
-    """
-    return PredictorState.capture(predictor)
-
-
-def _restore_state(predictor: BranchPredictor, state: PredictorState) -> None:
-    """Write a :func:`_snapshot_state` capture back into the predictor."""
-    state.restore(predictor)
-
-
 def simulate_fast(
     predictor: BranchPredictor,
     trace: Trace,
@@ -709,21 +714,17 @@ def simulate_fast(
     wall-clock differs — this is the entry point the sweep machinery
     uses):
 
-    1. :func:`repro.sim.native.simulate_native` for the table families
-       the compiled C backend covers — always-update
-       (bimodal/gshare/gselect, single-bank non-LAZY skewed, multi-bank
-       TOTAL skewed/e-gskew), single-bank LAZY, and multi-bank PARTIAL
-       below the native density ceiling — one fused pack/group/walk
-       pass per bank set;
-    2. :func:`repro.sim.scan.simulate_scan` for configurations the
-       native kernel doesn't take (agree's bias expansion,
-       extreme-density PARTIAL, word-width overflow) — and for
-       everything native covers when the backend can't build, where
-       every table entry is an independent FSM;
-    3. :func:`simulate_vectorized` for the remaining index-expressible
-       schemes — multi-bank PARTIAL/LAZY, whose banks are coupled
-       through the majority vote and therefore need the sequential
-       counter loop;
+    1. :func:`repro.sim.native.simulate_native` for every
+       index-expressible spec — bimodal/gshare/gselect, skewed and
+       e-gskew under any update policy, and agree — one sequential C
+       walk over the precomputed index streams;
+    2. when the C backend cannot build, :func:`repro.sim.scan.simulate_scan`
+       for the families whose table entries decouple into independent
+       FSMs (always-update tables, agree, single-bank LAZY and
+       multi-bank PARTIAL below its density ceiling);
+    3. :func:`simulate_vectorized`, the sequential Python counter loop,
+       for the rest of the index-expressible specs (multi-bank LAZY and
+       dense PARTIAL on hosts without a compiler);
     4. the generic interpreter for everything else (tagged, per-address,
        hybrid and custom-skew schemes).
 
@@ -768,12 +769,12 @@ def simulate_fast(
     if supports(predictor, trace):
         tiers.append(("kernel-vectorized", "vectorized", simulate_vectorized))
     for site, tier_name, engine in tiers:
-        snapshot = _snapshot_state(predictor)
+        snapshot = PredictorState.capture(predictor)
         try:
             maybe_fail(site)
             return engine(predictor, trace, warmup=warmup, label=label)
         except Exception as exc:
-            _restore_state(predictor, snapshot)
+            snapshot.restore(predictor)
             warnings.warn(
                 f"{tier_name} engine failed on "
                 f"{label or predictor.name} / {trace.name} ({exc!r}); "

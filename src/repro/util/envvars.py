@@ -39,7 +39,6 @@ __all__ = [
     "JOBS",
     "NATIVE",
     "NATIVE_CACHE",
-    "NATIVE_THREADS",
     "SERVING_BATCH",
     "SERVING_LINGER_MS",
     "SERVING_SHARDS",
@@ -147,8 +146,8 @@ NATIVE = EnvVar(
     "REPRO_NATIVE",
     "flag",
     "1",
-    "Set to `0` to disable the compiled C scan backend without "
-    "uninstalling anything (scan tier takes over).",
+    "Set to `0` to disable the compiled C backend without "
+    "uninstalling anything (the numpy tiers take over).",
 )
 
 NATIVE_CACHE = EnvVar(
@@ -156,15 +155,6 @@ NATIVE_CACHE = EnvVar(
     "path",
     "~/.cache/repro-native",
     "Directory for the fingerprinted native-kernel build cache.",
-)
-
-NATIVE_THREADS = EnvVar(
-    "REPRO_NATIVE_THREADS",
-    "int",
-    "(CPU count)",
-    "Worker threads for the native kernel's grouping pass (clamped to "
-    "[1, 16]); unset means one per available CPU, `1` forces the "
-    "serial path.  Results are byte-identical at every setting.",
 )
 
 SERVING_BATCH = EnvVar(
@@ -213,7 +203,6 @@ REGISTRY: Tuple[EnvVar, ...] = tuple(
             JOBS,
             NATIVE,
             NATIVE_CACHE,
-            NATIVE_THREADS,
             SERVING_BATCH,
             SERVING_LINGER_MS,
             SERVING_SHARDS,

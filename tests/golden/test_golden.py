@@ -46,9 +46,9 @@ GOLDEN_PATH = Path(__file__).parent / "golden_rates.json"
 GOLDEN_SCALE = 0.05
 
 #: One spec per engine-relevant family, all expressible by every tier
-#: (always-update, default skew family, the PARTIAL vote-wrongness
-#: fixpoint, the single-bank LAZY train-on-miss walk, in-range
-#: geometry).
+#: (always-update, default skew family, the scan tier's PARTIAL
+#: vote-wrongness fixpoint and single-bank LAZY train-on-miss walk,
+#: in-range geometry).
 GOLDEN_SPECS = [
     "bimodal:512",
     "gshare:512:h8",
@@ -111,10 +111,9 @@ def _simulate_native_checked(predictor, trace, label):
     """The native C tier, skipping where it cannot run.
 
     The backend is optional (compiled on demand); a machine without a
-    C toolchain must stay green.  Every golden spec — including the
-    PARTIAL fixpoint and single-bank LAZY — has a native path at
-    golden scale, so on a compiler-equipped machine only backend
-    unavailability skips.
+    C toolchain must stay green.  Every golden spec is
+    index-expressible and so has a native path, so on a
+    compiler-equipped machine only backend unavailability skips.
     """
     if not native_available():
         pytest.skip(

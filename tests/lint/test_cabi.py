@@ -69,14 +69,14 @@ class TestCleanWrapper:
         assert r008(project.lint(["R008"])) == []
 
     def test_real_native_module_lints_clean(self, project):
-        # the real backend is the rule's raison d'être: 18 buffer sites
+        # the real backend is the rule's raison d'être: 8 buffer sites
         from pathlib import Path
 
         native = (
             Path(__file__).resolve().parents[2] / "src/repro/sim/native.py"
         )
         source = native.read_text(encoding="utf-8")
-        assert source.count("from_buffer") == 18
+        assert source.count("from_buffer") == 8
         project.write("src/fixture_native.py", source)
         kernel = native.with_name("_native_kernel.c")
         project.write("src/_native_kernel.c", kernel.read_text())
@@ -211,8 +211,7 @@ class TestBufferFlow:
 
     def test_caller_seeded_param_dtype(self, project):
         # the buffer's array is a *parameter*; its dtype only exists at
-        # the call site one function up — exactly the simulate_native /
-        # run_table_kernel split in the real backend
+        # the call site one function up
         project.write(
             "src/wrapper.py",
             """

@@ -139,21 +139,28 @@ class TestRealTree:
 
     def test_width_gates_reachable_from_kernel(self):
         index = ProjectContext(Path(__file__).resolve().parents[2]).index()
-        ball = index.neighborhood("repro.sim.native", "run_table_kernel")
-        # The geometry gate sits three hops up (simulate_native →
-        # native_supports → native_cell_ok); its word_width_ok core is
-        # one hop further, so R007 relies on the in-function guard in
-        # _tagged_keys instead.
-        assert ("repro.sim.native", "native_cell_ok") in ball
-        wide = index.neighborhood(
-            "repro.sim.native", "run_table_kernel", depth=4
+        ball = index.neighborhood(
+            "repro.sim.scan", "_pack_bank_blocks", depth=2
         )
-        assert ("repro.sim.native", "word_width_ok") in wide
+        # The packer's callers sit one hop away; scan_supports, whose
+        # comparison bounds the uint64 words, is three hops out
+        # (_scan_coupled → simulate_scan → scan_supports), just inside
+        # R007's guard radius.
+        assert ("repro.sim.scan", "_scan_coupled") in ball
+        assert ("repro.sim.scan", "scan_supports") not in ball
+        wide = index.neighborhood(
+            "repro.sim.scan", "_pack_bank_blocks", depth=3
+        )
+        assert ("repro.sim.scan", "scan_supports") in wide
 
     def test_native_kernel_callers(self):
         index = ProjectContext(Path(__file__).resolve().parents[2]).index()
         callers = {
             (site.module, site.function)
-            for site in index.callers_of("repro.sim.native", "run_table_kernel")
+            for site in index.callers_of("repro.sim.scan", "_pack_bank_blocks")
         }
-        assert ("repro.sim.native", "simulate_native") in callers
+        assert callers == {
+            ("repro.sim.scan", "_scan_voted"),
+            ("repro.sim.scan", "_scan_single_lazy"),
+            ("repro.sim.scan", "_scan_coupled"),
+        }

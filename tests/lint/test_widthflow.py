@@ -167,35 +167,50 @@ class TestSuppressions:
 
 
 class TestNativeGate:
-    """R007 must rediscover why sim/native.py needs word_width_ok."""
+    """R007 must rediscover why the packed-word engine needs its gates.
 
-    NATIVE = REPO_ROOT / "src" / "repro" / "sim" / "native.py"
+    The native tier walks index streams in order and packs nothing; the
+    ``tag | key | position | outcome`` words survive in ``sim/scan.py``,
+    whose callers pick uint32 words only when ``key_bits + shift <= 32``
+    (and ``scan_supports`` bounds the uint64 words).
+    """
+
+    SCAN = REPO_ROOT / "src" / "repro" / "sim" / "scan.py"
+
+    #: The uint32-word guards at the packing sites.
+    GATES = {
+        "if key_bits + shift <= 32:": "if True:",
+        "dtype = np.uint32 if key_bits + shift <= 32 else np.uint64": (
+            "dtype = np.uint32"
+        ),
+    }
 
     def _fixture_copy(self, project, source: str) -> None:
-        # The real module imports half the repo; strip it down to the
-        # parsed surface R007 looks at (imports resolve best-effort).
-        project.write("src/fixture_native.py", source)
+        # The real module imports half the repo; only its own parsed
+        # surface matters to R007 (imports resolve best-effort).
+        project.write("src/fixture_scan.py", source)
 
     def test_real_native_with_gate_is_clean(self, project):
-        source = self.NATIVE.read_text(encoding="utf-8")
+        source = self.SCAN.read_text(encoding="utf-8")
         self._fixture_copy(project, source)
         assert r007(project.lint(["R007"])) == []
 
     def test_gates_removed_fire_on_packing_site(self, project):
-        source = self.NATIVE.read_text(encoding="utf-8")
-        gate = "entry_bits + tag_bits + shift <= 64"
-        local = "entry_bits + (banks - 1).bit_length() > 64"
-        assert gate in source, "word_width_ok's guard moved; update this test"
-        assert local in source, "_tagged_keys' guard moved; update this test"
-        stripped = source.replace(gate, "True").replace(local, "False")
-        self._fixture_copy(project, stripped)
+        source = self.SCAN.read_text(encoding="utf-8")
+        assert "bank_index_bits + tag_bits + shift <= 64" in source, (
+            "scan_supports' uint64 word guard moved; update this test"
+        )
+        for gate, stripped in self.GATES.items():
+            assert gate in source, f"{gate!r} moved; update this test"
+            source = source.replace(gate, stripped)
+        self._fixture_copy(project, source)
         violations = r007(project.lint(["R007"]))
         assert violations, (
-            "removing both width comparisons must expose the uint64 "
-            "key packing in _tagged_keys"
+            "removing the width comparisons must expose the uint32 "
+            "word packing in _scan_single_table"
         )
-        assert {v.symbol for v in violations} == {"_tagged_keys"}
-        assert all("64" in v.message for v in violations)
+        assert {v.symbol for v in violations} == {"_scan_single_table"}
+        assert all("32" in v.message for v in violations)
 
     def test_baseline_refuses_r007(self, project):
         from repro.lint.baseline import NEVER_BASELINED

@@ -20,11 +20,11 @@ from repro.sim.engine import simulate
 from repro.sim.native import native_available
 from repro.sim.parallel import run_cells, recovery_stats
 from repro.sim.state import PredictorState
-from repro.sim.vectorized import _snapshot_state, simulate_fast
+from repro.sim.vectorized import simulate_fast
 
-#: One spec per dispatch tier: native/scan-expressible, vectorized-only
-#: (multi-bank LAZY is the one coupled policy with no scan path; PARTIAL
-#: scans now), and generic-only (per-address history).
+#: One spec per dispatch tier: native/scan-expressible, native or
+#: vectorized only (multi-bank LAZY is the one coupled policy with no
+#: scan path), and generic-only (per-address history).
 SCAN_SPEC = "gshare:512:h8"
 VECTOR_SPEC = "gskew:3x64:h4:lazy"
 GENERIC_SPEC = "fa:16:h3"
@@ -36,7 +36,7 @@ def _clean_fast(spec, trace):
     """A fault-free ``simulate_fast`` baseline (result, final state)."""
     predictor = make_predictor(spec)
     result = simulate_fast(predictor, trace, label=spec)
-    return result, _snapshot_state(predictor)
+    return result, PredictorState.capture(predictor)
 
 
 class TestKernelDegradation:
@@ -52,7 +52,7 @@ class TestKernelDegradation:
             degraded = simulate_fast(predictor, tiny_trace, label=SCAN_SPEC)
         assert degraded == expected
         assert degraded.engine == "scan"  # one-level degradation
-        assert _snapshot_state(predictor) == expected_state
+        assert PredictorState.capture(predictor) == expected_state
 
     def test_scan_failure_degrades_bit_identically(
         self, fault_env, tiny_trace, monkeypatch
@@ -68,18 +68,20 @@ class TestKernelDegradation:
         assert degraded == expected
         # The failed tier's partial work was rolled back: the surviving
         # tier left the same final counters and history as a clean run.
-        assert _snapshot_state(predictor) == expected_state
+        assert PredictorState.capture(predictor) == expected_state
 
     def test_vectorized_failure_degrades_bit_identically(
-        self, fault_env, tiny_trace
+        self, fault_env, tiny_trace, monkeypatch
     ):
+        # Without the native tier, the loop is this spec's first tier.
+        monkeypatch.setenv("REPRO_NATIVE", "0")
         expected, expected_state = _clean_fast(VECTOR_SPEC, tiny_trace)
         fault_env("kernel-vectorized@1")
         predictor = make_predictor(VECTOR_SPEC)
         with pytest.warns(RuntimeWarning, match="vectorized engine failed"):
             degraded = simulate_fast(predictor, tiny_trace, label=VECTOR_SPEC)
         assert degraded == expected
-        assert _snapshot_state(predictor) == expected_state
+        assert PredictorState.capture(predictor) == expected_state
 
     def test_all_fast_tiers_failing_reaches_the_generic_engine(
         self, fault_env, tiny_trace

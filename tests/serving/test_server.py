@@ -133,6 +133,38 @@ class TestEventValidation:
         events = [[0, 0], [2**64 - 1, 1], [4, True, False], [8, 0, 1]]
         assert decode_request(_events_line(events))["events"] == events
 
+    def test_in_process_poison_pill_leaves_session_usable(self):
+        # In-process callers skip decode_request; handle must refuse the
+        # batch itself, or the bad PC stays buffered and every later
+        # sync of the session raises.
+        service = PredictionService(shards=1, batch_size=8)
+        service.handle({"op": "open", "session": "s", "spec": "bimodal:64"})
+        refused = service.handle(
+            {"op": "events", "session": "s", "events": [[2**64, 1]]}
+        )
+        assert refused["ok"] is False
+        assert "2**64" in refused["error"]
+        synced = service.handle({"op": "sync", "session": "s"})
+        assert synced["ok"], synced
+        assert synced["conditional_branches"] == 0
+
+    @pytest.mark.parametrize(
+        "event", [[2**64, 1], [-1, 1], [4, 2], [4, 1, 2], [True, 1]]
+    )
+    def test_handle_buffers_nothing_from_a_bad_batch(self, event):
+        service = PredictionService(shards=1, batch_size=8)
+        service.handle({"op": "open", "session": "s", "spec": "bimodal:64"})
+        refused = service.handle(
+            {"op": "events", "session": "s", "events": [[4, 1], event]}
+        )
+        assert refused["ok"] is False
+        accepted = service.handle(
+            {"op": "events", "session": "s", "events": [[4, 1]]}
+        )
+        assert accepted["pending"] == 1
+        synced = service.handle({"op": "sync", "session": "s"})
+        assert synced["conditional_branches"] == 1
+
 
 class TestInterleavedVsSerial:
     @pytest.mark.parametrize("engine", ENGINES)

@@ -32,6 +32,7 @@ SPLIT_SPECS = [
     "gskew:3x128:h5:total",
     "gskew:3x128:h5:partial",
     "gskew:1x128:h5:lazy",
+    "gskew:3x128:h5:lazy",
     "egskew:3x128:h6:partial",
     "agree:128:h6",
 ]

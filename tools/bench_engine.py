@@ -30,16 +30,12 @@ Times, on one IBS-clone trace:
    every tenant's counts and final predictor state against a serial
    ``simulate_fast`` run of the same sub-trace (``parity_gaps`` must
    stay empty — interleaving and batching are required to be invisible);
-6. **native** — the compiled C kernel (``repro.sim.native``) vs the
-   numpy scan on the scan section's specs plus the LAZY/PARTIAL specs
-   the C map-code walks now cover, with per-stage wall-clock
-   (precompute / bucket or sort / scan / reduce), the grouping
-   ``sort_strategy`` each spec takes (direct-bucket vs lsd vs
-   threaded-lsd), branches/s, 100M-target status per strategy, and the
-   dispatch tier ``simulate_fast`` actually picks.  The section header
-   records ``native_available`` and ``compiler_info()`` — compiler
-   version, thread backend and the ``REPRO_NATIVE_THREADS`` resolution
-   — so throughput numbers carry the toolchain and worker count that
+6. **native** — the compiled C walk (``repro.sim.native``) vs the best
+   numpy tier on the scan section's specs plus the LAZY/PARTIAL specs,
+   with per-stage wall-clock (precompute / scan / reduce), branches/s,
+   100M-target status, and the dispatch tier ``simulate_fast`` actually
+   picks.  The section header records ``native_available`` and
+   ``compiler_info()`` so throughput numbers carry the toolchain that
    produced them; when the backend cannot build the section degrades to
    that header instead of failing.
 
@@ -52,7 +48,7 @@ Run:  python tools/bench_engine.py [--scale 0.4] [--jobs 1 2 4]
 
 ``--quick`` is the CI smoke lane: an R004/R006 parity plus
 R007/R008/R009 width-flow/C-ABI/env-contract pre-flight, a
-native-vs-scan bit-identity sweep, and a small serving loadgen replay
+native-vs-numpy bit-identity sweep, and a small serving loadgen replay
 that fails on any tenant parity gap, exiting non-zero on any parity
 gap or engine mismatch (the native check green-skips when the backend is
 unavailable), and leaving ``BENCH_engine.json`` untouched unless
@@ -78,13 +74,10 @@ from repro.lint.rules import select_rules
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
 from repro.sim.native import (
-    _native_plan,
     compiler_info,
     native_available,
     native_supports,
-    native_threads,
     simulate_native,
-    sort_strategy,
 )
 from repro.sim.parallel import run_cells
 from repro.sim.profile import StageTimer
@@ -118,13 +111,14 @@ SCAN_SPECS = [
     "agree:4k:h8",
 ]
 
-#: LAZY/PARTIAL specs the C map-code walks cover, timed in the native
-#: section beyond SCAN_SPECS so the paper's flagship PARTIAL policy has
-#: a recorded native speedup over its previous best tier.
+#: LAZY/PARTIAL specs timed in the native section beyond SCAN_SPECS, so
+#: the paper's flagship PARTIAL policy and the coupled multi-bank LAZY
+#: ablation have a recorded native speedup over their best numpy tier.
 NATIVE_EXTRA_SPECS = [
     "gskew:1x1k:h8:lazy",
     "gskew:3x1k:h8:partial",
     "egskew:3x1k:h8:partial",
+    "gskew:3x1k:h8:lazy",
 ]
 
 SWEEP_SIZES = [64, 256, "1k", "4k"]
@@ -288,15 +282,21 @@ def bench_scan(trace, repeat):
     return {"cpu_count": os.cpu_count(), "rows": rows}
 
 
+def _numpy_tier(predictor, trace):
+    """``(name, engine)`` of the fastest numpy tier expressing a spec."""
+    if scan_supports(predictor, trace):
+        return "scan", simulate_scan
+    return "vectorized", simulate_vectorized
+
+
 def bench_native(trace, repeat):
-    """Fourth-tier comparison: native C kernel vs its best numpy tier.
+    """Native C walk vs its best numpy tier.
 
     Runs the scan section's spec list (so the two tables line up
-    row-for-row) plus ``NATIVE_EXTRA_SPECS`` — the LAZY/PARTIAL specs
-    the C map-code walks cover, whose baseline is the numpy scan when
-    it has a path and the vectorized loop otherwise.  Specs outside the
-    native support matrix (agree's read-mostly bias table, multi-bank
-    LAZY) are recorded as skipped rather than silently dropped.
+    row-for-row) plus ``NATIVE_EXTRA_SPECS``, whose baseline is the
+    numpy scan when it has a path and the vectorized loop otherwise.
+    Specs outside the native support matrix are recorded as skipped
+    rather than silently dropped.
     """
     section = {
         "cpu_count": os.cpu_count(),
@@ -308,23 +308,16 @@ def bench_native(trace, repeat):
     if not native_available():
         print("  native backend unavailable; section records the header only")
         return section
-    threads = native_threads()
-    n = trace.conditional_count
-    best_by_strategy = {}
+    best_throughput = 0
     for spec in SCAN_SPECS + NATIVE_EXTRA_SPECS:
-        if not native_supports(make_predictor(spec), trace):
+        probe = make_predictor(spec)
+        if not native_supports(probe, trace):
             section["rows"].append(
                 {"spec": spec, "skipped": True, "reason": "no native path"}
             )
             print(f"  {spec:24s} skipped (no native path)")
             continue
-        probe = make_predictor(spec)
-        kind, entry_bits, counters = _native_plan(probe, trace)
-        strategy = sort_strategy(entry_bits, len(counters), n, threads)
-        if scan_supports(probe, trace):
-            baseline_tier, baseline_engine = "scan", simulate_scan
-        else:
-            baseline_tier, baseline_engine = "vectorized", simulate_vectorized
+        baseline_tier, baseline_engine = _numpy_tier(probe, trace)
         baseline_s, expected = _best_of(
             repeat,
             lambda: baseline_engine(make_predictor(spec), trace, label=spec),
@@ -349,9 +342,7 @@ def bench_native(trace, repeat):
         )
         branches = expected.conditional_branches
         throughput = round(branches / native_s)
-        best_by_strategy[strategy] = max(
-            best_by_strategy.get(strategy, 0), throughput
-        )
+        best_throughput = max(best_throughput, throughput)
         # One untimed dispatch to record which tier simulate_fast picks
         # for this spec on this trace (the provenance satellite).
         fast_tier = simulate_fast(
@@ -360,8 +351,6 @@ def bench_native(trace, repeat):
         section["rows"].append(
             {
                 "spec": spec,
-                "kind": kind,
-                "sort_strategy": strategy,
                 "baseline_tier": baseline_tier,
                 "baseline_s": round(baseline_s, 4),
                 "native_s": round(native_s, 4),
@@ -379,17 +368,11 @@ def bench_native(trace, repeat):
             f"  {spec:24s} {baseline_tier} {baseline_s * 1e3:7.2f}ms  "
             f"native {native_s * 1e3:7.2f}ms  "
             f"x{baseline_s / native_s:4.2f}  "
-            f"{throughput / 1e6:6.1f}M br/s  {strategy}  tier={fast_tier}  "
+            f"{throughput / 1e6:6.1f}M br/s  tier={fast_tier}  "
             f"{'ok' if section['rows'][-1]['identical'] else 'MISMATCH'}"
         )
-    best_throughput = max(best_by_strategy.values(), default=0)
     section["best_branches_per_s"] = best_throughput
-    section["best_branches_per_s_by_strategy"] = best_by_strategy
     section["target_met"] = best_throughput >= NATIVE_TARGET_BRANCHES_PER_S
-    section["target_met_by_strategy"] = {
-        strategy: best >= NATIVE_TARGET_BRANCHES_PER_S
-        for strategy, best in sorted(best_by_strategy.items())
-    }
     if not section["target_met"]:
         print(
             f"  note: best {best_throughput / 1e6:.1f}M br/s is below the "
@@ -457,7 +440,7 @@ def quick_serving_check():
 
 
 def quick_native_check(benchmark):
-    """CI smoke: native results must be bit-identical to the scan tier.
+    """CI smoke: native results must be bit-identical to the numpy tiers.
 
     Green-skips (``identical: True``) when the backend cannot build —
     the no-compiler lane exercises exactly that path.
@@ -476,26 +459,25 @@ def quick_native_check(benchmark):
     trace.sim_columns()
     for spec in SCAN_SPECS + NATIVE_EXTRA_SPECS:
         probe = make_predictor(spec)
-        if not native_supports(probe, trace) or not scan_supports(
-            probe, trace
-        ):
+        if not native_supports(probe, trace):
             continue
         section["specs"].append(spec)
-        scan_result = simulate_scan(make_predictor(spec), trace, label=spec)
+        tier, engine = _numpy_tier(probe, trace)
+        expected = engine(make_predictor(spec), trace, label=spec)
         native_result = simulate_native(
             make_predictor(spec), trace, label=spec
         )
-        if native_result != scan_result:
-            section["mismatches"].append(spec)
+        if native_result != expected:
+            section["mismatches"].append(f"{spec} (vs {tier})")
     section["identical"] = not section["mismatches"]
     if section["identical"]:
         print(
-            f"  ok: native bit-identical to scan on "
+            f"  ok: native bit-identical to the numpy tiers on "
             f"{len(section['specs'])} spec(s)"
         )
     else:
         for spec in section["mismatches"]:
-            print(f"  MISMATCH {spec}: native disagrees with scan")
+            print(f"  MISMATCH {spec}: native disagrees")
     return section
 
 
@@ -674,7 +656,7 @@ def main() -> int:
     parity_gaps = check_engine_parity()
 
     if args.quick:
-        print("native smoke (native vs scan bit-identity):")
+        print("native smoke (native vs numpy-tier bit-identity):")
         native_smoke = quick_native_check(args.benchmark)
         print("serving smoke (interleaved loadgen vs serial):")
         serving_smoke = quick_serving_check()
@@ -696,7 +678,7 @@ def main() -> int:
         if parity_gaps:
             print("ERROR: engine pre-flight gaps; see warnings above")
         if not native_smoke["identical"]:
-            print("ERROR: native kernel disagrees with the scan tier")
+            print("ERROR: native kernel disagrees with the numpy tiers")
         if not serving_smoke["identical"]:
             print("ERROR: interleaved serving disagrees with serial runs")
         ok = (
@@ -724,7 +706,7 @@ def main() -> int:
     aliasing = bench_aliasing(trace, args.repeat)
     print("serving (interleaved multi-tenant loadgen):")
     serving = bench_serving(args.scale)
-    print("native (C kernel vs numpy scan):")
+    print("native (C walk vs best numpy tier):")
     native = bench_native(trace, args.repeat)
 
     report = {
