@@ -16,7 +16,6 @@ from repro.aliasing.distance import LastUseDistanceTracker
 from repro.core.skew import skew_f0, skew_f1, skew_f2
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
-from repro.sim.scan import simulate_scan
 from repro.sim.vectorized import simulate_vectorized
 from repro.traces.synthetic.workloads import ibs_trace
 
@@ -58,6 +57,7 @@ VECTORIZED_SPECS = [
     "gshare:4k:h8",
     "gskew:3x1k:h8:partial",
     "egskew:3x1k:h8:partial",
+    "agree:4k:h8",
 ]
 
 
@@ -68,26 +68,6 @@ def test_vectorized_engine_throughput(benchmark, trace, spec):
 
     def run():
         return simulate_vectorized(make_predictor(spec), trace, label=spec)
-
-    result = benchmark(run)
-    assert result.conditional_branches == trace.conditional_count
-
-
-SCAN_SPECS = [
-    "gshare:4k:h8",
-    "gskew:3x1k:h8:total",
-    "agree:4k:h8",
-]
-
-
-@pytest.mark.parametrize("spec", SCAN_SPECS)
-def test_scan_engine_throughput(benchmark, trace, spec):
-    """Branches/second on the transition-composition scan kernel
-    (compare against the same specs under the generic and vectorized
-    benchmarks above)."""
-
-    def run():
-        return simulate_scan(make_predictor(spec), trace, label=spec)
 
     result = benchmark(run)
     assert result.conditional_branches == trace.conditional_count
@@ -120,9 +100,9 @@ def test_bench_engine_tool_smoke():
         report = json.loads(out.read_text(encoding="utf-8"))
     assert report["sweep"]["identical"]
     assert all(row["identical"] for row in report["engine"]["rows"])
-    assert all(row["identical"] for row in report["scan"]["rows"])
-    for row in report["scan"]["rows"]:
-        assert {"precompute", "reduce"} <= set(row["stages_s"])
+    for row in report["native"]["rows"]:
+        assert row["identical"]
+        assert {"precompute", "scan", "reduce"} <= set(row["stages_s"])
 
 
 def test_skew_function_cost(benchmark):

@@ -268,7 +268,7 @@ class ProjectIndex:
 
         The undirected ball around a function: its callees, its
         callers, their callees, and so on.  R007 searches this set for
-        width guards — a gate like ``scan_supports`` typically sits one
+        width guards — a gate like a tier's ``supports`` typically sits one
         hop *up* (in the caller that decides to take the fast path) and
         one or two hops *sideways* (a helper the caller consults).
         """

@@ -1,10 +1,9 @@
 """R004 — engine parity: fast-path entry points carry equivalence tests.
 
-``sim/vectorized.py``, ``sim/scan.py``, ``sim/native.py`` and
-``aliasing/vectorized.py`` re-implement the
-reference engines in closed form; their correctness argument *is* the
-equivalence suite
-(bit-identical results on shared inputs).  A public function added to any of them without a test
+``sim/vectorized.py``, ``sim/native.py`` and ``aliasing/vectorized.py``
+re-implement the reference engines in closed form; their correctness
+argument *is* the equivalence suite (bit-identical results on shared
+inputs).  A public function added to any of them without a test
 referencing it is an unverified fast path — precisely the hole this
 rule closes.
 
@@ -24,7 +23,6 @@ __all__ = ["EngineParityRule", "public_functions"]
 
 _TARGETS = (
     "sim/vectorized.py",
-    "sim/scan.py",
     "sim/native.py",
     "aliasing/vectorized.py",
 )

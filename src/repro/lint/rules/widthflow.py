@@ -1,16 +1,15 @@
 """R007 — width flow: packed words must provably fit their dtype.
 
-The repo's fast engines all lean on one trick: several logical fields
-(bank id, table key, event position, outcome bit) packed into a single
+Fast engines are tempted by one trick: several logical fields (bank
+id, table key, event position, outcome bit) packed into a single
 unsigned machine word so sorting the words groups the events.  The two
 width bugs this project has actually shipped were both of the shape
 "symbolic field arithmetic flows into a fixed-width container and
 nothing proves it fits": the gshare ``index_bits=0`` collapse folded a
 full-width history into an index, and the unmasked-history fold shifted
-a history register past its container.  The ``key_bits + shift <= 32``
-checks in ``sim/scan.py`` exist precisely because the scan tier packs
-``bank | key | position | outcome`` into uint32 (else uint64) words and
-the geometry decides whether that fits.
+a history register past its container.  Whenever such a word's fields
+scale with the predictor geometry, the geometry decides whether it
+fits, and some comparison has to say so.
 
 This rule runs the dtype/bit-width dataflow
 (:mod:`repro.lint.dataflow`) over every function and inspects each
@@ -29,8 +28,8 @@ geometry decision.  Then:
   (``... <= 64`` for uint64, ``<= 32``/``< 32`` for uint32, …)
   somewhere in the same function or within three call-graph hops
   (:meth:`repro.lint.index.ProjectIndex.neighborhood` — this is how
-  ``scan_supports``' ``bank_index_bits + tag_bits + shift <= 64`` can
-  cover a packing helper three calls away).
+  a ``supports``-style gate comparing ``index_bits + shift <= 64`` in
+  the dispatcher can cover a packing helper three calls away).
 
 Mask-construction idioms (``(1 << k) - 1``, ``& mask``, ``~x``,
 ``% size``) are exempt: a mask is bounded by intent, and truncating
@@ -210,8 +209,8 @@ class WidthFlowRule(Rule):
             f"packed expression may need {site.pre_width.describe()} bits "
             f"but flows into {site.dtype} ({capacity} value bits) with no "
             f"width guard in reach; compare the field widths against "
-            f"{capacity} before taking this path (see scan_supports in "
-            "sim/scan.py) or mask the inputs",
+            f"{capacity} before taking this path (in the function or a "
+            "supports()-style gate within three calls) or mask the inputs",
         )
 
     def _guarded(

@@ -15,10 +15,10 @@ Grammar (comma-separated clauses)::
                  | N-         fire on every arrival from N onward
                  | *          fire on every arrival
 
-    REPRO_FAULTS="worker-crash@1"              first dispatched chunk dies
-    REPRO_FAULTS="worker-crash@1-"             every dispatch dies (forces
-                                               the serial last resort)
-    REPRO_FAULTS="kernel-scan@1,cache-read@2"  two independent sites
+    REPRO_FAULTS="worker-crash@1"                first dispatched chunk dies
+    REPRO_FAULTS="worker-crash@1-"               every dispatch dies (forces
+                                                 the serial last resort)
+    REPRO_FAULTS="kernel-native@1,cache-read@2"  two independent sites
 
 Arrivals are counted per site, per process, in program order, which is
 what makes a plan deterministic: the same plan over the same workload
@@ -39,7 +39,6 @@ fires at the same points every run.  The injectable sites:
 ``kernel-native``      counted per native-C-engine dispatch in
                        :func:`repro.sim.vectorized.simulate_fast`; the
                        engine raises before touching predictor state
-``kernel-scan``        likewise for the numpy scan engine
 ``kernel-vectorized``  likewise for the vectorized loop engine
 ``serving-shard``      counted per shard micro-batch flush in
                        :meth:`repro.serving.shard.Shard.flush`; the shard
@@ -83,7 +82,6 @@ SITES = frozenset(
         "cache-read",
         "cache-write",
         "kernel-native",
-        "kernel-scan",
         "kernel-vectorized",
         "serving-shard",
     }

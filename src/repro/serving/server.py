@@ -41,6 +41,11 @@ from repro.util import envvars
 
 __all__ = ["PredictionService", "PredictionServer", "default_linger_s"]
 
+#: Longest request line the server reads (asyncio's default stream
+#: limit, ~3,000 events).  A longer line is answered with an error and
+#: skipped; the connection and its sessions stay usable.
+LINE_LIMIT = 2**16
+
 
 def default_linger_s() -> Optional[float]:
     """Linger-flush period in seconds, or None when disabled.
@@ -187,7 +192,7 @@ class PredictionServer:
             asyncio.Lock() for _ in self.service.ring.shards
         )
         self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
+            self._serve_connection, self.host, self.port, limit=LINE_LIMIT
         )
         if self.linger_s is not None:
             self._linger_task = asyncio.create_task(self._linger_loop())
@@ -250,12 +255,18 @@ class PredictionServer:
             task.add_done_callback(self._connections.discard)
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line is None:
+                    response = error_response(
+                        f"request line exceeds {LINE_LIMIT} bytes; "
+                        "split the events across requests"
+                    )
+                elif not line:
                     break
-                if not line.strip():
+                elif not line.strip():
                     continue
-                response = await self._handle_line(line)
+                else:
+                    response = await self._handle_line(line)
                 writer.write(encode_message(response))
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
@@ -281,3 +292,27 @@ class PredictionServer:
             for shard, lock in zip(self.service.ring.shards, self._locks):
                 async with lock:
                     shard.flush()
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line; ``None`` when it overran ``LINE_LIMIT``.
+
+    An over-limit line is read through its newline and dropped, so the
+    connection resumes at the next request instead of parsing the
+    line's tail as one.  ``b""`` means the client closed.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        try:
+            await reader.readexactly(consumed)
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return b""
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed

@@ -17,7 +17,7 @@ class SimulationResult:
     hardware budget so results can be ranked at equal cost.
 
     ``engine`` records which simulation tier produced the result
-    (``generic``/``vectorized``/``scan``/``native``) — pure
+    (``generic``/``vectorized``/``native``) — pure
     provenance, excluded from equality so the bit-identity contract
     between tiers (``result_a == result_b``) stays a content check.
     """

@@ -27,7 +27,7 @@ happen only when any of those change, and later processes just dlopen
 the cached module.  When the build fails — no compiler, no cffi, or
 ``REPRO_NATIVE=0`` — :func:`native_available` reports False (with a
 one-time ``RuntimeWarning`` for real failures) and ``simulate_fast``
-falls back to the numpy tiers; nothing else in the library requires
+falls back to the Python loop tier; nothing else in the library requires
 the backend.
 
 Results are bit-identical to :func:`repro.sim.engine.simulate`
@@ -60,7 +60,6 @@ from repro.predictors.base import BranchPredictor
 from repro.sim.metrics import SimulationResult
 from repro.sim.profile import NULL_STAGE_TIMER, StageTimer
 from repro.sim.vectorized import (
-    _MAX_HISTORY_BITS,
     _agree_streams,
     _cond_takens,
     _final_history,
@@ -202,8 +201,8 @@ def _backend():
     if isinstance(_BACKEND, str) and not _WARNED:
         _WARNED = True
         warnings.warn(
-            "native backend unavailable, falling back to the numpy "
-            f"tiers ({_BACKEND})",
+            "native backend unavailable, falling back to the Python "
+            f"loop tier ({_BACKEND})",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -259,13 +258,9 @@ def native_supports(predictor: BranchPredictor, trace: Trace) -> bool:
     """True if ``predictor`` has a native fast path over ``trace``.
 
     Every index-expressible spec — whatever :func:`repro.sim.vectorized.
-    supports` takes, plus agree — once the backend built.
+    supports` takes — once the backend built.
     """
-    if type(predictor) is AgreePredictor:
-        expressible = predictor.history_bits <= _MAX_HISTORY_BITS
-    else:
-        expressible = _vector_supports(predictor, trace)
-    return expressible and native_available()
+    return _vector_supports(predictor, trace) and native_available()
 
 
 def _checked_backend():

@@ -9,11 +9,10 @@ distinguishes "a few hard branches" from "diffuse aliasing".
 
 The same "where, not just how much" question applies to the fast
 engines' wall-clock: :class:`StageTimer` accumulates per-stage seconds
-(history precompute / group argsort / scan / reduce; the native C tier
-reports ``scan`` for its sequential counter walk, and the scan tier
-``counter_loop`` when a PARTIAL fixpoint bails to the exact sequential
-loop) when passed to ``simulate_vectorized`` /
-``simulate_scan`` / ``simulate_native`` via their ``stage_timer``
+(the native C tier reports ``precompute`` / ``scan`` / ``reduce``, its
+``scan`` being the sequential counter walk; the vectorized loop reports
+``precompute`` / ``counter_loop``) when passed to
+``simulate_vectorized`` / ``simulate_native`` via their ``stage_timer``
 argument, so a future perf regression in ``BENCH_engine.json`` is
 attributable to a pipeline stage rather than an opaque total.
 

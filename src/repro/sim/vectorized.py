@@ -1,10 +1,11 @@
 """Vectorized simulation engine: precomputed index streams.
 
 For the trace-determined predictors the big sweeps run most — bimodal,
-gshare, gselect, gskew and enhanced gskew — *every* table index is a pure
-function of the trace alone: training always uses the true branch outcome,
-so the global-history register contents at each event are fixed by the
-event stream before simulation starts.  This engine exploits that:
+gshare, gselect, gskew, enhanced gskew and agree — *every* table index
+is a pure function of the trace alone: training always uses the true
+branch outcome, so the global-history register contents at each event
+are fixed by the event stream before simulation starts.  This engine
+exploits that:
 
 1. the per-event global-history values are computed for the whole trace
    with numpy bit-ops over :class:`~repro.traces.trace.Trace`'s columns
@@ -17,25 +18,23 @@ event stream before simulation starts.  This engine exploits that:
    whose values feed back into later predictions — runs as a tight Python
    loop with no per-branch hashing, dispatch, or history bookkeeping.
 
-Step 3 is not actually irreducible: for always-update configurations each
-table entry is an independent FSM driven only by the outcomes that hit it,
-and :mod:`repro.sim.scan` replaces the loop with a grouped transition-
-composition scan (see ``docs/performance.md``).  Coupled-update policies
-(PARTIAL/LAZY on multi-bank skewed predictors) genuinely need a
-sequential walk: there each bank's training decision reads the *overall*
-majority vote, which depends on the other banks' counters at that
-instant, so no single bank's state is a function of its own event
-substream alone.  :mod:`repro.sim.native` runs that same walk in C; this
-loop is its fallback on hosts without a compiler.
+Step 3 is inherently sequential here: a counter's value feeds the
+next prediction that reads it, and under the coupled-update policies
+(PARTIAL/LAZY on multi-bank skewed predictors) each bank's training
+decision reads the *overall* majority vote, which depends on the other
+banks' counters at that instant.  :mod:`repro.sim.native` runs the same
+walk in C; this loop is its fallback on hosts without a compiler.  The
+agree predictor gets its own loop over a PHT stream and a biasing-bit
+slot stream, mirroring the native ``repro_walk_agree``.
 
 The result is behaviourally identical to :func:`repro.sim.engine.simulate`
 (asserted by the equivalence suite in ``tests/sim/test_vectorized.py``,
 like the fused fast paths in the predictors themselves), including the
-predictor's final counter and history state.  :func:`simulate_fast`
-dispatches each spec to the fastest expressible engine — the native C
-walk over these same index streams, then (without a compiler) the scan
-tier and this loop engine, then the generic interpreter for anything
-none of them can express (tagged, per-address, hybrid and custom-skew
+predictor's final counter, biasing-bit and history state.
+:func:`simulate_fast` dispatches each spec to the fastest expressible
+engine — the native C walk over these same index streams, then (without
+a compiler) this loop engine, then the generic interpreter for anything
+neither can express (tagged, per-address, hybrid and custom-skew
 schemes).
 """
 
@@ -78,18 +77,18 @@ _MAX_HISTORY_BITS = 63
 #: registry (:mod:`repro.util.envvars`), re-exported here by name.
 ENGINE_ENV_VAR = envvars.ENGINE.name
 
-_ENGINE_NAMES = frozenset({"generic", "vectorized", "scan", "native"})
+_ENGINE_NAMES = frozenset({"generic", "vectorized", "native"})
 
 
 def forced_engine() -> Optional[str]:
     """The engine name forced via ``REPRO_ENGINE``, or None.
 
-    ``simulate_fast`` routes ``generic``/``vectorized``/``scan``/
-    ``native`` directly to that engine — a spec the engine cannot
-    express raises its usual ``ValueError`` instead of silently falling
-    back, which is the point: a forced benchmark or CI lane must fail
-    loudly rather than measure the wrong tier.  Unknown values raise
-    ``ValueError`` immediately.
+    ``simulate_fast`` routes ``generic``/``vectorized``/``native``
+    directly to that engine — a spec the engine cannot express raises
+    its usual ``ValueError`` instead of silently falling back, which is
+    the point: a forced benchmark or CI lane must fail loudly rather
+    than measure the wrong tier.  Unknown values raise ``ValueError``
+    immediately.
     """
     value = envvars.ENGINE.text()
     if not value:
@@ -382,7 +381,7 @@ def _agree_streams(
 
     The PHT is gshare-indexed from the predictor's live history register;
     the biasing bits are indexed by word address.  Both index Python-list
-    tables, so both fit uint32.
+    tables, so both fit uint32.  Shared by this loop and the native walk.
     """
     words = _cond_words(trace)
     hist = _cond_history(trace, predictor.history_bits, predictor.history.value)
@@ -398,7 +397,10 @@ def supports(predictor: BranchPredictor, trace: Trace) -> bool:
     kind = type(predictor)
     if kind is BimodalPredictor:
         return True
-    if kind in (GsharePredictor, GselectPredictor, EnhancedSkewedPredictor):
+    if kind in (
+        GsharePredictor, GselectPredictor, EnhancedSkewedPredictor,
+        AgreePredictor,
+    ):
         return predictor.history_bits <= _MAX_HISTORY_BITS
     if kind is SkewedPredictor:
         return (
@@ -548,6 +550,39 @@ def _loop3_lazy(
     return miss
 
 
+def _loop_agree(
+    values: List[int], bias: List[Optional[bool]],
+    threshold: int, vmax: int,
+    indices: Sequence[int], slots: Sequence[int], outcomes: Sequence[bool],
+) -> int:
+    """Agree: a PHT of agree/disagree counters over latched biasing bits.
+
+    An unlatched slot predicts from the PHT alone (its bias defaults to
+    taken), then latches to the outcome; the PHT trains toward "the
+    outcome agreed with the bias" — the order of
+    :meth:`~repro.predictors.agree.AgreePredictor.predict_and_update`.
+    """
+    miss = 0
+    for idx, slot, t in zip(indices, slots, outcomes):
+        v = values[idx]
+        latched = bias[slot]
+        if latched is None:
+            if (v >= threshold) != t:
+                miss += 1
+            bias[slot] = t
+            agree = True
+        else:
+            if ((v >= threshold) == latched) != t:
+                miss += 1
+            agree = t == latched
+        if agree:
+            if v < vmax:
+                values[idx] = v + 1
+        elif v > 0:
+            values[idx] = v - 1
+    return miss
+
+
 _LOOP3 = {
     UpdatePolicy.PARTIAL: _loop3_partial,
     UpdatePolicy.TOTAL: _loop3_total,
@@ -623,7 +658,14 @@ def _run_plan(
     index_lists = [stream.tolist() for stream in streams]
     scored = max(0, len(outcomes) - warmup)
 
-    if len(streams) == 1 and hasattr(predictor, "bank"):
+    if type(predictor) is AgreePredictor:
+        counters = predictor.pht.counters
+        run = lambda lo, hi: _loop_agree(  # noqa: E731
+            counters.values, predictor._bias,
+            counters.threshold, counters.max_value,
+            index_lists[0][lo:hi], index_lists[1][lo:hi], outcomes[lo:hi],
+        )
+    elif len(streams) == 1 and hasattr(predictor, "bank"):
         counters = predictor.bank.counters
         run = lambda lo, hi: _loop_single(  # noqa: E731
             counters.values, counters.threshold, counters.max_value,
@@ -661,8 +703,9 @@ def simulate_vectorized(
 ) -> SimulationResult:
     """Vectorized-index counterpart of :func:`repro.sim.engine.simulate`.
 
-    Identical arguments and result; also leaves the predictor's counters
-    and history register in the same final state the generic engine would.
+    Identical arguments and result; also leaves the predictor's counters,
+    agree-bias bits and history register in the same final state the
+    generic engine would.
     ``stage_timer`` (optional) accumulates per-stage wall-clock under
     ``"precompute"`` (history + index streams) and ``"counter_loop"``.
 
@@ -675,13 +718,16 @@ def simulate_vectorized(
     timer = NULL_STAGE_TIMER if stage_timer is None else stage_timer
     history = getattr(predictor, "history", None)
     seed = history.value if history is not None else 0
+    if not supports(predictor, trace):
+        raise ValueError(
+            f"no vectorized path for {type(predictor).__name__}; "
+            "use simulate_fast() or the generic engine"
+        )
     with timer.stage("precompute"):
-        streams = _index_streams(predictor, trace)
-        if streams is None:
-            raise ValueError(
-                f"no vectorized path for {type(predictor).__name__}; "
-                "use simulate_fast() or the generic engine"
-            )
+        if type(predictor) is AgreePredictor:
+            streams = list(_agree_streams(predictor, trace))
+        else:
+            streams = _index_streams(predictor, trace)
         outcomes = _cond_takens(trace).tolist()
     with timer.stage("counter_loop"):
         scored, mispredictions = _run_plan(
@@ -718,14 +764,9 @@ def simulate_fast(
        index-expressible spec — bimodal/gshare/gselect, skewed and
        e-gskew under any update policy, and agree — one sequential C
        walk over the precomputed index streams;
-    2. when the C backend cannot build, :func:`repro.sim.scan.simulate_scan`
-       for the families whose table entries decouple into independent
-       FSMs (always-update tables, agree, single-bank LAZY and
-       multi-bank PARTIAL below its density ceiling);
-    3. :func:`simulate_vectorized`, the sequential Python counter loop,
-       for the rest of the index-expressible specs (multi-bank LAZY and
-       dense PARTIAL on hosts without a compiler);
-    4. the generic interpreter for everything else (tagged, per-address,
+    2. when the C backend cannot build, :func:`simulate_vectorized`,
+       the same walk as a sequential Python loop;
+    3. the generic interpreter for everything else (tagged, per-address,
        hybrid and custom-skew schemes).
 
     ``REPRO_ENGINE`` (see :func:`forced_engine`) overrides the whole
@@ -739,14 +780,13 @@ def simulate_fast(
     tier runs — every tier is bit-identical, so the degraded result is
     too.  The generic interpreter is the reference implementation and
     the final tier; its errors propagate.  The ``kernel-native`` /
-    ``kernel-scan`` / ``kernel-vectorized`` fault sites
+    ``kernel-vectorized`` fault sites
     (:mod:`repro.resilience.faults`) inject tier failures
     deterministically to prove that path.
     """
-    # Imported lazily: scan and native build on this module's index
-    # streams, so top-level imports here would be circular.
+    # Imported lazily: native builds on this module's index streams,
+    # so a top-level import here would be circular.
     from repro.sim.native import native_supports, simulate_native
-    from repro.sim.scan import scan_supports, simulate_scan
 
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
@@ -756,16 +796,12 @@ def simulate_fast(
         return simulate(predictor, trace, warmup=warmup, label=label)
     if forced == "vectorized":
         return simulate_vectorized(predictor, trace, warmup=warmup, label=label)
-    if forced == "scan":
-        return simulate_scan(predictor, trace, warmup=warmup, label=label)
     if forced == "native":
         return simulate_native(predictor, trace, warmup=warmup, label=label)
 
     tiers = []
     if native_supports(predictor, trace):
         tiers.append(("kernel-native", "native", simulate_native))
-    if scan_supports(predictor, trace):
-        tiers.append(("kernel-scan", "scan", simulate_scan))
     if supports(predictor, trace):
         tiers.append(("kernel-vectorized", "vectorized", simulate_vectorized))
     for site, tier_name, engine in tiers:

@@ -122,7 +122,7 @@ ENGINE = EnvVar(
     "REPRO_ENGINE",
     "choice",
     "(tiered dispatch)",
-    "Force one simulation engine: `generic`, `vectorized`, `scan` or "
+    "Force one simulation engine: `generic`, `vectorized` or "
     "`native`; unknown names fail loudly.",
 )
 
@@ -147,7 +147,7 @@ NATIVE = EnvVar(
     "flag",
     "1",
     "Set to `0` to disable the compiled C backend without "
-    "uninstalling anything (the numpy tiers take over).",
+    "uninstalling anything (the vectorized loop takes over).",
 )
 
 NATIVE_CACHE = EnvVar(

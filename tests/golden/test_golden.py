@@ -8,9 +8,8 @@ including drift that moves all tiers in lockstep, which no equivalence
 test can see.
 
 Each of the six IBS-named workloads runs at a small scale through every
-engine tier (generic interpreter, vectorized loop, transition scan,
-native C kernel) for a spec family every tier can
-express.  Counts are exact integers — the engines are deterministic and
+engine tier (generic interpreter, vectorized loop, native C kernel)
+for a spec family every tier can express.  Counts are exact integers — the engines are deterministic and
 bit-identical, so the comparison is equality, not a tolerance.  The
 native tier is optional by design: its rows skip with an explicit
 reason when the backend cannot build (no C compiler or cffi,
@@ -35,26 +34,25 @@ import pytest
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
 from repro.sim.native import native_available, native_supports, simulate_native
-from repro.sim.scan import simulate_scan
 from repro.sim.vectorized import simulate_vectorized
 from repro.traces.synthetic.workloads import IBS_BENCHMARKS, ibs_trace
 
 GOLDEN_PATH = Path(__file__).parent / "golden_rates.json"
 
-#: Small enough to keep 6 workloads x 5 specs x 4 tiers cheap, large
+#: Small enough to keep 6 workloads x 6 specs x 3 tiers cheap, large
 #: enough that every workload has thousands of conditional branches.
 GOLDEN_SCALE = 0.05
 
 #: One spec per engine-relevant family, all expressible by every tier
-#: (always-update, default skew family, the scan tier's PARTIAL
-#: vote-wrongness fixpoint and single-bank LAZY train-on-miss walk,
-#: in-range geometry).
+#: (always-update tables, the default skew family under each update
+#: policy the walks special-case, and agree's PHT plus biasing bits).
 GOLDEN_SPECS = [
     "bimodal:512",
     "gshare:512:h8",
     "gskew:3x256:h6:total",
     "gskew:3x256:h6:partial",
     "gskew:1x256:h6:lazy",
+    "agree:256:h6",
 ]
 
 #: The serving tier's pinned replay: three tenants (one per workload)
@@ -118,7 +116,8 @@ def _simulate_native_checked(predictor, trace, label):
     if not native_available():
         pytest.skip(
             "native backend unavailable (no C compiler, no cffi, or "
-            "REPRO_NATIVE=0); the scan tier pins these numbers instead"
+            "REPRO_NATIVE=0); the vectorized tier pins these numbers "
+            "instead"
         )
     if not native_supports(predictor, trace):
         pytest.skip(f"{label}: no native path at this geometry")
@@ -128,7 +127,6 @@ def _simulate_native_checked(predictor, trace, label):
 ENGINES = {
     "generic": simulate,
     "vectorized": simulate_vectorized,
-    "scan": simulate_scan,
     "native": _simulate_native_checked,
 }
 

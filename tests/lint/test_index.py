@@ -139,28 +139,35 @@ class TestRealTree:
 
     def test_width_gates_reachable_from_kernel(self):
         index = ProjectContext(Path(__file__).resolve().parents[2]).index()
+        # ``(words << history_bits) | hist`` packs the skewing vector in
+        # _skew_halves.compute; history_stream's range check bounds
+        # history_bits at _MAX_HISTORY_BITS, two hops away through
+        # _cond_history.
         ball = index.neighborhood(
-            "repro.sim.scan", "_pack_bank_blocks", depth=2
+            "repro.sim.vectorized", "_skew_halves.compute", depth=1
         )
-        # The packer's callers sit one hop away; scan_supports, whose
-        # comparison bounds the uint64 words, is three hops out
-        # (_scan_coupled → simulate_scan → scan_supports), just inside
-        # R007's guard radius.
-        assert ("repro.sim.scan", "_scan_coupled") in ball
-        assert ("repro.sim.scan", "scan_supports") not in ball
+        assert ("repro.sim.vectorized", "_cond_history") in ball
+        assert ("repro.sim.vectorized", "history_stream") not in ball
         wide = index.neighborhood(
-            "repro.sim.scan", "_pack_bank_blocks", depth=3
+            "repro.sim.vectorized", "_skew_halves.compute", depth=2
         )
-        assert ("repro.sim.scan", "scan_supports") in wide
+        assert ("repro.sim.vectorized", "history_stream") in wide
 
     def test_native_kernel_callers(self):
         index = ProjectContext(Path(__file__).resolve().parents[2]).index()
-        callers = {
-            (site.module, site.function)
-            for site in index.callers_of("repro.sim.scan", "_pack_bank_blocks")
+
+        def callers(function):
+            return {
+                (site.module, site.function)
+                for site in index.callers_of("repro.sim.vectorized", function)
+            }
+
+        # The C walks and the Python loop share one index precompute.
+        assert callers("_index_streams") == {
+            ("repro.sim.vectorized", "simulate_vectorized"),
+            ("repro.sim.native", "_walk_tables"),
         }
-        assert callers == {
-            ("repro.sim.scan", "_scan_voted"),
-            ("repro.sim.scan", "_scan_single_lazy"),
-            ("repro.sim.scan", "_scan_coupled"),
+        assert callers("_agree_streams") == {
+            ("repro.sim.vectorized", "simulate_vectorized"),
+            ("repro.sim.native", "_walk_agree"),
         }

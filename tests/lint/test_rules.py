@@ -255,29 +255,6 @@ class TestR004EngineParity:
         report = project.lint(["R004"])
         assert [v.symbol for v in report.violations] == ["uncovered_fn"]
 
-    def test_scan_module_is_a_target(self, project):
-        project.write(
-            "src/repro/sim/scan.py",
-            """
-            __all__ = ["simulate_scan"]
-
-            def simulate_scan():
-                return 1
-            """,
-        )
-        report = project.lint(["R004"])
-        assert [v.symbol for v in report.violations] == ["simulate_scan"]
-        project.write(
-            "tests/test_scan_equiv.py",
-            """
-            from repro.sim.scan import simulate_scan
-
-            def test_simulate_scan():
-                assert simulate_scan() == 1
-            """,
-        )
-        assert project.lint(["R004"]).clean
-
     def test_native_module_is_a_target(self, project):
         project.write(
             "src/repro/sim/native.py",

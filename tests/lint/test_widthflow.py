@@ -1,12 +1,6 @@
-"""R007 width-flow: fixtures, seeded historical regressions, native gate."""
+"""R007 width-flow: fixtures, seeded historical regressions, baseline."""
 
 from __future__ import annotations
-
-from pathlib import Path
-
-import pytest
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def r007(report):
@@ -167,50 +161,13 @@ class TestSuppressions:
 
 
 class TestNativeGate:
-    """R007 must rediscover why the packed-word engine needs its gates.
+    """R007 findings can never be grandfathered into a baseline.
 
-    The native tier walks index streams in order and packs nothing; the
-    ``tag | key | position | outcome`` words survive in ``sim/scan.py``,
-    whose callers pick uint32 words only when ``key_bits + shift <= 32``
-    (and ``scan_supports`` bounds the uint64 words).
+    No shipped engine packs fields into machine words any more (the
+    native and vectorized tiers walk per-bank index streams, whose only
+    narrowing sites are masks), so the fixtures above are what pin the
+    rule; this keeps its findings from being silenced wholesale.
     """
-
-    SCAN = REPO_ROOT / "src" / "repro" / "sim" / "scan.py"
-
-    #: The uint32-word guards at the packing sites.
-    GATES = {
-        "if key_bits + shift <= 32:": "if True:",
-        "dtype = np.uint32 if key_bits + shift <= 32 else np.uint64": (
-            "dtype = np.uint32"
-        ),
-    }
-
-    def _fixture_copy(self, project, source: str) -> None:
-        # The real module imports half the repo; only its own parsed
-        # surface matters to R007 (imports resolve best-effort).
-        project.write("src/fixture_scan.py", source)
-
-    def test_real_native_with_gate_is_clean(self, project):
-        source = self.SCAN.read_text(encoding="utf-8")
-        self._fixture_copy(project, source)
-        assert r007(project.lint(["R007"])) == []
-
-    def test_gates_removed_fire_on_packing_site(self, project):
-        source = self.SCAN.read_text(encoding="utf-8")
-        assert "bank_index_bits + tag_bits + shift <= 64" in source, (
-            "scan_supports' uint64 word guard moved; update this test"
-        )
-        for gate, stripped in self.GATES.items():
-            assert gate in source, f"{gate!r} moved; update this test"
-            source = source.replace(gate, stripped)
-        self._fixture_copy(project, source)
-        violations = r007(project.lint(["R007"]))
-        assert violations, (
-            "removing the width comparisons must expose the uint32 "
-            "word packing in _scan_single_table"
-        )
-        assert {v.symbol for v in violations} == {"_scan_single_table"}
-        assert all("32" in v.message for v in violations)
 
     def test_baseline_refuses_r007(self, project):
         from repro.lint.baseline import NEVER_BASELINED

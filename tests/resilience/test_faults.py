@@ -41,12 +41,12 @@ class TestParse:
         assert fired == [False, False, True, True, True]
 
     def test_star_fires_on_every_arrival(self):
-        plan = FaultPlan.parse("kernel-scan@*")
-        assert all(plan.should_fire("kernel-scan") for _ in range(3))
+        plan = FaultPlan.parse("kernel-vectorized@*")
+        assert all(plan.should_fire("kernel-vectorized") for _ in range(3))
 
     def test_sites_count_independently(self):
-        plan = FaultPlan.parse("kernel-scan@1,cache-read@2")
-        assert plan.should_fire("kernel-scan")
+        plan = FaultPlan.parse("kernel-vectorized@1,cache-read@2")
+        assert plan.should_fire("kernel-vectorized")
         # cache-read has seen zero arrivals; its window is still ahead.
         assert not plan.should_fire("cache-read")
         assert plan.should_fire("cache-read")
@@ -61,7 +61,7 @@ class TestParse:
         assert plan.should_fire("worker-crash")
 
     def test_unknown_site_rejected_with_known_list(self):
-        for text in ("warp-core@1", "kernel-scan-grid@1"):
+        for text in ("warp-core@1", "kernel-gpu@1"):
             with pytest.raises(ValueError, match="unknown fault site"):
                 FaultPlan.parse(text)
             with pytest.raises(ValueError, match="worker-crash"):
@@ -110,7 +110,7 @@ class TestEnvironmentPlumbing:
         # Same value: cached plan, counters keep advancing.
         assert not fault_active("cache-read")
         # New value: fresh plan, arrival counter restarts at zero.
-        monkeypatch.setenv(FAULTS_ENV_VAR, "cache-read@1,kernel-scan@1")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "cache-read@1,kernel-vectorized@1")
         assert fault_active("cache-read")
 
     def test_reset_faults_restarts_counters(self, monkeypatch):
@@ -121,11 +121,11 @@ class TestEnvironmentPlumbing:
         assert fault_active("cache-read")
 
     def test_maybe_fail_raises_with_site(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV_VAR, "kernel-scan@1")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "kernel-vectorized@1")
         reset_faults()
         with pytest.raises(InjectedFault) as excinfo:
-            maybe_fail("kernel-scan")
-        assert excinfo.value.site == "kernel-scan"
+            maybe_fail("kernel-vectorized")
+        assert excinfo.value.site == "kernel-vectorized"
 
     def test_bad_plan_fails_loudly(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV_VAR, "not-a-site@1")
@@ -149,7 +149,6 @@ class TestInjectedFault:
             "cache-read",
             "cache-write",
             "kernel-native",
-            "kernel-scan",
             "kernel-vectorized",
             "serving-shard",
         }

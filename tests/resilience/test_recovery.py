@@ -22,14 +22,16 @@ from repro.sim.parallel import run_cells, recovery_stats
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import simulate_fast
 
-#: One spec per dispatch tier: native/scan-expressible, native or
-#: vectorized only (multi-bank LAZY is the one coupled policy with no
-#: scan path), and generic-only (per-address history).
-SCAN_SPEC = "gshare:512:h8"
-VECTOR_SPEC = "gskew:3x64:h4:lazy"
+#: One spec per dispatch path: index-expressible (native, or the
+#: vectorized loop without a compiler) as an always-update table, a
+#: coupled multi-bank LAZY walk and agree, and generic-only
+#: (per-address history).
+TABLE_SPEC = "gshare:512:h8"
+LAZY_SPEC = "gskew:3x64:h4:lazy"
+AGREE_SPEC = "agree:128:h6"
 GENERIC_SPEC = "fa:16:h3"
 
-SWEEP_SPECS = [SCAN_SPEC, VECTOR_SPEC, GENERIC_SPEC, "bimodal:256"]
+SWEEP_SPECS = [TABLE_SPEC, LAZY_SPEC, GENERIC_SPEC, "bimodal:256"]
 
 
 def _clean_fast(spec, trace):
@@ -45,29 +47,31 @@ class TestKernelDegradation:
     ):
         if not native_available():
             pytest.skip("native backend unavailable; tier not in the ladder")
-        expected, expected_state = _clean_fast(SCAN_SPEC, tiny_trace)
+        expected, expected_state = _clean_fast(TABLE_SPEC, tiny_trace)
         fault_env("kernel-native@1")
-        predictor = make_predictor(SCAN_SPEC)
+        predictor = make_predictor(TABLE_SPEC)
         with pytest.warns(RuntimeWarning, match="native engine failed"):
-            degraded = simulate_fast(predictor, tiny_trace, label=SCAN_SPEC)
+            degraded = simulate_fast(predictor, tiny_trace, label=TABLE_SPEC)
         assert degraded == expected
-        assert degraded.engine == "scan"  # one-level degradation
+        assert degraded.engine == "vectorized"  # one-level degradation
         assert PredictorState.capture(predictor) == expected_state
 
-    def test_scan_failure_degrades_bit_identically(
-        self, fault_env, tiny_trace, monkeypatch
+    @pytest.mark.parametrize("spec", [LAZY_SPEC, AGREE_SPEC])
+    def test_native_failure_degrades_to_the_loop(
+        self, fault_env, tiny_trace, spec
     ):
-        # Pin the scan tier to the front of the ladder (the native tier
-        # would otherwise absorb this spec and never dispatch scan).
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        expected, expected_state = _clean_fast(SCAN_SPEC, tiny_trace)
-        fault_env("kernel-scan@1")
-        predictor = make_predictor(SCAN_SPEC)
-        with pytest.warns(RuntimeWarning, match="scan engine failed"):
-            degraded = simulate_fast(predictor, tiny_trace, label=SCAN_SPEC)
+        # The coupled LAZY walk and agree's bias latches are the state
+        # a half-finished native walk could leave behind; the loop must
+        # start from the rolled-back snapshot.
+        if not native_available():
+            pytest.skip("native backend unavailable; tier not in the ladder")
+        expected, expected_state = _clean_fast(spec, tiny_trace)
+        fault_env("kernel-native@1")
+        predictor = make_predictor(spec)
+        with pytest.warns(RuntimeWarning, match="native engine failed"):
+            degraded = simulate_fast(predictor, tiny_trace, label=spec)
         assert degraded == expected
-        # The failed tier's partial work was rolled back: the surviving
-        # tier left the same final counters and history as a clean run.
+        assert degraded.engine == "vectorized"
         assert PredictorState.capture(predictor) == expected_state
 
     def test_vectorized_failure_degrades_bit_identically(
@@ -75,30 +79,32 @@ class TestKernelDegradation:
     ):
         # Without the native tier, the loop is this spec's first tier.
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        expected, expected_state = _clean_fast(VECTOR_SPEC, tiny_trace)
+        expected, expected_state = _clean_fast(LAZY_SPEC, tiny_trace)
         fault_env("kernel-vectorized@1")
-        predictor = make_predictor(VECTOR_SPEC)
+        predictor = make_predictor(LAZY_SPEC)
         with pytest.warns(RuntimeWarning, match="vectorized engine failed"):
-            degraded = simulate_fast(predictor, tiny_trace, label=VECTOR_SPEC)
+            degraded = simulate_fast(predictor, tiny_trace, label=LAZY_SPEC)
         assert degraded == expected
+        assert degraded.engine == "generic"
+        # The failed tier's partial work was rolled back: the surviving
+        # tier left the same final counters and history as a clean run.
         assert PredictorState.capture(predictor) == expected_state
 
     def test_all_fast_tiers_failing_reaches_the_generic_engine(
         self, fault_env, tiny_trace
     ):
         reference = simulate(
-            make_predictor(SCAN_SPEC), tiny_trace, label=SCAN_SPEC
+            make_predictor(TABLE_SPEC), tiny_trace, label=TABLE_SPEC
         )
-        fault_env("kernel-native@1,kernel-scan@1,kernel-vectorized@1")
+        fault_env("kernel-native@1,kernel-vectorized@1")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             degraded = simulate_fast(
-                make_predictor(SCAN_SPEC), tiny_trace, label=SCAN_SPEC
+                make_predictor(TABLE_SPEC), tiny_trace, label=TABLE_SPEC
             )
         assert degraded == reference
         assert degraded.engine == "generic"
         messages = [str(w.message) for w in caught]
-        assert any("scan engine failed" in m for m in messages)
         assert any("vectorized engine failed" in m for m in messages)
         if native_available():
             assert any("native engine failed" in m for m in messages)
@@ -108,16 +114,16 @@ class TestKernelDegradation:
     ):
         """A one-arrival window fires once; the next call is fault-free."""
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        expected, _ = _clean_fast(SCAN_SPEC, tiny_trace)
-        fault_env("kernel-scan@1")
+        expected, _ = _clean_fast(TABLE_SPEC, tiny_trace)
+        fault_env("kernel-vectorized@1")
         with pytest.warns(RuntimeWarning):
             simulate_fast(
-                make_predictor(SCAN_SPEC), tiny_trace, label=SCAN_SPEC
+                make_predictor(TABLE_SPEC), tiny_trace, label=TABLE_SPEC
             )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             clean = simulate_fast(
-                make_predictor(SCAN_SPEC), tiny_trace, label=SCAN_SPEC
+                make_predictor(TABLE_SPEC), tiny_trace, label=TABLE_SPEC
             )
         assert clean == expected
 

@@ -17,7 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.serving.client import PredictionClient, ServingError
 from repro.serving.protocol import ProtocolError, decode_request
-from repro.serving.server import PredictionServer, PredictionService
+from repro.serving.server import (
+    LINE_LIMIT,
+    PredictionServer,
+    PredictionService,
+)
 from repro.sim.config import make_predictor
 from repro.sim.native import native_available
 from repro.sim.state import PredictorState
@@ -27,26 +31,26 @@ from repro.traces.trace import Trace
 from tests.strategies import traces as trace_strategy
 
 #: Families for the tier-forced matrix: every one of these has a path on
-#: every forced tier (generic always; vectorized/scan/native per their
+#: every forced tier (generic always; vectorized/native per their
 #: ``supports`` gates at this geometry).
 TIER_SPECS = [
     "bimodal:128",
     "gshare:128:h6",
     "gskew:3x128:h5:total",
+    "gskew:3x128:h5:partial",
     "gskew:1x128:h5:lazy",
+    "agree:128:h6",
 ]
 
-#: Families only some tiers express; the un-forced ladder must still
-#: serve them bit-identically (falling back internally as needed).
+#: Families only the generic tier expresses; the un-forced ladder must
+#: still serve them bit-identically (falling back internally).
 LADDER_ONLY_SPECS = [
-    "agree:128:h6",
-    "gskew:3x128:h5:partial",
     "hybrid:128:h6",
     "fa:32:h4",
     "unaliased:h4",
 ]
 
-ENGINES = ["generic", "vectorized", "scan", "native"]
+ENGINES = ["generic", "vectorized", "native"]
 
 
 def _interleave_round_robin(service, sessions, chunk):
@@ -397,6 +401,46 @@ class TestAsyncServer:
         assert [r["ok"] for r in responses] == [False, True, False, True]
         assert "2**64" in responses[2]["error"]
         assert responses[3]["conditional_branches"] == 0
+
+    @pytest.mark.parametrize("split", [False, True],
+                             ids=["whole", "newline-late"])
+    def test_oversized_line_is_answered_and_skipped(self, split):
+        # One events line well past the stream limit (~17 bytes per
+        # event).  "newline-late" sends it in two writes, so the limit
+        # trips before the line's newline has arrived.
+        big = [[0x120000000 + 4 * i, i % 2] for i in range(6000)]
+        oversized = _events_line(big) + b"\n"
+        assert len(oversized) > LINE_LIMIT
+        lines = [
+            b'{"op": "open", "session": "s", "spec": "bimodal:64"}\n',
+            oversized,
+            b'{"op": "events", "session": "s", "events": [[64, 1], [68, 0]]}\n',
+            b'{"op": "sync", "session": "s"}\n',
+        ]
+
+        async def scenario():
+            async with PredictionServer(shards=1, batch_size=8) as server:
+                host, port = server.address
+                reader, writer = await asyncio.open_connection(host, port)
+                responses = []
+                for line in lines:
+                    if split and line is oversized:
+                        writer.write(line[: LINE_LIMIT + 1024])
+                        await writer.drain()
+                        await asyncio.sleep(0.05)
+                        line = line[LINE_LIMIT + 1024 :]
+                    writer.write(line)
+                    await writer.drain()
+                    responses.append(json.loads(await reader.readline()))
+                writer.close()
+                await writer.wait_closed()
+                return responses
+
+        responses = asyncio.run(scenario())
+        assert [r["ok"] for r in responses] == [True, False, True, True]
+        assert str(LINE_LIMIT) in responses[1]["error"]
+        # Nothing from the oversized line was buffered.
+        assert responses[3]["conditional_branches"] == 2
 
     def test_unknown_session_error_surfaces_in_client(self):
         async def scenario():

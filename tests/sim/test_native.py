@@ -43,7 +43,7 @@ from tests.strategies import traces as trace_strategy
 requires_native = pytest.mark.skipif(
     not native_available(),
     reason="native backend unavailable (no C compiler, no cffi, or "
-    "REPRO_NATIVE=0); the scan tier covers these specs instead",
+    "REPRO_NATIVE=0); the vectorized tier covers these specs instead",
 )
 
 #: Every spec family the native engine claims, including degenerate
@@ -306,7 +306,7 @@ class TestDispatch:
         expected = simulate(make_predictor(spec), tiny_trace)
         actual = simulate_fast(make_predictor(spec), tiny_trace)
         assert actual == expected
-        assert actual.engine == "scan"  # fell through to the next tier
+        assert actual.engine == "vectorized"  # fell through to the next tier
 
 
 class TestForcedEngine:
@@ -315,7 +315,8 @@ class TestForcedEngine:
         assert forced_engine() is None
 
     def test_unknown_value_fails_loudly(self, monkeypatch, tiny_trace):
-        for value in ("frobnicate", "grid"):
+        # "grid" and "scan" name deleted tiers; they fail like any typo.
+        for value in ("frobnicate", "grid", "scan"):
             monkeypatch.setenv("REPRO_ENGINE", value)
             with pytest.raises(ValueError, match="not a known engine"):
                 forced_engine()
@@ -323,7 +324,7 @@ class TestForcedEngine:
                 simulate_fast(make_predictor("bimodal:64"), tiny_trace)
 
     @pytest.mark.parametrize(
-        "engine", ["generic", "vectorized", "scan", "native"]
+        "engine", ["generic", "vectorized", "native"]
     )
     def test_forced_tier_is_recorded(self, engine, tiny_trace, monkeypatch):
         if engine == "native" and not native_available():
@@ -349,7 +350,7 @@ class TestForcedEngine:
         b = simulate_fast(make_predictor("bimodal:64"), tiny_trace)
         assert a == b
         assert a.engine == "generic"
-        assert b.engine in ("native", "scan")
+        assert b.engine in ("native", "vectorized")
 
 
 # -- entry points vs scalar oracles -----------------------------------------

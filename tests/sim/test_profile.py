@@ -102,23 +102,23 @@ class TestStageTimer:
         assert NULL_STAGE_TIMER.totals == {}
 
     @pytest.mark.parametrize(
-        "engine", ["scan", "vectorized"], ids=["scan", "vectorized"]
+        "engine", ["native", "vectorized"], ids=["native", "vectorized"]
     )
     def test_engines_populate_pipeline_stages(self, engine, tiny_trace):
-        from repro.sim.scan import simulate_scan
+        from repro.sim.native import native_available, simulate_native
         from repro.sim.vectorized import simulate_vectorized
 
-        run = simulate_scan if engine == "scan" else simulate_vectorized
+        if engine == "native" and not native_available():
+            pytest.skip("native backend unavailable")
+        run = simulate_native if engine == "native" else simulate_vectorized
         timer = StageTimer()
         run(
             make_predictor("gskew:3x128:h5:total"),
             tiny_trace,
             stage_timer=timer,
         )
-        if engine == "scan":
-            assert {"precompute", "argsort", "scan", "reduce"} <= set(
-                timer.totals
-            )
+        if engine == "native":
+            assert {"precompute", "scan", "reduce"} <= set(timer.totals)
         else:
             assert {"precompute", "counter_loop"} <= set(timer.totals)
         assert all(seconds >= 0.0 for seconds in timer.totals.values())

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate, simulate_stream
 from repro.sim.native import native_available, native_supports, simulate_native
-from repro.sim.scan import scan_supports, simulate_scan
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import simulate_fast, simulate_vectorized, supports
 
@@ -35,6 +34,7 @@ SPLIT_SPECS = [
     "gskew:3x128:h5:lazy",
     "egskew:3x128:h6:partial",
     "agree:128:h6",
+    "agree:32:h9",  # folding; later pieces start with most bias bits latched
 ]
 
 
@@ -61,7 +61,6 @@ def _run_split(engine, gate, spec, trace, cuts):
 TIERS = [
     ("generic", simulate, None),
     ("vectorized", simulate_vectorized, lambda p, t: supports(p, t)),
-    ("scan", simulate_scan, lambda p, t: scan_supports(p, t)),
     (
         "native",
         simulate_native,

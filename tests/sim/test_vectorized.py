@@ -2,9 +2,10 @@
 
 The vectorized engine precomputes per-bank index streams with numpy and
 must be *bit-identical* to ``repro.sim.engine.simulate`` — same
-SimulationResult, same final counter values, same final history register
-— for every supported predictor family, across all three gskew update
-policies.  Unsupported predictors must fall back cleanly.
+SimulationResult, same final counter values, same agree-bias bits, same
+final history register — for every supported predictor family, across
+all three gskew update policies, and on hand-built degenerate traces.
+Unsupported predictors must fall back cleanly.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from repro.sim.vectorized import (
     simulate_vectorized,
     supports,
 )
+from repro.traces.trace import Trace
 
 from tests.strategies import traces as trace_strategy
 
 #: Every spec family the vectorized engine claims to support, including
 #: all three skewed-update policies, 1/3/5-bank gskew, gshare history
-#: folding (h > index bits) and 1-bit counters.
+#: folding (h > index bits), 1-bit counters and agree.
 SUPPORTED_SPECS = [
     "bimodal:256",
     "bimodal:256:c1",
@@ -51,6 +53,9 @@ SUPPORTED_SPECS = [
     "egskew:3x256:h6:partial",
     "egskew:3x256:h6:total",
     "egskew:3x256:h6:lazy",
+    "agree:256:h6",
+    "agree:64:h10",  # history > index bits (XOR folding)
+    "agree:1:h4",  # degenerate: one PHT entry, one biasing bit
 ]
 
 UNSUPPORTED_SPECS = [
@@ -60,11 +65,13 @@ UNSUPPORTED_SPECS = [
 
 
 def _counter_state(predictor):
-    """Snapshot every saturating counter of a predictor."""
+    """Snapshot every saturating counter (and agree's biasing bits)."""
     if hasattr(predictor, "banks"):
         return [list(bank.counters.values) for bank in predictor.banks]
     if hasattr(predictor, "bank"):
         return [list(predictor.bank.counters.values)]
+    if hasattr(predictor, "pht"):
+        return [list(predictor.pht.counters.values), list(predictor._bias)]
     return None
 
 
@@ -96,6 +103,17 @@ class TestEquivalence:
         )
         assert actual == expected
 
+    @pytest.mark.parametrize("warmup", [1, 137, 10**9])
+    def test_agree_warmup_equivalence(self, warmup, tiny_trace):
+        # Warmup events latch biasing bits and train the PHT but are not
+        # scored; the state they leave must match the generic engine's.
+        reference = make_predictor("agree:128:h5")
+        candidate = make_predictor("agree:128:h5")
+        expected = simulate(reference, tiny_trace, warmup=warmup)
+        actual = simulate_vectorized(candidate, tiny_trace, warmup=warmup)
+        assert actual == expected
+        assert _counter_state(candidate) == _counter_state(reference)
+
     def test_egskew_bank0_history_ablation(self, tiny_trace):
         reference = EnhancedSkewedPredictor(
             bank_index_bits=7, history_bits=5, bank0_history_bits=3
@@ -110,18 +128,59 @@ class TestEquivalence:
         assert _counter_state(candidate) == _counter_state(reference)
 
 
+#: Hand-built corner traces: empty, single event, a run of two, pure
+#: bias, strict alternation.
+DEGENERATE_TRACES = {
+    "empty": ([], []),
+    "one-taken": ([0x40], [1]),
+    "one-not-taken": ([0x40], [0]),
+    "two-same-slot": ([0x40, 0x40], [1, 0]),
+    "all-taken": ([0x40, 0x44, 0x40, 0x44, 0x40], [1, 1, 1, 1, 1]),
+    "alternating": ([0x40] * 8, [1, 0, 1, 0, 1, 0, 1, 0]),
+}
+
+
+class TestDegenerateTraces:
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_TRACES))
+    @pytest.mark.parametrize(
+        "spec", ["bimodal:4", "gshare:8:h3", "gskew:3x8:h3:total", "agree:8:h3"]
+    )
+    def test_matches_generic_engine(self, name, spec):
+        pcs, takens = DEGENERATE_TRACES[name]
+        trace = Trace.from_columns(
+            pcs, takens, [1] * len(pcs), name=f"degenerate-{name}"
+        )
+        reference = make_predictor(spec)
+        candidate = make_predictor(spec)
+        expected = simulate(reference, trace)
+        actual = simulate_vectorized(candidate, trace)
+        assert actual == expected
+        assert _counter_state(candidate) == _counter_state(reference)
+
+    def test_unconditionals_only(self):
+        trace = Trace.from_columns([0x40, 0x44], [1, 1], [0, 0])
+        spec = "gshare:8:h3"
+        reference = make_predictor(spec)
+        candidate = make_predictor(spec)
+        expected = simulate(reference, trace)
+        actual = simulate_vectorized(candidate, trace)
+        assert actual == expected
+        assert actual.conditional_branches == 0
+        assert _history_state(candidate) == _history_state(reference)
+
+
 class TestFuzzEquivalence:
-    # The coupled-update policies (multi-bank PARTIAL/LAZY) have no
-    # scan path, so this is the only fuzz that reaches the sequential
-    # counter loop; the spec pool mirrors the scan suite's otherwise.
     @given(
         spec=st.sampled_from(
             [
                 "bimodal:8",
                 "gshare:16:h4",
+                "gselect:16:h3",
+                "gskew:3x16:h3:total",
                 "gskew:3x16:h3:partial",
                 "gskew:3x16:h3:lazy",
                 "egskew:3x16:h3:partial",
+                "agree:16:h3",
             ]
         ),
         trace=trace_strategy(),

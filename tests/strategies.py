@@ -1,6 +1,6 @@
 """Shared hypothesis strategies for differential engine fuzzing.
 
-Every differential suite (scan vs generic, vectorized vs generic,
+Every differential suite (native vs generic, vectorized vs generic,
 windowed vs generic, parallel vs serial) wants the same inputs: short
 random traces with word-aligned PCs, arbitrary outcomes and a mix of
 conditional/unconditional events, plus a spec drawn from the family

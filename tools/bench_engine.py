@@ -6,23 +6,18 @@ Times, on one IBS-clone trace:
    (``repro.sim.engine.simulate``) vs the vectorized index-precompute
    engine (``repro.sim.vectorized.simulate_vectorized``) for each
    supported predictor family, checking the results are identical;
-2. **scan** — the same trace and flags through all three engine tiers
-   (generic vs vectorized counter loop vs the transition-composition
-   scan of ``repro.sim.scan``) for every spec with a scan path,
-   including per-stage wall-clock (precompute / argsort / scan /
-   reduce) from :class:`repro.sim.profile.StageTimer`;
-3. **sweep** — wall-clock of a gshare/gskew size sweep run serially on
+2. **sweep** — wall-clock of a gshare/gskew size sweep run serially on
    the generic engine, serially on the fast engines (the
    single-process speedup), and through the multiprocessing runner at
    each requested ``--jobs`` value (values above ``cpu_count`` are
    recorded as skipped: oversubscribed workers only measure scheduler
    noise);
-4. **aliasing** — wall-clock of the Figure-1-style 3Cs decomposition
+3. **aliasing** — wall-clock of the Figure-1-style 3Cs decomposition
    over the full table-size grid: the streaming reference
    (``measure_aliasing_reference`` once per size) vs the one-pass
    vectorized engine (``measure_aliasing_sweep``), checking the
    breakdowns are identical;
-5. **serving** — the multi-tenant serving layer under load:
+4. **serving** — the multi-tenant serving layer under load:
    ``repro.serving.loadgen`` replays every IBS workload as several
    interleaved sessions through one in-process
    :class:`~repro.serving.server.PredictionService`, reporting p50/p99
@@ -30,9 +25,11 @@ Times, on one IBS-clone trace:
    every tenant's counts and final predictor state against a serial
    ``simulate_fast`` run of the same sub-trace (``parity_gaps`` must
    stay empty — interleaving and batching are required to be invisible);
-6. **native** — the compiled C walk (``repro.sim.native``) vs the best
-   numpy tier on the scan section's specs plus the LAZY/PARTIAL specs,
-   with per-stage wall-clock (precompute / scan / reduce), branches/s,
+5. **native** — the compiled C walk (``repro.sim.native``) vs the
+   vectorized loop it replaces on compiler hosts, over the always-update
+   tables, agree and the LAZY/PARTIAL skewed specs, with per-stage
+   wall-clock (precompute / scan / reduce, from
+   :class:`repro.sim.profile.StageTimer`), branches/s,
    100M-target status, and the dispatch tier ``simulate_fast`` actually
    picks.  The section header records ``native_available`` and
    ``compiler_info()`` so throughput numbers carry the toolchain that
@@ -48,7 +45,7 @@ Run:  python tools/bench_engine.py [--scale 0.4] [--jobs 1 2 4]
 
 ``--quick`` is the CI smoke lane: an R004/R006 parity plus
 R007/R008/R009 width-flow/C-ABI/env-contract pre-flight, a
-native-vs-numpy bit-identity sweep, and a small serving loadgen replay
+native-vs-vectorized bit-identity sweep, and a small serving loadgen replay
 that fails on any tenant parity gap, exiting non-zero on any parity
 gap or engine mismatch (the native check green-skips when the backend is
 unavailable), and leaving ``BENCH_engine.json`` untouched unless
@@ -82,9 +79,7 @@ from repro.sim.native import (
 from repro.sim.parallel import run_cells
 from repro.sim.profile import StageTimer
 from repro.serving.loadgen import run_loadgen
-from repro.sim.scan import scan_supports, simulate_scan
 from repro.sim.vectorized import simulate_fast, simulate_vectorized
-from repro.sim.vectorized import supports as vector_supports
 from repro.traces.synthetic.workloads import ibs_trace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -98,23 +93,20 @@ ENGINE_SPECS = [
     "gskew:3x1k:h8:partial",
     "gskew:3x1k:h8:total",
     "egskew:3x1k:h8:partial",
+    "agree:4k:h8",
 ]
 
-#: Always-update specs with a scan path, timed across all three tiers
-#: on identical flags (same trace, scale and repeat as ENGINE_SPECS).
-SCAN_SPECS = [
+#: Specs timed in the native section: the always-update tables, agree,
+#: and the LAZY/PARTIAL policies, so the paper's flagship PARTIAL
+#: policy and the coupled multi-bank LAZY ablation each have a recorded
+#: native speedup over the vectorized loop.
+NATIVE_SPECS = [
     "bimodal:4k",
     "gshare:4k:h8",
     "gselect:4k:h8",
     "gskew:3x1k:h8:total",
     "egskew:3x1k:h8:total",
     "agree:4k:h8",
-]
-
-#: LAZY/PARTIAL specs timed in the native section beyond SCAN_SPECS, so
-#: the paper's flagship PARTIAL policy and the coupled multi-bank LAZY
-#: ablation have a recorded native speedup over their best numpy tier.
-NATIVE_EXTRA_SPECS = [
     "gskew:1x1k:h8:lazy",
     "gskew:3x1k:h8:partial",
     "egskew:3x1k:h8:partial",
@@ -139,7 +131,7 @@ NATIVE_TARGET_BRANCHES_PER_S = 100_000_000
 #: trialing until this much cumulative wall-clock is spent (capped at
 #: ``_MAX_TRIALS``).  Millisecond-scale runs drown in scheduler jitter
 #: at small fixed N — on a busy 1-CPU box the jitter floor is ~0.5ms,
-#: which is noise on a 150ms generic run but 50% of a 1ms scan run.
+#: which is noise on a 150ms generic run but 50% of a 1ms native run.
 #: The budget applies identically to every tier, so ratios stay fair.
 _TIME_BUDGET_S = 0.5
 _MAX_TRIALS = 30
@@ -149,7 +141,7 @@ def _best_of(repeat, fn, on_trial=None):
     """Best-of-N wall-clock of ``fn`` plus its (last) return value.
 
     ``on_trial`` (if given) sees each trial's return value — used by
-    the scan section to keep per-stage minima across trials.
+    the native section to keep per-stage minima across trials.
     """
     best = float("inf")
     value = None
@@ -202,99 +194,9 @@ def bench_engines(trace, repeat):
     return rows
 
 
-def bench_scan(trace, repeat):
-    """Three-tier comparison plus per-stage scan timings."""
-    rows = []
-    for spec in SCAN_SPECS:
-        generic_s, expected = _best_of(
-            repeat, lambda: simulate(make_predictor(spec), trace, label=spec)
-        )
-        # agree has no index-precompute tier (its counter loop was never
-        # vectorized); the scan is its first fast path.
-        vectorized_s = loop_result = None
-        if vector_supports(make_predictor(spec), trace):
-            vectorized_s, loop_result = _best_of(
-                repeat,
-                lambda: simulate_vectorized(
-                    make_predictor(spec), trace, label=spec
-                ),
-            )
-        # One fresh timer per trial; keeping each stage's minimum
-        # mirrors the best-of-N total (stage minima need not co-occur,
-        # so they may sum below scan_s — they bound each stage's cost).
-        stage_best = {}
-
-        def _scan_trial():
-            timer = StageTimer()
-            result = simulate_scan(
-                make_predictor(spec), trace, label=spec, stage_timer=timer
-            )
-            return timer, result
-
-        def _note_stages(trial):
-            for name, seconds in trial[0].totals.items():
-                stage_best[name] = min(
-                    stage_best.get(name, float("inf")), seconds
-                )
-
-        scan_s, (_, scan_result) = _best_of(
-            repeat, _scan_trial, on_trial=_note_stages
-        )
-        branches = expected.conditional_branches
-        rows.append(
-            {
-                "spec": spec,
-                "generic_s": round(generic_s, 4),
-                "vectorized_s": (
-                    None if vectorized_s is None else round(vectorized_s, 4)
-                ),
-                "scan_s": round(scan_s, 4),
-                "scan_branches_per_s": round(branches / scan_s),
-                "speedup_vs_generic": round(generic_s / scan_s, 2),
-                "speedup_vs_vectorized": (
-                    None
-                    if vectorized_s is None
-                    else round(vectorized_s / scan_s, 2)
-                ),
-                "stages_s": {
-                    name: round(seconds, 6)
-                    for name, seconds in sorted(stage_best.items())
-                },
-                "identical": scan_result == expected
-                and (loop_result is None or loop_result == expected),
-            }
-        )
-        loop_text = (
-            "vectorized    none  "
-            if vectorized_s is None
-            else f"vectorized {vectorized_s:7.3f}s  "
-        )
-        ratio_text = (
-            ""
-            if vectorized_s is None
-            else f"x{vectorized_s / scan_s:4.1f} vs loop  "
-        )
-        print(
-            f"  {spec:24s} generic {generic_s:7.3f}s  "
-            f"{loop_text}scan {scan_s:7.3f}s  {ratio_text}"
-            f"{'ok' if rows[-1]['identical'] else 'MISMATCH'}"
-        )
-    return {"cpu_count": os.cpu_count(), "rows": rows}
-
-
-def _numpy_tier(predictor, trace):
-    """``(name, engine)`` of the fastest numpy tier expressing a spec."""
-    if scan_supports(predictor, trace):
-        return "scan", simulate_scan
-    return "vectorized", simulate_vectorized
-
-
 def bench_native(trace, repeat):
-    """Native C walk vs its best numpy tier.
+    """Native C walk vs the vectorized loop, over ``NATIVE_SPECS``.
 
-    Runs the scan section's spec list (so the two tables line up
-    row-for-row) plus ``NATIVE_EXTRA_SPECS``, whose baseline is the
-    numpy scan when it has a path and the vectorized loop otherwise.
     Specs outside the native support matrix are recorded as skipped
     rather than silently dropped.
     """
@@ -309,18 +211,18 @@ def bench_native(trace, repeat):
         print("  native backend unavailable; section records the header only")
         return section
     best_throughput = 0
-    for spec in SCAN_SPECS + NATIVE_EXTRA_SPECS:
-        probe = make_predictor(spec)
-        if not native_supports(probe, trace):
+    for spec in NATIVE_SPECS:
+        if not native_supports(make_predictor(spec), trace):
             section["rows"].append(
                 {"spec": spec, "skipped": True, "reason": "no native path"}
             )
             print(f"  {spec:24s} skipped (no native path)")
             continue
-        baseline_tier, baseline_engine = _numpy_tier(probe, trace)
-        baseline_s, expected = _best_of(
+        vectorized_s, expected = _best_of(
             repeat,
-            lambda: baseline_engine(make_predictor(spec), trace, label=spec),
+            lambda: simulate_vectorized(
+                make_predictor(spec), trace, label=spec
+            ),
         )
         stage_best = {}
 
@@ -351,11 +253,10 @@ def bench_native(trace, repeat):
         section["rows"].append(
             {
                 "spec": spec,
-                "baseline_tier": baseline_tier,
-                "baseline_s": round(baseline_s, 4),
+                "vectorized_s": round(vectorized_s, 4),
                 "native_s": round(native_s, 4),
                 "native_branches_per_s": throughput,
-                "speedup_vs_baseline": round(baseline_s / native_s, 2),
+                "speedup_vs_vectorized": round(vectorized_s / native_s, 2),
                 "fast_tier": fast_tier,
                 "stages_s": {
                     name: round(seconds, 6)
@@ -365,9 +266,9 @@ def bench_native(trace, repeat):
             }
         )
         print(
-            f"  {spec:24s} {baseline_tier} {baseline_s * 1e3:7.2f}ms  "
+            f"  {spec:24s} vectorized {vectorized_s * 1e3:7.2f}ms  "
             f"native {native_s * 1e3:7.2f}ms  "
-            f"x{baseline_s / native_s:4.2f}  "
+            f"x{vectorized_s / native_s:4.2f}  "
             f"{throughput / 1e6:6.1f}M br/s  tier={fast_tier}  "
             f"{'ok' if section['rows'][-1]['identical'] else 'MISMATCH'}"
         )
@@ -440,7 +341,7 @@ def quick_serving_check():
 
 
 def quick_native_check(benchmark):
-    """CI smoke: native results must be bit-identical to the numpy tiers.
+    """CI smoke: native results must be bit-identical to the vectorized loop.
 
     Green-skips (``identical: True``) when the backend cannot build —
     the no-compiler lane exercises exactly that path.
@@ -457,22 +358,20 @@ def quick_native_check(benchmark):
         return section
     trace = ibs_trace(benchmark, scale=0.05)
     trace.sim_columns()
-    for spec in SCAN_SPECS + NATIVE_EXTRA_SPECS:
-        probe = make_predictor(spec)
-        if not native_supports(probe, trace):
+    for spec in NATIVE_SPECS:
+        if not native_supports(make_predictor(spec), trace):
             continue
         section["specs"].append(spec)
-        tier, engine = _numpy_tier(probe, trace)
-        expected = engine(make_predictor(spec), trace, label=spec)
+        expected = simulate_vectorized(make_predictor(spec), trace, label=spec)
         native_result = simulate_native(
             make_predictor(spec), trace, label=spec
         )
         if native_result != expected:
-            section["mismatches"].append(f"{spec} (vs {tier})")
+            section["mismatches"].append(spec)
     section["identical"] = not section["mismatches"]
     if section["identical"]:
         print(
-            f"  ok: native bit-identical to the numpy tiers on "
+            f"  ok: native bit-identical to the vectorized loop on "
             f"{len(section['specs'])} spec(s)"
         )
     else:
@@ -614,7 +513,6 @@ def check_engine_parity() -> list:
     report = lint_paths(
         [
             REPO_ROOT / "src/repro/sim/vectorized.py",
-            REPO_ROOT / "src/repro/sim/scan.py",
             REPO_ROOT / "src/repro/sim/native.py",
             REPO_ROOT / "src/repro/aliasing/vectorized.py",
         ],
@@ -656,7 +554,7 @@ def main() -> int:
     parity_gaps = check_engine_parity()
 
     if args.quick:
-        print("native smoke (native vs numpy-tier bit-identity):")
+        print("native smoke (native vs vectorized bit-identity):")
         native_smoke = quick_native_check(args.benchmark)
         print("serving smoke (interleaved loadgen vs serial):")
         serving_smoke = quick_serving_check()
@@ -678,7 +576,7 @@ def main() -> int:
         if parity_gaps:
             print("ERROR: engine pre-flight gaps; see warnings above")
         if not native_smoke["identical"]:
-            print("ERROR: native kernel disagrees with the numpy tiers")
+            print("ERROR: native kernel disagrees with the vectorized loop")
         if not serving_smoke["identical"]:
             print("ERROR: interleaved serving disagrees with serial runs")
         ok = (
@@ -698,15 +596,13 @@ def main() -> int:
 
     print("engine (generic vs vectorized):")
     engine_rows = bench_engines(trace, args.repeat)
-    print("scan (generic vs vectorized loop vs scan kernel):")
-    scan = bench_scan(trace, args.repeat)
     print("sweep (serial vs parallel):")
     sweep = bench_sweep(trace, args.jobs, args.repeat)
     print("aliasing (streaming reference vs one-pass vectorized):")
     aliasing = bench_aliasing(trace, args.repeat)
     print("serving (interleaved multi-tenant loadgen):")
     serving = bench_serving(args.scale)
-    print("native (C walk vs best numpy tier):")
+    print("native (C walk vs vectorized loop):")
     native = bench_native(trace, args.repeat)
 
     report = {
@@ -718,7 +614,6 @@ def main() -> int:
         "conditional_branches": trace.conditional_count,
         "engine_parity_gaps": parity_gaps,
         "engine": {"cpu_count": os.cpu_count(), "rows": engine_rows},
-        "scan": scan,
         "sweep": sweep,
         "aliasing": aliasing,
         "serving": serving,
@@ -730,7 +625,6 @@ def main() -> int:
     ok = (
         not parity_gaps
         and all(row["identical"] for row in engine_rows)
-        and all(row["identical"] for row in scan["rows"])
         and sweep["identical"]
         and aliasing["identical"]
         and serving["identical"]
