@@ -5,10 +5,6 @@ instruments — useful when deciding how large a trace a study can afford,
 and as a regression guard on the fused fast paths.
 """
 
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from conftest import BENCH_SCALE
 
@@ -18,8 +14,6 @@ from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
 from repro.sim.vectorized import simulate_vectorized
 from repro.traces.synthetic.workloads import ibs_trace
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SPECS = [
     "bimodal:4k",
@@ -71,38 +65,6 @@ def test_vectorized_engine_throughput(benchmark, trace, spec):
 
     result = benchmark(run)
     assert result.conditional_branches == trace.conditional_count
-
-
-def test_bench_engine_tool_smoke():
-    """``tools/bench_engine.py`` runs end-to-end and the engines agree
-    (exit status 1 flags a generic/vectorized mismatch)."""
-    import json
-    import os
-    import tempfile
-
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "BENCH_engine.json"
-        subprocess.run(
-            [
-                sys.executable,
-                str(REPO_ROOT / "tools" / "bench_engine.py"),
-                "--scale", "0.05",
-                "--repeat", "1",
-                "--jobs", "1", "2",
-                "--out", str(out),
-            ],
-            env=env,
-            check=True,
-            capture_output=True,
-            timeout=600,
-        )
-        report = json.loads(out.read_text(encoding="utf-8"))
-    assert report["sweep"]["identical"]
-    assert all(row["identical"] for row in report["engine"]["rows"])
-    for row in report["native"]["rows"]:
-        assert row["identical"]
-        assert {"precompute", "scan", "reduce"} <= set(row["stages_s"])
 
 
 def test_skew_function_cost(benchmark):

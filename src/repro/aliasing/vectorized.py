@@ -29,7 +29,8 @@ numbers from whole-trace numpy arrays:
 the reference implementation (integer counts equal, hence the derived
 float ratios equal) for every size in the grid — asserted across the six
 IBS clone workloads by ``tests/aliasing/test_vectorized_three_cs.py``
-and timed by the ``aliasing`` section of ``BENCH_engine.json``.
+and timed as the ``model`` workload's ``aliasing.sweep_s`` row of
+``bench/run.py --trace 1``.
 
 Histories longer than 63 bits do not fit the uint64 shift register
 (:func:`supports` returns False); dispatchers fall back to the reference

@@ -8,9 +8,7 @@ See ``docs/serving.md`` for the architecture.  The short version:
 - :mod:`repro.serving.server` — :class:`PredictionService` (in-process
   dispatcher) and :class:`PredictionServer` (asyncio TCP front end);
 - :mod:`repro.serving.client` — the asyncio protocol client;
-- :mod:`repro.serving.protocol` — the newline-JSON wire format;
-- :mod:`repro.serving.loadgen` — the interleaved-IBS load generator
-  behind ``BENCH_engine.json``'s ``serving`` section.
+- :mod:`repro.serving.protocol` — the newline-JSON wire format.
 
 The correctness contract everything above leans on: feeding a tenant's
 event stream through the server in *any* batching is bit-identical —

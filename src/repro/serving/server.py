@@ -24,6 +24,7 @@ against batch efficiency, nothing else.  That invariance is exactly what
 from __future__ import annotations
 
 import asyncio
+import warnings
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.serving.protocol import (
@@ -80,7 +81,8 @@ class PredictionService:
 
         Client errors (unknown sessions, spec conflicts, malformed
         events, corrupt state payloads) come back as error responses;
-        anything else is a server bug and propagates.
+        anything else propagates (the TCP front end answers it with an
+        error response and keeps the connection).
         """
         op = request["op"]
         if op == "stats":
@@ -147,12 +149,6 @@ class PredictionService:
             flushed=flushed,
             pending=shard.tenant(session).pending,
         )
-
-    # -- barriers the async layer shares ----------------------------------
-
-    def flush_all(self) -> int:
-        """Flush every tenant on every shard (the linger-timer body)."""
-        return sum(shard.flush() for shard in self.ring.shards)
 
 
 class PredictionServer:
@@ -241,10 +237,18 @@ class PredictionServer:
         except ProtocolError as exc:
             return error_response(str(exc))
         lock = self._lock_for(request)
-        if lock is None:
-            return self.service.handle(request)
-        async with lock:
-            return self.service.handle(request)
+        try:
+            if lock is None:
+                return self.service.handle(request)
+            async with lock:
+                return self.service.handle(request)
+        except Exception as exc:
+            # A server-side failure (e.g. a flush that kept crashing past
+            # its replays, its batch requeued) answers this request only;
+            # the connection and its sessions stay usable.
+            return error_response(
+                f"{request['op']} failed: {type(exc).__name__}: {exc}"
+            )
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -284,14 +288,24 @@ class PredictionServer:
 
         Safe at any cadence: flush boundaries are invisible to results,
         so this only bounds how long a slow tenant's tail events sit
-        unbatched (the latency side of the batching trade-off).
+        unbatched (the latency side of the batching trade-off).  A
+        failed flush warns and leaves its batch pending for the next
+        tick; the loop itself never dies of it.
         """
         assert self.linger_s is not None
         while True:
             await asyncio.sleep(self.linger_s)
             for shard, lock in zip(self.service.ring.shards, self._locks):
                 async with lock:
-                    shard.flush()
+                    try:
+                        shard.flush()
+                    except Exception as exc:
+                        warnings.warn(
+                            f"linger flush of shard {shard.index} failed "
+                            f"({type(exc).__name__}: {exc}); its batch "
+                            "stays pending for the next tick",
+                            RuntimeWarning,
+                        )
 
 
 async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:

@@ -238,12 +238,23 @@ class Shard:
         raise AssertionError("unreachable")  # pragma: no cover
 
     def flush(self, session: Optional[str] = None) -> int:
-        """Flush one tenant (or, with ``session=None``, every tenant)."""
+        """Flush one tenant (or, with ``session=None``, every tenant).
+
+        A tenant whose flush raises does not stop the others: every
+        tenant is flushed, then the first error is re-raised (the failed
+        batch is already back in its tenant's pending buffer).
+        """
         if session is not None:
             return self.flush_tenant(self.tenant(session))
         flushed = 0
+        error: Optional[Exception] = None
         for tenant in self.tenants.values():
-            flushed += self.flush_tenant(tenant)
+            try:
+                flushed += self.flush_tenant(tenant)
+            except Exception as exc:
+                error = error or exc
+        if error is not None:
+            raise error
         return flushed
 
     def close(self, session: str) -> Dict[str, object]:

@@ -42,15 +42,13 @@ from __future__ import annotations
 import hashlib
 import importlib.machinery
 import importlib.util
-import os
-import subprocess
 import sys
 import sysconfig
 import tempfile
 import threading
 import warnings
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -70,7 +68,6 @@ from repro.traces.trace import Trace
 from repro.util import envvars
 
 __all__ = [
-    "compiler_info",
     "native_available",
     "native_supports",
     "simulate_native",
@@ -220,35 +217,6 @@ def native_available() -> bool:
     if envvars.NATIVE.text() == "0":
         return False
     return not isinstance(_backend(), str)
-
-
-def compiler_info() -> Optional[Dict[str, object]]:
-    """The toolchain behind the compiled backend.
-
-    A dict whose ``compiler`` is the first line of the C compiler's
-    ``--version`` (None when no compiler answers).  Recorded in
-    ``BENCH_engine.json``'s native section header so throughput numbers
-    carry the toolchain that produced them.  None — never an exception
-    — when there is nothing to report at all (no compiler answers *and*
-    no built backend), so the no-compiler bench header stays writable.
-    """
-    compiler: Optional[str] = None
-    cc = os.environ.get("CC") or "cc"
-    try:
-        probe = subprocess.run(
-            [cc, "--version"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=False,
-        )
-    except (OSError, subprocess.SubprocessError):
-        probe = None
-    if probe is not None and probe.returncode == 0 and probe.stdout:
-        compiler = probe.stdout.splitlines()[0].strip()
-    if compiler is None and not native_available():
-        return None
-    return {"compiler": compiler}
 
 
 # -- dispatch ----------------------------------------------------------------

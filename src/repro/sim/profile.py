@@ -13,11 +13,12 @@ engines' wall-clock: :class:`StageTimer` accumulates per-stage seconds
 ``scan`` being the sequential counter walk; the vectorized loop reports
 ``precompute`` / ``counter_loop``) when passed to
 ``simulate_vectorized`` / ``simulate_native`` via their ``stage_timer``
-argument, so a future perf regression in ``BENCH_engine.json`` is
-attributable to a pipeline stage rather than an opaque total.
+argument, so a perf regression is attributable to a pipeline stage
+rather than an opaque total.
 
 Exposed on the command line as ``repro-trace profile``; stage timings
-surface in ``tools/bench_engine.py``'s JSON report.
+surface as the ``trace_sim`` workload's ``engine.<spec>.stage.*`` rows
+of ``bench/run.py --trace 1``.
 """
 
 from __future__ import annotations
@@ -67,14 +68,6 @@ class StageTimer:
         finally:
             elapsed = time.perf_counter() - started
             self.totals[name] = self.totals.get(name, 0.0) + elapsed
-
-    def reset(self) -> None:
-        """Drop all accumulated stage totals (reuse across trials)."""
-        self.totals.clear()
-
-    def as_dict(self, digits: int = 6) -> Dict[str, float]:
-        """Rounded copy, stable for JSON reports."""
-        return {name: round(s, digits) for name, s in self.totals.items()}
 
 
 class _NullStageTimer(StageTimer):

@@ -16,6 +16,7 @@ def pytest_addoption(parser):
         ),
     )
 
+from repro.resilience.faults import FAULTS_ENV_VAR, reset_faults
 from repro.traces.synthetic.behavior import BehaviorMix
 from repro.traces.synthetic.generator import WorkloadConfig, generate_trace
 from repro.traces.synthetic.kernel import SchedulerConfig
@@ -58,3 +59,16 @@ def tiny_trace() -> Trace:
         scheduler=SchedulerConfig(kernel_share=0.0),
     )
     return generate_trace(config)
+
+
+@pytest.fixture()
+def fault_env(monkeypatch):
+    """Set a ``REPRO_FAULTS`` plan (``""`` clears it) and reset its
+    arrival counters."""
+
+    def activate(plan: str) -> None:
+        monkeypatch.setenv(FAULTS_ENV_VAR, plan)
+        reset_faults()
+
+    yield activate
+    reset_faults()

@@ -22,14 +22,3 @@ def _clean_fault_state(monkeypatch):
     yield
     reset_faults()
     reset_recovery_stats()
-
-
-@pytest.fixture()
-def fault_env(monkeypatch):
-    """Set a fault plan and reset its arrival counters."""
-
-    def activate(plan: str) -> None:
-        monkeypatch.setenv(FAULTS_ENV_VAR, plan)
-        reset_faults()
-
-    return activate

@@ -18,7 +18,7 @@ from repro.serving.shard import Shard
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
 from repro.sim.native import native_available
-from repro.sim.parallel import run_cells, recovery_stats
+from repro.sim.parallel import RETRY_LIMIT, run_cells, recovery_stats
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import simulate_fast
 
@@ -204,6 +204,44 @@ class TestServingShardRecovery:
         assert tenant.mispredictions == expected.mispredictions
         assert (
             PredictorState.capture(tenant.predictor).digest()
+            == expected_digest
+        )
+
+    def test_shard_flush_continues_past_a_failing_tenant(
+        self, fault_env, tiny_trace
+    ):
+        """A whole-shard flush (the linger timer's) does not stop at the
+        tenant whose batch keeps crashing: the tenants after it still
+        flush, then the first fault is re-raised."""
+        first, second = tiny_trace.slice(0, 40), tiny_trace.slice(40, 90)
+        shard = Shard(0, batch_size=1000)
+        for session, trace in (("a", first), ("b", second)):
+            shard.open(session, self.SPEC)
+            for i in range(len(trace)):
+                shard.push(
+                    session,
+                    int(trace.pcs[i]),
+                    bool(trace.takens[i]),
+                    bool(trace.conditionals[i]),
+                )
+        fault_env(f"serving-shard@1-{RETRY_LIMIT + 1}")
+        with pytest.raises(InjectedFault):
+            shard.flush()
+        failed, flushed = shard.tenant("a"), shard.tenant("b")
+        assert failed.pending == len(first)
+        assert failed.conditional_branches == 0
+        expected, expected_digest = self._clean_serial(second)
+        assert flushed.pending == 0
+        assert flushed.mispredictions == expected.mispredictions
+        assert (
+            PredictorState.capture(flushed.predictor).digest()
+            == expected_digest
+        )
+        assert shard.flush() == len(first)  # the fault window has passed
+        expected, expected_digest = self._clean_serial(first)
+        assert failed.mispredictions == expected.mispredictions
+        assert (
+            PredictorState.capture(failed.predictor).digest()
             == expected_digest
         )
 

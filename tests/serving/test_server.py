@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from repro.serving.server import (
 )
 from repro.sim.config import make_predictor
 from repro.sim.native import native_available
+from repro.sim.parallel import RETRY_LIMIT
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import simulate_fast
 from repro.traces.trace import Trace
@@ -121,6 +123,13 @@ def _events_line(events) -> bytes:
     return json.dumps(
         {"op": "events", "session": "s", "events": events}
     ).encode("utf-8")
+
+
+def _event_rows(trace):
+    return [
+        [int(trace.pcs[i]), int(trace.takens[i]), int(trace.conditionals[i])]
+        for i in range(len(trace))
+    ]
 
 
 class TestEventValidation:
@@ -451,3 +460,99 @@ class TestAsyncServer:
                         await client.sync("ghost")
 
         asyncio.run(scenario())
+
+    def test_unexpected_error_is_answered_and_connection_kept(
+        self, fault_env
+    ):
+        # A full batch whose flush keeps failing: Shard.flush_tenant
+        # re-raises after its replays.  The client gets an error
+        # response, not a dropped connection, and once the fault clears
+        # the requeued batch syncs on the same connection.
+        spec = "gshare:128:h6"
+        trace = _ibs_like(7, 8)
+        lines = [
+            json.dumps({"op": "open", "session": "s", "spec": spec}),
+            json.dumps(
+                {"op": "events", "session": "s", "events": _event_rows(trace)}
+            ),
+            json.dumps({"op": "sync", "session": "s"}),
+        ]
+
+        async def scenario():
+            async with PredictionServer(
+                shards=1, batch_size=len(trace), linger_s=0
+            ) as server:
+                host, port = server.address
+                reader, writer = await asyncio.open_connection(host, port)
+                responses = []
+                for i, line in enumerate(lines):
+                    fault_env("serving-shard@*" if i == 1 else "")
+                    writer.write(line.encode("utf-8") + b"\n")
+                    await writer.drain()
+                    responses.append(json.loads(await reader.readline()))
+                writer.close()
+                await writer.wait_closed()
+                tenant = server.service.ring.shard_for("s").tenant("s")
+                return responses, PredictorState.capture(
+                    tenant.predictor
+                ).digest()
+
+        responses, digest = asyncio.run(scenario())
+        assert [r["ok"] for r in responses] == [True, False, True]
+        assert "InjectedFault" in responses[1]["error"]
+        served = (
+            responses[2]["conditional_branches"],
+            responses[2]["mispredictions"],
+            digest,
+        )
+        assert responses[2]["pending"] == 0
+        assert served == _serial_finals({"s": trace}, {"s": spec})["s"]
+
+    def test_linger_loop_survives_a_failed_flush(self, fault_env):
+        # The first tenant the linger timer flushes exhausts its replays
+        # and raises.  The loop warns and keeps running, the other tenant
+        # on the shard still flushes, and once the fault window has passed
+        # the failed tail flushes too — with no explicit sync.
+        spec = "gshare:128:h6"
+        sessions = {f"linger{i}": _ibs_like(80 + i, 30) for i in range(2)}
+        fault_env(f"serving-shard@1-{RETRY_LIMIT + 1}")
+
+        async def scenario():
+            async with PredictionServer(
+                shards=1, batch_size=1000, linger_s=0.005
+            ) as server:
+                host, port = server.address
+                tenants = []
+                async with PredictionClient(host, port) as client:
+                    for name, trace in sessions.items():
+                        await client.open(name, spec)
+                        await client.events(name, _event_rows(trace))
+                        tenants.append(
+                            server.service.ring.shard_for(name).tenant(name)
+                        )
+                    for _ in range(400):
+                        if all(t.pending == 0 for t in tenants):
+                            break
+                        await asyncio.sleep(0.005)
+                    assert not server._linger_task.done()
+                    replays = server.service.ring.stats()["replays"]
+                return {
+                    tenant.session: (
+                        tenant.conditional_branches,
+                        tenant.mispredictions,
+                        PredictorState.capture(tenant.predictor).digest(),
+                    )
+                    for tenant in tenants
+                }, replays
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            served, replays = asyncio.run(scenario())
+        assert replays == RETRY_LIMIT
+        assert any(
+            issubclass(w.category, RuntimeWarning)
+            and "linger" in str(w.message)
+            for w in caught
+        )
+        specs = {name: spec for name in sessions}
+        assert served == _serial_finals(sessions, specs)

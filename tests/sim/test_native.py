@@ -28,7 +28,6 @@ from repro.sim.native import (
     _backend,
     _walk_agree,
     _walk_tables,
-    compiler_info,
     native_available,
     native_supports,
     simulate_native,
@@ -257,21 +256,6 @@ class TestDispatch:
         actual = simulate_fast(make_predictor(spec), trace)
         assert actual.engine == "native"
         assert actual == simulate(make_predictor(spec), trace)
-
-    def test_compiler_info_shape(self, monkeypatch):
-        # With a working toolchain: a dict with the compiler version
-        # line.  With the compiler masked (the no-compiler CI lane):
-        # None, never an exception — the bench header must stay
-        # writable either way.
-        info = compiler_info()
-        if info is not None:
-            assert isinstance(info["compiler"], str) and info["compiler"]
-        monkeypatch.setenv("CC", "/nonexistent/compiler")
-        masked = compiler_info()
-        if native_available():  # cached build: the backend still counts
-            assert masked == {"compiler": None}
-        else:  # nothing to report at all
-            assert masked is None
 
     def test_kernel_wrappers_fail_cleanly_without_backend(
         self, monkeypatch, tiny_trace

@@ -86,16 +86,6 @@ class TestStageTimer:
                 raise RuntimeError("boom")
         assert "reduce" in timer.totals
 
-    def test_reset_and_as_dict(self):
-        timer = StageTimer()
-        with timer.stage("argsort"):
-            pass
-        rounded = timer.as_dict(digits=3)
-        assert set(rounded) == {"argsort"}
-        assert rounded["argsort"] == round(timer.totals["argsort"], 3)
-        timer.reset()
-        assert timer.totals == {}
-
     def test_null_timer_records_nothing(self):
         with NULL_STAGE_TIMER.stage("scan"):
             pass
