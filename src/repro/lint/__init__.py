@@ -13,17 +13,15 @@ This package enforces those invariants statically:
 
 - :mod:`repro.lint.engine` — the rule-engine core (AST visiting, pragma
   suppression, violation model);
-- :mod:`repro.lint.baseline` — the suppression-baseline file format;
-- :mod:`repro.lint.rules` — the rule set (R001-R005);
+- :mod:`repro.lint.rules` — the rule set (R001-R006, R008, R009);
 - :mod:`repro.lint.cli` — the ``repro-lint`` command-line front end
-  (also ``python -m repro.lint`` and ``tools/lint.py``).
+  (also ``python -m repro.lint``).
 
 See ``docs/linting.md`` for the rule catalogue and pragma syntax.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import (
     FileContext,
     LintReport,
@@ -35,7 +33,6 @@ from repro.lint.engine import (
 from repro.lint.rules import all_rules
 
 __all__ = [
-    "Baseline",
     "FileContext",
     "LintReport",
     "ProjectContext",

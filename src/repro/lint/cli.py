@@ -7,13 +7,11 @@ Usage::
     repro-lint --format=sarif src/        # SARIF 2.1.0 (code scanning)
     repro-lint --rule R004 --list src/    # terse per-violation lines
     repro-lint --list-rules               # registered rules, one per line
-    repro-lint --write-baseline src/      # grandfather current findings
 
-Exit status: 0 when clean (modulo pragmas and baseline), 1 when
-violations or parse errors remain, 2 on usage errors — including an
-unknown ``--rule`` id, which reports the known rule ids.  Also
-reachable as ``python -m repro.lint`` and ``python tools/lint.py`` (no
-install needed).
+Exit status: 0 when clean (modulo pragmas), 1 when violations or parse
+errors remain, 2 on usage errors — including an unknown ``--rule`` id,
+which reports the known rule ids.  Also reachable as ``PYTHONPATH=src
+python -m repro.lint`` (no install needed).
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.lint.engine import LintReport, ProjectContext, lint_paths
 from repro.lint.rules import all_rules, select_rules
 from repro.lint.sarif import render_sarif
@@ -35,13 +32,10 @@ __all__ = ["main"]
 def _render_text(report: LintReport) -> str:
     lines = [violation.render() for violation in report.violations]
     lines.extend(f"{error}: parse error" for error in report.parse_errors)
-    summary = (
+    lines.append(
         f"checked {report.checked_files} file(s): "
         f"{len(report.violations)} violation(s)"
     )
-    if report.suppressed:
-        summary += f", {len(report.suppressed)} baseline-suppressed"
-    lines.append(summary)
     return "\n".join(lines)
 
 
@@ -58,7 +52,6 @@ def _render_json(report: LintReport) -> str:
             }
             for violation in report.violations
         ],
-        "suppressed": len(report.suppressed),
         "parse_errors": report.parse_errors,
         "clean": report.clean,
     }
@@ -66,11 +59,13 @@ def _render_json(report: LintReport) -> str:
 
 
 def _render_list(report: LintReport) -> str:
-    return "\n".join(
+    lines = [
         f"{violation.rule_id}\t{violation.path}:{violation.line}\t"
         f"{violation.symbol}\t{violation.message}"
         for violation in report.violations
-    )
+    ]
+    lines.extend(f"{error}: parse error" for error in report.parse_errors)
+    return "\n".join(lines)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -79,8 +74,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-lint",
         description=(
             "AST- and dataflow-based determinism, bit-width, contract, "
-            "width-flow, C-ABI and env-var checks for the repro codebase "
-            "(rules R001-R009; see docs/linting.md)."
+            "C-ABI and env-var checks for the repro codebase "
+            "(rules R001-R006, R008, R009; see docs/linting.md)."
         ),
     )
     parser.add_argument(
@@ -111,29 +106,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--list-rules",
         action="store_true",
         help="print the registered rules (id, name, description) and exit",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "baseline-suppression file "
-            f"(default: <project root>/{DEFAULT_BASELINE_NAME})"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=(
-            "write the current findings to the baseline file and exit 0 "
-            "(R001/R002 findings are refused — fix those)"
-        ),
     )
     parser.add_argument(
         "--root",
@@ -169,33 +141,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyError as exc:
         parser.error(str(exc.args[0]))
 
-    baseline_path = args.baseline or project.root / DEFAULT_BASELINE_NAME
-    baseline = Baseline()
-    if not args.no_baseline and not args.write_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"repro-lint: bad baseline file: {exc}", file=sys.stderr)
-            return 2
-
-    report = lint_paths(
-        paths,
-        rules,
-        project=project,
-        baseline_fingerprints=baseline.fingerprints,
-    )
-
-    if args.write_baseline:
-        try:
-            Baseline.from_violations(report.violations).save(baseline_path)
-        except ValueError as exc:
-            print(f"repro-lint: {exc}", file=sys.stderr)
-            return 1
-        print(
-            f"wrote {len(report.violations)} suppression(s) to "
-            f"{baseline_path}"
-        )
-        return 0
+    report = lint_paths(paths, rules, project=project)
 
     output_format = "list" if args.list else args.format
     if output_format == "json":

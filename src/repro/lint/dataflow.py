@@ -1,93 +1,73 @@
-"""Intraprocedural dataflow over an abstract dtype/bit-width lattice.
+"""Intraprocedural numpy-dtype inference over one function body.
 
-The width bugs this repo has actually shipped (the PR 2 gshare
-``index_bits=0`` collapse, the PR 3 unmasked-history fold) share one
-shape: a packed integer expression — shifts, ors, adds — flows into a
-container whose dtype cannot hold it, and nothing on the path proves it
-fits.  Catching that statically needs two abstract facts per
-expression:
-
-- its **numpy dtype** (``uint8`` … ``uint64``, ``int*``, ``pyint`` for
-  Python's unbounded ints, ``bool``, ``float``, or ``unknown``), and
-- an upper bound on its **bit-width**, kept symbolic: a value is bounded
-  by ``2 ** (const + sum(terms))`` where ``terms`` are in-scope names
-  (``entry_bits``, ``shift``…) whose runtime values add to the
-  exponent.  ``3 << (entry_bits + 2)`` is ``Width(const=4,
-  terms=('entry_bits',))``; ``(1 << k) - 1`` is ``Width(0, ('k',))``.
+R008 checks that every ``ffi.from_buffer("T[]", arr)`` hands the C
+kernel an array whose element type matches ``T``.  That needs one
+abstract fact per expression: its **numpy dtype** (``uint8`` …
+``uint64``, ``int*``, ``pyint`` for Python's unbounded ints, ``bool``,
+``float``, or ``unknown``).
 
 :class:`FunctionDataflow` runs a forward pass over one function body:
-assignments update an environment, ``if`` joins both branches, loop
-bodies run twice and any value still changing is widened to unbounded.
-Every expression visited is memoised (:meth:`value_of`), so rules can
-ask for the abstract value at an arbitrary AST node after one run.
+assignments update an environment, ``if`` joins both branches, and loop
+bodies run twice so a dtype bound late in the body reaches reads near
+its top.  Every expression visited is memoised (:meth:`value_of`), so
+a rule can ask for the dtype at an arbitrary AST node after one run,
+and :attr:`FunctionDataflow.definitions` records every expression ever
+assigned to each name.
 
-The transfer functions understand the numpy idioms this codebase packs
-words with: scalar constructors (``np.uint64(e)``), ``astype``/
+The transfer functions understand the numpy idioms this codebase builds
+buffers with: scalar constructors (``np.uint64(e)``), ``astype``/
 ``view``, ufunc calls with ``out=`` (``np.left_shift(a, s,
 out=dst)``), array constructors with ``dtype=``, and ``concatenate``
-over typed parts.  Casts additionally record their *pre-cast* width
-(:attr:`cast_sites`) — that is the value R007 compares against the
-target's capacity, because the cast itself is where truncation happens.
-
-Everything here is a sound-for-lint over-approximation: unknown
-constructs become ``unknown``/unbounded, which downstream rules treat
-as "needs a guard", never as "provably fine".
+over typed parts.  Anything else becomes ``unknown``, which R008 treats
+as "no claim to check", never as a mismatch.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.lint.rules._ast_util import dotted_name
 
 __all__ = [
     "AbstractValue",
-    "CastSite",
-    "DTYPE_VALUE_BITS",
     "FunctionDataflow",
-    "Width",
     "dtype_from_name",
     "numpy_aliases",
 ]
 
-#: dtype -> usable value bits (signed types lose the sign bit).
-#: ``None`` marks dtypes with no fixed capacity (unbounded or N/A).
-DTYPE_VALUE_BITS: Dict[str, Optional[int]] = {
-    "bool": 1,
-    "uint8": 8,
-    "uint16": 16,
-    "uint32": 32,
-    "uint64": 64,
-    "int8": 7,
-    "int16": 15,
-    "int32": 31,
-    "int64": 63,
-    "intp": 63,
-    "uintp": 64,
-    "pyint": None,
-    "float": None,
-    "unknown": None,
-}
-
-_NUMPY_DTYPES = {
-    name for name in DTYPE_VALUE_BITS if name not in ("pyint", "unknown")
-}
+#: numpy dtype names the lattice tracks (``pyint``/``unknown`` are not
+#: numpy dtypes and never come from a ``np.<name>`` spelling).
+_NUMPY_DTYPES = frozenset(
+    {
+        "bool",
+        "uint8",
+        "uint16",
+        "uint32",
+        "uint64",
+        "int8",
+        "int16",
+        "int32",
+        "int64",
+        "intp",
+        "uintp",
+        "float",
+    }
+)
 _UNSIGNED_ORDER = ("bool", "uint8", "uint16", "uint32", "uint64")
 _SIGNED_ORDER = ("int8", "int16", "int32", "int64")
 
-#: ufuncs whose ``out=`` keyword fixes the result dtype, mapped to the
-#: equivalent operator for width transfer purposes.
-_UFUNC_OPS = {
-    "left_shift": ast.LShift,
-    "right_shift": ast.RShift,
-    "bitwise_or": ast.BitOr,
-    "bitwise_and": ast.BitAnd,
-    "bitwise_xor": ast.BitXor,
-    "add": ast.Add,
-    "subtract": ast.Sub,
-    "multiply": ast.Mult,
+#: ufuncs whose ``out=`` keyword fixes the result dtype.
+_UFUNCS = {
+    "left_shift",
+    "right_shift",
+    "bitwise_or",
+    "bitwise_and",
+    "bitwise_xor",
+    "add",
+    "subtract",
+    "multiply",
 }
 
 _ARRAY_CTORS = {
@@ -104,112 +84,18 @@ def numpy_aliases(imports: Mapping[str, str]) -> Set[str]:
 
 
 @dataclass(frozen=True)
-class Width:
-    """Upper bound on a value's bit-length: ``value < 2**(const + Σterms)``.
-
-    ``terms`` is a sorted tuple of names whose (assumed non-negative)
-    runtime values add to the exponent.  ``unbounded`` means no bound
-    could be established.
-    """
-
-    const: int = 0
-    terms: Tuple[str, ...] = ()
-    unbounded: bool = False
-
-    @staticmethod
-    def top() -> "Width":
-        return Width(unbounded=True)
-
-    @staticmethod
-    def of_constant(value: int) -> "Width":
-        return Width(const=max(int(value), 0).bit_length())
-
-    def join(self, other: "Width") -> "Width":
-        """Least upper bound: sound for ``max(a, b)`` of the two values."""
-        if self.unbounded or other.unbounded:
-            return Width.top()
-        return Width(
-            const=max(self.const, other.const),
-            terms=tuple(sorted(set(self.terms) | set(other.terms))),
-        )
-
-    def widen(self, const: int = 0, terms: Sequence[str] = ()) -> "Width":
-        """Add to the exponent (shift left / multiply transfer)."""
-        if self.unbounded:
-            return self
-        return Width(
-            const=self.const + const,
-            terms=tuple(sorted(set(self.terms) | set(terms))),
-        )
-
-    def fits(self, capacity: Optional[int]) -> Optional[bool]:
-        """Does the value provably fit ``capacity`` bits?
-
-        ``True``: fits for every run.  ``False``: the constant part
-        alone already exceeds capacity.  ``None``: depends on the
-        symbolic terms (or no bound) — a runtime guard must decide.
-        """
-        if capacity is None:
-            return True
-        if self.unbounded:
-            return None
-        if self.const > capacity:
-            return False
-        if self.terms:
-            return None
-        return True
-
-    def describe(self) -> str:
-        """The exponent bound as text, e.g. ``"4 + index_bits"``."""
-        if self.unbounded:
-            return "unbounded"
-        parts = [str(self.const)] if self.const or not self.terms else []
-        parts.extend(self.terms)
-        return " + ".join(parts)
-
-
-@dataclass(frozen=True)
 class AbstractValue:
-    """One lattice element: dtype, width bound, optional known int value."""
+    """One lattice element: the numpy dtype an expression evaluates to."""
 
     dtype: str = "unknown"
-    width: Width = field(default_factory=Width.top)
-    const_value: Optional[int] = None
 
     @staticmethod
     def top() -> "AbstractValue":
         return AbstractValue()
 
-    @staticmethod
-    def of_int(value: int) -> "AbstractValue":
-        return AbstractValue("pyint", Width.of_constant(value), value)
-
-    def capacity(self) -> Optional[int]:
-        """Value bits the dtype can hold, or ``None`` when unknown."""
-        return DTYPE_VALUE_BITS.get(self.dtype)
-
     def join(self, other: "AbstractValue") -> "AbstractValue":
-        """Least upper bound: merge dtypes, widths and known values."""
-        dtype = _join_dtype(self.dtype, other.dtype)
-        const = self.const_value if self.const_value == other.const_value else None
-        return AbstractValue(dtype, self.width.join(other.width), const)
-
-
-@dataclass(frozen=True)
-class CastSite:
-    """A dtype-narrowing point: cast call, ``out=`` ufunc, or astype."""
-
-    node: ast.expr = field(compare=False, hash=False)
-    dtype: str = "unknown"
-    #: width of the value *before* the cast truncates it
-    pre_width: Width = field(default_factory=Width.top)
-    #: "cast" (scalar ctor / astype / view) or "ufunc" (``out=`` form)
-    kind: str = "cast"
-    #: the expression whose width ``pre_width`` bounds (cast operand,
-    #: or the ufunc call itself for ``out=`` sites)
-    source: Optional[ast.expr] = field(
-        default=None, compare=False, hash=False
-    )
+        """Least upper bound of the two dtypes."""
+        return AbstractValue(_join_dtype(self.dtype, other.dtype))
 
 
 def _join_dtype(a: str, b: str) -> str:
@@ -227,6 +113,15 @@ def _join_dtype(a: str, b: str) -> str:
     return "unknown"
 
 
+def _join_all(values: Sequence[AbstractValue]) -> AbstractValue:
+    if not values:
+        return AbstractValue.top()
+    joined = values[0]
+    for value in values[1:]:
+        joined = joined.join(value)
+    return joined
+
+
 def dtype_from_name(
     name: Optional[str], np_aliases: Set[str], imports: Mapping[str, str]
 ) -> Optional[str]:
@@ -234,12 +129,12 @@ def dtype_from_name(
     if not name:
         return None
     head, _, rest = name.partition(".")
-    if head in np_aliases and rest in DTYPE_VALUE_BITS:
+    if head in np_aliases and rest in _NUMPY_DTYPES:
         return rest
     target = imports.get(name)
     if target and target.startswith("numpy."):
         leaf = target.split(".")[-1]
-        if leaf in DTYPE_VALUE_BITS:
+        if leaf in _NUMPY_DTYPES:
             return leaf
     if name in ("float", "float32", "float64"):
         return "float"
@@ -261,20 +156,12 @@ class FunctionDataflow:
         self._values: Dict[int, AbstractValue] = {}
         #: name -> every expression node ever assigned to it
         self.definitions: Dict[str, List[ast.expr]] = {}
-        self.cast_sites: List[CastSite] = []
         env: Dict[str, AbstractValue] = {}
         for arg in list(fn.args.posonlyargs) + list(fn.args.args) + list(
             fn.args.kwonlyargs
         ):
-            dtype = (param_dtypes or {}).get(arg.arg, "unknown")
-            env[arg.arg] = AbstractValue(dtype, Width.top())
+            env[arg.arg] = AbstractValue((param_dtypes or {}).get(arg.arg, "unknown"))
         self.env = self._run_block(fn.body, env)
-        # loop widening re-walks loop bodies, re-recording their cast
-        # sites; keep only the last (most-informed) record per AST node
-        deduped: Dict[int, CastSite] = {}
-        for site in self.cast_sites:
-            deduped[id(site.node)] = site
-        self.cast_sites = list(deduped.values())
 
     # -- public API ----------------------------------------------------
 
@@ -321,19 +208,11 @@ class FunctionDataflow:
         elif isinstance(stmt, (ast.For, ast.While)):
             if isinstance(stmt, ast.For):
                 iterable = self._eval(stmt.iter, env)
-                env = self._bind(
-                    stmt.target, stmt.iter, replace(iterable, const_value=None), env
-                )
+                env = self._bind(stmt.target, stmt.iter, iterable, env)
             else:
                 self._eval(stmt.test, env)
             once = self._run_block(stmt.body, dict(env))
             twice = self._run_block(stmt.body, dict(once))
-            # widening: anything still changing after two passes is
-            # loop-carried — drop its bound rather than iterate to a fix
-            # point.
-            for name, value in twice.items():
-                if once.get(name) != value:
-                    twice[name] = AbstractValue(value.dtype, Width.top())
             env = self._join_env(self._run_block(stmt.orelse, dict(env)), twice)
         elif isinstance(stmt, (ast.With,)):
             for item in stmt.items:
@@ -396,21 +275,19 @@ class FunctionDataflow:
     ) -> AbstractValue:
         if isinstance(node, ast.Constant):
             if isinstance(node.value, bool):
-                return AbstractValue("bool", Width(1), int(node.value))
+                return AbstractValue("bool")
             if isinstance(node.value, int):
-                return AbstractValue.of_int(node.value)
+                return AbstractValue("pyint")
             if isinstance(node.value, float):
-                return AbstractValue("float", Width.top())
+                return AbstractValue("float")
             return AbstractValue.top()
         if isinstance(node, ast.Name):
             return env.get(node.id, AbstractValue.top())
         if isinstance(node, ast.BinOp):
-            return self._eval_binop(node, env)
+            left = self._eval(node.left, env)
+            return left.join(self._eval(node.right, env))
         if isinstance(node, ast.UnaryOp):
-            inner = self._eval(node.operand, env)
-            if isinstance(node.op, ast.Invert):
-                return AbstractValue(inner.dtype, Width.top())
-            return replace(inner, const_value=None)
+            return self._eval(node.operand, env)
         if isinstance(node, ast.Call):
             return self._eval_call(node, env)
         if isinstance(node, ast.Attribute):
@@ -420,7 +297,7 @@ class FunctionDataflow:
             base = self._eval(node.value, env)
             self._eval(node.slice, env)
             # indexing/slicing a typed array preserves its dtype
-            return AbstractValue(base.dtype, base.width)
+            return base
         if isinstance(node, ast.IfExp):
             self._eval(node.test, env)
             return self._eval(node.body, env).join(self._eval(node.orelse, env))
@@ -428,7 +305,7 @@ class FunctionDataflow:
             self._eval(node.left, env)
             for comparator in node.comparators:
                 self._eval(comparator, env)
-            return AbstractValue("bool", Width(1))
+            return AbstractValue("bool")
         if isinstance(node, ast.BoolOp):
             for inner in node.values:
                 self._eval(inner, env)
@@ -454,126 +331,6 @@ class FunctionDataflow:
             if isinstance(child, ast.expr):
                 self._eval(child, env)
         return AbstractValue.top()
-
-    def _eval_binop(
-        self, node: ast.BinOp, env: Dict[str, AbstractValue]
-    ) -> AbstractValue:
-        left = self._eval(node.left, env)
-        right = self._eval(node.right, env)
-        dtype = _join_dtype(left.dtype, right.dtype)
-        op = node.op
-        if isinstance(op, ast.LShift):
-            const, terms, unbounded = self._exponent(node.right, env)
-            if unbounded:
-                return AbstractValue(dtype, Width.top())
-            width = left.width.widen(const, terms)
-            const_value = None
-            if left.const_value is not None and right.const_value is not None:
-                const_value = left.const_value << right.const_value
-                width = Width.of_constant(const_value)
-            return AbstractValue(dtype, width, const_value)
-        if isinstance(op, ast.RShift):
-            width = left.width
-            if right.const_value is not None and not width.unbounded:
-                width = Width(
-                    max(width.const - right.const_value, 0), width.terms
-                )
-            return AbstractValue(dtype, width)
-        if isinstance(op, (ast.BitOr, ast.BitXor)):
-            return AbstractValue(dtype, left.width.join(right.width))
-        if isinstance(op, ast.BitAnd):
-            return AbstractValue(dtype, self._meet(left.width, right.width))
-        if isinstance(op, ast.Mod):
-            # x % m < m, so the divisor's width bounds the result
-            return AbstractValue(dtype, self._meet(left.width, right.width))
-        if isinstance(op, (ast.Add, ast.Sub)):
-            if (
-                left.const_value is not None
-                and right.const_value is not None
-            ):
-                value = (
-                    left.const_value + right.const_value
-                    if isinstance(op, ast.Add)
-                    else left.const_value - right.const_value
-                )
-                return AbstractValue(dtype, Width.of_constant(value), value)
-            if isinstance(op, ast.Sub):
-                # `(1 << k) - 1`-shaped: subtracting from a power of two
-                # tightens the bound by one exponent step.
-                if (
-                    isinstance(node.left, ast.BinOp)
-                    and isinstance(node.left.op, ast.LShift)
-                    and self.value_of(node.left.left).const_value == 1
-                    and right.const_value is not None
-                    and right.const_value >= 1
-                    and not left.width.unbounded
-                    and left.width.const >= 1
-                ):
-                    return AbstractValue(
-                        dtype, Width(left.width.const - 1, left.width.terms)
-                    )
-                return AbstractValue(dtype, left.width)
-            return AbstractValue(
-                dtype, left.width.join(right.width).widen(const=1)
-            )
-        if isinstance(op, ast.Mult):
-            if left.width.unbounded or right.width.unbounded:
-                return AbstractValue(dtype, Width.top())
-            return AbstractValue(
-                dtype,
-                Width(
-                    left.width.const + right.width.const,
-                    tuple(sorted(set(left.width.terms) | set(right.width.terms))),
-                ),
-            )
-        if isinstance(op, ast.FloorDiv):
-            return AbstractValue(dtype, left.width)
-        return AbstractValue(dtype, Width.top())
-
-    def _meet(self, a: Width, b: Width) -> Width:
-        """Greatest lower bound-ish: pick the tighter of two bounds."""
-        if a.unbounded:
-            return b
-        if b.unbounded:
-            return a
-        if not a.terms and not b.terms:
-            return Width(min(a.const, b.const))
-        if not a.terms:
-            return a
-        if not b.terms:
-            return b
-        return a if len(a.terms) <= len(b.terms) else b
-
-    def _exponent(
-        self, node: ast.expr, env: Dict[str, AbstractValue]
-    ) -> Tuple[int, Tuple[str, ...], bool]:
-        """Symbolic value of a shift amount: (const, name terms, unknown)."""
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return node.value, (), False
-        if isinstance(node, ast.Name):
-            known = env.get(node.id)
-            if known is not None and known.const_value is not None:
-                return known.const_value, (), False
-            return 0, (node.id,), False
-        if isinstance(node, ast.Call):
-            # a cast around the shift amount (np.uint32(shift)) is
-            # transparent for exponent purposes
-            if self._cast_target(node) is not None and node.args:
-                return self._exponent(node.args[0], env)
-            return 0, (), True
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-            lc, lt, lu = self._exponent(node.left, env)
-            rc, rt, ru = self._exponent(node.right, env)
-            if lu or ru:
-                return 0, (), True
-            if isinstance(node.op, ast.Sub):
-                if rt:
-                    # subtracting a symbolic amount only shrinks the
-                    # exponent; dropping it keeps the bound sound
-                    return lc, lt, False
-                return lc - rc, lt, False
-            return lc + rc, tuple(sorted(set(lt) | set(rt))), False
-        return 0, (), True
 
     # -- calls ----------------------------------------------------------
 
@@ -620,25 +377,7 @@ class FunctionDataflow:
         # scalar cast / astype / view
         cast = self._cast_target(node)
         if cast is not None:
-            pre = AbstractValue.top()
-            operand: Optional[ast.expr] = None
-            if isinstance(node.func, ast.Attribute) and node.func.attr in (
-                "astype",
-                "view",
-            ):
-                operand = node.func.value
-            elif node.args:
-                operand = node.args[0]
-            if operand is not None:
-                pre = self.value_of(operand)
-            self.cast_sites.append(
-                CastSite(node, cast, pre.width, "cast", operand)
-            )
-            capacity = DTYPE_VALUE_BITS.get(cast)
-            width = pre.width
-            if capacity is not None and pre.width.fits(capacity) is not True:
-                width = Width(capacity)
-            return AbstractValue(cast, width, pre.const_value)
+            return AbstractValue(cast)
 
         name = dotted_name(node.func)
         head, _, leaf = (name or "").rpartition(".")
@@ -649,30 +388,11 @@ class FunctionDataflow:
         if is_np and not head:
             leaf = name
 
-        if is_np and leaf in _UFUNC_OPS:
-            out_value = None
+        if is_np and leaf in _UFUNCS:
             for kw in node.keywords:
-                if kw.arg == "out":
-                    out_value = self.value_of(kw.value)
-            operands = [self.value_of(arg) for arg in node.args[:2]]
-            synthetic = ast.BinOp(
-                left=node.args[0] if node.args else ast.Constant(0),
-                op=_UFUNC_OPS[leaf](),
-                right=node.args[1] if len(node.args) > 1 else ast.Constant(0),
-            )
-            ast.copy_location(synthetic, node)
-            combined = self._eval_binop(synthetic, env) if node.args else (
-                AbstractValue.top()
-            )
-            if out_value is not None and out_value.dtype != "unknown":
-                self.cast_sites.append(
-                    CastSite(node, out_value.dtype, combined.width, "ufunc", node)
-                )
-                return AbstractValue(out_value.dtype, combined.width)
-            dtype = combined.dtype
-            if operands and all(o.dtype == operands[0].dtype for o in operands):
-                dtype = operands[0].dtype
-            return AbstractValue(dtype, combined.width)
+                if kw.arg == "out" and self.value_of(kw.value).dtype != "unknown":
+                    return self.value_of(kw.value)
+            return _join_all([self.value_of(arg) for arg in node.args[:2]])
 
         if is_np and leaf in _ARRAY_CTORS:
             dtype = self._dtype_keyword(node)
@@ -682,33 +402,19 @@ class FunctionDataflow:
                 )
             if dtype is None and leaf in ("asarray", "array") and node.args:
                 dtype = self.value_of(node.args[0]).dtype
-            if dtype is None:
-                dtype = "unknown"
-            capacity = DTYPE_VALUE_BITS.get(dtype)
-            width = Width(capacity) if capacity is not None else Width.top()
-            return AbstractValue(dtype, width)
+            return AbstractValue(dtype or "unknown")
 
         if is_np and leaf in _CONCAT_FNS and node.args:
             parts = node.args[0]
             if isinstance(parts, (ast.List, ast.Tuple)) and parts.elts:
-                joined = self.value_of(parts.elts[0])
-                for element in parts.elts[1:]:
-                    joined = joined.join(self.value_of(element))
-                return AbstractValue(joined.dtype, joined.width)
+                return _join_all([self.value_of(e) for e in parts.elts])
             if isinstance(parts, (ast.ListComp, ast.GeneratorExp)):
-                element = self.value_of(parts.elt)
-                return AbstractValue(element.dtype, element.width)
+                return self.value_of(parts.elt)
             return AbstractValue.top()
 
+        if name in ("min", "max") and node.args:
+            return _join_all([self.value_of(arg) for arg in node.args])
         if name in ("len", "min", "max", "abs", "sum", "int"):
-            values = [self.value_of(arg) for arg in node.args]
-            if name == "int":
-                return AbstractValue("pyint", Width.top())
-            if name in ("min", "max") and values:
-                joined = values[0]
-                for value in values[1:]:
-                    joined = joined.join(value)
-                return joined
-            return AbstractValue("pyint", Width.top())
+            return AbstractValue("pyint")
 
         return AbstractValue.top()

@@ -4,8 +4,8 @@ A *rule* inspects one parsed file at a time (plus a shared
 :class:`ProjectContext` for cross-file facts such as the experiment
 registry or the tests corpus) and yields :class:`Violation` records.
 The driver handles everything rules should not care about: collecting
-``.py`` files, parsing, ``# repro-lint: disable=...`` pragmas, rule
-selection and baseline suppression.
+``.py`` files, parsing, ``# repro-lint: disable=...`` pragmas and rule
+selection.
 
 Pragma syntax (see ``docs/linting.md``):
 
@@ -49,7 +49,7 @@ class Violation:
     """One rule finding, anchored to a file location.
 
     ``symbol`` names the enclosing function/class (or the offending
-    top-level name) so the baseline fingerprint survives line drift.
+    top-level name) so the fingerprint survives line drift.
     """
 
     rule_id: str
@@ -60,7 +60,7 @@ class Violation:
 
     @property
     def fingerprint(self) -> str:
-        """Line-independent identity used for baseline matching."""
+        """Line-independent identity (SARIF ``partialFingerprints``)."""
         return f"{self.rule_id}::{self.path}::{self.symbol}::{self.message}"
 
     def render(self) -> str:
@@ -158,6 +158,9 @@ class ProjectContext:
         self._parsed: Dict[Path, Optional[ast.Module]] = {}
         self._tests_corpus: Optional[str] = None
         self._index = None
+        #: rel path -> "rel path: error" for project files the rules
+        #: read but could not decode or parse
+        self.parse_errors: Dict[str, str] = {}
 
     @classmethod
     def discover(cls, start: Path) -> "ProjectContext":
@@ -170,15 +173,27 @@ class ProjectContext:
                 return cls(candidate)
         return cls(probe)
 
+    def _note_parse_error(self, path: Path, exc: Exception) -> None:
+        rel = self.rel_path(path)
+        self.parse_errors.setdefault(rel, f"{rel}: {exc}")
+
     def parse(self, path: Path) -> Optional[ast.Module]:
-        """Parse a project file, returning ``None`` when unavailable."""
+        """Parse a project file, returning ``None`` when unavailable.
+
+        A missing file is silent (rules probe optional siblings); one
+        that cannot be decoded or parsed lands in :attr:`parse_errors`.
+        """
         path = path.resolve()
         if path not in self._parsed:
+            self._parsed[path] = None
             try:
                 source = path.read_text(encoding="utf-8")
                 self._parsed[path] = ast.parse(source, filename=str(path))
-            except (OSError, SyntaxError):
-                self._parsed[path] = None
+            except OSError:
+                pass
+            # UnicodeDecodeError and null bytes both raise ValueError
+            except (SyntaxError, ValueError) as exc:
+                self._note_parse_error(path, exc)
         return self._parsed[path]
 
     def index(self):
@@ -204,6 +219,8 @@ class ProjectContext:
                         chunks.append(path.read_text(encoding="utf-8"))
                     except OSError:
                         continue
+                    except UnicodeDecodeError as exc:
+                        self._note_parse_error(path, exc)
             self._tests_corpus = "\n".join(chunks)
         return self._tests_corpus
 
@@ -225,7 +242,6 @@ class LintReport:
     """The outcome of one lint run."""
 
     violations: List[Violation] = field(default_factory=list)
-    suppressed: List[Violation] = field(default_factory=list)
     checked_files: int = 0
     parse_errors: List[str] = field(default_factory=list)
 
@@ -260,42 +276,44 @@ def lint_paths(
     paths: Sequence[Path],
     rules: Sequence[Rule],
     project: Optional[ProjectContext] = None,
-    baseline_fingerprints: Iterable[str] = (),
 ) -> LintReport:
     """Run ``rules`` over every ``.py`` file reachable from ``paths``.
 
-    Violations matching a pragma are dropped silently; violations
-    matching ``baseline_fingerprints`` land in ``report.suppressed``
-    (visible but non-failing).  Unparseable files are reported in
-    ``parse_errors`` and count as failures — a file the linter cannot
-    see is a file the invariants cannot be checked on.
+    Violations matching a pragma are dropped silently.  Unparseable
+    files — linted ones, and project files the rules read (the ``src/``
+    index, the tests corpus) — are reported in ``parse_errors`` and
+    count as failures: a file the linter cannot see is a file the
+    invariants cannot be checked on.
     """
     files = collect_files(paths)
     if project is None:
         start = files[0] if files else Path.cwd()
         project = ProjectContext.discover(start)
-    baseline = set(baseline_fingerprints)
     report = LintReport()
+    unparsed: Set[str] = set()
     for path in files:
+        rel = project.rel_path(path)
         try:
             source = path.read_text(encoding="utf-8")
-            ctx = FileContext(path, project.rel_path(path), source)
-        except (OSError, SyntaxError, UnicodeDecodeError, tokenize.TokenError) as exc:
-            report.parse_errors.append(f"{project.rel_path(path)}: {exc}")
+            ctx = FileContext(path, rel, source)
+        # UnicodeDecodeError and null bytes both raise ValueError
+        except (OSError, SyntaxError, ValueError, tokenize.TokenError) as exc:
+            report.parse_errors.append(f"{rel}: {exc}")
+            unparsed.add(rel)
             continue
         report.checked_files += 1
         for rule in rules:
             if not rule.applies_to(ctx):
                 continue
             for violation in rule.check_file(ctx, project):
-                if ctx.is_disabled(violation.rule_id, violation.line):
-                    continue
-                if violation.fingerprint in baseline:
-                    report.suppressed.append(violation)
-                else:
+                if not ctx.is_disabled(violation.rule_id, violation.line):
                     report.violations.append(violation)
+    report.parse_errors.extend(
+        error
+        for rel, error in sorted(project.parse_errors.items())
+        if rel not in unparsed
+    )
     report.violations.sort(key=lambda v: (v.path, v.line, v.rule_id))
-    report.suppressed.sort(key=lambda v: (v.path, v.line, v.rule_id))
     return report
 
 

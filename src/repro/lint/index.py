@@ -1,20 +1,18 @@
 """Whole-project index: one parse of ``src/``, symbols, imports, calls.
 
-PR 3's rules are per-file AST matchers; the bug classes PR 8 targets —
-packed-word width overflow gated in a *caller*, a cffi buffer typed in
-one module and filled in another, an env var read under a constant
-imported from elsewhere — are only visible with cross-module facts.
-This module builds them once per lint run:
+Per-file AST matchers cannot see facts that span modules: a cffi
+buffer typed in one module and filled in another, or an env var read
+under a constant imported from elsewhere.  This module builds those
+facts once per lint run:
 
 - a **module table** (:class:`ModuleInfo`): every ``.py`` under the
   project's ``src/`` parsed once, keyed by dotted module name, with its
   top-level symbols, import-alias map and simple constants;
 - an **import graph**: local alias → fully-qualified dotted target,
   resolved through ``import``/``from ... import`` (one re-export hop);
-- a **call graph**: every resolvable call site recorded in both
-  directions (:meth:`ProjectIndex.callers_of` /
-  :meth:`ProjectIndex.callees_of`), so rules can ask "is this function
-  reachable from a width guard" without re-walking the tree.
+- the **callers** of every project function
+  (:meth:`ProjectIndex.callers_of`), so R008 can type a helper's
+  parameters from the arrays its callers pass.
 
 Resolution is deliberately best-effort: attribute calls on objects
 (``self.x()``, ``bank.update()``) and dynamic dispatch stay unresolved,
@@ -22,7 +20,7 @@ which is the right failure mode for lint — an unresolved edge can only
 *suppress* a cross-module finding, never invent one.
 
 The index is cached on :class:`~repro.lint.engine.ProjectContext` via
-:meth:`~repro.lint.engine.ProjectContext.index`, so R007/R008/R009
+:meth:`~repro.lint.engine.ProjectContext.index`, so R008 and R009
 share one build per run.
 """
 
@@ -31,7 +29,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.lint.engine import ProjectContext
 from repro.lint.rules._ast_util import dotted_name, import_aliases, walk_functions
@@ -90,8 +88,6 @@ class ProjectIndex:
         self._by_rel_path: Dict[str, ModuleInfo] = {}
         #: (module, top-level callee name) -> call sites targeting it
         self._callers: Dict[Tuple[str, str], List[CallSite]] = {}
-        #: (module, qualified caller name) -> resolved callee keys
-        self._callees: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
         self._build()
 
     # -- construction --------------------------------------------------
@@ -126,8 +122,6 @@ class ProjectIndex:
             self._index_calls(info)
 
     def _index_calls(self, info: ModuleInfo) -> None:
-        scopes: List[Tuple[str, ast.AST]] = [("", info.tree)]
-        scopes.extend(info.functions.items())
         # Walk each function body exactly once: module level walks only
         # statements outside any function (approximated by attributing
         # nested calls to the innermost function that contains them).
@@ -153,7 +147,6 @@ class ProjectIndex:
             return
         site = CallSite(info.name, qualname, call)
         self._callers.setdefault(target, []).append(site)
-        self._callees.setdefault((info.name, qualname), set()).add(target)
 
     # -- resolution ----------------------------------------------------
 
@@ -256,34 +249,3 @@ class ProjectIndex:
     def callers_of(self, module: str, function: str) -> List[CallSite]:
         """Every resolved call site targeting a top-level function."""
         return list(self._callers.get((module, function), ()))
-
-    def callees_of(self, module: str, function: str) -> Set[Tuple[str, str]]:
-        """Resolved ``(module, name)`` targets called by a function."""
-        return set(self._callees.get((module, function), ()))
-
-    def neighborhood(
-        self, module: str, function: str, depth: int = 3
-    ) -> Set[Tuple[str, str]]:
-        """Functions within ``depth`` call-graph hops, both directions.
-
-        The undirected ball around a function: its callees, its
-        callers, their callees, and so on.  R007 searches this set for
-        width guards — a gate like a tier's ``supports`` typically sits one
-        hop *up* (in the caller that decides to take the fast path) and
-        one or two hops *sideways* (a helper the caller consults).
-        """
-        start = (module, function.split(".")[0] if function else "")
-        seen: Set[Tuple[str, str]] = {(module, function)}
-        frontier: Set[Tuple[str, str]] = {(module, function), start}
-        for _ in range(depth):
-            grown: Set[Tuple[str, str]] = set()
-            for mod, fn in frontier:
-                grown |= self.callees_of(mod, fn)
-                for site in self.callers_of(mod, fn):
-                    grown.add((site.module, site.function))
-            grown -= seen
-            if not grown:
-                break
-            seen |= grown
-            frontier = grown
-        return seen

@@ -17,7 +17,6 @@ from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.envcontract import EnvContractRule
 from repro.lint.rules.nativetest import NativeKernelTestRule
 from repro.lint.rules.parity import EngineParityRule
-from repro.lint.rules.widthflow import WidthFlowRule
 
 __all__ = ["all_rules", "rules_by_id", "select_rules"]
 
@@ -28,7 +27,6 @@ _RULE_CLASSES = (
     EngineParityRule,
     CacheKeyRule,
     NativeKernelTestRule,
-    WidthFlowRule,
     CAbiParityRule,
     EnvContractRule,
 )
@@ -40,7 +38,7 @@ def all_rules() -> List[Rule]:
 
 
 def rules_by_id() -> Dict[str, Rule]:
-    """Registered rules keyed by id (``R001`` .. ``R006``)."""
+    """Registered rules keyed by id (``R001``, ``R002``, ...)."""
     return {rule.rule_id: rule for rule in all_rules()}
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "dotted_name",
@@ -99,17 +99,3 @@ def walk_functions(
     visit(tree, "")
     return found
 
-
-def assigned_names(node: ast.AST) -> Set[str]:
-    """Names bound by assignment statements inside ``node`` (shallow walk)."""
-    names: Set[str] = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Assign):
-            for target in child.targets:
-                for sub in ast.walk(target):
-                    if isinstance(sub, ast.Name):
-                        names.add(sub.id)
-        elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
-            if isinstance(child.target, ast.Name):
-                names.add(child.target.id)
-    return names

@@ -13,11 +13,11 @@ The mapping is deliberately small and lossless:
   back-references work;
 - each :class:`~repro.lint.engine.Violation` becomes a ``result`` with
   ``level: error`` (this linter has no warnings — a finding either
-  blocks or is baselined away before rendering), the repo-relative
-  artifact URI, the 1-based start line, and the violation's stable
-  fingerprint under ``partialFingerprints`` — the same rule+path+
-  symbol+message key the baseline file uses, so scanning UIs track a
-  finding across unrelated edits exactly like the baseline does;
+  blocks or is silenced by a pragma before rendering), the
+  repo-relative artifact URI, the 1-based start line, and the
+  violation's stable fingerprint under ``partialFingerprints`` — a
+  rule+path+symbol+message key with no line number, so scanning UIs
+  track a finding across unrelated edits;
 - parse failures become ``toolExecutionNotifications`` on the
   invocation (they are not findings *in* a file the linter understood,
   and ``executionSuccessful`` reflects them).

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 from textwrap import dedent
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import pytest
 
@@ -35,17 +35,10 @@ class FixtureProject:
         path.write_text(dedent(source), encoding="utf-8")
         return path
 
-    def lint(
-        self,
-        rule_ids: Sequence[str] = (),
-        baseline: Iterable[str] = (),
-    ) -> LintReport:
+    def lint(self, rule_ids: Sequence[str] = ()) -> LintReport:
         rules = select_rules(list(rule_ids)) if rule_ids else all_rules()
         return lint_paths(
-            [self.root / "src"],
-            rules,
-            project=ProjectContext(self.root),
-            baseline_fingerprints=baseline,
+            [self.root / "src"], rules, project=ProjectContext(self.root)
         )
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.lint.rules.cabi import parse_c_declarations
 
 CLEAN_WRAPPER = """
@@ -248,9 +246,3 @@ class TestBufferFlow:
         )
         assert r008(project.lint(["R008"])) == []
 
-
-class TestBaselinePolicy:
-    def test_baseline_refuses_r008(self):
-        from repro.lint.baseline import NEVER_BASELINED
-
-        assert "R008" in NEVER_BASELINED

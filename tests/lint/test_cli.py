@@ -1,11 +1,13 @@
-"""CLI behavior of ``repro-lint`` (exit codes, formats, baseline flags)."""
+"""CLI behavior of ``repro-lint`` (exit codes, formats, rule selection)."""
 
 from __future__ import annotations
 
 import json
 
-from repro.lint.baseline import DEFAULT_BASELINE_NAME
 from repro.lint.cli import main
+
+#: Every registered rule id (R007 was retired; its number is not reused).
+RULE_IDS = ["R001", "R002", "R003", "R004", "R005", "R006", "R008", "R009"]
 
 BAD_RNG = """
 import random
@@ -68,7 +70,7 @@ class TestFormats:
         ]
         assert artifact["uri"] == "src/repro/bad.py"
         rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert rule_ids == [f"R00{i}" for i in range(1, 10)]
+        assert rule_ids == RULE_IDS
 
     def test_list_format(self, project, capsys):
         _write_bad_project(project)
@@ -78,6 +80,17 @@ class TestFormats:
         assert rule == "R001"
         assert location.startswith("src/repro/bad.py:")
         assert symbol == "bad"
+
+        # A parse error is printed too, not just reflected in the exit
+        # status; --format=list is the same output.
+        project.write("src/repro/broken.py", "def oops(:\n")
+        for flag in ("--list", "--format=list"):
+            assert _run(project, flag) == 1
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert len(lines) == 2
+            assert lines[0].startswith("R001\t")
+            assert lines[1].startswith("src/repro/broken.py: ")
+            assert lines[1].endswith(": parse error")
 
 
 class TestRuleSelection:
@@ -94,16 +107,14 @@ class TestRuleSelection:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "unknown rule 'R999'" in err
-        for rule_id in (f"R00{i}" for i in range(1, 10)):
+        for rule_id in RULE_IDS:
             assert rule_id in err
 
     def test_list_rules_prints_registry_and_exits_zero(self, capsys):
         assert main(["--list-rules"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert [line.split()[0] for line in lines] == [
-            f"R00{i}" for i in range(1, 10)
-        ]
-        assert any("width-flow" in line for line in lines)
+        assert [line.split()[0] for line in lines] == RULE_IDS
+        assert any("c-abi-parity" in line for line in lines)
 
     def test_list_rules_needs_no_paths(self, tmp_path, capsys, monkeypatch):
         # works even where ./src does not exist (no usage error)
@@ -111,31 +122,3 @@ class TestRuleSelection:
         assert main(["--list-rules"]) == 0
         capsys.readouterr()
 
-
-class TestBaselineFlags:
-    def test_write_baseline_then_clean_run(self, project, capsys):
-        project.write("src/repro/experiments/runner.py", "EXPERIMENTS = {}\n")
-        project.write(
-            "src/repro/experiments/figure1.py",
-            "def run(scale=1.0):\n    return scale\n",
-        )
-        assert _run(project, "--rule", "R003") == 1
-        capsys.readouterr()
-
-        assert _run(project, "--rule", "R003", "--write-baseline") == 0
-        assert "suppression(s)" in capsys.readouterr().out
-        assert (project.root / DEFAULT_BASELINE_NAME).exists()
-
-        assert _run(project, "--rule", "R003") == 0
-        assert "baseline-suppressed" in capsys.readouterr().out
-
-        # --no-baseline brings the findings back.
-        assert _run(project, "--rule", "R003", "--no-baseline") == 1
-
-    def test_write_baseline_refuses_determinism_findings(
-        self, project, capsys
-    ):
-        _write_bad_project(project)
-        assert _run(project, "--write-baseline") == 1
-        assert "refusing to baseline" in capsys.readouterr().err
-        assert not (project.root / DEFAULT_BASELINE_NAME).exists()

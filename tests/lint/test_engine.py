@@ -1,12 +1,16 @@
-"""Engine behavior: pragmas, baselines, file collection, parse errors."""
+"""Engine behavior: pragmas, file collection, parse errors, registry."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.lint.baseline import Baseline
-from repro.lint.engine import Violation
+from repro.lint.engine import ProjectContext, Violation, lint_paths
 from repro.lint.rules import all_rules, rules_by_id, select_rules
+
+RULE_IDS = ["R001", "R002", "R003", "R004", "R005", "R006", "R008", "R009"]
+
+#: "été" in Latin-1: not valid UTF-8, so not valid Python source.
+LATIN1_SOURCE = b"NAME = '\xe9t\xe9'\n"
 
 BAD_RNG = """
 import random
@@ -84,63 +88,6 @@ class TestPragmas:
         assert len(project.lint(["R001"]).violations) == 1
 
 
-class TestBaseline:
-    def test_round_trip_suppresses_matching_violations(self, project, tmp_path):
-        project.write("src/repro/experiments/runner.py", "EXPERIMENTS = {}\n")
-        project.write(
-            "src/repro/experiments/figure1.py",
-            "def run(scale=1.0):\n    return scale\n",
-        )
-        first = project.lint(["R003"])
-        assert first.violations
-
-        path = tmp_path / "baseline.json"
-        Baseline.from_violations(first.violations).save(path)
-        loaded = Baseline.load(path)
-        assert loaded.fingerprints == {
-            v.fingerprint for v in first.violations
-        }
-
-        second = project.lint(["R003"], baseline=loaded.fingerprints)
-        assert second.clean
-        assert len(second.suppressed) == len(first.violations)
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert Baseline.load(tmp_path / "nope.json").fingerprints == set()
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 1}', encoding="utf-8")
-        with pytest.raises(ValueError, match="not a repro-lint baseline"):
-            Baseline.load(path)
-
-    @pytest.mark.parametrize("rule_id", ["R001", "R002"])
-    def test_determinism_and_bitwidth_refuse_baselining(
-        self, tmp_path, rule_id
-    ):
-        violation = Violation(
-            rule_id=rule_id,
-            path="src/repro/x.py",
-            line=3,
-            symbol="f",
-            message="whatever",
-        )
-        baseline = Baseline.from_violations([violation])
-        with pytest.raises(ValueError, match="must be fixed"):
-            baseline.save(tmp_path / "baseline.json")
-        assert not (tmp_path / "baseline.json").exists()
-
-    def test_baseline_does_not_hide_new_violations(self, project):
-        project.write("src/repro/experiments/runner.py", "EXPERIMENTS = {}\n")
-        project.write(
-            "src/repro/experiments/figure1.py",
-            "def run(scale=1.0):\n    return scale\n",
-        )
-        stale = {"R003::src/repro/experiments/other.py::other::gone"}
-        report = project.lint(["R003"], baseline=stale)
-        assert report.violations and not report.suppressed
-
-
 class TestEngine:
     def test_parse_error_is_reported_and_fails(self, project):
         project.write("src/repro/broken.py", "def broken(:\n")
@@ -150,6 +97,45 @@ class TestEngine:
         assert len(report.parse_errors) == 1
         assert "broken.py" in report.parse_errors[0]
         assert report.checked_files == 1
+
+    def test_non_utf8_source_file_is_a_parse_error(self, project):
+        # R009 parses every file under src/ into the project index, so
+        # the undecodable file is read whether or not it is linted.
+        project.write("src/repro/fine.py", "X = 1\n")
+        (project.root / "src/repro/latin1.py").write_bytes(LATIN1_SOURCE)
+
+        report = project.lint()
+        assert report.checked_files == 1
+        [error] = report.parse_errors  # linted and indexed: one entry
+        assert error.startswith("src/repro/latin1.py: ")
+        assert "utf-8" in error
+
+        only_fine = lint_paths(
+            [project.root / "src/repro/fine.py"],
+            all_rules(),
+            project=ProjectContext(project.root),
+        )
+        assert not only_fine.clean
+        assert only_fine.parse_errors == [error]
+
+    def test_non_utf8_test_file_is_a_parse_error(self, project):
+        # R004 searches the text of every test file for references.
+        project.write(
+            "src/repro/sim/vectorized.py",
+            """
+            __all__ = ["fn"]
+
+            def fn():
+                return 1
+            """,
+        )
+        project.write("tests/test_equiv.py", "from repro.sim.vectorized import fn\n")
+        (project.root / "tests/test_latin1.py").write_bytes(LATIN1_SOURCE)
+
+        report = project.lint(["R004"])
+        assert report.violations == []  # the readable test still counts
+        [error] = report.parse_errors
+        assert error.startswith("tests/test_latin1.py: ")
 
     def test_pycache_and_git_dirs_skipped(self, project):
         project.write("src/repro/__pycache__/junk.py", BAD_RNG)
@@ -169,17 +155,7 @@ class TestEngine:
 
 class TestRuleRegistry:
     def test_all_rules_registered(self):
-        assert [rule.rule_id for rule in all_rules()] == [
-            "R001",
-            "R002",
-            "R003",
-            "R004",
-            "R005",
-            "R006",
-            "R007",
-            "R008",
-            "R009",
-        ]
+        assert [rule.rule_id for rule in all_rules()] == RULE_IDS
 
     def test_descriptions_present(self):
         for rule in all_rules():
@@ -192,4 +168,4 @@ class TestRuleRegistry:
         ]
         with pytest.raises(KeyError):
             select_rules(["R999"])
-        assert set(rules_by_id()) == {f"R00{i}" for i in range(1, 10)}
+        assert sorted(rules_by_id()) == RULE_IDS

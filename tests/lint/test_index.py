@@ -116,42 +116,15 @@ class TestCallGraph:
         assert ("pk.driver", "run") in seen
         assert ("pk.driver", "") in seen  # the module-level call
 
-    def test_callees(self, indexed):
-        _, index = indexed
-        assert ("pk.core", "pack") in index.callees_of("pk.driver", "run")
-        assert ("pk.core", "helper") in index.callees_of("pk.core", "pack")
-
     def test_method_calls_are_attributed(self, indexed):
         _, index = indexed
-        assert ("pk.core", "helper") in index.callees_of(
-            "pk.core", "Table.touch"
-        )
-
-    def test_neighborhood_reaches_guard_function(self, indexed):
-        _, index = indexed
-        ball = index.neighborhood("pk.core", "pack", depth=2)
-        assert ("pk.driver", "run") in ball
-        assert ("pk.core", "helper") in ball
+        callers = index.callers_of("pk.core", "helper")
+        seen = {(site.module, site.function) for site in callers}
+        assert seen == {("pk.core", "pack"), ("pk.core", "Table.touch")}
 
 
 class TestRealTree:
     """The index must understand the code this repo actually ships."""
-
-    def test_width_gates_reachable_from_kernel(self):
-        index = ProjectContext(Path(__file__).resolve().parents[2]).index()
-        # ``(words << history_bits) | hist`` packs the skewing vector in
-        # _skew_halves.compute; history_stream's range check bounds
-        # history_bits at _MAX_HISTORY_BITS, two hops away through
-        # _cond_history.
-        ball = index.neighborhood(
-            "repro.sim.vectorized", "_skew_halves.compute", depth=1
-        )
-        assert ("repro.sim.vectorized", "_cond_history") in ball
-        assert ("repro.sim.vectorized", "history_stream") not in ball
-        wide = index.neighborhood(
-            "repro.sim.vectorized", "_skew_halves.compute", depth=2
-        )
-        assert ("repro.sim.vectorized", "history_stream") in wide
 
     def test_native_kernel_callers(self):
         index = ProjectContext(Path(__file__).resolve().parents[2]).index()

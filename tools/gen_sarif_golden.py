@@ -29,7 +29,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         project = conftest.FixtureProject(Path(tmp))
         report = test_sarif._dirty_report(project)
-        rendered = render_sarif(report, select_rules(["R001", "R007"]))
+        rendered = render_sarif(report, select_rules(test_sarif.RULE_IDS))
     golden.parent.mkdir(parents=True, exist_ok=True)
     golden.write_text(rendered + "\n", encoding="utf-8")
     print(f"wrote {golden} ({len(report.violations)} result(s))")
