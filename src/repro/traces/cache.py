@@ -2,12 +2,16 @@
 
 Synthetic workload generation is deterministic — a
 :class:`~repro.traces.synthetic.generator.WorkloadConfig` fully
-determines its trace — but it runs the Python-level program executors
-and scheduler, which dominates experiment start-up time.  This module
-caches generated traces on disk, keyed by a SHA-256 fingerprint of the
-*complete* config (name, seed, length/scale, behaviour mix, scheduler —
-every shape parameter), so any config change produces a new cache entry
-and stale hits are impossible.
+determines its trace — but it runs every program's branch behaviours in
+Python, event by event, which is most of a cold process's set-up time
+(the ``traces.generate_s`` row of ``bench/run.py --trace 1``).  This
+module caches generated traces on disk, keyed by a SHA-256 fingerprint
+of the *complete* config (name, seed, length/scale, behaviour mix,
+scheduler — every shape parameter), so any config change produces a new
+cache entry.  The fingerprint does not
+cover the generator's code: a change to the bytes the generator emits
+(which ``tests/traces/synthetic/test_trace_pins.py`` would flag) needs
+the cache directory cleared.
 
 Entries are stored in the existing ``.npz`` trace format
 (:mod:`repro.traces.io`), written atomically (temp file + ``os.replace``

@@ -25,6 +25,17 @@ __all__ = [
 
 _FORMAT_VERSION = 1
 
+#: The text format's fields in line order: (name, exclusive upper bound,
+#: what a valid value is).  Addresses are unsigned 64-bit, outcomes bits.
+_ADDRESS = (1 << 64, "an integer in [0, 2**64)")
+_BIT = (2, "0 or 1")
+_TEXT_FIELDS = (
+    ("pc", *_ADDRESS),
+    ("taken", *_BIT),
+    ("conditional", *_BIT),
+    ("target", *_ADDRESS),
+)
+
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     """Write ``trace`` to ``path`` in the compact binary format."""
@@ -83,7 +94,7 @@ def save_trace_text(trace: Trace, path: Union[str, Path]) -> None:
 def load_trace_text(path: Union[str, Path]) -> Trace:
     """Read the text format written by :func:`save_trace_text`."""
     path = Path(path)
-    pcs, takens, conditionals, targets = [], [], [], []
+    columns = pcs, takens, conditionals, targets = [], [], [], []
     name = path.stem
     seed = None
     with path.open("r", encoding="utf-8") as handle:
@@ -106,10 +117,19 @@ def load_trace_text(path: Union[str, Path]) -> Trace:
                     f"{path}:{line_number}: expected 4 fields, got "
                     f"{len(fields)}"
                 )
-            pcs.append(int(fields[0], 0))
-            takens.append(int(fields[1], 0))
-            conditionals.append(int(fields[2], 0))
-            targets.append(int(fields[3], 0))
+            for text, column, (label, limit, expected) in zip(
+                fields, columns, _TEXT_FIELDS
+            ):
+                try:
+                    value = int(text, 0)
+                except ValueError:
+                    value = None
+                if value is None or not 0 <= value < limit:
+                    raise ValueError(
+                        f"{path}:{line_number}: {label} must be {expected}, "
+                        f"got {text!r}"
+                    )
+                column.append(value)
     return Trace.from_columns(
         pcs, takens, conditionals, targets, name=name, seed=seed
     )

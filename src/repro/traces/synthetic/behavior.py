@@ -118,6 +118,8 @@ class CorrelatedBehavior(BranchBehavior):
 
     A predictor whose history window covers ``history_bits`` bits can
     learn this branch almost perfectly; shorter windows see a biased coin.
+    The table never changes after construction, so the behaviour is
+    stateless and :meth:`clone` shares it.
     """
 
     def __init__(self, history_bits: int, seed: int, noise: float = 0.05):
@@ -142,9 +144,6 @@ class CorrelatedBehavior(BranchBehavior):
         if self.noise and rng.random() < self.noise:
             return not outcome
         return outcome
-
-    def clone(self) -> "CorrelatedBehavior":
-        return CorrelatedBehavior(self.history_bits, self.seed, self.noise)
 
 
 class MarkovBehavior(BranchBehavior):

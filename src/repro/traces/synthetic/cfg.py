@@ -14,6 +14,13 @@ counts and the call graph is a DAG.  The top-level procedure is re-run
 forever, so a program is an unbounded event source that the multi-process
 scheduler (:mod:`repro.traces.synthetic.kernel`) slices into quanta.
 
+Execution is compiled: :func:`run_program` turns the program into a
+static table of the events it can emit plus tuple trees over it, then
+walks the trees by plain recursion, appending one table index per event
+until the caller's demand is met.  The scheduler knows each source's
+total demand before any source runs, so every program runs once, in one
+piece.
+
 Event conventions (matching the paper's trace methodology):
 
 - conditional branches are predicted and shift global history;
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.traces.synthetic.behavior import BehaviorMix, BranchBehavior, LoopBehavior
 
@@ -39,6 +46,7 @@ __all__ = [
     "ProgramConfig",
     "build_program",
     "ProgramExecutor",
+    "run_program",
 ]
 
 # An emitted event: (pc, taken, conditional, target)
@@ -363,84 +371,185 @@ def build_program(config: ProgramConfig, seed: int) -> Program:
     return _Builder(config, random.Random(seed)).build()
 
 
-class ProgramExecutor:
-    """Executes a program forever, yielding control-transfer events.
+# Node kinds of a compiled body tree (see ``_compile``).
+_BRANCH, _LOOP, _CALL = 0, 1, 2
 
-    The executor keeps a *local* path history (outcomes of this program's
-    own recent conditional branches) that feeds the history-correlated
-    behaviour models — data correlation is a program property and must not
-    see other processes' branches, even though the *predictor's* global
-    register does.
+#: Calls nested this deep are skipped (the builder's call graph is a DAG,
+#: so this only guards hand-built recursive programs).
+_MAX_CALL_DEPTH = 24
+
+
+class _DemandMet(Exception):
+    """Unwinds :func:`run_program` once the source has emitted its demand."""
+
+
+def _compile(program: Program) -> Tuple[List[Event], list]:
+    """Compile ``program`` into a static event table and tuple trees.
+
+    Every event the program can emit is one row of the table, and the
+    runner emits row indices ("codes").  A compiled body is a tuple of
+    nodes:
+
+    - ``(_BRANCH, outcome, taken_code, not_taken_code, then, else, join_code)``
+    - ``(_LOOP, outcome, taken_code, not_taken_code, body)``
+    - ``(_CALL, call_code, callee)``, ``callee`` being a procedure entry
+
+    A procedure entry is ``[body, return_code]``, compiled once per
+    procedure and shared by its call sites (a list, so a recursive call
+    can point at its own, still-compiling entry).  So each static node is
+    compiled once, and ``outcome``, the bound ``next_outcome`` of a fresh
+    clone of its behaviour, gives stateful behaviours (loops, patterns,
+    Markov chains) one state per branch, however many sites reach it,
+    while runs over one :class:`Program` stay independent.  Returns
+    ``(table, main entry)``.
+    """
+    table: List[Event] = []
+    entries: dict = {}
+
+    def row(event: Event) -> int:
+        table.append(event)
+        return len(table) - 1
+
+    def body(nodes: List[object]) -> tuple:
+        compiled = []
+        for node in nodes:
+            if isinstance(node, BranchNode):
+                compiled.append((
+                    _BRANCH,
+                    node.behavior.clone().next_outcome,
+                    row((node.pc, True, True, 0)),
+                    row((node.pc, False, True, 0)),
+                    body(node.then_body),
+                    body(node.else_body),
+                    row((node.join_pc, True, False, 0)),
+                ))
+            elif isinstance(node, LoopNode):
+                compiled.append((
+                    _LOOP,
+                    node.behavior.clone().next_outcome,
+                    row((node.pc, True, True, 0)),
+                    row((node.pc, False, True, 0)),
+                    body(node.body),
+                ))
+            elif isinstance(node, CallNode):
+                compiled.append((
+                    _CALL,
+                    row((node.pc, True, False, node.callee.base_address)),
+                    entry(node.callee),
+                ))
+            else:
+                raise TypeError(f"unknown CFG node {node!r}")
+        return tuple(compiled)
+
+    def entry(procedure: Procedure) -> list:
+        compiled = entries.get(id(procedure))
+        if compiled is None:
+            compiled = entries[id(procedure)] = [(), 0]
+            compiled[0] = body(procedure.body)
+            compiled[1] = row((procedure.return_pc, True, False, 0))
+        return compiled
+
+    main = entry(program.main)
+    return table, main
+
+
+def run_program(
+    program: Program, seed: int, demand: int
+) -> Tuple[List[Event], List[int]]:
+    """Execute ``program`` from its start until it has emitted ``demand``
+    events.
+
+    The top-level procedure re-runs forever, so any demand is met.
+    Returns ``(table, codes)``: ``codes[i]`` is the row of ``table`` that
+    holds event ``i``, ``(pc, taken, conditional, target)``.
+
+    The run keeps a *local* path history (outcomes of this program's own
+    recent conditional branches, 16 bits) that feeds the
+    history-correlated behaviour models: data correlation is a program
+    property and must not see other processes' branches, even though the
+    *predictor's* global register does.  ``seed`` seeds the one RNG the
+    behaviours draw from, so a (program, seed) pair always emits the same
+    stream, and a shorter demand emits a prefix of a longer one.
+    """
+    table, main = _compile(program)
+    codes: List[int] = []
+    if demand <= 0:
+        return table, codes
+    append = codes.append
+    rng = random.Random(seed)
+
+    def run(nodes: tuple, depth: int, history: int) -> int:
+        for node in nodes:
+            kind = node[0]
+            if kind == _BRANCH:
+                taken = node[1](rng, history)
+                history = ((history << 1) | taken) & 0xFFFF
+                if taken:
+                    append(node[2])
+                    if node[4]:
+                        history = run(node[4], depth + 1, history)
+                    append(node[6])  # jump over the else path
+                else:
+                    append(node[3])
+                    if node[5]:
+                        history = run(node[5], depth + 1, history)
+            elif kind == _LOOP:
+                next_outcome, taken_code, inner = node[1], node[2], node[4]
+                while True:
+                    if inner:
+                        history = run(inner, depth + 1, history)
+                    taken = next_outcome(rng, history)
+                    history = ((history << 1) | taken) & 0xFFFF
+                    if not taken:
+                        append(node[3])
+                        break
+                    append(taken_code)
+                    if len(codes) >= demand:
+                        raise _DemandMet
+            elif depth < _MAX_CALL_DEPTH:
+                callee = node[2]
+                append(node[1])
+                history = run(callee[0], depth + 1, history)
+                append(callee[1])
+                if len(codes) >= demand:
+                    raise _DemandMet
+        return history
+
+    history = 0
+    try:
+        while len(codes) < demand:
+            history = run(main[0], 0, history)
+            append(main[1])
+    except _DemandMet:
+        pass
+    del codes[demand:]
+    return table, codes
+
+
+class ProgramExecutor:
+    """A program's unbounded event stream, consumed in order.
+
+    A thin wrapper over :func:`run_program` for callers that pull the
+    stream piecemeal: each :meth:`take` that outruns what has been
+    produced re-runs the program from its start to at least twice the
+    old length, so the total cost stays linear in the events taken.
     """
 
     def __init__(self, program: Program, seed: int):
         self.program = program
-        self.rng = random.Random(seed)
-        self._local_history = 0
-        # Stateful behaviours (loops, patterns, Markov chains) are cloned
-        # per executor so several executors over one Program — and
-        # re-runs with the same seed — are independent and deterministic.
-        self._behaviors: dict = {}
-        self._events = self._run_forever()
-
-    def _behavior(self, node) -> "BranchBehavior":
-        behavior = self._behaviors.get(id(node))
-        if behavior is None:
-            behavior = node.behavior.clone()
-            self._behaviors[id(node)] = behavior
-        return behavior
-
-    def __iter__(self) -> Iterator[Event]:
-        return self._events
+        self.seed = seed
+        self._table: List[Event] = []
+        self._codes: List[int] = []
+        self._position = 0
 
     def take(self, count: int) -> List[Event]:
         """Next ``count`` events (the scheduler's quantum primitive)."""
-        events = self._events
-        return [next(events) for _ in range(count)]
-
-    # -- execution ------------------------------------------------------
-
-    def _run_forever(self) -> Iterator[Event]:
-        while True:
-            yield from self._run_procedure(self.program.main, depth=0)
-
-    def _run_procedure(
-        self, procedure: Procedure, depth: int
-    ) -> Iterator[Event]:
-        yield from self._run_body(procedure.body, depth)
-        # Return: unconditional transfer back to the caller.
-        yield (procedure.return_pc, True, False, 0)
-
-    def _run_body(self, body: List[object], depth: int) -> Iterator[Event]:
-        for node in body:
-            if isinstance(node, BranchNode):
-                taken = self._behavior(node).next_outcome(
-                    self.rng, self._local_history
-                )
-                self._local_history = ((self._local_history << 1) | taken) & 0xFFFF
-                yield (node.pc, taken, True, 0)
-                if taken:
-                    yield from self._run_body(node.then_body, depth + 1)
-                    # Jump over the else path.
-                    yield (node.join_pc, True, False, 0)
-                else:
-                    yield from self._run_body(node.else_body, depth + 1)
-            elif isinstance(node, LoopNode):
-                behavior = self._behavior(node)
-                while True:
-                    yield from self._run_body(node.body, depth + 1)
-                    taken = behavior.next_outcome(
-                        self.rng, self._local_history
-                    )
-                    self._local_history = (
-                        (self._local_history << 1) | taken
-                    ) & 0xFFFF
-                    yield (node.pc, taken, True, 0)
-                    if not taken:
-                        break
-            elif isinstance(node, CallNode):
-                if depth < 24:  # recursion guard; call graph is a DAG anyway
-                    yield (node.pc, True, False, node.callee.base_address)
-                    yield from self._run_procedure(node.callee, depth + 1)
-            else:  # pragma: no cover - construction guarantees node types
-                raise TypeError(f"unknown CFG node {node!r}")
+        end = self._position + count
+        if end > len(self._codes):
+            self._table, self._codes = run_program(
+                self.program, self.seed, max(end, 2 * len(self._codes))
+            )
+        table = self._table
+        events = [table[code] for code in self._codes[self._position:end]]
+        self._position = end
+        return events

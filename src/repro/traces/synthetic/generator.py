@@ -1,24 +1,33 @@
 """Top-level synthetic-trace generation.
 
-Assembles the program builder, per-process executors and the OS
-scheduler into a :class:`~repro.traces.trace.Trace`.  A
-:class:`WorkloadConfig` fully determines the trace (all randomness is
-seeded), so workloads behave like fixed benchmark inputs: the same
-config always yields byte-identical traces.
+Assembles the program builder, the OS scheduler and the program runner
+into a :class:`~repro.traces.trace.Trace`.  A :class:`WorkloadConfig`
+fully determines the trace (all randomness is seeded), so workloads
+behave like fixed benchmark inputs: the same config always yields
+byte-identical traces.
+
+Generation runs in three steps: plan the schedule
+(:func:`~repro.traces.synthetic.kernel.plan_schedule`), run each program
+once for its total demand (:func:`~repro.traces.synthetic.cfg.run_program`),
+then gather the four trace columns from the programs' event tables with
+one numpy index over the schedule's segments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.traces.synthetic.behavior import BehaviorMix
 from repro.traces.synthetic.cfg import (
+    Program,
     ProgramConfig,
-    ProgramExecutor,
     build_program,
+    run_program,
 )
-from repro.traces.synthetic.kernel import SchedulerConfig, interleave
+from repro.traces.synthetic.kernel import SchedulerConfig, plan_schedule
 from repro.traces.trace import Trace
 
 __all__ = ["WorkloadConfig", "generate_trace"]
@@ -81,41 +90,71 @@ class WorkloadConfig:
 
 def generate_trace(config: WorkloadConfig) -> Trace:
     """Generate the deterministic trace described by ``config``."""
-    user_executors: List[ProgramExecutor] = []
-    for index in range(config.processes):
-        program = build_program(
-            config.program_config(index), seed=config.seed * 1009 + index
+    # (program, run seed) per source: the user processes, then the
+    # kernel when it runs.
+    sources: List[Tuple[Program, int]] = [
+        (
+            build_program(
+                config.program_config(index), seed=config.seed * 1009 + index
+            ),
+            config.seed * 9176 + index,
         )
-        user_executors.append(
-            ProgramExecutor(program, seed=config.seed * 9176 + index)
+        for index in range(config.processes)
+    ]
+    kernel = config.kernel_static_branches > 0 and config.scheduler.kernel_share > 0
+    if kernel:
+        sources.append(
+            (
+                build_program(
+                    config.kernel_config(), seed=config.seed * 5407 + 101
+                ),
+                config.seed * 7919 + 103,
+            )
         )
 
-    kernel_executor = None
-    if config.kernel_static_branches > 0 and config.scheduler.kernel_share > 0:
-        kernel_program = build_program(
-            config.kernel_config(), seed=config.seed * 5407 + 101
-        )
-        kernel_executor = ProgramExecutor(
-            kernel_program, seed=config.seed * 7919 + 103
-        )
-
-    events = interleave(
-        user_executors,
-        kernel_executor,
+    segments = plan_schedule(
+        config.processes,
+        kernel,
         length=config.length,
         config=config.scheduler,
         seed=config.seed * 31 + 7,
     )
 
-    pcs = [event[0] for event in events]
-    takens = [1 if event[1] else 0 for event in events]
-    conditionals = [1 if event[2] else 0 for event in events]
-    targets = [event[3] for event in events]
-    return Trace.from_columns(
-        pcs,
-        takens,
-        conditionals,
-        targets,
+    # Each source's segments, in order, continue one stream: run it once
+    # for the total, with its table rows and stream offset past those of
+    # the sources before it.
+    demand = [0] * len(sources)
+    for source, count in segments:
+        demand[source] += count
+    rows: list = []
+    streams = []
+    stream_start = []
+    emitted = 0
+    for (program, seed), need in zip(sources, demand):
+        table, codes = run_program(program, seed, need)
+        streams.append(np.array(codes, dtype=np.int64) + len(rows))
+        rows.extend(table)
+        stream_start.append(emitted)
+        emitted += need
+
+    # Segment k's events sit at stream positions
+    # starts[k] .. starts[k] + counts[k] - 1.
+    starts = []
+    for source, count in segments:
+        starts.append(stream_start[source])
+        stream_start[source] += count
+    counts = np.array([count for _, count in segments], dtype=np.int64)
+    ends = np.cumsum(counts)
+    index = np.repeat(np.array(starts, dtype=np.int64) - (ends - counts), counts)
+    index += np.arange(config.length, dtype=np.int64)
+    codes = np.concatenate(streams)[index]
+
+    pcs, takens, conditionals, targets = zip(*rows)
+    return Trace(
+        np.array(pcs, dtype=np.uint64)[codes],
+        np.array(takens, dtype=np.uint8)[codes],
+        np.array(conditionals, dtype=np.uint8)[codes],
+        np.array(targets, dtype=np.uint64)[codes],
         name=config.name,
         seed=config.seed,
     )

@@ -35,6 +35,22 @@ class BranchRecord:
     target: int = 0
 
 
+def _flag_column(values, label: str) -> "np.ndarray":
+    """``values`` as a uint8 column; any value but 0 or 1 is a ValueError.
+
+    The engines read any other value differently from one another (and a
+    plain uint8 cast would wrap 256 to 0), so none may enter a trace.
+    """
+    flags = np.asarray(values)
+    bad = (flags != 0) & (flags != 1)
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise ValueError(
+            f"trace {label}[{index}] is {flags[index].item()}; must be 0 or 1"
+        )
+    return flags.astype(np.uint8, copy=False)
+
+
 class Trace:
     """An immutable sequence of branch events plus workload metadata."""
 
@@ -53,8 +69,8 @@ class Trace:
         if targets is not None and len(targets) != length:
             raise ValueError("trace column lengths disagree")
         self.pcs = np.asarray(pcs, dtype=np.uint64)
-        self.takens = np.asarray(takens, dtype=np.uint8)
-        self.conditionals = np.asarray(conditionals, dtype=np.uint8)
+        self.takens = _flag_column(takens, "takens")
+        self.conditionals = _flag_column(conditionals, "conditionals")
         self.targets = (
             np.asarray(targets, dtype=np.uint64)
             if targets is not None

@@ -17,6 +17,7 @@ def pytest_addoption(parser):
     )
 
 from repro.resilience.faults import FAULTS_ENV_VAR, reset_faults
+from repro.traces.cache import CACHE_ENV_VAR
 from repro.traces.synthetic.behavior import BehaviorMix
 from repro.traces.synthetic.generator import WorkloadConfig, generate_trace
 from repro.traces.synthetic.kernel import SchedulerConfig
@@ -24,6 +25,20 @@ from repro.traces.trace import Trace
 
 #: Scale used by experiment tests; keeps full-suite runtime manageable.
 TEST_SCALE = 0.18
+
+
+@pytest.fixture(scope="session", autouse=True)
+def private_trace_cache(tmp_path_factory):
+    """Point the on-disk trace cache at a fresh per-session directory.
+
+    The cache is keyed by workload config only, not by generator code, so
+    a warm developer cache would serve traces from an older generator and
+    hide any change to their bytes.  Subprocesses and pool workers
+    inherit the variable; tests that set it themselves still can.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(CACHE_ENV_VAR, str(tmp_path_factory.mktemp("trace-cache")))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,26 @@
 """Tests for the structured program model and executor."""
 
-from repro.traces.synthetic.behavior import BehaviorMix
+import itertools
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.traces.synthetic.behavior import (
+    BehaviorMix,
+    BiasedBehavior,
+    LoopBehavior,
+)
 from repro.traces.synthetic.cfg import (
     BranchNode,
+    CallNode,
     LoopNode,
+    Procedure,
+    Program,
     ProgramConfig,
     ProgramExecutor,
     build_program,
+    run_program,
 )
 
 
@@ -138,3 +152,121 @@ class TestExecutor:
         executor = ProgramExecutor(program, seed=7)
         # Far more events than one main iteration: must not exhaust.
         assert len(executor.take(30_000)) == 30_000
+
+    def test_piecewise_takes_equal_one_take(self):
+        program = build_program(_config(), seed=14)
+        whole = ProgramExecutor(program, seed=8).take(12_000)
+        executor = ProgramExecutor(program, seed=8)
+        pieces = []
+        for count in (1, 0, 7, 300, 2, 5_000, 1, 6_689):
+            pieces.extend(executor.take(count))
+        assert pieces == whole
+
+
+def _reference_events(program, seed, count):
+    """The first ``count`` events of ``program``, run as a chain of
+    generators: the executor as it was before it was compiled."""
+    rng = random.Random(seed)
+    history = 0
+    behaviors = {}
+
+    def behavior(node):
+        if id(node) not in behaviors:
+            behaviors[id(node)] = node.behavior.clone()
+        return behaviors[id(node)]
+
+    def outcome(node):
+        nonlocal history
+        taken = behavior(node).next_outcome(rng, history)
+        history = ((history << 1) | taken) & 0xFFFF
+        return taken
+
+    def procedure(proc, depth):
+        yield from body(proc.body, depth)
+        yield (proc.return_pc, True, False, 0)
+
+    def body(nodes, depth):
+        for node in nodes:
+            if isinstance(node, BranchNode):
+                taken = outcome(node)
+                yield (node.pc, taken, True, 0)
+                if taken:
+                    yield from body(node.then_body, depth + 1)
+                    yield (node.join_pc, True, False, 0)
+                else:
+                    yield from body(node.else_body, depth + 1)
+            elif isinstance(node, LoopNode):
+                while True:
+                    yield from body(node.body, depth + 1)
+                    taken = outcome(node)
+                    yield (node.pc, taken, True, 0)
+                    if not taken:
+                        break
+            elif depth < 24:
+                yield (node.pc, True, False, node.callee.base_address)
+                yield from procedure(node.callee, depth + 1)
+
+    def forever():
+        while True:
+            yield from procedure(program.main, 0)
+
+    return list(itertools.islice(forever(), count))
+
+
+class TestRunProgram:
+    @given(
+        shape_seed=st.integers(min_value=0, max_value=10_000),
+        run_seed=st.integers(min_value=0, max_value=10_000),
+        static_branches=st.integers(min_value=1, max_value=150),
+        procedures=st.integers(min_value=1, max_value=12),
+        demand=st.integers(min_value=0, max_value=6_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_generator_reference(
+        self, shape_seed, run_seed, static_branches, procedures, demand
+    ):
+        program = build_program(
+            _config(static_branches=static_branches, procedures=procedures),
+            seed=shape_seed,
+        )
+        table, codes = run_program(program, seed=run_seed, demand=demand)
+        assert [table[code] for code in codes] == _reference_events(
+            program, run_seed, demand
+        )
+
+    def test_matches_executor_events(self):
+        program = build_program(_config(), seed=16)
+        table, codes = run_program(program, seed=4, demand=5_000)
+        assert [table[code] for code in codes] == ProgramExecutor(
+            program, seed=4
+        ).take(5_000)
+
+    def test_recursive_program_stops_at_call_depth_guard(self):
+        """A hand-built self-recursive procedure compiles (its call site
+        points back at its own entry) and calls stop at depth 24."""
+        leaf = Procedure("rec", base_address=0x1000, return_pc=0x1040)
+        leaf.body = [
+            BranchNode(pc=0x1004, behavior=BiasedBehavior(1.0), join_pc=0x1008),
+            CallNode(pc=0x100C, callee=leaf),
+        ]
+        main = Procedure(
+            "main",
+            base_address=0x2000,
+            body=[
+                LoopNode(
+                    pc=0x2010,
+                    behavior=LoopBehavior(2),
+                    body=[CallNode(pc=0x2004, callee=leaf)],
+                )
+            ],
+            return_pc=0x2020,
+        )
+        program = Program([main, leaf], main=main)
+        table, codes = run_program(program, seed=1, demand=500)
+        events = [table[code] for code in codes]
+        # The loop body runs at depth 1 and each activation one deeper, so
+        # the first trip enters 23 activations (depths 2..24) of four
+        # events each (call, branch, join, return) before the back-edge.
+        first_back_edge = [event[0] for event in events].index(0x2010)
+        assert first_back_edge == 23 * 4
+        assert events == ProgramExecutor(program, seed=1).take(500)

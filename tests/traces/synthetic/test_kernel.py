@@ -1,10 +1,19 @@
 """Tests for the multi-process/OS interleaving scheduler."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.traces.synthetic.behavior import BehaviorMix
 from repro.traces.synthetic.cfg import ProgramConfig, ProgramExecutor, build_program
-from repro.traces.synthetic.kernel import SchedulerConfig, interleave
+from repro.traces.synthetic.kernel import (
+    SchedulerConfig,
+    _geometric,
+    interleave,
+    plan_schedule,
+)
 
 
 def _executor(base, seed):
@@ -114,3 +123,72 @@ class TestInterleave:
             1 for a, b in zip(segment, segment[1:]) if a != b
         )
         assert switches >= 10
+
+
+def _reference_sources(processes, kernel, length, config, seed):
+    """The source of every event, scheduled one event at a time: the
+    scheduler loop as it ran before it became a planner."""
+    rng = random.Random(seed)
+    sources = []
+    current = 0
+    kernel_active = kernel and config.kernel_share > 0
+    while len(sources) < length:
+        quantum = _geometric(rng, config.mean_quantum)
+        produced = 0
+        while produced < quantum and len(sources) < length:
+            if (
+                kernel_active
+                and config.interrupt_rate > 0
+                and rng.random() < config.interrupt_rate
+            ):
+                burst = _geometric(rng, max(1, config.mean_kernel_burst // 4))
+                sources.extend([processes] * burst)
+                if len(sources) >= length:
+                    break
+            sources.append(current)
+            produced += 1
+        if kernel_active and len(sources) < length:
+            burst_mean = max(
+                1,
+                int(
+                    config.mean_quantum
+                    * config.kernel_share
+                    / max(1e-9, 1.0 - config.kernel_share)
+                ),
+            )
+            burst = _geometric(rng, min(burst_mean, config.mean_kernel_burst * 4))
+            sources.extend([processes] * burst)
+        current = (current + 1) % processes
+    return sources[:length]
+
+
+class TestPlanSchedule:
+    @given(
+        processes=st.integers(min_value=1, max_value=4),
+        kernel=st.booleans(),
+        length=st.integers(min_value=0, max_value=3_000),
+        config=st.builds(
+            SchedulerConfig,
+            mean_quantum=st.integers(min_value=1, max_value=400),
+            kernel_share=st.sampled_from([0.0, 0.2, 0.5]),
+            mean_kernel_burst=st.integers(min_value=1, max_value=80),
+            interrupt_rate=st.sampled_from([0.0, 0.001, 0.05, 0.5]),
+        ),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_event_by_event_scheduler(
+        self, processes, kernel, length, config, seed
+    ):
+        segments = plan_schedule(processes, kernel, length, config, seed)
+        assert all(count > 0 for _, count in segments)
+        planned = [source for source, count in segments for _ in range(count)]
+        assert planned == _reference_sources(
+            processes, kernel, length, config, seed
+        )
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            plan_schedule(0, False, 100, SchedulerConfig(), seed=1)
+        with pytest.raises(ValueError):
+            plan_schedule(1, False, -1, SchedulerConfig(), seed=1)

@@ -79,3 +79,33 @@ class TestTextFormat:
         path.write_text("0x100 1 1\n")
         with pytest.raises(ValueError, match="expected 4 fields"):
             load_trace_text(path)
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("0x400 -1 1 0x0", "taken"),
+            ("0x400 2 1 0x0", "taken"),
+            ("0x400 1 2 0x0", "conditional"),
+            ("0x400 1 -1 0x0", "conditional"),
+            ("-0x4 1 1 0x0", "pc"),
+            ("0x10000000000000000 1 1 0x0", "pc"),
+            ("0x400 1 0 0x10000000000000000", "target"),
+            ("0x400 1 0 -1", "target"),
+            ("0x400 yes 1 0x0", "taken"),
+            ("0xzz 1 1 0x0", "pc"),
+        ],
+    )
+    def test_out_of_range_field_names_path_and_line(self, tmp_path, line, field):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# trace bad seed=None\n0x100 1 1 0x0\n{line}\n")
+        with pytest.raises(ValueError, match=rf"bad\.txt:3: {field} must be"):
+            load_trace_text(path)
+
+    def test_full_width_addresses_accepted(self, tmp_path):
+        path = tmp_path / "wide.txt"
+        top = (1 << 64) - 1
+        path.write_text(f"{top:#x} 0 1 {top:#x}\n0x0 1 0 0x0\n")
+        loaded = load_trace_text(path)
+        assert loaded.pcs.tolist() == [top, 0]
+        assert loaded.targets.tolist() == [top, 0]
+        assert loaded.takens.tolist() == [0, 1]

@@ -49,6 +49,45 @@ class TestConstruction:
         trace = Trace.from_records(_records())
         assert list(trace) == _records()
 
+    @pytest.mark.parametrize("column", ["takens", "conditionals"])
+    @pytest.mark.parametrize("bad", [2, -1, 256, 257])
+    def test_non_bit_flags_rejected(self, column, bad):
+        # 256 and 257 would wrap to 0 and 1 in a plain uint8 cast.
+        flags = {
+            "takens": np.array([1, 0, 1], dtype=np.int64),
+            "conditionals": np.array([1, 1, 0], dtype=np.int64),
+        }
+        flags[column][1] = bad
+        with pytest.raises(ValueError, match=rf"{column}\[1\] is {bad}"):
+            Trace(np.array([4, 8, 12], dtype=np.uint64), **flags)
+
+    def test_from_columns_rejects_non_bit_flags(self):
+        with pytest.raises(ValueError, match="takens"):
+            Trace.from_columns([0x100, 0x104], [1, 2], [1, 1])
+
+    def test_bool_and_uint8_flags_accepted(self):
+        trace = Trace(
+            np.array([4, 8], dtype=np.uint64),
+            np.array([True, False]),
+            np.array([1, 1], dtype=np.uint8),
+        )
+        assert trace.takens.dtype == np.uint8
+        assert trace.takens.tolist() == [1, 0]
+
+    def test_doubled_takens_rejected(self, small_trace):
+        """Regression: a trace whose every 7th ``taken`` was doubled used
+        to load, and the generic and native engines then counted
+        different mispredictions on it."""
+        takens = small_trace.takens.astype(np.int64)
+        takens[::7] *= 2
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            Trace(
+                small_trace.pcs,
+                takens,
+                small_trace.conditionals,
+                small_trace.targets,
+            )
+
 
 class TestViews:
     def test_columns_cached_and_plain_ints(self):
