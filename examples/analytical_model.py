@@ -18,7 +18,7 @@ from repro.aliasing.distance import distance_histogram
 from repro.model.analytical import crossover_distance
 from repro.model.extrapolation import collect_distances, extrapolate_gskew
 from repro.predictors.unaliased import UnaliasedPredictor
-from repro.sim import make_predictor, simulate
+from repro.sim import make_predictor, simulate_fast
 from repro.traces.synthetic.workloads import ibs_trace
 
 
@@ -52,7 +52,7 @@ def main() -> None:
 
     # 3. Extrapolate and verify against simulation (1-bit, total update,
     #    the model's assumptions).
-    unaliased = simulate(
+    unaliased = simulate_fast(
         UnaliasedPredictor(history_bits, counter_bits=1), trace
     ).misprediction_ratio
     print(f"\n{'per-bank N':>10s} {'model':>8s} {'simulated':>10s}")
@@ -64,7 +64,7 @@ def main() -> None:
             unaliased_rate=unaliased,
             distances=distances,
         )
-        measured = simulate(
+        measured = simulate_fast(
             make_predictor(f"gskew:3x{bank}:h{history_bits}:c1:total"), trace
         )
         print(f"{bank:>10d} {model.misprediction_rate:>7.2%} "

@@ -11,7 +11,7 @@ Run:  python examples/custom_workload.py
 import tempfile
 from pathlib import Path
 
-from repro.sim import make_predictor, simulate
+from repro.sim import make_predictor, simulate_fast
 from repro.traces.io import load_trace, save_trace
 from repro.traces.stats import substream_stats, trace_counts
 from repro.traces.synthetic.behavior import BehaviorMix
@@ -70,7 +70,7 @@ def main() -> None:
         "hybrid:1k:h8",
         "fa:512:h8",
     ):
-        result = simulate(make_predictor(spec), trace, label=spec)
+        result = simulate_fast(make_predictor(spec), trace, label=spec)
         print(f"{spec:28s} {result.storage_bits:>8d}b "
               f"{result.misprediction_ratio:>13.2%}")
 

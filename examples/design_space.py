@@ -16,7 +16,7 @@ Run:  python examples/design_space.py [budget_bits]
 import sys
 
 from repro.sim.config import format_entries, make_predictor
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 from repro.traces.synthetic.workloads import ibs_trace
 
 WORKLOADS = ("groff", "real_gcc", "verilog")
@@ -60,7 +60,7 @@ def main() -> None:
         total_branches = 0
         for trace in traces:
             predictor.reset()
-            result = simulate(predictor, trace)
+            result = simulate_fast(predictor, trace)
             total_mispredicts += result.mispredictions
             total_branches += result.conditional_branches
         ranked.append(

@@ -14,7 +14,7 @@ import sys
 
 from repro.sim.config import make_predictor
 from repro.sim.cost import PipelineModel, speedup
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 from repro.traces.synthetic.workloads import ibs_trace
 
 LINEUP = [
@@ -42,7 +42,7 @@ def main() -> None:
     benchmark = sys.argv[1] if len(sys.argv) > 1 else "groff"
     trace = ibs_trace(benchmark, scale=0.5)
     results = [
-        simulate(make_predictor(spec), trace, label=spec) for spec in LINEUP
+        simulate_fast(make_predictor(spec), trace, label=spec) for spec in LINEUP
     ]
     baseline = results[0]  # bimodal anchors the comparison
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.experiments.common import load_benchmarks
 from repro.experiments.report import format_table, percent
 from repro.sim.config import make_predictor
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 
 __all__ = ["ShootoutResult", "run", "render", "contenders"]
 
@@ -96,7 +96,7 @@ def run(
                 raise AssertionError(
                     f"{design} ({spec}) exceeds the {budget_bits}-bit budget"
                 )
-            result = simulate(predictor, trace, label=spec)
+            result = simulate_fast(predictor, trace, label=spec)
             per_design[design] = (
                 result.misprediction_ratio,
                 result.storage_bits,

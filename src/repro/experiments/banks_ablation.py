@@ -19,7 +19,7 @@ from typing import Dict, Optional, Sequence
 from repro.core.gskew import SkewedPredictor
 from repro.experiments.common import load_benchmarks
 from repro.experiments.report import format_table, percent
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 
 __all__ = ["BankAblationResult", "run", "render"]
 
@@ -59,7 +59,7 @@ def run(
                 update_policy="partial",
                 **kwargs,
             )
-            per_config[label] = simulate(
+            per_config[label] = simulate_fast(
                 predictor, trace
             ).misprediction_ratio
         results[trace.name] = per_config

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.common import load_benchmarks
 from repro.experiments.report import format_table
 from repro.sim.config import format_entries, make_predictor
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 
 __all__ = ["BestHistoryResult", "run", "render"]
 
@@ -74,7 +74,7 @@ def run(
     for trace in traces:
         for design in DESIGNS:
             curves[design][trace.name] = [
-                simulate(
+                simulate_fast(
                     make_predictor(
                         _spec(design, history, bank_entries, gshare_entries)
                     ),

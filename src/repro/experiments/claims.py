@@ -20,7 +20,7 @@ from repro.aliasing.three_cs import measure_aliasing
 from repro.experiments.common import load_benchmarks
 from repro.experiments.report import format_table
 from repro.sim.config import make_predictor
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 from repro.traces.trace import Trace
 
 __all__ = ["ClaimResult", "ClaimsReport", "run", "render", "CLAIMS"]
@@ -37,6 +37,8 @@ class ClaimResult:
 @dataclass(frozen=True)
 class ClaimsReport:
     results: List[ClaimResult]
+    #: the trace scale the claims were checked at
+    scale: float = 1.0
 
     @property
     def all_passed(self) -> bool:
@@ -44,7 +46,7 @@ class ClaimsReport:
 
 
 def _ratio(spec: str, trace: Trace) -> float:
-    return simulate(make_predictor(spec), trace).misprediction_ratio
+    return simulate_fast(make_predictor(spec), trace).misprediction_ratio
 
 
 def _per_benchmark(
@@ -148,7 +150,7 @@ def _claim_model_overestimates(traces):
     from repro.predictors.unaliased import UnaliasedPredictor
 
     def predicate(trace):
-        unaliased = simulate(
+        unaliased = simulate_fast(
             UnaliasedPredictor(4, counter_bits=1), trace
         ).misprediction_ratio
         model = extrapolate_gskew(
@@ -226,7 +228,7 @@ def run(
         results.append(
             ClaimResult(name=name, source=source, passed=passed, detail=detail)
         )
-    return ClaimsReport(results=results)
+    return ClaimsReport(results=results, scale=scale)
 
 
 def render(report: ClaimsReport) -> str:
@@ -243,7 +245,7 @@ def render(report: ClaimsReport) -> str:
     table = format_table(
         ["verdict", "claim", "paper source", "detail"],
         rows,
-        title="Paper-claims checklist",
+        title=f"Paper-claims checklist (scale {report.scale:g})",
     )
     footer = (
         "\nALL CLAIMS REPRODUCED"

@@ -28,7 +28,7 @@ from repro.experiments.common import load_benchmarks
 from repro.experiments.report import format_table, percent
 from repro.predictors.flush import FlushOnSwitchPredictor
 from repro.sim.config import make_predictor
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 
 __all__ = ["ContextSwitchResult", "run", "render"]
 
@@ -55,21 +55,21 @@ def run(
     switches: Dict[str, int] = {}
     for trace in traces:
         per_variant: Dict[str, float] = {}
-        per_variant["shared"] = simulate(
+        per_variant["shared"] = simulate_fast(
             make_predictor(base_spec), trace
         ).misprediction_ratio
 
         history_flusher = FlushOnSwitchPredictor(
             make_predictor(base_spec), flush_history=True, flush_tables=False
         )
-        per_variant["flush history"] = simulate(
+        per_variant["flush history"] = simulate_fast(
             history_flusher, trace
         ).misprediction_ratio
 
         table_flusher = FlushOnSwitchPredictor(
             make_predictor(base_spec), flush_history=True, flush_tables=True
         )
-        per_variant["flush tables"] = simulate(
+        per_variant["flush tables"] = simulate_fast(
             table_flusher, trace
         ).misprediction_ratio
 

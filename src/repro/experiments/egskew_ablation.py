@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.egskew import EnhancedSkewedPredictor
 from repro.experiments.common import load_benchmarks
 from repro.experiments.report import format_table, percent
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 
 __all__ = ["EgskewAblationResult", "run", "render"]
 
@@ -52,7 +52,7 @@ def run(
                 update_policy="partial",
                 bank0_history_bits=bank0_bits,
             )
-            per_variant[bank0_bits] = simulate(
+            per_variant[bank0_bits] = simulate_fast(
                 predictor, trace
             ).misprediction_ratio
         results[trace.name] = per_variant

@@ -21,7 +21,7 @@ from repro.core.gskew import SkewedPredictor
 from repro.core.shared_hysteresis import SharedHysteresisSkewedPredictor
 from repro.experiments.common import load_benchmarks
 from repro.experiments.report import format_table, percent
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 
 __all__ = ["EncodingAblationResult", "run", "render"]
 
@@ -66,7 +66,7 @@ def run(
     for trace in traces:
         per_design = {}
         for label, predictor in designs().items():
-            result = simulate(predictor, trace)
+            result = simulate_fast(predictor, trace)
             per_design[label] = (
                 result.misprediction_ratio,
                 result.storage_bits,

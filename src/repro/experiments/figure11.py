@@ -25,7 +25,7 @@ from repro.experiments.report import format_series
 from repro.model.extrapolation import collect_distances, extrapolate_gskew
 from repro.predictors.unaliased import UnaliasedPredictor
 from repro.sim.config import format_entries, make_predictor
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 from repro.traces.stats import bias_density
 
 __all__ = ["Figure11Curves", "run", "render"]
@@ -66,7 +66,7 @@ def run(
         distances = collect_distances(trace, history_bits)
         bias = bias_density(trace, history_bits)["static_taken_bias"]
         biases[trace.name] = bias
-        unaliased = simulate(
+        unaliased = simulate_fast(
             UnaliasedPredictor(history_bits, counter_bits=1), trace
         ).misprediction_ratio
 
@@ -83,7 +83,7 @@ def run(
             )
             extrapolated.append(model.misprediction_rate)
             measured.append(
-                simulate(
+                simulate_fast(
                     make_predictor(
                         f"gskew:3x{format_entries(bank)}:h{history_bits}"
                         ":c1:total"

@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.aliasing.three_cs import measure_aliasing
 from repro.experiments.report import format_table, percent
 from repro.sim.config import make_predictor
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 from repro.traces.cache import generate_trace_cached
 from repro.traces.synthetic.generator import WorkloadConfig
 from repro.traces.synthetic.kernel import SchedulerConfig
@@ -77,7 +77,7 @@ def run(
                 ),
             )
             trace = generate_trace_cached(config)
-            mispredict = simulate(
+            mispredict = simulate_fast(
                 make_predictor(predictor_spec), trace
             ).misprediction_ratio
             breakdown = measure_aliasing(

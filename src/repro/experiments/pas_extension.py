@@ -22,7 +22,7 @@ from typing import Dict, Optional, Sequence
 from repro.experiments.common import load_benchmarks
 from repro.experiments.report import format_table, percent
 from repro.predictors.two_level import PAsPredictor, SkewedPAsPredictor
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 
 __all__ = ["PasExtensionResult", "run", "render"]
 
@@ -59,8 +59,8 @@ def run(
             bank_index_bits=skewed_bank_bits,
         )
         results[trace.name] = {
-            "pas": simulate(pas, trace).misprediction_ratio,
-            "skewed-pas": simulate(skewed, trace).misprediction_ratio,
+            "pas": simulate_fast(pas, trace).misprediction_ratio,
+            "skewed-pas": simulate_fast(skewed, trace).misprediction_ratio,
         }
     return PasExtensionResult(
         history_bits=history_bits,

@@ -28,7 +28,7 @@ from repro.core.skew import (
 )
 from repro.experiments.common import load_benchmarks
 from repro.experiments.report import format_table, percent
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 
 __all__ = ["SkewAblationResult", "run", "render", "FAMILIES"]
 
@@ -67,7 +67,7 @@ def run(
                 update_policy="partial",
                 functions=factory(bank_bits, 3),
             )
-            per_family[name] = simulate(predictor, trace).misprediction_ratio
+            per_family[name] = simulate_fast(predictor, trace).misprediction_ratio
         results[trace.name] = per_family
     return SkewAblationResult(
         history_bits=history_bits,

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.experiments.common import load_benchmarks
 from repro.experiments.report import format_table, percent
 from repro.predictors.unaliased import UnaliasedPredictor
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 
 __all__ = ["Table2Row", "Table2Result", "run", "render", "PAPER_TABLE2"]
 
@@ -86,9 +86,9 @@ def run(
     for history_bits in history_lengths:
         for trace in traces:
             one_bit = UnaliasedPredictor(history_bits, counter_bits=1)
-            result_1 = simulate(one_bit, trace)
+            result_1 = simulate_fast(one_bit, trace)
             two_bit = UnaliasedPredictor(history_bits, counter_bits=2)
-            result_2 = simulate(two_bit, trace)
+            result_2 = simulate_fast(two_bit, trace)
             rows.append(
                 Table2Row(
                     benchmark=trace.name,

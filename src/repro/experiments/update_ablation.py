@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.common import load_benchmarks
 from repro.experiments.report import format_table, percent
 from repro.sim.config import format_entries, make_predictor
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 
 __all__ = ["UpdateAblationResult", "run", "render"]
 
@@ -44,7 +44,7 @@ def run(
     results: Dict[str, Dict[str, float]] = {}
     for trace in traces:
         results[trace.name] = {
-            policy: simulate(
+            policy: simulate_fast(
                 make_predictor(f"gskew:3x{token}:h{history_bits}:{policy}"),
                 trace,
             ).misprediction_ratio

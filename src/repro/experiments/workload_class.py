@@ -23,7 +23,7 @@ from typing import Dict, Optional, Sequence
 from repro.aliasing.three_cs import measure_aliasing
 from repro.experiments.report import format_table, percent
 from repro.sim.config import make_predictor
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 from repro.traces.synthetic.workloads import (
     IBS_BENCHMARKS,
     SPEC_BENCHMARKS,
@@ -75,7 +75,7 @@ def run(
     for workload_class, names in groups.items():
         for name in names:
             trace = ibs_trace(name, scale)
-            mispredict = simulate(
+            mispredict = simulate_fast(
                 make_predictor(spec_string), trace
             ).misprediction_ratio
             breakdown = measure_aliasing(

@@ -24,9 +24,9 @@ The backend is optional.  cffi + a C compiler are probed lazily on
 first use; the shared object is cached under a version-fingerprinted
 directory (source + cdef + cffi/Python versions + platform) so rebuilds
 happen only when any of those change, and later processes just dlopen
-the cached module.  When the build fails — no compiler, no cffi, or
-``REPRO_NATIVE=0`` — :func:`native_available` reports False (with a
-one-time ``RuntimeWarning`` for real failures) and ``simulate_fast``
+the cached module.  When the build fails — no compiler or no cffi —
+:func:`native_available` reports False (with a one-time
+``RuntimeWarning``) and ``simulate_fast``
 falls back to the Python loop tier; nothing else in the library requires
 the backend.
 
@@ -72,11 +72,6 @@ __all__ = [
     "native_supports",
     "simulate_native",
 ]
-
-#: Set to ``0`` to disable the backend without uninstalling anything —
-#: the no-compiler CI lane and the forced-fallback tests use this.
-#: Declared in the central registry (:mod:`repro.util.envvars`).
-NATIVE_ENV_VAR = envvars.NATIVE.name
 
 #: Overrides the build-cache directory (defaults to
 #: ``~/.cache/repro-native``, falling back to the system temp dir).
@@ -210,12 +205,8 @@ def native_available() -> bool:
     """True when the compiled backend can be (or was) built and loaded.
 
     The first call triggers the lazy build; a failure warns once
-    (``RuntimeWarning``) and sticks for the process.  Setting
-    ``REPRO_NATIVE=0`` reports False without probing the compiler at
-    all — the documented kill switch for fallback testing.
+    (``RuntimeWarning``) and sticks for the process.
     """
-    if envvars.NATIVE.text() == "0":
-        return False
     return not isinstance(_backend(), str)
 
 
@@ -232,8 +223,6 @@ def native_supports(predictor: BranchPredictor, trace: Trace) -> bool:
 
 
 def _checked_backend():
-    if envvars.NATIVE.text() == "0":
-        raise RuntimeError("native backend unavailable (REPRO_NATIVE=0)")
     backend = _backend()
     if isinstance(backend, str):
         raise RuntimeError(f"native backend unavailable ({backend})")

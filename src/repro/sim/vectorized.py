@@ -59,46 +59,16 @@ from repro.sim.metrics import SimulationResult
 from repro.sim.profile import NULL_STAGE_TIMER, StageTimer
 from repro.sim.state import PredictorState
 from repro.traces.trace import Trace
-from repro.util import envvars
 
 __all__ = [
     "supports",
     "simulate_vectorized",
     "simulate_fast",
     "history_stream",
-    "forced_engine",
 ]
 
 #: history lengths must fit a uint64 shift register
 _MAX_HISTORY_BITS = 63
-
-#: Forces one engine for benchmarking and CI lane isolation.  See
-#: :func:`forced_engine` for the semantics; declared in the central
-#: registry (:mod:`repro.util.envvars`), re-exported here by name.
-ENGINE_ENV_VAR = envvars.ENGINE.name
-
-_ENGINE_NAMES = frozenset({"generic", "vectorized", "native"})
-
-
-def forced_engine() -> Optional[str]:
-    """The engine name forced via ``REPRO_ENGINE``, or None.
-
-    ``simulate_fast`` routes ``generic``/``vectorized``/``native``
-    directly to that engine — a spec the engine cannot express raises
-    its usual ``ValueError`` instead of silently falling back, which is
-    the point: a forced benchmark or CI lane must fail loudly rather
-    than measure the wrong tier.  Unknown values raise ``ValueError``
-    immediately.
-    """
-    value = envvars.ENGINE.text()
-    if not value:
-        return None
-    if value not in _ENGINE_NAMES:
-        raise ValueError(
-            f"{ENGINE_ENV_VAR}={value!r} is not a known engine; "
-            f"expected one of {sorted(_ENGINE_NAMES)}"
-        )
-    return value
 
 
 # -- index-stream precomputation (numpy, whole-trace) ----------------------
@@ -756,9 +726,11 @@ def simulate_fast(
 ) -> SimulationResult:
     """Run each spec on the fastest engine that can express it.
 
-    Dispatch order (behaviour is identical on every path, only
-    wall-clock differs — this is the entry point the sweep machinery
-    uses):
+    This is the entry point every experiment and the sweep machinery
+    use.  Behaviour is identical on every path, only wall-clock
+    differs, and the tier follows only from what dispatch can observe
+    — whether the spec is index-expressible and whether the C backend
+    built:
 
     1. :func:`repro.sim.native.simulate_native` for every
        index-expressible spec — bimodal/gshare/gselect, skewed and
@@ -768,11 +740,6 @@ def simulate_fast(
        the same walk as a sequential Python loop;
     3. the generic interpreter for everything else (tagged, per-address,
        hybrid and custom-skew schemes).
-
-    ``REPRO_ENGINE`` (see :func:`forced_engine`) overrides the whole
-    ladder: the named engine runs directly, raising ``ValueError`` if
-    it cannot express the spec, so benchmarks and CI lanes measure
-    exactly the tier they name.
 
     A fast tier that *raises* degrades gracefully instead of killing
     the sweep: the predictor's state is rolled back to the pre-attempt
@@ -790,14 +757,6 @@ def simulate_fast(
 
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
-
-    forced = forced_engine()
-    if forced == "generic":
-        return simulate(predictor, trace, warmup=warmup, label=label)
-    if forced == "vectorized":
-        return simulate_vectorized(predictor, trace, warmup=warmup, label=label)
-    if forced == "native":
-        return simulate_native(predictor, trace, warmup=warmup, label=label)
 
     tiers = []
     if native_supports(predictor, trace):

@@ -7,11 +7,10 @@ Python, event by event, which is most of a cold process's set-up time
 (the ``traces.generate_s`` row of ``bench/run.py --trace 1``).  This
 module caches generated traces on disk, keyed by a SHA-256 fingerprint
 of the *complete* config (name, seed, length/scale, behaviour mix,
-scheduler — every shape parameter), so any config change produces a new
-cache entry.  The fingerprint does not
-cover the generator's code: a change to the bytes the generator emits
-(which ``tests/traces/synthetic/test_trace_pins.py`` would flag) needs
-the cache directory cleared.
+scheduler — every shape parameter) plus the generator's
+:data:`~repro.traces.synthetic.generator.GENERATOR_VERSION`, so any
+config change, and any change to the bytes the generator emits (which
+bumps that version), produces a new cache entry.
 
 Entries are stored in the existing ``.npz`` trace format
 (:mod:`repro.traces.io`), written atomically (temp file + ``os.replace``
@@ -47,7 +46,11 @@ from typing import Dict, Optional
 
 from repro.resilience.faults import InjectedFault, fault_active
 from repro.traces.io import load_trace, save_trace
-from repro.traces.synthetic.generator import WorkloadConfig, generate_trace
+from repro.traces.synthetic.generator import (
+    GENERATOR_VERSION,
+    WorkloadConfig,
+    generate_trace,
+)
 from repro.traces.trace import Trace
 from repro.util import envvars
 from repro.util.atomic import atomic_path
@@ -110,11 +113,14 @@ def config_fingerprint(config: WorkloadConfig) -> str:
     """Hex SHA-256 over the canonical JSON form of ``config``.
 
     Two configs share a fingerprint iff every generation-relevant
-    parameter matches, so the fingerprint is a sound content address for
-    the deterministic generator's output.
+    parameter and the generator version match, so the fingerprint is a
+    sound content address for the deterministic generator's output.
     """
     payload = json.dumps(
-        dataclasses.asdict(config),
+        {
+            "generator": GENERATOR_VERSION,
+            "config": dataclasses.asdict(config),
+        },
         sort_keys=True,
         default=_fingerprint_default,
     )

@@ -30,7 +30,14 @@ from repro.traces.synthetic.cfg import (
 from repro.traces.synthetic.kernel import SchedulerConfig, plan_schedule
 from repro.traces.trace import Trace
 
-__all__ = ["WorkloadConfig", "generate_trace"]
+__all__ = ["GENERATOR_VERSION", "WorkloadConfig", "generate_trace"]
+
+#: Version of the bytes :func:`generate_trace` emits.  Bump it with any
+#: change that alters the trace of some config (re-pinning
+#: ``tests/traces/synthetic/test_trace_pins.py``): the on-disk trace
+#: cache fingerprints it, so entries from an older generator stop
+#: matching instead of being served stale.
+GENERATOR_VERSION = 1
 
 # Virtual address-space layout: user process text segments are spaced
 # widely apart and the kernel lives high, like a real OS memory map.

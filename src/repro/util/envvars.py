@@ -34,10 +34,8 @@ __all__ = [
     "EnvVar",
     "REGISTRY",
     "CELL_TIMEOUT",
-    "ENGINE",
     "FAULTS",
     "JOBS",
-    "NATIVE",
     "NATIVE_CACHE",
     "SERVING_BATCH",
     "SERVING_LINGER_MS",
@@ -118,14 +116,6 @@ CELL_TIMEOUT = EnvVar(
     "the timeout.",
 )
 
-ENGINE = EnvVar(
-    "REPRO_ENGINE",
-    "choice",
-    "(tiered dispatch)",
-    "Force one simulation engine: `generic`, `vectorized` or "
-    "`native`; unknown names fail loudly.",
-)
-
 FAULTS = EnvVar(
     "REPRO_FAULTS",
     "plan",
@@ -140,14 +130,6 @@ JOBS = EnvVar(
     "1",
     "Default worker count for sweeps when `jobs` is not passed; "
     "`0` or negative means one worker per CPU, invalid means serial.",
-)
-
-NATIVE = EnvVar(
-    "REPRO_NATIVE",
-    "flag",
-    "1",
-    "Set to `0` to disable the compiled C backend without "
-    "uninstalling anything (the vectorized loop takes over).",
 )
 
 NATIVE_CACHE = EnvVar(
@@ -198,10 +180,8 @@ REGISTRY: Tuple[EnvVar, ...] = tuple(
     sorted(
         (
             CELL_TIMEOUT,
-            ENGINE,
             FAULTS,
             JOBS,
-            NATIVE,
             NATIVE_CACHE,
             SERVING_BATCH,
             SERVING_LINGER_MS,

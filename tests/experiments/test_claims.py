@@ -30,7 +30,7 @@ class TestClaimsChecker:
 
     def test_render_shows_verdicts(self, report):
         text = claims.render(report)
-        assert "Paper-claims checklist" in text
+        assert "Paper-claims checklist (scale 0.3)" in text
         assert "PASS" in text
         assert "ALL CLAIMS REPRODUCED" in text
 

@@ -12,10 +12,9 @@ engine tier (generic interpreter, vectorized loop, native C kernel)
 for a spec family every tier can express.  Counts are exact integers — the engines are deterministic and
 bit-identical, so the comparison is equality, not a tolerance.  The
 native tier is optional by design: its rows skip with an explicit
-reason when the backend cannot build (no C compiler or cffi,
-``REPRO_NATIVE=0``) or the spec has no native path, so the suite stays
-green on compiler-less machines while still pinning the C kernel
-wherever it exists.
+reason when the backend cannot build (no C compiler or cffi) or the
+spec has no native path, so the suite stays green on compiler-less
+machines while still pinning the C kernel wherever it exists.
 
 After an *intentional* change to traces or predictors, refresh with::
 
@@ -115,9 +114,8 @@ def _simulate_native_checked(predictor, trace, label):
     """
     if not native_available():
         pytest.skip(
-            "native backend unavailable (no C compiler, no cffi, or "
-            "REPRO_NATIVE=0); the vectorized tier pins these numbers "
-            "instead"
+            "native backend unavailable (no C compiler or no cffi); "
+            "the vectorized tier pins these numbers instead"
         )
     if not native_supports(predictor, trace):
         pytest.skip(f"{label}: no native path at this geometry")

@@ -17,7 +17,7 @@ class EnvVar:
 
 
 JOBS = EnvVar("REPRO_JOBS", "int", "1", "worker processes for sweeps")
-ENGINE = EnvVar("REPRO_ENGINE", "choice", "", "force an engine tier")
+FAULTS = EnvVar("REPRO_FAULTS", "plan", "", "fault-injection plan")
 """
 
 
@@ -58,7 +58,7 @@ class TestStrayReads:
 
             def read():
                 a = os.getenv("REPRO_JOBS")
-                b = environ["REPRO_ENGINE"]
+                b = environ["REPRO_FAULTS"]
                 c = "REPRO_JOBS" in os.environ
                 return a, b, c
             """,
@@ -159,7 +159,7 @@ class TestRegistryHygiene:
         write_registry(project)
         project.write(
             "src/repro/util/envvars.py",
-            REGISTRY.replace('"REPRO_ENGINE"', '"OTHER_ENGINE"'),
+            REGISTRY.replace('"REPRO_FAULTS"', '"OTHER_FAULTS"'),
         )
         violations = r009(project.lint(["R009"]))
         assert len(violations) == 1
@@ -169,7 +169,7 @@ class TestRegistryHygiene:
         write_registry(project)
         project.write(
             "src/repro/util/envvars.py",
-            REGISTRY.replace('"REPRO_ENGINE"', '"REPRO_JOBS"'),
+            REGISTRY.replace('"REPRO_FAULTS"', '"REPRO_JOBS"'),
         )
         violations = r009(project.lint(["R009"]))
         assert any("declared twice" in v.message for v in violations)
@@ -182,10 +182,8 @@ class TestRealRegistry:
         names = {var.name for var in envvars.REGISTRY}
         assert {
             "REPRO_CELL_TIMEOUT",
-            "REPRO_ENGINE",
             "REPRO_FAULTS",
             "REPRO_JOBS",
-            "REPRO_NATIVE",
             "REPRO_NATIVE_CACHE",
             "REPRO_TRACE_CACHE",
         } <= names

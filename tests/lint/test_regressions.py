@@ -106,11 +106,11 @@ REGRESSIONS = [
     ),
     Regression(
         "R009",
-        "src/repro/sim/vectorized.py",
+        "src/repro/sim/native.py",
         (
             (
-                "value = envvars.ENGINE.text()",
-                'value = os.environ.get("REPRO_ENGINE", "").strip()',
+                "override = envvars.NATIVE_CACHE.text()",
+                'override = os.environ.get("REPRO_NATIVE_CACHE", "").strip()',
             ),
         ),
         context=("src/repro/util/envvars.py",),

@@ -13,6 +13,7 @@ import warnings
 
 import pytest
 
+import repro.sim.native as native_module
 from repro.resilience.faults import InjectedFault, reset_faults
 from repro.serving.shard import Shard
 from repro.sim.config import make_predictor
@@ -32,6 +33,13 @@ AGREE_SPEC = "agree:128:h6"
 GENERIC_SPEC = "fa:16:h3"
 
 SWEEP_SPECS = [TABLE_SPEC, LAZY_SPEC, GENERIC_SPEC, "bimodal:256"]
+
+
+@pytest.fixture
+def without_native(monkeypatch):
+    """Take the native tier out of the ladder, as on a host without a
+    C compiler."""
+    monkeypatch.setattr(native_module, "native_available", lambda: False)
 
 
 def _clean_fast(spec, trace):
@@ -75,10 +83,9 @@ class TestKernelDegradation:
         assert PredictorState.capture(predictor) == expected_state
 
     def test_vectorized_failure_degrades_bit_identically(
-        self, fault_env, tiny_trace, monkeypatch
+        self, fault_env, tiny_trace, without_native
     ):
         # Without the native tier, the loop is this spec's first tier.
-        monkeypatch.setenv("REPRO_NATIVE", "0")
         expected, expected_state = _clean_fast(LAZY_SPEC, tiny_trace)
         fault_env("kernel-vectorized@1")
         predictor = make_predictor(LAZY_SPEC)
@@ -110,10 +117,9 @@ class TestKernelDegradation:
             assert any("native engine failed" in m for m in messages)
 
     def test_fault_consumed_then_clean(
-        self, fault_env, tiny_trace, monkeypatch
+        self, fault_env, tiny_trace, without_native
     ):
         """A one-arrival window fires once; the next call is fault-free."""
-        monkeypatch.setenv("REPRO_NATIVE", "0")
         expected, _ = _clean_fast(TABLE_SPEC, tiny_trace)
         fault_env("kernel-vectorized@1")
         with pytest.warns(RuntimeWarning):

@@ -3,8 +3,9 @@
 The acceptance criterion of the serving layer, verbatim: N interleaved
 sessions through the server produce per-tenant results and final
 ``PredictorState`` byte-identical to N serial ``simulate_fast`` runs —
-across predictor families, engine tiers (``REPRO_ENGINE`` forced),
-mid-stream snapshot/restore, and arbitrary flush boundaries.
+across predictor families, engine tiers (each substituted for the
+shard's ``simulate_fast``), mid-stream snapshot/restore, and arbitrary
+flush boundaries.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.serving.shard as shard_module
 from repro.serving.client import PredictionClient, ServingError
 from repro.serving.protocol import ProtocolError, decode_request
 from repro.serving.server import (
@@ -24,10 +26,11 @@ from repro.serving.server import (
     PredictionService,
 )
 from repro.sim.config import make_predictor
-from repro.sim.native import native_available
+from repro.sim.engine import simulate
+from repro.sim.native import native_available, simulate_native
 from repro.sim.parallel import RETRY_LIMIT
 from repro.sim.state import PredictorState
-from repro.sim.vectorized import simulate_fast
+from repro.sim.vectorized import simulate_fast, simulate_vectorized
 from repro.traces.trace import Trace
 
 from tests.strategies import traces as trace_strategy
@@ -52,7 +55,12 @@ LADDER_ONLY_SPECS = [
     "unaliased:h4",
 ]
 
-ENGINES = ["generic", "vectorized", "native"]
+#: Each tier by its ``SimulationResult.engine`` name.
+ENGINES = {
+    "generic": simulate,
+    "vectorized": simulate_vectorized,
+    "native": simulate_native,
+}
 
 
 def _interleave_round_robin(service, sessions, chunk):
@@ -186,7 +194,7 @@ class TestInterleavedVsSerial:
         """Interleaved == serial on every forced engine tier."""
         if engine == "native" and not native_available():
             pytest.skip("native backend unavailable")
-        monkeypatch.setenv("REPRO_ENGINE", engine)
+        monkeypatch.setattr(shard_module, "simulate_fast", ENGINES[engine])
         sessions = {f"t{i}": _ibs_like(i + 1, 400 + 30 * i) for i in range(4)}
         specs = {name: spec for name in sessions}
         service = PredictionService(shards=3, batch_size=64)

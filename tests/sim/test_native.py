@@ -10,8 +10,9 @@ rule requires every kernel entry point to be referenced here by name).
 
 The whole module degrades cleanly when the backend cannot build: every
 test that needs the compiled kernel skips with an explicit reason, and
-the dispatch tests that *disable* it (``REPRO_NATIVE=0``) keep running,
-so the suite is green both with and without a C compiler.
+the dispatch tests that take it out of the ladder (by patching
+``native_available`` or the built backend) keep running, so the suite
+is green both with and without a C compiler.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.sim.native as native_module
 from repro.core.update import UpdatePolicy
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
@@ -34,15 +36,15 @@ from repro.sim.native import (
 )
 from repro.sim.profile import NULL_STAGE_TIMER
 from repro.sim.state import PredictorState
-from repro.sim.vectorized import _cond_takens, forced_engine, simulate_fast
+from repro.sim.vectorized import _cond_takens, simulate_fast
 from repro.traces.trace import Trace
 
 from tests.strategies import traces as trace_strategy
 
 requires_native = pytest.mark.skipif(
     not native_available(),
-    reason="native backend unavailable (no C compiler, no cffi, or "
-    "REPRO_NATIVE=0); the vectorized tier covers these specs instead",
+    reason="native backend unavailable (no C compiler or no cffi); "
+    "the vectorized tier covers these specs instead",
 )
 
 #: Every spec family the native engine claims, including degenerate
@@ -232,8 +234,6 @@ class TestDispatch:
     def test_simulate_fast_routes_always_update_to_native(
         self, tiny_trace, monkeypatch
     ):
-        import repro.sim.native as native_module
-
         calls = []
         inner = native_module.simulate_native
 
@@ -268,11 +268,12 @@ class TestDispatch:
     def test_kernel_wrappers_fail_cleanly_without_backend(
         self, monkeypatch, tiny_trace
     ):
-        # With the backend disabled, both walk wrappers must raise the
-        # explicit RuntimeError rather than crash or silently compute;
-        # the no-compiler CI lane runs this with the toolchain
+        # With the backend failed to build, both walk wrappers must
+        # raise the explicit RuntimeError rather than crash or silently
+        # compute; the no-compiler CI lane runs this with the toolchain
         # genuinely absent.
-        monkeypatch.setenv("REPRO_NATIVE", "0")
+        monkeypatch.setattr(native_module, "_BACKEND", "OSError: no compiler")
+        monkeypatch.setattr(native_module, "_WARNED", True)
         outcomes = _cond_takens(tiny_trace).view(np.uint8)
         for walk, spec in (
             (_walk_tables, "gskew:3x64:h4:lazy"),
@@ -285,10 +286,7 @@ class TestDispatch:
                 )
 
     def test_repro_native_0_disables_the_tier(self, tiny_trace, monkeypatch):
-        import repro.sim.native as native_module
-
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        assert not native_available()
+        monkeypatch.setattr(native_module, "native_available", lambda: False)
 
         def forbidden(*args, **kwargs):  # pragma: no cover — would fail
             raise AssertionError("native engine dispatched while disabled")
@@ -302,40 +300,6 @@ class TestDispatch:
 
 
 class TestForcedEngine:
-    def test_unset_means_no_force(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert forced_engine() is None
-
-    def test_unknown_value_fails_loudly(self, monkeypatch, tiny_trace):
-        # "grid" and "scan" name deleted tiers; they fail like any typo.
-        for value in ("frobnicate", "grid", "scan"):
-            monkeypatch.setenv("REPRO_ENGINE", value)
-            with pytest.raises(ValueError, match="not a known engine"):
-                forced_engine()
-            with pytest.raises(ValueError, match="not a known engine"):
-                simulate_fast(make_predictor("bimodal:64"), tiny_trace)
-
-    @pytest.mark.parametrize(
-        "engine", ["generic", "vectorized", "native"]
-    )
-    def test_forced_tier_is_recorded(self, engine, tiny_trace, monkeypatch):
-        if engine == "native" and not native_available():
-            pytest.skip("native backend unavailable; cannot force it")
-        monkeypatch.setenv("REPRO_ENGINE", engine)
-        spec = "gshare:128:h6"
-        actual = simulate_fast(make_predictor(spec), tiny_trace)
-        monkeypatch.delenv("REPRO_ENGINE")
-        expected = simulate(make_predictor(spec), tiny_trace)
-        assert actual == expected
-        assert actual.engine == engine
-
-    def test_forced_engine_failure_is_loud(self, tiny_trace, monkeypatch):
-        # A fully associative table has no native path; a forced native
-        # run must raise, not silently measure another tier.
-        monkeypatch.setenv("REPRO_ENGINE", "native")
-        with pytest.raises(ValueError, match="no native path"):
-            simulate_fast(make_predictor("fa:16:h3"), tiny_trace)
-
     def test_engine_name_is_provenance_not_content(self, tiny_trace):
         # compare=False: results from different tiers stay equal.
         a = simulate(make_predictor("bimodal:64"), tiny_trace)

@@ -6,16 +6,20 @@ and lengths included, for every registry clone and for hand-built edge
 configs.  Any change to the bytes of a trace fails here, directly,
 instead of showing up (or not) as a shifted misprediction count in the
 golden suite.  A deliberate change to the workloads re-records the
-digests with ``digest(generate_trace(config))``; the on-disk trace cache
-does not version the generator, so stale cache entries must then be
-cleared too.
+digests with ``digest(generate_trace(config))`` and bumps
+``GENERATOR_VERSION`` (and :data:`PINNED_GENERATOR_VERSION` here), which
+the on-disk trace cache fingerprints, so stale entries stop matching.
 """
 
 import hashlib
 
 import pytest
 
-from repro.traces.synthetic.generator import WorkloadConfig, generate_trace
+from repro.traces.synthetic.generator import (
+    GENERATOR_VERSION,
+    WorkloadConfig,
+    generate_trace,
+)
 from repro.traces.synthetic.kernel import SchedulerConfig
 from repro.traces.synthetic.workloads import (
     IBS_BENCHMARKS,
@@ -34,6 +38,9 @@ def digest(trace) -> str:
         sha.update(column.tobytes())
     return sha.hexdigest()
 
+
+#: The ``GENERATOR_VERSION`` the digests below were recorded at.
+PINNED_GENERATOR_VERSION = 1
 
 #: ``"<clone>@<scale>"`` -> digest of ``generate_trace(config.scaled(scale))``.
 CLONE_DIGESTS = {
@@ -110,6 +117,10 @@ EDGE_DIGESTS = {
     "no-interrupts": "f61935f18cac643a20f28f2634ead40db1b5dfcc79d15a611f19a5cb5fb86220",
     "kernel-share-no-kernel": "46ffd8fdaa663ea779b5c4e4fa352dcaf1f29981826e51ea5904c37581b09783",
 }
+
+
+def test_generator_version_is_pinned():
+    assert GENERATOR_VERSION == PINNED_GENERATOR_VERSION
 
 
 def test_every_registry_clone_is_pinned():

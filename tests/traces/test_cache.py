@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.traces.cache as cache_module
 from repro.traces.cache import (
     CACHE_ENV_VAR,
     cache_dir,
@@ -18,7 +19,11 @@ from repro.traces.cache import (
 )
 from repro.resilience.faults import FAULTS_ENV_VAR, reset_faults
 from repro.traces.synthetic.behavior import BehaviorMix
-from repro.traces.synthetic.generator import WorkloadConfig, generate_trace
+from repro.traces.synthetic.generator import (
+    GENERATOR_VERSION,
+    WorkloadConfig,
+    generate_trace,
+)
 
 
 @pytest.fixture()
@@ -54,7 +59,7 @@ class TestFingerprint:
     def test_stable_across_equal_configs(self):
         assert config_fingerprint(_config()) == config_fingerprint(_config())
 
-    def test_sensitive_to_every_layer(self):
+    def test_sensitive_to_every_layer(self, monkeypatch):
         base = config_fingerprint(_config())
         assert config_fingerprint(_config(seed=12)) != base
         assert config_fingerprint(_config(length=3_001)) != base
@@ -66,6 +71,11 @@ class TestFingerprint:
         # Nested dataclass (SchedulerConfig) parameters count too.
         scheduler = dataclasses.replace(_config().scheduler, mean_quantum=99)
         assert config_fingerprint(_config(scheduler=scheduler)) != base
+        # So does the generator's version: a bumped generator misses.
+        monkeypatch.setattr(
+            cache_module, "GENERATOR_VERSION", GENERATOR_VERSION + 1
+        )
+        assert config_fingerprint(_config()) != base
 
 
 class TestCacheDir:

@@ -32,10 +32,10 @@ class TestAccessors:
 
     def test_disabled_accepts_documented_off_values(self, monkeypatch):
         for value in ("0", "off", "NONE", " Disabled "):
-            monkeypatch.setenv("REPRO_NATIVE", value)
-            assert envvars.NATIVE.disabled()
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        assert not envvars.NATIVE.disabled()
+            monkeypatch.setenv("REPRO_TRACE_CACHE", value)
+            assert envvars.TRACE_CACHE.disabled()
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "cache-dir")
+        assert not envvars.TRACE_CACHE.disabled()
 
 
 class TestRegistry:
@@ -51,7 +51,7 @@ class TestRegistry:
     def test_by_name_round_trips(self):
         table = envvars.by_name()
         assert set(table) == {var.name for var in envvars.REGISTRY}
-        assert table["REPRO_ENGINE"] is envvars.ENGINE
+        assert table["REPRO_JOBS"] is envvars.JOBS
 
 
 class TestDocsSync:
