@@ -59,6 +59,13 @@ class SkewedPredictor(GlobalHistoryPredictor):
         super().__init__(history_bits)
         if banks % 2 == 0 or banks < 1:
             raise ValueError(f"bank count must be odd and >= 1, got {banks}")
+        if banks > 1 and bank_index_bits < 1:
+            # The skewing family shuffles n-bit halves; with n = 0 there
+            # is nothing to skew, and no engine can index the banks.
+            raise ValueError(
+                f"{banks} skewed banks need bank_index_bits >= 1 (two or "
+                f"more entries each), got {bank_index_bits}"
+            )
         self.update_policy = UpdatePolicy.parse(update_policy)
         #: True when the banks use the paper's canonical skewing family —
         #: the precondition for the vectorized engine's closed-form index

@@ -6,17 +6,20 @@ event buffers.  Events arrive one at a time over the wire but are *not*
 fed through per-event Python calls — each tenant's pending buffer is
 flushed as a micro-batch :class:`~repro.traces.trace.Trace` through
 :func:`repro.sim.vectorized.simulate_fast`, which dispatches the
-native tier (the vectorized loop without a compiler).  Because every fast tier honors warm predictor state
-(counters, bias latches, and — as of this layer — the history-register
-seed), the flush boundaries are invisible: any batching whatsoever
-produces predictions and final state byte-identical to one serial run.
+native tier (the vectorized loop without a compiler).  Because every
+fast tier honors warm predictor state (counters, bias latches, and the
+history-register seed), the flush boundaries are invisible: any
+batching whatsoever produces predictions and final state byte-identical
+to one serial run.
 
 Crash safety: each flush snapshots the tenant's
-:class:`~repro.sim.state.PredictorState` first, runs the engine, then
-passes the ``serving-shard`` fault site *before committing*.  An
-injected (or real) mid-batch crash rolls the predictor back to the
-snapshot and replays the same batch — deterministic, and proven
-byte-identical to the fault-free run by the resilience suite.
+:class:`~repro.sim.state.PredictorState` first (the only snapshot a
+flush takes: ``simulate_fast`` keeps none of its own), runs the engine,
+then passes the ``serving-shard`` fault site *before committing*.  An
+injected mid-batch crash rolls the predictor back to the snapshot and
+replays the same batch — deterministic, and proven byte-identical to
+the fault-free run by the resilience suite; any other engine error
+rolls back, keeps the batch pending and propagates.
 """
 
 from __future__ import annotations
@@ -210,8 +213,9 @@ class Shard:
         commit models a shard dying with results computed but not yet
         applied; recovery restores the pre-batch snapshot and replays the
         identical batch.  After :data:`repro.sim.parallel.RETRY_LIMIT`
-        replays the batch is requeued (pending events are never lost) and
-        the fault propagates to the caller.
+        replays — or at once for any other engine error — the predictor
+        is restored, the batch is requeued (pending events are never
+        lost) and the error propagates to the caller.
         """
         batch = tenant.drain()
         if batch is None:
@@ -223,13 +227,13 @@ class Shard:
                     tenant.predictor, batch, label=tenant.spec
                 )
                 maybe_fail("serving-shard")
-            except InjectedFault:
+            except Exception as exc:
                 tenant.restore(snapshot)
-                if attempt == RETRY_LIMIT:
-                    tenant.requeue(batch)
-                    raise
-                self.replays += 1
-                continue
+                if isinstance(exc, InjectedFault) and attempt < RETRY_LIMIT:
+                    self.replays += 1
+                    continue
+                tenant.requeue(batch)
+                raise
             tenant.conditional_branches += result.conditional_branches
             tenant.mispredictions += result.mispredictions
             tenant.batches += 1

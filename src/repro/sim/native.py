@@ -1,10 +1,10 @@
-"""Native simulation engine: one sequential C walk per predictor.
+"""Native simulation engine: the counter walk as a small C kernel.
 
-Every index-expressible predictor's table indices are a pure function
-of the trace (:func:`repro.sim.vectorized._index_streams` precomputes
-them in numpy, memoised per trace).  What remains is the counter walk,
-whose reads feed later predictions.  This module hands that walk to a
-small C kernel (``_native_kernel.c``) compiled on demand with **cffi**:
+:func:`repro.sim.vectorized.simulate_walk` is the frame both fast tiers
+share: it precomputes every bank's index stream in numpy, walks a
+private copy of the predictor state and writes the result back.  This
+module is its C backend — ``_native_kernel.c``, compiled on demand with
+**cffi** — with the same two entry points as the Python loops:
 
 - ``repro_walk`` steps 1, 3 or 5 majority-voted banks through the
   events in trace order under TOTAL, PARTIAL or LAZY update.  A plain
@@ -13,10 +13,7 @@ small C kernel (``_native_kernel.c``) compiled on demand with **cffi**:
   gshare-indexed PHT plus a biasing-bit table that latches on each
   slot's first execution.
 
-Walking in order is exact for every update policy by construction: the
-banks of a PARTIAL or LAZY skewed predictor train from the overall
-majority vote, and the walk simply reads that vote as it goes.  No
-grouping, fixpoint iteration or geometry gate is needed, so
+Walking in order is exact for every update policy by construction, so
 :func:`native_supports` is one check — the spec is index-expressible
 and the backend built.
 
@@ -26,15 +23,14 @@ directory (source + cdef + cffi/Python versions + platform) so rebuilds
 happen only when any of those change, and later processes just dlopen
 the cached module.  When the build fails — no compiler or no cffi —
 :func:`native_available` reports False (with a one-time
-``RuntimeWarning``) and ``simulate_fast``
-falls back to the Python loop tier; nothing else in the library requires
-the backend.
+``RuntimeWarning``) and ``simulate_fast`` runs the same frame with the
+Python walk; nothing else in the library requires the backend.
 
 Results are bit-identical to :func:`repro.sim.engine.simulate`
 including final counter, bias and history state (asserted by
-``tests/sim/test_native.py``, which also pins every kernel entry point
-to scalar oracles by name — the R006 lint rule keeps that true for any
-future entry point).
+``tests/sim/test_native.py``, which also pins both backends' entry
+points to scalar oracles by name — the R006 lint rule keeps that true
+for any future entry point).
 """
 
 from __future__ import annotations
@@ -52,18 +48,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.update import UpdatePolicy
-from repro.predictors.agree import AgreePredictor
 from repro.predictors.base import BranchPredictor
 from repro.sim.metrics import SimulationResult
-from repro.sim.profile import NULL_STAGE_TIMER, StageTimer
-from repro.sim.vectorized import (
-    _agree_streams,
-    _cond_takens,
-    _final_history,
-    _index_streams,
-)
-from repro.sim.vectorized import supports as _vector_supports
+from repro.sim.profile import StageTimer
+from repro.sim.vectorized import WalkBackend, simulate_walk, supports
 from repro.traces.trace import Trace
 from repro.util import envvars
 
@@ -78,19 +66,6 @@ __all__ = [
 CACHE_ENV_VAR = envvars.NATIVE_CACHE.name
 
 _KERNEL_PATH = Path(__file__).with_name("_native_kernel.c")
-
-#: ``repro_walk``'s policy codes (``REPRO_POLICY_*`` in the kernel).
-_POLICY_CODES = {
-    UpdatePolicy.TOTAL: 0,
-    UpdatePolicy.PARTIAL: 1,
-    UpdatePolicy.LAZY: 2,
-}
-
-#: Biasing bits as ``repro_walk_agree`` stores them: the predictor's
-#: None / False / True latches become int8 -1 / 0 / 1, and index -1 of
-#: ``_LATCHES`` maps the unlatched code back to None.
-_LATCH_CODES = {None: -1, False: 0, True: 1}
-_LATCHES = (False, True, None)
 
 #: The backend ABI, verbatim for cffi.  Every function named here is a
 #: kernel entry point; the R006 lint rule requires each to be pinned by
@@ -210,7 +185,7 @@ def native_available() -> bool:
     return not isinstance(_backend(), str)
 
 
-# -- dispatch ----------------------------------------------------------------
+# -- the C backend ------------------------------------------------------------
 
 
 def native_supports(predictor: BranchPredictor, trace: Trace) -> bool:
@@ -219,7 +194,7 @@ def native_supports(predictor: BranchPredictor, trace: Trace) -> bool:
     Every index-expressible spec — whatever :func:`repro.sim.vectorized.
     supports` takes — once the backend built.
     """
-    return _vector_supports(predictor, trace) and native_available()
+    return supports(predictor, trace) and native_available()
 
 
 def _checked_backend():
@@ -229,95 +204,76 @@ def _checked_backend():
     return backend
 
 
-def _bank_major(streams: List[np.ndarray]) -> np.ndarray:
-    """The per-bank index streams as one bank-major uint32 array.
+def _check_bounds(streams: np.ndarray, count: int, n: int, limit: int):
+    """Refuse index streams the kernel would read past: ``count`` uint32
+    rows of ``n`` events, each index below ``limit``."""
+    if (
+        streams.dtype != np.uint32
+        or streams.size != count * n
+        or (n and count and streams.max() >= limit)
+    ):
+        raise ValueError(
+            f"need {count} uint32 index stream(s) of {n} events below {limit}"
+        )
 
-    Table entries are Python list slots, so every index fits 32 bits.
-    """
-    indices = np.empty((len(streams), len(streams[0])), dtype=np.uint32)
-    for b, stream in enumerate(streams):
-        indices[b] = stream
-    return indices
 
-
-def _walk_tables(
-    predictor: BranchPredictor,
-    trace: Trace,
-    outcomes: np.ndarray,
+def _walk(
+    indices: np.ndarray, outcomes: np.ndarray, banks: int, policy: int,
+    threshold: int, max_value: int, values: List[int], entries: int,
     warmup: int,
-    timer: StageTimer,
 ) -> int:
-    """``repro_walk`` over a table or skewed predictor; returns the
-    miss count and leaves the counters in their final state."""
+    """``repro_walk`` over the flat bank-major counter list ``values``."""
     ffi, lib = _checked_backend()
-    if hasattr(predictor, "banks"):
-        counters = [bank.counters for bank in predictor.banks]
-        policy = predictor.update_policy
-    else:
-        counters = [predictor.bank.counters]
-        policy = UpdatePolicy.TOTAL
-    entries = counters[0].size
-    with timer.stage("precompute"):
-        indices = _bank_major(_index_streams(predictor, trace))
-        values = np.concatenate(
-            [np.asarray(c.values, dtype=np.int64) for c in counters]
-        )
-    with timer.stage("scan"):
-        misses = lib.repro_walk(
-            ffi.from_buffer("uint32_t[]", indices),
-            ffi.from_buffer("uint8_t[]", outcomes),
-            len(outcomes),
-            len(counters),
-            _POLICY_CODES[policy],
-            counters[0].threshold,
-            counters[0].max_value,
-            ffi.from_buffer("int64_t[]", values),
-            entries,
-            warmup,
-        )
-    if misses < 0:
-        raise ValueError(f"repro_walk cannot run {len(counters)} banks")
-    with timer.stage("reduce"):
-        for b, c in enumerate(counters):
-            c.values[:] = values[b * entries : (b + 1) * entries].tolist()
-    return int(misses)
+    _check_bounds(indices, banks, len(outcomes), entries)
+    if len(values) != banks * entries:
+        raise ValueError(f"need {banks} x {entries} counters")
+    table = np.fromiter(values, dtype=np.int64, count=len(values))
+    misses = lib.repro_walk(
+        ffi.from_buffer("uint32_t[]", indices),
+        ffi.from_buffer("uint8_t[]", outcomes),
+        len(outcomes),
+        banks,
+        policy,
+        threshold,
+        max_value,
+        ffi.from_buffer("int64_t[]", table),
+        entries,
+        warmup,
+    )
+    values[:] = table.tolist()
+    return misses
 
 
 def _walk_agree(
-    predictor: AgreePredictor,
-    trace: Trace,
-    outcomes: np.ndarray,
+    indices: np.ndarray, slots: np.ndarray, outcomes: np.ndarray,
+    threshold: int, max_value: int, values: List[int], bias: List[int],
     warmup: int,
-    timer: StageTimer,
 ) -> int:
-    """``repro_walk_agree`` over an agree predictor; returns the miss
-    count and leaves the PHT and biasing bits in their final state."""
+    """``repro_walk_agree`` over the PHT list ``values`` and the latch
+    codes ``bias``."""
     ffi, lib = _checked_backend()
-    counters = predictor.pht.counters
-    with timer.stage("precompute"):
-        indices, slots = _agree_streams(predictor, trace)
-        values = np.asarray(counters.values, dtype=np.int64)
-        bias = np.fromiter(
-            map(_LATCH_CODES.__getitem__, predictor._bias),
-            dtype=np.int8,
-            count=len(predictor._bias),
-        )
-    with timer.stage("scan"):
-        misses = lib.repro_walk_agree(
-            ffi.from_buffer("uint32_t[]", indices),
-            ffi.from_buffer("uint32_t[]", slots),
-            ffi.from_buffer("uint8_t[]", outcomes),
-            len(outcomes),
-            counters.threshold,
-            counters.max_value,
-            ffi.from_buffer("int64_t[]", values),
-            ffi.from_buffer("int8_t[]", bias),
-            warmup,
-        )
-    with timer.stage("reduce"):
-        counters.values[:] = values.tolist()
-        predictor._bias[:] = [_LATCHES[code] for code in bias.tolist()]
-    return int(misses)
+    _check_bounds(indices, 1, len(outcomes), len(values))
+    _check_bounds(slots, 1, len(outcomes), len(bias))
+    table = np.fromiter(values, dtype=np.int64, count=len(values))
+    latches = np.fromiter(bias, dtype=np.int8, count=len(bias))
+    misses = lib.repro_walk_agree(
+        ffi.from_buffer("uint32_t[]", indices),
+        ffi.from_buffer("uint32_t[]", slots),
+        ffi.from_buffer("uint8_t[]", outcomes),
+        len(outcomes),
+        threshold,
+        max_value,
+        ffi.from_buffer("int64_t[]", table),
+        ffi.from_buffer("int8_t[]", latches),
+        warmup,
+    )
+    values[:] = table.tolist()
+    bias[:] = latches.tolist()
+    return misses
+
+
+#: The C kernel behind the ``native`` tier.
+NATIVE_BACKEND = WalkBackend("native", native_supports, _walk, _walk_agree)
 
 
 def simulate_native(
@@ -327,51 +283,16 @@ def simulate_native(
     label: Optional[str] = None,
     stage_timer: Optional[StageTimer] = None,
 ) -> SimulationResult:
-    """Native-kernel counterpart of :func:`repro.sim.engine.simulate`.
+    """:func:`repro.sim.vectorized.simulate_walk` with the C kernel.
 
-    Identical arguments and result; also leaves the predictor's
-    counters, agree-bias bits and history register in the same final
-    state the generic engine would.  ``stage_timer`` (optional)
-    accumulates per-stage wall-clock under ``"precompute"`` (history,
-    index streams and table conversion), ``"scan"`` (the C walk) and
-    ``"reduce"`` (state writeback).
+    Identical arguments and result to :func:`repro.sim.engine.simulate`,
+    and the same final counter, agree-bias and history state.
 
     Raises:
         ValueError: if the predictor has no native path or the backend
             did not build (callers wanting automatic fallback use
             :func:`repro.sim.vectorized.simulate_fast`).
     """
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    if not native_supports(predictor, trace):
-        raise ValueError(
-            f"no native path for {type(predictor).__name__}; "
-            "use simulate_fast() or the generic engine"
-        )
-    timer = NULL_STAGE_TIMER if stage_timer is None else stage_timer
-    history = getattr(predictor, "history", None)
-    seed = history.value if history is not None else 0
-
-    with timer.stage("precompute"):
-        outcomes = _cond_takens(trace).view(np.uint8)
-    n = len(outcomes)
-    if n == 0:
-        mispredictions = 0
-    elif type(predictor) is AgreePredictor:
-        mispredictions = _walk_agree(predictor, trace, outcomes, warmup, timer)
-    else:
-        mispredictions = _walk_tables(predictor, trace, outcomes, warmup, timer)
-
-    if history is not None and history.bits:
-        with timer.stage("reduce"):
-            history.value = _final_history(trace.takens, history.bits, seed)
-
-    return SimulationResult(
-        predictor=label or predictor.name,
-        trace=trace.name,
-        conditional_branches=max(0, n - warmup),
-        mispredictions=mispredictions,
-        storage_bits=predictor.storage_bits,
-        history_bits=getattr(predictor, "history_bits", None),
-        engine="native",
+    return simulate_walk(
+        NATIVE_BACKEND, predictor, trace, warmup, label, stage_timer
     )

@@ -9,11 +9,11 @@ distinguishes "a few hard branches" from "diffuse aliasing".
 
 The same "where, not just how much" question applies to the fast
 engines' wall-clock: :class:`StageTimer` accumulates per-stage seconds
-(the native C tier reports ``precompute`` / ``scan`` / ``reduce``, its
-``scan`` being the sequential counter walk; the vectorized loop reports
-``precompute`` / ``counter_loop``) when passed to
-``simulate_vectorized`` / ``simulate_native`` via their ``stage_timer``
-argument, so a perf regression is attributable to a pipeline stage
+when passed to ``simulate_vectorized`` / ``simulate_native`` via their
+``stage_timer`` argument.  Both tiers are one frame over two counter-walk
+backends, so both report ``precompute`` (index streams and the state
+copy), ``scan`` (the sequential counter walk) and ``reduce`` (the state
+writeback), and a perf regression is attributable to a pipeline stage
 rather than an opaque total.
 
 Exposed on the command line as ``repro-trace profile``; stage timings

@@ -10,11 +10,8 @@ dict refills) so every alias into the live structures stays valid, and
 :meth:`PredictorState.to_bytes` / :meth:`PredictorState.from_bytes`
 round-trip it through a checksummed wire format.
 
-Three layers ride on it:
+Two layers ride on it:
 
-- :func:`repro.sim.vectorized.simulate_fast` snapshots before every
-  fast-tier attempt and rolls back on failure (the PR 5 flat-list
-  machinery, now with universal family coverage);
 - the serving layer (:mod:`repro.serving`) carries each tenant's
   predictor across micro-batch boundaries, snapshots it before every
   batch for ``serving-shard`` fault recovery, and ships it to clients

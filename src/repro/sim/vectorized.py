@@ -15,33 +15,37 @@ exploits that:
    gshare/gselect index functions and the paper's skewing family vectorize
    directly — see :mod:`repro.core.skew`);
 3. the remaining sequential part — saturating-counter reads and updates,
-   whose values feed back into later predictions — runs as a tight Python
-   loop with no per-branch hashing, dispatch, or history bookkeeping.
+   whose values feed back into later predictions — is the *counter
+   walk*, handed to a :class:`WalkBackend`.
 
-Step 3 is inherently sequential here: a counter's value feeds the
-next prediction that reads it, and under the coupled-update policies
+The walk is inherently sequential: a counter's value feeds the next
+prediction that reads it, and under the coupled-update policies
 (PARTIAL/LAZY on multi-bank skewed predictors) each bank's training
 decision reads the *overall* majority vote, which depends on the other
-banks' counters at that instant.  :mod:`repro.sim.native` runs the same
-walk in C; this loop is its fallback on hosts without a compiler.  The
-agree predictor gets its own loop over a PHT stream and a biasing-bit
-slot stream, mirroring the native ``repro_walk_agree``.
+banks' counters at that instant.  It has two backends with the same two
+entry points — ``repro_walk`` (1, 3 or 5 voted banks) and
+``repro_walk_agree`` (agree's PHT plus biasing bits): the C kernel of
+:mod:`repro.sim.native`, and the Python loops here for hosts without a
+compiler.  :func:`simulate_walk` is the one frame around either: it
+precomputes the streams, walks a private copy of the predictor state,
+and writes the final counters, bias bits and history back only after
+the walk returns.
 
 The result is behaviourally identical to :func:`repro.sim.engine.simulate`
 (asserted by the equivalence suite in ``tests/sim/test_vectorized.py``,
 like the fused fast paths in the predictors themselves), including the
 predictor's final counter, biasing-bit and history state.
 :func:`simulate_fast` dispatches each spec to the fastest expressible
-engine — the native C walk over these same index streams, then (without
-a compiler) this loop engine, then the generic interpreter for anything
-neither can express (tagged, per-address, hybrid and custom-skew
-schemes).
+engine — the C walk, then (without a compiler) the Python walk, then
+the generic interpreter for anything neither can express (tagged,
+per-address, hybrid and custom-skew schemes).
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +61,6 @@ from repro.resilience.faults import maybe_fail
 from repro.sim.engine import simulate
 from repro.sim.metrics import SimulationResult
 from repro.sim.profile import NULL_STAGE_TIMER, StageTimer
-from repro.sim.state import PredictorState
 from repro.traces.trace import Trace
 
 __all__ = [
@@ -301,65 +304,37 @@ def _egskew_bank0_stream(
 
 def _index_streams(
     predictor: BranchPredictor, trace: Trace
-) -> Optional[List[np.ndarray]]:
-    """Per-bank index streams over the *conditional* branches, or None.
+) -> List[np.ndarray]:
+    """Per-bank index streams over the *conditional* branches.
 
-    Returns None when the predictor's index functions aren't expressible
-    in closed form over the trace (the fallback condition for
-    :func:`simulate_fast`).  The predictor's *current* history-register
-    contents seed the history stream, so a warm predictor (serving
-    batches, restored snapshots) indexes exactly as the generic engine
-    would — cold starts keep the seedless memoised columns.
+    For a predictor :func:`supports` takes; agree's two streams are its
+    PHT index and its biasing-bit slot.  The predictor's *current*
+    history-register contents seed the history stream, so a warm
+    predictor (serving batches, restored snapshots) indexes exactly as
+    the generic engine would — cold starts keep the seedless memoised
+    columns.
     """
     kind = type(predictor)
     words = _cond_words(trace)
-
     if kind is BimodalPredictor:
-        mask = np.uint64((1 << predictor.index_bits) - 1)
-        return [words & mask]
+        return [words & np.uint64((1 << predictor.index_bits) - 1)]
 
-    history_bits = getattr(predictor, "history_bits", None)
-    if history_bits is None or history_bits > _MAX_HISTORY_BITS:
-        return None
-    seed = getattr(predictor, "history", None)
-    seed = 0 if seed is None else seed.value
+    history_bits = predictor.history_bits
+    seed = predictor.history.value
     hist = _cond_history(trace, history_bits, seed)
-
     if kind is GsharePredictor:
         return [_gshare_stream(words, hist, predictor.index_bits, history_bits)]
     if kind is GselectPredictor:
         return [_gselect_stream(words, hist, predictor.index_bits, history_bits)]
+    if kind is AgreePredictor:
+        slot_mask = np.uint64((1 << predictor.bias_table_bits) - 1)
+        pht = _gshare_stream(words, hist, predictor.index_bits, history_bits)
+        return [pht, words & slot_mask]
+    n = predictor.bank_index_bits
     if kind is EnhancedSkewedPredictor:
-        n = predictor.bank_index_bits
         _, f1, f2 = _skew_streams(trace, n, history_bits, 3, seed)
         return [_egskew_bank0_stream(words, hist, predictor), f1, f2]
-    if kind is SkewedPredictor:
-        banks = len(predictor.banks)
-        if banks not in (1, 3, 5):
-            return None
-        if not getattr(predictor, "default_skew_family", False):
-            return None
-        n = predictor.bank_index_bits
-        return _skew_streams(trace, n, history_bits, banks, seed)
-    return None
-
-
-def _agree_streams(
-    predictor: AgreePredictor, trace: Trace
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Agree's PHT index and biasing-bit slot per conditional branch.
-
-    The PHT is gshare-indexed from the predictor's live history register;
-    the biasing bits are indexed by word address.  Both index Python-list
-    tables, so both fit uint32.  Shared by this loop and the native walk.
-    """
-    words = _cond_words(trace)
-    hist = _cond_history(trace, predictor.history_bits, predictor.history.value)
-    pht = _gshare_stream(
-        words, hist, predictor.index_bits, predictor.history_bits
-    )
-    slot_mask = np.uint64((1 << predictor.bias_table_bits) - 1)
-    return pht.astype(np.uint32), (words & slot_mask).astype(np.uint32)
+    return _skew_streams(trace, n, history_bits, len(predictor.banks), seed)
 
 
 def supports(predictor: BranchPredictor, trace: Trace) -> bool:
@@ -381,12 +356,30 @@ def supports(predictor: BranchPredictor, trace: Trace) -> bool:
     return False
 
 
-# -- the sequential counter loops ------------------------------------------
+# -- the Python walks --------------------------------------------------------
+#
+# The loops below walk one flat, bank-major table: bank b's entries sit
+# at ``b * entries`` onward and its index stream is offset to match, so
+# every bank reads and writes the same list.
+
+#: ``repro_walk``'s policy codes (``REPRO_POLICY_*`` in the C kernel).
+_TOTAL, _PARTIAL, _LAZY = 0, 1, 2
+_POLICY_CODES = {
+    UpdatePolicy.TOTAL: _TOTAL,
+    UpdatePolicy.PARTIAL: _PARTIAL,
+    UpdatePolicy.LAZY: _LAZY,
+}
+
+#: Biasing bits as both walks store them: the predictor's None / False /
+#: True latches become -1 / 0 / 1, and index -1 of ``_LATCHES`` maps the
+#: unlatched code back to None.
+_LATCH_CODES = {None: -1, False: 0, True: 1}
+_LATCHES = (False, True, None)
 
 
 def _loop_single(
     values: List[int], threshold: int, vmax: int,
-    indices: Sequence[int], outcomes: Sequence[bool],
+    outcomes: Sequence[bool], indices: Sequence[int],
 ) -> int:
     """One tag-less table: read, score, saturating update."""
     miss = 0
@@ -403,17 +396,15 @@ def _loop_single(
 
 
 def _loop3_partial(
-    v0: List[int], v1: List[int], v2: List[int],
-    threshold: int, vmax: int,
+    values: List[int], threshold: int, vmax: int, outcomes: Sequence[bool],
     i0: Sequence[int], i1: Sequence[int], i2: Sequence[int],
-    outcomes: Sequence[bool],
 ) -> int:
     """3-bank majority vote, partial update (the paper's headline config)."""
     miss = 0
     for a, b, c, t in zip(i0, i1, i2, outcomes):
-        x = v0[a]
-        y = v1[b]
-        z = v2[c]
+        x = values[a]
+        y = values[b]
+        z = values[c]
         p0 = x >= threshold
         p1 = y >= threshold
         p2 = z >= threshold
@@ -422,48 +413,46 @@ def _loop3_partial(
             miss += 1
             if t:
                 if x < vmax:
-                    v0[a] = x + 1
+                    values[a] = x + 1
                 if y < vmax:
-                    v1[b] = y + 1
+                    values[b] = y + 1
                 if z < vmax:
-                    v2[c] = z + 1
+                    values[c] = z + 1
             else:
                 if x > 0:
-                    v0[a] = x - 1
+                    values[a] = x - 1
                 if y > 0:
-                    v1[b] = y - 1
+                    values[b] = y - 1
                 if z > 0:
-                    v2[c] = z - 1
+                    values[c] = z - 1
         elif t:
             # Overall correct: strengthen only the agreeing banks.
             if p0 and x < vmax:
-                v0[a] = x + 1
+                values[a] = x + 1
             if p1 and y < vmax:
-                v1[b] = y + 1
+                values[b] = y + 1
             if p2 and z < vmax:
-                v2[c] = z + 1
+                values[c] = z + 1
         else:
             if not p0 and x > 0:
-                v0[a] = x - 1
+                values[a] = x - 1
             if not p1 and y > 0:
-                v1[b] = y - 1
+                values[b] = y - 1
             if not p2 and z > 0:
-                v2[c] = z - 1
+                values[c] = z - 1
     return miss
 
 
 def _loop3_total(
-    v0: List[int], v1: List[int], v2: List[int],
-    threshold: int, vmax: int,
+    values: List[int], threshold: int, vmax: int, outcomes: Sequence[bool],
     i0: Sequence[int], i1: Sequence[int], i2: Sequence[int],
-    outcomes: Sequence[bool],
 ) -> int:
     """3-bank majority vote, total update: every bank trains every branch."""
     miss = 0
     for a, b, c, t in zip(i0, i1, i2, outcomes):
-        x = v0[a]
-        y = v1[b]
-        z = v2[c]
+        x = values[a]
+        y = values[b]
+        z = values[c]
         p0 = x >= threshold
         p1 = y >= threshold
         p2 = z >= threshold
@@ -471,33 +460,31 @@ def _loop3_total(
             miss += 1
         if t:
             if x < vmax:
-                v0[a] = x + 1
+                values[a] = x + 1
             if y < vmax:
-                v1[b] = y + 1
+                values[b] = y + 1
             if z < vmax:
-                v2[c] = z + 1
+                values[c] = z + 1
         else:
             if x > 0:
-                v0[a] = x - 1
+                values[a] = x - 1
             if y > 0:
-                v1[b] = y - 1
+                values[b] = y - 1
             if z > 0:
-                v2[c] = z - 1
+                values[c] = z - 1
     return miss
 
 
 def _loop3_lazy(
-    v0: List[int], v1: List[int], v2: List[int],
-    threshold: int, vmax: int,
+    values: List[int], threshold: int, vmax: int, outcomes: Sequence[bool],
     i0: Sequence[int], i1: Sequence[int], i2: Sequence[int],
-    outcomes: Sequence[bool],
 ) -> int:
     """3-bank majority vote, lazy update: train only on overall misses."""
     miss = 0
     for a, b, c, t in zip(i0, i1, i2, outcomes):
-        x = v0[a]
-        y = v1[b]
-        z = v2[c]
+        x = values[a]
+        y = values[b]
+        z = values[c]
         p0 = x >= threshold
         p1 = y >= threshold
         p2 = z >= threshold
@@ -505,24 +492,63 @@ def _loop3_lazy(
             miss += 1
             if t:
                 if x < vmax:
-                    v0[a] = x + 1
+                    values[a] = x + 1
                 if y < vmax:
-                    v1[b] = y + 1
+                    values[b] = y + 1
                 if z < vmax:
-                    v2[c] = z + 1
+                    values[c] = z + 1
             else:
                 if x > 0:
-                    v0[a] = x - 1
+                    values[a] = x - 1
                 if y > 0:
-                    v1[b] = y - 1
+                    values[b] = y - 1
                 if z > 0:
-                    v2[c] = z - 1
+                    values[c] = z - 1
+    return miss
+
+
+_LOOP3 = {_TOTAL: _loop3_total, _PARTIAL: _loop3_partial, _LAZY: _loop3_lazy}
+
+
+def _loop_voted(
+    policy: int, values: List[int], threshold: int, vmax: int,
+    outcomes: Sequence[bool], *index_lists: Sequence[int],
+) -> int:
+    """Generic odd-bank-count loop (single-bank LAZY and five banks)."""
+    banks = len(index_lists)
+    need = banks // 2 + 1
+    miss = 0
+    preds = [False] * banks
+    for row in zip(outcomes, *index_lists):
+        t = row[0]
+        votes = 0
+        for b in range(banks):
+            p = values[row[1 + b]] >= threshold
+            preds[b] = p
+            if p:
+                votes += 1
+        wrong = (votes >= need) != t
+        if wrong:
+            miss += 1
+        if policy == _TOTAL or wrong:
+            train = range(banks)
+        elif policy == _PARTIAL:
+            train = [b for b in range(banks) if preds[b] == t]
+        else:  # LAZY on a correct vote
+            train = ()
+        for b in train:
+            idx = row[1 + b]
+            v = values[idx]
+            if t:
+                if v < vmax:
+                    values[idx] = v + 1
+            elif v > 0:
+                values[idx] = v - 1
     return miss
 
 
 def _loop_agree(
-    values: List[int], bias: List[Optional[bool]],
-    threshold: int, vmax: int,
+    values: List[int], bias: List[Optional[bool]], threshold: int, vmax: int,
     indices: Sequence[int], slots: Sequence[int], outcomes: Sequence[bool],
 ) -> int:
     """Agree: a PHT of agree/disagree counters over latched biasing bits.
@@ -553,57 +579,100 @@ def _loop_agree(
     return miss
 
 
-_LOOP3 = {
-    UpdatePolicy.PARTIAL: _loop3_partial,
-    UpdatePolicy.TOTAL: _loop3_total,
-    UpdatePolicy.LAZY: _loop3_lazy,
-}
-
-
-def _loop_voted(
-    values: List[List[int]], threshold: int, vmax: int,
-    index_lists: List[Sequence[int]], outcomes: Sequence[bool],
-    policy: UpdatePolicy,
+def _walk(
+    indices: np.ndarray, outcomes: np.ndarray, banks: int, policy: int,
+    threshold: int, max_value: int, values: List[int], entries: int,
+    warmup: int,
 ) -> int:
-    """Generic odd-bank-count loop (the 1- and 5-bank configurations)."""
-    banks = len(values)
-    need = banks // 2 + 1
-    miss = 0
-    preds = [False] * banks
-    for row in zip(outcomes, *index_lists):
-        t = row[0]
-        votes = 0
-        for b in range(banks):
-            p = values[b][row[1 + b]] >= threshold
-            preds[b] = p
-            if p:
-                votes += 1
-        wrong = (votes >= need) != t
-        if wrong:
-            miss += 1
-        if policy is UpdatePolicy.TOTAL:
-            train = range(banks)
-        elif policy is UpdatePolicy.PARTIAL:
-            train = (
-                range(banks)
-                if wrong
-                else [b for b in range(banks) if preds[b] == t]
-            )
-        else:  # LAZY
-            train = range(banks) if wrong else ()
-        for b in train:
-            bank = values[b]
-            idx = row[1 + b]
-            v = bank[idx]
-            if t:
-                if v < vmax:
-                    bank[idx] = v + 1
-            elif v > 0:
-                bank[idx] = v - 1
-    return miss
+    """``repro_walk`` in Python: the same inputs, state and result.
+
+    ``indices`` is bank-major uint32 (``banks`` rows of ``n`` events),
+    ``outcomes`` n bytes, ``values`` the flat bank-major counters, left
+    in their final state.  Returns the misses at positions >= warmup, or
+    -1 (tables untouched) for a bank count or policy the C walk rejects.
+    """
+    if banks not in (1, 3, 5) or policy not in _LOOP3:
+        return -1
+    if banks == 3:
+        loop = _LOOP3[policy]
+    elif banks == 1 and policy != _LAZY:
+        loop = _loop_single  # one bank: PARTIAL trains like TOTAL
+    else:
+        loop = partial(_loop_voted, policy)
+    rows = indices.reshape(banks, len(outcomes))
+    if banks > 1:  # offset each bank into the flat table (fits 32 bits)
+        rows = rows + np.arange(0, banks * entries, entries, np.uint32)[:, None]
+    # Memoryviews iterate as Python ints (and the outcomes as bools, the
+    # loops' fast truth test) without building lists first.
+    rows = [memoryview(row) for row in rows]
+    ts = memoryview(outcomes.view(np.bool_))
+    if warmup:  # trains like any event; the misses are not scored
+        loop(values, threshold, max_value, ts[:warmup], *(r[:warmup] for r in rows))
+    return loop(
+        values, threshold, max_value, ts[warmup:], *(r[warmup:] for r in rows)
+    )
 
 
-# -- the engine ------------------------------------------------------------
+def _walk_agree(
+    indices: np.ndarray, slots: np.ndarray, outcomes: np.ndarray,
+    threshold: int, max_value: int, values: List[int], bias: List[int],
+    warmup: int,
+) -> int:
+    """``repro_walk_agree`` in Python: the same inputs, state and result.
+
+    ``values`` (the PHT) and ``bias`` (latch codes, -1 = unlatched) are
+    left in their final state; returns the misses at positions >= warmup.
+    """
+    keys, slot_list = memoryview(indices), memoryview(slots)
+    ts = memoryview(outcomes.view(np.bool_))
+    # The loop tests latches by identity (``is None``), its fastest form.
+    latches = [_LATCHES[code] for code in bias]
+    if warmup:
+        _loop_agree(
+            values, latches, threshold, max_value,
+            keys[:warmup], slot_list[:warmup], ts[:warmup],
+        )
+    misses = _loop_agree(
+        values, latches, threshold, max_value,
+        keys[warmup:], slot_list[warmup:], ts[warmup:],
+    )
+    bias[:] = map(_LATCH_CODES.__getitem__, latches)
+    return misses
+
+
+# -- the frame ---------------------------------------------------------------
+
+
+class WalkBackend(NamedTuple):
+    """One implementation of the counter walk behind a fast tier.
+
+    ``walk`` and ``walk_agree`` take the C kernel's ``repro_walk`` /
+    ``repro_walk_agree`` inputs (``n`` is ``len(outcomes)``), with the
+    state buffers as flat Python lists they leave in their final state,
+    and return the miss count.  They touch nothing but those buffers.
+    """
+
+    #: ``SimulationResult.engine`` of the tier.
+    engine: str
+    #: Whether the tier can run a predictor over a trace.
+    supports: Callable[[BranchPredictor, Trace], bool]
+    walk: Callable[..., int]
+    walk_agree: Callable[..., int]
+
+
+#: The Python loops: the walk on hosts without a C compiler.
+PYTHON_BACKEND = WalkBackend("vectorized", supports, _walk, _walk_agree)
+
+
+def _bank_major(streams: List[np.ndarray]) -> np.ndarray:
+    """The per-bank index streams as one bank-major uint32 array.
+
+    Table entries are Python list slots, so every index fits 32 bits.
+    """
+    indices = np.empty((len(streams), len(streams[0])), dtype=np.uint32)
+    for b, stream in enumerate(streams):
+        indices[b] = stream
+    return indices
 
 
 def _final_history(takens: np.ndarray, bits: int, seed: int = 0) -> int:
@@ -618,50 +687,89 @@ def _final_history(takens: np.ndarray, bits: int, seed: int = 0) -> int:
     return value & ((1 << bits) - 1 if bits else 0)
 
 
-def _run_plan(
+def simulate_walk(
+    backend: WalkBackend,
     predictor: BranchPredictor,
-    streams: List[np.ndarray],
-    outcomes: List[bool],
-    warmup: int,
-) -> Tuple[int, int]:
-    """Drive the counter loop(s); returns (scored branches, mispredictions)."""
-    index_lists = [stream.tolist() for stream in streams]
-    scored = max(0, len(outcomes) - warmup)
+    trace: Trace,
+    warmup: int = 0,
+    label: Optional[str] = None,
+    stage_timer: Optional[StageTimer] = None,
+) -> SimulationResult:
+    """Run ``predictor`` over ``trace`` with ``backend``'s counter walk.
 
-    if type(predictor) is AgreePredictor:
-        counters = predictor.pht.counters
-        run = lambda lo, hi: _loop_agree(  # noqa: E731
-            counters.values, predictor._bias,
-            counters.threshold, counters.max_value,
-            index_lists[0][lo:hi], index_lists[1][lo:hi], outcomes[lo:hi],
+    The frame both fast tiers share: the index streams, a private copy
+    of the counter and agree-bias state, the walk over that copy, then
+    the writeback of counters, bias and history.  The predictor is
+    written only after the walk returns, so a backend that raises
+    leaves it exactly as it was.  ``stage_timer`` (optional) accumulates
+    per-stage wall-clock under ``"precompute"`` (history, index streams
+    and the state copy), ``"scan"`` (the walk) and ``"reduce"`` (the
+    writeback).
+
+    Raises:
+        ValueError: if ``backend`` cannot run the predictor (callers
+            wanting automatic fallback use :func:`simulate_fast`).
+    """
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    if not backend.supports(predictor, trace):
+        raise ValueError(
+            f"no {backend.engine} path for {type(predictor).__name__}; "
+            "use simulate_fast() or the generic engine"
         )
-    elif len(streams) == 1 and hasattr(predictor, "bank"):
-        counters = predictor.bank.counters
-        run = lambda lo, hi: _loop_single(  # noqa: E731
-            counters.values, counters.threshold, counters.max_value,
-            index_lists[0][lo:hi], outcomes[lo:hi],
-        )
-    elif len(streams) == 3:
-        banks = predictor.banks
-        loop3 = _LOOP3[predictor.update_policy]
-        c0, c1, c2 = (bank.counters for bank in banks)
-        run = lambda lo, hi: loop3(  # noqa: E731
-            c0.values, c1.values, c2.values, c0.threshold, c0.max_value,
-            index_lists[0][lo:hi], index_lists[1][lo:hi],
-            index_lists[2][lo:hi], outcomes[lo:hi],
-        )
-    else:
+    timer = NULL_STAGE_TIMER if stage_timer is None else stage_timer
+    agree = type(predictor) is AgreePredictor
+    if agree:
+        counters = [predictor.pht.counters]
+    elif hasattr(predictor, "banks"):
         counters = [bank.counters for bank in predictor.banks]
-        run = lambda lo, hi: _loop_voted(  # noqa: E731
-            [c.values for c in counters],
-            counters[0].threshold, counters[0].max_value,
-            [lst[lo:hi] for lst in index_lists], outcomes[lo:hi],
-            predictor.update_policy,
-        )
+    else:
+        counters = [predictor.bank.counters]
+    entries = counters[0].size
+    threshold, vmax = counters[0].threshold, counters[0].max_value
 
-    if warmup:
-        run(0, warmup)  # trains identically; misses aren't scored
-    return scored, run(warmup, len(outcomes))
+    with timer.stage("precompute"):
+        outcomes = _cond_takens(trace).view(np.uint8)
+        indices = _bank_major(_index_streams(predictor, trace))
+        values = []
+        for c in counters:
+            values += c.values
+        if agree:
+            bias = list(map(_LATCH_CODES.__getitem__, predictor._bias))
+    with timer.stage("scan"):
+        if agree:
+            misses = backend.walk_agree(
+                indices[0], indices[1], outcomes, threshold, vmax, values,
+                bias, warmup,
+            )
+        else:
+            policy = getattr(predictor, "update_policy", UpdatePolicy.TOTAL)
+            misses = backend.walk(
+                indices, outcomes, len(counters), _POLICY_CODES[policy],
+                threshold, vmax, values, entries, warmup,
+            )
+    if misses < 0:
+        raise ValueError(f"repro_walk cannot run {len(counters)} banks")
+    with timer.stage("reduce"):
+        if agree:
+            predictor._bias[:] = map(_LATCHES.__getitem__, bias)
+        for b, c in enumerate(counters):
+            c.values[:] = values[b * entries : (b + 1) * entries]
+        history = getattr(predictor, "history", None)
+        if history is not None and history.bits:
+            history.value = _final_history(
+                trace.takens, history.bits, history.value
+            )
+
+    return SimulationResult(
+        predictor=label or predictor.name,
+        trace=trace.name,
+        conditional_branches=max(0, len(outcomes) - warmup),
+        mispredictions=misses,
+        storage_bits=predictor.storage_bits,
+        history_bits=getattr(predictor, "history_bits", None),
+        engine=backend.engine,
+    )
 
 
 def simulate_vectorized(
@@ -671,50 +779,17 @@ def simulate_vectorized(
     label: Optional[str] = None,
     stage_timer: Optional[StageTimer] = None,
 ) -> SimulationResult:
-    """Vectorized-index counterpart of :func:`repro.sim.engine.simulate`.
+    """:func:`simulate_walk` with the Python loops.
 
-    Identical arguments and result; also leaves the predictor's counters,
-    agree-bias bits and history register in the same final state the
-    generic engine would.
-    ``stage_timer`` (optional) accumulates per-stage wall-clock under
-    ``"precompute"`` (history + index streams) and ``"counter_loop"``.
+    Identical arguments and result to :func:`repro.sim.engine.simulate`,
+    and the same final counter, agree-bias and history state.
 
     Raises:
         ValueError: if the predictor has no vectorized path (callers
             wanting automatic fallback use :func:`simulate_fast`).
     """
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    timer = NULL_STAGE_TIMER if stage_timer is None else stage_timer
-    history = getattr(predictor, "history", None)
-    seed = history.value if history is not None else 0
-    if not supports(predictor, trace):
-        raise ValueError(
-            f"no vectorized path for {type(predictor).__name__}; "
-            "use simulate_fast() or the generic engine"
-        )
-    with timer.stage("precompute"):
-        if type(predictor) is AgreePredictor:
-            streams = list(_agree_streams(predictor, trace))
-        else:
-            streams = _index_streams(predictor, trace)
-        outcomes = _cond_takens(trace).tolist()
-    with timer.stage("counter_loop"):
-        scored, mispredictions = _run_plan(
-            predictor, streams, outcomes, warmup
-        )
-
-    if history is not None and history.bits:
-        history.value = _final_history(trace.takens, history.bits, seed)
-
-    return SimulationResult(
-        predictor=label or predictor.name,
-        trace=trace.name,
-        conditional_branches=scored,
-        mispredictions=mispredictions,
-        storage_bits=predictor.storage_bits,
-        history_bits=getattr(predictor, "history_bits", None),
-        engine="vectorized",
+    return simulate_walk(
+        PYTHON_BACKEND, predictor, trace, warmup, label, stage_timer
     )
 
 
@@ -734,25 +809,25 @@ def simulate_fast(
 
     1. :func:`repro.sim.native.simulate_native` for every
        index-expressible spec — bimodal/gshare/gselect, skewed and
-       e-gskew under any update policy, and agree — one sequential C
-       walk over the precomputed index streams;
+       e-gskew under any update policy, and agree — the C walk;
     2. when the C backend cannot build, :func:`simulate_vectorized`,
-       the same walk as a sequential Python loop;
+       the same frame with the Python walk;
     3. the generic interpreter for everything else (tagged, per-address,
        hybrid and custom-skew schemes).
 
     A fast tier that *raises* degrades gracefully instead of killing
-    the sweep: the predictor's state is rolled back to the pre-attempt
-    snapshot, a ``RuntimeWarning`` records the failure, and the next
-    tier runs — every tier is bit-identical, so the degraded result is
-    too.  The generic interpreter is the reference implementation and
-    the final tier; its errors propagate.  The ``kernel-native`` /
+    the sweep: its walk only ever touched the frame's private copy of
+    the predictor state, so a ``RuntimeWarning`` records the failure
+    and the next tier runs from the untouched predictor — every tier is
+    bit-identical, so the degraded result is too.  The generic
+    interpreter is the reference implementation and the final tier;
+    its errors propagate.  The ``kernel-native`` /
     ``kernel-vectorized`` fault sites
     (:mod:`repro.resilience.faults`) inject tier failures
     deterministically to prove that path.
     """
-    # Imported lazily: native builds on this module's index streams,
-    # so a top-level import here would be circular.
+    # Imported lazily: native builds on this module's frame, so a
+    # top-level import here would be circular.
     from repro.sim.native import native_supports, simulate_native
 
     if warmup < 0:
@@ -764,12 +839,10 @@ def simulate_fast(
     if supports(predictor, trace):
         tiers.append(("kernel-vectorized", "vectorized", simulate_vectorized))
     for site, tier_name, engine in tiers:
-        snapshot = PredictorState.capture(predictor)
         try:
             maybe_fail(site)
             return engine(predictor, trace, warmup=warmup, label=label)
         except Exception as exc:
-            snapshot.restore(predictor)
             warnings.warn(
                 f"{tier_name} engine failed on "
                 f"{label or predictor.name} / {trace.name} ({exc!r}); "

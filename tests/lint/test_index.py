@@ -135,12 +135,8 @@ class TestRealTree:
                 for site in index.callers_of("repro.sim.vectorized", function)
             }
 
-        # The C walks and the Python loop share one index precompute.
+        # Both counter-walk backends share one frame, so one caller
+        # precomputes the index streams (agree's included) for either.
         assert callers("_index_streams") == {
-            ("repro.sim.vectorized", "simulate_vectorized"),
-            ("repro.sim.native", "_walk_tables"),
-        }
-        assert callers("_agree_streams") == {
-            ("repro.sim.vectorized", "simulate_vectorized"),
-            ("repro.sim.native", "_walk_agree"),
+            ("repro.sim.vectorized", "simulate_walk"),
         }

@@ -98,8 +98,10 @@ REGRESSIONS = [
         "src/repro/sim/native.py",
         (
             (
-                "values = np.asarray(counters.values, dtype=np.int64)",
-                "values = np.asarray(counters.values, dtype=np.int32)",
+                "table = np.fromiter(values, dtype=np.int64, count=len(values))"
+                "\n    misses",
+                "table = np.fromiter(values, dtype=np.int32, count=len(values))"
+                "\n    misses",
             ),
         ),
         context=("src/repro/sim/_native_kernel.c",),

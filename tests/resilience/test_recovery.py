@@ -13,7 +13,9 @@ import warnings
 
 import pytest
 
+import repro.serving.shard as shard_module
 import repro.sim.native as native_module
+import repro.sim.vectorized as vectorized_module
 from repro.resilience.faults import InjectedFault, reset_faults
 from repro.serving.shard import Shard
 from repro.sim.config import make_predictor
@@ -70,7 +72,7 @@ class TestKernelDegradation:
     ):
         # The coupled LAZY walk and agree's bias latches are the state
         # a half-finished native walk could leave behind; the loop must
-        # start from the rolled-back snapshot.
+        # start from the untouched predictor.
         if not native_available():
             pytest.skip("native backend unavailable; tier not in the ladder")
         expected, expected_state = _clean_fast(spec, tiny_trace)
@@ -93,8 +95,63 @@ class TestKernelDegradation:
             degraded = simulate_fast(predictor, tiny_trace, label=LAZY_SPEC)
         assert degraded == expected
         assert degraded.engine == "generic"
-        # The failed tier's partial work was rolled back: the surviving
+        # The failed tier left no partial work behind: the surviving
         # tier left the same final counters and history as a clean run.
+        assert PredictorState.capture(predictor) == expected_state
+
+    @pytest.mark.parametrize("spec", [TABLE_SPEC, LAZY_SPEC, AGREE_SPEC])
+    def test_native_walk_failing_mid_walk_degrades_bit_identically(
+        self, monkeypatch, tiny_trace, spec
+    ):
+        # The kernel-* sites fire before a tier starts; here the C walk
+        # runs to the end, writing its state buffers, and only then
+        # raises.  The next tier must start from the untouched predictor.
+        if not native_available():
+            pytest.skip("native backend unavailable; tier not in the ladder")
+        expected, expected_state = _clean_fast(spec, tiny_trace)
+        ffi, lib = native_module._backend()
+
+        class HalfDoneKernel:
+            def repro_walk(self, *args):
+                lib.repro_walk(*args)
+                raise RuntimeError("kernel died after writing")
+
+            def repro_walk_agree(self, *args):
+                lib.repro_walk_agree(*args)
+                raise RuntimeError("kernel died after writing")
+
+        monkeypatch.setattr(
+            native_module, "_backend", lambda: (ffi, HalfDoneKernel())
+        )
+        predictor = make_predictor(spec)
+        with pytest.warns(RuntimeWarning, match="native engine failed"):
+            degraded = simulate_fast(predictor, tiny_trace, label=spec)
+        assert degraded == expected
+        assert degraded.engine == "vectorized"
+        assert PredictorState.capture(predictor) == expected_state
+
+    @pytest.mark.parametrize(
+        "spec,loop", [(TABLE_SPEC, "_loop_single"), (AGREE_SPEC, "_loop_agree")]
+    )
+    def test_python_walk_failing_mid_walk_degrades_bit_identically(
+        self, monkeypatch, tiny_trace, without_native, spec, loop
+    ):
+        # The same for the Python walk: its loop trains the tables it
+        # was handed to the end, then raises; the generic tier must see
+        # the predictor exactly as it was before the attempt.
+        expected, expected_state = _clean_fast(spec, tiny_trace)
+        inner = getattr(vectorized_module, loop)
+
+        def half_done(*args):
+            inner(*args)
+            raise RuntimeError("loop died after writing")
+
+        monkeypatch.setattr(vectorized_module, loop, half_done)
+        predictor = make_predictor(spec)
+        with pytest.warns(RuntimeWarning, match="vectorized engine failed"):
+            degraded = simulate_fast(predictor, tiny_trace, label=spec)
+        assert degraded == expected
+        assert degraded.engine == "generic"
         assert PredictorState.capture(predictor) == expected_state
 
     def test_all_fast_tiers_failing_reaches_the_generic_engine(
@@ -250,6 +307,35 @@ class TestServingShardRecovery:
             PredictorState.capture(failed.predictor).digest()
             == expected_digest
         )
+
+    def test_engine_error_restores_and_requeues(self, monkeypatch, tiny_trace):
+        """An engine error other than an injected fault is not replayed:
+        the flush rewinds the predictor, keeps the batch pending and
+        raises — even when the engine wrote state before failing."""
+        shard = Shard(0, batch_size=1000)
+        tenant = shard.open("s", self.SPEC)
+        self._feed(shard, "s", tiny_trace.slice(0, 30))  # warm, flushed
+        for i in range(30, 42):
+            shard.push(
+                "s",
+                int(tiny_trace.pcs[i]),
+                bool(tiny_trace.takens[i]),
+                bool(tiny_trace.conditionals[i]),
+            )
+        pending = tenant.pending
+        digest = PredictorState.capture(tenant.predictor).digest()
+
+        def failing(predictor, trace, **kwargs):
+            simulate(predictor, trace)  # trains the live predictor...
+            raise ValueError("engine bug")  # ...then dies
+
+        monkeypatch.setattr(shard_module, "simulate_fast", failing)
+        with pytest.raises(ValueError, match="engine bug"):
+            shard.flush("s")
+        assert tenant.pending == pending == 12
+        assert PredictorState.capture(tenant.predictor).digest() == digest
+        assert shard.replays == 0
+        assert tenant.batches == 1
 
     def test_replay_counter_visible_in_ring_stats(self, fault_env):
         from repro.serving.server import PredictionService

@@ -169,6 +169,16 @@ class TestEventValidation:
         assert synced["ok"], synced
         assert synced["conditional_branches"] == 0
 
+    @pytest.mark.parametrize("spec", ["gskew:3x1:h4", "egskew:3x1:h4"])
+    def test_open_refuses_unrunnable_geometry(self, spec):
+        # One-entry skewed banks build nothing any engine can run; open
+        # answers with an error and no session is created.
+        service = PredictionService(shards=1, batch_size=4)
+        refused = service.handle({"op": "open", "session": "s", "spec": spec})
+        assert refused["ok"] is False
+        assert "bank_index_bits" in refused["error"]
+        assert service.ring.stats()["sessions"] == 0
+
     @pytest.mark.parametrize(
         "event", [[2**64, 1], [-1, 1], [4, 2], [4, 1, 2], [True, 1]]
     )

@@ -95,6 +95,15 @@ class TestMakePredictor:
         with pytest.raises(ValueError):
             make_predictor("egskew:5x1k:h4")
 
+    @pytest.mark.parametrize("spec", ["gskew:3x1:h4", "egskew:3x1:h4"])
+    def test_multi_bank_skew_rejects_one_entry_banks(self, spec):
+        # The skewing family needs at least one index bit to shuffle.
+        with pytest.raises(ValueError, match="bank_index_bits >= 1"):
+            make_predictor(spec)
+
+    def test_single_bank_skew_keeps_one_entry(self):
+        assert make_predictor("gskew:1x1:h4").bank_index_bits == 0
+
     def test_fa(self):
         predictor = make_predictor("fa:1k:h4")
         assert isinstance(predictor, FullyAssociativePredictor)

@@ -4,15 +4,17 @@ The native engine walks precomputed index streams through the counter
 tables in one sequential C pass; its correctness argument is
 bit-identity with ``repro.sim.engine.simulate`` — same SimulationResult,
 same final counter, bias and history state — across every spec family
-it claims, plus differential fuzz pinning the cffi entry points
-``repro_walk`` and ``repro_walk_agree`` to scalar oracles (the R006 lint
+it claims, plus differential fuzz pinning the entry points
+``repro_walk`` and ``repro_walk_agree`` of both counter-walk backends
+(the cffi kernel and the Python loops) to scalar oracles (the R006 lint
 rule requires every kernel entry point to be referenced here by name).
 
 The whole module degrades cleanly when the backend cannot build: every
-test that needs the compiled kernel skips with an explicit reason, and
-the dispatch tests that take it out of the ladder (by patching
-``native_available`` or the built backend) keep running, so the suite
-is green both with and without a C compiler.
+test that needs the compiled kernel skips with an explicit reason, while
+the Python backend's entry-point fuzz and the dispatch tests that take
+the kernel out of the ladder (by patching ``native_available`` or the
+built backend) keep running, so the suite is green both with and
+without a C compiler.
 """
 
 from __future__ import annotations
@@ -26,17 +28,19 @@ from repro.core.update import UpdatePolicy
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
 from repro.sim.native import (
-    _POLICY_CODES,
+    NATIVE_BACKEND,
     _backend,
-    _walk_agree,
-    _walk_tables,
     native_available,
     native_supports,
     simulate_native,
 )
-from repro.sim.profile import NULL_STAGE_TIMER
 from repro.sim.state import PredictorState
-from repro.sim.vectorized import _cond_takens, simulate_fast
+from repro.sim.vectorized import (
+    _POLICY_CODES,
+    PYTHON_BACKEND,
+    simulate_fast,
+    simulate_walk,
+)
 from repro.traces.trace import Trace
 
 from tests.strategies import traces as trace_strategy
@@ -265,25 +269,49 @@ class TestDispatch:
         assert actual.engine == "native"
         assert actual == simulate(make_predictor(spec), trace)
 
-    def test_kernel_wrappers_fail_cleanly_without_backend(
-        self, monkeypatch, tiny_trace
-    ):
-        # With the backend failed to build, both walk wrappers must
-        # raise the explicit RuntimeError rather than crash or silently
-        # compute; the no-compiler CI lane runs this with the toolchain
-        # genuinely absent.
+    def test_kernel_wrappers_fail_cleanly_without_backend(self, monkeypatch):
+        # With the backend failed to build, both C walks must raise the
+        # explicit RuntimeError rather than crash or silently compute;
+        # the no-compiler CI lane runs this with the toolchain genuinely
+        # absent.
         monkeypatch.setattr(native_module, "_BACKEND", "OSError: no compiler")
         monkeypatch.setattr(native_module, "_WARNED", True)
-        outcomes = _cond_takens(tiny_trace).view(np.uint8)
-        for walk, spec in (
-            (_walk_tables, "gskew:3x64:h4:lazy"),
-            (_walk_agree, "agree:64:h4"),
-        ):
-            with pytest.raises(RuntimeError, match="native backend"):
-                walk(
-                    make_predictor(spec), tiny_trace, outcomes, 0,
-                    NULL_STAGE_TIMER,
-                )
+        none, byte = np.zeros(1, np.uint32), np.ones(1, np.uint8)
+        with pytest.raises(RuntimeError, match="native backend"):
+            NATIVE_BACKEND.walk(none, byte, 3, 0, 2, 3, [1, 1, 1], 1, 0)
+        with pytest.raises(RuntimeError, match="native backend"):
+            NATIVE_BACKEND.walk_agree(none, none, byte, 2, 3, [1], [-1], 0)
+
+    @requires_native
+    @pytest.mark.parametrize(
+        "keys,values",
+        [
+            ([[0], [4], [0]], [1] * 12),  # an index past its bank
+            ([[0], [1]], [1] * 12),  # a missing bank stream
+            ([[0], [1], [2]], [1] * 11),  # a short table
+        ],
+    )
+    def test_c_walk_refuses_out_of_bounds_inputs(self, keys, values):
+        # The kernel trusts its buffers; the wrapper checks them first.
+        with pytest.raises(ValueError, match="need"):
+            NATIVE_BACKEND.walk(
+                np.asarray(keys, dtype=np.uint32), np.ones(1, np.uint8),
+                3, 0, 2, 3, values, 4, 0,
+            )
+
+    @requires_native
+    @pytest.mark.parametrize(
+        "keys,slots",
+        [
+            (np.zeros(1, np.uint32), np.full(1, 8, np.uint32)),  # slot 8 of 8
+            (np.zeros(1, np.uint8), np.zeros(1, np.uint32)),  # byte indices
+        ],
+    )
+    def test_c_agree_walk_refuses_out_of_bounds_inputs(self, keys, slots):
+        with pytest.raises(ValueError, match="need"):
+            NATIVE_BACKEND.walk_agree(
+                keys, slots, np.ones(1, np.uint8), 2, 3, [1] * 4, [-1] * 8, 0
+            )
 
     def test_repro_native_0_disables_the_tier(self, tiny_trace, monkeypatch):
         monkeypatch.setattr(native_module, "native_available", lambda: False)
@@ -400,205 +428,207 @@ def _keys(data, length, table, label):
     )
 
 
-@requires_native
-class TestKernelEntryPoints:
-    def test_repro_walk_empty_input(self):
-        ffi, lib = _backend()
-        values = np.array([0, 3], dtype=np.int64)
-        misses = lib.repro_walk(
-            ffi.from_buffer("uint32_t[]", np.empty(0, dtype=np.uint32)),
-            ffi.from_buffer("uint8_t[]", np.empty(0, dtype=np.uint8)),
-            0,
-            1,
-            _POLICY_CODES[UpdatePolicy.TOTAL],
-            2,
-            3,
-            ffi.from_buffer("int64_t[]", values),
-            2,
-            0,
-        )
-        assert misses == 0
-        assert values.tolist() == [0, 3]
+def _walk_entry_point_cases(backend):
+    """Tests pinning one counter-walk backend's ``repro_walk`` and
+    ``repro_walk_agree`` to the scalar oracles.  A fresh class per
+    backend, so each hypothesis test runs under a single executor."""
 
-    @pytest.mark.parametrize("banks,policy", [(2, 0), (7, 0), (3, 3)])
-    def test_repro_walk_rejects_unknown_geometry(self, banks, policy):
-        # Even bank counts (ties), more than five banks and unknown
-        # policy codes return -1 without touching the tables.
-        ffi, lib = _backend()
-        values = np.ones(banks, dtype=np.int64)
-        misses = lib.repro_walk(
-            ffi.from_buffer("uint32_t[]", np.zeros(banks, dtype=np.uint32)),
-            ffi.from_buffer("uint8_t[]", np.ones(1, dtype=np.uint8)),
-            1,
-            banks,
-            policy,
-            1,
-            1,
-            ffi.from_buffer("int64_t[]", values),
-            1,
-            0,
-        )
-        assert misses == -1
-        assert values.tolist() == [1] * banks
-
-    # Differential fuzz of repro_walk against the scalar oracle over
-    # every policy and bank count: small tables force heavy aliasing,
-    # warm tables start anywhere in the counter range, warmup draws
-    # straddle the trace, 1-bit counters hit both saturation rails, and
-    # the events arrive in pieces cut anywhere (the kernel must resume
-    # exactly from the tables a previous call left).
-    @given(
-        data=st.data(),
-        banks=st.sampled_from([1, 3, 5]),
-        policy=st.sampled_from(list(UpdatePolicy)),
-        entry_bits=st.integers(0, 3),
-        length=st.integers(1, 120),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_kernel_matches_scalar_oracle(
-        self, data, banks, policy, entry_bits, length
-    ):
-        ffi, lib = _backend()
-        table = 1 << entry_bits
-        max_value, threshold, warmup, outcomes = _counter_draws(data, length)
-        bank_keys = [_keys(data, length, table, f"keys{b}") for b in range(banks)]
-        init = [
-            data.draw(
-                st.lists(
-                    st.integers(0, max_value), min_size=table, max_size=table
-                ),
-                label=f"init{b}",
+    class Cases:
+        def test_repro_walk_empty_input(self):
+            values = [0, 3]
+            misses = backend.walk(
+                np.empty(0, dtype=np.uint32),
+                np.empty(0, dtype=np.uint8),
+                1,
+                _POLICY_CODES[UpdatePolicy.TOTAL],
+                2,
+                3,
+                values,
+                2,
+                0,
             )
-            for b in range(banks)
-        ]
+            assert misses == 0
+            assert values == [0, 3]
 
-        indices = np.asarray(bank_keys, dtype=np.uint32)
-        outcome_bytes = np.asarray(outcomes, dtype=np.uint8)
-        values = np.asarray(init, dtype=np.int64).ravel()
-        misses = 0
-        for lo, hi in _pieces(length, _split_points(data, length)):
-            misses += lib.repro_walk(
-                ffi.from_buffer(
-                    "uint32_t[]", np.ascontiguousarray(indices[:, lo:hi])
-                ),
-                ffi.from_buffer("uint8_t[]", outcome_bytes[lo:hi]),
-                hi - lo,
+        @pytest.mark.parametrize("banks,policy", [(2, 0), (7, 0), (3, 3)])
+        def test_repro_walk_rejects_unknown_geometry(self, banks, policy):
+            # Even bank counts (ties), more than five banks and unknown
+            # policy codes return -1 without touching the tables.
+            values = [1] * banks
+            misses = backend.walk(
+                np.zeros(banks, dtype=np.uint32),
+                np.ones(1, dtype=np.uint8),
                 banks,
-                _POLICY_CODES[policy],
-                threshold,
-                max_value,
-                ffi.from_buffer("int64_t[]", values),
-                table,
-                max(0, warmup - lo),
+                policy,
+                1,
+                1,
+                values,
+                1,
+                0,
             )
+            assert misses == -1
+            assert values == [1] * banks
 
-        oracle_values = [list(bank) for bank in init]
-        expected = _reference_walk(
-            bank_keys, outcomes, oracle_values, policy, threshold,
-            max_value, warmup,
+        # Differential fuzz of repro_walk against the scalar oracle over
+        # every policy and bank count: small tables force heavy aliasing,
+        # warm tables start anywhere in the counter range, warmup draws
+        # straddle the trace, 1-bit counters hit both saturation rails, and
+        # the events arrive in pieces cut anywhere (the walk must resume
+        # exactly from the tables a previous call left).
+        @given(
+            data=st.data(),
+            banks=st.sampled_from([1, 3, 5]),
+            policy=st.sampled_from(list(UpdatePolicy)),
+            entry_bits=st.integers(0, 3),
+            length=st.integers(1, 120),
         )
-        assert misses == expected
-        assert values.tolist() == [v for bank in oracle_values for v in bank]
-
-    @given(
-        data=st.data(),
-        entry_bits=st.integers(0, 3),
-        bias_bits=st.integers(0, 3),
-        length=st.integers(1, 120),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_agree_kernel_matches_scalar_oracle(
-        self, data, entry_bits, bias_bits, length
-    ):
-        # The same fuzz for repro_walk_agree, with biasing-bit tables
-        # that start partly latched (either way) and partly unlatched.
-        ffi, lib = _backend()
-        table, slots_n = 1 << entry_bits, 1 << bias_bits
-        max_value, threshold, warmup, outcomes = _counter_draws(data, length)
-        keys = _keys(data, length, table, "keys")
-        slots = _keys(data, length, slots_n, "slots")
-        init = data.draw(
-            st.lists(st.integers(0, max_value), min_size=table, max_size=table),
-            label="init",
-        )
-        init_bias = data.draw(
-            st.lists(
-                st.sampled_from([None, False, True]),
-                min_size=slots_n,
-                max_size=slots_n,
-            ),
-            label="bias",
-        )
-
-        key_array = np.asarray(keys, dtype=np.uint32)
-        slot_array = np.asarray(slots, dtype=np.uint32)
-        outcome_bytes = np.asarray(outcomes, dtype=np.uint8)
-        values = np.asarray(init, dtype=np.int64)
-        bias = np.array(
-            [-1 if b is None else int(b) for b in init_bias], dtype=np.int8
-        )
-        misses = 0
-        for lo, hi in _pieces(length, _split_points(data, length)):
-            misses += lib.repro_walk_agree(
-                ffi.from_buffer("uint32_t[]", key_array[lo:hi]),
-                ffi.from_buffer("uint32_t[]", slot_array[lo:hi]),
-                ffi.from_buffer("uint8_t[]", outcome_bytes[lo:hi]),
-                hi - lo,
-                threshold,
-                max_value,
-                ffi.from_buffer("int64_t[]", values),
-                ffi.from_buffer("int8_t[]", bias),
-                max(0, warmup - lo),
-            )
-
-        oracle_values = list(init)
-        oracle_bias = list(init_bias)
-        expected = _reference_agree_walk(
-            keys, slots, outcomes, oracle_values, oracle_bias, threshold,
-            max_value, warmup,
-        )
-        assert misses == expected
-        assert values.tolist() == oracle_values
-        assert bias.tolist() == [
-            -1 if b is None else int(b) for b in oracle_bias
-        ]
-
-    @given(
-        data=st.data(),
-        spec=st.sampled_from(
-            [
-                "bimodal:8",
-                "gshare:16:h4",
-                "gselect:16:h3",
-                "gskew:3x16:h3:total",
-                "egskew:3x16:h3:total",
-                "gskew:1x16:h3:lazy",
-                "gskew:3x16:h3:partial",
-                "gskew:5x8:h3:partial",
-                "gskew:3x16:h3:lazy",
-                "gskew:5x8:h3:lazy",
-                "egskew:3x16:h3:lazy",
-                "agree:16:h3",
-                "agree:8:h6",
+        @settings(max_examples=300, deadline=None)
+        def test_kernel_matches_scalar_oracle(
+            self, data, banks, policy, entry_bits, length
+        ):
+            table = 1 << entry_bits
+            max_value, threshold, warmup, outcomes = _counter_draws(data, length)
+            bank_keys = [_keys(data, length, table, f"keys{b}") for b in range(banks)]
+            init = [
+                data.draw(
+                    st.lists(
+                        st.integers(0, max_value), min_size=table, max_size=table
+                    ),
+                    label=f"init{b}",
+                )
+                for b in range(banks)
             ]
-        ),
-        trace=trace_strategy(),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_random_traces_match_generic_engine(self, data, spec, trace):
-        # Whole-predictor fuzz, resumed at random cut points: each
-        # piece starts from the warm tables, bias latches and history
-        # register the previous piece left.
-        reference = make_predictor(spec)
-        expected = simulate(reference, trace)
-        candidate = make_predictor(spec)
-        misses = 0
-        for lo, hi in _pieces(len(trace), _split_points(data, len(trace))):
-            misses += simulate_native(
-                candidate, trace.slice(lo, hi)
-            ).mispredictions
-        assert misses == expected.mispredictions
-        assert _full_state(candidate) == _full_state(reference)
+
+            indices = np.asarray(bank_keys, dtype=np.uint32)
+            outcome_bytes = np.asarray(outcomes, dtype=np.uint8)
+            values = [v for bank in init for v in bank]
+            misses = 0
+            for lo, hi in _pieces(length, _split_points(data, length)):
+                misses += backend.walk(
+                    np.ascontiguousarray(indices[:, lo:hi]),
+                    outcome_bytes[lo:hi],
+                    banks,
+                    _POLICY_CODES[policy],
+                    threshold,
+                    max_value,
+                    values,
+                    table,
+                    max(0, warmup - lo),
+                )
+
+            oracle_values = [list(bank) for bank in init]
+            expected = _reference_walk(
+                bank_keys, outcomes, oracle_values, policy, threshold,
+                max_value, warmup,
+            )
+            assert misses == expected
+            assert values == [v for bank in oracle_values for v in bank]
+
+        @given(
+            data=st.data(),
+            entry_bits=st.integers(0, 3),
+            bias_bits=st.integers(0, 3),
+            length=st.integers(1, 120),
+        )
+        @settings(max_examples=200, deadline=None)
+        def test_agree_kernel_matches_scalar_oracle(
+            self, data, entry_bits, bias_bits, length
+        ):
+            # The same fuzz for repro_walk_agree, with biasing-bit tables
+            # that start partly latched (either way) and partly unlatched.
+            table, slots_n = 1 << entry_bits, 1 << bias_bits
+            max_value, threshold, warmup, outcomes = _counter_draws(data, length)
+            keys = _keys(data, length, table, "keys")
+            slots = _keys(data, length, slots_n, "slots")
+            init = data.draw(
+                st.lists(st.integers(0, max_value), min_size=table, max_size=table),
+                label="init",
+            )
+            init_bias = data.draw(
+                st.lists(
+                    st.sampled_from([None, False, True]),
+                    min_size=slots_n,
+                    max_size=slots_n,
+                ),
+                label="bias",
+            )
+
+            key_array = np.asarray(keys, dtype=np.uint32)
+            slot_array = np.asarray(slots, dtype=np.uint32)
+            outcome_bytes = np.asarray(outcomes, dtype=np.uint8)
+            values = list(init)
+            bias = [-1 if b is None else int(b) for b in init_bias]
+            misses = 0
+            for lo, hi in _pieces(length, _split_points(data, length)):
+                misses += backend.walk_agree(
+                    key_array[lo:hi],
+                    slot_array[lo:hi],
+                    outcome_bytes[lo:hi],
+                    threshold,
+                    max_value,
+                    values,
+                    bias,
+                    max(0, warmup - lo),
+                )
+
+            oracle_values = list(init)
+            oracle_bias = list(init_bias)
+            expected = _reference_agree_walk(
+                keys, slots, outcomes, oracle_values, oracle_bias, threshold,
+                max_value, warmup,
+            )
+            assert misses == expected
+            assert values == oracle_values
+            assert bias == [-1 if b is None else int(b) for b in oracle_bias]
+
+        @given(
+            data=st.data(),
+            spec=st.sampled_from(
+                [
+                    "bimodal:8",
+                    "gshare:16:h4",
+                    "gselect:16:h3",
+                    "gskew:3x16:h3:total",
+                    "egskew:3x16:h3:total",
+                    "gskew:1x16:h3:lazy",
+                    "gskew:3x16:h3:partial",
+                    "gskew:5x8:h3:partial",
+                    "gskew:3x16:h3:lazy",
+                    "gskew:5x8:h3:lazy",
+                    "egskew:3x16:h3:lazy",
+                    "agree:16:h3",
+                    "agree:8:h6",
+                ]
+            ),
+            trace=trace_strategy(),
+        )
+        @settings(max_examples=80, deadline=None)
+        def test_random_traces_match_generic_engine(self, data, spec, trace):
+            # Whole-predictor fuzz, resumed at random cut points: each
+            # piece starts from the warm tables, bias latches and history
+            # register the previous piece left.
+            reference = make_predictor(spec)
+            expected = simulate(reference, trace)
+            candidate = make_predictor(spec)
+            misses = 0
+            for lo, hi in _pieces(len(trace), _split_points(data, len(trace))):
+                misses += simulate_walk(
+                    backend, candidate, trace.slice(lo, hi)
+                ).mispredictions
+            assert misses == expected.mispredictions
+            assert _full_state(candidate) == _full_state(reference)
+
+    return Cases
+
+
+@requires_native
+class TestKernelEntryPoints(_walk_entry_point_cases(NATIVE_BACKEND)):
+    """The C kernel's entry points."""
+
+
+class TestPythonWalkEntryPoints(_walk_entry_point_cases(PYTHON_BACKEND)):
+    """The Python loops behind the same two entry points, run in every
+    CI lane (no compiler needed)."""
 
 
 def _walk_once(bank_keys, outcomes, init, policy, threshold, vmax, warmup):

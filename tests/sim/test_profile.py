@@ -107,10 +107,8 @@ class TestStageTimer:
             tiny_trace,
             stage_timer=timer,
         )
-        if engine == "native":
-            assert {"precompute", "scan", "reduce"} <= set(timer.totals)
-        else:
-            assert {"precompute", "counter_loop"} <= set(timer.totals)
+        # One frame around both backends: the same three stages.
+        assert {"precompute", "scan", "reduce"} <= set(timer.totals)
         assert all(seconds >= 0.0 for seconds in timer.totals.values())
 
 
