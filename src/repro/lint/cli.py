@@ -73,9 +73,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "AST- and dataflow-based determinism, bit-width, contract, "
-            "C-ABI and env-var checks for the repro codebase "
-            "(rules R001-R006, R008, R009; see docs/linting.md)."
+            "AST-based determinism, bit-width, contract, engine-parity, "
+            "cache-key, kernel-test and env-var checks for the repro codebase "
+            "(rules R001-R006, R009; see docs/linting.md)."
         ),
     )
     parser.add_argument(

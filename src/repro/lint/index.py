@@ -1,49 +1,34 @@
-"""Whole-project index: one parse of ``src/``, symbols, imports, calls.
+"""Whole-project index: one parse of ``src/``, symbols and imports.
 
-Per-file AST matchers cannot see facts that span modules: a cffi
-buffer typed in one module and filled in another, or an env var read
-under a constant imported from elsewhere.  This module builds those
-facts once per lint run:
+Per-file AST matchers cannot see facts that span modules, such as an
+env var read under a constant imported from elsewhere.  This module
+builds those facts once per lint run:
 
 - a **module table** (:class:`ModuleInfo`): every ``.py`` under the
   project's ``src/`` parsed once, keyed by dotted module name, with its
   top-level symbols, import-alias map and simple constants;
 - an **import graph**: local alias → fully-qualified dotted target,
-  resolved through ``import``/``from ... import`` (one re-export hop);
-- the **callers** of every project function
-  (:meth:`ProjectIndex.callers_of`), so R008 can type a helper's
-  parameters from the arrays its callers pass.
+  resolved through ``import``/``from ... import`` (one re-export hop).
 
-Resolution is deliberately best-effort: attribute calls on objects
-(``self.x()``, ``bank.update()``) and dynamic dispatch stay unresolved,
-which is the right failure mode for lint — an unresolved edge can only
-*suppress* a cross-module finding, never invent one.
+Resolution is deliberately best-effort: anything outside the project
+or behind dynamic dispatch stays unresolved, which is the right failure
+mode for lint — an unresolved name can only *suppress* a cross-module
+finding, never invent one.
 
 The index is cached on :class:`~repro.lint.engine.ProjectContext` via
-:meth:`~repro.lint.engine.ProjectContext.index`, so R008 and R009
-share one build per run.
+:meth:`~repro.lint.engine.ProjectContext.index`; R009 reads it.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.lint.engine import ProjectContext
-from repro.lint.rules._ast_util import dotted_name, import_aliases, walk_functions
+from repro.lint.rules._ast_util import import_aliases
 
-__all__ = ["CallSite", "ModuleInfo", "ProjectIndex"]
-
-
-@dataclass(frozen=True)
-class CallSite:
-    """One resolved call: ``function`` in ``module`` calls the target."""
-
-    module: str  # caller's dotted module name
-    function: str  # caller's qualified function name ("" = module level)
-    call: ast.Call = field(compare=False, hash=False)
+__all__ = ["ModuleInfo", "ProjectIndex"]
 
 
 class ModuleInfo:
@@ -60,8 +45,6 @@ class ModuleInfo:
         self.symbols: Dict[str, ast.AST] = {}
         #: top-level name -> literal value (str/int/float/bool constants)
         self.constants: Dict[str, object] = {}
-        #: qualified function name -> node, methods included
-        self.functions: Dict[str, ast.FunctionDef] = dict(walk_functions(tree))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 self.symbols[node.name] = node
@@ -80,14 +63,12 @@ class ModuleInfo:
 
 
 class ProjectIndex:
-    """Cross-module symbol, import and call-site index of one project."""
+    """Cross-module symbol and import index of one project."""
 
     def __init__(self, project: ProjectContext):
         self.project = project
         self.modules: Dict[str, ModuleInfo] = {}
         self._by_rel_path: Dict[str, ModuleInfo] = {}
-        #: (module, top-level callee name) -> call sites targeting it
-        self._callers: Dict[Tuple[str, str], List[CallSite]] = {}
         self._build()
 
     # -- construction --------------------------------------------------
@@ -118,35 +99,6 @@ class ProjectIndex:
             info = ModuleInfo(name, path, self.project.rel_path(path), tree)
             self.modules[name] = info
             self._by_rel_path[info.rel_path] = info
-        for info in self.modules.values():
-            self._index_calls(info)
-
-    def _index_calls(self, info: ModuleInfo) -> None:
-        # Walk each function body exactly once: module level walks only
-        # statements outside any function (approximated by attributing
-        # nested calls to the innermost function that contains them).
-        for qualname, fn in info.functions.items():
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call):
-                    self._record_call(info, qualname, node)
-        covered = {
-            id(call)
-            for fn in info.functions.values()
-            for call in ast.walk(fn)
-            if isinstance(call, ast.Call)
-        }
-        for node in ast.walk(info.tree):
-            if isinstance(node, ast.Call) and id(node) not in covered:
-                self._record_call(info, "", node)
-
-    def _record_call(
-        self, info: ModuleInfo, qualname: str, call: ast.Call
-    ) -> None:
-        target = self.resolve_function_key(info.name, dotted_name(call.func))
-        if target is None:
-            return
-        site = CallSite(info.name, qualname, call)
-        self._callers.setdefault(target, []).append(site)
 
     # -- resolution ----------------------------------------------------
 
@@ -208,25 +160,6 @@ class ProjectIndex:
             return self.resolve(target_module, symbol)
         return None
 
-    def resolve_function_key(
-        self, module: str, name: Optional[str]
-    ) -> Optional[Tuple[str, str]]:
-        """Like :meth:`resolve`, but only for project *functions*.
-
-        The symbol path's first component must name a top-level
-        function in the target module (methods stay unresolved — an
-        attribute call's receiver type is unknown here).
-        """
-        resolved = self.resolve(module, name)
-        if resolved is None:
-            return None
-        target_module, symbol = resolved
-        first = symbol.split(".")[0]
-        node = self.modules[target_module].symbols.get(first)
-        if isinstance(node, ast.FunctionDef):
-            return target_module, first
-        return None
-
     def resolve_constant(self, module: str, name: str) -> Optional[object]:
         """The literal value bound to ``name`` in ``module``, if any.
 
@@ -243,9 +176,3 @@ class ProjectIndex:
             return None
         target_module, symbol = resolved
         return self.modules[target_module].constants.get(symbol)
-
-    # -- call graph ----------------------------------------------------
-
-    def callers_of(self, module: str, function: str) -> List[CallSite]:
-        """Every resolved call site targeting a top-level function."""
-        return list(self._callers.get((module, function), ()))

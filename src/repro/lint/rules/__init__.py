@@ -10,7 +10,6 @@ from typing import Dict, List, Sequence
 
 from repro.lint.engine import Rule
 from repro.lint.rules.bitwidth import BitWidthRule
-from repro.lint.rules.cabi import CAbiParityRule
 from repro.lint.rules.cachekey import CacheKeyRule
 from repro.lint.rules.contract import ExperimentContractRule
 from repro.lint.rules.determinism import DeterminismRule
@@ -27,7 +26,6 @@ _RULE_CLASSES = (
     EngineParityRule,
     CacheKeyRule,
     NativeKernelTestRule,
-    CAbiParityRule,
     EnvContractRule,
 )
 

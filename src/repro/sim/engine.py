@@ -6,10 +6,13 @@ Feeds a trace through a predictor, branch by branch:
 - unconditional transfers are passed to the predictor's history logic
   only (the paper includes them in the global-history bits).
 
-The engine works with any :class:`~repro.predictors.base.BranchPredictor`.
-Specialised fused fast paths avoid per-branch virtual dispatch for the
-predictors the big sweeps use most (gshare, gselect, gskew); the generic
-path is behaviourally identical (asserted by a test).
+The engine works with any :class:`~repro.predictors.base.BranchPredictor`
+and is the reference every faster path is held to.  It has no fast
+paths of its own: the fused per-branch paths live in each predictor's
+``predict_and_update`` (one call instead of ``predict`` then ``update``,
+asserted equal by the predictor contract tests), and the fast tiers are
+:func:`repro.sim.vectorized.simulate_fast`'s, bit-identical to this
+loop (asserted by the equivalence suites).
 """
 
 from __future__ import annotations

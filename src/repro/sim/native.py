@@ -31,6 +31,18 @@ including final counter, bias and history state (asserted by
 ``tests/sim/test_native.py``, which also pins both backends' entry
 points to scalar oracles by name — the R006 lint rule keeps that true
 for any future entry point).
+
+The Python↔C seam is checked where it can be checked exactly:
+
+- the cdef is compiled as prototypes ahead of the kernel, so a
+  definition that drifts from its declaration fails the build
+  (``conflicting types``) and a declaration with no definition fails
+  the load (``undefined symbol``);
+- cffi refuses a call with the wrong arity, a wrongly declared buffer
+  or a buffer in a scalar's place (``TypeError``);
+- :func:`_buffer` refuses an array whose numpy dtype is not the
+  element type its ``T[]`` declares, which ``ffi.from_buffer`` alone
+  would reinterpret silently (``ValueError``).
 """
 
 from __future__ import annotations
@@ -67,9 +79,10 @@ CACHE_ENV_VAR = envvars.NATIVE_CACHE.name
 
 _KERNEL_PATH = Path(__file__).with_name("_native_kernel.c")
 
-#: The backend ABI, verbatim for cffi.  Every function named here is a
-#: kernel entry point; the R006 lint rule requires each to be pinned by
-#: a test referencing it by name.
+#: The backend ABI, verbatim for cffi and compiled ahead of the kernel
+#: as its prototypes.  Every function named here is a kernel entry
+#: point; the R006 lint rule requires each to be pinned by a test
+#: referencing it by name.
 _CDEF = """
 int64_t repro_walk(const uint32_t *indices, const uint8_t *outcomes,
                    int64_t n, int32_t banks, int32_t policy,
@@ -89,13 +102,13 @@ _WARNED = False
 
 
 def _fingerprint(source: str) -> str:
-    """Version fingerprint of everything the shared object depends on."""
+    """Version fingerprint of everything the shared object depends on:
+    the compiled C text (cdef included) and the toolchain versions."""
     import cffi
 
     payload = "\x00".join(
         [
             source,
-            _CDEF,
             cffi.__version__,
             sys.version.split()[0],
             sysconfig.get_platform(),
@@ -134,11 +147,14 @@ def _build_backend():
     """Compile (or dlopen the cached) kernel; returns ``(ffi, lib)``.
 
     Raises on any failure — missing cffi, missing compiler, bad cache
-    directory — and the caller converts that into the unavailable
-    state.  The fingerprinted module name makes the cache self-keying:
-    a stale shared object simply never matches the current name.
+    directory, a kernel that does not match its cdef — and the caller
+    converts that into the unavailable state.  The fingerprinted module
+    name makes the cache self-keying: a stale shared object simply
+    never matches the current name.
     """
-    source = _KERNEL_PATH.read_text(encoding="utf-8")
+    source = "#include <stdint.h>\n" + _CDEF + _KERNEL_PATH.read_text(
+        encoding="utf-8"
+    )
     module_name = f"_repro_native_{_fingerprint(source)}"
     build_dir = _cache_dir()
     cached = _find_cached(build_dir, module_name)
@@ -204,16 +220,35 @@ def _checked_backend():
     return backend
 
 
+#: The numpy dtype behind each element type the kernel takes as ``T *``.
+_DTYPES = {
+    "uint8_t": np.dtype(np.uint8),
+    "int8_t": np.dtype(np.int8),
+    "uint32_t": np.dtype(np.uint32),
+    "int64_t": np.dtype(np.int64),
+}
+
+
+def _buffer(ffi, ctype: str, array: np.ndarray):
+    """``ffi.from_buffer(ctype, array)`` for an array of exactly the
+    element type ``ctype`` (``"T[]"``) declares.
+
+    cffi matches the declared ``T[]`` against the cdef at the call, but
+    takes any buffer behind it: an int32 table passed as ``int64_t[]``
+    would be read as half as many garbage counters.
+    """
+    dtype = _DTYPES[ctype[:-2]]
+    if array.dtype != dtype:
+        raise ValueError(f"{ctype} needs a {dtype} array, not {array.dtype}")
+    return ffi.from_buffer(ctype, array)
+
+
 def _check_bounds(streams: np.ndarray, count: int, n: int, limit: int):
-    """Refuse index streams the kernel would read past: ``count`` uint32
-    rows of ``n`` events, each index below ``limit``."""
-    if (
-        streams.dtype != np.uint32
-        or streams.size != count * n
-        or (n and count and streams.max() >= limit)
-    ):
+    """Refuse index streams the kernel would read past: ``count`` rows
+    of ``n`` events, each index below ``limit``."""
+    if streams.size != count * n or (n and count and streams.max() >= limit):
         raise ValueError(
-            f"need {count} uint32 index stream(s) of {n} events below {limit}"
+            f"need {count} index stream(s) of {n} events below {limit}"
         )
 
 
@@ -229,14 +264,14 @@ def _walk(
         raise ValueError(f"need {banks} x {entries} counters")
     table = np.fromiter(values, dtype=np.int64, count=len(values))
     misses = lib.repro_walk(
-        ffi.from_buffer("uint32_t[]", indices),
-        ffi.from_buffer("uint8_t[]", outcomes),
+        _buffer(ffi, "uint32_t[]", indices),
+        _buffer(ffi, "uint8_t[]", outcomes),
         len(outcomes),
         banks,
         policy,
         threshold,
         max_value,
-        ffi.from_buffer("int64_t[]", table),
+        _buffer(ffi, "int64_t[]", table),
         entries,
         warmup,
     )
@@ -257,14 +292,14 @@ def _walk_agree(
     table = np.fromiter(values, dtype=np.int64, count=len(values))
     latches = np.fromiter(bias, dtype=np.int8, count=len(bias))
     misses = lib.repro_walk_agree(
-        ffi.from_buffer("uint32_t[]", indices),
-        ffi.from_buffer("uint32_t[]", slots),
-        ffi.from_buffer("uint8_t[]", outcomes),
+        _buffer(ffi, "uint32_t[]", indices),
+        _buffer(ffi, "uint32_t[]", slots),
+        _buffer(ffi, "uint8_t[]", outcomes),
         len(outcomes),
         threshold,
         max_value,
-        ffi.from_buffer("int64_t[]", table),
-        ffi.from_buffer("int8_t[]", latches),
+        _buffer(ffi, "int64_t[]", table),
+        _buffer(ffi, "int8_t[]", latches),
         warmup,
     )
     values[:] = table.tolist()

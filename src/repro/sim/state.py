@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from repro.core.bank import PredictorBank
 from repro.core.counters import CounterArray, SaturatingCounter
@@ -136,12 +136,12 @@ def _kind(encoded: Any) -> str:
 
 
 def _decode_key(encoded: Any) -> Any:
-    """Rebuild a dict key (scalar or tuple of scalars)."""
+    """Rebuild a dict entry or set item (scalar or tuple of scalars)."""
     if isinstance(encoded, _SCALARS):
         return encoded
     if _kind(encoded) == "tuple":
         return tuple(_decode_key(item) for item in encoded["v"])
-    raise StateFormatError(f"unsupported dict-key payload: {encoded!r}")
+    raise StateFormatError(f"unsupported dict-entry payload: {encoded!r}")
 
 
 def _check(condition: bool, path: str, message: str) -> None:
@@ -149,184 +149,122 @@ def _check(condition: bool, path: str, message: str) -> None:
         raise StateMismatchError(f"state does not fit target at {path}: {message}")
 
 
-def _restore_value(target: Any, encoded: Any, path: str) -> Any:
-    """Validate ``encoded`` against ``target`` and write it in place.
+#: Scalar types one leaf may move between: an agree bias latch is None
+#: until its slot first executes, then a bool.
+_LATCH = (bool, type(None))
+
+
+def _check_scalar(target: Any, encoded: Any, path: str) -> None:
+    """A scalar leaf keeps its type (a latch may also flip set/unset)."""
+    _check(
+        type(encoded) is type(target)
+        or (isinstance(target, _LATCH) and isinstance(encoded, _LATCH)),
+        path,
+        f"{type(encoded).__name__} payload over {type(target).__name__}",
+    )
+
+
+#: Payload kind -> (leaf type, attribute holding its register value(s)).
+_REGISTERS = {
+    "counters": (CounterArray, "values"),
+    "counter": (SaturatingCounter, "value"),
+    "ghist": (GlobalHistory, "value"),
+    "pahist": (PerAddressHistory, "table"),
+}
+
+
+def _check_registers(values: Any, size: int, bits: int, path: str) -> None:
+    """``size`` ints (not bools), each one a ``bits``-wide register holds."""
+    top = (1 << bits) - 1
+    _check(
+        isinstance(values, list) and len(values) == size, path,
+        f"expected {size} values, got {values!r:.40}",
+    )
+    _check(
+        all(type(value) is int for value in values)
+        and (not values or (min(values) >= 0 and max(values) <= top)),
+        path,
+        f"values must be ints in [0, {top}]",
+    )
+
+
+def _apply(target: Any, encoded: Any, path: str, write: bool) -> Any:
+    """Check ``encoded`` against ``target``; with ``write``, apply it.
 
     Returns the value the *attribute* should hold afterwards (the same
     object for in-place containers, the decoded scalar otherwise).
+    :meth:`PredictorState.restore` runs a checking pass over the whole
+    payload before the writing one, so a payload that cannot fully
+    apply is refused before the first write — a failing restore never
+    half-writes.
     """
     kind = _kind(encoded)
     if kind == "scalar":
-        _check(
-            isinstance(target, _SCALARS) or target is None,
-            path,
-            f"scalar payload over {type(target).__name__}",
-        )
+        _check_scalar(target, encoded, path)
         return encoded
-    if kind == "counters":
-        _check(isinstance(target, CounterArray), path, "expected CounterArray")
-        _check(target.bits == encoded["bits"], path, "counter width differs")
-        _check(
-            len(target.values) == len(encoded["v"]),
-            path,
-            f"{len(encoded['v'])} counters for a "
-            f"{len(target.values)}-entry array",
-        )
-        target.values[:] = encoded["v"]
-        return target
-    if kind == "counter":
-        _check(
-            isinstance(target, SaturatingCounter), path,
-            "expected SaturatingCounter",
-        )
-        _check(target.bits == encoded["bits"], path, "counter width differs")
-        target.value = encoded["v"]
-        return target
-    if kind == "ghist":
-        _check(isinstance(target, GlobalHistory), path, "expected GlobalHistory")
-        _check(target.bits == encoded["bits"], path, "history width differs")
-        target.value = encoded["v"]
-        return target
-    if kind == "pahist":
-        _check(
-            isinstance(target, PerAddressHistory), path,
-            "expected PerAddressHistory",
-        )
-        _check(target.bits == encoded["bits"], path, "history width differs")
-        _check(
-            len(target.table) == len(encoded["v"]), path,
-            "history-table size differs",
-        )
-        target.table[:] = encoded["v"]
+    if kind in _REGISTERS:
+        leaf, attr = _REGISTERS[kind]
+        _check(isinstance(target, leaf), path, f"expected {leaf.__name__}")
+        _check(target.bits == encoded.get("bits"), path, "width differs")
+        current, values = getattr(target, attr), encoded.get("v")
+        if isinstance(current, list):
+            _check_registers(values, len(current), target.bits, path)
+            if write:
+                current[:] = values
+        else:
+            _check_registers([values], 1, target.bits, path)
+            if write:
+                setattr(target, attr, values)
         return target
     if kind == "bank":
         _check(isinstance(target, PredictorBank), path, "expected PredictorBank")
-        _restore_value(target.counters, encoded["v"], path + ".counters")
+        _apply(target.counters, encoded.get("v"), path + ".counters", write)
         return target
     if kind == "pred":
         _check(
             isinstance(target, BranchPredictor), path,
             "expected a nested predictor",
         )
-        _restore_fields(target, encoded["v"], path)
+        _apply_fields(target, encoded.get("v"), path, write)
         return target
     if kind == "tuple":
+        _check(isinstance(target, tuple), path, "expected a tuple")
         return _decode_key(encoded)
     if kind == "list":
+        items = encoded.get("v")
         _check(isinstance(target, list), path, "expected a list")
         _check(
-            len(target) == len(encoded["v"]), path,
-            f"{len(encoded['v'])} items for a {len(target)}-item list",
+            isinstance(items, list) and len(items) == len(target), path,
+            f"expected a {len(target)}-item list",
         )
-        target[:] = [
-            _restore_value(
-                target[i] if i < len(target) else None, item, f"{path}[{i}]"
-            )
-            for i, item in enumerate(encoded["v"])
+        values = [
+            _apply(target[i], item, f"{path}[{i}]", write)
+            for i, item in enumerate(items)
         ]
+        if write:
+            target[:] = values
         return target
     if kind == "dict":
         _check(isinstance(target, dict), path, "expected a dict")
         pairs = [
-            (_decode_key(key), _restore_value(None, item, f"{path}[...]"))
-            for key, item in encoded["v"]
+            (_decode_key(key), _decode_key(item)) for key, item in encoded["v"]
         ]
-        target.clear()
-        target.update(pairs)
+        if write:
+            target.clear()
+            target.update(pairs)
         return target
     if kind == "set":
         _check(isinstance(target, (set, frozenset)), path, "expected a set")
         items = {_decode_key(item) for item in encoded["v"]}
-        target.clear()
-        target.update(items)
+        if write:
+            target.clear()
+            target.update(items)
         return target
     raise StateFormatError(f"unknown state payload kind {kind!r} at {path}")
 
 
-def _restore_fields(obj: Any, fields: Dict[str, Any], path: str) -> None:
-    for name, encoded in fields.items():
-        _check(
-            hasattr(obj, name), f"{path}.{name}",
-            f"{type(obj).__name__} has no such attribute",
-        )
-        value = _restore_value(getattr(obj, name), encoded, f"{path}.{name}")
-        setattr(obj, name, value)
-
-
-def _validate_value(target: Any, encoded: Any, path: str) -> None:
-    """Mutation-free mirror of :func:`_restore_value`.
-
-    Runs the exact checks restore would hit, recursively, so a payload
-    that cannot fully apply is rejected *before* the first write — a
-    failing restore never half-writes.
-    """
-    kind = _kind(encoded)
-    if kind == "scalar":
-        _check(
-            isinstance(target, _SCALARS) or target is None,
-            path,
-            f"scalar payload over {type(target).__name__}",
-        )
-    elif kind == "counters":
-        _check(isinstance(target, CounterArray), path, "expected CounterArray")
-        _check(target.bits == encoded["bits"], path, "counter width differs")
-        _check(
-            len(target.values) == len(encoded["v"]), path,
-            "counter array size differs",
-        )
-    elif kind == "counter":
-        _check(
-            isinstance(target, SaturatingCounter), path,
-            "expected SaturatingCounter",
-        )
-        _check(target.bits == encoded["bits"], path, "counter width differs")
-    elif kind == "ghist":
-        _check(isinstance(target, GlobalHistory), path, "expected GlobalHistory")
-        _check(target.bits == encoded["bits"], path, "history width differs")
-    elif kind == "pahist":
-        _check(
-            isinstance(target, PerAddressHistory), path,
-            "expected PerAddressHistory",
-        )
-        _check(target.bits == encoded["bits"], path, "history width differs")
-        _check(
-            len(target.table) == len(encoded["v"]), path,
-            "history-table size differs",
-        )
-    elif kind == "bank":
-        _check(isinstance(target, PredictorBank), path, "expected PredictorBank")
-        _validate_value(target.counters, encoded["v"], path + ".counters")
-    elif kind == "pred":
-        _check(
-            isinstance(target, BranchPredictor), path,
-            "expected a nested predictor",
-        )
-        _validate_fields(target, encoded["v"], path)
-    elif kind == "tuple":
-        _decode_key(encoded)
-    elif kind == "list":
-        _check(isinstance(target, list), path, "expected a list")
-        _check(
-            len(target) == len(encoded["v"]), path,
-            f"{len(encoded['v'])} items for a {len(target)}-item list",
-        )
-        for i, item in enumerate(encoded["v"]):
-            _validate_value(target[i], item, f"{path}[{i}]")
-    elif kind == "dict":
-        _check(isinstance(target, dict), path, "expected a dict")
-        for key, item in encoded["v"]:
-            _decode_key(key)
-            _validate_value(None, item, f"{path}[...]")
-    elif kind == "set":
-        _check(isinstance(target, (set, frozenset)), path, "expected a set")
-        for item in encoded["v"]:
-            _decode_key(item)
-    else:
-        raise StateFormatError(f"unknown state payload kind {kind!r} at {path}")
-
-
-def _validate_fields(obj: Any, fields: Any, path: str) -> None:
-    """Structural dry-run over every field (see :func:`_validate_value`)."""
+def _apply_fields(obj: Any, fields: Any, path: str, write: bool) -> None:
+    """:func:`_apply` over every field of a predictor-like object."""
     if not isinstance(fields, dict):
         raise StateFormatError(f"malformed field mapping at {path}")
     for name, encoded in fields.items():
@@ -334,7 +272,9 @@ def _validate_fields(obj: Any, fields: Any, path: str) -> None:
             hasattr(obj, name), f"{path}.{name}",
             f"{type(obj).__name__} has no such attribute",
         )
-        _validate_value(getattr(obj, name), encoded, f"{path}.{name}")
+        value = _apply(getattr(obj, name), encoded, f"{path}.{name}", write)
+        if write:
+            setattr(obj, name, value)
 
 
 class PredictorState:
@@ -360,16 +300,17 @@ class PredictorState:
         """Write the snapshot back into ``predictor``, in place.
 
         Raises :class:`StateMismatchError` when the payload does not fit
-        (wrong class, table geometry, missing attributes) *before*
-        touching any predictor state.
+        (wrong class, table geometry, missing attributes, a leaf of the
+        wrong type or out of its register's range) *before* touching any
+        predictor state.
         """
         if type(predictor).__name__ != self.predictor_class:
             raise StateMismatchError(
                 f"state captured from {self.predictor_class} cannot "
                 f"restore into {type(predictor).__name__}"
             )
-        _validate_fields(predictor, self.payload, self.predictor_class)
-        _restore_fields(predictor, self.payload, self.predictor_class)
+        _apply_fields(predictor, self.payload, self.predictor_class, False)
+        _apply_fields(predictor, self.payload, self.predictor_class, True)
 
     # -- serialization -----------------------------------------------------
 

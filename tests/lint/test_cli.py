@@ -7,7 +7,7 @@ import json
 from repro.lint.cli import main
 
 #: Every registered rule id (R007 was retired; its number is not reused).
-RULE_IDS = ["R001", "R002", "R003", "R004", "R005", "R006", "R008", "R009"]
+RULE_IDS = ["R001", "R002", "R003", "R004", "R005", "R006", "R009"]
 
 BAD_RNG = """
 import random
@@ -114,7 +114,7 @@ class TestRuleSelection:
         assert main(["--list-rules"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert [line.split()[0] for line in lines] == RULE_IDS
-        assert any("c-abi-parity" in line for line in lines)
+        assert any("env-var-contract" in line for line in lines)
 
     def test_list_rules_needs_no_paths(self, tmp_path, capsys, monkeypatch):
         # works even where ./src does not exist (no usage error)

@@ -7,7 +7,7 @@ import pytest
 from repro.lint.engine import ProjectContext, Violation, lint_paths
 from repro.lint.rules import all_rules, rules_by_id, select_rules
 
-RULE_IDS = ["R001", "R002", "R003", "R004", "R005", "R006", "R008", "R009"]
+RULE_IDS = ["R001", "R002", "R003", "R004", "R005", "R006", "R009"]
 
 #: "été" in Latin-1: not valid UTF-8, so not valid Python source.
 LATIN1_SOURCE = b"NAME = '\xe9t\xe9'\n"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.lint.engine import ProjectContext
@@ -46,8 +44,6 @@ def indexed(project):
             if bits <= WIDTH:
                 return pack(stream, bits)
             return None
-
-        pack(0, 1)  # module-level call site
         """,
     )
     return project, ProjectContext(project.root).index()
@@ -62,8 +58,6 @@ class TestModuleTable:
         _, index = indexed
         core = index.module("pk.core")
         assert {"WIDTH", "NAME", "helper", "pack", "Table"} <= set(core.symbols)
-        assert "pack" in core.functions
-        assert "Table.touch" in core.functions  # methods use qualnames
 
     def test_constants_capture_literals_only(self, indexed):
         _, index = indexed
@@ -106,37 +100,3 @@ class TestResolution:
         assert index.resolve_constant("pk.driver", "WIDTH") == 64
         assert index.resolve_constant("pk.core", "WIDTH") == 64
         assert index.resolve_constant("pk.driver", "missing") is None
-
-
-class TestCallGraph:
-    def test_callers_include_cross_module_and_module_level(self, indexed):
-        _, index = indexed
-        callers = index.callers_of("pk.core", "pack")
-        seen = {(site.module, site.function) for site in callers}
-        assert ("pk.driver", "run") in seen
-        assert ("pk.driver", "") in seen  # the module-level call
-
-    def test_method_calls_are_attributed(self, indexed):
-        _, index = indexed
-        callers = index.callers_of("pk.core", "helper")
-        seen = {(site.module, site.function) for site in callers}
-        assert seen == {("pk.core", "pack"), ("pk.core", "Table.touch")}
-
-
-class TestRealTree:
-    """The index must understand the code this repo actually ships."""
-
-    def test_native_kernel_callers(self):
-        index = ProjectContext(Path(__file__).resolve().parents[2]).index()
-
-        def callers(function):
-            return {
-                (site.module, site.function)
-                for site in index.callers_of("repro.sim.vectorized", function)
-            }
-
-        # Both counter-walk backends share one frame, so one caller
-        # precomputes the index streams (agree's included) for either.
-        assert callers("_index_streams") == {
-            ("repro.sim.vectorized", "simulate_walk"),
-        }

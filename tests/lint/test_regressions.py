@@ -93,19 +93,6 @@ REGRESSIONS = [
         ),
         context=("tests/sim/test_native.py",),
     ),
-    Regression(  # int32 counters behind an int64_t* buffer
-        "R008",
-        "src/repro/sim/native.py",
-        (
-            (
-                "table = np.fromiter(values, dtype=np.int64, count=len(values))"
-                "\n    misses",
-                "table = np.fromiter(values, dtype=np.int32, count=len(values))"
-                "\n    misses",
-            ),
-        ),
-        context=("src/repro/sim/_native_kernel.c",),
-    ),
     Regression(
         "R009",
         "src/repro/sim/native.py",

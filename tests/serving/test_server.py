@@ -140,6 +140,23 @@ def _event_rows(trace):
     ]
 
 
+
+#: Leaves a checksum-valid ``restore`` payload may carry that a
+#: gshare:256:h8 tenant cannot hold (2-bit counters, 8-bit history).
+POISONS = {
+    "counter-99": lambda p: p["bank"]["v"]["v"].__setitem__(0, 99),
+    "counter-str": lambda p: p["bank"]["v"]["v"].__setitem__(0, "x"),
+    "ghist-2**40": lambda p: p["history"].__setitem__("v", 2**40),
+}
+
+
+def _poisoned_state(spec: str, poison: str) -> str:
+    """The hex wire form of a fresh ``spec`` state with one bad leaf."""
+    state = PredictorState.capture(make_predictor(spec))
+    payload = json.loads(json.dumps(state.payload))
+    POISONS[poison](payload)
+    return PredictorState(state.predictor_class, payload).to_bytes().hex()
+
 class TestEventValidation:
     @pytest.mark.parametrize(
         "event",
@@ -352,6 +369,27 @@ class TestSnapshotRestore:
         assert response["ok"] is False
         assert "restore rejected" in response["error"]
 
+    @pytest.mark.parametrize("poison", sorted(POISONS))
+    def test_out_of_range_restore_is_refused_and_session_keeps_serving(
+        self, poison
+    ):
+        spec = "gshare:256:h8"
+        trace = _ibs_like(11, 300)
+        rows = _event_rows(trace)
+        service = PredictionService(shards=1, batch_size=50)
+        service.handle({"op": "open", "session": "s", "spec": spec})
+        service.handle({"op": "events", "session": "s", "events": rows[:150]})
+        response = service.handle(
+            {"op": "restore", "session": "s",
+             "state": _poisoned_state(spec, poison)}
+        )
+        assert response["ok"] is False
+        assert response["error"].startswith("restore rejected: ")
+        service.handle({"op": "events", "session": "s", "events": rows[150:]})
+        assert _served_finals(service, {"s": trace}) == _serial_finals(
+            {"s": trace}, {"s": spec}
+        )
+
 
 class TestAsyncServer:
     """The TCP front end: concurrent clients, real sockets, same parity."""
@@ -468,6 +506,35 @@ class TestAsyncServer:
         assert str(LINE_LIMIT) in responses[1]["error"]
         # Nothing from the oversized line was buffered.
         assert responses[3]["conditional_branches"] == 2
+
+    def test_out_of_range_restore_is_refused_over_tcp(self):
+        spec = "gshare:256:h8"
+        trace = _ibs_like(12, 200)
+
+        async def scenario():
+            async with PredictionServer(shards=1, batch_size=40) as server:
+                host, port = server.address
+                async with PredictionClient(host, port) as client:
+                    await client.open("s", spec)
+                    for poison in sorted(POISONS):
+                        with pytest.raises(
+                            ServingError, match="^restore rejected: "
+                        ):
+                            await client.request(
+                                {"op": "restore", "session": "s",
+                                 "state": _poisoned_state(spec, poison)}
+                            )
+                    await client.events("s", _event_rows(trace))
+                    stats = await client.sync("s")
+                    state = await client.snapshot("s")
+                    return (
+                        stats["conditional_branches"],
+                        stats["mispredictions"],
+                        state.digest(),
+                    )
+
+        served = asyncio.run(scenario())
+        assert served == _serial_finals({"s": trace}, {"s": spec})["s"]
 
     def test_unknown_session_error_surfaces_in_client(self):
         async def scenario():

@@ -136,6 +136,61 @@ class TestFailsLoudly:
             state.restore(target)
         assert PredictorState.capture(target) == before
 
+    @pytest.mark.parametrize(
+        "spec,poison",
+        [
+            # a counter a 2-bit table cannot hold
+            ("gshare:64:h5", lambda p: p["bank"]["v"]["v"].__setitem__(0, 99)),
+            # a counter that is not a number: every flush would raise
+            ("gshare:64:h5", lambda p: p["bank"]["v"]["v"].__setitem__(0, "x")),
+            # a bool is not a counter, even though True == 1
+            ("gshare:64:h5", lambda p: p["bank"]["v"]["v"].__setitem__(0, True)),
+            ("gshare:64:h5", lambda p: p["bank"]["v"]["v"].__setitem__(0, -1)),
+            # a history value past its 8-bit register
+            ("gshare:256:h8", lambda p: p["history"].__setitem__("v", 2**40)),
+            ("pas:16/h3:64", lambda p: p["histories"]["v"].__setitem__(0, 8)),
+            # a scalar leaf that changes type
+            ("gshare:64:h5", lambda p: p.__setitem__("counter_bits", "2")),
+            ("agree:64:h5", lambda p: p["_bias"]["v"].__setitem__(0, 1)),
+            # a tuple over a counter bank
+            ("gshare:64:h5", lambda p: p.__setitem__(
+                "bank", {"k": "tuple", "v": [1, 2]}
+            )),
+        ],
+        ids=[
+            "counter-99", "counter-str", "counter-bool", "counter-negative",
+            "ghist-2**40", "pahist-8", "scalar-type", "latch-int",
+            "tuple-over-bank",
+        ],
+    )
+    def test_leaf_out_of_type_or_range_is_rejected_before_mutation(
+        self, spec, poison, tiny_trace
+    ):
+        predictor = make_predictor(spec)
+        payload = json.loads(
+            json.dumps(PredictorState.capture(predictor).payload)
+        )
+        poison(payload)
+        target = make_predictor(spec)
+        simulate(target, tiny_trace)  # differs from the payload everywhere
+        before = PredictorState.capture(target)
+        with pytest.raises(StateMismatchError):
+            PredictorState(type(predictor).__name__, payload).restore(target)
+        assert PredictorState.capture(target) == before
+
+    def test_agree_latches_restore_set_and_unset(self, tiny_trace):
+        # A latch is None until its slot first executes, then a bool:
+        # rewinding a trained predictor to a fresh snapshot unsets it.
+        fresh = PredictorState.capture(make_predictor("agree:64:h5"))
+        trained = make_predictor("agree:64:h5")
+        simulate(trained, tiny_trace)
+        latched = PredictorState.capture(trained)
+        assert any(bias is not None for bias in trained._bias)
+        fresh.restore(trained)
+        assert all(bias is None for bias in trained._bias)
+        latched.restore(trained)
+        assert PredictorState.capture(trained) == latched
+
     def test_unknown_attribute_types_fail_capture(self):
         predictor = make_predictor("bimodal:64")
         predictor.rogue = object()  # anything the walker can't encode

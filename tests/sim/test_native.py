@@ -19,6 +19,8 @@ without a C compiler.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,6 +337,184 @@ class TestForcedEngine:
         assert a == b
         assert a.engine == "generic"
         assert b.engine in ("native", "vectorized")
+
+
+# -- the Python-C seam ----------------------------------------------------
+
+
+def _walk_args(ffi):
+    """The arguments of one valid single-bank ``repro_walk`` call, in
+    cdef order (one taken event over a weakly not-taken counter)."""
+    return [
+        ffi.from_buffer("uint32_t[]", np.zeros(1, np.uint32)),  # indices
+        ffi.from_buffer("uint8_t[]", np.ones(1, np.uint8)),  # outcomes
+        1, 1, 0, 2, 3,  # n, banks, policy, threshold, max_value
+        ffi.from_buffer("int64_t[]", np.ones(1, np.int64)),  # values
+        1, 0,  # entries, warmup
+    ]
+
+
+@requires_native
+class TestAbiChecks:
+    """The compiler checks the kernel against the cdef when the backend
+    builds and loads; cffi checks every call's arity and pointer types."""
+
+    def _build(self, tmp_path, monkeypatch, kernel=None, cdef=None):
+        monkeypatch.setenv(native_module.CACHE_ENV_VAR, str(tmp_path / "so"))
+        if kernel is not None:
+            path = tmp_path / "_native_kernel.c"
+            path.write_text(kernel, encoding="utf-8")
+            monkeypatch.setattr(native_module, "_KERNEL_PATH", path)
+        if cdef is not None:
+            monkeypatch.setattr(native_module, "_CDEF", cdef)
+        return native_module._build_backend()
+
+    def test_kernel_drifting_from_the_cdef_fails_to_build(
+        self, tmp_path, monkeypatch, capfd
+    ):
+        import cffi
+
+        shipped = native_module._KERNEL_PATH.read_text(encoding="utf-8")
+        drifted = shipped.replace(
+            "int64_t n, int32_t banks", "int64_t n, int64_t banks"
+        )
+        assert drifted.count("int64_t banks") == 1
+        with pytest.raises(cffi.VerificationError):
+            self._build(tmp_path, monkeypatch, kernel=drifted)
+        assert re.search(
+            r"conflicting types for .repro_walk.", capfd.readouterr().err
+        )
+
+    def test_cdef_entry_with_no_definition_fails_to_load(
+        self, tmp_path, monkeypatch
+    ):
+        cdef = native_module._CDEF + (
+            "int64_t repro_no_such_walk(int64_t *values, int64_t n);\n"
+        )
+        with pytest.raises(ImportError, match="repro_no_such_walk"):
+            self._build(tmp_path, monkeypatch, cdef=cdef)
+
+    def test_valid_call_runs(self):
+        # The refusals below each break one argument of this call.
+        ffi, lib = _backend()
+        assert lib.repro_walk(*_walk_args(ffi)) == 1
+
+    def test_wrongly_declared_buffer_is_refused(self):
+        ffi, lib = _backend()
+        args = _walk_args(ffi)
+        args[0] = ffi.from_buffer("int64_t[]", np.zeros(1, np.int64))
+        with pytest.raises(TypeError, match=r"uint32_t \*"):
+            lib.repro_walk(*args)
+
+    def test_swapped_buffers_are_refused(self):
+        ffi, lib = _backend()
+        args = _walk_args(ffi)
+        args[0], args[1] = args[1], args[0]
+        with pytest.raises(TypeError, match="uint8_t"):
+            lib.repro_walk(*args)
+
+    def test_wrong_arity_is_refused(self):
+        ffi, lib = _backend()
+        args = _walk_args(ffi)
+        del args[2]  # n
+        with pytest.raises(TypeError, match="expected 10 arguments, got 9"):
+            lib.repro_walk(*args)
+
+    def test_buffer_passed_for_a_scalar_is_refused(self):
+        ffi, lib = _backend()
+        args = _walk_args(ffi)
+        args[2] = ffi.from_buffer("int64_t[]", np.ones(1, np.int64))
+        with pytest.raises(TypeError):
+            lib.repro_walk(*args)
+
+
+class _PassThroughFFI:
+    """Stands in for cffi's ``ffi``: hands the array through untouched."""
+
+    def from_buffer(self, ctype, array):
+        return array
+
+
+class _NoOpKernel:
+    """Stands in for the compiled ``lib``: walks nothing, misses nothing."""
+
+    def repro_walk(self, *args):
+        return 0
+
+    def repro_walk_agree(self, *args):
+        return 0
+
+
+class TestBufferDtypes:
+    """``from_buffer`` takes any array behind a ``T[]``; the wrapper's
+    dtype check refuses the wrong one before cffi sees it, so these run
+    without a compiler."""
+
+    def test_int32_table_behind_int64_buffer_is_refused(self):
+        # Counters gathered as int32 but handed over as int64_t[]: the
+        # kernel would read pairs of them as one garbage counter.
+        values = [1, 2, 3]
+        table = np.fromiter(values, dtype=np.int32, count=len(values))
+        with pytest.raises(ValueError, match="needs a int64 array, not int32"):
+            native_module._buffer(_PassThroughFFI(), "int64_t[]", table)
+
+    @pytest.mark.parametrize(
+        "ctype,dtype",
+        [
+            ("uint8_t[]", np.uint8),
+            ("int8_t[]", np.int8),
+            ("uint32_t[]", np.uint32),
+            ("int64_t[]", np.int64),
+        ],
+    )
+    def test_only_the_declared_element_type_passes(self, ctype, dtype):
+        ffi = _PassThroughFFI()
+        array = np.zeros(2, dtype)
+        assert native_module._buffer(ffi, ctype, array) is array
+        for other in (np.uint8, np.int8, np.uint32, np.int32, np.int64):
+            if other is not dtype:
+                with pytest.raises(ValueError, match="needs"):
+                    native_module._buffer(ffi, ctype, np.zeros(2, other))
+
+    @pytest.mark.parametrize("wrong", ["indices", "outcomes"])
+    def test_walk_checks_every_caller_buffer(self, wrong, monkeypatch):
+        monkeypatch.setattr(
+            native_module, "_BACKEND", (_PassThroughFFI(), _NoOpKernel())
+        )
+        arrays = {
+            "indices": np.zeros(1, np.uint32),
+            "outcomes": np.ones(1, np.uint8),
+        }
+        assert NATIVE_BACKEND.walk(
+            arrays["indices"], arrays["outcomes"], 1, 0, 2, 3, [1], 1, 0
+        ) == 0
+        arrays[wrong] = arrays[wrong].astype(np.int64)
+        with pytest.raises(ValueError, match="needs"):
+            NATIVE_BACKEND.walk(
+                arrays["indices"], arrays["outcomes"], 1, 0, 2, 3, [1], 1, 0
+            )
+
+    @pytest.mark.parametrize("wrong", ["indices", "slots", "outcomes"])
+    def test_agree_walk_checks_every_caller_buffer(self, wrong, monkeypatch):
+        monkeypatch.setattr(
+            native_module, "_BACKEND", (_PassThroughFFI(), _NoOpKernel())
+        )
+        arrays = {
+            "indices": np.zeros(1, np.uint32),
+            "slots": np.zeros(1, np.uint32),
+            "outcomes": np.ones(1, np.uint8),
+        }
+
+        def walk():
+            return NATIVE_BACKEND.walk_agree(
+                arrays["indices"], arrays["slots"], arrays["outcomes"],
+                2, 3, [1], [-1], 0,
+            )
+
+        assert walk() == 0
+        arrays[wrong] = arrays[wrong].astype(np.int64)
+        with pytest.raises(ValueError, match="needs"):
+            walk()
 
 
 # -- entry points vs scalar oracles -----------------------------------------
