@@ -1,10 +1,13 @@
-/* Native simulation kernel: one sequential walk over precomputed index
- * streams.
+/* Native simulation kernel: one sequential walk over a raw trace.
  *
  * Every index-expressible predictor's table indices are a pure function
- * of the trace, so repro.sim.vectorized precomputes them in numpy; what
- * remains is the counter walk itself, whose reads feed later
- * predictions.  This file walks the events strictly in trace order,
+ * of the trace and the predictor's index geometry (scheme, index width,
+ * history length and the history register's contents before the trace),
+ * so the walk computes them itself, a block of events at a time: it
+ * gathers the block's conditional events with the history register each
+ * one sees, evaluates the scheme's index functions over the block in
+ * branch-free loops, and then walks the block.  No whole-trace index
+ * array exists.  The walk visits the events strictly in trace order,
  * exactly as repro.sim.engine.simulate does, so it is exact for every
  * update policy by construction — including PARTIAL and LAZY, where
  * each bank's training reads the overall majority vote and the banks
@@ -20,9 +23,16 @@
  *                     "agrees with bias" counters plus a biasing-bit
  *                     table that latches on a slot's first execution.
  *
+ * Trace conventions (both walks): `pcs`, `takens` and `conditionals`
+ * are the trace's n events.  Every event shifts its outcome into the
+ * global-history register (most recent in the least-significant bit);
+ * only conditional events are predicted and trained.  `warmup` counts
+ * conditional events: the first `warmup` of them train but are not
+ * scored.
+ *
  * Counter conventions (both walks): predict taken when
  * `value >= threshold`; training saturates in [0, max_value] toward the
- * trained direction.  Events below `warmup` train but are not scored.
+ * trained direction.
  */
 
 #include <stdint.h>
@@ -31,7 +41,24 @@
 #define REPRO_POLICY_PARTIAL 1
 #define REPRO_POLICY_LAZY 2
 
+#define REPRO_SCHEME_BIMODAL 0
+#define REPRO_SCHEME_GSHARE 1
+#define REPRO_SCHEME_GSELECT 2
+#define REPRO_SCHEME_SKEW 3
+#define REPRO_SCHEME_EGSKEW 4
+
 #define REPRO_MAX_BANKS 5
+#define REPRO_MAX_INDEX_BITS 32
+#define REPRO_MAX_HISTORY_BITS 63
+
+/* Events per block: the block's words, history registers and indices
+ * live on the stack (~72 KB at five banks). */
+#define REPRO_BLOCK 2048
+
+static inline uint64_t repro_mask(int32_t bits)
+{
+    return bits ? (UINT64_C(1) << bits) - 1 : 0;
+}
 
 static inline int64_t repro_step(int64_t value, int32_t up, int64_t max_value)
 {
@@ -40,28 +67,255 @@ static inline int64_t repro_step(int64_t value, int32_t up, int64_t max_value)
     return value > 0 ? value - 1 : value;
 }
 
-/* The walk body, inlined with constant `banks` and `policy` so each of
- * the dispatched specialisations unrolls its bank loops. */
-static inline int64_t walk(const uint32_t *indices, const uint8_t *outcomes,
-                           int64_t n, const int32_t banks,
-                           const int32_t policy, int64_t threshold,
-                           int64_t max_value, int64_t *values,
-                           int64_t entries, int64_t warmup)
+/* Gather the conditional events of [start, stop): their word addresses
+ * (pc >> 2) and the history register *after* each one shifted its
+ * outcome in — so bit 0 is the event's outcome and the bits above it
+ * are the register the event was predicted with.  The register is
+ * kept unmasked (one add per event on the serial chain); its low bits
+ * are exact, and every reader masks.  Returns the conditional count. */
+static int64_t repro_gather(const uint64_t *pcs, const uint8_t *takens,
+                            const uint8_t *conditionals, int64_t start,
+                            int64_t stop, uint64_t *history,
+                            uint64_t *words, uint64_t *after)
+{
+    uint64_t h = *history;
+    int64_t m = 0;
+    int64_t i;
+
+    for (i = start; i < stop; i++) {
+        h = h * 2 + (takens[i] != 0);
+        /* Written for every event, kept only for conditional ones. */
+        words[m] = pcs[i] >> 2;
+        after[m] = h;
+        m += conditionals[i] != 0;
+    }
+    *history = h;
+    return m;
+}
+
+/* The register conditional event k was predicted with. */
+static inline uint64_t repro_history(const uint64_t *after, int64_t k,
+                                     uint64_t history_mask)
+{
+    return (after[k] >> 1) & history_mask;
+}
+
+/* gshare's index: the address XOR the history, folded into `bits` bits
+ * when the history is longer (repro.core.index.gshare_index). */
+static void repro_gshare(const uint64_t *words, const uint64_t *after,
+                         int64_t m, int32_t bits, int32_t history_bits,
+                         uint32_t *out)
+{
+    uint64_t mask = repro_mask(bits);
+    uint64_t history_mask = repro_mask(history_bits);
+    int64_t k;
+
+    if (history_bits == 0 || bits == 0) {
+        for (k = 0; k < m; k++)
+            out[k] = (uint32_t)(words[k] & mask);
+    } else if (history_bits <= bits) {
+        int32_t shift = bits - history_bits;
+
+        for (k = 0; k < m; k++)
+            out[k] = (uint32_t)((words[k]
+                                 ^ (repro_history(after, k, history_mask)
+                                    << shift)) & mask);
+    } else {
+        int32_t chunks = (history_bits + bits - 1) / bits;
+        int32_t c;
+
+        for (k = 0; k < m; k++) {
+            uint64_t history = repro_history(after, k, history_mask);
+            uint64_t folded = words[k] & mask;
+
+            for (c = 0; c < chunks; c++)
+                folded ^= (history >> (c * bits)) & mask;
+            out[k] = (uint32_t)folded;
+        }
+    }
+}
+
+/* gselect's index: low address bits above the history bits. */
+static void repro_gselect(const uint64_t *words, const uint64_t *after,
+                          int64_t m, int32_t bits, int32_t history_bits,
+                          uint32_t *out)
+{
+    uint64_t mask = repro_mask(bits);
+    uint64_t history_mask = repro_mask(history_bits);
+    int64_t k;
+
+    if (history_bits == 0) {
+        for (k = 0; k < m; k++)
+            out[k] = (uint32_t)(words[k] & mask);
+    } else if (history_bits >= bits) {
+        for (k = 0; k < m; k++)
+            out[k] = (uint32_t)(repro_history(after, k, mask));
+    } else {
+        uint64_t address_mask = repro_mask(bits - history_bits);
+
+        for (k = 0; k < m; k++)
+            out[k] = (uint32_t)(((words[k] & address_mask) << history_bits)
+                                | repro_history(after, k, history_mask));
+    }
+}
+
+/* The paper's shuffle H and its inverse on n-bit values, n >= 2. */
+static inline uint32_t repro_shuffle(uint32_t y, int32_t n)
+{
+    return (y >> 1) | ((((y >> (n - 1)) ^ y) & 1u) << (n - 1));
+}
+
+static inline uint32_t repro_unshuffle(uint32_t z, int32_t n, uint32_t mask)
+{
+    return ((z << 1) & mask) | (((z >> (n - 1)) ^ (z >> (n - 2))) & 1u);
+}
+
+/* The skewing family f0..f(count-1) (repro.core.skew) over the n-bit
+ * halves v1, v2 of the information vector (pc >> 2) << h | history.
+ * `count` is a constant at each call, so the unused functions drop. */
+static inline void repro_skew(const uint64_t *words, const uint64_t *after,
+                              int64_t m, int32_t n, int32_t history_bits,
+                              const int32_t count, uint32_t *out)
+{
+    uint64_t mask = repro_mask(n);
+    uint64_t history_mask = repro_mask(history_bits);
+    uint32_t narrow = (uint32_t)mask;
+    int64_t k;
+
+    if (n < 2) {
+        /* H and H^-1 are the identity on one bit (and on none). */
+        for (k = 0; k < m; k++) {
+            uint64_t vector = (words[k] << history_bits)
+                             | repro_history(after, k, history_mask);
+            uint32_t v1 = (uint32_t)(vector & mask);
+            uint32_t v2 = (uint32_t)((vector >> n) & mask);
+
+            out[k] = v1;
+            if (count > 1) {
+                out[REPRO_BLOCK + k] = v2;
+                out[2 * REPRO_BLOCK + k] = v1;
+            }
+            if (count > 3) {
+                out[3 * REPRO_BLOCK + k] = v2;
+                out[4 * REPRO_BLOCK + k] = v1;
+            }
+        }
+        return;
+    }
+    for (k = 0; k < m; k++) {
+        uint64_t vector = (words[k] << history_bits)
+                             | repro_history(after, k, history_mask);
+        uint32_t v1 = (uint32_t)(vector & mask);
+        uint32_t v2 = (uint32_t)((vector >> n) & mask);
+        uint32_t h1, g2, g1, h2;
+
+        if (count == 1) {
+            out[k] = v1;
+            continue;
+        }
+        h1 = repro_shuffle(v1, n);
+        g2 = repro_unshuffle(v2, n, narrow);
+        g1 = repro_unshuffle(v1, n, narrow);
+        h2 = repro_shuffle(v2, n);
+        out[k] = h1 ^ g2 ^ v2;
+        out[REPRO_BLOCK + k] = h1 ^ g2 ^ v1;
+        out[2 * REPRO_BLOCK + k] = g1 ^ h2 ^ v2;
+        if (count > 3) {
+            out[3 * REPRO_BLOCK + k] = g1 ^ h2 ^ v1;
+            out[4 * REPRO_BLOCK + k] = repro_shuffle(h1, n)
+                                       ^ repro_unshuffle(g2, n, narrow) ^ v2;
+        }
+    }
+}
+
+/* e-gskew's bank 0: address truncation, or the ablation's short
+ * history hash when `bank0_bits` > 0. */
+static void repro_egskew_bank0(const uint64_t *words, const uint64_t *after,
+                               int64_t m, int32_t n, int32_t bank0_bits,
+                               uint32_t *out)
+{
+    uint64_t mask = repro_mask(n);
+    uint64_t short_mask = repro_mask(bank0_bits);
+    int32_t shift = n - bank0_bits;
+    int64_t k;
+
+    if (bank0_bits == 0) {
+        for (k = 0; k < m; k++)
+            out[k] = (uint32_t)(words[k] & mask);
+    } else if (shift >= 0) {
+        for (k = 0; k < m; k++)
+            out[k] = (uint32_t)((words[k] & mask)
+                                ^ (repro_history(after, k, short_mask)
+                                   << shift));
+    } else {
+        for (k = 0; k < m; k++)
+            out[k] = (uint32_t)((words[k]
+                                 ^ repro_history(after, k, short_mask))
+                                & mask);
+    }
+}
+
+/* Every bank's index for the block's m conditional events, bank-major
+ * with a stride of REPRO_BLOCK.  One copy serves every walk
+ * specialisation; the skewing family is specialised per bank count. */
+static void repro_indices(const uint64_t *words, const uint64_t *after,
+                          int64_t m, int32_t scheme, int32_t banks,
+                          int32_t bits, int32_t history_bits,
+                          int32_t bank0_bits, uint32_t *out)
+{
+    uint64_t mask = repro_mask(bits);
+    int64_t k;
+
+    switch (scheme) {
+    case REPRO_SCHEME_BIMODAL:
+        for (k = 0; k < m; k++)
+            out[k] = (uint32_t)(words[k] & mask);
+        break;
+    case REPRO_SCHEME_GSHARE:
+        repro_gshare(words, after, m, bits, history_bits, out);
+        break;
+    case REPRO_SCHEME_GSELECT:
+        repro_gselect(words, after, m, bits, history_bits, out);
+        break;
+    case REPRO_SCHEME_SKEW:
+        if (banks == 1)
+            repro_skew(words, after, m, bits, history_bits, 1, out);
+        else if (banks == 3)
+            repro_skew(words, after, m, bits, history_bits, 3, out);
+        else
+            repro_skew(words, after, m, bits, history_bits, 5, out);
+        break;
+    case REPRO_SCHEME_EGSKEW:
+        repro_skew(words, after, m, bits, history_bits, 3, out);
+        repro_egskew_bank0(words, after, m, bits, bank0_bits, out);
+        break;
+    }
+}
+
+/* Walk one block's m events through the voted banks; `warmup` is
+ * relative to the block (negative once the warmup has passed). */
+static inline int64_t repro_walk_block(const uint32_t *indices,
+                                       const uint64_t *after, int64_t m,
+                                       const int32_t banks,
+                                       const int32_t policy,
+                                       int64_t threshold, int64_t max_value,
+                                       int64_t *values, int64_t entries,
+                                       int64_t warmup)
 {
     int64_t misses = 0;
     int64_t i;
     int32_t b;
 
-    for (i = 0; i < n; i++) {
+    for (i = 0; i < m; i++) {
         int64_t *slot[REPRO_MAX_BANKS];
         int64_t value[REPRO_MAX_BANKS];
         int32_t own[REPRO_MAX_BANKS];
-        int32_t taken = outcomes[i];
+        int32_t taken = (int32_t)(after[i] & 1);
         int32_t votes = 0;
         int32_t wrong;
 
         for (b = 0; b < banks; b++) {
-            slot[b] = values + b * entries + indices[b * n + i];
+            slot[b] = values + b * entries + indices[b * REPRO_BLOCK + i];
             value[b] = *slot[b];
             own[b] = value[b] >= threshold;
             votes += own[b];
@@ -80,26 +334,89 @@ static inline int64_t walk(const uint32_t *indices, const uint8_t *outcomes,
     return misses;
 }
 
-/* Walk `n` events through `banks` majority-voted tables; return the
- * misses at positions >= warmup, or -1 for an unsupported bank count or
- * policy.
- *
- *   indices    bank-major: indices[b * n + i] is bank b's entry for
- *              event i
- *   outcomes   n bytes, 1 = taken
- *   banks      1, 3 or 5
- *   policy     REPRO_POLICY_TOTAL / _PARTIAL / _LAZY
- *   values     bank-major counters, `entries` per bank; mutated to the
- *              final state (bit-identical to the generic engine's)
- */
-int64_t repro_walk(const uint32_t *indices, const uint8_t *outcomes,
-                   int64_t n, int32_t banks, int32_t policy,
-                   int64_t threshold, int64_t max_value, int64_t *values,
-                   int64_t entries, int64_t warmup)
+/* The whole walk, inlined with constant `banks` and `policy` so each of
+ * the dispatched specialisations unrolls its bank loops. */
+static inline int64_t walk(const uint64_t *pcs, const uint8_t *takens,
+                           const uint8_t *conditionals, int64_t n,
+                           int32_t scheme, int32_t bits,
+                           int32_t history_bits, uint64_t history_seed,
+                           int32_t bank0_bits, const int32_t banks,
+                           const int32_t policy, int64_t threshold,
+                           int64_t max_value, int64_t *values,
+                           int64_t warmup)
 {
+    uint64_t words[REPRO_BLOCK];
+    uint64_t after[REPRO_BLOCK];
+    uint32_t indices[REPRO_MAX_BANKS * REPRO_BLOCK];
+    uint64_t history = history_seed & repro_mask(history_bits);
+    int64_t entries = (int64_t)1 << bits;
+    int64_t misses = 0;
+    int64_t seen = 0;
+    int64_t start;
+
+    for (start = 0; start < n; start += REPRO_BLOCK) {
+        int64_t stop = n - start > REPRO_BLOCK ? start + REPRO_BLOCK : n;
+        int64_t m = repro_gather(pcs, takens, conditionals, start, stop,
+                                 &history, words, after);
+
+        repro_indices(words, after, m, scheme, banks, bits, history_bits,
+                      bank0_bits, indices);
+        misses += repro_walk_block(indices, after, m, banks, policy,
+                                   threshold, max_value, values, entries,
+                                   warmup - seen);
+        seen += m;
+    }
+    return misses;
+}
+
+/* Walk the trace's conditional events through `banks` majority-voted
+ * tables; return the misses past `warmup`, or -1 (tables untouched)
+ * for an unsupported geometry or policy.
+ *
+ *   scheme        REPRO_SCHEME_*: bimodal, gshare and gselect take one
+ *                 bank, e-gskew three, the skewing family 1, 3 or 5
+ *   bits          index bits per bank (<= 32); each bank holds
+ *                 1 << bits counters
+ *   history_bits  global-history length (<= 63); history_seed is the
+ *                 register before the first event
+ *   bank0_bits    e-gskew's bank-0 history bits (0 elsewhere)
+ *   policy        REPRO_POLICY_TOTAL / _PARTIAL / _LAZY
+ *   values        bank-major counters; mutated to the final state
+ *                 (bit-identical to the generic engine's)
+ */
+int64_t repro_walk(const uint64_t *pcs, const uint8_t *takens,
+                   const uint8_t *conditionals, int64_t n, int32_t scheme,
+                   int32_t bits, int32_t history_bits,
+                   uint64_t history_seed, int32_t bank0_bits,
+                   int32_t banks, int32_t policy, int64_t threshold,
+                   int64_t max_value, int64_t *values, int64_t warmup)
+{
+    int32_t banks_ok;
+
+    switch (scheme) {
+    case REPRO_SCHEME_BIMODAL:
+    case REPRO_SCHEME_GSHARE:
+    case REPRO_SCHEME_GSELECT:
+        banks_ok = banks == 1;
+        break;
+    case REPRO_SCHEME_SKEW:
+        banks_ok = banks == 1 || banks == 3 || banks == 5;
+        break;
+    case REPRO_SCHEME_EGSKEW:
+        banks_ok = banks == 3;
+        break;
+    default:
+        banks_ok = 0;
+    }
+    if (!banks_ok || bits < 0 || bits > REPRO_MAX_INDEX_BITS
+        || history_bits < 0 || history_bits > REPRO_MAX_HISTORY_BITS
+        || bank0_bits < 0 || bank0_bits > REPRO_MAX_HISTORY_BITS)
+        return -1;
+
 #define REPRO_WALK(B, P)                                                  \
-    walk(indices, outcomes, n, B, P, threshold, max_value, values,        \
-         entries, warmup)
+    walk(pcs, takens, conditionals, n, scheme, bits, history_bits,        \
+         history_seed, bank0_bits, B, P, threshold, max_value, values,    \
+         warmup)
 #define REPRO_WALK_POLICIES(B)                                            \
     switch (policy) {                                                     \
     case REPRO_POLICY_TOTAL:                                              \
@@ -124,11 +441,14 @@ int64_t repro_walk(const uint32_t *indices, const uint8_t *outcomes,
 #undef REPRO_WALK
 }
 
-/* Walk `n` events through an agree predictor; return the misses at
- * positions >= warmup.
+/* Walk the trace's conditional events through an agree predictor;
+ * return the misses past `warmup`, or -1 (tables untouched) for an
+ * unsupported geometry.
  *
- *   indices   n PHT entries (gshare index per event)
- *   slots     n biasing-bit slots
+ *   bits, history_bits, history_seed
+ *             the PHT's gshare geometry, as for repro_walk
+ *   bias_bits the biasing-bit table holds 1 << bias_bits slots,
+ *             indexed by the low address bits
  *   values    PHT counters, mutated to the final state
  *   bias      biasing bits: -1 = unlatched, else the latched outcome;
  *             mutated as slots latch
@@ -138,27 +458,52 @@ int64_t repro_walk(const uint32_t *indices, const uint8_t *outcomes,
  * execution, and the PHT trains toward "the outcome agreed with the
  * bias" — the order AgreePredictor.predict_and_update uses.
  */
-int64_t repro_walk_agree(const uint32_t *indices, const uint32_t *slots,
-                         const uint8_t *outcomes, int64_t n,
+int64_t repro_walk_agree(const uint64_t *pcs, const uint8_t *takens,
+                         const uint8_t *conditionals, int64_t n,
+                         int32_t bits, int32_t history_bits,
+                         uint64_t history_seed, int32_t bias_bits,
                          int64_t threshold, int64_t max_value,
                          int64_t *values, int8_t *bias, int64_t warmup)
 {
+    uint64_t words[REPRO_BLOCK];
+    uint64_t after[REPRO_BLOCK];
+    uint32_t indices[REPRO_BLOCK];
+    uint32_t slots[REPRO_BLOCK];
+    uint64_t history = history_seed & repro_mask(history_bits);
+    uint64_t slot_mask = repro_mask(bias_bits);
     int64_t misses = 0;
-    int64_t i;
+    int64_t seen = 0;
+    int64_t start;
 
-    for (i = 0; i < n; i++) {
-        int64_t *slot = values + indices[i];
-        int8_t *latch = bias + slots[i];
-        int64_t value = *slot;
-        int32_t taken = outcomes[i];
-        int32_t predicted_bias = *latch < 0 ? 1 : *latch;
-        int32_t prediction =
-            value >= threshold ? predicted_bias : !predicted_bias;
+    if (bits < 0 || bits > REPRO_MAX_INDEX_BITS || history_bits < 0
+        || history_bits > REPRO_MAX_HISTORY_BITS || bias_bits < 0
+        || bias_bits > REPRO_MAX_INDEX_BITS)
+        return -1;
 
-        misses += (prediction != taken) & (i >= warmup);
-        if (*latch < 0)
-            *latch = (int8_t)taken;
-        *slot = repro_step(value, taken == *latch, max_value);
+    for (start = 0; start < n; start += REPRO_BLOCK) {
+        int64_t stop = n - start > REPRO_BLOCK ? start + REPRO_BLOCK : n;
+        int64_t m = repro_gather(pcs, takens, conditionals, start, stop,
+                                 &history, words, after);
+        int64_t i;
+
+        repro_gshare(words, after, m, bits, history_bits, indices);
+        for (i = 0; i < m; i++)
+            slots[i] = (uint32_t)(words[i] & slot_mask);
+        for (i = 0; i < m; i++) {
+            int64_t *slot = values + indices[i];
+            int8_t *latch = bias + slots[i];
+            int64_t value = *slot;
+            int32_t taken = (int32_t)(after[i] & 1);
+            int32_t predicted_bias = *latch < 0 ? 1 : *latch;
+            int32_t prediction =
+                value >= threshold ? predicted_bias : !predicted_bias;
+
+            misses += (prediction != taken) & (i + seen >= warmup);
+            if (*latch < 0)
+                *latch = (int8_t)taken;
+            *slot = repro_step(value, taken == *latch, max_value);
+        }
+        seen += m;
     }
     return misses;
 }

@@ -1,17 +1,25 @@
 """Native simulation engine: the counter walk as a small C kernel.
 
 :func:`repro.sim.vectorized.simulate_walk` is the frame both fast tiers
-share: it precomputes every bank's index stream in numpy, walks a
-private copy of the predictor state and writes the result back.  This
-module is its C backend — ``_native_kernel.c``, compiled on demand with
-**cffi** — with the same two entry points as the Python loops:
+share: it hands a backend the trace's raw columns and the predictor's
+index :class:`~repro.sim.vectorized.Geometry`, walks a private copy of
+the predictor state and writes the result back.  This module is its C
+backend — ``_native_kernel.c``, compiled on demand with **cffi** — with
+the same two entry points as the Python loops:
 
 - ``repro_walk`` steps 1, 3 or 5 majority-voted banks through the
-  events in trace order under TOTAL, PARTIAL or LAZY update.  A plain
-  table (bimodal / gshare / gselect) is one bank under TOTAL.
+  conditional events in trace order under TOTAL, PARTIAL or LAZY
+  update.  A plain table (bimodal / gshare / gselect) is one bank
+  under TOTAL.
 - ``repro_walk_agree`` does the same for the agree predictor: a
   gshare-indexed PHT plus a biasing-bit table that latches on each
   slot's first execution.
+
+Both compute every conditional event's table indices inside the walk,
+2048 events at a time in stack buffers, so a call over contiguous
+columns allocates nothing per event: its memory is the counter tables,
+whatever the trace length.  A strided column (``Trace.slice`` /
+``head`` / ``stride_split`` views) is copied contiguous first.
 
 Walking in order is exact for every update policy by construction, so
 :func:`native_supports` is one check — the spec is index-expressible
@@ -42,7 +50,11 @@ The Python↔C seam is checked where it can be checked exactly:
   or a buffer in a scalar's place (``TypeError``);
 - :func:`_buffer` refuses an array whose numpy dtype is not the
   element type its ``T[]`` declares, which ``ffi.from_buffer`` alone
-  would reinterpret silently (``ValueError``).
+  would reinterpret silently (``ValueError``);
+- the kernel trusts its tables to match the geometry, so
+  :func:`repro.sim.vectorized._check_walk` checks the bank count, index
+  and history widths and every table's size before the call
+  (``ValueError``); past it, every index is in range by construction.
 """
 
 from __future__ import annotations
@@ -63,7 +75,13 @@ import numpy as np
 from repro.predictors.base import BranchPredictor
 from repro.sim.metrics import SimulationResult
 from repro.sim.profile import StageTimer
-from repro.sim.vectorized import WalkBackend, simulate_walk, supports
+from repro.sim.vectorized import (
+    Geometry,
+    WalkBackend,
+    _check_walk,
+    simulate_walk,
+    supports,
+)
 from repro.traces.trace import Trace
 from repro.util import envvars
 
@@ -84,12 +102,16 @@ _KERNEL_PATH = Path(__file__).with_name("_native_kernel.c")
 #: point; the R006 lint rule requires each to be pinned by a test
 #: referencing it by name.
 _CDEF = """
-int64_t repro_walk(const uint32_t *indices, const uint8_t *outcomes,
-                   int64_t n, int32_t banks, int32_t policy,
-                   int64_t threshold, int64_t max_value, int64_t *values,
-                   int64_t entries, int64_t warmup);
-int64_t repro_walk_agree(const uint32_t *indices, const uint32_t *slots,
-                         const uint8_t *outcomes, int64_t n,
+int64_t repro_walk(const uint64_t *pcs, const uint8_t *takens,
+                   const uint8_t *conditionals, int64_t n, int32_t scheme,
+                   int32_t bits, int32_t history_bits,
+                   uint64_t history_seed, int32_t bank0_bits,
+                   int32_t banks, int32_t policy, int64_t threshold,
+                   int64_t max_value, int64_t *values, int64_t warmup);
+int64_t repro_walk_agree(const uint64_t *pcs, const uint8_t *takens,
+                         const uint8_t *conditionals, int64_t n,
+                         int32_t bits, int32_t history_bits,
+                         uint64_t history_seed, int32_t bias_bits,
                          int64_t threshold, int64_t max_value,
                          int64_t *values, int8_t *bias, int64_t warmup);
 """
@@ -225,6 +247,7 @@ _DTYPES = {
     "uint8_t": np.dtype(np.uint8),
     "int8_t": np.dtype(np.int8),
     "uint32_t": np.dtype(np.uint32),
+    "uint64_t": np.dtype(np.uint64),
     "int64_t": np.dtype(np.int64),
 }
 
@@ -243,65 +266,78 @@ def _buffer(ffi, ctype: str, array: np.ndarray):
     return ffi.from_buffer(ctype, array)
 
 
-def _check_bounds(streams: np.ndarray, count: int, n: int, limit: int):
-    """Refuse index streams the kernel would read past: ``count`` rows
-    of ``n`` events, each index below ``limit``."""
-    if streams.size != count * n or (n and count and streams.max() >= limit):
-        raise ValueError(
-            f"need {count} index stream(s) of {n} events below {limit}"
-        )
+def _columns(ffi, pcs: np.ndarray, takens: np.ndarray, conditionals: np.ndarray):
+    """The trace columns as the kernel's ``pcs``, ``takens`` and
+    ``conditionals`` buffers, plus the event count.
+
+    ``ffi.from_buffer`` refuses a strided view (``Trace.slice``,
+    ``head`` and ``stride_split`` make them), so each column is made
+    contiguous first — a copy only for such views.
+    """
+    return (
+        _buffer(ffi, "uint64_t[]", np.ascontiguousarray(pcs)),
+        _buffer(ffi, "uint8_t[]", np.ascontiguousarray(takens)),
+        _buffer(ffi, "uint8_t[]", np.ascontiguousarray(conditionals)),
+        len(pcs),
+    )
 
 
 def _walk(
-    indices: np.ndarray, outcomes: np.ndarray, banks: int, policy: int,
-    threshold: int, max_value: int, values: List[int], entries: int,
-    warmup: int,
+    pcs: np.ndarray, takens: np.ndarray, conditionals: np.ndarray,
+    geometry: Geometry, policy: int, threshold: int, max_value: int,
+    values: List[int], warmup: int,
 ) -> int:
     """``repro_walk`` over the flat bank-major counter list ``values``."""
     ffi, lib = _checked_backend()
-    _check_bounds(indices, banks, len(outcomes), entries)
-    if len(values) != banks * entries:
-        raise ValueError(f"need {banks} x {entries} counters")
+    _check_walk(pcs, takens, conditionals, geometry, values, policy)
+    scheme, bits, history_bits, seed, bank0_bits, banks = geometry
     table = np.fromiter(values, dtype=np.int64, count=len(values))
     misses = lib.repro_walk(
-        _buffer(ffi, "uint32_t[]", indices),
-        _buffer(ffi, "uint8_t[]", outcomes),
-        len(outcomes),
+        *_columns(ffi, pcs, takens, conditionals),
+        scheme,
+        bits,
+        history_bits,
+        seed,
+        bank0_bits,
         banks,
         policy,
         threshold,
         max_value,
         _buffer(ffi, "int64_t[]", table),
-        entries,
         warmup,
     )
+    if misses < 0:
+        raise ValueError(f"repro_walk refused {geometry}")
     values[:] = table.tolist()
     return misses
 
 
 def _walk_agree(
-    indices: np.ndarray, slots: np.ndarray, outcomes: np.ndarray,
-    threshold: int, max_value: int, values: List[int], bias: List[int],
-    warmup: int,
+    pcs: np.ndarray, takens: np.ndarray, conditionals: np.ndarray,
+    geometry: Geometry, threshold: int, max_value: int, values: List[int],
+    bias: List[int], warmup: int,
 ) -> int:
     """``repro_walk_agree`` over the PHT list ``values`` and the latch
     codes ``bias``."""
     ffi, lib = _checked_backend()
-    _check_bounds(indices, 1, len(outcomes), len(values))
-    _check_bounds(slots, 1, len(outcomes), len(bias))
+    _check_walk(pcs, takens, conditionals, geometry, values, bias=bias)
+    _, bits, history_bits, seed, bias_bits, _ = geometry
     table = np.fromiter(values, dtype=np.int64, count=len(values))
     latches = np.fromiter(bias, dtype=np.int8, count=len(bias))
     misses = lib.repro_walk_agree(
-        _buffer(ffi, "uint32_t[]", indices),
-        _buffer(ffi, "uint32_t[]", slots),
-        _buffer(ffi, "uint8_t[]", outcomes),
-        len(outcomes),
+        *_columns(ffi, pcs, takens, conditionals),
+        bits,
+        history_bits,
+        seed,
+        bias_bits,
         threshold,
         max_value,
         _buffer(ffi, "int64_t[]", table),
         _buffer(ffi, "int8_t[]", latches),
         warmup,
     )
+    if misses < 0:
+        raise ValueError(f"repro_walk_agree refused {geometry}")
     values[:] = table.tolist()
     bias[:] = latches.tolist()
     return misses

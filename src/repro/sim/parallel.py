@@ -320,9 +320,6 @@ def run_cells(
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     if jobs == 1 or len(cells) <= 1:
-        for trace in traces:
-            # Materialise hot columns once, outside any timing loops.
-            trace.sim_columns()
         return _run_cells_serially(traces, cells)
 
     _warn_oversubscribed(jobs)

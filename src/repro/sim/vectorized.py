@@ -1,35 +1,42 @@
-"""Vectorized simulation engine: precomputed index streams.
+"""Vectorized simulation engine: the counter-walk frame and its Python walk.
 
 For the trace-determined predictors the big sweeps run most — bimodal,
 gshare, gselect, gskew, enhanced gskew and agree — *every* table index
-is a pure function of the trace alone: training always uses the true
-branch outcome, so the global-history register contents at each event
-are fixed by the event stream before simulation starts.  This engine
-exploits that:
+is a pure function of the trace and the predictor's index geometry:
+training always uses the true branch outcome, so the global-history
+register contents at each event are fixed by the event stream before
+simulation starts.  What remains sequential is the *counter walk*:
+saturating-counter reads and updates, whose values feed back into later
+predictions, and under the coupled-update policies (PARTIAL/LAZY on
+multi-bank skewed predictors) each bank's training decision reads the
+*overall* majority vote, which depends on the other banks' counters at
+that instant.
 
-1. the per-event global-history values are computed for the whole trace
-   with numpy bit-ops over :class:`~repro.traces.trace.Trace`'s columns
-   (memoised per trace via :meth:`~repro.traces.trace.Trace.derived_column`
-   so sweeps pay for each history length once);
-2. each bank's full index stream is then evaluated in closed form (the
-   gshare/gselect index functions and the paper's skewing family vectorize
-   directly — see :mod:`repro.core.skew`);
-3. the remaining sequential part — saturating-counter reads and updates,
-   whose values feed back into later predictions — is the *counter
-   walk*, handed to a :class:`WalkBackend`.
+The walk has two backends with the same two entry points —
+``repro_walk`` (1, 3 or 5 voted banks) and ``repro_walk_agree`` (agree's
+PHT plus biasing bits).  Both take the raw trace columns (``pcs``,
+``takens``, ``conditionals``) and the predictor's :class:`Geometry`
+(scheme, index bits, history bits, the history register's contents
+before the trace, and e-gskew's bank-0 history bits or agree's
+biasing-table bits), and compute every conditional event's indices
+themselves:
 
-The walk is inherently sequential: a counter's value feeds the next
-prediction that reads it, and under the coupled-update policies
-(PARTIAL/LAZY on multi-bank skewed predictors) each bank's training
-decision reads the *overall* majority vote, which depends on the other
-banks' counters at that instant.  It has two backends with the same two
-entry points — ``repro_walk`` (1, 3 or 5 voted banks) and
-``repro_walk_agree`` (agree's PHT plus biasing bits): the C kernel of
-:mod:`repro.sim.native`, and the Python loops here for hosts without a
-compiler.  :func:`simulate_walk` is the one frame around either: it
-precomputes the streams, walks a private copy of the predictor state,
-and writes the final counters, bias bits and history back only after
-the walk returns.
+- the C kernel of :mod:`repro.sim.native` evaluates the index functions
+  a block of events at a time inside the walk, so no whole-trace index
+  array exists;
+- the Python loops here, for hosts without a compiler, build the
+  per-bank index streams for the whole trace with numpy
+  (:func:`_index_streams`: the global-history stream by shift/OR
+  passes, then the gshare/gselect index functions and the paper's
+  skewing family in closed form — see :mod:`repro.core.skew`) and walk
+  them.  The same numpy code is the test oracle for the C kernel's
+  indices.
+
+Nothing is memoised on the trace: a walk holds what it derives only for
+the length of the call.  :func:`simulate_walk` is the one frame around
+either backend: it walks a private copy of the predictor state and
+writes the final counters, bias bits and history back only after the
+walk returns.
 
 The result is behaviourally identical to :func:`repro.sim.engine.simulate`
 (asserted by the equivalence suite in ``tests/sim/test_vectorized.py``,
@@ -73,46 +80,71 @@ __all__ = [
 #: history lengths must fit a uint64 shift register
 _MAX_HISTORY_BITS = 63
 
+#: every index fits the uint32 the walks read
+_MAX_INDEX_BITS = 32
+
+
+# -- index geometry ------------------------------------------------------------
+
+#: ``repro_walk``'s scheme codes (``REPRO_SCHEME_*`` in the C kernel);
+#: agree's code only routes it to ``repro_walk_agree``.
+_BIMODAL, _GSHARE, _GSELECT, _SKEW, _EGSKEW, _AGREE = range(6)
+
+#: The bank counts each scheme's walk takes.
+_SCHEME_BANKS = {
+    _BIMODAL: (1,),
+    _GSHARE: (1,),
+    _GSELECT: (1,),
+    _SKEW: (1, 3, 5),
+    _EGSKEW: (3,),
+    _AGREE: (1,),
+}
+
+
+class Geometry(NamedTuple):
+    """How a predictor turns trace events into table indices: the
+    inputs both walks take besides the trace columns and the tables."""
+
+    #: one of the ``_BIMODAL`` ... ``_AGREE`` scheme codes
+    scheme: int
+    #: index bits per bank; each bank holds ``1 << index_bits`` counters
+    index_bits: int
+    history_bits: int
+    #: the history register's contents before the trace's first event
+    seed: int
+    #: e-gskew's bank-0 history bits, or agree's biasing-table bits
+    extra_bits: int
+    banks: int
+
+
+def _geometry(predictor: BranchPredictor) -> Geometry:
+    """The index geometry of a predictor :func:`supports` takes.
+
+    The predictor's *current* history-register contents are the seed,
+    so a warm predictor (serving batches, restored snapshots) indexes
+    exactly as the generic engine would.
+    """
+    kind = type(predictor)
+    if kind is BimodalPredictor:
+        return Geometry(_BIMODAL, predictor.index_bits, 0, 0, 0, 1)
+    history = (predictor.history_bits, predictor.history.value)
+    if kind is GsharePredictor:
+        return Geometry(_GSHARE, predictor.index_bits, *history, 0, 1)
+    if kind is GselectPredictor:
+        return Geometry(_GSELECT, predictor.index_bits, *history, 0, 1)
+    if kind is AgreePredictor:
+        return Geometry(
+            _AGREE, predictor.index_bits, *history, predictor.bias_table_bits, 1
+        )
+    n = predictor.bank_index_bits
+    if kind is EnhancedSkewedPredictor:
+        return Geometry(
+            _EGSKEW, n, *history, predictor.bank0_history_bits, 3
+        )
+    return Geometry(_SKEW, n, *history, 0, len(predictor.banks))
+
 
 # -- index-stream precomputation (numpy, whole-trace) ----------------------
-
-
-def _cond_mask(trace: Trace) -> np.ndarray:
-    """Boolean conditional-branch mask, memoised on the trace."""
-    return trace.derived_column(
-        "cond_mask", lambda: trace.conditionals.astype(bool)
-    )
-
-
-def _cond_words(trace: Trace) -> np.ndarray:
-    """Word-aligned addresses (``pc >> 2``) of the conditional branches."""
-    return trace.derived_column(
-        "cond_words",
-        lambda: (trace.pcs >> np.uint64(2))[_cond_mask(trace)],
-    )
-
-
-def _cond_takens(trace: Trace) -> np.ndarray:
-    """Outcomes of the conditional branches as a bool array."""
-    return trace.derived_column(
-        "cond_takens", lambda: trace.takens[_cond_mask(trace)].astype(bool)
-    )
-
-
-def _cond_history(trace: Trace, bits: int, seed: int = 0) -> np.ndarray:
-    """Global-history stream at the conditional branches, memoised per
-    ``bits`` (sweeps revisit the same history lengths constantly).
-
-    ``seed`` is the register's contents at the first event — nonzero when
-    a trace resumes mid-stream (serving batches, snapshot/restore).  The
-    cold-start key keeps its historical shape so cached sweep columns
-    stay valid; warm-start streams memoise under their own key.
-    """
-    key = ("cond_history", bits) if not seed else ("cond_history", bits, seed)
-    return trace.derived_column(
-        key,
-        lambda: history_stream(trace.takens, bits, seed)[_cond_mask(trace)],
-    )
 
 
 def history_stream(
@@ -180,76 +212,49 @@ def _shuffle_inverse(z: np.ndarray, n: int) -> np.ndarray:
 
 
 def _skew_halves(
-    trace: Trace, n: int, history_bits: int, seed: int = 0
+    words: np.ndarray, hist: np.ndarray, n: int, history_bits: int
 ) -> "tuple[np.ndarray, np.ndarray]":
     """The two n-bit halves ``v1, v2`` of the skewing information vector.
 
-    The halves are a pure function of the trace and the (n, history)
-    geometry — ``vector = (pc >> 2) << h | hist``, split into its low
-    and next ``n`` bits — so they memoize per trace like the history
-    stream does.  Only the low ``2n`` bits of the vector matter to the
-    family, hence the halves narrow to uint32 for any allocatable bank
+    ``vector = (pc >> 2) << h | hist``, split into its low and next ``n``
+    bits.  Only the low ``2n`` bits of the vector matter to the family,
+    hence the halves narrow to uint32 for any allocatable bank
     (``n <= 32``), roughly halving the arithmetic of the ~25 array ops
     the family expands to.
     """
-
-    def compute() -> np.ndarray:
-        words = _cond_words(trace)
-        hist = _cond_history(trace, history_bits, seed)
-        mask = np.uint64((1 << n) - 1)
-        vector = (words << np.uint64(history_bits)) | hist
-        v1 = vector & mask
-        v2 = (vector >> np.uint64(n)) & mask
-        if n <= 32:
-            return np.stack([v1, v2]).astype(np.uint32)
-        return np.stack([v1, v2])  # pragma: no cover — bank > 2**32 entries
-
-    key = (
-        ("skew_halves", n, history_bits)
-        if not seed
-        else ("skew_halves", n, history_bits, seed)
-    )
-    pair = trace.derived_column(key, compute)
-    return pair[0], pair[1]
+    mask = np.uint64((1 << n) - 1)
+    vector = (words << np.uint64(history_bits)) | hist
+    v1 = vector & mask
+    v2 = (vector >> np.uint64(n)) & mask
+    if n <= 32:
+        return v1.astype(np.uint32), v2.astype(np.uint32)
+    return v1, v2  # pragma: no cover — bank > 2**32 entries
 
 
 def _skew_streams(
-    trace: Trace, n: int, history_bits: int, banks: int, seed: int = 0
+    words: np.ndarray, hist: np.ndarray, n: int, history_bits: int, banks: int
 ) -> List[np.ndarray]:
     """Index streams for the paper's skewing family (1, 3 or 5 banks).
 
     Built from the information-vector halves of :func:`_skew_halves`;
     the single-bank family is plain address/history truncation, i.e.
-    ``v1`` itself.  Like the halves, the whole family is a pure function
-    of the trace and the ``(n, history, banks)`` geometry, so the ~25
-    array ops it expands to memoize per trace as one stacked column
-    (rows are returned as read-only-by-convention views).
+    ``v1`` itself.
     """
+    v1, v2 = _skew_halves(words, hist, n, history_bits)
     if banks == 1:
-        return [_skew_halves(trace, n, history_bits, seed)[0]]
-
-    def compute() -> np.ndarray:
-        v1, v2 = _skew_halves(trace, n, history_bits, seed)
-        h1 = _shuffle(v1, n)
-        g2 = _shuffle_inverse(v2, n)
-        f0 = h1 ^ g2 ^ v2
-        f1 = h1 ^ g2 ^ v1
-        g1 = _shuffle_inverse(v1, n)
-        h2 = _shuffle(v2, n)
-        f2 = g1 ^ h2 ^ v2
-        if banks == 3:
-            return np.stack([f0, f1, f2])
-        f3 = g1 ^ h2 ^ v1
-        f4 = _shuffle(h1, n) ^ _shuffle_inverse(g2, n) ^ v2
-        return np.stack([f0, f1, f2, f3, f4])
-
-    key = (
-        ("skew_family", n, history_bits, banks)
-        if not seed
-        else ("skew_family", n, history_bits, banks, seed)
-    )
-    family = trace.derived_column(key, compute)
-    return list(family)
+        return [v1]
+    h1 = _shuffle(v1, n)
+    g2 = _shuffle_inverse(v2, n)
+    f0 = h1 ^ g2 ^ v2
+    f1 = h1 ^ g2 ^ v1
+    g1 = _shuffle_inverse(v1, n)
+    h2 = _shuffle(v2, n)
+    f2 = g1 ^ h2 ^ v2
+    if banks == 3:
+        return [f0, f1, f2]
+    f3 = g1 ^ h2 ^ v1
+    f4 = _shuffle(h1, n) ^ _shuffle_inverse(g2, n) ^ v2
+    return [f0, f1, f2, f3, f4]
 
 
 def _gshare_stream(
@@ -286,55 +291,50 @@ def _gselect_stream(
 
 
 def _egskew_bank0_stream(
-    words: np.ndarray, hist: np.ndarray, predictor: EnhancedSkewedPredictor
+    words: np.ndarray, hist: np.ndarray, n: int, bank0_bits: int
 ) -> np.ndarray:
     """Bank 0 of e-gskew: address truncation, or the ablation's short hash."""
-    n = predictor.bank_index_bits
     mask = np.uint64((1 << n) - 1)
-    b0 = predictor.bank0_history_bits
-    if b0 == 0:
+    if bank0_bits == 0:
         return words & mask
-    short = hist & np.uint64((1 << b0) - 1)
+    short = hist & np.uint64((1 << bank0_bits) - 1)
     address_part = words & mask
-    shift = n - b0
+    shift = n - bank0_bits
     if shift >= 0:
         return address_part ^ (short << np.uint64(shift))
     return (address_part ^ short) & mask
 
 
 def _index_streams(
-    predictor: BranchPredictor, trace: Trace
+    geometry: Geometry,
+    pcs: np.ndarray,
+    takens: np.ndarray,
+    conditionals: np.ndarray,
 ) -> List[np.ndarray]:
-    """Per-bank index streams over the *conditional* branches.
+    """Per-bank index streams over the *conditional* events of a trace.
 
-    For a predictor :func:`supports` takes; agree's two streams are its
-    PHT index and its biasing-bit slot.  The predictor's *current*
-    history-register contents seed the history stream, so a warm
-    predictor (serving batches, restored snapshots) indexes exactly as
-    the generic engine would — cold starts keep the seedless memoised
-    columns.
+    The whole-trace numpy form of what ``repro_walk`` computes a block
+    at a time; agree's two streams are its PHT index and its
+    biasing-bit slot.  Everything here lives only for the call.
     """
-    kind = type(predictor)
-    words = _cond_words(trace)
-    if kind is BimodalPredictor:
-        return [words & np.uint64((1 << predictor.index_bits) - 1)]
-
-    history_bits = predictor.history_bits
-    seed = predictor.history.value
-    hist = _cond_history(trace, history_bits, seed)
-    if kind is GsharePredictor:
-        return [_gshare_stream(words, hist, predictor.index_bits, history_bits)]
-    if kind is GselectPredictor:
-        return [_gselect_stream(words, hist, predictor.index_bits, history_bits)]
-    if kind is AgreePredictor:
-        slot_mask = np.uint64((1 << predictor.bias_table_bits) - 1)
-        pht = _gshare_stream(words, hist, predictor.index_bits, history_bits)
+    scheme, bits, history_bits, seed, extra_bits, banks = geometry
+    conditional = conditionals != 0
+    words = (pcs >> np.uint64(2))[conditional]
+    if scheme == _BIMODAL:
+        return [words & np.uint64((1 << bits) - 1)]
+    hist = history_stream(takens, history_bits, seed)[conditional]
+    if scheme == _GSHARE:
+        return [_gshare_stream(words, hist, bits, history_bits)]
+    if scheme == _GSELECT:
+        return [_gselect_stream(words, hist, bits, history_bits)]
+    if scheme == _AGREE:
+        slot_mask = np.uint64((1 << extra_bits) - 1)
+        pht = _gshare_stream(words, hist, bits, history_bits)
         return [pht, words & slot_mask]
-    n = predictor.bank_index_bits
-    if kind is EnhancedSkewedPredictor:
-        _, f1, f2 = _skew_streams(trace, n, history_bits, 3, seed)
-        return [_egskew_bank0_stream(words, hist, predictor), f1, f2]
-    return _skew_streams(trace, n, history_bits, len(predictor.banks), seed)
+    if scheme == _EGSKEW:
+        _, f1, f2 = _skew_streams(words, hist, bits, history_bits, 3)
+        return [_egskew_bank0_stream(words, hist, bits, extra_bits), f1, f2]
+    return _skew_streams(words, hist, bits, history_bits, banks)
 
 
 def supports(predictor: BranchPredictor, trace: Trace) -> bool:
@@ -579,33 +579,96 @@ def _loop_agree(
     return miss
 
 
+def _check_walk(
+    pcs: np.ndarray,
+    takens: np.ndarray,
+    conditionals: np.ndarray,
+    geometry: Geometry,
+    values: Sequence[int],
+    policy: int = _TOTAL,
+    bias: Optional[Sequence[int]] = None,
+) -> None:
+    """Refuse walk inputs either backend would read or write past.
+
+    Indices are in range by construction once the geometry is sound and
+    every table holds ``1 << bits`` entries per bank, so this is the
+    whole of the check — made before any walk starts.
+
+    Raises:
+        ValueError: on columns of unequal length, a scheme, bank count
+            or policy code the walks do not know (agree's scheme goes
+            to ``repro_walk_agree`` only), index bits above 32 (or
+            below 1 for voted banks, as the skewed predictors require),
+            history bits above 63, a seed wider than the history, or a
+            table (or agree's biasing-bit table) of the wrong size.
+    """
+    scheme, bits, history_bits, seed, extra_bits, banks = geometry
+    if not len(pcs) == len(takens) == len(conditionals):
+        raise ValueError("trace columns differ in length")
+    if banks not in _SCHEME_BANKS.get(scheme, ()):
+        raise ValueError(f"scheme {scheme} cannot walk {banks} bank(s)")
+    if (scheme == _AGREE) != (bias is not None):
+        raise ValueError(f"scheme {scheme} is walked by the other entry point")
+    if policy not in _LOOP3:
+        raise ValueError(f"unknown update policy code {policy}")
+    if not (banks > 1) <= bits <= _MAX_INDEX_BITS:
+        raise ValueError(
+            f"index bits must be in [{int(banks > 1)}, {_MAX_INDEX_BITS}]"
+        )
+    if not 0 <= history_bits <= _MAX_HISTORY_BITS:
+        raise ValueError(f"history bits must be in [0, {_MAX_HISTORY_BITS}]")
+    if not 0 <= seed < 1 << history_bits:
+        raise ValueError(f"history seed must fit {history_bits} bits")
+    extra_limit = _MAX_INDEX_BITS if scheme == _AGREE else _MAX_HISTORY_BITS
+    if not 0 <= extra_bits <= extra_limit:
+        raise ValueError(f"extra bits must be in [0, {extra_limit}]")
+    if len(values) != banks << bits:
+        raise ValueError(f"need {banks} x {1 << bits} counters")
+    if bias is not None and len(bias) != 1 << extra_bits:
+        raise ValueError(f"need {1 << extra_bits} biasing bits")
+
+
+def _bank_major(streams: List[np.ndarray]) -> np.ndarray:
+    """The per-bank index streams as one bank-major uint32 array.
+
+    Table entries are Python list slots, so every index fits 32 bits.
+    """
+    indices = np.empty((len(streams), len(streams[0])), dtype=np.uint32)
+    for b, stream in enumerate(streams):
+        indices[b] = stream
+    return indices
+
+
 def _walk(
-    indices: np.ndarray, outcomes: np.ndarray, banks: int, policy: int,
-    threshold: int, max_value: int, values: List[int], entries: int,
-    warmup: int,
+    pcs: np.ndarray, takens: np.ndarray, conditionals: np.ndarray,
+    geometry: Geometry, policy: int, threshold: int, max_value: int,
+    values: List[int], warmup: int,
 ) -> int:
     """``repro_walk`` in Python: the same inputs, state and result.
 
-    ``indices`` is bank-major uint32 (``banks`` rows of ``n`` events),
-    ``outcomes`` n bytes, ``values`` the flat bank-major counters, left
-    in their final state.  Returns the misses at positions >= warmup, or
-    -1 (tables untouched) for a bank count or policy the C walk rejects.
+    ``values`` is the flat bank-major counter list, left in its final
+    state.  Returns the misses past ``warmup`` conditional events.
+
+    Raises:
+        ValueError: on inputs :func:`_check_walk` refuses (tables
+            untouched).
     """
-    if banks not in (1, 3, 5) or policy not in _LOOP3:
-        return -1
+    _check_walk(pcs, takens, conditionals, geometry, values, policy)
+    banks = geometry.banks
     if banks == 3:
         loop = _LOOP3[policy]
     elif banks == 1 and policy != _LAZY:
         loop = _loop_single  # one bank: PARTIAL trains like TOTAL
     else:
         loop = partial(_loop_voted, policy)
-    rows = indices.reshape(banks, len(outcomes))
+    rows = _bank_major(_index_streams(geometry, pcs, takens, conditionals))
     if banks > 1:  # offset each bank into the flat table (fits 32 bits)
+        entries = 1 << geometry.index_bits
         rows = rows + np.arange(0, banks * entries, entries, np.uint32)[:, None]
     # Memoryviews iterate as Python ints (and the outcomes as bools, the
     # loops' fast truth test) without building lists first.
     rows = [memoryview(row) for row in rows]
-    ts = memoryview(outcomes.view(np.bool_))
+    ts = memoryview(takens[conditionals != 0].astype(np.bool_))
     if warmup:  # trains like any event; the misses are not scored
         loop(values, threshold, max_value, ts[:warmup], *(r[:warmup] for r in rows))
     return loop(
@@ -614,17 +677,25 @@ def _walk(
 
 
 def _walk_agree(
-    indices: np.ndarray, slots: np.ndarray, outcomes: np.ndarray,
-    threshold: int, max_value: int, values: List[int], bias: List[int],
-    warmup: int,
+    pcs: np.ndarray, takens: np.ndarray, conditionals: np.ndarray,
+    geometry: Geometry, threshold: int, max_value: int, values: List[int],
+    bias: List[int], warmup: int,
 ) -> int:
     """``repro_walk_agree`` in Python: the same inputs, state and result.
 
     ``values`` (the PHT) and ``bias`` (latch codes, -1 = unlatched) are
-    left in their final state; returns the misses at positions >= warmup.
+    left in their final state; returns the misses past ``warmup``
+    conditional events.
+
+    Raises:
+        ValueError: on inputs :func:`_check_walk` refuses (tables
+            untouched).
     """
-    keys, slot_list = memoryview(indices), memoryview(slots)
-    ts = memoryview(outcomes.view(np.bool_))
+    _check_walk(pcs, takens, conditionals, geometry, values, bias=bias)
+    keys, slot_list = map(
+        memoryview, _bank_major(_index_streams(geometry, pcs, takens, conditionals))
+    )
+    ts = memoryview(takens[conditionals != 0].astype(np.bool_))
     # The loop tests latches by identity (``is None``), its fastest form.
     latches = [_LATCHES[code] for code in bias]
     if warmup:
@@ -647,9 +718,12 @@ class WalkBackend(NamedTuple):
     """One implementation of the counter walk behind a fast tier.
 
     ``walk`` and ``walk_agree`` take the C kernel's ``repro_walk`` /
-    ``repro_walk_agree`` inputs (``n`` is ``len(outcomes)``), with the
+    ``repro_walk_agree`` inputs — the trace columns, the
+    :class:`Geometry`, the policy code (``walk`` only), the counter
+    threshold and maximum, the state buffers and the warmup — with the
     state buffers as flat Python lists they leave in their final state,
-    and return the miss count.  They touch nothing but those buffers.
+    and return the miss count.  They touch nothing but those buffers,
+    and refuse inputs :func:`_check_walk` refuses before touching them.
     """
 
     #: ``SimulationResult.engine`` of the tier.
@@ -662,17 +736,6 @@ class WalkBackend(NamedTuple):
 
 #: The Python loops: the walk on hosts without a C compiler.
 PYTHON_BACKEND = WalkBackend("vectorized", supports, _walk, _walk_agree)
-
-
-def _bank_major(streams: List[np.ndarray]) -> np.ndarray:
-    """The per-bank index streams as one bank-major uint32 array.
-
-    Table entries are Python list slots, so every index fits 32 bits.
-    """
-    indices = np.empty((len(streams), len(streams[0])), dtype=np.uint32)
-    for b, stream in enumerate(streams):
-        indices[b] = stream
-    return indices
 
 
 def _final_history(takens: np.ndarray, bits: int, seed: int = 0) -> int:
@@ -697,14 +760,14 @@ def simulate_walk(
 ) -> SimulationResult:
     """Run ``predictor`` over ``trace`` with ``backend``'s counter walk.
 
-    The frame both fast tiers share: the index streams, a private copy
-    of the counter and agree-bias state, the walk over that copy, then
-    the writeback of counters, bias and history.  The predictor is
-    written only after the walk returns, so a backend that raises
-    leaves it exactly as it was.  ``stage_timer`` (optional) accumulates
-    per-stage wall-clock under ``"precompute"`` (history, index streams
-    and the state copy), ``"scan"`` (the walk) and ``"reduce"`` (the
-    writeback).
+    The frame both fast tiers share: the predictor's index geometry, a
+    private copy of the counter and agree-bias state, the walk over the
+    trace's columns and that copy, then the writeback of counters, bias
+    and history.  The predictor is written only after the walk returns,
+    so a backend that raises leaves it exactly as it was.
+    ``stage_timer`` (optional) accumulates per-stage wall-clock under
+    ``"precompute"`` (the geometry and the state copy), ``"scan"`` (the
+    walk, index computation included) and ``"reduce"`` (the writeback).
 
     Raises:
         ValueError: if ``backend`` cannot run the predictor (callers
@@ -727,10 +790,10 @@ def simulate_walk(
         counters = [predictor.bank.counters]
     entries = counters[0].size
     threshold, vmax = counters[0].threshold, counters[0].max_value
+    columns = (trace.pcs, trace.takens, trace.conditionals)
 
     with timer.stage("precompute"):
-        outcomes = _cond_takens(trace).view(np.uint8)
-        indices = _bank_major(_index_streams(predictor, trace))
+        geometry = _geometry(predictor)
         values = []
         for c in counters:
             values += c.values
@@ -739,17 +802,14 @@ def simulate_walk(
     with timer.stage("scan"):
         if agree:
             misses = backend.walk_agree(
-                indices[0], indices[1], outcomes, threshold, vmax, values,
-                bias, warmup,
+                *columns, geometry, threshold, vmax, values, bias, warmup
             )
         else:
             policy = getattr(predictor, "update_policy", UpdatePolicy.TOTAL)
             misses = backend.walk(
-                indices, outcomes, len(counters), _POLICY_CODES[policy],
-                threshold, vmax, values, entries, warmup,
+                *columns, geometry, _POLICY_CODES[policy], threshold, vmax,
+                values, warmup,
             )
-    if misses < 0:
-        raise ValueError(f"repro_walk cannot run {len(counters)} banks")
     with timer.stage("reduce"):
         if agree:
             predictor._bias[:] = map(_LATCHES.__getitem__, bias)
@@ -764,7 +824,9 @@ def simulate_walk(
     return SimulationResult(
         predictor=label or predictor.name,
         trace=trace.name,
-        conditional_branches=max(0, len(outcomes) - warmup),
+        conditional_branches=max(
+            0, int(np.count_nonzero(trace.conditionals)) - warmup
+        ),
         mispredictions=misses,
         storage_bits=predictor.storage_bits,
         history_bits=getattr(predictor, "history_bits", None),

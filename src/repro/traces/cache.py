@@ -178,8 +178,9 @@ def generate_trace_cached(config: WorkloadConfig) -> Trace:
     _STATS["misses"] += 1
     trace = generate_trace(config)
     try:
-        # numpy appends ".npz" when the target lacks it, so keep the
-        # temp suffix; atomic_path makes the publish atomic.
+        # save_trace appends ".npz" when the target lacks it (as numpy
+        # does), so keep the temp suffix; atomic_path makes the publish
+        # atomic.
         with atomic_path(path, suffix=".npz") as temp:
             save_trace(trace, temp)
             if fault_active("cache-write"):

@@ -6,13 +6,15 @@ outcome, a conditional/unconditional flag and (optionally) a target
 address.  Unconditional events are not predicted but shift global history,
 per the paper's methodology.
 
-Storage is numpy-backed for memory efficiency and fast disk round-trips;
-the simulation engines iterate over cached Python-int lists
-(:meth:`Trace.columns`) because per-element access to numpy arrays from
-interpreted loops is several times slower than list access.  The
-materialised lists are cached per column and can be dropped with
-:meth:`Trace.release_columns` when a long sweep session is done with a
-trace.
+Storage is numpy-backed for memory efficiency and fast disk round-trips.
+The fast engine tiers read the numpy columns directly and keep nothing
+on the trace: whatever they derive (history values, table indices) lives
+only for the call.  The generic interpreter iterates over cached
+Python-int lists (:meth:`Trace.sim_columns`) because per-element access
+to numpy arrays from interpreted loops is several times slower than list
+access; those lists are built on first use, cached per column and can be
+dropped with :meth:`Trace.release_columns` when a long sweep session is
+done with a trace.
 """
 
 from __future__ import annotations
@@ -81,9 +83,6 @@ class Trace:
         #: per-column cache of materialised Python lists; see columns() /
         #: sim_columns().  Keyed per column so the two views share storage.
         self._column_lists: Dict[str, list] = {}
-        #: memo of derived numpy columns (see derived_column()); dropped
-        #: together with the list cache by release_columns().
-        self._derived: Dict[object, "np.ndarray"] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -194,26 +193,8 @@ class Trace:
             self._column("conditionals_bool"),
         )
 
-    def derived_column(self, key, compute) -> "np.ndarray":
-        """Memoised derived numpy column, computed once per trace.
-
-        The vectorized engines derive per-event streams that depend only
-        on the trace (global-history registers, conditional masks,
-        word-aligned addresses); sweeping many predictor configurations
-        over one trace recomputes them identically every call.  ``key``
-        identifies the derivation (e.g. ``("cond_history", bits)``),
-        ``compute`` is a zero-argument callable producing the array.
-        Cached values are immutable by convention — callers must not
-        write to the returned array.
-        """
-        value = self._derived.get(key)
-        if value is None:
-            value = compute()
-            self._derived[key] = value
-        return value
-
     def release_columns(self) -> None:
-        """Drop every materialised column list and derived-column memo.
+        """Drop every materialised column list.
 
         The numpy arrays stay; the next :meth:`columns` / :meth:`sim_columns`
         call re-materialises.  Long sweep sessions call this (via
@@ -221,7 +202,6 @@ class Trace:
         and the Python-list storage alive indefinitely.
         """
         self._column_lists.clear()
-        self._derived.clear()
 
     def head(self, count: int) -> "Trace":
         """A new trace consisting of the first ``count`` events."""

@@ -1,25 +1,30 @@
 """Equivalence tests: the native C engine vs the generic engine.
 
-The native engine walks precomputed index streams through the counter
-tables in one sequential C pass; its correctness argument is
-bit-identity with ``repro.sim.engine.simulate`` — same SimulationResult,
-same final counter, bias and history state — across every spec family
-it claims, plus differential fuzz pinning the entry points
-``repro_walk`` and ``repro_walk_agree`` of both counter-walk backends
-(the cffi kernel and the Python loops) to scalar oracles (the R006 lint
-rule requires every kernel entry point to be referenced here by name).
+The native engine walks the raw trace columns through the counter
+tables in one sequential C pass, computing every conditional event's
+table indices from the predictor's index geometry as it goes; its
+correctness argument is bit-identity with ``repro.sim.engine.simulate``
+— same SimulationResult, same final counter, bias and history state —
+across every spec family it claims, plus event-level differential fuzz
+pinning the entry points ``repro_walk`` and ``repro_walk_agree`` of both
+counter-walk backends (the cffi kernel and the Python loops) to scalar
+oracles: the numpy index streams of ``_index_streams`` walked by a
+per-event reference loop (the R006 lint rule requires every kernel
+entry point to be referenced here by name).
 
 The whole module degrades cleanly when the backend cannot build: every
 test that needs the compiled kernel skips with an explicit reason, while
-the Python backend's entry-point fuzz and the dispatch tests that take
-the kernel out of the ladder (by patching ``native_available`` or the
-built backend) keep running, so the suite is green both with and
-without a C compiler.
+the Python backend's entry-point fuzz, the wrapper checks (run against
+stand-in kernels) and the dispatch tests that take the kernel out of
+the ladder (by patching ``native_available`` or the built backend) keep
+running, so the suite is green both with and without a C compiler.
 """
 
 from __future__ import annotations
 
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -38,8 +43,17 @@ from repro.sim.native import (
 )
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import (
+    _AGREE,
+    _BIMODAL,
+    _EGSKEW,
+    _GSELECT,
+    _GSHARE,
     _POLICY_CODES,
+    _SKEW,
     PYTHON_BACKEND,
+    Geometry,
+    _geometry,
+    _index_streams,
     simulate_fast,
     simulate_walk,
 )
@@ -52,6 +66,17 @@ requires_native = pytest.mark.skipif(
     reason="native backend unavailable (no C compiler or no cffi); "
     "the vectorized tier covers these specs instead",
 )
+
+#: Wide geometries: tables past 2**16 entries and histories past 32 bits,
+#: where a narrowed word in the index arithmetic would truncate.
+WIDE_SPECS = [
+    "gshare:256k:h16",
+    "gshare:1k:h40",  # 40-bit register folded into a 10-bit index
+    "gselect:256k:h20",
+    "gskew:3x64k:h40:partial",  # 56-bit information vector
+    "egskew:3x64k:h40:total",
+    "agree:64k:h34",
+]
 
 #: Every spec family the native engine claims, including degenerate
 #: geometries (one-entry tables, h=0, history folding, 1-bit counters):
@@ -88,14 +113,7 @@ NATIVE_SPECS = [
     "agree:256:h0",
     "agree:64:h10",  # history folding in the PHT index
     "agree:256:h5:c1",
-    # Wide geometries: tables past 2**16 entries and histories past 32
-    # bits, where a narrowed word in the index arithmetic would truncate.
-    "gshare:256k:h16",
-    "gshare:1k:h40",  # 40-bit register folded into a 10-bit index
-    "gselect:256k:h20",
-    "gskew:3x64k:h40:partial",  # 56-bit information vector
-    "egskew:3x64k:h40:total",
-    "agree:64k:h34",
+    *WIDE_SPECS,
 ]
 
 #: Coupled specs an older native tier declined: agree's bias latches and
@@ -209,6 +227,30 @@ class TestDegenerateTraces:
         assert actual.conditional_branches == 0
 
 
+def _one_event():
+    """The trace columns of one taken conditional event."""
+    return np.zeros(1, np.uint64), np.ones(1, np.uint8), np.ones(1, np.uint8)
+
+
+class _ForbiddenKernel:
+    """Stands in for the compiled ``lib`` where no call may reach it."""
+
+    def repro_walk(self, *args):  # pragma: no cover — would fail
+        raise AssertionError("repro_walk called with refused inputs")
+
+    def repro_walk_agree(self, *args):  # pragma: no cover — would fail
+        raise AssertionError("repro_walk_agree called with refused inputs")
+
+
+def _forbid_kernel(monkeypatch):
+    """Install a backend whose kernel fails any call, so a test shows a
+    refusal happens in the wrapper, before the call (no compiler
+    needed)."""
+    monkeypatch.setattr(
+        native_module, "_BACKEND", (_PassThroughFFI(), _ForbiddenKernel())
+    )
+
+
 class TestDispatch:
     @pytest.mark.parametrize("spec", NO_NATIVE_SPECS)
     def test_non_index_predictors_are_rejected(self, spec, tiny_trace):
@@ -278,41 +320,55 @@ class TestDispatch:
         # absent.
         monkeypatch.setattr(native_module, "_BACKEND", "OSError: no compiler")
         monkeypatch.setattr(native_module, "_WARNED", True)
-        none, byte = np.zeros(1, np.uint32), np.ones(1, np.uint8)
         with pytest.raises(RuntimeError, match="native backend"):
-            NATIVE_BACKEND.walk(none, byte, 3, 0, 2, 3, [1, 1, 1], 1, 0)
+            NATIVE_BACKEND.walk(
+                *_one_event(), Geometry(_BIMODAL, 0, 0, 0, 0, 1), 0, 2, 3,
+                [1], 0,
+            )
         with pytest.raises(RuntimeError, match="native backend"):
-            NATIVE_BACKEND.walk_agree(none, none, byte, 2, 3, [1], [-1], 0)
+            NATIVE_BACKEND.walk_agree(
+                *_one_event(), Geometry(_AGREE, 0, 0, 0, 0, 1), 2, 3, [1],
+                [-1], 0,
+            )
 
-    @requires_native
     @pytest.mark.parametrize(
         "keys,values",
         [
-            ([[0], [4], [0]], [1] * 12),  # an index past its bank
-            ([[0], [1]], [1] * 12),  # a missing bank stream
-            ([[0], [1], [2]], [1] * 11),  # a short table
+            ((3, 33), [1] * 12),  # indices wider than 32 bits
+            ((2, 2), [1] * 8),  # a bank count with no majority
+            ((3, 2), [1] * 11),  # a table one counter short
         ],
     )
-    def test_c_walk_refuses_out_of_bounds_inputs(self, keys, values):
-        # The kernel trusts its buffers; the wrapper checks them first.
-        with pytest.raises(ValueError, match="need"):
+    def test_c_walk_refuses_out_of_bounds_inputs(
+        self, keys, values, monkeypatch
+    ):
+        # The kernel trusts its buffers: the wrapper checks the key
+        # space (banks, index bits) against the table before the call.
+        _forbid_kernel(monkeypatch)
+        banks, bits = keys
+        with pytest.raises(ValueError):
             NATIVE_BACKEND.walk(
-                np.asarray(keys, dtype=np.uint32), np.ones(1, np.uint8),
-                3, 0, 2, 3, values, 4, 0,
+                *_one_event(), Geometry(_SKEW, bits, 0, 0, 0, banks), 0, 2,
+                3, values, 0,
             )
 
-    @requires_native
     @pytest.mark.parametrize(
         "keys,slots",
         [
-            (np.zeros(1, np.uint32), np.full(1, 8, np.uint32)),  # slot 8 of 8
-            (np.zeros(1, np.uint8), np.zeros(1, np.uint32)),  # byte indices
+            ((2, 4), (3, 7)),  # a biasing-bit table one slot short
+            ((33, 4), (3, 8)),  # PHT indices wider than 32 bits
         ],
     )
-    def test_c_agree_walk_refuses_out_of_bounds_inputs(self, keys, slots):
-        with pytest.raises(ValueError, match="need"):
+    def test_c_agree_walk_refuses_out_of_bounds_inputs(
+        self, keys, slots, monkeypatch
+    ):
+        # (index bits, PHT entries) and (bias bits, biasing bits).
+        _forbid_kernel(monkeypatch)
+        (bits, entries), (bias_bits, latches) = keys, slots
+        with pytest.raises(ValueError, match="need|bits"):
             NATIVE_BACKEND.walk_agree(
-                keys, slots, np.ones(1, np.uint8), 2, 3, [1] * 4, [-1] * 8, 0
+                *_one_event(), Geometry(_AGREE, bits, 0, 0, bias_bits, 1), 2,
+                3, [1] * entries, [-1] * latches, 0,
             )
 
     def test_repro_native_0_disables_the_tier(self, tiny_trace, monkeypatch):
@@ -344,13 +400,17 @@ class TestForcedEngine:
 
 def _walk_args(ffi):
     """The arguments of one valid single-bank ``repro_walk`` call, in
-    cdef order (one taken event over a weakly not-taken counter)."""
+    cdef order (one taken conditional event over a weakly not-taken
+    bimodal counter)."""
     return [
-        ffi.from_buffer("uint32_t[]", np.zeros(1, np.uint32)),  # indices
-        ffi.from_buffer("uint8_t[]", np.ones(1, np.uint8)),  # outcomes
-        1, 1, 0, 2, 3,  # n, banks, policy, threshold, max_value
+        ffi.from_buffer("uint64_t[]", np.zeros(1, np.uint64)),  # pcs
+        ffi.from_buffer("uint8_t[]", np.ones(1, np.uint8)),  # takens
+        ffi.from_buffer("uint8_t[]", np.ones(1, np.uint8)),  # conditionals
+        1,  # n
+        _BIMODAL, 0, 0, 0, 0,  # scheme, bits, history bits, seed, bank-0 bits
+        1, 0, 2, 3,  # banks, policy, threshold, max_value
         ffi.from_buffer("int64_t[]", np.ones(1, np.int64)),  # values
-        1, 0,  # entries, warmup
+        0,  # warmup
     ]
 
 
@@ -376,7 +436,7 @@ class TestAbiChecks:
 
         shipped = native_module._KERNEL_PATH.read_text(encoding="utf-8")
         drifted = shipped.replace(
-            "int64_t n, int32_t banks", "int64_t n, int64_t banks"
+            "int32_t banks, int32_t policy", "int64_t banks, int32_t policy"
         )
         assert drifted.count("int64_t banks") == 1
         with pytest.raises(cffi.VerificationError):
@@ -403,7 +463,7 @@ class TestAbiChecks:
         ffi, lib = _backend()
         args = _walk_args(ffi)
         args[0] = ffi.from_buffer("int64_t[]", np.zeros(1, np.int64))
-        with pytest.raises(TypeError, match=r"uint32_t \*"):
+        with pytest.raises(TypeError, match=r"uint64_t \*"):
             lib.repro_walk(*args)
 
     def test_swapped_buffers_are_refused(self):
@@ -416,14 +476,14 @@ class TestAbiChecks:
     def test_wrong_arity_is_refused(self):
         ffi, lib = _backend()
         args = _walk_args(ffi)
-        del args[2]  # n
-        with pytest.raises(TypeError, match="expected 10 arguments, got 9"):
+        del args[3]  # n
+        with pytest.raises(TypeError, match="expected 15 arguments, got 14"):
             lib.repro_walk(*args)
 
     def test_buffer_passed_for_a_scalar_is_refused(self):
         ffi, lib = _backend()
         args = _walk_args(ffi)
-        args[2] = ffi.from_buffer("int64_t[]", np.ones(1, np.int64))
+        args[3] = ffi.from_buffer("int64_t[]", np.ones(1, np.int64))
         with pytest.raises(TypeError):
             lib.repro_walk(*args)
 
@@ -464,6 +524,7 @@ class TestBufferDtypes:
             ("uint8_t[]", np.uint8),
             ("int8_t[]", np.int8),
             ("uint32_t[]", np.uint32),
+            ("uint64_t[]", np.uint64),
             ("int64_t[]", np.int64),
         ],
     )
@@ -471,50 +532,74 @@ class TestBufferDtypes:
         ffi = _PassThroughFFI()
         array = np.zeros(2, dtype)
         assert native_module._buffer(ffi, ctype, array) is array
-        for other in (np.uint8, np.int8, np.uint32, np.int32, np.int64):
+        for other in (np.uint8, np.int8, np.uint32, np.int32, np.uint64, np.int64):
             if other is not dtype:
                 with pytest.raises(ValueError, match="needs"):
                     native_module._buffer(ffi, ctype, np.zeros(2, other))
 
-    @pytest.mark.parametrize("wrong", ["indices", "outcomes"])
+    @pytest.mark.parametrize("wrong", ["pcs", "takens", "conditionals"])
     def test_walk_checks_every_caller_buffer(self, wrong, monkeypatch):
         monkeypatch.setattr(
             native_module, "_BACKEND", (_PassThroughFFI(), _NoOpKernel())
         )
-        arrays = {
-            "indices": np.zeros(1, np.uint32),
-            "outcomes": np.ones(1, np.uint8),
-        }
-        assert NATIVE_BACKEND.walk(
-            arrays["indices"], arrays["outcomes"], 1, 0, 2, 3, [1], 1, 0
-        ) == 0
-        arrays[wrong] = arrays[wrong].astype(np.int64)
-        with pytest.raises(ValueError, match="needs"):
-            NATIVE_BACKEND.walk(
-                arrays["indices"], arrays["outcomes"], 1, 0, 2, 3, [1], 1, 0
-            )
-
-    @pytest.mark.parametrize("wrong", ["indices", "slots", "outcomes"])
-    def test_agree_walk_checks_every_caller_buffer(self, wrong, monkeypatch):
-        monkeypatch.setattr(
-            native_module, "_BACKEND", (_PassThroughFFI(), _NoOpKernel())
-        )
-        arrays = {
-            "indices": np.zeros(1, np.uint32),
-            "slots": np.zeros(1, np.uint32),
-            "outcomes": np.ones(1, np.uint8),
-        }
+        arrays = dict(zip(("pcs", "takens", "conditionals"), _one_event()))
 
         def walk():
-            return NATIVE_BACKEND.walk_agree(
-                arrays["indices"], arrays["slots"], arrays["outcomes"],
-                2, 3, [1], [-1], 0,
+            return NATIVE_BACKEND.walk(
+                arrays["pcs"], arrays["takens"], arrays["conditionals"],
+                Geometry(_BIMODAL, 0, 0, 0, 0, 1), 0, 2, 3, [1], 0,
             )
 
         assert walk() == 0
         arrays[wrong] = arrays[wrong].astype(np.int64)
         with pytest.raises(ValueError, match="needs"):
             walk()
+
+    @pytest.mark.parametrize("wrong", ["pcs", "takens", "conditionals"])
+    def test_agree_walk_checks_every_caller_buffer(self, wrong, monkeypatch):
+        monkeypatch.setattr(
+            native_module, "_BACKEND", (_PassThroughFFI(), _NoOpKernel())
+        )
+        arrays = dict(zip(("pcs", "takens", "conditionals"), _one_event()))
+
+        def walk():
+            return NATIVE_BACKEND.walk_agree(
+                arrays["pcs"], arrays["takens"], arrays["conditionals"],
+                Geometry(_AGREE, 0, 0, 0, 0, 1), 2, 3, [1], [-1], 0,
+            )
+
+        assert walk() == 0
+        arrays[wrong] = arrays[wrong].astype(np.int64)
+        with pytest.raises(ValueError, match="needs"):
+            walk()
+
+    @pytest.mark.parametrize(
+        "entry,geometry",
+        [
+            ("walk", Geometry(_SKEW, 4, 64, 0, 0, 3)),  # register past 63 bits
+            ("walk", Geometry(_SKEW, 4, 12, 1 << 12, 0, 3)),  # seed wider than it
+            ("walk", Geometry(_EGSKEW, 4, 12, 0, 64, 3)),  # bank-0 history past 63
+            ("walk", Geometry(9, 4, 12, 0, 0, 3)),  # an unknown scheme
+            ("walk", Geometry(_GSHARE, 4, 12, 0, 0, 3)),  # gshare over 3 banks
+            ("walk", Geometry(_SKEW, -1, 12, 0, 0, 3)),  # negative index bits
+            ("walk", Geometry(_AGREE, 4, 12, 0, 0, 1)),  # agree's scheme
+            ("walk_agree", Geometry(_SKEW, 4, 12, 0, 0, 1)),  # a voted scheme
+            ("walk_agree", Geometry(_AGREE, 4, 12, 0, 33, 1)),  # slots past 32 bits
+        ],
+    )
+    def test_malformed_geometry_is_refused_before_the_call(
+        self, entry, geometry, monkeypatch
+    ):
+        _forbid_kernel(monkeypatch)
+        values = [1] * (geometry.banks << 4)
+        with pytest.raises(ValueError):
+            if entry == "walk":
+                NATIVE_BACKEND.walk(*_one_event(), geometry, 0, 2, 3, values, 0)
+            else:
+                NATIVE_BACKEND.walk_agree(
+                    *_one_event(), geometry, 2, 3, values, [-1] * 16, 0
+                )
+        assert values == [1] * len(values)
 
 
 # -- entry points vs scalar oracles -----------------------------------------
@@ -589,23 +674,139 @@ def _pieces(length, cuts):
     return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
-def _counter_draws(data, length):
-    """Counter width, threshold, warmup and outcomes for one fuzz case."""
+def _rng(data, label="rng"):
+    """A numpy generator seeded by a draw: bulk inputs (trace columns,
+    tables) come from it, their shape from hypothesis."""
+    return np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label=label))
+
+
+def _random_columns(rng, length, span, rate):
+    """``pcs`` / ``takens`` / ``conditionals`` of ``length`` events: word
+    addresses over ``span`` bits (narrow spans alias in small tables,
+    wide ones fill the information vector), random low pc bits, and
+    conditional events at ``rate`` among unconditional ones."""
+    words = rng.integers(0, 1 << span, length, dtype=np.uint64)
+    pcs = (words << np.uint64(2)) | rng.integers(0, 4, length, dtype=np.uint64)
+    takens = rng.integers(0, 2, length, dtype=np.uint8)
+    conditionals = (rng.random(length) < rate).astype(np.uint8)
+    return pcs, takens, conditionals
+
+
+def _draw_columns(data, length):
+    span = data.draw(st.sampled_from([1, 6, 12, 62]), label="span")
+    rate = data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]), label="rate")
+    return _random_columns(_rng(data, "columns"), length, span, rate)
+
+
+def _draw_geometry(data, scheme, max_bits=16):
+    """A geometry of ``scheme``: index widths 1–``max_bits``, histories
+    0–63 (often past the index width) with a seed of their width."""
+    bits = data.draw(st.integers(1, max_bits), label="index bits")
+    history_bits = 0
+    if scheme != _BIMODAL:
+        history_bits = data.draw(
+            st.one_of(st.integers(0, bits), st.integers(0, 63)),
+            label="history bits",
+        )
+    seed = data.draw(st.integers(0, (1 << history_bits) - 1), label="seed")
+    banks, extra_bits = 1, 0
+    if scheme == _SKEW:
+        banks = data.draw(st.sampled_from([1, 3, 5]), label="banks")
+    elif scheme == _EGSKEW:
+        banks = 3
+        extra_bits = data.draw(st.integers(0, history_bits), label="bank-0 bits")
+    elif scheme == _AGREE:
+        extra_bits = data.draw(st.integers(0, max_bits), label="bias bits")
+    return Geometry(scheme, bits, history_bits, seed, extra_bits, banks)
+
+
+def _counter_draws(data, conditional_count):
+    """Counter width, threshold and warmup for one fuzz case."""
     max_value = data.draw(st.sampled_from([1, 3, 7]), label="max_value")
     threshold = data.draw(st.integers(1, max_value), label="threshold")
-    warmup = data.draw(st.integers(0, length + 1), label="warmup")
-    outcomes = data.draw(
-        st.lists(st.booleans(), min_size=length, max_size=length),
-        label="outcomes",
-    )
-    return max_value, threshold, warmup, outcomes
+    warmup = data.draw(st.integers(0, conditional_count + 1), label="warmup")
+    return max_value, threshold, warmup
 
 
-def _keys(data, length, table, label):
-    return data.draw(
-        st.lists(st.integers(0, table - 1), min_size=length, max_size=length),
-        label=label,
+def _register_after(takens, bits, seed):
+    """The history register after ``takens`` shift through it."""
+    mask = (1 << bits) - 1
+    for taken in takens:
+        seed = ((seed << 1) | int(taken)) & mask
+    return seed
+
+
+def _walk_in_pieces(call, columns, geometry, warmup, cuts):
+    """Sum ``call(columns, geometry, warmup)`` over the pieces of the
+    trace cut at ``cuts``: each piece starts from the history register
+    and the warmup the previous pieces left."""
+    pcs, takens, conditionals = columns
+    misses, seed, seen = 0, geometry.seed, 0
+    for lo, hi in _pieces(len(pcs), cuts):
+        piece = (pcs[lo:hi], takens[lo:hi], conditionals[lo:hi])
+        misses += call(piece, geometry._replace(seed=seed), max(0, warmup - seen))
+        seed = _register_after(takens[lo:hi], geometry.history_bits, seed)
+        seen += int(np.count_nonzero(conditionals[lo:hi]))
+    return misses
+
+
+def _check_walk_against_oracle(
+    backend, columns, geometry, policy, max_value, threshold, warmup, init,
+    cuts=(),
+):
+    """``backend.walk`` over ``columns`` (resumed at ``cuts``) against
+    ``_reference_walk`` over the numpy index streams of the whole trace:
+    the same misses and the same final tables."""
+    values = list(init)
+    misses = _walk_in_pieces(
+        lambda piece, g, w: backend.walk(
+            *piece, g, _POLICY_CODES[policy], threshold, max_value, values, w
+        ),
+        columns, geometry, warmup, cuts,
     )
+    pcs, takens, conditionals = columns
+    streams = [s.tolist() for s in _index_streams(geometry, *columns)]
+    outcomes = takens[conditionals != 0].astype(bool).tolist()
+    entries = 1 << geometry.index_bits
+    oracle = [init[b * entries : (b + 1) * entries] for b in range(geometry.banks)]
+    expected = _reference_walk(
+        streams, outcomes, oracle, policy, threshold, max_value, warmup
+    )
+    assert misses == expected
+    assert values == [v for bank in oracle for v in bank]
+
+
+def _check_agree_against_oracle(
+    backend, columns, geometry, max_value, threshold, warmup, init,
+    init_bias, cuts=(),
+):
+    """The same for ``backend.walk_agree``, with a biasing-bit table
+    that starts partly latched (either way) and partly unlatched."""
+    values = list(init)
+    bias = list(init_bias)
+    misses = _walk_in_pieces(
+        lambda piece, g, w: backend.walk_agree(
+            *piece, g, threshold, max_value, values, bias, w
+        ),
+        columns, geometry, warmup, cuts,
+    )
+    pcs, takens, conditionals = columns
+    keys, slots = (s.tolist() for s in _index_streams(geometry, *columns))
+    outcomes = takens[conditionals != 0].astype(bool).tolist()
+    oracle_values = list(init)
+    oracle_bias = [None if code < 0 else bool(code) for code in init_bias]
+    expected = _reference_agree_walk(
+        keys, slots, outcomes, oracle_values, oracle_bias, threshold,
+        max_value, warmup,
+    )
+    assert misses == expected
+    assert values == oracle_values
+    assert bias == [-1 if b is None else int(b) for b in oracle_bias]
+
+
+#: Trace lengths for the event-level fuzz: short traces, and traces that
+#: cross the C kernel's 2048-event blocks.
+_LENGTHS = st.one_of(st.integers(0, 200), st.integers(2000, 4500))
 
 
 def _walk_entry_point_cases(backend):
@@ -617,14 +818,14 @@ def _walk_entry_point_cases(backend):
         def test_repro_walk_empty_input(self):
             values = [0, 3]
             misses = backend.walk(
-                np.empty(0, dtype=np.uint32),
+                np.empty(0, dtype=np.uint64),
                 np.empty(0, dtype=np.uint8),
-                1,
+                np.empty(0, dtype=np.uint8),
+                Geometry(_BIMODAL, 1, 0, 0, 0, 1),
                 _POLICY_CODES[UpdatePolicy.TOTAL],
                 2,
                 3,
                 values,
-                2,
                 0,
             )
             assert misses == 0
@@ -633,133 +834,92 @@ def _walk_entry_point_cases(backend):
         @pytest.mark.parametrize("banks,policy", [(2, 0), (7, 0), (3, 3)])
         def test_repro_walk_rejects_unknown_geometry(self, banks, policy):
             # Even bank counts (ties), more than five banks and unknown
-            # policy codes return -1 without touching the tables.
-            values = [1] * banks
-            misses = backend.walk(
-                np.zeros(banks, dtype=np.uint32),
-                np.ones(1, dtype=np.uint8),
-                banks,
-                policy,
-                1,
-                1,
-                values,
-                1,
-                0,
-            )
-            assert misses == -1
-            assert values == [1] * banks
+            # policy codes raise ValueError without touching the tables.
+            values = [1] * (2 * banks)
+            with pytest.raises(ValueError, match="bank|policy"):
+                backend.walk(
+                    *_one_event(),
+                    Geometry(_SKEW, 1, 0, 0, 0, banks),
+                    policy,
+                    1,
+                    1,
+                    values,
+                    0,
+                )
+            assert values == [1] * (2 * banks)
 
-        # Differential fuzz of repro_walk against the scalar oracle over
-        # every policy and bank count: small tables force heavy aliasing,
-        # warm tables start anywhere in the counter range, warmup draws
-        # straddle the trace, 1-bit counters hit both saturation rails, and
-        # the events arrive in pieces cut anywhere (the walk must resume
-        # exactly from the tables a previous call left).
+        # Event-level differential fuzz of repro_walk against the scalar
+        # oracle over every voted scheme, policy and bank count: random
+        # columns with unconditional events mixed in, index widths 1-16
+        # (small tables force heavy aliasing), histories 0-63 with
+        # nonzero seeds, warm tables anywhere in the counter range,
+        # warmup draws straddling the trace, 1-bit counters hitting both
+        # saturation rails, and the events arriving in pieces cut
+        # anywhere (the walk must resume exactly from the tables and the
+        # register a previous call left).
         @given(
             data=st.data(),
-            banks=st.sampled_from([1, 3, 5]),
+            scheme=st.sampled_from([_BIMODAL, _GSHARE, _GSELECT, _SKEW, _EGSKEW]),
             policy=st.sampled_from(list(UpdatePolicy)),
-            entry_bits=st.integers(0, 3),
-            length=st.integers(1, 120),
+            length=_LENGTHS,
         )
         @settings(max_examples=300, deadline=None)
-        def test_kernel_matches_scalar_oracle(
-            self, data, banks, policy, entry_bits, length
-        ):
-            table = 1 << entry_bits
-            max_value, threshold, warmup, outcomes = _counter_draws(data, length)
-            bank_keys = [_keys(data, length, table, f"keys{b}") for b in range(banks)]
-            init = [
-                data.draw(
-                    st.lists(
-                        st.integers(0, max_value), min_size=table, max_size=table
-                    ),
-                    label=f"init{b}",
-                )
-                for b in range(banks)
-            ]
-
-            indices = np.asarray(bank_keys, dtype=np.uint32)
-            outcome_bytes = np.asarray(outcomes, dtype=np.uint8)
-            values = [v for bank in init for v in bank]
-            misses = 0
-            for lo, hi in _pieces(length, _split_points(data, length)):
-                misses += backend.walk(
-                    np.ascontiguousarray(indices[:, lo:hi]),
-                    outcome_bytes[lo:hi],
-                    banks,
-                    _POLICY_CODES[policy],
-                    threshold,
-                    max_value,
-                    values,
-                    table,
-                    max(0, warmup - lo),
-                )
-
-            oracle_values = [list(bank) for bank in init]
-            expected = _reference_walk(
-                bank_keys, outcomes, oracle_values, policy, threshold,
-                max_value, warmup,
+        def test_kernel_matches_scalar_oracle(self, data, scheme, policy, length):
+            geometry = _draw_geometry(data, scheme)
+            columns = _draw_columns(data, length)
+            max_value, threshold, warmup = _counter_draws(
+                data, int(np.count_nonzero(columns[2]))
             )
-            assert misses == expected
-            assert values == [v for bank in oracle_values for v in bank]
+            init = _rng(data, "init").integers(
+                0, max_value + 1, geometry.banks << geometry.index_bits
+            ).tolist()
+            _check_walk_against_oracle(
+                backend, columns, geometry, policy, max_value, threshold,
+                warmup, init, _split_points(data, length),
+            )
 
-        @given(
-            data=st.data(),
-            entry_bits=st.integers(0, 3),
-            bias_bits=st.integers(0, 3),
-            length=st.integers(1, 120),
-        )
+        @given(data=st.data(), length=_LENGTHS)
         @settings(max_examples=200, deadline=None)
-        def test_agree_kernel_matches_scalar_oracle(
-            self, data, entry_bits, bias_bits, length
-        ):
-            # The same fuzz for repro_walk_agree, with biasing-bit tables
-            # that start partly latched (either way) and partly unlatched.
-            table, slots_n = 1 << entry_bits, 1 << bias_bits
-            max_value, threshold, warmup, outcomes = _counter_draws(data, length)
-            keys = _keys(data, length, table, "keys")
-            slots = _keys(data, length, slots_n, "slots")
-            init = data.draw(
-                st.lists(st.integers(0, max_value), min_size=table, max_size=table),
-                label="init",
+        def test_agree_kernel_matches_scalar_oracle(self, data, length):
+            # The same fuzz for repro_walk_agree.
+            geometry = _draw_geometry(data, _AGREE)
+            columns = _draw_columns(data, length)
+            max_value, threshold, warmup = _counter_draws(
+                data, int(np.count_nonzero(columns[2]))
             )
-            init_bias = data.draw(
-                st.lists(
-                    st.sampled_from([None, False, True]),
-                    min_size=slots_n,
-                    max_size=slots_n,
-                ),
-                label="bias",
+            rng = _rng(data, "init")
+            init = rng.integers(0, max_value + 1, 1 << geometry.index_bits)
+            init_bias = rng.integers(-1, 2, 1 << geometry.extra_bits)
+            _check_agree_against_oracle(
+                backend, columns, geometry, max_value, threshold, warmup,
+                init.tolist(), init_bias.tolist(), _split_points(data, length),
             )
 
-            key_array = np.asarray(keys, dtype=np.uint32)
-            slot_array = np.asarray(slots, dtype=np.uint32)
-            outcome_bytes = np.asarray(outcomes, dtype=np.uint8)
-            values = list(init)
-            bias = [-1 if b is None else int(b) for b in init_bias]
-            misses = 0
-            for lo, hi in _pieces(length, _split_points(data, length)):
-                misses += backend.walk_agree(
-                    key_array[lo:hi],
-                    slot_array[lo:hi],
-                    outcome_bytes[lo:hi],
-                    threshold,
-                    max_value,
-                    values,
-                    bias,
-                    max(0, warmup - lo),
+        @pytest.mark.parametrize("spec", WIDE_SPECS)
+        def test_wide_geometry_matches_scalar_oracle(self, spec):
+            # The wide equivalence specs as fixed cases: a warm register
+            # seeded across its whole width, addresses over 62 bits.
+            predictor = make_predictor(spec)
+            rng = np.random.default_rng(sum(map(ord, spec)))
+            geometry = _geometry(predictor)
+            geometry = geometry._replace(
+                seed=int(rng.integers(0, 1 << geometry.history_bits))
+            )
+            columns = _random_columns(rng, 5_000, 62, 0.7)
+            size = geometry.banks << geometry.index_bits
+            init = rng.integers(0, 4, size).tolist()
+            if geometry.scheme == _AGREE:
+                bias = rng.integers(-1, 2, 1 << geometry.extra_bits).tolist()
+                _check_agree_against_oracle(
+                    backend, columns, geometry, 3, 2, 100, init, bias,
+                    cuts=[2_500],
                 )
-
-            oracle_values = list(init)
-            oracle_bias = list(init_bias)
-            expected = _reference_agree_walk(
-                keys, slots, outcomes, oracle_values, oracle_bias, threshold,
-                max_value, warmup,
-            )
-            assert misses == expected
-            assert values == oracle_values
-            assert bias == [-1 if b is None else int(b) for b in oracle_bias]
+            else:
+                _check_walk_against_oracle(
+                    backend, columns, geometry,
+                    getattr(predictor, "update_policy", UpdatePolicy.TOTAL),
+                    3, 2, 100, init, cuts=[2_500],
+                )
 
         @given(
             data=st.data(),
@@ -811,109 +971,143 @@ class TestPythonWalkEntryPoints(_walk_entry_point_cases(PYTHON_BACKEND)):
     CI lane (no compiler needed)."""
 
 
-def _walk_once(bank_keys, outcomes, init, policy, threshold, vmax, warmup):
-    """One ``repro_walk`` call over the whole event list; returns the
-    miss count and the bank-major final tables."""
-    ffi, lib = _backend()
-    values = np.asarray(init, dtype=np.int64).ravel()
-    misses = lib.repro_walk(
-        ffi.from_buffer("uint32_t[]", np.asarray(bank_keys, dtype=np.uint32)),
-        ffi.from_buffer("uint8_t[]", np.asarray(outcomes, dtype=np.uint8)),
-        len(outcomes),
-        len(bank_keys),
-        _POLICY_CODES[policy],
-        threshold,
-        vmax,
-        ffi.from_buffer("int64_t[]", values),
-        len(init[0]),
-        warmup,
+def _walk_once_against_oracle(data, geometry, policy, length):
+    """One uncut ``repro_walk`` over drawn columns against the oracle."""
+    columns = _draw_columns(data, length)
+    max_value, threshold, warmup = _counter_draws(
+        data, int(np.count_nonzero(columns[2]))
     )
-    return misses, values.tolist()
+    init = _rng(data, "init").integers(
+        0, max_value + 1, geometry.banks << geometry.index_bits
+    ).tolist()
+    # The in-order walk is exact: no round cap, no bail-out.
+    _check_walk_against_oracle(
+        NATIVE_BACKEND, columns, geometry, policy, max_value, threshold,
+        warmup, init,
+    )
 
 
 @requires_native
 class TestMapCodeKernels:
     """The two policies that once had kernels of their own — single-bank
     LAZY (train on a miss only) and multi-bank PARTIAL — fuzzed through
-    ``repro_walk`` against the scalar oracle."""
+    ``repro_walk`` against the scalar oracle, on small tables (index
+    widths up to 3) where every entry sees long runs."""
 
     @given(
         data=st.data(),
-        entry_bits=st.integers(0, 3),
-        max_value=st.sampled_from([1, 3, 7]),
+        bits=st.integers(0, 3),
+        history_bits=st.integers(0, 8),
         length=st.integers(1, 120),
     )
     @settings(max_examples=120, deadline=None)
     def test_lazy1_matches_scalar_oracle(
-        self, data, entry_bits, max_value, length
+        self, data, bits, history_bits, length
     ):
-        table = 1 << entry_bits
-        threshold = data.draw(st.integers(1, max_value), label="threshold")
-        warmup = data.draw(st.integers(0, length + 1), label="warmup")
-        keys = _keys(data, length, table, "keys")
-        outcomes = data.draw(
-            st.lists(st.booleans(), min_size=length, max_size=length),
-            label="outcomes",
-        )
-        init = data.draw(
-            st.lists(st.integers(0, max_value), min_size=table, max_size=table),
-            label="init",
-        )
-
-        misses, values = _walk_once(
-            [keys], outcomes, [init], UpdatePolicy.LAZY, threshold,
-            max_value, warmup,
-        )
-
-        oracle_values = [list(init)]
-        expected = _reference_walk(
-            [keys], outcomes, oracle_values, UpdatePolicy.LAZY, threshold,
-            max_value, warmup,
-        )
-        assert misses == expected
-        assert values == oracle_values[0]
+        seed = data.draw(st.integers(0, (1 << history_bits) - 1), label="seed")
+        geometry = Geometry(_SKEW, bits, history_bits, seed, 0, 1)
+        _walk_once_against_oracle(data, geometry, UpdatePolicy.LAZY, length)
 
     @given(
         data=st.data(),
         banks=st.sampled_from([3, 5]),
-        entry_bits=st.integers(0, 3),
-        max_value=st.sampled_from([1, 3]),
+        bits=st.integers(1, 3),
+        history_bits=st.integers(0, 8),
         length=st.integers(1, 120),
     )
     @settings(max_examples=120, deadline=None)
     def test_partial_matches_scalar_oracle(
-        self, data, banks, entry_bits, max_value, length
+        self, data, banks, bits, history_bits, length
     ):
-        table = 1 << entry_bits
-        threshold = data.draw(st.integers(1, max_value), label="threshold")
-        warmup = data.draw(st.integers(0, length + 1), label="warmup")
-        bank_keys = [
-            _keys(data, length, table, f"keys{b}") for b in range(banks)
-        ]
-        outcomes = data.draw(
-            st.lists(st.booleans(), min_size=length, max_size=length),
-            label="outcomes",
-        )
-        init = [
-            data.draw(
-                st.lists(
-                    st.integers(0, max_value), min_size=table, max_size=table
-                ),
-                label=f"init{b}",
-            )
-            for b in range(banks)
-        ]
+        seed = data.draw(st.integers(0, (1 << history_bits) - 1), label="seed")
+        geometry = Geometry(_SKEW, bits, history_bits, seed, 0, banks)
+        _walk_once_against_oracle(data, geometry, UpdatePolicy.PARTIAL, length)
 
-        misses, values = _walk_once(
-            bank_keys, outcomes, init, UpdatePolicy.PARTIAL, threshold,
-            max_value, warmup,
-        )
 
-        # The in-order walk is exact: no round cap, no bail-out.
-        oracle_values = [list(bank) for bank in init]
-        expected = _reference_walk(
-            bank_keys, outcomes, oracle_values, UpdatePolicy.PARTIAL,
-            threshold, max_value, warmup,
+# -- memory and views ---------------------------------------------------------
+
+
+def _long_trace(length=600_000):
+    """A trace of ``length`` events over a few thousand branch sites."""
+    pcs, takens, conditionals = _random_columns(
+        np.random.default_rng(11), length, 12, 0.85
+    )
+    return Trace(pcs, takens, conditionals, name="long")
+
+
+@requires_native
+class TestMemoryAndViews:
+    """The walk derives nothing per event outside its stack blocks, keeps
+    nothing on the trace, and takes strided column views as they are."""
+
+    @staticmethod
+    def _native_peak(spec, trace):
+        """Peak traced bytes of one native ``simulate_fast`` call, and
+        the bytes of the predictor's counters as int64."""
+        simulate_fast(make_predictor(spec), trace.head(10))  # warm imports
+        predictor = make_predictor(spec)
+        tables = (
+            [predictor.pht]
+            if hasattr(predictor, "pht")
+            else getattr(predictor, "banks", None) or [predictor.bank]
         )
-        assert misses == expected
-        assert values == [v for bank in oracle_values for v in bank]
+        tracemalloc.start()
+        try:
+            result = simulate_fast(predictor, trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.engine == "native"
+        return peak, 8 * sum(table.counters.size for table in tables)
+
+    @pytest.mark.parametrize(
+        "spec", ["gskew:3x4k:h12:partial", "gskew:1x4k:h12:lazy", "agree:4k:h12"]
+    )
+    def test_native_peak_is_the_tables_not_the_trace(self, spec):
+        peak, table_bytes = self._native_peak(spec, _long_trace())
+        assert peak < table_bytes + (1 << 20), (peak, table_bytes)
+
+    @pytest.mark.parametrize("spec", ["gshare:64k:h16", "egskew:3x4k:h12:partial"])
+    def test_native_peak_does_not_grow_with_the_trace(self, spec):
+        trace = _long_trace()
+        short, _ = self._native_peak(spec, trace.head(6_000))
+        long, _ = self._native_peak(spec, trace)
+        assert long - short < (64 << 10), (short, long)
+
+    def test_trace_holds_no_derived_state(self):
+        trace = _long_trace(50_000)
+        before = {name: id(value) for name, value in vars(trace).items()}
+        for spec in ("gskew:3x4k:h12:lazy", "agree:4k:h12", "gshare:4k:h12"):
+            assert simulate_fast(make_predictor(spec), trace).engine == "native"
+        assert {name: id(value) for name, value in vars(trace).items()} == before
+        assert trace._column_lists == {}
+        assert not hasattr(trace, "_derived")
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda t: t.stride_split(4)[1],
+            lambda t: t.stride_split(3)[2].slice(1_000, 9_000),
+            lambda t: t.stride_split(2)[0].head(7_000),
+        ],
+        ids=["stride_split", "slice", "head"],
+    )
+    @pytest.mark.parametrize(
+        "spec", ["gskew:3x1k:h12:partial", "egskew:3x1k:h12:lazy", "agree:1k:h10"]
+    )
+    def test_strided_views_run_native(self, view, spec, small_trace):
+        strided = view(small_trace)
+        assert not strided.pcs.flags.c_contiguous
+        copy = Trace(
+            strided.pcs.copy(), strided.takens.copy(),
+            strided.conditionals.copy(), name=strided.name,
+        )
+        reference = make_predictor(spec)
+        candidate = make_predictor(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no silent drop to the loop
+            actual = simulate_fast(candidate, strided, warmup=50)
+        expected = simulate_fast(reference, copy, warmup=50)
+        assert actual.engine == expected.engine == "native"
+        assert actual == expected
+        assert _full_state(candidate) == _full_state(reference)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from repro.traces.cache import (
     trace_cache_path,
 )
 from repro.resilience.faults import FAULTS_ENV_VAR, reset_faults
+from repro.traces.io import load_trace
 from repro.traces.synthetic.behavior import BehaviorMix
 from repro.traces.synthetic.generator import (
     GENERATOR_VERSION,
@@ -206,3 +209,68 @@ class TestFaultInjection:
         generate_trace_cached(_config())
         assert not list(cache_in_tmp.glob("*.tmp*"))
         assert not list(cache_in_tmp.glob(".*"))
+
+
+class TestEntryFormat:
+    """Entries are ``.npz`` files at a fast zlib level: what
+    ``np.savez_compressed`` writes, read back by ``np.load`` and
+    ``load_trace`` alike."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_faults(self, monkeypatch):
+        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+        reset_faults()
+        yield
+        reset_faults()
+
+    def test_entry_round_trips_and_write_fault_regenerates(
+        self, cache_in_tmp, monkeypatch
+    ):
+        config = _config()
+        trace = generate_trace_cached(config)
+        path = trace_cache_path(config)
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+        with np.load(path) as data:
+            assert sorted(data.files) == [
+                "conditionals", "metadata", "pcs", "takens", "targets",
+            ]
+            for column in ("pcs", "takens", "conditionals", "targets"):
+                assert np.array_equal(data[column], getattr(trace, column))
+        _assert_traces_equal(load_trace(path), trace)
+
+        # A cache-write fault publishes a truncated entry; the next read
+        # drops it and regenerates the same trace.
+        path.unlink()
+        monkeypatch.setenv(FAULTS_ENV_VAR, "cache-write@1")
+        reset_faults()
+        generate_trace_cached(config)
+        with pytest.raises(Exception):
+            load_trace(path)
+        monkeypatch.delenv(FAULTS_ENV_VAR)
+        reset_faults()
+        _assert_traces_equal(generate_trace_cached(config), trace)
+        assert cache_stats()["errors"] == 1
+        _assert_traces_equal(load_trace(path), trace)
+
+    def test_savez_compressed_entry_still_hits(self, cache_in_tmp):
+        # Entries written at numpy's default level stay valid.
+        config = _config()
+        trace = generate_trace(config)
+        path = trace_cache_path(config)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        metadata = {"version": 1, "name": trace.name, "seed": trace.seed}
+        np.savez_compressed(
+            path,
+            pcs=trace.pcs,
+            takens=trace.takens,
+            conditionals=trace.conditionals,
+            targets=trace.targets,
+            metadata=np.frombuffer(
+                json.dumps(metadata).encode("utf-8"), dtype=np.uint8
+            ),
+        )
+        _assert_traces_equal(generate_trace_cached(config), trace)
+        assert cache_stats()["hits"] == 1
