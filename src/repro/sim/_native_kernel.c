@@ -1,4 +1,5 @@
-/* Native simulation kernel: one sequential walk over a raw trace.
+/* Native kernel: one sequential walk over a raw trace, and the synthetic
+ * program runner that generates traces.
  *
  * Every index-expressible predictor's table indices are a pure function
  * of the trace and the predictor's index geometry (scheme, index width,
@@ -13,15 +14,18 @@
  * each bank's training reads the overall majority vote and the banks
  * form one coupled state machine.
  *
- * Entry points (pinned to scalar oracles by name in
- * tests/sim/test_native.py; the R006 lint rule keeps that true):
+ * Entry points (pinned to oracles by name in tests/sim/test_native.py
+ * and tests/traces/synthetic/test_cfg.py; the R006 lint rule keeps that
+ * true):
  *
  *   repro_walk        1, 3 or 5 voted banks of saturating counters
  *                     under TOTAL / PARTIAL / LAZY update (a plain
  *                     table is one bank under TOTAL);
  *   repro_walk_agree  the agree predictor: a gshare-indexed PHT of
  *                     "agrees with bias" counters plus a biasing-bit
- *                     table that latches on a slot's first execution.
+ *                     table that latches on a slot's first execution;
+ *   repro_run_program the synthetic trace generator's program runner
+ *                     (at the end of this file).
  *
  * Trace conventions (both walks): `pcs`, `takens` and `conditionals`
  * are the trace's n events.  Every event shifts its outcome into the
@@ -506,4 +510,344 @@ int64_t repro_walk_agree(const uint64_t *pcs, const uint8_t *takens,
         seen += m;
     }
     return misses;
+}
+
+/* ---- The synthetic-program runner -------------------------------------
+ *
+ * repro_run_program executes a compiled synthetic program
+ * (repro.traces.synthetic.cfg._compile) and writes the row code of each
+ * event it emits, exactly as the Python runner in cfg.py does.  Its
+ * randomness is a port of CPython's Mersenne Twister
+ * (Modules/_randommodule.c), started from the state
+ * random.Random(seed).getstate() holds, so every draw is the one the
+ * Python runner's rng makes at the same point of the run:
+ *
+ *   random()      genrand_res53: two words, 53 bits;
+ *   randint(a, b) a + _randbelow_with_getrandbits(b - a + 1): draws of
+ *                 bit_length(n) bits, rejected until below n.
+ *
+ * CPython guarantees the random() stream across versions, but not
+ * randint's algorithm; tests/traces/synthetic/test_trace_pins.py and the
+ * runners' differential test are what would catch a drift.
+ */
+
+#define REPRO_MT_N 624
+#define REPRO_MT_M 397
+
+typedef struct {
+    uint32_t words[REPRO_MT_N];
+    int32_t index;
+} repro_mt;
+
+static uint32_t repro_mt_next(repro_mt *mt)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t *w = mt->words;
+    uint32_t y;
+
+    if (mt->index >= REPRO_MT_N) {
+        int32_t k;
+
+        for (k = 0; k < REPRO_MT_N - REPRO_MT_M; k++) {
+            y = (w[k] & 0x80000000U) | (w[k + 1] & 0x7fffffffU);
+            w[k] = w[k + REPRO_MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; k < REPRO_MT_N - 1; k++) {
+            y = (w[k] & 0x80000000U) | (w[k + 1] & 0x7fffffffU);
+            w[k] = w[k + (REPRO_MT_M - REPRO_MT_N)] ^ (y >> 1)
+                   ^ mag01[y & 0x1U];
+        }
+        y = (w[REPRO_MT_N - 1] & 0x80000000U) | (w[0] & 0x7fffffffU);
+        w[REPRO_MT_N - 1] = w[REPRO_MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        mt->index = 0;
+    }
+    y = w[mt->index++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* random.Random.random */
+static double repro_mt_random(repro_mt *mt)
+{
+    uint32_t a = repro_mt_next(mt) >> 5;
+    uint32_t b = repro_mt_next(mt) >> 6;
+
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* random.Random.getrandbits(k), 1 <= k <= 64: 32-bit words from the
+ * least significant up, the last one cut to the bits left. */
+static uint64_t repro_mt_bits(repro_mt *mt, int32_t k)
+{
+    uint64_t low;
+
+    if (k <= 32)
+        return repro_mt_next(mt) >> (32 - k);
+    low = repro_mt_next(mt);
+    return ((uint64_t)(repro_mt_next(mt) >> (64 - k)) << 32) | low;
+}
+
+/* random.Random._randbelow_with_getrandbits(n), n >= 1 */
+static int64_t repro_mt_below(repro_mt *mt, int64_t n)
+{
+    int32_t k = 0;
+    uint64_t r;
+
+    while (k < 64 && ((uint64_t)n >> k) != 0)
+        k++;
+    do
+        r = repro_mt_bits(mt, k);
+    while (r >= (uint64_t)n);
+    return (int64_t)r;
+}
+
+/* Node records: REPRO_NODE_FIELDS int32 each.
+ *
+ *   0 kind    branch, loop or call
+ *   1 slot    the behaviour slot (branch, loop) or the callee's
+ *             procedure number (call)
+ *   2-4       codes: taken (the call's, for a call), not taken, and the
+ *             join that ends a taken branch's then-body
+ *   5-6       [first, last) node range of the then-body (the loop body)
+ *   7-8       [first, last) node range of the else-body
+ *
+ * A procedure is three int32: its body's node range and its return
+ * code.  Procedure 0 is the program's main procedure. */
+#define REPRO_NODE_FIELDS 9
+#define REPRO_NODE_BRANCH 0
+#define REPRO_NODE_LOOP 1
+#define REPRO_NODE_CALL 2
+
+/* Behaviour kinds, with their two int64 and two double parameters.
+ *
+ *   biased      floats: p_taken
+ *   loop        ints: trip count, jitter
+ *   pattern     ints: blob offset, pattern length
+ *   correlated  ints: blob offset of the truth table, history mask;
+ *               floats: noise
+ *   markov      ints: start state; floats: p_stay_taken,
+ *               p_stay_not_taken */
+#define REPRO_BIASED 0
+#define REPRO_LOOP 1
+#define REPRO_PATTERN 2
+#define REPRO_CORRELATED 3
+#define REPRO_MARKOV 4
+
+/* Calls nested this deep are skipped; bodies nested deeper than
+ * REPRO_MAX_NESTING are refused (the runner recurses once per level). */
+#define REPRO_MAX_CALL_DEPTH 24
+#define REPRO_MAX_NESTING 256
+
+typedef struct {
+    const int32_t *nodes;
+    const int32_t *procedures;
+    const int32_t *kinds;
+    const int64_t *ints;
+    const double *floats;
+    const uint8_t *blob;
+    int64_t *state; /* per slot: loop trips left, pattern position,
+                       markov state */
+    int32_t *codes;
+    int64_t n;
+    int64_t demand;
+    int32_t stop;   /* the demand is met, or the program was refused */
+    int32_t failed;
+    uint32_t history; /* the program's own 16-bit path history */
+    repro_mt mt;
+} repro_runner;
+
+static inline int32_t repro_outcome(repro_runner *r, int32_t slot)
+{
+    const int64_t *ints = r->ints + 2 * (int64_t)slot;
+    const double *floats = r->floats + 2 * (int64_t)slot;
+    int64_t *state = r->state + slot;
+    int32_t taken;
+
+    switch (r->kinds[slot]) {
+    case REPRO_BIASED:
+        return repro_mt_random(&r->mt) < floats[0];
+    case REPRO_LOOP:
+        if (--*state > 0)
+            return 1;
+        if (ints[1]) {
+            int64_t low = ints[0] - ints[1] > 1 ? ints[0] - ints[1] : 1;
+
+            *state = low + repro_mt_below(&r->mt, ints[0] + ints[1] - low + 1);
+        } else {
+            *state = ints[0];
+        }
+        return 0;
+    case REPRO_PATTERN:
+        taken = r->blob[ints[0] + *state];
+        if (++*state == ints[1])
+            *state = 0;
+        return taken;
+    case REPRO_CORRELATED:
+        taken = r->blob[ints[0] + (r->history & ints[1])];
+        if (floats[0] != 0.0 && repro_mt_random(&r->mt) < floats[0])
+            taken = !taken;
+        return taken;
+    default: /* REPRO_MARKOV; the kinds were checked on entry */
+        taken = (int32_t)*state;
+        if (repro_mt_random(&r->mt) >= (taken ? floats[0] : floats[1]))
+            *state = !taken;
+        return taken;
+    }
+}
+
+/* Append one code; true once the demand is met. */
+static inline int32_t repro_emit(repro_runner *r, int32_t code)
+{
+    r->codes[r->n++] = code;
+    if (r->n == r->demand)
+        r->stop = 1;
+    return r->stop;
+}
+
+static inline int32_t repro_shift(repro_runner *r, int32_t taken)
+{
+    r->history = ((r->history << 1) | (uint32_t)taken) & 0xFFFFU;
+    return taken;
+}
+
+static void repro_body(repro_runner *r, int32_t first, int32_t last,
+                       int32_t depth)
+{
+    int32_t i;
+
+    if (depth > REPRO_MAX_NESTING) {
+        r->stop = r->failed = 1;
+        return;
+    }
+    for (i = first; i < last; i++) {
+        const int32_t *node = r->nodes + REPRO_NODE_FIELDS * (int64_t)i;
+        const int32_t *callee;
+
+        switch (node[0]) {
+        case REPRO_NODE_BRANCH:
+            if (repro_shift(r, repro_outcome(r, node[1]))) {
+                if (repro_emit(r, node[2]))
+                    return;
+                if (node[5] < node[6]) {
+                    repro_body(r, node[5], node[6], depth + 1);
+                    if (r->stop)
+                        return;
+                }
+                if (repro_emit(r, node[4]))  /* jump over the else path */
+                    return;
+            } else {
+                if (repro_emit(r, node[3]))
+                    return;
+                if (node[7] < node[8]) {
+                    repro_body(r, node[7], node[8], depth + 1);
+                    if (r->stop)
+                        return;
+                }
+            }
+            break;
+        case REPRO_NODE_LOOP:
+            for (;;) {
+                if (node[5] < node[6]) {
+                    repro_body(r, node[5], node[6], depth + 1);
+                    if (r->stop)
+                        return;
+                }
+                if (!repro_shift(r, repro_outcome(r, node[1]))) {
+                    if (repro_emit(r, node[3]))
+                        return;
+                    break;
+                }
+                if (repro_emit(r, node[2]))
+                    return;
+            }
+            break;
+        case REPRO_NODE_CALL:
+            if (depth >= REPRO_MAX_CALL_DEPTH)
+                break;
+            callee = r->procedures + 3 * (int64_t)node[1];
+            if (repro_emit(r, node[2]))
+                return;
+            repro_body(r, callee[0], callee[1], depth + 1);
+            if (r->stop || repro_emit(r, callee[2]))
+                return;
+            break;
+        default:
+            r->stop = r->failed = 1;
+            return;
+        }
+    }
+}
+
+/* Run a compiled program from its start until it has emitted `demand`
+ * events; write their row codes to codes[0 .. demand) and return
+ * `demand`, or -1 for a behaviour or node kind the runner does not know
+ * or nesting past REPRO_MAX_NESTING.  Writes nothing past codes[demand).
+ *
+ *   nodes, procedures  the program's node records and procedures (see
+ *                      above); procedure 0 is run forever
+ *   kinds, ints, floats, blob
+ *                      behaviour_count behaviour slots and the bytes of
+ *                      their patterns and truth tables
+ *   mt_words, mt_index the Mersenne Twister's 624 words and position
+ *   state              behaviour_count int64 of scratch
+ *
+ * Every id, range and blob offset is trusted: the caller checks them
+ * (repro.traces.synthetic.cfg._check_program). */
+int64_t repro_run_program(const int32_t *nodes, const int32_t *procedures,
+                          const int32_t *kinds, const int64_t *ints,
+                          const double *floats, int32_t behavior_count,
+                          const uint8_t *blob, const uint32_t *mt_words,
+                          int32_t mt_index, int64_t *state,
+                          int32_t *codes, int64_t demand)
+{
+    repro_runner r;
+    int32_t slot;
+
+    for (slot = 0; slot < behavior_count; slot++) {
+        switch (kinds[slot]) {
+        case REPRO_LOOP:
+            state[slot] = ints[2 * (int64_t)slot];
+            break;
+        case REPRO_MARKOV:
+            state[slot] = ints[2 * (int64_t)slot] != 0;
+            break;
+        case REPRO_BIASED:
+        case REPRO_PATTERN:
+        case REPRO_CORRELATED:
+            state[slot] = 0;
+            break;
+        default:
+            return -1;
+        }
+    }
+    if (mt_index < 0 || mt_index > REPRO_MT_N)
+        return -1;
+    if (demand <= 0)
+        return 0;
+
+    r.nodes = nodes;
+    r.procedures = procedures;
+    r.kinds = kinds;
+    r.ints = ints;
+    r.floats = floats;
+    r.blob = blob;
+    r.state = state;
+    r.codes = codes;
+    r.n = 0;
+    r.demand = demand;
+    r.stop = r.failed = 0;
+    r.history = 0;
+    for (slot = 0; slot < REPRO_MT_N; slot++)
+        r.mt.words[slot] = mt_words[slot];
+    r.mt.index = mt_index;
+
+    while (!r.stop) {
+        repro_body(&r, procedures[0], procedures[1], 0);
+        if (!r.stop)
+            repro_emit(&r, procedures[2]);
+    }
+    return r.failed ? -1 : r.n;
 }

@@ -1,11 +1,12 @@
-"""Native simulation engine: the counter walk as a small C kernel.
+"""Native engine: the counter walk and the trace generator's program
+runner as a small C kernel.
 
 :func:`repro.sim.vectorized.simulate_walk` is the frame both fast tiers
 share: it hands a backend the trace's raw columns and the predictor's
 index :class:`~repro.sim.vectorized.Geometry`, walks a private copy of
 the predictor state and writes the result back.  This module is its C
 backend — ``_native_kernel.c``, compiled on demand with **cffi** — with
-the same two entry points as the Python loops:
+the same two walk entry points as the Python loops:
 
 - ``repro_walk`` steps 1, 3 or 5 majority-voted banks through the
   conditional events in trace order under TOTAL, PARTIAL or LAZY
@@ -25,14 +26,23 @@ Walking in order is exact for every update policy by construction, so
 :func:`native_supports` is one check — the spec is index-expressible
 and the backend built.
 
+The same shared object holds a third entry point,
+``repro_run_program`` (:func:`run_program_native`): the synthetic trace
+generator's program runner over a compiled program's flat arrays, with
+a port of CPython's Mersenne Twister, so it emits exactly the events
+the Python runner in :mod:`repro.traces.synthetic.cfg` does.
+
 The backend is optional.  cffi + a C compiler are probed lazily on
-first use; the shared object is cached under a version-fingerprinted
-directory (source + cdef + cffi/Python versions + platform) so rebuilds
-happen only when any of those change, and later processes just dlopen
-the cached module.  When the build fails — no compiler or no cffi —
-:func:`native_available` reports False (with a one-time
-``RuntimeWarning``) and ``simulate_fast`` runs the same frame with the
-Python walk; nothing else in the library requires the backend.
+first use; the shared object is compiled in a child process (cffi's
+build imports setuptools, which would stay loaded here) and cached
+under a version-fingerprinted directory (source + cdef + cffi/Python
+versions + platform), so rebuilds happen only when any of those change,
+and later processes just dlopen the cached module.  When the build
+fails — no compiler or no cffi — :func:`native_available` reports False
+(with a one-time ``RuntimeWarning`` quoting the child's error),
+``simulate_fast`` runs the same frame with the Python walk and the
+generator runs its Python runner; nothing in the library requires the
+backend.
 
 Results are bit-identical to :func:`repro.sim.engine.simulate`
 including final counter, bias and history state (asserted by
@@ -54,7 +64,11 @@ The Python↔C seam is checked where it can be checked exactly:
 - the kernel trusts its tables to match the geometry, so
   :func:`repro.sim.vectorized._check_walk` checks the bank count, index
   and history widths and every table's size before the call
-  (``ValueError``); past it, every index is in range by construction.
+  (``ValueError``); past it, every index is in range by construction;
+- the program runner trusts every id, range and offset in its arrays,
+  so :func:`repro.traces.synthetic.cfg._check_program` checks them, and
+  the nesting depth against the runner's recursion limit, before the
+  call (``ValueError``).
 """
 
 from __future__ import annotations
@@ -62,13 +76,15 @@ from __future__ import annotations
 import hashlib
 import importlib.machinery
 import importlib.util
+import json
+import subprocess
 import sys
 import sysconfig
 import tempfile
 import threading
 import warnings
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -82,12 +98,14 @@ from repro.sim.vectorized import (
     simulate_walk,
     supports,
 )
+from repro.traces.synthetic.cfg import _check_program, _Compiled
 from repro.traces.trace import Trace
 from repro.util import envvars
 
 __all__ = [
     "native_available",
     "native_supports",
+    "run_program_native",
     "simulate_native",
 ]
 
@@ -114,6 +132,12 @@ int64_t repro_walk_agree(const uint64_t *pcs, const uint8_t *takens,
                          uint64_t history_seed, int32_t bias_bits,
                          int64_t threshold, int64_t max_value,
                          int64_t *values, int8_t *bias, int64_t warmup);
+int64_t repro_run_program(const int32_t *nodes, const int32_t *procedures,
+                          const int32_t *kinds, const int64_t *ints,
+                          const double *floats, int32_t behavior_count,
+                          const uint8_t *blob, const uint32_t *mt_words,
+                          int32_t mt_index, int64_t *state,
+                          int32_t *codes, int64_t demand);
 """
 
 #: (ffi, lib) once built, or an error string once the build failed;
@@ -165,6 +189,47 @@ def _load(so_path: Path, module_name: str):
     return module.ffi, module.lib
 
 
+#: The build, run by ``sys.executable`` in a child process: reads
+#: ``[module name, source, cdef, build dir]`` as JSON on stdin, compiles
+#: the shared object and prints its path, or exits with the error.
+#: cffi's compile imports setuptools, which would otherwise stay loaded
+#: in the caller for the rest of its life.
+_BUILD_SCRIPT = """
+import json, sys
+import cffi
+module_name, source, cdef, build_dir = json.load(sys.stdin)
+builder = cffi.FFI()
+builder.cdef(cdef)
+builder.set_source(module_name, source, extra_compile_args=["-O3"])
+try:
+    so_path = builder.compile(tmpdir=build_dir)
+except Exception as exc:
+    sys.exit(f"{type(exc).__name__}: {exc}")
+print(so_path)
+"""
+
+
+def _compile_in_child(module_name: str, source: str, build_dir: Path) -> Path:
+    """Build the shared object in a ``sys.executable`` child process.
+
+    Raises:
+        RuntimeError: if the child fails; the message carries its output
+            (the compiler's diagnostics, then the error).
+    """
+    done = subprocess.run(
+        [sys.executable, "-c", _BUILD_SCRIPT],
+        input=json.dumps([module_name, source, _CDEF, str(build_dir)]),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(
+            f"kernel build failed (exit {done.returncode}): {done.stdout.strip()}"
+        )
+    return Path(done.stdout.strip().splitlines()[-1])
+
+
 def _build_backend():
     """Compile (or dlopen the cached) kernel; returns ``(ffi, lib)``.
 
@@ -172,7 +237,8 @@ def _build_backend():
     directory, a kernel that does not match its cdef — and the caller
     converts that into the unavailable state.  The fingerprinted module
     name makes the cache self-keying: a stale shared object simply
-    never matches the current name.
+    never matches the current name.  The compile runs in a child
+    process (:func:`_compile_in_child`); this one only dlopens.
     """
     source = "#include <stdint.h>\n" + _CDEF + _KERNEL_PATH.read_text(
         encoding="utf-8"
@@ -182,15 +248,8 @@ def _build_backend():
     cached = _find_cached(build_dir, module_name)
     if cached is not None:
         return _load(cached, module_name)
-
-    import cffi
-
-    builder = cffi.FFI()
-    builder.cdef(_CDEF)
-    builder.set_source(module_name, source, extra_compile_args=["-O3"])
     build_dir.mkdir(parents=True, exist_ok=True)
-    so_path = builder.compile(tmpdir=str(build_dir))
-    return _load(Path(so_path), module_name)
+    return _load(_compile_in_child(module_name, source, build_dir), module_name)
 
 
 def _backend():
@@ -206,8 +265,8 @@ def _backend():
     if isinstance(_BACKEND, str) and not _WARNED:
         _WARNED = True
         warnings.warn(
-            "native backend unavailable, falling back to the Python "
-            f"loop tier ({_BACKEND})",
+            "native backend unavailable, falling back to the Python walk "
+            f"and program runner ({_BACKEND})",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -246,9 +305,11 @@ def _checked_backend():
 _DTYPES = {
     "uint8_t": np.dtype(np.uint8),
     "int8_t": np.dtype(np.int8),
+    "int32_t": np.dtype(np.int32),
     "uint32_t": np.dtype(np.uint32),
     "uint64_t": np.dtype(np.uint64),
     "int64_t": np.dtype(np.int64),
+    "double": np.dtype(np.float64),
 }
 
 
@@ -345,6 +406,43 @@ def _walk_agree(
 
 #: The C kernel behind the ``native`` tier.
 NATIVE_BACKEND = WalkBackend("native", native_supports, _walk, _walk_agree)
+
+
+def run_program_native(
+    compiled: _Compiled, mt_state: Sequence[int], demand: int
+) -> np.ndarray:
+    """``repro_run_program``: the first ``demand`` codes of a compiled
+    synthetic program, as :func:`repro.traces.synthetic.cfg.run_program`
+    returns them.
+
+    ``mt_state`` is ``random.Random(seed).getstate()[1]``, the state the
+    Python runner's RNG starts from.
+
+    Raises:
+        RuntimeError: if the backend did not build.
+        ValueError: on arrays :func:`repro.traces.synthetic.cfg.
+            _check_program` refuses (checked before the call).
+    """
+    ffi, lib = _checked_backend()
+    _check_program(compiled, mt_state)
+    codes = np.empty(max(0, demand), dtype=np.int32)
+    written = lib.repro_run_program(
+        _buffer(ffi, "int32_t[]", compiled.nodes),
+        _buffer(ffi, "int32_t[]", compiled.procedures),
+        _buffer(ffi, "int32_t[]", compiled.kinds),
+        _buffer(ffi, "int64_t[]", compiled.ints),
+        _buffer(ffi, "double[]", compiled.floats),
+        len(compiled.kinds),
+        _buffer(ffi, "uint8_t[]", compiled.blob),
+        _buffer(ffi, "uint32_t[]", np.array(mt_state[:-1], dtype=np.uint32)),
+        mt_state[-1],
+        _buffer(ffi, "int64_t[]", np.zeros(len(compiled.kinds), dtype=np.int64)),
+        _buffer(ffi, "int32_t[]", codes),
+        len(codes),
+    )
+    if written != len(codes):
+        raise ValueError("repro_run_program refused the program")
+    return codes
 
 
 def simulate_native(

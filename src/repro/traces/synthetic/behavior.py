@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Dict, List
+from typing import List, Tuple
 
 __all__ = [
     "BranchBehavior",
@@ -96,7 +96,7 @@ class PatternBehavior(BranchBehavior):
     def __init__(self, pattern: List[bool]):
         if not pattern:
             raise ValueError("pattern must be non-empty")
-        self.pattern = list(pattern)
+        self.pattern = [bool(bit) for bit in pattern]
         self._position = 0
 
     def next_outcome(self, rng: random.Random, global_history: int) -> bool:
@@ -134,13 +134,13 @@ class CorrelatedBehavior(BranchBehavior):
         self.noise = noise
         table_rng = random.Random(seed)
         self._mask = (1 << history_bits) - 1
-        self._table: Dict[int, bool] = {
-            pattern: table_rng.random() < 0.5
-            for pattern in range(1 << history_bits)
-        }
+        #: The outcome for each value of the low ``history_bits`` bits.
+        self.truth_table: Tuple[bool, ...] = tuple(
+            [table_rng.random() < 0.5 for _ in range(1 << history_bits)]
+        )
 
     def next_outcome(self, rng: random.Random, global_history: int) -> bool:
-        outcome = self._table[global_history & self._mask]
+        outcome = self.truth_table[global_history & self._mask]
         if self.noise and rng.random() < self.noise:
             return not outcome
         return outcome
@@ -159,8 +159,8 @@ class MarkovBehavior(BranchBehavior):
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         self.p_stay_taken = p_stay_taken
         self.p_stay_not_taken = p_stay_not_taken
-        self.start_taken = start_taken
-        self._state = start_taken
+        self.start_taken = bool(start_taken)
+        self._state = self.start_taken
 
     def next_outcome(self, rng: random.Random, global_history: int) -> bool:
         outcome = self._state

@@ -15,11 +15,21 @@ forever, so a program is an unbounded event source that the multi-process
 scheduler (:mod:`repro.traces.synthetic.kernel`) slices into quanta.
 
 Execution is compiled: :func:`run_program` turns the program into a
-static table of the events it can emit plus tuple trees over it, then
-walks the trees by plain recursion, appending one table index per event
-until the caller's demand is met.  The scheduler knows each source's
-total demand before any source runs, so every program runs once, in one
-piece.
+static table of the events it can emit plus flat arrays — one record
+per static node, each body a run of consecutive records, and each
+branch's behaviour parameters — then walks them until the caller's
+demand is met, emitting one table index per event.  Two runners read
+the arrays: ``repro_run_program`` in the native C kernel, whose port of
+CPython's Mersenne Twister draws exactly what ``random.Random`` would,
+and a Python runner for hosts without the kernel and for custom
+behaviour classes.  Both emit the same events.  The scheduler knows
+each source's total demand before any source runs, so every program
+runs once, in one piece.
+
+Caveat: CPython guarantees the ``random()`` stream across versions but
+not ``randint``'s algorithm, which the C runner ports
+(``_randbelow_with_getrandbits``).  The trace pins and the runners'
+differential tests are what would catch a drift.
 
 Event conventions (matching the paper's trace methodology):
 
@@ -33,9 +43,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
-from repro.traces.synthetic.behavior import BehaviorMix, BranchBehavior, LoopBehavior
+import numpy as np
+
+from repro.traces.synthetic.behavior import (
+    BehaviorMix,
+    BiasedBehavior,
+    BranchBehavior,
+    CorrelatedBehavior,
+    LoopBehavior,
+    MarkovBehavior,
+    PatternBehavior,
+)
 
 __all__ = [
     "BranchNode",
@@ -371,97 +391,392 @@ def build_program(config: ProgramConfig, seed: int) -> Program:
     return _Builder(config, random.Random(seed)).build()
 
 
-# Node kinds of a compiled body tree (see ``_compile``).
+# Node kinds of a compiled program (see ``_compile``).
 _BRANCH, _LOOP, _CALL = 0, 1, 2
+
+#: int32 fields per node record: kind, slot, three codes, two body ranges.
+_NODE_FIELDS = 9
+
+# Behaviour kinds with a C form, one per class in ``behavior.py``; any
+# other class, a subclass included, is custom and runs in Python only.
+_BIASED, _LOOPING, _PATTERN, _CORRELATED, _MARKOV, _CUSTOM = 0, 1, 2, 3, 4, -1
+_BEHAVIOR_KINDS = {
+    BiasedBehavior: _BIASED,
+    LoopBehavior: _LOOPING,
+    PatternBehavior: _PATTERN,
+    CorrelatedBehavior: _CORRELATED,
+    MarkovBehavior: _MARKOV,
+}
 
 #: Calls nested this deep are skipped (the builder's call graph is a DAG,
 #: so this only guards hand-built recursive programs).
 _MAX_CALL_DEPTH = 24
 
+#: Deepest body either runner may enter; the C runner recurses once per
+#: level (``REPRO_MAX_NESTING`` in ``sim/_native_kernel.c``).
+_MAX_NESTING = 256
+
+#: The runners' local path history: the last 16 outcomes.
+_HISTORY_MASK = 0xFFFF
+
+#: Trip counts and jitters stay below this, so ``randint``'s range fits
+#: the C runner's int64 arithmetic.
+_MAX_TRIPS = 1 << 62
+
 
 class _DemandMet(Exception):
-    """Unwinds :func:`run_program` once the source has emitted its demand."""
+    """Unwinds the Python runner once the source has emitted its demand."""
 
 
-def _compile(program: Program) -> Tuple[List[Event], list]:
-    """Compile ``program`` into a static event table and tuple trees.
+class _Compiled(NamedTuple):
+    """A program as flat arrays, the one form both runners read.
 
-    Every event the program can emit is one row of the table, and the
-    runner emits row indices ("codes").  A compiled body is a tuple of
-    nodes:
+    Every event the program can emit is one row of ``table``, and the
+    runners emit row indices ("codes").
 
-    - ``(_BRANCH, outcome, taken_code, not_taken_code, then, else, join_code)``
-    - ``(_LOOP, outcome, taken_code, not_taken_code, body)``
-    - ``(_CALL, call_code, callee)``, ``callee`` being a procedure entry
+    ``nodes`` holds one int32 record per static node, ``_NODE_FIELDS``
+    wide: ``(kind, slot, code, not_taken_code, join_code, first, last,
+    else_first, else_last)``.  A branch's or loop's ``slot`` is its
+    behaviour slot and a call's is its callee's procedure number; a
+    call's ``code`` is the call event, a branch's or loop's the taken
+    one.  ``[first, last)`` is the node range of the then-body (a
+    loop's body), ``[else_first, else_last)`` the else-body's.  Each body
+    occupies consecutive records.  ``procedures`` holds ``(first, last,
+    return_code)`` per procedure; procedure 0 is ``main``.
 
-    A procedure entry is ``[body, return_code]``, compiled once per
-    procedure and shared by its call sites (a list, so a recursive call
-    can point at its own, still-compiling entry).  So each static node is
-    compiled once, and ``outcome``, the bound ``next_outcome`` of a fresh
-    clone of its behaviour, gives stateful behaviours (loops, patterns,
-    Markov chains) one state per branch, however many sites reach it,
-    while runs over one :class:`Program` stay independent.  Returns
-    ``(table, main entry)``.
+    Slot ``s`` is one static branch: ``behaviors[s]`` is its behaviour
+    as built, which the Python runner clones, and ``kinds[s]``,
+    ``ints[s]``, ``floats[s]`` and ``blob`` its parameters for the C
+    runner (see ``REPRO_BIASED`` .. ``REPRO_MARKOV`` in
+    ``sim/_native_kernel.c``): biased ``p_taken``; loop trip count and
+    jitter; pattern bits; a correlated truth table, history mask and
+    noise; Markov stay probabilities and start state.  A custom
+    behaviour's kind is ``_CUSTOM``, with no parameters.
+    """
+
+    table: List[Event]
+    nodes: np.ndarray
+    procedures: np.ndarray
+    behaviors: List[BranchBehavior]
+    kinds: np.ndarray
+    ints: np.ndarray
+    floats: np.ndarray
+    blob: np.ndarray
+
+    @property
+    def native(self) -> bool:
+        """True when the C runner implements every behaviour."""
+        return not (self.kinds == _CUSTOM).any()
+
+
+def _compile(program: Program) -> _Compiled:
+    """Compile ``program`` into its flat arrays (see :class:`_Compiled`).
+
+    One pass: a body reserves its consecutive records, then fills them,
+    compiling nested bodies after its own.  Each procedure is compiled
+    once, on first reference, and shared by its call sites (a recursive
+    call points at its own number before its body is done), so each
+    static node gets one record and one behaviour slot — one behaviour
+    state per branch, however many sites reach it.
     """
     table: List[Event] = []
-    entries: dict = {}
+    fields: List[int] = []  # the node records, flat
+    procedures: List[list] = []
+    behaviors: List[BranchBehavior] = []
+    numbers: dict = {}
 
-    def row(event: Event) -> int:
-        table.append(event)
-        return len(table) - 1
-
-    def body(nodes: List[object]) -> tuple:
-        compiled = []
-        for node in nodes:
+    def body(children: List[object]) -> Tuple[int, int]:
+        if not children:
+            return 0, 0
+        first = len(fields) // _NODE_FIELDS
+        fields.extend([0] * (_NODE_FIELDS * len(children)))
+        for index, node in enumerate(children, first):
+            code = len(table)
             if isinstance(node, BranchNode):
-                compiled.append((
-                    _BRANCH,
-                    node.behavior.clone().next_outcome,
-                    row((node.pc, True, True, 0)),
-                    row((node.pc, False, True, 0)),
-                    body(node.then_body),
-                    body(node.else_body),
-                    row((node.join_pc, True, False, 0)),
+                behaviors.append(node.behavior)
+                table.extend((
+                    (node.pc, True, True, 0),
+                    (node.pc, False, True, 0),
+                    (node.join_pc, True, False, 0),
                 ))
+                record = (
+                    _BRANCH, len(behaviors) - 1, code, code + 1, code + 2,
+                    *body(node.then_body), *body(node.else_body),
+                )
             elif isinstance(node, LoopNode):
-                compiled.append((
-                    _LOOP,
-                    node.behavior.clone().next_outcome,
-                    row((node.pc, True, True, 0)),
-                    row((node.pc, False, True, 0)),
-                    body(node.body),
-                ))
+                behaviors.append(node.behavior)
+                table.extend(((node.pc, True, True, 0), (node.pc, False, True, 0)))
+                record = (
+                    _LOOP, len(behaviors) - 1, code, code + 1, 0, *body(node.body), 0, 0,
+                )
             elif isinstance(node, CallNode):
-                compiled.append((
-                    _CALL,
-                    row((node.pc, True, False, node.callee.base_address)),
-                    entry(node.callee),
-                ))
+                table.append((node.pc, True, False, node.callee.base_address))
+                record = (_CALL, procedure(node.callee), code, 0, 0, 0, 0, 0, 0)
             else:
                 raise TypeError(f"unknown CFG node {node!r}")
-        return tuple(compiled)
+            fields[_NODE_FIELDS * index:_NODE_FIELDS * (index + 1)] = record
+        return first, first + len(children)
 
-    def entry(procedure: Procedure) -> list:
-        compiled = entries.get(id(procedure))
-        if compiled is None:
-            compiled = entries[id(procedure)] = [(), 0]
-            compiled[0] = body(procedure.body)
-            compiled[1] = row((procedure.return_pc, True, False, 0))
-        return compiled
+    def procedure(callee: Procedure) -> int:
+        number = numbers.get(id(callee))
+        if number is None:
+            number = numbers[id(callee)] = len(procedures)
+            procedures.append(None)
+            first, last = body(callee.body)
+            table.append((callee.return_pc, True, False, 0))
+            procedures[number] = [first, last, len(table) - 1]
+        return number
 
-    main = entry(program.main)
-    return table, main
+    procedure(program.main)
+    return _Compiled(
+        table,
+        np.array(fields, dtype=np.int32).reshape(-1, _NODE_FIELDS),
+        np.array(procedures, dtype=np.int32),
+        behaviors,
+        *_parameters(behaviors),
+    )
+
+
+def _parameters(behaviors: List[BranchBehavior]) -> tuple:
+    """The C runner's ``(kinds, ints, floats, blob)`` for ``behaviors``."""
+    kinds: List[int] = []
+    ints: List[int] = []  # two per slot, flat
+    floats: List[float] = []  # two per slot, flat
+    blob = bytearray()
+    for behavior in behaviors:
+        kind = _BEHAVIOR_KINDS.get(type(behavior), _CUSTOM)
+        kinds.append(kind)
+        if kind == _BIASED:
+            ints += (0, 0)
+            floats += (behavior.p_taken, 0.0)
+        elif kind == _LOOPING:
+            ints += (behavior.trip_count, behavior.jitter)
+            floats += (0.0, 0.0)
+        elif kind == _PATTERN:
+            ints += (len(blob), len(behavior.pattern))
+            floats += (0.0, 0.0)
+            blob += bytes(behavior.pattern)
+        elif kind == _CORRELATED:
+            # The history is 16 bits, so wider tables are never read
+            # past their first 1 << 16 outcomes.
+            mask = (1 << behavior.history_bits) - 1 & _HISTORY_MASK
+            ints += (len(blob), mask)
+            floats += (behavior.noise, 0.0)
+            blob += bytes(behavior.truth_table[: mask + 1])
+        elif kind == _MARKOV:
+            ints += (behavior.start_taken, 0)
+            floats += (behavior.p_stay_taken, behavior.p_stay_not_taken)
+        else:
+            ints += (0, 0)
+            floats += (0.0, 0.0)
+    return (
+        np.array(kinds, dtype=np.int32),
+        np.array(ints, dtype=np.int64).reshape(-1, 2),
+        np.array(floats, dtype=np.float64).reshape(-1, 2),
+        np.frombuffer(bytes(blob), dtype=np.uint8),
+    )
+
+
+def _nesting(nodes: np.ndarray, procedures: np.ndarray) -> int:
+    """Levels of bodies nested inside the deepest procedure body.
+
+    A node's level is 0, or 1 + the deepest level in its then- or
+    else-body (a call's callee does not count: it runs at most
+    ``_MAX_CALL_DEPTH`` deep).  The passes below raise every node to its
+    level one step at a time, so they settle after as many passes as the
+    nesting is deep; ranges that contain their own node never settle,
+    and are refused with any nesting past ``_MAX_NESTING``.  Takes
+    ranges already checked to lie in ``[0, len(nodes)]``.
+    """
+    bodies = (nodes[:, 0] != _CALL)[:, None] & (nodes[:, [5, 7]] < nodes[:, [6, 8]])
+    owners, arms = np.nonzero(bodies)
+    bounds = np.stack([nodes[owners, 5 + 2 * arms], nodes[owners, 6 + 2 * arms]], 1)
+    # One spare entry, so every range's end is an index reduceat takes.
+    levels = np.zeros(len(nodes) + 1, dtype=np.int64)
+    for _ in range(_MAX_NESTING + 1):
+        raised = np.zeros_like(levels)
+        if len(owners):
+            np.maximum.at(raised, owners, _range_max(levels, bounds) + 1)
+        if np.array_equal(raised, levels):
+            break
+        levels = raised
+    else:
+        raise ValueError(f"bodies nest deeper than {_MAX_NESTING} levels")
+    called = procedures[procedures[:, 0] < procedures[:, 1], :2]
+    return int(_range_max(levels, called).max(initial=0))
+
+
+def _range_max(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The maximum of ``values[first:last]`` for each non-empty
+    ``(first, last)`` row of ``bounds``; ``last < len(values)``."""
+    if not len(bounds):
+        return np.zeros(0, dtype=values.dtype)
+    # Over the interleaved bounds, reduceat's even entries are the ranges.
+    return np.maximum.reduceat(values, bounds.ravel())[::2]
+
+
+def _check_program(compiled: _Compiled, mt_state: Sequence[int]) -> None:
+    """Refuse arrays the C runner would read past or recurse too deep on.
+
+    ``mt_state`` is ``random.Random(seed).getstate()[1]``: the twister's
+    624 words and its position.  Made before the call, as
+    :func:`repro.sim.vectorized._check_walk` is for the walks; past it,
+    every id, range and offset the runner follows is in bounds.
+
+    Raises:
+        ValueError: on arrays of the wrong shape; a node kind, behaviour
+            slot, procedure number, code or body range out of range; a
+            behaviour with no C form; a trip count below 1, a negative
+            jitter or a trip range past ``_MAX_TRIPS``; an empty
+            pattern or a pattern or truth table past the end of the
+            blob; a Markov start state other than 0 or 1; a malformed
+            twister state; or bodies that can nest more than
+            ``_MAX_NESTING`` levels deep.
+    """
+    nodes, procedures = compiled.nodes, compiled.procedures
+    kinds, ints, blob = compiled.kinds, compiled.ints, compiled.blob
+    slots, rows = len(kinds), len(compiled.table)
+    if nodes.ndim != 2 or nodes.shape[1] != _NODE_FIELDS:
+        raise ValueError(f"node records must be {_NODE_FIELDS} fields wide")
+    if procedures.ndim != 2 or procedures.shape[1] != 3 or not len(procedures):
+        raise ValueError("procedures must be (first, last, return code) rows")
+    if kinds.ndim != 1 or ints.shape != (slots, 2) or compiled.floats.shape != (slots, 2):
+        raise ValueError("behaviour arrays differ in length")
+    if len(mt_state) != 625 or not 0 <= mt_state[-1] <= 624:
+        raise ValueError("twister state must be 624 words and a position")
+    if min(mt_state[:-1]) < 0 or max(mt_state[:-1]) >= 1 << 32:
+        raise ValueError("twister words must fit 32 bits")
+
+    node_kinds, slot = nodes[:, 0], nodes[:, 1]
+    outcome = node_kinds != _CALL  # a branch or loop: draws an outcome
+    if ((node_kinds < _BRANCH) | (node_kinds > _CALL)).any():
+        raise ValueError("unknown node kind")
+    if ((slot < 0) | (slot >= np.where(outcome, slots, len(procedures)))).any():
+        raise ValueError("behaviour slot or procedure number out of range")
+    codes = np.concatenate([
+        nodes[:, 2], nodes[outcome, 3], nodes[node_kinds == _BRANCH, 4],
+        procedures[:, 2],
+    ])
+    if ((codes < 0) | (codes >= rows)).any():
+        raise ValueError("event code out of range")
+    ranges = np.concatenate([nodes[:, 5:7], nodes[:, 7:9], procedures[:, :2]])
+    if ((ranges[:, 0] < 0) | (ranges[:, 0] > ranges[:, 1])
+            | (ranges[:, 1] > len(nodes))).any():
+        raise ValueError("body range out of range")
+
+    if ((kinds < _BIASED) | (kinds > _MARKOV)).any():
+        raise ValueError("behaviour with no C form")
+    first, second = ints[:, 0], ints[:, 1]
+    loop = kinds == _LOOPING
+    if ((first[loop] < 1) | (second[loop] < 0)
+            | (second[loop] >= _MAX_TRIPS - first[loop])).any():
+        raise ValueError("loop trip count or jitter out of range")
+    pattern = kinds == _PATTERN
+    correlated = kinds == _CORRELATED
+    if (second[pattern] < 1).any():
+        raise ValueError("empty pattern")
+    if ((second[correlated] < 0) | (second[correlated] > _HISTORY_MASK)).any():
+        raise ValueError("truth table mask out of range")
+    span = np.where(pattern, second, second + 1)
+    read = pattern | correlated
+    if ((first[read] < 0) | (first[read] > len(blob) - span[read])).any():
+        raise ValueError("pattern or truth table past the end of the blob")
+    if ((first[kinds == _MARKOV] < 0) | (first[kinds == _MARKOV] > 1)).any():
+        raise ValueError("Markov start state must be 0 or 1")
+
+    if _MAX_CALL_DEPTH + _nesting(nodes, procedures) > _MAX_NESTING:
+        raise ValueError(f"bodies nest deeper than {_MAX_NESTING} levels")
+
+
+def _run_python(compiled: _Compiled, seed: int, demand: int) -> np.ndarray:
+    """The Python runner: the first ``demand`` codes of the program.
+
+    Each slot's behaviour is cloned, so its state starts fresh and runs
+    over one :class:`Program` stay independent; a custom behaviour runs
+    here as well as the five the C runner implements.
+    """
+    outcomes = [behavior.clone().next_outcome for behavior in compiled.behaviors]
+    fields = compiled.nodes.tolist()
+    procedures = compiled.procedures.tolist()
+    # Link the records once: each holds its behaviour's bound
+    # ``next_outcome`` and its bodies as tuples of records, a call its
+    # callee's body and return code, so a visit follows references
+    # instead of indexing the arrays.
+    records: List[list] = [[] for _ in fields]
+
+    def body(first: int, last: int) -> tuple:
+        return tuple(records[first:last])
+
+    for record, (kind, slot, code, not_taken, join, first, last, else_first,
+                 else_last) in zip(records, fields):
+        if kind == _CALL:
+            callee_first, callee_last, return_code = procedures[slot]
+            record += [kind, None, code, 0, return_code,
+                       body(callee_first, callee_last), ()]
+        else:
+            record += [kind, outcomes[slot], code, not_taken, join,
+                       body(first, last), body(else_first, else_last)]
+    codes: List[int] = []
+    append = codes.append
+    rng = random.Random(seed)
+
+    def run(body_records: tuple, depth: int, history: int) -> int:
+        for kind, next_outcome, code, not_taken, join, then, orelse in body_records:
+            if kind == _BRANCH:
+                taken = next_outcome(rng, history)
+                history = ((history << 1) | taken) & _HISTORY_MASK
+                if taken:
+                    append(code)
+                    if then:
+                        history = run(then, depth + 1, history)
+                    append(join)  # jump over the else path
+                else:
+                    append(not_taken)
+                    if orelse:
+                        history = run(orelse, depth + 1, history)
+            elif kind == _LOOP:
+                while True:
+                    if then:
+                        history = run(then, depth + 1, history)
+                    taken = next_outcome(rng, history)
+                    history = ((history << 1) | taken) & _HISTORY_MASK
+                    if not taken:
+                        append(not_taken)
+                        break
+                    append(code)
+                    if len(codes) >= demand:
+                        raise _DemandMet
+            elif depth < _MAX_CALL_DEPTH:
+                append(code)
+                history = run(then, depth + 1, history)
+                append(join)  # the return
+                if len(codes) >= demand:
+                    raise _DemandMet
+        return history
+
+    first, last, return_code = procedures[0]
+    main = body(first, last)
+    history = 0
+    try:
+        while len(codes) < demand:
+            history = run(main, 0, history)
+            append(return_code)
+    except _DemandMet:
+        pass
+    del codes[demand:]
+    return np.array(codes, dtype=np.int32)
 
 
 def run_program(
     program: Program, seed: int, demand: int
-) -> Tuple[List[Event], List[int]]:
+) -> Tuple[List[Event], np.ndarray]:
     """Execute ``program`` from its start until it has emitted ``demand``
     events.
 
     The top-level procedure re-runs forever, so any demand is met.
-    Returns ``(table, codes)``: ``codes[i]`` is the row of ``table`` that
-    holds event ``i``, ``(pc, taken, conditional, target)``.
+    Returns ``(table, codes)``: ``codes`` is an int32 array and
+    ``codes[i]`` the row of ``table`` that holds event ``i``,
+    ``(pc, taken, conditional, target)``.
 
     The run keeps a *local* path history (outcomes of this program's own
     recent conditional branches, 16 bits) that feeds the
@@ -470,60 +785,21 @@ def run_program(
     *predictor's* global register does.  ``seed`` seeds the one RNG the
     behaviours draw from, so a (program, seed) pair always emits the same
     stream, and a shorter demand emits a prefix of a longer one.
+
+    The C runner (``repro_run_program``) runs the program when the
+    native backend built and every behaviour is one of the five classes
+    in :mod:`~repro.traces.synthetic.behavior`; otherwise the Python
+    runner does.  Both emit the same codes.
     """
-    table, main = _compile(program)
-    codes: List[int] = []
+    from repro.sim import native
+
+    compiled = _compile(program)
     if demand <= 0:
-        return table, codes
-    append = codes.append
-    rng = random.Random(seed)
-
-    def run(nodes: tuple, depth: int, history: int) -> int:
-        for node in nodes:
-            kind = node[0]
-            if kind == _BRANCH:
-                taken = node[1](rng, history)
-                history = ((history << 1) | taken) & 0xFFFF
-                if taken:
-                    append(node[2])
-                    if node[4]:
-                        history = run(node[4], depth + 1, history)
-                    append(node[6])  # jump over the else path
-                else:
-                    append(node[3])
-                    if node[5]:
-                        history = run(node[5], depth + 1, history)
-            elif kind == _LOOP:
-                next_outcome, taken_code, inner = node[1], node[2], node[4]
-                while True:
-                    if inner:
-                        history = run(inner, depth + 1, history)
-                    taken = next_outcome(rng, history)
-                    history = ((history << 1) | taken) & 0xFFFF
-                    if not taken:
-                        append(node[3])
-                        break
-                    append(taken_code)
-                    if len(codes) >= demand:
-                        raise _DemandMet
-            elif depth < _MAX_CALL_DEPTH:
-                callee = node[2]
-                append(node[1])
-                history = run(callee[0], depth + 1, history)
-                append(callee[1])
-                if len(codes) >= demand:
-                    raise _DemandMet
-        return history
-
-    history = 0
-    try:
-        while len(codes) < demand:
-            history = run(main[0], 0, history)
-            append(main[1])
-    except _DemandMet:
-        pass
-    del codes[demand:]
-    return table, codes
+        return compiled.table, np.zeros(0, dtype=np.int32)
+    if compiled.native and native.native_available():
+        state = random.Random(seed).getstate()[1]
+        return compiled.table, native.run_program_native(compiled, state, demand)
+    return compiled.table, _run_python(compiled, seed, demand)
 
 
 class ProgramExecutor:
@@ -539,17 +815,23 @@ class ProgramExecutor:
         self.program = program
         self.seed = seed
         self._table: List[Event] = []
-        self._codes: List[int] = []
+        self._codes = np.zeros(0, dtype=np.int32)
         self._position = 0
 
     def take(self, count: int) -> List[Event]:
-        """Next ``count`` events (the scheduler's quantum primitive)."""
+        """Next ``count`` events (the scheduler's quantum primitive).
+
+        Raises:
+            ValueError: if ``count`` is negative.
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         end = self._position + count
         if end > len(self._codes):
             self._table, self._codes = run_program(
                 self.program, self.seed, max(end, 2 * len(self._codes))
             )
         table = self._table
-        events = [table[code] for code in self._codes[self._position:end]]
+        events = [table[code] for code in self._codes[self._position:end].tolist()]
         self._position = end
         return events

@@ -8,9 +8,10 @@ byte-identical traces.
 
 Generation runs in three steps: plan the schedule
 (:func:`~repro.traces.synthetic.kernel.plan_schedule`), run each program
-once for its total demand (:func:`~repro.traces.synthetic.cfg.run_program`),
-then gather the four trace columns from the programs' event tables with
-one numpy index over the schedule's segments.
+once for its total demand (:func:`~repro.traces.synthetic.cfg.run_program`,
+in the native C kernel where it built), then gather the four trace
+columns from the programs' event tables with one numpy index over the
+schedule's segments.
 """
 
 from __future__ import annotations

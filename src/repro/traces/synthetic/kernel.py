@@ -17,14 +17,20 @@ The scheduler's random draws depend only on how many events each source
 has produced, never on what those events are.  So :func:`plan_schedule`
 runs the scheduler without any program: it returns the schedule as
 ``(source, count)`` segments, and the trace generator then runs each
-program once for its total demand and gathers the segments.
+program once for its total demand and gathers the segments.  Its draws
+are ``random.Random(seed)``'s stream, drawn from numpy a block at a time
+(:class:`_Uniforms`), and each quantum's first interrupt is found with
+one vectorized compare over the quantum's draws.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Tuple
+
+import numpy as np
 
 from repro.traces.synthetic.cfg import Event, ProgramExecutor
 
@@ -51,7 +57,63 @@ class SchedulerConfig:
     interrupt_rate: float = 0.0005
 
 
-def _geometric(rng: random.Random, mean: int) -> int:
+#: Doubles :class:`_Uniforms` draws from numpy at a time.
+_BLOCK = 1 << 14
+
+
+class _Uniforms:
+    """The doubles of ``random.Random(seed).random()``, drawn in blocks.
+
+    numpy's legacy ``RandomState`` runs the same MT19937 and its
+    ``random_sample`` makes the same 53-bit double from the same two
+    words, so set to the state ``random.Random(seed)`` starts from it
+    yields that generator's ``random()`` stream bit for bit — a block at
+    a time, which :meth:`first_below` scans with one compare.
+    """
+
+    def __init__(self, seed: int):
+        words = random.Random(seed).getstate()[1]
+        self._source = np.random.RandomState(0)
+        self._source.set_state(
+            ("MT19937", np.array(words[:-1], dtype=np.uint32), words[-1])
+        )
+        self._block = np.empty(0)
+        self._next = 0
+
+    def _refill(self) -> None:
+        self._block = self._source.random_sample(_BLOCK)
+        self._next = 0
+
+    def random(self) -> float:
+        """The stream's next double."""
+        if self._next == len(self._block):
+            self._refill()
+        self._next += 1
+        return float(self._block[self._next - 1])
+
+    def expovariate(self, lambd: float) -> float:
+        """``random.Random.expovariate``, from the stream's next double."""
+        return -math.log(1.0 - self.random()) / lambd
+
+    def first_below(self, threshold: float, count: int) -> int:
+        """Index of the first of the next ``count`` doubles below
+        ``threshold``, consuming the stream through it; ``count``, having
+        consumed all of them, when none is."""
+        scanned = 0
+        while scanned < count:
+            if self._next == len(self._block):
+                self._refill()
+            window = self._block[self._next:self._next + count - scanned]
+            hit = int(np.argmax(window < threshold))
+            if window[hit] < threshold:
+                self._next += hit + 1
+                return scanned + hit
+            self._next += len(window)
+            scanned += len(window)
+        return count
+
+
+def _geometric(rng: "random.Random | _Uniforms", mean: int) -> int:
     """A geometric draw with the given mean, at least 1."""
     if mean <= 1:
         return 1
@@ -78,8 +140,7 @@ def plan_schedule(
         raise ValueError("at least one user process is required")
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    rng = random.Random(seed)
-    random_draw = rng.random
+    rng = _Uniforms(seed)
     segments: List[Tuple[int, int]] = []
     total = 0
     current = 0
@@ -112,10 +173,7 @@ def plan_schedule(
             limit = min(quantum - produced, length - total)
             step = limit
             if interrupts:
-                for slot in range(limit):
-                    if random_draw() < interrupt_rate:
-                        step = slot
-                        break
+                step = rng.first_below(interrupt_rate, limit)
             run += step
             produced += step
             total += step

@@ -22,7 +22,11 @@ running, so the suite is green both with and without a C compiler.
 
 from __future__ import annotations
 
+import os
+import random
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -39,6 +43,7 @@ from repro.sim.native import (
     _backend,
     native_available,
     native_supports,
+    run_program_native,
     simulate_native,
 )
 from repro.sim.state import PredictorState
@@ -57,6 +62,7 @@ from repro.sim.vectorized import (
     simulate_fast,
     simulate_walk,
 )
+from repro.traces.synthetic.cfg import Procedure, Program, _compile
 from repro.traces.trace import Trace
 
 from tests.strategies import traces as trace_strategy
@@ -331,6 +337,17 @@ class TestDispatch:
                 [-1], 0,
             )
 
+    def test_program_runner_fails_cleanly_without_backend(self, monkeypatch):
+        # The generator's C entry point, repro_run_program, fails the same
+        # way; run_program never calls it then (native_available() is
+        # False), and tests/traces/synthetic/test_cfg.py pins it.
+        monkeypatch.setattr(native_module, "_BACKEND", "OSError: no compiler")
+        monkeypatch.setattr(native_module, "_WARNED", True)
+        main = Procedure("main", base_address=0x100, return_pc=0x104)
+        compiled = _compile(Program([main], main=main))
+        with pytest.raises(RuntimeError, match="native backend"):
+            run_program_native(compiled, random.Random(1).getstate()[1], 10)
+
     @pytest.mark.parametrize(
         "keys,values",
         [
@@ -430,20 +447,18 @@ class TestAbiChecks:
         return native_module._build_backend()
 
     def test_kernel_drifting_from_the_cdef_fails_to_build(
-        self, tmp_path, monkeypatch, capfd
+        self, tmp_path, monkeypatch
     ):
-        import cffi
-
+        # The compile runs in a child process; its failure carries the
+        # compiler's diagnostics.
         shipped = native_module._KERNEL_PATH.read_text(encoding="utf-8")
         drifted = shipped.replace(
             "int32_t banks, int32_t policy", "int64_t banks, int32_t policy"
         )
         assert drifted.count("int64_t banks") == 1
-        with pytest.raises(cffi.VerificationError):
+        with pytest.raises(RuntimeError, match="kernel build failed") as failure:
             self._build(tmp_path, monkeypatch, kernel=drifted)
-        assert re.search(
-            r"conflicting types for .repro_walk.", capfd.readouterr().err
-        )
+        assert re.search(r"conflicting types for .repro_walk.", str(failure.value))
 
     def test_cdef_entry_with_no_definition_fails_to_load(
         self, tmp_path, monkeypatch
@@ -453,6 +468,20 @@ class TestAbiChecks:
         )
         with pytest.raises(ImportError, match="repro_no_such_walk"):
             self._build(tmp_path, monkeypatch, cdef=cdef)
+
+    def test_fresh_build_leaves_setuptools_out_of_the_caller(self, tmp_path):
+        # cffi's compile imports setuptools; the build runs it in a child
+        # process, so the caller only dlopens the result.
+        script = (
+            "import sys; from repro.sim.native import native_available; "
+            "assert native_available(); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('setuptools', 'distutils')))"
+        )
+        done = _fresh_process(script, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+        assert any(tmp_path.glob("so/_repro_native_*"))
 
     def test_valid_call_runs(self):
         # The refusals below each break one argument of this call.
@@ -486,6 +515,45 @@ class TestAbiChecks:
         args[3] = ffi.from_buffer("int64_t[]", np.ones(1, np.int64))
         with pytest.raises(TypeError):
             lib.repro_walk(*args)
+
+
+def _fresh_process(script, tmp_path, **env):
+    """Run ``script`` in a new interpreter whose kernel cache is an
+    empty directory under ``tmp_path``."""
+    environment = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(sys.path),
+        **{native_module.CACHE_ENV_VAR: str(tmp_path / "so")},
+        **env,
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=environment,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_compiler_failure_warns_once_with_the_childs_error(tmp_path):
+    # No compiler: the build fails in its child process, and the caller
+    # is left unavailable with one RuntimeWarning quoting the child.
+    pytest.importorskip("cffi")
+    script = (
+        "import warnings\n"
+        "from repro.sim.native import native_available\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    assert not native_available()\n"
+        "    assert not native_available()\n"
+        "messages = [str(w.message) for w in caught]\n"
+        "assert len(messages) == 1, messages\n"
+        "print(messages[0])\n"
+    )
+    done = _fresh_process(script, tmp_path, CC="/nonexistent/no-such-compiler")
+    assert done.returncode == 0, done.stderr
+    assert "kernel build failed" in done.stdout
+    assert "no-such-compiler" in done.stdout
 
 
 class _PassThroughFFI:

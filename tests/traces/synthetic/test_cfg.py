@@ -1,17 +1,35 @@
-"""Tests for the structured program model and executor."""
+"""Tests for the structured program model and its two runners.
+
+``run_program`` runs a compiled program in C (``repro_run_program``, in
+the native kernel) when the backend built and every behaviour has a C
+form, and in Python otherwise.  Both are pinned here to
+``_reference_events``, an independent generator-chain executor, and to
+each other; the C runner's differential tests skip when the backend
+cannot build, while the Python runner's and the ``_check_program``
+refusals (run against a stand-in kernel) need no compiler.
+"""
 
 import itertools
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.native as native_module
+from repro.sim.native import _buffer, _checked_backend, native_available, run_program_native
 from repro.traces.synthetic.behavior import (
     BehaviorMix,
     BiasedBehavior,
+    CorrelatedBehavior,
     LoopBehavior,
+    MarkovBehavior,
+    PatternBehavior,
 )
 from repro.traces.synthetic.cfg import (
+    _CUSTOM,
+    _MAX_NESTING,
     BranchNode,
     CallNode,
     LoopNode,
@@ -19,8 +37,17 @@ from repro.traces.synthetic.cfg import (
     Program,
     ProgramConfig,
     ProgramExecutor,
+    _check_program,
+    _compile,
+    _run_python,
     build_program,
     run_program,
+)
+
+requires_native = pytest.mark.skipif(
+    not native_available(),
+    reason="native backend unavailable (no C compiler or no cffi); "
+    "the Python runner generates traces instead",
 )
 
 
@@ -153,6 +180,16 @@ class TestExecutor:
         # Far more events than one main iteration: must not exhaust.
         assert len(executor.take(30_000)) == 30_000
 
+    def test_negative_count_is_refused(self):
+        # A negative count used to move the cursor back, so the next
+        # take re-emitted events it had already returned.
+        program = build_program(_config(), seed=14)
+        executor = ProgramExecutor(program, seed=8)
+        first = executor.take(5)
+        with pytest.raises(ValueError, match="count"):
+            executor.take(-3)
+        assert first + executor.take(3) == ProgramExecutor(program, seed=8).take(8)
+
     def test_piecewise_takes_equal_one_take(self):
         program = build_program(_config(), seed=14)
         whole = ProgramExecutor(program, seed=8).take(12_000)
@@ -220,13 +257,20 @@ class TestRunProgram:
         static_branches=st.integers(min_value=1, max_value=150),
         procedures=st.integers(min_value=1, max_value=12),
         demand=st.integers(min_value=0, max_value=6_000),
+        noiseless=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_generator_reference(
-        self, shape_seed, run_seed, static_branches, procedures, demand
+        self, shape_seed, run_seed, static_branches, procedures, demand, noiseless
     ):
+        # Runs in C where the native kernel built.  ``noiseless`` mixes
+        # in more patterns and noise-free correlated branches, which
+        # draw no random number.
+        mix = BehaviorMix(
+            pattern_weight=0.2, correlated_weight=0.2, correlated_noise=0.0
+        ) if noiseless else BehaviorMix()
         program = build_program(
-            _config(static_branches=static_branches, procedures=procedures),
+            _config(static_branches=static_branches, procedures=procedures, mix=mix),
             seed=shape_seed,
         )
         table, codes = run_program(program, seed=run_seed, demand=demand)
@@ -270,3 +314,391 @@ class TestRunProgram:
         first_back_edge = [event[0] for event in events].index(0x2010)
         assert first_back_edge == 23 * 4
         assert events == ProgramExecutor(program, seed=1).take(500)
+        assert events == _reference_events(program, 1, 500)
+        assert np.array_equal(codes, _run_python(_compile(program), 1, 500))
+
+
+# -- the C runner -------------------------------------------------------------
+
+
+def _random_behavior(rng):
+    """A behaviour of any of the five kinds, edge parameters included:
+    certain and impossible branches, one-trip and widely jittered loops
+    (``randint``'s path), one-bit patterns, noiseless and wide (past the
+    16-bit history) correlated tables, and Markov chains starting either
+    way."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return BiasedBehavior(rng.choice([0.0, 1.0, rng.random()]))
+    if kind == 1:
+        trips = rng.choice([1, 2, rng.randint(1, 40)])
+        return LoopBehavior(trips, jitter=rng.choice([0, 1, 3, rng.randint(0, 60)]))
+    if kind == 2:
+        return PatternBehavior([rng.random() < 0.5 for _ in range(rng.randint(1, 7))])
+    if kind == 3:
+        bits = rng.choice([1, 2, 5, 8, 16, 17] if rng.random() < 0.1 else [1, 2, 5, 8])
+        noise = rng.choice([0.0, 0.0, 0.06, 0.5, 1.0])
+        return CorrelatedBehavior(bits, seed=rng.getrandbits(32), noise=noise)
+    return MarkovBehavior(rng.random(), rng.random(), start_taken=rng.random() < 0.5)
+
+
+def _random_program(rng, procedures, recursive=False):
+    """A hand-built program over every behaviour kind.
+
+    Procedure ``i`` calls only procedures past it, and also itself when
+    ``recursive``, which the depth-24 call guard stops.  A loop's
+    back-edge takes any behaviour, mostly a loop's.
+    """
+    address = itertools.count(0x1000, 4)
+    procs = [Procedure(f"p{i}", base_address=next(address)) for i in range(procedures)]
+
+    def body(depth, callees):
+        nodes = []
+        for _ in range(rng.randint(0, 3) if depth < 4 else 0):
+            roll = rng.random()
+            if roll < 0.2 and callees:
+                nodes.append(CallNode(pc=next(address), callee=rng.choice(callees)))
+            elif roll < 0.45:
+                if rng.random() < 0.8:
+                    behavior = LoopBehavior(rng.randint(1, 12), jitter=rng.choice([0, 2]))
+                else:
+                    behavior = _random_behavior(rng)
+                nodes.append(LoopNode(
+                    pc=next(address), behavior=behavior, body=body(depth + 1, callees)
+                ))
+            else:
+                nodes.append(BranchNode(
+                    pc=next(address),
+                    behavior=_random_behavior(rng),
+                    then_body=body(depth + 1, callees),
+                    else_body=body(depth + 1, callees),
+                    join_pc=next(address),
+                ))
+        return nodes
+
+    for index, procedure in enumerate(procs):
+        procedure.body = body(0, procs[index + 1:] + [procedure] * recursive)
+        procedure.return_pc = next(address)
+    return Program(procs, main=procs[0])
+
+
+def _state(seed):
+    """The twister state both runners start from."""
+    return random.Random(seed).getstate()[1]
+
+
+def _native_codes(program, seed, demand):
+    return run_program_native(_compile(program), _state(seed), demand)
+
+
+class TestNativeRunner:
+    @requires_native
+    @given(
+        shape_seed=st.integers(min_value=0, max_value=2**32),
+        run_seed=st.integers(min_value=-(2**70), max_value=2**70),
+        procedures=st.integers(min_value=1, max_value=6),
+        recursive=st.booleans(),
+        demand=st.one_of(st.just(0), st.integers(min_value=1, max_value=4_000)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_repro_run_program_matches_both_oracles(
+        self, shape_seed, run_seed, procedures, recursive, demand
+    ):
+        program = _random_program(random.Random(shape_seed), procedures, recursive)
+        compiled = _compile(program)
+        codes = run_program_native(compiled, _state(run_seed), demand)
+        assert codes.dtype == np.int32 and len(codes) == demand
+        assert np.array_equal(codes, _run_python(compiled, run_seed, demand))
+        assert [compiled.table[code] for code in codes.tolist()] == _reference_events(
+            program, run_seed, demand
+        )
+
+    @requires_native
+    def test_every_behaviour_kind_matches(self):
+        rng = random.Random(3)
+        for kind in range(5):
+            for _ in range(20):
+                behavior = _random_behavior(rng)
+                while type(behavior) is not (
+                    BiasedBehavior, LoopBehavior, PatternBehavior,
+                    CorrelatedBehavior, MarkovBehavior,
+                )[kind]:
+                    behavior = _random_behavior(rng)
+                main = Procedure("main", base_address=0x100, return_pc=0x200)
+                main.body = [
+                    LoopNode(pc=0x104, behavior=LoopBehavior(7, jitter=5), body=[
+                        BranchNode(pc=0x108, behavior=behavior, join_pc=0x10C),
+                    ]),
+                    LoopNode(pc=0x110, behavior=behavior.clone()),
+                ]
+                program = Program([main], main=main)
+                assert np.array_equal(
+                    _native_codes(program, 9, 3_000),
+                    _run_python(_compile(program), 9, 3_000),
+                ), behavior
+
+    @requires_native
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 17])
+    def test_random_matches_cpython_to_the_last_bit(self, seed):
+        # Each biased branch draws once per main iteration, in order.  Set
+        # its probability to its first draw, or one ulp above it, and the
+        # first iteration's outcomes flip on any error in the draw's
+        # last bit.
+        draws = random.Random(seed)
+        main = Procedure("main", base_address=0x100)
+        for index in range(64):
+            draw = draws.random()
+            p_taken = np.nextafter(draw, 2.0) if index % 2 else draw
+            main.body.append(BranchNode(
+                pc=0x200 + 8 * index, behavior=BiasedBehavior(float(p_taken)),
+                join_pc=0x204 + 8 * index,
+            ))
+        main.return_pc = 0x1000
+        program = Program([main], main=main)
+        compiled = _compile(program)
+        codes = run_program_native(compiled, _state(seed), 128)
+        events = [compiled.table[code] for code in codes.tolist()]
+        outcomes = [taken for _, taken, conditional, _ in events if conditional]
+        assert outcomes[:64] == [index % 2 == 1 for index in range(64)]
+        assert np.array_equal(codes, _run_python(compiled, seed, 128))
+
+    @requires_native
+    def test_wide_randint_consumes_two_words(self):
+        # A jitter past 2**32 makes randint draw getrandbits(k) with k > 32,
+        # two twister words per try; the biased branch drawing after it
+        # shows where the stream stands.
+        main = Procedure("main", base_address=0x100, return_pc=0x200)
+        main.body = [
+            BranchNode(pc=0x104, behavior=LoopBehavior(2, jitter=2**40), join_pc=0x108),
+            BranchNode(pc=0x10C, behavior=BiasedBehavior(0.5), join_pc=0x110),
+        ]
+        program = Program([main], main=main)
+        for seed in range(20):
+            assert np.array_equal(
+                _native_codes(program, seed, 400),
+                _run_python(_compile(program), seed, 400),
+            )
+
+    @requires_native
+    def test_never_writes_past_the_demand(self):
+        """Every demand, including those that end a run inside a body,
+        writes exactly its prefix of the stream and nothing after it."""
+        program = _random_program(random.Random(11), 4, recursive=True)
+        compiled = _compile(program)
+        state = _state(5)
+        whole = _run_python(compiled, 5, 600)
+        ffi, lib = _checked_backend()
+        for demand in range(0, 600, 7):
+            codes = np.full(demand + 16, -7, dtype=np.int32)
+            written = lib.repro_run_program(
+                _buffer(ffi, "int32_t[]", compiled.nodes),
+                _buffer(ffi, "int32_t[]", compiled.procedures),
+                _buffer(ffi, "int32_t[]", compiled.kinds),
+                _buffer(ffi, "int64_t[]", compiled.ints),
+                _buffer(ffi, "double[]", compiled.floats),
+                len(compiled.kinds),
+                _buffer(ffi, "uint8_t[]", compiled.blob),
+                _buffer(ffi, "uint32_t[]", np.array(state[:-1], dtype=np.uint32)),
+                state[-1],
+                _buffer(ffi, "int64_t[]", np.zeros(len(compiled.kinds), np.int64)),
+                _buffer(ffi, "int32_t[]", codes),
+                demand,
+            )
+            assert written == demand
+            assert np.array_equal(codes[:demand], whole[:demand])
+            assert (codes[demand:] == -7).all()
+
+    @requires_native
+    def test_run_program_dispatches_to_the_c_runner(self, monkeypatch):
+        calls = []
+        inner = native_module.run_program_native
+
+        def spy(compiled, state, demand):
+            calls.append(demand)
+            return inner(compiled, state, demand)
+
+        monkeypatch.setattr(native_module, "run_program_native", spy)
+        program = build_program(_config(), seed=21)
+        table, codes = run_program(program, seed=2, demand=3_000)
+        assert calls == [3_000]
+        assert [table[code] for code in codes.tolist()] == _reference_events(
+            program, 2, 3_000
+        )
+
+    def test_custom_behaviour_runs_in_python(self, monkeypatch):
+        class Inverted(BiasedBehavior):
+            """A subclass: its exact type has no C form."""
+
+            def next_outcome(self, rng, global_history):
+                return not super().next_outcome(rng, global_history)
+
+        def forbidden(*args):  # pragma: no cover — would fail
+            raise AssertionError("a custom behaviour reached the C runner")
+
+        monkeypatch.setattr(native_module, "run_program_native", forbidden)
+        program = _random_program(random.Random(4), 3)
+        main = program.main
+        main.body = [
+            LoopNode(pc=0x10, behavior=LoopBehavior(5, jitter=2), body=[
+                BranchNode(pc=0x14, behavior=Inverted(0.2), join_pc=0x18),
+            ]),
+            *main.body,
+        ]
+        compiled = _compile(program)
+        assert not compiled.native
+        assert compiled.kinds.tolist().count(_CUSTOM) == 1
+        table, codes = run_program(program, seed=6, demand=2_500)
+        assert [table[code] for code in codes.tolist()] == _reference_events(
+            program, 6, 2_500
+        )
+
+
+# -- _check_program -----------------------------------------------------------
+
+
+class _PassThroughFFI:
+    """Stands in for cffi's ``ffi``: hands the array through untouched."""
+
+    def from_buffer(self, ctype, array):
+        return array
+
+
+class _ForbiddenKernel:
+    """Stands in for the compiled ``lib`` where no call may reach it."""
+
+    def repro_run_program(self, *args):  # pragma: no cover — would fail
+        raise AssertionError("repro_run_program called with refused arrays")
+
+
+def _every_kind_program():
+    """A small program with a call and one behaviour of each kind, in
+    slots 0-4: biased, loop, pattern, correlated, Markov."""
+    leaf = Procedure("leaf", base_address=0x400, return_pc=0x440)
+    leaf.body = [BranchNode(pc=0x404, behavior=BiasedBehavior(0.3), join_pc=0x408)]
+    main = Procedure("main", base_address=0x100, return_pc=0x200)
+    main.body = [
+        LoopNode(pc=0x104, behavior=LoopBehavior(4, jitter=1), body=[
+            BranchNode(pc=0x108, behavior=PatternBehavior([True, False]),
+                       join_pc=0x10C),
+            CallNode(pc=0x110, callee=leaf),
+        ]),
+        BranchNode(pc=0x114, behavior=CorrelatedBehavior(3, seed=1), join_pc=0x118),
+        BranchNode(pc=0x11C, behavior=MarkovBehavior(0.9, 0.8), join_pc=0x120),
+    ]
+    return Program([main, leaf], main=main)
+
+
+def _deep_program(levels):
+    """``levels`` nested branches in one procedure."""
+    main = Procedure("main", base_address=0x100, return_pc=0x104)
+    body = main.body
+    for level in range(levels):
+        node = BranchNode(pc=0x200 + 8 * level, behavior=BiasedBehavior(1.0),
+                          join_pc=0x204 + 8 * level)
+        body.append(node)
+        body = node.then_body
+    return Program([main], main=main)
+
+
+def _edit(name, edit):
+    """``_every_kind_program``'s compiled arrays, with the one named
+    ``name`` replaced by ``edit`` of a copy of it."""
+    compiled = _compile(_every_kind_program())
+    return compiled._replace(**{name: edit(getattr(compiled, name).copy())})
+
+
+def _set(index, value):
+    def edit(array):
+        array[index] = value
+        return array
+    return edit
+
+
+def _slots(compiled):
+    """Behaviour slot of each kind, by the kind's class name."""
+    return {type(b).__name__: slot for slot, b in enumerate(compiled.behaviors)}
+
+
+SLOTS = _slots(_compile(_every_kind_program()))
+NODES = _compile(_every_kind_program()).nodes
+CALL = int(np.flatnonzero(NODES[:, 0] == 2)[0])
+LOOP = int(np.flatnonzero(NODES[:, 0] == 1)[0])
+
+#: (label, compiled arrays) the check refuses.
+MALFORMED = [
+    ("node kind", _edit("nodes", _set((0, 0), 7))),
+    ("behaviour slot", _edit("nodes", _set((0, 1), len(SLOTS)))),
+    ("negative slot", _edit("nodes", _set((0, 1), -1))),
+    ("procedure number", _edit("nodes", _set((CALL, 1), 2))),
+    ("code past the table", _edit("nodes", _set((0, 2), 10_000))),
+    ("negative code", _edit("nodes", _set((0, 3), -1))),
+    ("body past the records", _edit("nodes", _set((LOOP, 6), len(NODES) + 1))),
+    ("reversed body", _edit("nodes", _set((LOOP, 5), len(NODES)))),
+    ("body around itself", _edit("nodes", _set((LOOP, 5), LOOP))),
+    ("procedure body", _edit("procedures", _set((1, 1), len(NODES) + 1))),
+    ("return code", _edit("procedures", _set((0, 2), -1))),
+    ("record width", _edit("nodes", lambda a: a[:, :8].copy())),
+    ("no procedures", _edit("procedures", lambda a: a[:0])),
+    ("behaviour arrays", _edit("ints", lambda a: a[:-1])),
+    ("custom kind", _edit("kinds", _set(0, _CUSTOM))),
+    ("unknown kind", _edit("kinds", _set(0, 9))),
+    ("zero trips", _edit("ints", _set((SLOTS["LoopBehavior"], 0), 0))),
+    ("negative jitter", _edit("ints", _set((SLOTS["LoopBehavior"], 1), -1))),
+    ("trip range", _edit("ints", _set((SLOTS["LoopBehavior"], 1), 1 << 62))),
+    ("empty pattern", _edit("ints", _set((SLOTS["PatternBehavior"], 1), 0))),
+    ("pattern past the blob", _edit("ints", _set((SLOTS["PatternBehavior"], 0), 10))),
+    ("truth table past the blob",
+     _edit("ints", _set((SLOTS["CorrelatedBehavior"], 0), 5))),
+    ("negative blob offset",
+     _edit("ints", _set((SLOTS["CorrelatedBehavior"], 0), -1))),
+    ("truth table mask", _edit("ints", _set((SLOTS["CorrelatedBehavior"], 1), 1 << 16))),
+    ("Markov start", _edit("ints", _set((SLOTS["MarkovBehavior"], 0), 2))),
+]
+
+
+class TestCheckProgram:
+    """``_check_program`` refuses malformed arrays before the C call; a
+    stand-in kernel that fails if called shows it (no compiler needed)."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_kernel(self, monkeypatch):
+        monkeypatch.setattr(
+            native_module, "_BACKEND", (_PassThroughFFI(), _ForbiddenKernel())
+        )
+
+    def test_the_unedited_arrays_pass(self):
+        compiled = _compile(_every_kind_program())
+        assert sorted(SLOTS.values()) == list(range(5))
+        _check_program(compiled, _state(1))
+        # 233 nested branches: their bodies nest 232 levels.
+        _check_program(_compile(_deep_program(_MAX_NESTING - 23)), _state(1))
+
+    @pytest.mark.parametrize(
+        "compiled", [c for _, c in MALFORMED], ids=[label for label, _ in MALFORMED]
+    )
+    def test_malformed_arrays_are_refused_before_the_call(self, compiled):
+        with pytest.raises(ValueError):
+            run_program_native(compiled, _state(1), 100)
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            _state(1)[:-1],  # no position
+            (*_state(1)[:-1], 625),  # position past the words
+            (1 << 32, *_state(1)[1:]),  # a word past 32 bits
+        ],
+        ids=["length", "position", "word"],
+    )
+    def test_malformed_twister_state_is_refused(self, state):
+        with pytest.raises(ValueError, match="twister"):
+            run_program_native(_compile(_every_kind_program()), state, 100)
+
+    def test_nesting_past_the_c_stack_is_refused(self):
+        # A procedure's body may start up to 24 levels deep (the call
+        # guard), so its own bodies may nest 24 levels fewer than the C
+        # runner's limit.
+        program = _deep_program(_MAX_NESTING - 22)
+        with pytest.raises(ValueError, match="nest"):
+            run_program_native(_compile(program), _state(1), 100)
+        # The Python runner takes it (nothing else guards its recursion).
+        assert len(_run_python(_compile(program), 1, 100)) == 100

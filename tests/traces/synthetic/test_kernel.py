@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from repro.traces.synthetic.behavior import BehaviorMix
 from repro.traces.synthetic.cfg import ProgramConfig, ProgramExecutor, build_program
 from repro.traces.synthetic.kernel import (
+    _BLOCK,
     SchedulerConfig,
     _geometric,
+    _Uniforms,
     interleave,
     plan_schedule,
 )
@@ -126,8 +128,9 @@ class TestInterleave:
 
 
 def _reference_sources(processes, kernel, length, config, seed):
-    """The source of every event, scheduled one event at a time: the
-    scheduler loop as it ran before it became a planner."""
+    """The source of every event, scheduled one event at a time with
+    ``random.Random`` draws: the scheduler loop as it ran before it
+    became a planner drawing from numpy."""
     rng = random.Random(seed)
     sources = []
     current = 0
@@ -187,8 +190,58 @@ class TestPlanSchedule:
             processes, kernel, length, config, seed
         )
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SchedulerConfig(),
+            SchedulerConfig(mean_quantum=5_000, interrupt_rate=0.0001),
+            SchedulerConfig(mean_quantum=40, interrupt_rate=0.02),
+        ],
+    )
+    def test_long_schedules_match_across_draw_blocks(self, config):
+        # Tens of thousands of interrupt draws: the numpy blocks run out
+        # mid-quantum many times over.
+        length = 8 * _BLOCK
+        segments = plan_schedule(3, True, length, config, seed=11)
+        planned = [source for source, count in segments for _ in range(count)]
+        assert planned == _reference_sources(3, True, length, config, 11)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             plan_schedule(0, False, 100, SchedulerConfig(), seed=1)
         with pytest.raises(ValueError):
             plan_schedule(1, False, -1, SchedulerConfig(), seed=1)
+
+
+class TestUniforms:
+    """``_Uniforms`` is ``random.Random(seed).random()``'s stream, drawn
+    from numpy a block at a time."""
+
+    @pytest.mark.parametrize("seed", [0, 7, -(2**40), 2**80 + 3])
+    def test_stream_equals_random(self, seed):
+        uniforms, rng = _Uniforms(seed), random.Random(seed)
+        count = 2 * _BLOCK + 5
+        assert [uniforms.random() for _ in range(count)] == [
+            rng.random() for _ in range(count)
+        ]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64),
+        counts=st.lists(
+            st.integers(min_value=0, max_value=3 * _BLOCK), max_size=5
+        ),
+        threshold=st.sampled_from([0.0, 1e-5, 0.0008, 0.3, 1.0]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_first_below_consumes_like_a_draw_loop(self, seed, counts, threshold):
+        uniforms, rng = _Uniforms(seed), random.Random(seed)
+        for count in counts:
+            expected = count
+            for slot in range(count):
+                if rng.random() < threshold:
+                    expected = slot
+                    break
+            assert uniforms.first_below(threshold, count) == expected
+            # The stream continues where the loop left it.
+            assert uniforms.expovariate(1 / 300) == rng.expovariate(1 / 300)
+            assert _geometric(uniforms, 40) == _geometric(rng, 40)
