@@ -81,15 +81,14 @@ def classify_interference(
     max_value = (1 << counter_bits) - 1
     threshold = (max_value + 1) // 2
 
-    pcs, takens, conditionals, _ = trace.columns()
+    pcs, takens, conditionals = trace.sim_columns()
     mask = (1 << history_bits) - 1 if history_bits else 0
     history = 0
     destructive = harmless = constructive = 0
     first_encounters = 0
     conditional_branches = 0
 
-    for pc, taken_int, conditional in zip(pcs, takens, conditionals):
-        taken = bool(taken_int)
+    for pc, taken, conditional in zip(pcs, takens, conditionals):
         if conditional:
             conditional_branches += 1
             pair = (pc >> 2, history)
@@ -122,7 +121,7 @@ def classify_interference(
                         destructive += 1
                     else:
                         harmless += 1
-        history = ((history << 1) | taken_int) & mask
+        history = ((history << 1) | taken) & mask
 
     unaliased = (
         conditional_branches

@@ -97,7 +97,7 @@ def pair_stream(trace: Trace, history_bits: int):
     Global history is shifted by *every* control transfer, conditional or
     not, matching the paper's trace methodology.
     """
-    pcs, takens, conditionals, _ = trace.columns()
+    pcs, takens, conditionals = trace.sim_columns()
     mask = (1 << history_bits) - 1 if history_bits else 0
     history = 0
     for pc, taken, conditional in zip(pcs, takens, conditionals):

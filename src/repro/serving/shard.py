@@ -124,10 +124,16 @@ class Tenant:
         """Pending events as a batch trace; None when empty."""
         if not self.pending_pcs:
             return None
-        batch = Trace(
+        # A batch is a few hundred events: each is its own table row
+        # (identity codes), since finding the distinct rows would cost
+        # more per flush than they save.
+        events = len(self.pending_pcs)
+        batch = Trace.from_table(
+            np.arange(events, dtype=np.uint32),
             np.asarray(self.pending_pcs, dtype=np.uint64),
             np.asarray(self.pending_takens, dtype=np.uint8),
             np.asarray(self.pending_conditionals, dtype=np.uint8),
+            np.zeros(events, dtype=np.uint64),
             name=f"{self.session}#{self.batches}",
         )
         self.pending_pcs = []

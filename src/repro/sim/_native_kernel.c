@@ -1,5 +1,5 @@
-/* Native kernel: one sequential walk over a raw trace, and the synthetic
- * program runner that generates traces.
+/* Native kernel: one sequential walk over a trace's code stream, and the
+ * synthetic program runner that generates traces.
  *
  * Every index-expressible predictor's table indices are a pure function
  * of the trace and the predictor's index geometry (scheme, index width,
@@ -27,12 +27,16 @@
  *   repro_run_program the synthetic trace generator's program runner
  *                     (at the end of this file).
  *
- * Trace conventions (both walks): `pcs`, `takens` and `conditionals`
- * are the trace's n events.  Every event shifts its outcome into the
- * global-history register (most recent in the least-significant bit);
- * only conditional events are predicted and trained.  `warmup` counts
- * conditional events: the first `warmup` of them train but are not
- * scored.
+ * Trace conventions (both walks): the trace is n `codes`, event i being
+ * row codes[i] of the event table `pcs`, `takens`, `conditionals`
+ * (repro.traces.trace.Trace: a few thousand rows, so the table stays in
+ * cache while the walk streams 4 bytes per event).  The caller checks
+ * every code against the row count before the call
+ * (repro.sim.vectorized._check_walk).  Every event shifts its outcome
+ * into the global-history register (most recent in the least-significant
+ * bit); only conditional events are predicted and trained.  `warmup`
+ * counts conditional events: the first `warmup` of them train but are
+ * not scored.
  *
  * Counter conventions (both walks): predict taken when
  * `value >= threshold`; training saturates in [0, max_value] toward the
@@ -71,13 +75,15 @@ static inline int64_t repro_step(int64_t value, int32_t up, int64_t max_value)
     return value > 0 ? value - 1 : value;
 }
 
-/* Gather the conditional events of [start, stop): their word addresses
- * (pc >> 2) and the history register *after* each one shifted its
- * outcome in — so bit 0 is the event's outcome and the bits above it
- * are the register the event was predicted with.  The register is
- * kept unmasked (one add per event on the serial chain); its low bits
- * are exact, and every reader masks.  Returns the conditional count. */
-static int64_t repro_gather(const uint64_t *pcs, const uint8_t *takens,
+/* Gather the conditional events of [start, stop), each read through its
+ * code from the event table: their word addresses (pc >> 2) and the
+ * history register *after* each one shifted its outcome in — so bit 0
+ * is the event's outcome and the bits above it are the register the
+ * event was predicted with.  The register is kept unmasked (one add per
+ * event on the serial chain); its low bits are exact, and every reader
+ * masks.  Returns the conditional count. */
+static int64_t repro_gather(const uint32_t *codes, const uint64_t *pcs,
+                            const uint8_t *takens,
                             const uint8_t *conditionals, int64_t start,
                             int64_t stop, uint64_t *history,
                             uint64_t *words, uint64_t *after)
@@ -87,11 +93,13 @@ static int64_t repro_gather(const uint64_t *pcs, const uint8_t *takens,
     int64_t i;
 
     for (i = start; i < stop; i++) {
-        h = h * 2 + (takens[i] != 0);
+        uint32_t row = codes[i];
+
+        h = h * 2 + (takens[row] != 0);
         /* Written for every event, kept only for conditional ones. */
-        words[m] = pcs[i] >> 2;
+        words[m] = pcs[row] >> 2;
         after[m] = h;
-        m += conditionals[i] != 0;
+        m += conditionals[row] != 0;
     }
     *history = h;
     return m;
@@ -340,10 +348,11 @@ static inline int64_t repro_walk_block(const uint32_t *indices,
 
 /* The whole walk, inlined with constant `banks` and `policy` so each of
  * the dispatched specialisations unrolls its bank loops. */
-static inline int64_t walk(const uint64_t *pcs, const uint8_t *takens,
-                           const uint8_t *conditionals, int64_t n,
-                           int32_t scheme, int32_t bits,
-                           int32_t history_bits, uint64_t history_seed,
+static inline int64_t walk(const uint32_t *codes, int64_t n,
+                           const uint64_t *pcs, const uint8_t *takens,
+                           const uint8_t *conditionals, int32_t scheme,
+                           int32_t bits, int32_t history_bits,
+                           uint64_t history_seed,
                            int32_t bank0_bits, const int32_t banks,
                            const int32_t policy, int64_t threshold,
                            int64_t max_value, int64_t *values,
@@ -360,8 +369,8 @@ static inline int64_t walk(const uint64_t *pcs, const uint8_t *takens,
 
     for (start = 0; start < n; start += REPRO_BLOCK) {
         int64_t stop = n - start > REPRO_BLOCK ? start + REPRO_BLOCK : n;
-        int64_t m = repro_gather(pcs, takens, conditionals, start, stop,
-                                 &history, words, after);
+        int64_t m = repro_gather(codes, pcs, takens, conditionals, start,
+                                 stop, &history, words, after);
 
         repro_indices(words, after, m, scheme, banks, bits, history_bits,
                       bank0_bits, indices);
@@ -388,9 +397,9 @@ static inline int64_t walk(const uint64_t *pcs, const uint8_t *takens,
  *   values        bank-major counters; mutated to the final state
  *                 (bit-identical to the generic engine's)
  */
-int64_t repro_walk(const uint64_t *pcs, const uint8_t *takens,
-                   const uint8_t *conditionals, int64_t n, int32_t scheme,
-                   int32_t bits, int32_t history_bits,
+int64_t repro_walk(const uint32_t *codes, int64_t n, const uint64_t *pcs,
+                   const uint8_t *takens, const uint8_t *conditionals,
+                   int32_t scheme, int32_t bits, int32_t history_bits,
                    uint64_t history_seed, int32_t bank0_bits,
                    int32_t banks, int32_t policy, int64_t threshold,
                    int64_t max_value, int64_t *values, int64_t warmup)
@@ -418,7 +427,7 @@ int64_t repro_walk(const uint64_t *pcs, const uint8_t *takens,
         return -1;
 
 #define REPRO_WALK(B, P)                                                  \
-    walk(pcs, takens, conditionals, n, scheme, bits, history_bits,        \
+    walk(codes, n, pcs, takens, conditionals, scheme, bits, history_bits, \
          history_seed, bank0_bits, B, P, threshold, max_value, values,    \
          warmup)
 #define REPRO_WALK_POLICIES(B)                                            \
@@ -462,12 +471,13 @@ int64_t repro_walk(const uint64_t *pcs, const uint8_t *takens,
  * execution, and the PHT trains toward "the outcome agreed with the
  * bias" — the order AgreePredictor.predict_and_update uses.
  */
-int64_t repro_walk_agree(const uint64_t *pcs, const uint8_t *takens,
-                         const uint8_t *conditionals, int64_t n,
-                         int32_t bits, int32_t history_bits,
-                         uint64_t history_seed, int32_t bias_bits,
-                         int64_t threshold, int64_t max_value,
-                         int64_t *values, int8_t *bias, int64_t warmup)
+int64_t repro_walk_agree(const uint32_t *codes, int64_t n,
+                         const uint64_t *pcs, const uint8_t *takens,
+                         const uint8_t *conditionals, int32_t bits,
+                         int32_t history_bits, uint64_t history_seed,
+                         int32_t bias_bits, int64_t threshold,
+                         int64_t max_value, int64_t *values, int8_t *bias,
+                         int64_t warmup)
 {
     uint64_t words[REPRO_BLOCK];
     uint64_t after[REPRO_BLOCK];
@@ -486,8 +496,8 @@ int64_t repro_walk_agree(const uint64_t *pcs, const uint8_t *takens,
 
     for (start = 0; start < n; start += REPRO_BLOCK) {
         int64_t stop = n - start > REPRO_BLOCK ? start + REPRO_BLOCK : n;
-        int64_t m = repro_gather(pcs, takens, conditionals, start, stop,
-                                 &history, words, after);
+        int64_t m = repro_gather(codes, pcs, takens, conditionals, start,
+                                 stop, &history, words, after);
         int64_t i;
 
         repro_gshare(words, after, m, bits, history_bits, indices);

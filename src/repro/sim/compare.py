@@ -74,7 +74,7 @@ def paired_outcomes(
     trace: Trace,
 ) -> PairedOutcomes:
     """Run both predictors over ``trace`` in lockstep."""
-    pcs, takens, conditionals, _ = trace.columns()
+    pcs, takens, conditionals = trace.sim_columns()
     step_a = predictor_a.predict_and_update
     step_b = predictor_b.predict_and_update
     shift_a = predictor_a.notify_unconditional
@@ -82,8 +82,7 @@ def paired_outcomes(
 
     both = only_a = only_b = neither = 0
     outcomes: List[Tuple[bool, bool]] = []
-    for pc, taken_int, conditional in zip(pcs, takens, conditionals):
-        taken = taken_int == 1
+    for pc, taken, conditional in zip(pcs, takens, conditionals):
         if conditional:
             a_correct = step_a(pc, taken) == taken
             b_correct = step_b(pc, taken) == taken

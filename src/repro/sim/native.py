@@ -2,11 +2,13 @@
 runner as a small C kernel.
 
 :func:`repro.sim.vectorized.simulate_walk` is the frame both fast tiers
-share: it hands a backend the trace's raw columns and the predictor's
-index :class:`~repro.sim.vectorized.Geometry`, walks a private copy of
-the predictor state and writes the result back.  This module is its C
-backend — ``_native_kernel.c``, compiled on demand with **cffi** — with
-the same two walk entry points as the Python loops:
+share: it hands a backend the trace as it is stored — its ``uint32``
+code stream and its event table (:class:`~repro.traces.trace.Trace`) —
+and the predictor's index :class:`~repro.sim.vectorized.Geometry`,
+walks a private copy of the predictor state and writes the result
+back.  This module is its C backend — ``_native_kernel.c``, compiled on
+demand with **cffi** — with the same two walk entry points as the
+Python loops:
 
 - ``repro_walk`` steps 1, 3 or 5 majority-voted banks through the
   conditional events in trace order under TOTAL, PARTIAL or LAZY
@@ -16,11 +18,15 @@ the same two walk entry points as the Python loops:
   gshare-indexed PHT plus a biasing-bit table that latches on each
   slot's first execution.
 
-Both compute every conditional event's table indices inside the walk,
-2048 events at a time in stack buffers, so a call over contiguous
-columns allocates nothing per event: its memory is the counter tables,
-whatever the trace length.  A strided column (``Trace.slice`` /
-``head`` / ``stride_split`` views) is copied contiguous first.
+Both read each event's code, then its row of the event table (a few
+thousand rows, which stay in cache), so the walk streams 4 bytes per
+event from memory where four raw columns would stream 10.  They compute
+every conditional event's table indices inside the walk, 2048 events at
+a time in stack buffers, so a call over a contiguous code stream
+allocates nothing per event: its memory is the counter tables, whatever
+the trace length.  A strided code stream (``Trace.slice`` / ``head`` /
+``stride_split`` views) is copied contiguous first, at 4 bytes per
+event; no per-event column is ever built for the walk.
 
 Walking in order is exact for every update policy by construction, so
 :func:`native_supports` is one check — the spec is index-expressible
@@ -61,10 +67,12 @@ The Python↔C seam is checked where it can be checked exactly:
 - :func:`_buffer` refuses an array whose numpy dtype is not the
   element type its ``T[]`` declares, which ``ffi.from_buffer`` alone
   would reinterpret silently (``ValueError``);
-- the kernel trusts its tables to match the geometry, so
-  :func:`repro.sim.vectorized._check_walk` checks the bank count, index
-  and history widths and every table's size before the call
-  (``ValueError``); past it, every index is in range by construction;
+- the kernel trusts its codes to name table rows and its tables to
+  match the geometry, so :func:`repro.sim.vectorized._check_walk`
+  checks every code against the event table's row count, the bank
+  count, index and history widths and every table's size before the
+  call (``ValueError``); past it, every read and index is in range by
+  construction;
 - the program runner trusts every id, range and offset in its arrays,
   so :func:`repro.traces.synthetic.cfg._check_program` checks them, and
   the nesting depth against the runner's recursion limit, before the
@@ -120,18 +128,19 @@ _KERNEL_PATH = Path(__file__).with_name("_native_kernel.c")
 #: point; the R006 lint rule requires each to be pinned by a test
 #: referencing it by name.
 _CDEF = """
-int64_t repro_walk(const uint64_t *pcs, const uint8_t *takens,
-                   const uint8_t *conditionals, int64_t n, int32_t scheme,
-                   int32_t bits, int32_t history_bits,
+int64_t repro_walk(const uint32_t *codes, int64_t n, const uint64_t *pcs,
+                   const uint8_t *takens, const uint8_t *conditionals,
+                   int32_t scheme, int32_t bits, int32_t history_bits,
                    uint64_t history_seed, int32_t bank0_bits,
                    int32_t banks, int32_t policy, int64_t threshold,
                    int64_t max_value, int64_t *values, int64_t warmup);
-int64_t repro_walk_agree(const uint64_t *pcs, const uint8_t *takens,
-                         const uint8_t *conditionals, int64_t n,
-                         int32_t bits, int32_t history_bits,
-                         uint64_t history_seed, int32_t bias_bits,
-                         int64_t threshold, int64_t max_value,
-                         int64_t *values, int8_t *bias, int64_t warmup);
+int64_t repro_walk_agree(const uint32_t *codes, int64_t n,
+                         const uint64_t *pcs, const uint8_t *takens,
+                         const uint8_t *conditionals, int32_t bits,
+                         int32_t history_bits, uint64_t history_seed,
+                         int32_t bias_bits, int64_t threshold,
+                         int64_t max_value, int64_t *values, int8_t *bias,
+                         int64_t warmup);
 int64_t repro_run_program(const int32_t *nodes, const int32_t *procedures,
                           const int32_t *kinds, const int64_t *ints,
                           const double *floats, int32_t behavior_count,
@@ -327,34 +336,39 @@ def _buffer(ffi, ctype: str, array: np.ndarray):
     return ffi.from_buffer(ctype, array)
 
 
-def _columns(ffi, pcs: np.ndarray, takens: np.ndarray, conditionals: np.ndarray):
-    """The trace columns as the kernel's ``pcs``, ``takens`` and
-    ``conditionals`` buffers, plus the event count.
+def _trace_buffers(
+    ffi, codes: np.ndarray, pcs: np.ndarray, takens: np.ndarray,
+    conditionals: np.ndarray,
+):
+    """The kernel's ``codes`` buffer and event count, then the event
+    table's ``pcs``, ``takens`` and ``conditionals`` buffers.
 
     ``ffi.from_buffer`` refuses a strided view (``Trace.slice``,
-    ``head`` and ``stride_split`` make them), so each column is made
-    contiguous first — a copy only for such views.
+    ``head`` and ``stride_split`` make them), so the codes are made
+    contiguous first — a 4-byte-per-event copy only for such views.
+    The table is the trace's own, always contiguous.
     """
     return (
-        _buffer(ffi, "uint64_t[]", np.ascontiguousarray(pcs)),
-        _buffer(ffi, "uint8_t[]", np.ascontiguousarray(takens)),
-        _buffer(ffi, "uint8_t[]", np.ascontiguousarray(conditionals)),
-        len(pcs),
+        _buffer(ffi, "uint32_t[]", np.ascontiguousarray(codes)),
+        len(codes),
+        _buffer(ffi, "uint64_t[]", pcs),
+        _buffer(ffi, "uint8_t[]", takens),
+        _buffer(ffi, "uint8_t[]", conditionals),
     )
 
 
 def _walk(
-    pcs: np.ndarray, takens: np.ndarray, conditionals: np.ndarray,
-    geometry: Geometry, policy: int, threshold: int, max_value: int,
-    values: List[int], warmup: int,
+    codes: np.ndarray, pcs: np.ndarray, takens: np.ndarray,
+    conditionals: np.ndarray, geometry: Geometry, policy: int,
+    threshold: int, max_value: int, values: List[int], warmup: int,
 ) -> int:
     """``repro_walk`` over the flat bank-major counter list ``values``."""
     ffi, lib = _checked_backend()
-    _check_walk(pcs, takens, conditionals, geometry, values, policy)
+    _check_walk(codes, pcs, takens, conditionals, geometry, values, policy)
     scheme, bits, history_bits, seed, bank0_bits, banks = geometry
     table = np.fromiter(values, dtype=np.int64, count=len(values))
     misses = lib.repro_walk(
-        *_columns(ffi, pcs, takens, conditionals),
+        *_trace_buffers(ffi, codes, pcs, takens, conditionals),
         scheme,
         bits,
         history_bits,
@@ -374,19 +388,19 @@ def _walk(
 
 
 def _walk_agree(
-    pcs: np.ndarray, takens: np.ndarray, conditionals: np.ndarray,
-    geometry: Geometry, threshold: int, max_value: int, values: List[int],
-    bias: List[int], warmup: int,
+    codes: np.ndarray, pcs: np.ndarray, takens: np.ndarray,
+    conditionals: np.ndarray, geometry: Geometry, threshold: int,
+    max_value: int, values: List[int], bias: List[int], warmup: int,
 ) -> int:
     """``repro_walk_agree`` over the PHT list ``values`` and the latch
     codes ``bias``."""
     ffi, lib = _checked_backend()
-    _check_walk(pcs, takens, conditionals, geometry, values, bias=bias)
+    _check_walk(codes, pcs, takens, conditionals, geometry, values, bias=bias)
     _, bits, history_bits, seed, bias_bits, _ = geometry
     table = np.fromiter(values, dtype=np.int64, count=len(values))
     latches = np.fromiter(bias, dtype=np.int8, count=len(bias))
     misses = lib.repro_walk_agree(
-        *_columns(ffi, pcs, takens, conditionals),
+        *_trace_buffers(ffi, codes, pcs, takens, conditionals),
         bits,
         history_bits,
         seed,

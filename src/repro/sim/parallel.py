@@ -188,20 +188,11 @@ def _describe_traces(traces: Sequence[Trace]) -> List[Tuple]:
         if key is not None:
             descriptors.append(("ibs", key[0], key[1]))
         else:
-            # Ship the raw numpy columns, not the Trace object: the object
-            # may carry megabytes of materialised hot-loop lists.
+            # Ship the codes and the event table, not the Trace object:
+            # the object may carry megabytes of materialised hot-loop
+            # lists.
             descriptors.append(
-                (
-                    "literal",
-                    (
-                        trace.pcs,
-                        trace.takens,
-                        trace.conditionals,
-                        trace.targets,
-                        trace.name,
-                        trace.seed,
-                    ),
-                )
+                ("literal", (trace.codes, *trace.table, trace.name, trace.seed))
             )
     return descriptors
 
@@ -213,10 +204,8 @@ def _init_worker(descriptors: List[Tuple]) -> None:
         if descriptor[0] == "ibs":
             _WORKER_TRACES.append(ibs_trace(descriptor[1], descriptor[2]))
         else:
-            pcs, takens, conditionals, targets, name, seed = descriptor[1]
-            _WORKER_TRACES.append(
-                Trace(pcs, takens, conditionals, targets, name=name, seed=seed)
-            )
+            *arrays, name, seed = descriptor[1]
+            _WORKER_TRACES.append(Trace.from_table(*arrays, name=name, seed=seed))
 
 
 def _run_cells_serially(

@@ -133,7 +133,7 @@ def profile_mispredictions(
     predictor: BranchPredictor, trace: Trace
 ) -> ProfileResult:
     """Run ``predictor`` over ``trace`` attributing misses per branch."""
-    pcs, takens, conditionals, _ = trace.columns()
+    pcs, takens, conditionals = trace.sim_columns()
     step = predictor.predict_and_update
     shift = predictor.notify_unconditional
 
@@ -142,8 +142,7 @@ def profile_mispredictions(
     taken_counts: Dict[int, int] = {}
     total = 0
     total_misses = 0
-    for pc, taken_int, conditional in zip(pcs, takens, conditionals):
-        taken = taken_int == 1
+    for pc, taken, conditional in zip(pcs, takens, conditionals):
         if conditional:
             total += 1
             executions[pc] = executions.get(pc, 0) + 1

@@ -14,18 +14,21 @@ that instant.
 
 The walk has two backends with the same two entry points —
 ``repro_walk`` (1, 3 or 5 voted banks) and ``repro_walk_agree`` (agree's
-PHT plus biasing bits).  Both take the raw trace columns (``pcs``,
-``takens``, ``conditionals``) and the predictor's :class:`Geometry`
-(scheme, index bits, history bits, the history register's contents
-before the trace, and e-gskew's bank-0 history bits or agree's
-biasing-table bits), and compute every conditional event's indices
-themselves:
+PHT plus biasing bits).  Both take the trace as it is stored — its
+``uint32`` code stream and the ``pcs``, ``takens`` and ``conditionals``
+columns of its event table (:class:`~repro.traces.trace.Trace`) — and
+the predictor's :class:`Geometry` (scheme, index bits, history bits,
+the history register's contents before the trace, and e-gskew's bank-0
+history bits or agree's biasing-table bits), and compute every
+conditional event's indices themselves:
 
-- the C kernel of :mod:`repro.sim.native` evaluates the index functions
-  a block of events at a time inside the walk, so no whole-trace index
+- the C kernel of :mod:`repro.sim.native` reads each event's code and
+  then its table row, and evaluates the index functions a block of
+  events at a time inside the walk, so no whole-trace column or index
   array exists;
-- the Python loops here, for hosts without a compiler, build the
-  per-bank index streams for the whole trace with numpy
+- the Python loops here, for hosts without a compiler, gather the
+  three per-event columns for the call and build the per-bank index
+  streams for the whole trace with numpy
   (:func:`_index_streams`: the global-history stream by shift/OR
   passes, then the gshare/gselect index functions and the paper's
   skewing family in closed form — see :mod:`repro.core.skew`) and walk
@@ -580,6 +583,7 @@ def _loop_agree(
 
 
 def _check_walk(
+    codes: np.ndarray,
     pcs: np.ndarray,
     takens: np.ndarray,
     conditionals: np.ndarray,
@@ -590,12 +594,14 @@ def _check_walk(
 ) -> None:
     """Refuse walk inputs either backend would read or write past.
 
-    Indices are in range by construction once the geometry is sound and
-    every table holds ``1 << bits`` entries per bank, so this is the
-    whole of the check — made before any walk starts.
+    Indices are in range by construction once every code names a row
+    of the event table, the geometry is sound and every counter table
+    holds ``1 << bits`` entries per bank, so this is the whole of the
+    check — made before any walk starts.
 
     Raises:
-        ValueError: on columns of unequal length, a scheme, bank count
+        ValueError: on event-table columns of unequal length, a code at
+            or past the table's row count, a scheme, bank count
             or policy code the walks do not know (agree's scheme goes
             to ``repro_walk_agree`` only), index bits above 32 (or
             below 1 for voted banks, as the skewed predictors require),
@@ -604,7 +610,11 @@ def _check_walk(
     """
     scheme, bits, history_bits, seed, extra_bits, banks = geometry
     if not len(pcs) == len(takens) == len(conditionals):
-        raise ValueError("trace columns differ in length")
+        raise ValueError("event table columns differ in length")
+    if len(codes) and int(codes.max()) >= len(pcs):
+        raise ValueError(
+            f"code {int(codes.max())} is past the event table's {len(pcs)} rows"
+        )
     if banks not in _SCHEME_BANKS.get(scheme, ()):
         raise ValueError(f"scheme {scheme} cannot walk {banks} bank(s)")
     if (scheme == _AGREE) != (bias is not None):
@@ -640,9 +650,9 @@ def _bank_major(streams: List[np.ndarray]) -> np.ndarray:
 
 
 def _walk(
-    pcs: np.ndarray, takens: np.ndarray, conditionals: np.ndarray,
-    geometry: Geometry, policy: int, threshold: int, max_value: int,
-    values: List[int], warmup: int,
+    codes: np.ndarray, pcs: np.ndarray, takens: np.ndarray,
+    conditionals: np.ndarray, geometry: Geometry, policy: int,
+    threshold: int, max_value: int, values: List[int], warmup: int,
 ) -> int:
     """``repro_walk`` in Python: the same inputs, state and result.
 
@@ -653,7 +663,8 @@ def _walk(
         ValueError: on inputs :func:`_check_walk` refuses (tables
             untouched).
     """
-    _check_walk(pcs, takens, conditionals, geometry, values, policy)
+    _check_walk(codes, pcs, takens, conditionals, geometry, values, policy)
+    pcs, takens, conditionals = pcs[codes], takens[codes], conditionals[codes]
     banks = geometry.banks
     if banks == 3:
         loop = _LOOP3[policy]
@@ -677,9 +688,9 @@ def _walk(
 
 
 def _walk_agree(
-    pcs: np.ndarray, takens: np.ndarray, conditionals: np.ndarray,
-    geometry: Geometry, threshold: int, max_value: int, values: List[int],
-    bias: List[int], warmup: int,
+    codes: np.ndarray, pcs: np.ndarray, takens: np.ndarray,
+    conditionals: np.ndarray, geometry: Geometry, threshold: int,
+    max_value: int, values: List[int], bias: List[int], warmup: int,
 ) -> int:
     """``repro_walk_agree`` in Python: the same inputs, state and result.
 
@@ -691,7 +702,8 @@ def _walk_agree(
         ValueError: on inputs :func:`_check_walk` refuses (tables
             untouched).
     """
-    _check_walk(pcs, takens, conditionals, geometry, values, bias=bias)
+    _check_walk(codes, pcs, takens, conditionals, geometry, values, bias=bias)
+    pcs, takens, conditionals = pcs[codes], takens[codes], conditionals[codes]
     keys, slot_list = map(
         memoryview, _bank_major(_index_streams(geometry, pcs, takens, conditionals))
     )
@@ -718,7 +730,8 @@ class WalkBackend(NamedTuple):
     """One implementation of the counter walk behind a fast tier.
 
     ``walk`` and ``walk_agree`` take the C kernel's ``repro_walk`` /
-    ``repro_walk_agree`` inputs — the trace columns, the
+    ``repro_walk_agree`` inputs — the trace's code stream and the
+    ``pcs``, ``takens`` and ``conditionals`` of its event table, the
     :class:`Geometry`, the policy code (``walk`` only), the counter
     threshold and maximum, the state buffers and the warmup — with the
     state buffers as flat Python lists they leave in their final state,
@@ -738,15 +751,16 @@ class WalkBackend(NamedTuple):
 PYTHON_BACKEND = WalkBackend("vectorized", supports, _walk, _walk_agree)
 
 
-def _final_history(takens: np.ndarray, bits: int, seed: int = 0) -> int:
+def _final_history(trace: Trace, bits: int, seed: int = 0) -> int:
     """Register contents after the whole trace has shifted through.
 
     ``seed`` is the register's value *before* the trace; it only matters
     when the trace is shorter than the register (mid-stream batches).
     """
     value = seed
-    for t in takens[-bits:] if bits else ():
-        value = (value << 1) | int(t)
+    tail = trace.codes[-bits:] if bits else trace.codes[:0]
+    for t in trace.table.takens[tail].tolist():
+        value = (value << 1) | t
     return value & ((1 << bits) - 1 if bits else 0)
 
 
@@ -762,9 +776,9 @@ def simulate_walk(
 
     The frame both fast tiers share: the predictor's index geometry, a
     private copy of the counter and agree-bias state, the walk over the
-    trace's columns and that copy, then the writeback of counters, bias
-    and history.  The predictor is written only after the walk returns,
-    so a backend that raises leaves it exactly as it was.
+    trace's codes and event table and that copy, then the writeback of
+    counters, bias and history.  The predictor is written only after the
+    walk returns, so a backend that raises leaves it exactly as it was.
     ``stage_timer`` (optional) accumulates per-stage wall-clock under
     ``"precompute"`` (the geometry and the state copy), ``"scan"`` (the
     walk, index computation included) and ``"reduce"`` (the writeback).
@@ -790,7 +804,7 @@ def simulate_walk(
         counters = [predictor.bank.counters]
     entries = counters[0].size
     threshold, vmax = counters[0].threshold, counters[0].max_value
-    columns = (trace.pcs, trace.takens, trace.conditionals)
+    columns = (trace.codes, *trace.table[:3])
 
     with timer.stage("precompute"):
         geometry = _geometry(predictor)
@@ -817,16 +831,12 @@ def simulate_walk(
             c.values[:] = values[b * entries : (b + 1) * entries]
         history = getattr(predictor, "history", None)
         if history is not None and history.bits:
-            history.value = _final_history(
-                trace.takens, history.bits, history.value
-            )
+            history.value = _final_history(trace, history.bits, history.value)
 
     return SimulationResult(
         predictor=label or predictor.name,
         trace=trace.name,
-        conditional_branches=max(
-            0, int(np.count_nonzero(trace.conditionals)) - warmup
-        ),
+        conditional_branches=max(0, trace.conditional_count - warmup),
         mispredictions=misses,
         storage_bits=predictor.storage_bits,
         history_bits=getattr(predictor, "history_bits", None),

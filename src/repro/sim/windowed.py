@@ -75,7 +75,7 @@ def windowed_misprediction(
     """Run ``predictor`` over ``trace`` collecting per-window counts."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    pcs, takens, conditionals, _ = trace.columns()
+    pcs, takens, conditionals = trace.sim_columns()
     step = predictor.predict_and_update
     shift = predictor.notify_unconditional
 
@@ -83,8 +83,7 @@ def windowed_misprediction(
     branches_series: List[int] = []
     in_window = 0
     misses = 0
-    for pc, taken_int, conditional in zip(pcs, takens, conditionals):
-        taken = taken_int == 1
+    for pc, taken, conditional in zip(pcs, takens, conditionals):
         if conditional:
             if step(pc, taken) != taken:
                 misses += 1

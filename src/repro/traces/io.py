@@ -1,9 +1,16 @@
 """Trace serialisation: a compact binary format and a debug text format.
 
-The binary format (``.npz``-based) is what the benchmark harness uses to
-cache generated workloads between runs; the text format is line-oriented
-(one event per line: ``pc taken conditional target`` in hex/ints) for
-inspection and for importing externally-captured traces.
+The binary format (``.npz``-based) is what the trace cache uses to keep
+generated workloads between runs.  Format 2, the one written, stores a
+trace as it is held in memory: the ``uint32`` code stream (4 bytes per
+event) and the table of static events it indexes.  Format 1 stored four
+per-event columns (18 bytes per event); :func:`load_trace` still reads
+it, and factorises the columns into codes and a table on load, so
+format-1 files and older cache entries load bit-identically.
+
+The text format is line-oriented (one event per line: ``pc taken
+conditional target`` in hex/ints) for inspection and for importing
+externally-captured traces.
 """
 
 from __future__ import annotations
@@ -25,7 +32,15 @@ __all__ = [
     "load_trace_text",
 ]
 
-_FORMAT_VERSION = 1
+#: The format :func:`save_trace` writes: codes plus table.
+_FORMAT_VERSION = 2
+
+#: The table's members in format 2, in ``Trace.from_table`` order after
+#: the codes.  Format 1's per-event columns were named without the prefix.
+_TABLE_MEMBERS = (
+    "table_pcs", "table_takens", "table_conditionals", "table_targets",
+)
+_COLUMN_MEMBERS = ("pcs", "takens", "conditionals", "targets")
 
 #: The text format's fields in line order: (name, exclusive upper bound,
 #: what a valid value is).  Addresses are unsigned 64-bit, outcomes bits.
@@ -40,12 +55,13 @@ _TEXT_FIELDS = (
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
-    """Write ``trace`` to ``path`` in the compact binary format.
+    """Write ``trace`` to ``path`` in the compact binary format (format 2).
 
     The file is what ``np.savez_compressed`` writes — one ``.npy`` member
-    per column in a deflated zip, ``.npz`` appended to a path without
-    it — at zlib level 1 instead of 6: the trace cache writes one per
-    generated trace, and the faster level costs ~1.7x the bytes.
+    per array (the codes, the four table columns and the metadata) in a
+    deflated zip, ``.npz`` appended to a path without it — at zlib level
+    1 instead of 6: the trace cache writes one per generated trace, and
+    the faster level costs ~1.7x the bytes.
     """
     path = os.fspath(path)
     if not path.endswith(".npz"):
@@ -56,10 +72,8 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
         "seed": trace.seed,
     }
     members = {
-        "pcs": trace.pcs,
-        "takens": trace.takens,
-        "conditionals": trace.conditionals,
-        "targets": trace.targets,
+        "codes": trace.codes,
+        **dict(zip(_TABLE_MEMBERS, trace.table)),
         "metadata": np.frombuffer(
             json.dumps(metadata).encode("utf-8"), dtype=np.uint8
         ),
@@ -73,37 +87,37 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
 
 
 def load_trace(path: Union[str, Path]) -> Trace:
-    """Read a trace previously written by :func:`save_trace`."""
+    """Read a trace written by :func:`save_trace`, in format 2 or 1."""
     path = Path(path)
     if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
         # numpy appends .npz when saving without the extension.
         path = path.with_suffix(path.suffix + ".npz")
     with np.load(path) as data:
         metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
-        if metadata.get("version") != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported trace format version {metadata.get('version')!r}"
+        version = metadata.get("version")
+        name = metadata.get("name", "anonymous")
+        seed = metadata.get("seed")
+        if version == _FORMAT_VERSION:
+            return Trace.from_table(
+                data["codes"], *(data[m] for m in _TABLE_MEMBERS),
+                name=name, seed=seed,
             )
-        return Trace(
-            data["pcs"],
-            data["takens"],
-            data["conditionals"],
-            data["targets"],
-            name=metadata.get("name", "anonymous"),
-            seed=metadata.get("seed"),
-        )
+        if version == 1:
+            return Trace(*(data[m] for m in _COLUMN_MEMBERS), name=name, seed=seed)
+        raise ValueError(f"unsupported trace format version {version!r}")
 
 
 def save_trace_text(trace: Trace, path: Union[str, Path]) -> None:
     """Write ``trace`` as one ``pc taken cond target`` line per event."""
     path = Path(path)
+    table = trace.table
+    lines = [
+        f"{pc:#x} {taken} {conditional} {target:#x}\n"
+        for pc, taken, conditional, target in zip(*(c.tolist() for c in table))
+    ]
     with path.open("w", encoding="utf-8") as handle:
         handle.write(f"# trace {trace.name} seed={trace.seed}\n")
-        pcs, takens, conditionals, targets = trace.columns()
-        for pc, taken, conditional, target in zip(
-            pcs, takens, conditionals, targets
-        ):
-            handle.write(f"{pc:#x} {taken} {conditional} {target:#x}\n")
+        handle.writelines(map(lines.__getitem__, trace.codes.tolist()))
 
 
 def load_trace_text(path: Union[str, Path]) -> Trace:
@@ -118,13 +132,16 @@ def load_trace_text(path: Union[str, Path]) -> Trace:
             if not line:
                 continue
             if line.startswith("#"):
-                # Header comment: "# trace <name> seed=<seed>"
-                parts = line[1:].split()
-                if len(parts) >= 2 and parts[0] == "trace":
-                    name = parts[1]
-                    for part in parts[2:]:
-                        if part.startswith("seed=") and part[5:] != "None":
-                            seed = int(part[5:])
+                # Header comment: "# trace <name> seed=<seed>"; the name
+                # may hold spaces, so the seed is the last token.
+                header = line[1:].strip()
+                if header.startswith("trace "):
+                    name = header[len("trace ") :]
+                    rest, _, last = name.rpartition(" ")
+                    if last.startswith("seed="):
+                        name = rest
+                        if last[5:] != "None":
+                            seed = int(last[5:])
                 continue
             fields = line.split()
             if len(fields) != 4:

@@ -95,7 +95,7 @@ def bias_density(trace: Trace, history_bits: int) -> Dict[str, float]:
     """
     taken_counts: Dict[Tuple[int, int], int] = {}
     total_counts: Dict[Tuple[int, int], int] = {}
-    pcs, takens, conditionals, _ = trace.columns()
+    pcs, takens, conditionals = trace.sim_columns()
     mask = (1 << history_bits) - 1 if history_bits else 0
     history = 0
     dynamic_taken = 0

@@ -9,9 +9,11 @@ byte-identical traces.
 Generation runs in three steps: plan the schedule
 (:func:`~repro.traces.synthetic.kernel.plan_schedule`), run each program
 once for its total demand (:func:`~repro.traces.synthetic.cfg.run_program`,
-in the native C kernel where it built), then gather the four trace
-columns from the programs' event tables with one numpy index over the
-schedule's segments.
+in the native C kernel where it built), then lay the programs' codes
+out in schedule order, one slice of a program's stream per segment.  The
+trace keeps those codes over the programs' concatenated event tables
+(:meth:`~repro.traces.trace.Trace.from_table`): no per-event column is
+built.
 """
 
 from __future__ import annotations
@@ -129,40 +131,32 @@ def generate_trace(config: WorkloadConfig) -> Trace:
     )
 
     # Each source's segments, in order, continue one stream: run it once
-    # for the total, with its table rows and stream offset past those of
-    # the sources before it.
+    # for the total, its codes offset past the table rows of the sources
+    # before it, then cut the streams into the segments in schedule
+    # order.
     demand = [0] * len(sources)
     for source, count in segments:
         demand[source] += count
     rows: list = []
     streams = []
-    stream_start = []
-    emitted = 0
     for (program, seed), need in zip(sources, demand):
         table, codes = run_program(program, seed, need)
-        streams.append(np.array(codes, dtype=np.int64) + len(rows))
+        streams.append(np.asarray(codes, dtype=np.uint32) + np.uint32(len(rows)))
         rows.extend(table)
-        stream_start.append(emitted)
-        emitted += need
-
-    # Segment k's events sit at stream positions
-    # starts[k] .. starts[k] + counts[k] - 1.
-    starts = []
+    pieces = []
+    position = [0] * len(sources)
     for source, count in segments:
-        starts.append(stream_start[source])
-        stream_start[source] += count
-    counts = np.array([count for _, count in segments], dtype=np.int64)
-    ends = np.cumsum(counts)
-    index = np.repeat(np.array(starts, dtype=np.int64) - (ends - counts), counts)
-    index += np.arange(config.length, dtype=np.int64)
-    codes = np.concatenate(streams)[index]
+        start = position[source]
+        pieces.append(streams[source][start : start + count])
+        position[source] = start + count
 
     pcs, takens, conditionals, targets = zip(*rows)
-    return Trace(
-        np.array(pcs, dtype=np.uint64)[codes],
-        np.array(takens, dtype=np.uint8)[codes],
-        np.array(conditionals, dtype=np.uint8)[codes],
-        np.array(targets, dtype=np.uint64)[codes],
+    return Trace.from_table(
+        np.concatenate(pieces) if pieces else np.zeros(0, np.uint32),
+        np.array(pcs, dtype=np.uint64),
+        np.array(takens, dtype=np.uint8),
+        np.array(conditionals, dtype=np.uint8),
+        np.array(targets, dtype=np.uint64),
         name=config.name,
         seed=config.seed,
     )

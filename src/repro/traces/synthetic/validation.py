@@ -71,7 +71,7 @@ class TraceProfile:
 
 def profile_trace(trace: Trace, history_bits: int = 4) -> TraceProfile:
     """Compute the full shape profile of ``trace``."""
-    pcs, takens, conditionals, _ = trace.columns()
+    pcs, takens, conditionals = trace.sim_columns()
 
     taken_counts: Dict[int, int] = {}
     total_counts: Dict[int, int] = {}

@@ -1,7 +1,7 @@
 """Equivalence tests: the native C engine vs the generic engine.
 
-The native engine walks the raw trace columns through the counter
-tables in one sequential C pass, computing every conditional event's
+The native engine walks the trace's code stream, read through its event
+table, through the counter tables in one sequential C pass, computing every conditional event's
 table indices from the predictor's index geometry as it goes; its
 correctness argument is bit-identity with ``repro.sim.engine.simulate``
 — same SimulationResult, same final counter, bias and history state —
@@ -234,8 +234,13 @@ class TestDegenerateTraces:
 
 
 def _one_event():
-    """The trace columns of one taken conditional event."""
-    return np.zeros(1, np.uint64), np.ones(1, np.uint8), np.ones(1, np.uint8)
+    """The code stream and event table of one taken conditional event."""
+    return (
+        np.zeros(1, np.uint32),
+        np.zeros(1, np.uint64),
+        np.ones(1, np.uint8),
+        np.ones(1, np.uint8),
+    )
 
 
 class _ForbiddenKernel:
@@ -369,6 +374,25 @@ class TestDispatch:
                 3, values, 0,
             )
 
+    def test_c_walks_refuse_a_code_past_the_table(self, monkeypatch):
+        # The kernel reads table rows through the codes unchecked: the
+        # wrapper refuses a code naming no row before the call.
+        _forbid_kernel(monkeypatch)
+        codes, *table = _one_event()
+        codes = np.array([0, 1], np.uint32)
+        values, bias = [1, 2], [-1, 0]
+        with pytest.raises(ValueError, match="code 1 is past"):
+            NATIVE_BACKEND.walk(
+                codes, *table, Geometry(_BIMODAL, 1, 0, 0, 0, 1), 0, 2, 3,
+                values, 0,
+            )
+        with pytest.raises(ValueError, match="code 1 is past"):
+            NATIVE_BACKEND.walk_agree(
+                codes, *table, Geometry(_AGREE, 1, 0, 0, 1, 1), 2, 3, values,
+                bias, 0,
+            )
+        assert values == [1, 2] and bias == [-1, 0]
+
     @pytest.mark.parametrize(
         "keys,slots",
         [
@@ -420,10 +444,11 @@ def _walk_args(ffi):
     cdef order (one taken conditional event over a weakly not-taken
     bimodal counter)."""
     return [
-        ffi.from_buffer("uint64_t[]", np.zeros(1, np.uint64)),  # pcs
-        ffi.from_buffer("uint8_t[]", np.ones(1, np.uint8)),  # takens
-        ffi.from_buffer("uint8_t[]", np.ones(1, np.uint8)),  # conditionals
+        ffi.from_buffer("uint32_t[]", np.zeros(1, np.uint32)),  # codes
         1,  # n
+        ffi.from_buffer("uint64_t[]", np.zeros(1, np.uint64)),  # table pcs
+        ffi.from_buffer("uint8_t[]", np.ones(1, np.uint8)),  # table takens
+        ffi.from_buffer("uint8_t[]", np.ones(1, np.uint8)),  # table conditionals
         _BIMODAL, 0, 0, 0, 0,  # scheme, bits, history bits, seed, bank-0 bits
         1, 0, 2, 3,  # banks, policy, threshold, max_value
         ffi.from_buffer("int64_t[]", np.ones(1, np.int64)),  # values
@@ -492,27 +517,27 @@ class TestAbiChecks:
         ffi, lib = _backend()
         args = _walk_args(ffi)
         args[0] = ffi.from_buffer("int64_t[]", np.zeros(1, np.int64))
-        with pytest.raises(TypeError, match=r"uint64_t \*"):
+        with pytest.raises(TypeError, match=r"uint32_t \*"):
             lib.repro_walk(*args)
 
     def test_swapped_buffers_are_refused(self):
         ffi, lib = _backend()
         args = _walk_args(ffi)
-        args[0], args[1] = args[1], args[0]
+        args[2], args[3] = args[3], args[2]
         with pytest.raises(TypeError, match="uint8_t"):
             lib.repro_walk(*args)
 
     def test_wrong_arity_is_refused(self):
         ffi, lib = _backend()
         args = _walk_args(ffi)
-        del args[3]  # n
-        with pytest.raises(TypeError, match="expected 15 arguments, got 14"):
+        del args[1]  # n
+        with pytest.raises(TypeError, match="expected 16 arguments, got 15"):
             lib.repro_walk(*args)
 
     def test_buffer_passed_for_a_scalar_is_refused(self):
         ffi, lib = _backend()
         args = _walk_args(ffi)
-        args[3] = ffi.from_buffer("int64_t[]", np.ones(1, np.int64))
+        args[1] = ffi.from_buffer("int64_t[]", np.ones(1, np.int64))
         with pytest.raises(TypeError):
             lib.repro_walk(*args)
 
@@ -573,6 +598,10 @@ class _NoOpKernel:
         return 0
 
 
+#: The trace buffers every walk takes, in argument order.
+_BUFFERS = ("codes", "pcs", "takens", "conditionals")
+
+
 class TestBufferDtypes:
     """``from_buffer`` takes any array behind a ``T[]``; the wrapper's
     dtype check refuses the wrong one before cffi sees it, so these run
@@ -605,16 +634,16 @@ class TestBufferDtypes:
                 with pytest.raises(ValueError, match="needs"):
                     native_module._buffer(ffi, ctype, np.zeros(2, other))
 
-    @pytest.mark.parametrize("wrong", ["pcs", "takens", "conditionals"])
+    @pytest.mark.parametrize("wrong", _BUFFERS)
     def test_walk_checks_every_caller_buffer(self, wrong, monkeypatch):
         monkeypatch.setattr(
             native_module, "_BACKEND", (_PassThroughFFI(), _NoOpKernel())
         )
-        arrays = dict(zip(("pcs", "takens", "conditionals"), _one_event()))
+        arrays = dict(zip(_BUFFERS, _one_event()))
 
         def walk():
             return NATIVE_BACKEND.walk(
-                arrays["pcs"], arrays["takens"], arrays["conditionals"],
+                *arrays.values(),
                 Geometry(_BIMODAL, 0, 0, 0, 0, 1), 0, 2, 3, [1], 0,
             )
 
@@ -623,16 +652,16 @@ class TestBufferDtypes:
         with pytest.raises(ValueError, match="needs"):
             walk()
 
-    @pytest.mark.parametrize("wrong", ["pcs", "takens", "conditionals"])
+    @pytest.mark.parametrize("wrong", _BUFFERS)
     def test_agree_walk_checks_every_caller_buffer(self, wrong, monkeypatch):
         monkeypatch.setattr(
             native_module, "_BACKEND", (_PassThroughFFI(), _NoOpKernel())
         )
-        arrays = dict(zip(("pcs", "takens", "conditionals"), _one_event()))
+        arrays = dict(zip(_BUFFERS, _one_event()))
 
         def walk():
             return NATIVE_BACKEND.walk_agree(
-                arrays["pcs"], arrays["takens"], arrays["conditionals"],
+                *arrays.values(),
                 Geometry(_AGREE, 0, 0, 0, 0, 1), 2, 3, [1], [-1], 0,
             )
 
@@ -804,14 +833,24 @@ def _register_after(takens, bits, seed):
     return seed
 
 
+def _encode(columns):
+    """Raw ``pcs`` / ``takens`` / ``conditionals`` columns as a walk
+    takes them: the code stream and the event table's three columns,
+    factorised as :class:`Trace` stores them."""
+    trace = Trace(*columns)
+    return (trace.codes, *trace.table[:3])
+
+
 def _walk_in_pieces(call, columns, geometry, warmup, cuts):
-    """Sum ``call(columns, geometry, warmup)`` over the pieces of the
-    trace cut at ``cuts``: each piece starts from the history register
-    and the warmup the previous pieces left."""
-    pcs, takens, conditionals = columns
+    """Sum ``call(piece, geometry, warmup)`` over the pieces of the
+    encoded trace cut at ``cuts`` (each piece a slice of the codes over
+    the whole table): each piece starts from the history register and
+    the warmup the previous pieces left."""
+    codes, *table = _encode(columns)
+    _, takens, conditionals = columns
     misses, seed, seen = 0, geometry.seed, 0
-    for lo, hi in _pieces(len(pcs), cuts):
-        piece = (pcs[lo:hi], takens[lo:hi], conditionals[lo:hi])
+    for lo, hi in _pieces(len(codes), cuts):
+        piece = (codes[lo:hi], *table)
         misses += call(piece, geometry._replace(seed=seed), max(0, warmup - seen))
         seed = _register_after(takens[lo:hi], geometry.history_bits, seed)
         seen += int(np.count_nonzero(conditionals[lo:hi]))
@@ -886,6 +925,7 @@ def _walk_entry_point_cases(backend):
         def test_repro_walk_empty_input(self):
             values = [0, 3]
             misses = backend.walk(
+                np.empty(0, dtype=np.uint32),
                 np.empty(0, dtype=np.uint64),
                 np.empty(0, dtype=np.uint8),
                 np.empty(0, dtype=np.uint8),
@@ -915,6 +955,24 @@ def _walk_entry_point_cases(backend):
                     0,
                 )
             assert values == [1] * (2 * banks)
+
+        def test_code_past_the_table_is_refused(self):
+            # A code naming no event-table row is refused before any
+            # table is written, the counters and latches untouched.
+            codes, *table = _one_event()
+            codes = np.array([0, 0, 1, 0], np.uint32)
+            values, bias = [1, 2, 3, 0], [-1, 1]
+            with pytest.raises(ValueError, match="code 1 is past"):
+                backend.walk(
+                    codes, *table, Geometry(_GSHARE, 2, 2, 0, 0, 1),
+                    _POLICY_CODES[UpdatePolicy.TOTAL], 2, 3, values, 0,
+                )
+            with pytest.raises(ValueError, match="code 1 is past"):
+                backend.walk_agree(
+                    codes, *table, Geometry(_AGREE, 2, 2, 0, 1, 1), 2, 3,
+                    values, bias, 0,
+                )
+            assert values == [1, 2, 3, 0] and bias == [-1, 1]
 
         # Event-level differential fuzz of repro_walk against the scalar
         # oracle over every voted scheme, policy and bank count: random
@@ -1103,6 +1161,18 @@ def _long_trace(length=600_000):
     return Trace(pcs, takens, conditionals, name="long")
 
 
+def _encoded_trace(length=600_000, rows=4_096):
+    """A trace of ``length`` events built from its code stream over a
+    table of ``rows`` static events, as the generator builds one."""
+    rng = np.random.default_rng(12)
+    pcs, takens, conditionals = _random_columns(rng, rows, 12, 0.85)
+    codes = rng.integers(0, rows, length, dtype=np.uint32)
+    return Trace.from_table(
+        codes, pcs, takens, conditionals, np.zeros(rows, np.uint64),
+        name="encoded",
+    )
+
+
 @requires_native
 class TestMemoryAndViews:
     """The walk derives nothing per event outside its stack blocks, keeps
@@ -1142,6 +1212,18 @@ class TestMemoryAndViews:
         long, _ = self._native_peak(spec, trace)
         assert long - short < (64 << 10), (short, long)
 
+    @pytest.mark.parametrize(
+        "spec", ["bimodal:16", "gskew:3x4k:h12:partial", "agree:4k:h12"]
+    )
+    def test_encoded_walk_allocates_nothing_per_event(self, spec):
+        # The walk reads the codes and the table in place: no column,
+        # code copy or index array — a per-event byte would be 600 KB.
+        trace = _encoded_trace()
+        assert trace.codes.nbytes == 4 * len(trace)
+        short, _ = self._native_peak(spec, trace.head(6_000))
+        long, _ = self._native_peak(spec, trace)
+        assert long - short < len(trace) // 8, (short, long)
+
     def test_trace_holds_no_derived_state(self):
         trace = _long_trace(50_000)
         before = {name: id(value) for name, value in vars(trace).items()}
@@ -1165,10 +1247,10 @@ class TestMemoryAndViews:
     )
     def test_strided_views_run_native(self, view, spec, small_trace):
         strided = view(small_trace)
-        assert not strided.pcs.flags.c_contiguous
+        assert not strided.codes.flags.c_contiguous
         copy = Trace(
-            strided.pcs.copy(), strided.takens.copy(),
-            strided.conditionals.copy(), name=strided.name,
+            strided.pcs, strided.takens, strided.conditionals,
+            name=strided.name,
         )
         reference = make_predictor(spec)
         candidate = make_predictor(spec)

@@ -55,7 +55,8 @@ def _config(**overrides) -> WorkloadConfig:
 def _assert_traces_equal(a, b):
     assert a.name == b.name and a.seed == b.seed
     for column in ("pcs", "takens", "conditionals", "targets"):
-        assert np.array_equal(getattr(a, column), getattr(b, column))
+        x, y = getattr(a, column), getattr(b, column)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 class TestFingerprint:
@@ -234,11 +235,16 @@ class TestEntryFormat:
                 zipfile.ZIP_DEFLATED
             }
         with np.load(path) as data:
+            # Format 2: the code stream plus the event table.
             assert sorted(data.files) == [
-                "conditionals", "metadata", "pcs", "takens", "targets",
+                "codes", "metadata", "table_conditionals", "table_pcs",
+                "table_takens", "table_targets",
             ]
+            assert data["codes"].dtype == np.uint32
+            assert np.array_equal(data["codes"], trace.codes)
             for column in ("pcs", "takens", "conditionals", "targets"):
-                assert np.array_equal(data[column], getattr(trace, column))
+                table = data[f"table_{column}"]
+                assert np.array_equal(table[data["codes"]], getattr(trace, column))
         _assert_traces_equal(load_trace(path), trace)
 
         # A cache-write fault publishes a truncated entry; the next read
@@ -256,7 +262,9 @@ class TestEntryFormat:
         _assert_traces_equal(load_trace(path), trace)
 
     def test_savez_compressed_entry_still_hits(self, cache_in_tmp):
-        # Entries written at numpy's default level stay valid.
+        # Entries written at numpy's default level stay valid, and so do
+        # format-1 entries (four per-event columns): they load
+        # bit-identically.
         config = _config()
         trace = generate_trace(config)
         path = trace_cache_path(config)

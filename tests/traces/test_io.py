@@ -1,5 +1,7 @@
 """Tests for trace serialisation round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,45 @@ class TestBinaryFormat:
         assert np.array_equal(loaded.takens, tiny_trace.takens)
         assert np.array_equal(loaded.conditionals, tiny_trace.conditionals)
 
+    def test_format_2_stores_the_codes_and_table(self, tmp_path, tiny_trace):
+        path = tmp_path / "tiny.npz"
+        save_trace(tiny_trace.stride_split(3)[2], path)
+        with np.load(path) as data:
+            assert json.loads(bytes(data["metadata"]))["version"] == 2
+            assert data["codes"].dtype == np.uint32
+            assert np.array_equal(data["codes"], tiny_trace.codes[2::3])
+        loaded = load_trace(path)
+        for column in ("pcs", "takens", "conditionals", "targets"):
+            expected = getattr(tiny_trace, column)[2::3]
+            assert np.array_equal(getattr(loaded, column), expected)
+
+    def test_format_1_file_loads_bit_identically(self, tmp_path, tiny_trace):
+        # Four per-event columns, as format 1 wrote them.
+        path = tmp_path / "old.npz"
+        metadata = {"version": 1, "name": "old", "seed": 7}
+        np.savez(
+            path,
+            pcs=tiny_trace.pcs,
+            takens=tiny_trace.takens,
+            conditionals=tiny_trace.conditionals,
+            targets=tiny_trace.targets,
+            metadata=np.frombuffer(json.dumps(metadata).encode(), dtype=np.uint8),
+        )
+        loaded = load_trace(path)
+        assert (loaded.name, loaded.seed) == ("old", 7)
+        for column in ("pcs", "takens", "conditionals", "targets"):
+            old, new = getattr(tiny_trace, column), getattr(loaded, column)
+            assert new.dtype == old.dtype and np.array_equal(new, old)
+
+    def test_unknown_version_refused(self, tmp_path):
+        path = tmp_path / "future.npz"
+        metadata = {"version": 3, "name": "x", "seed": None}
+        np.savez(
+            path, metadata=np.frombuffer(json.dumps(metadata).encode(), np.uint8)
+        )
+        with pytest.raises(ValueError, match="version 3"):
+            load_trace(path)
+
 
 class TestTextFormat:
     def test_roundtrip(self, tmp_path):
@@ -60,6 +101,16 @@ class TestTextFormat:
         assert loaded.name == "roundtrip"
         assert loaded.seed == 33
         assert list(loaded) == list(trace)
+
+    @pytest.mark.parametrize("name", ["my trace", "a  b c", "seedless", "x=1 y"])
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_name_with_spaces_round_trips(self, tmp_path, name, seed):
+        # The header's name used to be cut at its first space.
+        path = tmp_path / "named.txt"
+        trace = Trace.from_columns([0x100], [1], [1], name=name, seed=seed)
+        save_trace_text(trace, path)
+        loaded = load_trace_text(path)
+        assert (loaded.name, loaded.seed) == (name, seed)
 
     def test_header_optional(self, tmp_path):
         path = tmp_path / "bare.txt"
