@@ -60,10 +60,11 @@ class BcGskewPredictor(GlobalHistoryPredictor):
         super().__init__(history_bits)
         self.bank_index_bits = bank_index_bits
         mask = (1 << bank_index_bits) - 1
+        history = self.history  # not ``self``: no cycle through the banks
 
         self.bim = PredictorBank(
             bank_index_bits,
-            lambda vector: (vector >> self.history.bits) & mask,
+            lambda vector: (vector >> history.bits) & mask,
             counter_bits,
         )
         self.g0 = PredictorBank(

@@ -54,10 +54,11 @@ class AgreePredictor(GlobalHistoryPredictor):
         self._bias_mask = (1 << bias_table_bits) - 1
         # None = not yet latched; afterwards the first outcome.
         self._bias: list = [None] * (1 << bias_table_bits)
+        history = self.history  # not ``self``: no cycle through the PHT
         self.pht = PredictorBank(
             index_bits,
             lambda address: gshare_index(
-                address, self.history.value, self.index_bits, self.history.bits
+                address, history.value, index_bits, history.bits
             ),
             counter_bits,
         )

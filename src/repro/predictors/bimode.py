@@ -54,12 +54,11 @@ class BiModePredictor(GlobalHistoryPredictor):
         self._choice_mask = (1 << choice_index_bits) - 1
         self.choice = CounterArray(1 << choice_index_bits, bits=counter_bits)
 
+        history = self.history  # not ``self``: no cycle through the tables
+
         def direction_index(address: int) -> int:
             return gshare_index(
-                address,
-                self.history.value,
-                self.direction_index_bits,
-                self.history.bits,
+                address, history.value, direction_index_bits, history.bits
             )
 
         self.taken_table = PredictorBank(

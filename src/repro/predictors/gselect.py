@@ -45,10 +45,11 @@ class GselectPredictor(GlobalHistoryPredictor):
         super().__init__(history_bits)
         self.index_bits = index_bits
         self.counter_bits = counter_bits
+        history = self.history  # not ``self``: no cycle through the bank
         self.bank = PredictorBank(
             index_bits,
             lambda address: gselect_index(
-                address, self.history.value, self.index_bits, self.history.bits
+                address, history.value, index_bits, history.bits
             ),
             counter_bits,
         )

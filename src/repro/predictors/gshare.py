@@ -64,11 +64,14 @@ class GsharePredictor(GlobalHistoryPredictor):
         self.index_bits = index_bits
         self.counter_bits = counter_bits
         # The bank's index function closes over this predictor's history
-        # register so prediction and training see the same index.
+        # register so prediction and training see the same index — over
+        # the register, not the predictor, so no reference cycle keeps
+        # the tables alive once the predictor is dropped.
+        history = self.history
         self.bank = PredictorBank(
             index_bits,
             lambda address: gshare_index(
-                address, self.history.value, self.index_bits, self.history.bits
+                address, history.value, index_bits, history.bits
             ),
             counter_bits,
         )

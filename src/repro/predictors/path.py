@@ -62,6 +62,12 @@ class PathHistory:
     def width(self) -> int:
         return self.depth * self.bits_per_branch
 
+    @property
+    def bits(self) -> int:
+        """The register's width, named as :class:`~repro.core.history.
+        GlobalHistory` names it (snapshots check it on restore)."""
+        return self.width
+
 
 class PathHistoryPredictor(BranchPredictor):
     """Single-bank path-correlated predictor.
@@ -86,19 +92,20 @@ class PathHistoryPredictor(BranchPredictor):
     ):
         self.index_bits = index_bits
         self.path = PathHistory(depth, bits_per_branch)
-        self._mask = (1 << index_bits) - 1
+        mask = (1 << index_bits) - 1
+        path = self.path  # not ``self``: no cycle through the bank
 
-        self.bank = PredictorBank(
-            index_bits, self._index_for_address, counter_bits
-        )
+        def index(address: int) -> int:
+            folded = (address >> 2) & mask
+            if index_bits == 0:  # one entry; the fold below would not end
+                return folded
+            value = path.value
+            while value:
+                folded ^= value & mask
+                value >>= index_bits
+            return folded
 
-    def _index_for_address(self, address: int) -> int:
-        folded = (address >> 2) & self._mask
-        value = self.path.value
-        while value:
-            folded ^= value & self._mask
-            value >>= self.index_bits
-        return folded
+        self.bank = PredictorBank(index_bits, index, counter_bits)
 
     def predict(self, address: int) -> bool:
         return self.bank.predict(address)
@@ -111,7 +118,7 @@ class PathHistoryPredictor(BranchPredictor):
         self.path.push(address)
 
     def predict_and_update(self, address: int, taken: bool) -> bool:
-        idx = self._index_for_address(address)
+        idx = self.bank.index_fn(address)
         counters = self.bank.counters
         prediction = counters.prediction(idx)
         counters.update(idx, taken)

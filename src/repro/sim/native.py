@@ -4,8 +4,9 @@ runner as a small C kernel.
 :func:`repro.sim.vectorized.simulate_walk` is the frame both fast tiers
 share: it hands a backend the trace as it is stored — its ``uint32``
 code stream and its event table (:class:`~repro.traces.trace.Trace`) —
-and the predictor's index :class:`~repro.sim.vectorized.Geometry`,
-walks a private copy of the predictor state and writes the result
+the predictor's index :class:`~repro.sim.vectorized.Geometry` and a
+private copy of the predictor state as the kernel's own ``int64`` /
+``int8`` arrays, which the kernel walks in place, and writes the result
 back.  This module is its C backend — ``_native_kernel.c``, compiled on
 demand with **cffi** — with the same two walk entry points as the
 Python loops:
@@ -70,8 +71,9 @@ The Python↔C seam is checked where it can be checked exactly:
 - the kernel trusts its codes to name table rows and its tables to
   match the geometry, so :func:`repro.sim.vectorized._check_walk`
   checks every code against the event table's row count, the bank
-  count, index and history widths and every table's size before the
-  call (``ValueError``); past it, every read and index is in range by
+  count, index and history widths, every table's size, and that the
+  tables it writes in place are writable arrays, before the call
+  (``ValueError``); past it, every read and index is in range by
   construction;
 - the program runner trusts every id, range and offset in its arrays,
   so :func:`repro.traces.synthetic.cfg._check_program` checks them, and
@@ -92,7 +94,7 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -360,13 +362,13 @@ def _trace_buffers(
 def _walk(
     codes: np.ndarray, pcs: np.ndarray, takens: np.ndarray,
     conditionals: np.ndarray, geometry: Geometry, policy: int,
-    threshold: int, max_value: int, values: List[int], warmup: int,
+    threshold: int, max_value: int, values: np.ndarray, warmup: int,
 ) -> int:
-    """``repro_walk`` over the flat bank-major counter list ``values``."""
+    """``repro_walk`` over the flat bank-major ``int64`` counter table
+    ``values``, in place."""
     ffi, lib = _checked_backend()
     _check_walk(codes, pcs, takens, conditionals, geometry, values, policy)
     scheme, bits, history_bits, seed, bank0_bits, banks = geometry
-    table = np.fromiter(values, dtype=np.int64, count=len(values))
     misses = lib.repro_walk(
         *_trace_buffers(ffi, codes, pcs, takens, conditionals),
         scheme,
@@ -378,27 +380,24 @@ def _walk(
         policy,
         threshold,
         max_value,
-        _buffer(ffi, "int64_t[]", table),
+        _buffer(ffi, "int64_t[]", values),
         warmup,
     )
     if misses < 0:
         raise ValueError(f"repro_walk refused {geometry}")
-    values[:] = table.tolist()
     return misses
 
 
 def _walk_agree(
     codes: np.ndarray, pcs: np.ndarray, takens: np.ndarray,
     conditionals: np.ndarray, geometry: Geometry, threshold: int,
-    max_value: int, values: List[int], bias: List[int], warmup: int,
+    max_value: int, values: np.ndarray, bias: np.ndarray, warmup: int,
 ) -> int:
-    """``repro_walk_agree`` over the PHT list ``values`` and the latch
-    codes ``bias``."""
+    """``repro_walk_agree`` over the ``int64`` PHT ``values`` and the
+    ``int8`` latch codes ``bias``, in place."""
     ffi, lib = _checked_backend()
     _check_walk(codes, pcs, takens, conditionals, geometry, values, bias=bias)
     _, bits, history_bits, seed, bias_bits, _ = geometry
-    table = np.fromiter(values, dtype=np.int64, count=len(values))
-    latches = np.fromiter(bias, dtype=np.int8, count=len(bias))
     misses = lib.repro_walk_agree(
         *_trace_buffers(ffi, codes, pcs, takens, conditionals),
         bits,
@@ -407,14 +406,12 @@ def _walk_agree(
         bias_bits,
         threshold,
         max_value,
-        _buffer(ffi, "int64_t[]", table),
-        _buffer(ffi, "int8_t[]", latches),
+        _buffer(ffi, "int64_t[]", values),
+        _buffer(ffi, "int8_t[]", bias),
         warmup,
     )
     if misses < 0:
         raise ValueError(f"repro_walk_agree refused {geometry}")
-    values[:] = table.tolist()
-    bias[:] = latches.tolist()
     return misses
 
 

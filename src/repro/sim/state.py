@@ -1,14 +1,15 @@
 """First-class, serializable predictor state.
 
 Every predictor in the suite is a small object graph over a handful of
-mutable leaf types — saturating-counter arrays, global/per-address
-history registers, agree bias latches, dict-backed tagged tables — plus
-immutable configuration scalars.  :class:`PredictorState` captures that
-graph generically: a typed recursive walk produces a JSON-able payload,
-:meth:`PredictorState.restore` writes it back *in place* (list slices,
-dict refills) so every alias into the live structures stays valid, and
-:meth:`PredictorState.to_bytes` / :meth:`PredictorState.from_bytes`
-round-trip it through a checksummed wire format.
+mutable leaf types — saturating-counter arrays, global, per-address and
+path history registers, agree bias latches, dict-backed tagged
+tables — plus immutable configuration scalars.  :class:`PredictorState`
+captures that graph generically: a typed recursive walk produces a
+JSON-able payload, :meth:`PredictorState.restore` writes it back *in
+place* (list slices, dict refills) so every alias into the live
+structures stays valid, and :meth:`PredictorState.to_bytes` /
+:meth:`PredictorState.from_bytes` round-trip it through a checksummed
+wire format.
 
 Two layers ride on it:
 
@@ -36,6 +37,7 @@ from repro.core.bank import PredictorBank
 from repro.core.counters import CounterArray, SaturatingCounter
 from repro.core.history import GlobalHistory, PerAddressHistory
 from repro.predictors.base import BranchPredictor
+from repro.predictors.path import PathHistory
 
 __all__ = [
     "PredictorState",
@@ -83,6 +85,8 @@ def _encode(value: Any, path: str) -> Any:
         return {"k": "ghist", "bits": value.bits, "v": value.value}
     if isinstance(value, PerAddressHistory):
         return {"k": "pahist", "bits": value.bits, "v": list(value.table)}
+    if isinstance(value, PathHistory):
+        return {"k": "phist", "bits": value.bits, "v": value.value}
     if isinstance(value, PredictorBank):
         return {"k": "bank", "v": _encode(value.counters, path + ".counters")}
     if isinstance(value, BranchPredictor):
@@ -170,6 +174,7 @@ _REGISTERS = {
     "counter": (SaturatingCounter, "value"),
     "ghist": (GlobalHistory, "value"),
     "pahist": (PerAddressHistory, "table"),
+    "phist": (PathHistory, "value"),
 }
 
 

@@ -37,9 +37,11 @@ conditional event's indices themselves:
 
 Nothing is memoised on the trace: a walk holds what it derives only for
 the length of the call.  :func:`simulate_walk` is the one frame around
-either backend: it walks a private copy of the predictor state and
-writes the final counters, bias bits and history back only after the
-walk returns.
+either backend: it copies the predictor's counters into one ``int64``
+table (and agree's biasing bits into ``int8`` latch codes), the backend
+walks those arrays in place, and the frame writes the final counters,
+bias bits and history back only after the walk returns, one bank at a
+time — so a call holds at most two table-sized copies of the state.
 
 The result is behaviourally identical to :func:`repro.sim.engine.simulate`
 (asserted by the equivalence suite in ``tests/sim/test_vectorized.py``,
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import warnings
 from functools import partial
+from itertools import chain
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -605,8 +608,10 @@ def _check_walk(
             or policy code the walks do not know (agree's scheme goes
             to ``repro_walk_agree`` only), index bits above 32 (or
             below 1 for voted banks, as the skewed predictors require),
-            history bits above 63, a seed wider than the history, or a
-            table (or agree's biasing-bit table) of the wrong size.
+            history bits above 63, a seed wider than the history, a
+            table (or agree's biasing-bit table) of the wrong size, or
+            one that is not a writable array (the walks write it in
+            place).
     """
     scheme, bits, history_bits, seed, extra_bits, banks = geometry
     if not len(pcs) == len(takens) == len(conditionals):
@@ -636,6 +641,11 @@ def _check_walk(
         raise ValueError(f"need {banks} x {1 << bits} counters")
     if bias is not None and len(bias) != 1 << extra_bits:
         raise ValueError(f"need {1 << extra_bits} biasing bits")
+    for state in (values, bias):
+        if state is not None and not (
+            isinstance(state, np.ndarray) and state.flags.writeable
+        ):
+            raise ValueError("the state tables must be writable arrays")
 
 
 def _bank_major(streams: List[np.ndarray]) -> np.ndarray:
@@ -652,12 +662,14 @@ def _bank_major(streams: List[np.ndarray]) -> np.ndarray:
 def _walk(
     codes: np.ndarray, pcs: np.ndarray, takens: np.ndarray,
     conditionals: np.ndarray, geometry: Geometry, policy: int,
-    threshold: int, max_value: int, values: List[int], warmup: int,
+    threshold: int, max_value: int, values: np.ndarray, warmup: int,
 ) -> int:
     """``repro_walk`` in Python: the same inputs, state and result.
 
-    ``values`` is the flat bank-major counter list, left in its final
-    state.  Returns the misses past ``warmup`` conditional events.
+    ``values`` is the flat bank-major ``int64`` counter table, left in
+    its final state; the loops walk it as one Python list and write it
+    back in place.  Returns the misses past ``warmup`` conditional
+    events.
 
     Raises:
         ValueError: on inputs :func:`_check_walk` refuses (tables
@@ -680,23 +692,26 @@ def _walk(
     # loops' fast truth test) without building lists first.
     rows = [memoryview(row) for row in rows]
     ts = memoryview(takens[conditionals != 0].astype(np.bool_))
+    counters = values.tolist()
     if warmup:  # trains like any event; the misses are not scored
-        loop(values, threshold, max_value, ts[:warmup], *(r[:warmup] for r in rows))
-    return loop(
-        values, threshold, max_value, ts[warmup:], *(r[warmup:] for r in rows)
+        loop(counters, threshold, max_value, ts[:warmup], *(r[:warmup] for r in rows))
+    misses = loop(
+        counters, threshold, max_value, ts[warmup:], *(r[warmup:] for r in rows)
     )
+    values[:] = counters
+    return misses
 
 
 def _walk_agree(
     codes: np.ndarray, pcs: np.ndarray, takens: np.ndarray,
     conditionals: np.ndarray, geometry: Geometry, threshold: int,
-    max_value: int, values: List[int], bias: List[int], warmup: int,
+    max_value: int, values: np.ndarray, bias: np.ndarray, warmup: int,
 ) -> int:
     """``repro_walk_agree`` in Python: the same inputs, state and result.
 
-    ``values`` (the PHT) and ``bias`` (latch codes, -1 = unlatched) are
-    left in their final state; returns the misses past ``warmup``
-    conditional events.
+    ``values`` (the ``int64`` PHT) and ``bias`` (``int8`` latch codes,
+    -1 = unlatched) are left in their final state; returns the misses
+    past ``warmup`` conditional events.
 
     Raises:
         ValueError: on inputs :func:`_check_walk` refuses (tables
@@ -708,18 +723,20 @@ def _walk_agree(
         memoryview, _bank_major(_index_streams(geometry, pcs, takens, conditionals))
     )
     ts = memoryview(takens[conditionals != 0].astype(np.bool_))
+    counters = values.tolist()
     # The loop tests latches by identity (``is None``), its fastest form.
-    latches = [_LATCHES[code] for code in bias]
+    latches = list(map(_LATCHES.__getitem__, bias.tolist()))
     if warmup:
         _loop_agree(
-            values, latches, threshold, max_value,
+            counters, latches, threshold, max_value,
             keys[:warmup], slot_list[:warmup], ts[:warmup],
         )
     misses = _loop_agree(
-        values, latches, threshold, max_value,
+        counters, latches, threshold, max_value,
         keys[warmup:], slot_list[warmup:], ts[warmup:],
     )
-    bias[:] = map(_LATCH_CODES.__getitem__, latches)
+    values[:] = counters
+    bias[:] = list(map(_LATCH_CODES.__getitem__, latches))
     return misses
 
 
@@ -734,9 +751,11 @@ class WalkBackend(NamedTuple):
     ``pcs``, ``takens`` and ``conditionals`` of its event table, the
     :class:`Geometry`, the policy code (``walk`` only), the counter
     threshold and maximum, the state buffers and the warmup — with the
-    state buffers as flat Python lists they leave in their final state,
-    and return the miss count.  They touch nothing but those buffers,
-    and refuse inputs :func:`_check_walk` refuses before touching them.
+    state buffers as the kernel's own arrays (the flat bank-major
+    ``int64`` counter table and agree's ``int8`` latch codes), which
+    they leave in their final state, and return the miss count.  They
+    touch nothing but those buffers, and refuse inputs
+    :func:`_check_walk` refuses before touching them.
     """
 
     #: ``SimulationResult.engine`` of the tier.
@@ -775,10 +794,13 @@ def simulate_walk(
     """Run ``predictor`` over ``trace`` with ``backend``'s counter walk.
 
     The frame both fast tiers share: the predictor's index geometry, a
-    private copy of the counter and agree-bias state, the walk over the
-    trace's codes and event table and that copy, then the writeback of
-    counters, bias and history.  The predictor is written only after the
-    walk returns, so a backend that raises leaves it exactly as it was.
+    private copy of the counter and agree-bias state as the backend's
+    arrays, the walk over the trace's codes and event table and those
+    arrays, then the writeback of counters, bias and history.  The
+    predictor is written only after the walk returns, so a backend that
+    raises leaves it exactly as it was.  The writeback gives each bank a
+    new list made from its slice of the table, one bank at a time, so a
+    call holds the ``int64`` table plus at most one bank's list.
     ``stage_timer`` (optional) accumulates per-stage wall-clock under
     ``"precompute"`` (the geometry and the state copy), ``"scan"`` (the
     walk, index computation included) and ``"reduce"`` (the writeback).
@@ -808,27 +830,33 @@ def simulate_walk(
 
     with timer.stage("precompute"):
         geometry = _geometry(predictor)
-        values = []
-        for c in counters:
-            values += c.values
+        table = np.fromiter(
+            chain.from_iterable(c.values for c in counters),
+            dtype=np.int64, count=len(counters) * entries,
+        )
         if agree:
-            bias = list(map(_LATCH_CODES.__getitem__, predictor._bias))
+            bias = np.fromiter(
+                map(_LATCH_CODES.__getitem__, predictor._bias),
+                dtype=np.int8, count=len(predictor._bias),
+            )
     with timer.stage("scan"):
         if agree:
             misses = backend.walk_agree(
-                *columns, geometry, threshold, vmax, values, bias, warmup
+                *columns, geometry, threshold, vmax, table, bias, warmup
             )
         else:
             policy = getattr(predictor, "update_policy", UpdatePolicy.TOTAL)
             misses = backend.walk(
                 *columns, geometry, _POLICY_CODES[policy], threshold, vmax,
-                values, warmup,
+                table, warmup,
             )
     with timer.stage("reduce"):
         if agree:
-            predictor._bias[:] = map(_LATCHES.__getitem__, bias)
+            predictor._bias = list(map(_LATCHES.__getitem__, bias.tolist()))
+        # A new list per bank, not a slice assignment: that would hold a
+        # second copy of the bank's old entries while it runs.
         for b, c in enumerate(counters):
-            c.values[:] = values[b * entries : (b + 1) * entries]
+            c.values = table[b * entries : (b + 1) * entries].tolist()
         history = getattr(predictor, "history", None)
         if history is not None and history.bits:
             history.value = _final_history(trace, history.bits, history.value)

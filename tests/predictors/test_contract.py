@@ -6,11 +6,17 @@ and the experiments rely on, so a new predictor that violates one fails
 loudly here rather than corrupting an experiment.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
+from repro.predictors.path import PathHistoryPredictor
 from repro.sim.config import make_predictor
+from repro.sim.engine import simulate
+from repro.sim.state import PredictorState
+from repro.sim.vectorized import simulate_fast, simulate_vectorized, supports
 
 SPECS = [
     "taken",
@@ -29,6 +35,7 @@ SPECS = [
     "hybrid:32:h4",
     "agree:64:h4",
     "bimode:32:h4",
+    "2bcgskew:32:h4",
     "pas:32/h4:256",
 ]
 
@@ -112,3 +119,46 @@ class TestPredictorContract:
         for address in (0x0, 0x3, 0xFFFF_FFFC, 0x7FFF_FFFF_FFFC):
             prediction = predictor.predict_and_update(address, True)
             assert isinstance(prediction, bool)
+
+
+def _round_trip(predictor, trace):
+    state = PredictorState.capture(predictor)
+    state.restore(predictor)
+    assert PredictorState.capture(predictor) == state
+
+
+def _walk_python(predictor, trace):
+    if supports(predictor, trace):  # the Python walk's specs only
+        simulate_vectorized(predictor, trace)
+
+
+#: What a predictor goes through before it is dropped.
+_LIFETIMES = {
+    "fresh": lambda predictor, trace: None,
+    "simulate": simulate,
+    "simulate_fast": simulate_fast,
+    "simulate_vectorized": _walk_python,
+    "state_round_trip": _round_trip,
+}
+
+
+@pytest.mark.parametrize("use", sorted(_LIFETIMES))
+@pytest.mark.parametrize("spec", [*SPECS, "path"])
+def test_dropped_predictor_is_freed_without_the_collector(spec, use, tiny_trace):
+    """A predictor's tables die with its last reference: nothing it
+    holds (a bank's index function above all) may refer back to it, or
+    its tables stay resident until the cyclic collector happens to run."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if spec == "path":
+            predictor = PathHistoryPredictor(index_bits=6, depth=3)
+        else:
+            predictor = make_predictor(spec)
+        _LIFETIMES[use](predictor, tiny_trace.head(500))
+        ref = weakref.ref(predictor)
+        del predictor
+        assert ref() is None, f"{spec} outlived its last reference after {use}"
+    finally:
+        if enabled:
+            gc.enable()

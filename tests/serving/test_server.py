@@ -11,8 +11,10 @@ flush boundaries.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import warnings
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,6 +391,27 @@ class TestSnapshotRestore:
         assert _served_finals(service, {"s": trace}) == _serial_finals(
             {"s": trace}, {"s": spec}
         )
+
+
+def test_close_frees_the_sessions_predictor_without_a_collection():
+    # A closed session's tables are freed by ``close`` itself, not
+    # whenever the cyclic collector next runs: a server's memory is its
+    # open sessions'.
+    rows = _event_rows(_ibs_like(3, 300))
+    service = PredictionService(shards=1, batch_size=64)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        service.handle({"op": "open", "session": "s", "spec": "gshare:64k:h16"})
+        service.handle({"op": "events", "session": "s", "events": rows})
+        assert service.handle({"op": "snapshot", "session": "s"})["ok"]
+        predictor = weakref.ref(service.ring.shard_for("s").tenant("s").predictor)
+        closed = service.handle({"op": "close", "session": "s"})
+        assert closed["ok"] and closed["events"] == len(rows)
+        assert predictor() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestAsyncServer:

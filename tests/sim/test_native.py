@@ -644,7 +644,8 @@ class TestBufferDtypes:
         def walk():
             return NATIVE_BACKEND.walk(
                 *arrays.values(),
-                Geometry(_BIMODAL, 0, 0, 0, 0, 1), 0, 2, 3, [1], 0,
+                Geometry(_BIMODAL, 0, 0, 0, 0, 1), 0, 2, 3,
+                np.ones(1, np.int64), 0,
             )
 
         assert walk() == 0
@@ -662,7 +663,8 @@ class TestBufferDtypes:
         def walk():
             return NATIVE_BACKEND.walk_agree(
                 *arrays.values(),
-                Geometry(_AGREE, 0, 0, 0, 0, 1), 2, 3, [1], [-1], 0,
+                Geometry(_AGREE, 0, 0, 0, 0, 1), 2, 3,
+                np.ones(1, np.int64), np.full(1, -1, np.int8), 0,
             )
 
         assert walk() == 0
@@ -864,7 +866,7 @@ def _check_walk_against_oracle(
     """``backend.walk`` over ``columns`` (resumed at ``cuts``) against
     ``_reference_walk`` over the numpy index streams of the whole trace:
     the same misses and the same final tables."""
-    values = list(init)
+    values = np.array(init, np.int64)
     misses = _walk_in_pieces(
         lambda piece, g, w: backend.walk(
             *piece, g, _POLICY_CODES[policy], threshold, max_value, values, w
@@ -880,7 +882,7 @@ def _check_walk_against_oracle(
         streams, outcomes, oracle, policy, threshold, max_value, warmup
     )
     assert misses == expected
-    assert values == [v for bank in oracle for v in bank]
+    assert values.tolist() == [v for bank in oracle for v in bank]
 
 
 def _check_agree_against_oracle(
@@ -889,8 +891,8 @@ def _check_agree_against_oracle(
 ):
     """The same for ``backend.walk_agree``, with a biasing-bit table
     that starts partly latched (either way) and partly unlatched."""
-    values = list(init)
-    bias = list(init_bias)
+    values = np.array(init, np.int64)
+    bias = np.array(init_bias, np.int8)
     misses = _walk_in_pieces(
         lambda piece, g, w: backend.walk_agree(
             *piece, g, threshold, max_value, values, bias, w
@@ -907,8 +909,8 @@ def _check_agree_against_oracle(
         max_value, warmup,
     )
     assert misses == expected
-    assert values == oracle_values
-    assert bias == [-1 if b is None else int(b) for b in oracle_bias]
+    assert values.tolist() == oracle_values
+    assert bias.tolist() == [-1 if b is None else int(b) for b in oracle_bias]
 
 
 #: Trace lengths for the event-level fuzz: short traces, and traces that
@@ -923,7 +925,7 @@ def _walk_entry_point_cases(backend):
 
     class Cases:
         def test_repro_walk_empty_input(self):
-            values = [0, 3]
+            values = np.array([0, 3], np.int64)
             misses = backend.walk(
                 np.empty(0, dtype=np.uint32),
                 np.empty(0, dtype=np.uint64),
@@ -937,7 +939,7 @@ def _walk_entry_point_cases(backend):
                 0,
             )
             assert misses == 0
-            assert values == [0, 3]
+            assert values.tolist() == [0, 3]
 
         @pytest.mark.parametrize("banks,policy", [(2, 0), (7, 0), (3, 3)])
         def test_repro_walk_rejects_unknown_geometry(self, banks, policy):
@@ -973,6 +975,25 @@ def _walk_entry_point_cases(backend):
                     values, bias, 0,
                 )
             assert values == [1, 2, 3, 0] and bias == [-1, 1]
+
+        def test_read_only_tables_are_refused(self):
+            # Both walks write the state tables in place: a read-only
+            # array (or a list) is refused before the walk.
+            values, bias = np.ones(4, np.int64), np.full(2, -1, np.int8)
+            for frozen in (values, bias):
+                frozen.flags.writeable = False
+                with pytest.raises(ValueError, match="writable arrays"):
+                    backend.walk_agree(
+                        *_one_event(), Geometry(_AGREE, 2, 2, 0, 1, 1), 2, 3,
+                        values, bias, 0,
+                    )
+                frozen.flags.writeable = True
+            with pytest.raises(ValueError, match="writable arrays"):
+                backend.walk(
+                    *_one_event(), Geometry(_GSHARE, 2, 2, 0, 0, 1),
+                    _POLICY_CODES[UpdatePolicy.TOTAL], 2, 3, [1] * 4, 0,
+                )
+            assert values.tolist() == [1] * 4 and bias.tolist() == [-1] * 2
 
         # Event-level differential fuzz of repro_walk against the scalar
         # oracle over every voted scheme, policy and bank count: random
@@ -1173,6 +1194,13 @@ def _encoded_trace(length=600_000, rows=4_096):
     )
 
 
+def _banks(predictor):
+    """The counter banks a fast walk copies, in the frame's order."""
+    if hasattr(predictor, "pht"):
+        return [predictor.pht]
+    return getattr(predictor, "banks", None) or [predictor.bank]
+
+
 @requires_native
 class TestMemoryAndViews:
     """The walk derives nothing per event outside its stack blocks, keeps
@@ -1180,23 +1208,37 @@ class TestMemoryAndViews:
 
     @staticmethod
     def _native_peak(spec, trace):
-        """Peak traced bytes of one native ``simulate_fast`` call, and
-        the bytes of the predictor's counters as int64."""
+        """Peak traced bytes of one native ``simulate_fast`` call above
+        the predictor it runs, and the bytes of the predictor's counters
+        as int64.
+
+        The predictor is built under tracing: the walk hands each bank a
+        new list and frees the old one, and a free counts only against
+        a block allocated while tracing.
+        """
         simulate_fast(make_predictor(spec), trace.head(10))  # warm imports
-        predictor = make_predictor(spec)
-        tables = (
-            [predictor.pht]
-            if hasattr(predictor, "pht")
-            else getattr(predictor, "banks", None) or [predictor.bank]
-        )
         tracemalloc.start()
         try:
+            predictor = make_predictor(spec)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             result = simulate_fast(predictor, trace)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert result.engine == "native"
-        return peak, 8 * sum(table.counters.size for table in tables)
+        return peak, 8 * sum(bank.counters.size for bank in _banks(predictor))
+
+    @pytest.mark.parametrize("spec", ["gshare:64k:h16", "egskew:3x16k:h16:partial"])
+    def test_native_call_holds_the_table_and_one_bank_list(self, spec):
+        # The frame's int64 table, walked in place, plus the one bank's
+        # list the writeback is building: no flat list, no tolist() of
+        # the whole table, no slice-assignment copy of a bank's entries.
+        peak, table_bytes = self._native_peak(spec, _long_trace())
+        bank_list = sys.getsizeof(_banks(make_predictor(spec))[0].counters.values)
+        assert peak <= table_bytes + bank_list + (64 << 10), (
+            peak, table_bytes, bank_list,
+        )
 
     @pytest.mark.parametrize(
         "spec", ["gskew:3x4k:h12:partial", "gskew:1x4k:h12:lazy", "agree:4k:h12"]
