@@ -1,5 +1,5 @@
 /* Native kernel: one sequential walk over a trace's code stream, and the
- * synthetic program runner that generates traces.
+ * synthetic program builder and runner that generate traces.
  *
  * Every index-expressible predictor's table indices are a pure function
  * of the trace and the predictor's index geometry (scheme, index width,
@@ -14,9 +14,9 @@
  * each bank's training reads the overall majority vote and the banks
  * form one coupled state machine.
  *
- * Entry points (pinned to oracles by name in tests/sim/test_native.py
- * and tests/traces/synthetic/test_cfg.py; the R006 lint rule keeps that
- * true):
+ * Entry points (pinned to oracles by name in tests/sim/test_native.py,
+ * tests/traces/synthetic/test_cfg.py and test_kernel.py; the R006 lint
+ * rule keeps that true):
  *
  *   repro_walk        1, 3 or 5 voted banks of saturating counters
  *                     under TOTAL / PARTIAL / LAZY update (a plain
@@ -24,8 +24,11 @@
  *   repro_walk_agree  the agree predictor: a gshare-indexed PHT of
  *                     "agrees with bias" counters plus a biasing-bit
  *                     table that latches on a slot's first execution;
- *   repro_run_program the synthetic trace generator's program runner
- *                     (at the end of this file).
+ *   repro_run_program the synthetic trace generator's program runner;
+ *   repro_random_block blocks of random.Random.random() for its
+ *                     scheduler;
+ *   repro_build_program its program builder (the last three at the end
+ *                     of this file).
  *
  * Trace conventions (both walks): the trace is n `codes`, event i being
  * row codes[i] of the event table `pcs`, `takens`, `conditionals`
@@ -43,7 +46,10 @@
  * trained direction.
  */
 
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #define REPRO_POLICY_TOTAL 0
 #define REPRO_POLICY_PARTIAL 1
@@ -860,4 +866,807 @@ int64_t repro_run_program(const int32_t *nodes, const int32_t *procedures,
             repro_emit(&r, procedures[2]);
     }
     return r.failed ? -1 : r.n;
+}
+
+/* random.Random.random over a caller-held twister: fills out[0 .. n)
+ * and leaves the state where the last draw left it.  Returns n, or -1
+ * for a position past the words (nothing drawn). */
+int64_t repro_random_block(uint32_t *mt_words, int32_t *mt_index,
+                           double *out, int64_t n)
+{
+    repro_mt mt;
+    int64_t i;
+
+    if (*mt_index < 0 || *mt_index > REPRO_MT_N)
+        return -1;
+    for (i = 0; i < REPRO_MT_N; i++)
+        mt.words[i] = mt_words[i];
+    mt.index = *mt_index;
+    for (i = 0; i < n; i++)
+        out[i] = repro_mt_random(&mt);
+    for (i = 0; i < REPRO_MT_N; i++)
+        mt_words[i] = mt.words[i];
+    *mt_index = mt.index;
+    return n;
+}
+
+/* ---- The synthetic-program builder -------------------------------------
+ *
+ * repro_build_program builds the random structured program that
+ * repro.traces.synthetic.cfg.build_program builds from the same twister
+ * state, and writes it straight out as the flat arrays
+ * repro.traces.synthetic.cfg._compile makes of it, in _compile's order.
+ * It is a port of cfg._Builder and of BehaviorMix.draw / draw_loop that
+ * makes every draw the Python builder makes, in the same order, through
+ * ports of the random.Random methods they call (CPython 3.11,
+ * Lib/random.py, over the twister above):
+ *
+ *   randint(a, b)    a + _randbelow(b - a + 1)
+ *   uniform(a, b)    a + (b - a) * random()
+ *   choice(seq)      seq[_randbelow(len(seq))]
+ *   choices(p, w)    bisect_right(cum_weights, random() * total, 0, 4)
+ *   sample(p, k)     its pool branch for small populations and its
+ *                    rejection ("set") branch for large ones
+ *   shuffle(x)       Fisher-Yates from the end, _randbelow(i + 1)
+ *   expovariate(l)   -log(1.0 - random()) / l
+ *   getrandbits(32)  one word
+ *
+ * A correlated branch's truth table comes from random.Random(seed) for
+ * a 32-bit seed: CPython's init_by_array over that one word.
+ *
+ * The builder's arithmetic is in doubles, with Python's operation order
+ * kept term for term, and the kernel is compiled with
+ * -ffp-contract=off, so no multiply-add is fused: every sum, product
+ * and comparison rounds exactly as CPython's does.
+ *
+ * Inputs outside the port's domain (a loop trip count past 2**61, an
+ * address near 2**64, more records than int32 can number, calls chained
+ * deeper than REPRO_MAX_CALL_CHAIN) return -1, and the Python builder,
+ * the port's oracle, takes over. */
+
+/* random.Random(key) for a key below 2**32: init_by_array over one
+ * word (Modules/_randommodule.c). */
+static void repro_mt_seed(repro_mt *mt, uint32_t key)
+{
+    uint32_t *w = mt->words;
+    int32_t i, k;
+
+    w[0] = 19650218U;
+    for (i = 1; i < REPRO_MT_N; i++)
+        w[i] = 1812433253U * (w[i - 1] ^ (w[i - 1] >> 30)) + (uint32_t)i;
+    i = 1;
+    for (k = REPRO_MT_N; k; k--) {
+        w[i] = (w[i] ^ ((w[i - 1] ^ (w[i - 1] >> 30)) * 1664525U)) + key;
+        if (++i >= REPRO_MT_N) {
+            w[0] = w[REPRO_MT_N - 1];
+            i = 1;
+        }
+    }
+    for (k = REPRO_MT_N - 1; k; k--) {
+        w[i] = (w[i] ^ ((w[i - 1] ^ (w[i - 1] >> 30)) * 1566083941U))
+               - (uint32_t)i;
+        if (++i >= REPRO_MT_N) {
+            w[0] = w[REPRO_MT_N - 1];
+            i = 1;
+        }
+    }
+    w[0] = 0x80000000U;
+    mt->index = REPRO_MT_N;
+}
+
+static inline int64_t repro_randint(repro_mt *mt, int64_t a, int64_t b)
+{
+    return a + repro_mt_below(mt, b - a + 1);
+}
+
+static inline double repro_uniform(repro_mt *mt, double a, double b)
+{
+    return a + (b - a) * repro_mt_random(mt);
+}
+
+/* The longest correlated history a truth table is built for: the
+ * runners read 16 history bits. */
+#define REPRO_MAX_CORRELATED_BITS 16
+/* Loop trip counts stay below this (cfg._MAX_TRIPS). */
+#define REPRO_MAX_TRIPS (INT64_C(1) << 62)
+/* Procedures nest calls at most this deep while being written out. */
+#define REPRO_MAX_CALL_CHAIN 2048
+
+/* One node of the program tree as built: a body is a list linked
+ * through `next`; a loop's body hangs from `then_head`. */
+typedef struct {
+    uint64_t pc, join;
+    int32_t kind;        /* REPRO_NODE_* */
+    int32_t next, then_head, else_head;
+    int32_t callee;      /* a call's procedure, by build order */
+    int32_t behavior;    /* REPRO_BIASED .. REPRO_MARKOV */
+    int64_t ints[2];     /* loop: trips, jitter; pattern: -, length */
+    double floats[2];    /* biased: p; markov: stay probabilities */
+    uint32_t table_seed; /* correlated: the truth table's seed */
+    int32_t bits;        /* correlated: history bits */
+    uint8_t pattern[6];
+} repro_bnode;
+
+typedef struct {
+    uint64_t base, return_pc;
+    int32_t head;
+    int32_t number;      /* compiled procedure number, -1 until written */
+    double expected_cost;
+} repro_bproc;
+
+typedef struct {
+    repro_mt mt;
+    uint64_t address;
+    int64_t block_low, block_high, max_nesting;
+    int32_t fanout;
+    const double *cum_weights;
+    double bias_strength, hard_fraction, lambd, correlated_noise;
+    int32_t correlated_bits;
+    repro_bnode *nodes;
+    int64_t node_count, node_capacity;
+    repro_bproc *procs;
+    int32_t *pool, *site, *affordable; /* scratch, one entry per procedure */
+    uint8_t *marks;
+    int32_t failed;
+} repro_builder;
+
+/* Outputs, each written only below its capacity; the counts run on. */
+typedef struct {
+    int32_t *nodes, *procs, *kinds;
+    uint64_t *pcs, *targets;
+    uint8_t *takens, *conditionals, *blob;
+    int64_t *ints;
+    double *floats;
+    int64_t capacity[5], count[5]; /* records, procedures, rows, slots, blob */
+    int32_t failed;
+} repro_output;
+
+#define REPRO_OUT_RECORDS 0
+#define REPRO_OUT_PROCEDURES 1
+#define REPRO_OUT_ROWS 2
+#define REPRO_OUT_SLOTS 3
+#define REPRO_OUT_BLOB 4
+
+static int32_t repro_new_node(repro_builder *b, int32_t kind)
+{
+    repro_bnode *node;
+
+    if (b->node_count == b->node_capacity) {
+        int64_t capacity = b->node_capacity ? 2 * b->node_capacity : 256;
+        repro_bnode *grown;
+
+        if (capacity > INT32_MAX) {
+            b->failed = 1;
+            return -1;
+        }
+        grown = realloc(b->nodes, (size_t)capacity * sizeof(*grown));
+        if (grown == NULL) {
+            b->failed = 1;
+            return -1;
+        }
+        b->nodes = grown;
+        b->node_capacity = capacity;
+    }
+    node = b->nodes + b->node_count;
+    memset(node, 0, sizeof(*node));
+    node->kind = kind;
+    node->next = node->then_head = node->else_head = node->callee = -1;
+    return (int32_t)b->node_count++;
+}
+
+/* _Builder._advance: a few straight-line instructions, then the PC of
+ * the one after them. */
+static uint64_t repro_advance(repro_builder *b)
+{
+    uint64_t step = (uint64_t)repro_randint(&b->mt, b->block_low, b->block_high);
+    uint64_t pc;
+
+    /* Near 2**64 the Python builder's addresses outgrow uint64. */
+    if (b->address > UINT64_MAX - 8
+        || step > (UINT64_MAX - 8 - b->address) / 4) {
+        b->failed = 1;
+        return 0;
+    }
+    pc = b->address + 4 * step;
+    b->address = pc + 4;
+    return pc;
+}
+
+/* max(12, int(expovariate(lambd)) + 12): a long loop's trip count. */
+static int64_t repro_long_trips(repro_builder *b)
+{
+    double x = -log(1.0 - repro_mt_random(&b->mt)) / b->lambd;
+
+    if (!(x < (double)(REPRO_MAX_TRIPS / 2))) {
+        b->failed = 1;
+        return 12;
+    }
+    return (int64_t)x + 12 > 12 ? (int64_t)x + 12 : 12;
+}
+
+/* BehaviorMix.draw_loop */
+static void repro_draw_loop(repro_builder *b, repro_bnode *node)
+{
+    static const int64_t jitters[3] = {0, 1, 3};
+
+    node->behavior = REPRO_LOOP;
+    if (repro_mt_random(&b->mt) < 0.45) {
+        node->ints[0] = repro_randint(&b->mt, 2, 3);
+        node->ints[1] = 0;
+        return;
+    }
+    node->ints[0] = repro_long_trips(b);
+    node->ints[1] = jitters[repro_mt_below(&b->mt, 3)];
+}
+
+/* BehaviorMix.draw */
+static void repro_draw(repro_builder *b, repro_bnode *node)
+{
+    repro_mt *mt = &b->mt;
+    double x = repro_mt_random(mt) * b->cum_weights[4];
+    int32_t lo = 0, hi = 4, i, ones;
+    double p;
+
+    while (lo < hi) { /* bisect.bisect_right(cum_weights, x, 0, 4) */
+        int32_t mid = (lo + hi) / 2;
+
+        if (x < b->cum_weights[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    node->behavior = lo;
+    switch (lo) {
+    case REPRO_BIASED:
+        if (repro_mt_random(mt) < b->hard_fraction)
+            p = repro_uniform(mt, 0.35, 0.65);
+        else
+            p = b->bias_strength
+                + repro_uniform(mt, 0.0, 1.0 - b->bias_strength);
+        if (repro_mt_random(mt) < 0.5)
+            p = 1.0 - p;
+        node->floats[0] = p;
+        break;
+    case REPRO_LOOP:
+        node->ints[0] = repro_long_trips(b);
+        node->ints[1] = repro_mt_below(mt, 2);
+        break;
+    case REPRO_PATTERN:
+        node->ints[1] = repro_randint(mt, 2, 6);
+        for (i = ones = 0; i < node->ints[1]; i++)
+            ones += node->pattern[i] = repro_mt_random(mt) < 0.5;
+        if (ones == 0 || ones == node->ints[1])
+            node->pattern[0] = !node->pattern[0];
+        break;
+    case REPRO_CORRELATED:
+        node->bits = (int32_t)repro_randint(mt, 2, b->correlated_bits);
+        node->table_seed = (uint32_t)repro_mt_bits(mt, 32);
+        node->floats[0] = b->correlated_noise;
+        break;
+    default: /* REPRO_MARKOV */
+        node->floats[0] = repro_uniform(mt, 0.95, 0.998);
+        node->floats[1] = repro_uniform(mt, 0.85, 0.99);
+        node->ints[0] = 1;
+        break;
+    }
+}
+
+/* random.Random.sample(callees, k) of the n procedures built before
+ * this one, into b->site; both of CPython's branches. */
+static void repro_sample(repro_builder *b, int32_t n, int32_t k)
+{
+    int64_t setsize = 21;
+    int32_t i, j;
+
+    if (k > 5) {
+        double power = ceil(log((double)k * 3) / log(4.0));
+
+        setsize = power < 31 ? setsize + ((int64_t)1 << (2 * (int32_t)power))
+                             : INT64_MAX;
+    }
+    if (n <= setsize) {
+        for (i = 0; i < n; i++)
+            b->pool[i] = i;
+        for (i = 0; i < k; i++) {
+            j = (int32_t)repro_mt_below(&b->mt, n - i);
+            b->site[i] = b->pool[j];
+            b->pool[j] = b->pool[n - i - 1];
+        }
+        return;
+    }
+    for (i = 0; i < k; i++) {
+        do
+            j = (int32_t)repro_mt_below(&b->mt, n);
+        while (b->marks[j]);
+        b->marks[j] = 1;
+        b->site[i] = j;
+    }
+    for (i = 0; i < k; i++)
+        b->marks[b->site[i]] = 0;
+}
+
+/* _Builder._build_body over the first `callees` procedures built;
+ * returns the body's head and sets its cost and static branch count. */
+static int32_t repro_build_body(repro_builder *b, int64_t budget,
+                                int32_t callees, int64_t depth,
+                                double weight, double cost_cap,
+                                double *cost_out, int64_t *branches_out)
+{
+    repro_mt *mt = &b->mt;
+    int32_t head = -1, tail = -1, index;
+    int64_t branches = 0;
+    double cost = 0.0;
+
+    while (budget > 0 && cost < cost_cap && !b->failed) {
+        double remaining = cost_cap - cost;
+        double roll = repro_mt_random(mt);
+        repro_bnode node;
+
+        if (roll < 0.22 && callees && depth < b->max_nesting) {
+            int32_t k = b->fanout < callees ? b->fanout : callees;
+            int32_t i, count = 0;
+
+            repro_sample(b, callees, k);
+            for (i = 0; i < k; i++)
+                if (weight * b->procs[b->site[i]].expected_cost <= remaining)
+                    b->affordable[count++] = b->site[i];
+            if (count) {
+                int32_t callee = b->affordable[repro_mt_below(mt, count)];
+
+                index = repro_new_node(b, REPRO_NODE_CALL);
+                if (index < 0)
+                    break;
+                b->nodes[index].pc = repro_advance(b);
+                b->nodes[index].callee = callee;
+                cost += weight * b->procs[callee].expected_cost;
+                goto append;
+            }
+            continue;
+        }
+        memset(&node, 0, sizeof(node));
+        if (roll < 0.38 && depth < b->max_nesting) {
+            int64_t inner_budget, inner_branches, trips;
+            double back_edge_cost, inner_cost;
+            int32_t inner;
+
+            repro_draw_loop(b, &node);
+            if (weight * (double)node.ints[0] > remaining) {
+                node.ints[0] = repro_randint(mt, 2, 4);
+                node.ints[1] = 0;
+            }
+            if (weight * (double)node.ints[0] > remaining)
+                continue; /* not even a short loop fits */
+            trips = node.ints[0];
+            if (trips <= 5) {
+                static const int64_t short_budgets[3] = {0, 0, 1};
+                int64_t drawn = short_budgets[repro_mt_below(mt, 3)];
+
+                inner_budget = budget - 1 < drawn ? budget - 1 : drawn;
+            } else {
+                int64_t drawn = repro_randint(mt, 0, 3);
+
+                inner_budget = budget - 1 < drawn ? budget - 1 : drawn;
+            }
+            back_edge_cost = weight * (double)trips;
+            inner = repro_build_body(
+                b, inner_budget, callees, depth + 1, weight * (double)trips,
+                (remaining - back_edge_cost) * 0.5 > 0.0
+                    ? (remaining - back_edge_cost) * 0.5 : 0.0,
+                &inner_cost, &inner_branches);
+            index = repro_new_node(b, REPRO_NODE_LOOP);
+            if (index < 0)
+                break;
+            node.kind = REPRO_NODE_LOOP;
+            node.next = node.else_head = node.callee = -1;
+            node.then_head = inner;
+            node.pc = repro_advance(b);
+            b->nodes[index] = node;
+            budget -= 1 + inner_branches;
+            branches += 1 + inner_branches;
+            cost += back_edge_cost + inner_cost;
+            goto append;
+        }
+        {   /* an if/else region */
+            int64_t then_budget = 0, else_budget = 0;
+            int64_t then_branches, else_branches;
+            double arm_cap, then_cost, else_cost;
+
+            repro_draw(b, &node);
+            if (depth < b->max_nesting && budget > 1) {
+                then_budget = repro_randint(mt, 0, budget - 1 < 2 ? budget - 1 : 2);
+                else_budget = repro_randint(
+                    mt, 0, budget - 1 - then_budget < 2
+                               ? budget - 1 - then_budget : 2);
+            }
+            node.kind = REPRO_NODE_BRANCH;
+            node.next = node.callee = -1;
+            node.pc = repro_advance(b);
+            arm_cap = remaining * 0.5;
+            node.then_head = repro_build_body(b, then_budget, callees,
+                                              depth + 1, weight * 0.5,
+                                              arm_cap, &then_cost,
+                                              &then_branches);
+            node.else_head = repro_build_body(b, else_budget, callees,
+                                              depth + 1, weight * 0.5,
+                                              arm_cap, &else_cost,
+                                              &else_branches);
+            node.join = repro_advance(b);
+            index = repro_new_node(b, REPRO_NODE_BRANCH);
+            if (index < 0)
+                break;
+            b->nodes[index] = node;
+            budget -= 1 + then_branches + else_branches;
+            branches += 1 + then_branches + else_branches;
+            cost += weight + then_cost + else_cost;
+        }
+    append:
+        if (tail < 0)
+            head = index;
+        else
+            b->nodes[tail].next = index;
+        tail = index;
+    }
+    *cost_out = cost;
+    *branches_out = branches;
+    return head;
+}
+
+/* _Builder._build_procedure: procedure `built`, which may call every
+ * procedure built before it. */
+static void repro_build_procedure(repro_builder *b, int32_t built,
+                                  int64_t budget)
+{
+    repro_bproc *proc = b->procs + built;
+    double cost_cap, cost;
+    int64_t branches;
+
+    proc->base = repro_advance(b);
+    cost_cap = repro_uniform(&b->mt, 80.0, 600.0);
+    proc->head = repro_build_body(b, budget, built, 0, 1.0, cost_cap,
+                                  &cost, &branches);
+    proc->return_pc = repro_advance(b);
+    proc->expected_cost = cost + 2.0; /* call + return transfers */
+}
+
+/* _Builder._build_main: phases of loops over calls to every other
+ * procedure (built 0 .. main - 1), with the odd branch between. */
+static void repro_build_main(repro_builder *b, int32_t main)
+{
+    repro_mt *mt = &b->mt;
+    repro_bproc *proc = b->procs + main;
+    int32_t *targets = b->pool;
+    int32_t i, j, tail = -1, index, first, last = -1;
+
+    proc->base = repro_advance(b);
+    proc->head = -1;
+    /* _build_main's procedures: built last to first. */
+    for (i = 0; i < main; i++)
+        targets[i] = main - 1 - i;
+    for (i = main - 1; i > 0; i--) { /* shuffle */
+        int32_t swap;
+
+        j = (int32_t)repro_mt_below(mt, i + 1);
+        swap = targets[i];
+        targets[i] = targets[j];
+        targets[j] = swap;
+    }
+    for (i = 0; i < main && !b->failed;) {
+        int32_t phase = (int32_t)repro_randint(mt, 1, 3);
+        int32_t end = i + phase < main ? i + phase : main;
+        int32_t loop;
+
+        first = -1;
+        for (; i < end; i++) {
+            index = repro_new_node(b, REPRO_NODE_CALL);
+            if (index < 0)
+                return;
+            b->nodes[index].pc = repro_advance(b);
+            b->nodes[index].callee = targets[i];
+            if (first < 0)
+                first = index;
+            else
+                b->nodes[last].next = index;
+            last = index;
+        }
+        i = end;
+        loop = repro_new_node(b, REPRO_NODE_LOOP);
+        if (loop < 0)
+            return;
+        b->nodes[loop].pc = repro_advance(b);
+        b->nodes[loop].behavior = REPRO_LOOP;
+        b->nodes[loop].ints[0] = repro_randint(mt, 8, 24);
+        b->nodes[loop].ints[1] = 1;
+        b->nodes[loop].then_head = first;
+        if (tail < 0)
+            proc->head = loop;
+        else
+            b->nodes[tail].next = loop;
+        tail = loop;
+        /* The budget is at least 1, so the roll alone decides. */
+        if (repro_mt_random(mt) < 0.4) {
+            repro_bnode node;
+
+            memset(&node, 0, sizeof(node));
+            node.kind = REPRO_NODE_BRANCH;
+            node.next = node.then_head = node.else_head = node.callee = -1;
+            node.pc = repro_advance(b); /* drawn before the behaviour */
+            repro_draw(b, &node);
+            node.join = repro_advance(b);
+            index = repro_new_node(b, REPRO_NODE_BRANCH);
+            if (index < 0)
+                return;
+            b->nodes[index] = node;
+            b->nodes[tail].next = index;
+            tail = index;
+        }
+    }
+    proc->return_pc = repro_advance(b);
+}
+
+/* ---- Writing the tree out in _compile's order ---- */
+
+static int64_t repro_take(repro_output *o, int32_t which, int64_t n)
+{
+    int64_t at = o->count[which];
+
+    o->count[which] += n;
+    return o->count[which] <= o->capacity[which] ? at : -1;
+}
+
+static void repro_row(repro_output *o, uint64_t pc, uint8_t taken,
+                      uint8_t conditional, uint64_t target)
+{
+    int64_t at = repro_take(o, REPRO_OUT_ROWS, 1);
+
+    if (at >= 0) {
+        o->pcs[at] = pc;
+        o->takens[at] = taken;
+        o->conditionals[at] = conditional;
+        o->targets[at] = target;
+    }
+}
+
+/* One behaviour slot, with its pattern or truth table appended to the
+ * blob (cfg._parameters); returns the slot number. */
+static int64_t repro_slot(repro_output *o, const repro_bnode *node)
+{
+    int64_t slot = o->count[REPRO_OUT_SLOTS];
+    int64_t at = repro_take(o, REPRO_OUT_SLOTS, 1);
+    int64_t ints[2] = {node->ints[0], node->ints[1]};
+    int64_t offset = o->count[REPRO_OUT_BLOB], i, blob_at;
+    repro_mt table;
+
+    if (node->behavior == REPRO_PATTERN) {
+        ints[0] = offset;
+        blob_at = repro_take(o, REPRO_OUT_BLOB, node->ints[1]);
+        for (i = 0; blob_at >= 0 && i < node->ints[1]; i++)
+            o->blob[blob_at + i] = node->pattern[i];
+    } else if (node->behavior == REPRO_CORRELATED) {
+        ints[0] = offset;
+        ints[1] = (INT64_C(1) << node->bits) - 1;
+        blob_at = repro_take(o, REPRO_OUT_BLOB, ints[1] + 1);
+        if (blob_at >= 0) { /* only drawn where it is written */
+            repro_mt_seed(&table, node->table_seed);
+            for (i = 0; i <= ints[1]; i++)
+                o->blob[blob_at + i] = repro_mt_random(&table) < 0.5;
+        }
+    }
+    if (at >= 0) {
+        o->kinds[at] = node->behavior;
+        o->ints[2 * at] = ints[0];
+        o->ints[2 * at + 1] = ints[1];
+        o->floats[2 * at] = node->floats[0];
+        o->floats[2 * at + 1] = node->floats[1];
+    }
+    return slot;
+}
+
+static int32_t repro_write_procedure(repro_builder *b, repro_output *o,
+                                     int32_t built, int32_t chain);
+
+/* cfg._compile's body(): reserve the body's records, then fill them,
+ * writing nested bodies and first-called procedures after its own. */
+static void repro_write_body(repro_builder *b, repro_output *o, int32_t head,
+                             int32_t chain, int32_t range[2])
+{
+    int64_t first = o->count[REPRO_OUT_RECORDS], length = 0, record;
+    int32_t index;
+
+    range[0] = range[1] = 0;
+    if (head < 0)
+        return;
+    for (index = head; index >= 0; index = b->nodes[index].next)
+        length++;
+    if (first + length > INT32_MAX) {
+        o->failed = 1;
+        return;
+    }
+    o->count[REPRO_OUT_RECORDS] += length;
+    record = first;
+    for (index = head; index >= 0 && !o->failed; index = b->nodes[index].next) {
+        const repro_bnode *node = b->nodes + index;
+        int64_t code = o->count[REPRO_OUT_ROWS];
+        int32_t fields[REPRO_NODE_FIELDS] = {0};
+        int32_t arm[2];
+
+        fields[0] = node->kind;
+        fields[2] = (int32_t)code;
+        if (node->kind == REPRO_NODE_CALL) {
+            repro_row(o, node->pc, 1, 0, b->procs[node->callee].base);
+            fields[1] = repro_write_procedure(b, o, node->callee, chain + 1);
+        } else {
+            fields[1] = (int32_t)repro_slot(o, node);
+            fields[3] = (int32_t)code + 1;
+            repro_row(o, node->pc, 1, 1, 0);
+            repro_row(o, node->pc, 0, 1, 0);
+            if (node->kind == REPRO_NODE_BRANCH) {
+                fields[4] = (int32_t)code + 2;
+                repro_row(o, node->join, 1, 0, 0);
+            }
+            repro_write_body(b, o, node->then_head, chain, arm);
+            fields[5] = arm[0];
+            fields[6] = arm[1];
+            repro_write_body(b, o, node->else_head, chain, arm);
+            fields[7] = arm[0];
+            fields[8] = arm[1];
+        }
+        if (record < o->capacity[REPRO_OUT_RECORDS]) {
+            int32_t f;
+
+            for (f = 0; f < REPRO_NODE_FIELDS; f++)
+                o->nodes[REPRO_NODE_FIELDS * record + f] = fields[f];
+        }
+        record++;
+    }
+    range[0] = (int32_t)first;
+    range[1] = (int32_t)(first + length);
+}
+
+/* cfg._compile's procedure(): written once, on first reference. */
+static int32_t repro_write_procedure(repro_builder *b, repro_output *o,
+                                     int32_t built, int32_t chain)
+{
+    repro_bproc *proc = b->procs + built;
+    int64_t at;
+    int32_t range[2];
+
+    if (proc->number >= 0)
+        return proc->number;
+    if (chain > REPRO_MAX_CALL_CHAIN) {
+        o->failed = 1;
+        return 0;
+    }
+    proc->number = (int32_t)o->count[REPRO_OUT_PROCEDURES]++;
+    repro_write_body(b, o, proc->head, chain, range);
+    repro_row(o, proc->return_pc, 1, 0, 0);
+    at = proc->number;
+    if (at < o->capacity[REPRO_OUT_PROCEDURES]) {
+        o->procs[3 * at] = range[0];
+        o->procs[3 * at + 1] = range[1];
+        o->procs[3 * at + 2] = (int32_t)(o->count[REPRO_OUT_ROWS] - 1);
+    }
+    return proc->number;
+}
+
+/* Build a program and write its compiled arrays (cfg._Compiled).
+ *
+ *   mt_words, mt_index  the twister state random.Random(seed) starts
+ *                       from (getstate()[1])
+ *   procedures          ProgramConfig.procedures, at least 1
+ *   per_procedure       each procedure's static-branch budget,
+ *                       max(1, static_branches // procedures)
+ *   base_address, max_nesting, block_low, block_high
+ *                       as ProgramConfig has them
+ *   fanout              max(1, call_fanout), at most `procedures`
+ *   cum_weights         the mix's five cumulative weights, the last one
+ *                       positive (random.choices' cum_weights)
+ *   bias_strength, hard_fraction, correlated_bits, correlated_noise
+ *                       as BehaviorMix has them
+ *   lambd               1.0 / BehaviorMix.loop_trip_mean
+ *   nodes .. blob       the outputs: records (9 int32 each),
+ *                       procedures (3 int32 each), the event table's
+ *                       four columns, the slots' kinds, ints and floats
+ *                       (two each) and the blob bytes
+ *   sizes               int64[5]: on entry the outputs' capacities, in
+ *                       records, procedures, rows, slots and bytes; on
+ *                       return the sizes the program needs
+ *
+ * Returns 0 when everything was written, 1 when some output was too
+ * small (nothing is written past any capacity; call again with
+ * `sizes` as returned), or -1 for inputs outside the port's domain. */
+int64_t repro_build_program(const uint32_t *mt_words, int32_t mt_index,
+                            int32_t procedures, int64_t per_procedure,
+                            uint64_t base_address, int64_t max_nesting,
+                            int32_t fanout, int64_t block_low,
+                            int64_t block_high, const double *cum_weights,
+                            double bias_strength, double hard_fraction,
+                            double lambd, int32_t correlated_bits,
+                            double correlated_noise, int32_t *nodes,
+                            int32_t *procs, uint64_t *pcs, uint8_t *takens,
+                            uint8_t *conditionals, uint64_t *targets,
+                            int32_t *kinds, int64_t *ints, double *floats,
+                            uint8_t *blob, int64_t *sizes)
+{
+    repro_builder b;
+    repro_output o;
+    int32_t i, main = procedures - 1;
+    int64_t result = -1;
+
+    if (mt_index < 0 || mt_index > REPRO_MT_N || procedures < 1
+        || per_procedure < 1 || fanout < 1 || fanout > procedures
+        || block_low < 0 || block_low > block_high
+        || block_high >= (INT64_C(1) << 32) || max_nesting < 0
+        || correlated_bits < 2
+        || correlated_bits > REPRO_MAX_CORRELATED_BITS
+        || !(cum_weights[4] > 0.0))
+        return -1;
+    for (i = 0; i < 5; i++)
+        if (sizes[i] < 0)
+            return -1;
+
+    memset(&b, 0, sizeof(b));
+    for (i = 0; i < REPRO_MT_N; i++)
+        b.mt.words[i] = mt_words[i];
+    b.mt.index = mt_index;
+    b.address = base_address;
+    b.block_low = block_low;
+    b.block_high = block_high;
+    b.max_nesting = max_nesting;
+    b.fanout = fanout;
+    b.cum_weights = cum_weights;
+    b.bias_strength = bias_strength;
+    b.hard_fraction = hard_fraction;
+    b.lambd = lambd;
+    b.correlated_bits = correlated_bits;
+    b.correlated_noise = correlated_noise;
+    b.procs = calloc((size_t)procedures, sizeof(*b.procs));
+    b.pool = malloc((size_t)procedures * sizeof(int32_t));
+    b.site = malloc((size_t)procedures * sizeof(int32_t));
+    b.affordable = malloc((size_t)procedures * sizeof(int32_t));
+    b.marks = calloc((size_t)procedures, 1);
+    if (!b.procs || !b.pool || !b.site || !b.affordable || !b.marks)
+        goto done;
+
+    /* _Builder.build: leaf procedures first, so every call target
+     * exists; procedure `built` may call those built before it. */
+    for (i = 0; i < main && !b.failed; i++)
+        repro_build_procedure(&b, i, per_procedure);
+    if (!b.failed)
+        repro_build_main(&b, main);
+    if (b.failed)
+        goto done;
+
+    memset(&o, 0, sizeof(o));
+    o.nodes = nodes;
+    o.procs = procs;
+    o.pcs = pcs;
+    o.takens = takens;
+    o.conditionals = conditionals;
+    o.targets = targets;
+    o.kinds = kinds;
+    o.ints = ints;
+    o.floats = floats;
+    o.blob = blob;
+    for (i = 0; i < 5; i++)
+        o.capacity[i] = sizes[i];
+    for (i = 0; i < procedures; i++)
+        b.procs[i].number = -1;
+    repro_write_procedure(&b, &o, main, 0);
+    if (o.failed || o.count[REPRO_OUT_ROWS] > INT32_MAX
+        || o.count[REPRO_OUT_SLOTS] > INT32_MAX)
+        goto done;
+    result = 0;
+    for (i = 0; i < 5; i++) {
+        result |= o.count[i] > sizes[i];
+        sizes[i] = o.count[i];
+    }
+
+done:
+    free(b.nodes);
+    free(b.procs);
+    free(b.pool);
+    free(b.site);
+    free(b.affordable);
+    free(b.marks);
+    return result;
 }

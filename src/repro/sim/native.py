@@ -1,5 +1,5 @@
 """Native engine: the counter walk and the trace generator's program
-runner as a small C kernel.
+builder and runner as a small C kernel.
 
 :func:`repro.sim.vectorized.simulate_walk` is the frame both fast tiers
 share: it hands a backend the trace as it is stored — its ``uint32``
@@ -33,11 +33,19 @@ Walking in order is exact for every update policy by construction, so
 :func:`native_supports` is one check — the spec is index-expressible
 and the backend built.
 
-The same shared object holds a third entry point,
-``repro_run_program`` (:func:`run_program_native`): the synthetic trace
-generator's program runner over a compiled program's flat arrays, with
-a port of CPython's Mersenne Twister, so it emits exactly the events
-the Python runner in :mod:`repro.traces.synthetic.cfg` does.
+The same shared object holds the synthetic trace generator's three
+entry points, each on a port of CPython's Mersenne Twister, so each
+makes exactly what its Python counterpart in
+:mod:`repro.traces.synthetic` does:
+
+- ``repro_build_program`` (:func:`build_program_native`) builds a
+  random program and writes it out as the flat arrays the runners read
+  — :func:`~repro.traces.synthetic.cfg.build_program` and ``_compile``
+  in one C pass;
+- ``repro_run_program`` (:func:`run_program_native`) runs those arrays,
+  as the Python runner in :mod:`repro.traces.synthetic.cfg` does;
+- ``repro_random_block`` (:func:`random_block_native`) draws blocks of
+  ``random.Random.random()`` for the scheduler's planner.
 
 The backend is optional.  cffi + a C compiler are probed lazily on
 first use; the shared object is compiled in a child process (cffi's
@@ -78,7 +86,10 @@ The Python↔C seam is checked where it can be checked exactly:
 - the program runner trusts every id, range and offset in its arrays,
   so :func:`repro.traces.synthetic.cfg._check_program` checks them, and
   the nesting depth against the runner's recursion limit, before the
-  call (``ValueError``).
+  call (``ValueError``) — the C builder's arrays included;
+- the program builder takes the room it may write as sizes, writes
+  nothing past them, and reports what it needs (the caller counts,
+  then fills).
 """
 
 from __future__ import annotations
@@ -113,8 +124,10 @@ from repro.traces.trace import Trace
 from repro.util import envvars
 
 __all__ = [
+    "build_program_native",
     "native_available",
     "native_supports",
+    "random_block_native",
     "run_program_native",
     "simulate_native",
 ]
@@ -149,7 +162,26 @@ int64_t repro_run_program(const int32_t *nodes, const int32_t *procedures,
                           const uint8_t *blob, const uint32_t *mt_words,
                           int32_t mt_index, int64_t *state,
                           int32_t *codes, int64_t demand);
+int64_t repro_random_block(uint32_t *mt_words, int32_t *mt_index,
+                           double *out, int64_t n);
+int64_t repro_build_program(const uint32_t *mt_words, int32_t mt_index,
+                            int32_t procedures, int64_t per_procedure,
+                            uint64_t base_address, int64_t max_nesting,
+                            int32_t fanout, int64_t block_low,
+                            int64_t block_high, const double *cum_weights,
+                            double bias_strength, double hard_fraction,
+                            double lambd, int32_t correlated_bits,
+                            double correlated_noise, int32_t *nodes,
+                            int32_t *procs, uint64_t *pcs, uint8_t *takens,
+                            uint8_t *conditionals, uint64_t *targets,
+                            int32_t *kinds, int64_t *ints, double *floats,
+                            uint8_t *blob, int64_t *sizes);
 """
+
+#: The kernel's compile flags.  ``-ffp-contract=off`` keeps a target
+#: with FMA from fusing a multiply and an add into one rounding: the
+#: program builder's doubles must round exactly as CPython's do.
+_COMPILE_ARGS = ["-O3", "-ffp-contract=off"]
 
 #: (ffi, lib) once built, or an error string once the build failed;
 #: None until the first probe.  Guarded by ``_BUILD_LOCK``.
@@ -166,6 +198,7 @@ def _fingerprint(source: str) -> str:
     payload = "\x00".join(
         [
             source,
+            " ".join(_COMPILE_ARGS),
             cffi.__version__,
             sys.version.split()[0],
             sysconfig.get_platform(),
@@ -201,17 +234,19 @@ def _load(so_path: Path, module_name: str):
 
 
 #: The build, run by ``sys.executable`` in a child process: reads
-#: ``[module name, source, cdef, build dir]`` as JSON on stdin, compiles
-#: the shared object and prints its path, or exits with the error.
-#: cffi's compile imports setuptools, which would otherwise stay loaded
-#: in the caller for the rest of its life.
+#: ``[module name, source, cdef, build dir, compile args]`` as JSON on
+#: stdin, compiles the shared object and prints its path, or exits with
+#: the error.  cffi's compile imports setuptools, which would otherwise
+#: stay loaded in the caller for the rest of its life.
 _BUILD_SCRIPT = """
 import json, sys
 import cffi
-module_name, source, cdef, build_dir = json.load(sys.stdin)
+module_name, source, cdef, build_dir, compile_args = json.load(sys.stdin)
 builder = cffi.FFI()
 builder.cdef(cdef)
-builder.set_source(module_name, source, extra_compile_args=["-O3"])
+builder.set_source(
+    module_name, source, extra_compile_args=compile_args, libraries=["m"]
+)
 try:
     so_path = builder.compile(tmpdir=build_dir)
 except Exception as exc:
@@ -229,7 +264,9 @@ def _compile_in_child(module_name: str, source: str, build_dir: Path) -> Path:
     """
     done = subprocess.run(
         [sys.executable, "-c", _BUILD_SCRIPT],
-        input=json.dumps([module_name, source, _CDEF, str(build_dir)]),
+        input=json.dumps(
+            [module_name, source, _CDEF, str(build_dir), _COMPILE_ARGS]
+        ),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -276,8 +313,8 @@ def _backend():
     if isinstance(_BACKEND, str) and not _WARNED:
         _WARNED = True
         warnings.warn(
-            "native backend unavailable, falling back to the Python walk "
-            f"and program runner ({_BACKEND})",
+            "native backend unavailable, falling back to the Python walk, "
+            f"program builder and runner ({_BACKEND})",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -454,6 +491,102 @@ def run_program_native(
     if written != len(codes):
         raise ValueError("repro_run_program refused the program")
     return codes
+
+
+def random_block_native(
+    words: np.ndarray, index: np.ndarray, count: int
+) -> np.ndarray:
+    """``repro_random_block``: the next ``count`` doubles of
+    ``random.Random.random()`` from the twister state ``words`` (624
+    ``uint32``) and ``index`` (one ``int32``, the position), which it
+    advances in place.
+
+    Raises:
+        RuntimeError: if the backend did not build.
+        ValueError: on a state of the wrong shape or a position past the
+            words.
+    """
+    ffi, lib = _checked_backend()
+    if words.shape != (624,) or index.shape != (1,):
+        raise ValueError("twister state must be 624 words and a position")
+    block = np.empty(count, dtype=np.float64)
+    drawn = lib.repro_random_block(
+        _buffer(ffi, "uint32_t[]", words),
+        _buffer(ffi, "int32_t[]", index),
+        _buffer(ffi, "double[]", block),
+        count,
+    )
+    if drawn != count:
+        raise ValueError("twister position must be in [0, 624]")
+    return block
+
+
+#: ``repro_build_program``'s outputs: ``(field, element type, items per
+#: unit)`` for each of its five sizes, in the kernel's argument order.
+_PROGRAM_OUTPUTS = (
+    (("nodes", "int32_t[]", 9),),
+    (("procedures", "int32_t[]", 3),),
+    (
+        ("pcs", "uint64_t[]", 1),
+        ("takens", "uint8_t[]", 1),
+        ("conditionals", "uint8_t[]", 1),
+        ("targets", "uint64_t[]", 1),
+    ),
+    (("kinds", "int32_t[]", 1), ("ints", "int64_t[]", 2), ("floats", "double[]", 2)),
+    (("blob", "uint8_t[]", 1),),
+)
+
+
+def build_program_native(
+    arguments: tuple, mt_state: Sequence[int]
+) -> Optional[_Compiled]:
+    """``repro_build_program``: a synthetic program built and compiled
+    in C, as :func:`repro.traces.synthetic.cfg.build_program` and
+    ``_compile`` make it from the same twister state.
+
+    ``arguments`` are the builder's scalars
+    (:func:`repro.traces.synthetic.cfg._kernel_arguments`) and
+    ``mt_state`` is ``random.Random(seed).getstate()[1]``.  A first
+    call with no room counts the arrays the program needs, and a second
+    fills them.  Returns None for a program outside the kernel's domain
+    (the Python builder builds it instead).  The result holds no
+    behaviour objects (``behaviors`` is None): it is for the C runner.
+
+    Raises:
+        RuntimeError: if the backend did not build, or if the kernel
+            asks for more room after it was given what it counted.
+    """
+    ffi, lib = _checked_backend()
+    words = _buffer(ffi, "uint32_t[]", np.array(mt_state[:-1], dtype=np.uint32))
+    # The one sequence among the arguments is the cumulative weights.
+    scalars = [
+        _buffer(ffi, "double[]", np.array(value, dtype=np.float64))
+        if isinstance(value, tuple) else value
+        for value in arguments
+    ]
+    sizes = np.zeros(5, dtype=np.int64)
+    for _ in range(2):
+        outputs = {
+            name: np.empty(size * width, dtype=_DTYPES[ctype[:-2]])
+            for size, group in zip(sizes.tolist(), _PROGRAM_OUTPUTS)
+            for name, ctype, width in group
+        }
+        status = lib.repro_build_program(
+            words, mt_state[-1], *scalars,
+            *(_buffer(ffi, ctype, outputs[name])
+              for group in _PROGRAM_OUTPUTS for name, ctype, _ in group),
+            _buffer(ffi, "int64_t[]", sizes),
+        )
+        if status != 1:
+            break
+    if status < 0:
+        return None
+    if status != 0:
+        raise RuntimeError("repro_build_program outgrew the arrays it counted")
+    return _Compiled(behaviors=None, **{
+        name: outputs[name].reshape(-1, width) if width > 1 else outputs[name]
+        for group in _PROGRAM_OUTPUTS for name, _, width in group
+    })
 
 
 def simulate_native(

@@ -377,10 +377,11 @@ _POLICY_CODES = {
 }
 
 #: Biasing bits as both walks store them: the predictor's None / False /
-#: True latches become -1 / 0 / 1, and index -1 of ``_LATCHES`` maps the
-#: unlatched code back to None.
+#: True latches become -1 / 0 / 1.  Indexed by a table of codes,
+#: ``_LATCH_OBJECTS`` maps it back in one step (index -1 is None) to the
+#: same singletons, so the loops' ``is None`` tests hold.
 _LATCH_CODES = {None: -1, False: 0, True: 1}
-_LATCHES = (False, True, None)
+_LATCH_OBJECTS = np.array((False, True, None), dtype=object)
 
 
 def _loop_single(
@@ -725,7 +726,7 @@ def _walk_agree(
     ts = memoryview(takens[conditionals != 0].astype(np.bool_))
     counters = values.tolist()
     # The loop tests latches by identity (``is None``), its fastest form.
-    latches = list(map(_LATCHES.__getitem__, bias.tolist()))
+    latches = _LATCH_OBJECTS[bias].tolist()
     if warmup:
         _loop_agree(
             counters, latches, threshold, max_value,
@@ -852,7 +853,7 @@ def simulate_walk(
             )
     with timer.stage("reduce"):
         if agree:
-            predictor._bias = list(map(_LATCHES.__getitem__, bias.tolist()))
+            predictor._bias = _LATCH_OBJECTS[bias].tolist()
         # A new list per bank, not a slice assignment: that would hold a
         # second copy of the bank's old entries while it runs.
         for b, c in enumerate(counters):

@@ -12,11 +12,10 @@ from repro.traces.synthetic.behavior import (
 from repro.traces.synthetic.cfg import (
     Program,
     ProgramConfig,
-    ProgramExecutor,
     build_program,
 )
 from repro.traces.synthetic.generator import WorkloadConfig, generate_trace
-from repro.traces.synthetic.kernel import SchedulerConfig, interleave
+from repro.traces.synthetic.kernel import SchedulerConfig
 from repro.traces.synthetic.validation import TraceProfile, profile_trace, validate_ibs_shape
 from repro.traces.synthetic.workloads import (
     IBS_BENCHMARKS,
@@ -38,12 +37,10 @@ __all__ = [
     "PatternBehavior",
     "Program",
     "ProgramConfig",
-    "ProgramExecutor",
     "build_program",
     "WorkloadConfig",
     "generate_trace",
     "SchedulerConfig",
-    "interleave",
     "TraceProfile",
     "profile_trace",
     "validate_ibs_shape",

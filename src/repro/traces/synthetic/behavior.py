@@ -20,6 +20,8 @@ global history and a seeded RNG stream, so traces are fully reproducible.
 from __future__ import annotations
 
 import abc
+import math
+import numbers
 import random
 from typing import List, Tuple
 
@@ -175,6 +177,12 @@ class MarkovBehavior(BranchBehavior):
         )
 
 
+#: The widest correlated history a mix draws: the runners read 16
+#: history bits, so a wider truth table would never be read past its
+#: first ``1 << 16`` entries.
+_MAX_CORRELATED_BITS = 16
+
+
 class BehaviorMix:
     """A weighted recipe for drawing fresh branch behaviours.
 
@@ -182,6 +190,15 @@ class BehaviorMix:
     ``mpeg_play`` clone carries more hard (noisy / data-dependent)
     branches than the ``nroff`` clone, reproducing their relative
     intrinsic misprediction rates.
+
+    Every value is checked at construction, so a draw never fails.
+
+    Raises:
+        ValueError: on a weight that is negative or not finite, weights
+            summing to 0 or past a float; ``correlated_bits`` other than
+            an int in [2, 16]; ``loop_trip_mean`` not finite and > 0; or
+            ``bias_strength``, ``correlated_noise`` or ``hard_fraction``
+            outside [0, 1].
     """
 
     def __init__(
@@ -204,8 +221,27 @@ class BehaviorMix:
             correlated_weight,
             markov_weight,
         ]
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ValueError("behaviour weights must be >= 0 and not all 0")
+        if not all(0 <= w < math.inf for w in weights):
+            raise ValueError(f"behaviour weights must be finite and >= 0, got {weights}")
+        if not 0 < sum(weights) < math.inf:
+            raise ValueError("behaviour weights must not all be 0, nor sum past a float")
+        if not (
+            isinstance(correlated_bits, numbers.Integral)
+            and 2 <= correlated_bits <= _MAX_CORRELATED_BITS
+        ):
+            raise ValueError(
+                f"correlated_bits must be an int in [2, {_MAX_CORRELATED_BITS}], "
+                f"got {correlated_bits!r}"
+            )
+        if not 0 < loop_trip_mean < math.inf:
+            raise ValueError(f"loop_trip_mean must be finite and > 0, got {loop_trip_mean}")
+        for name, p in (
+            ("bias_strength", bias_strength),
+            ("correlated_noise", correlated_noise),
+            ("hard_fraction", hard_fraction),
+        ):
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {p}")
         self._weights = weights
         self.bias_strength = bias_strength
         self.loop_trip_mean = loop_trip_mean

@@ -14,21 +14,30 @@ counts and the call graph is a DAG.  The top-level procedure is re-run
 forever, so a program is an unbounded event source that the multi-process
 scheduler (:mod:`repro.traces.synthetic.kernel`) slices into quanta.
 
-Execution is compiled: :func:`run_program` turns the program into a
-static table of the events it can emit plus flat arrays — one record
-per static node, each body a run of consecutive records, and each
-branch's behaviour parameters — then walks them until the caller's
-demand is met, emitting one table index per event.  Two runners read
-the arrays: ``repro_run_program`` in the native C kernel, whose port of
-CPython's Mersenne Twister draws exactly what ``random.Random`` would,
-and a Python runner for hosts without the kernel and for custom
-behaviour classes.  Both emit the same events.  The scheduler knows
-each source's total demand before any source runs, so every program
-runs once, in one piece.
+Programs are built and run compiled.  :func:`compile_program` returns
+a source's compiled form: a static table of the events the program can
+emit plus flat arrays — one record per static node, each body a run of
+consecutive records, and each branch's behaviour parameters.  Where the
+native C kernel built and the mix is a plain :class:`BehaviorMix`,
+``repro_build_program`` builds the program and writes those arrays
+straight out; otherwise :func:`build_program` builds :class:`Program`
+objects and ``_compile`` flattens them.  Both make the same arrays, and
+the Python builder is the C builder's test oracle.
 
-Caveat: CPython guarantees the ``random()`` stream across versions but
-not ``randint``'s algorithm, which the C runner ports
-(``_randbelow_with_getrandbits``).  The trace pins and the runners'
+:func:`run_compiled` walks the arrays until the caller's demand is met,
+emitting one table index per event.  Two runners read them:
+``repro_run_program`` in the native C kernel, and a Python runner for
+hosts without the kernel and for custom behaviour classes.  Both emit
+the same events.  The scheduler knows each source's total demand
+before any source runs, so every program runs once, in one piece.
+
+The C builder and runner draw from a port of CPython's Mersenne
+Twister, so every draw is the one ``random.Random`` would make.
+Caveat: CPython guarantees the ``random()`` stream across versions,
+and ``random.Random(n)``'s seeding for an int ``n``, but not the
+algorithms of ``randint``, ``choice``, ``choices``, ``sample``,
+``shuffle``, ``uniform`` or ``expovariate``, which the C kernel ports
+from CPython 3.11.  The trace pins and the builders' and runners'
 differential tests are what would catch a drift.
 
 Event conventions (matching the paper's trace methodology):
@@ -41,9 +50,11 @@ Event conventions (matching the paper's trace methodology):
 
 from __future__ import annotations
 
+import itertools
+import numbers
 import random
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +76,8 @@ __all__ = [
     "Program",
     "ProgramConfig",
     "build_program",
-    "ProgramExecutor",
+    "compile_program",
+    "run_compiled",
     "run_program",
 ]
 
@@ -166,6 +178,39 @@ class ProgramConfig:
     block_instructions: Tuple[int, int] = (2, 10)
     name: str = "program"
 
+    def __post_init__(self):
+        """Refuse shapes that build corrupt or empty programs.
+
+        Raises:
+            ValueError: on ``block_instructions`` other than two integers
+                ``0 <= low <= high`` (a negative step moves the builder's
+                address backwards, so branches share PCs); ``procedures``
+                below 1 or ``max_nesting`` below 0; or a ``base_address``
+                that is not 4-aligned in ``[0, 2**63)``.
+        """
+        block = self.block_instructions
+        if not (
+            len(block) == 2
+            and all(isinstance(value, numbers.Integral) for value in block)
+            and 0 <= block[0] <= block[1]
+        ):
+            raise ValueError(
+                f"block_instructions must be integers 0 <= low <= high, got {block}"
+            )
+        if self.procedures < 1:
+            raise ValueError(f"procedures must be >= 1, got {self.procedures}")
+        if self.max_nesting < 0:
+            raise ValueError(f"max_nesting must be >= 0, got {self.max_nesting}")
+        if not (
+            isinstance(self.base_address, numbers.Integral)
+            and 0 <= self.base_address < 1 << 63
+            and self.base_address % 4 == 0
+        ):
+            raise ValueError(
+                "base_address must be 4-aligned in [0, 2**63), "
+                f"got {self.base_address:#x}"
+            )
+
 
 def _count_branches(body: List[object]) -> int:
     """Static conditional branches in a body tree."""
@@ -203,7 +248,7 @@ class _Builder:
 
     def build(self) -> Program:
         config = self.config
-        count = max(1, config.procedures)
+        count = config.procedures
         # Leaf procedures are built first so call targets already exist;
         # procedure i may call procedures j > i (DAG by construction).
         procedures: List[Procedure] = []
@@ -387,8 +432,71 @@ class _Builder:
 
 
 def build_program(config: ProgramConfig, seed: int) -> Program:
-    """Build a deterministic random program from ``config`` and ``seed``."""
+    """Build a deterministic random program from ``config`` and ``seed``.
+
+    The Python builder: :func:`compile_program` runs its C port where it
+    can, and this is that port's oracle.
+    """
     return _Builder(config, random.Random(seed)).build()
+
+
+def _double(value) -> Optional[float]:
+    """``value`` as the double it equals exactly, or None (not an int or
+    float, or not representable)."""
+    if isinstance(value, (int, float)):
+        try:
+            as_double = float(value)
+        except OverflowError:
+            return None
+        if as_double == value:
+            return as_double
+    return None
+
+
+def _kernel_arguments(config: ProgramConfig) -> Optional[tuple]:
+    """``repro_build_program``'s scalars for ``config``, or None when the
+    config is outside the C builder's domain.
+
+    The integer arithmetic the builder does once per program is done
+    here, in Python: the per-procedure budget, the clamped fanout, the
+    cumulative weights ``random.choices`` accumulates (in the weights'
+    own types) and ``draw_loop``'s rate ``1.0 / loop_trip_mean``.  The
+    domain: every mix value is an int or float that a double holds
+    exactly, every shape value an int, and blocks below ``2**32``
+    instructions.  Budgets past ``2**62`` are clamped, which changes no
+    draw: a budget only ever meets small numbers.
+    """
+    mix = config.mix
+    integers = (config.static_branches, config.procedures, config.max_nesting,
+                config.call_fanout, *config.block_instructions)
+    cum_weights = tuple(map(_double, itertools.accumulate(mix._weights)))
+    reals = tuple(map(_double, (
+        mix.bias_strength, mix.hard_fraction, mix.loop_trip_mean,
+        mix.correlated_noise,
+    )))
+    if (
+        not all(isinstance(value, int) for value in integers)
+        or None in cum_weights + reals
+        or config.procedures >= 1 << 31
+        or config.block_instructions[1] >= 1 << 32
+    ):
+        return None
+    bias_strength, hard_fraction, _, correlated_noise = reals
+    per_procedure = max(1, config.static_branches // config.procedures)
+    return (
+        config.procedures,
+        min(per_procedure, 1 << 62),
+        config.base_address,
+        min(config.max_nesting, 1 << 62),
+        min(max(1, config.call_fanout), config.procedures),
+        *config.block_instructions,
+        cum_weights,
+        bias_strength,
+        hard_fraction,
+        1.0 / mix.loop_trip_mean,
+        int(mix.correlated_bits),
+        correlated_noise,
+    )
 
 
 # Node kinds of a compiled program (see ``_compile``).
@@ -431,8 +539,10 @@ class _DemandMet(Exception):
 class _Compiled(NamedTuple):
     """A program as flat arrays, the one form both runners read.
 
-    Every event the program can emit is one row of ``table``, and the
-    runners emit row indices ("codes").
+    Every event the program can emit is one row of the event table —
+    ``pcs`` and ``targets`` (``uint64``), ``takens`` and
+    ``conditionals`` (``uint8`` flags) — and the runners emit row
+    indices ("codes").
 
     ``nodes`` holds one int32 record per static node, ``_NODE_FIELDS``
     wide: ``(kind, slot, code, not_taken_code, join_code, first, last,
@@ -451,13 +561,17 @@ class _Compiled(NamedTuple):
     ``sim/_native_kernel.c``): biased ``p_taken``; loop trip count and
     jitter; pattern bits; a correlated truth table, history mask and
     noise; Markov stay probabilities and start state.  A custom
-    behaviour's kind is ``_CUSTOM``, with no parameters.
+    behaviour's kind is ``_CUSTOM``, with no parameters.  The C builder
+    makes no behaviour objects: its ``behaviors`` is None.
     """
 
-    table: List[Event]
+    pcs: np.ndarray
+    takens: np.ndarray
+    conditionals: np.ndarray
+    targets: np.ndarray
     nodes: np.ndarray
     procedures: np.ndarray
-    behaviors: List[BranchBehavior]
+    behaviors: Optional[List[BranchBehavior]]
     kinds: np.ndarray
     ints: np.ndarray
     floats: np.ndarray
@@ -467,6 +581,16 @@ class _Compiled(NamedTuple):
     def native(self) -> bool:
         """True when the C runner implements every behaviour."""
         return not (self.kinds == _CUSTOM).any()
+
+    @property
+    def table(self) -> List[Event]:
+        """The event table as ``(pc, taken, conditional, target)`` rows."""
+        return list(zip(
+            self.pcs.tolist(),
+            self.takens.astype(bool).tolist(),
+            self.conditionals.astype(bool).tolist(),
+            self.targets.tolist(),
+        ))
 
 
 def _compile(program: Program) -> _Compiled:
@@ -483,7 +607,7 @@ def _compile(program: Program) -> _Compiled:
     fields: List[int] = []  # the node records, flat
     procedures: List[list] = []
     behaviors: List[BranchBehavior] = []
-    numbers: dict = {}
+    numbering: dict = {}
 
     def body(children: List[object]) -> Tuple[int, int]:
         if not children:
@@ -518,9 +642,9 @@ def _compile(program: Program) -> _Compiled:
         return first, first + len(children)
 
     def procedure(callee: Procedure) -> int:
-        number = numbers.get(id(callee))
+        number = numbering.get(id(callee))
         if number is None:
-            number = numbers[id(callee)] = len(procedures)
+            number = numbering[id(callee)] = len(procedures)
             procedures.append(None)
             first, last = body(callee.body)
             table.append((callee.return_pc, True, False, 0))
@@ -528,8 +652,12 @@ def _compile(program: Program) -> _Compiled:
         return number
 
     procedure(program.main)
+    pcs, takens, conditionals, targets = zip(*table)
     return _Compiled(
-        table,
+        np.array(pcs, dtype=np.uint64),
+        np.array(takens, dtype=np.uint8),
+        np.array(conditionals, dtype=np.uint8),
+        np.array(targets, dtype=np.uint64),
         np.array(fields, dtype=np.int32).reshape(-1, _NODE_FIELDS),
         np.array(procedures, dtype=np.int32),
         behaviors,
@@ -624,7 +752,8 @@ def _check_program(compiled: _Compiled, mt_state: Sequence[int]) -> None:
     every id, range and offset the runner follows is in bounds.
 
     Raises:
-        ValueError: on arrays of the wrong shape; a node kind, behaviour
+        ValueError: on arrays of the wrong shape or event table columns
+            of unequal length; a node kind, behaviour
             slot, procedure number, code or body range out of range; a
             behaviour with no C form; a trip count below 1, a negative
             jitter or a trip range past ``_MAX_TRIPS``; an empty
@@ -635,7 +764,10 @@ def _check_program(compiled: _Compiled, mt_state: Sequence[int]) -> None:
     """
     nodes, procedures = compiled.nodes, compiled.procedures
     kinds, ints, blob = compiled.kinds, compiled.ints, compiled.blob
-    slots, rows = len(kinds), len(compiled.table)
+    slots, rows = len(kinds), len(compiled.pcs)
+    columns = (compiled.takens, compiled.conditionals, compiled.targets)
+    if any(len(column) != rows for column in columns):
+        raise ValueError("event table columns differ in length")
     if nodes.ndim != 2 or nodes.shape[1] != _NODE_FIELDS:
         raise ValueError(f"node records must be {_NODE_FIELDS} fields wide")
     if procedures.ndim != 2 or procedures.shape[1] != 3 or not len(procedures):
@@ -767,24 +899,41 @@ def _run_python(compiled: _Compiled, seed: int, demand: int) -> np.ndarray:
     return np.array(codes, dtype=np.int32)
 
 
-def run_program(
-    program: Program, seed: int, demand: int
-) -> Tuple[List[Event], np.ndarray]:
-    """Execute ``program`` from its start until it has emitted ``demand``
-    events.
+def compile_program(config: ProgramConfig, seed: int) -> _Compiled:
+    """The compiled form of the program ``config`` and ``seed`` build:
+    ``_compile(build_program(config, seed))``, element for element.
 
-    The top-level procedure re-runs forever, so any demand is met.
-    Returns ``(table, codes)``: ``codes`` is an int32 array and
-    ``codes[i]`` the row of ``table`` that holds event ``i``,
-    ``(pc, taken, conditional, target)``.
+    The C builder (``repro_build_program``) makes it when the native
+    backend built, the mix is exactly a :class:`BehaviorMix` (a
+    subclass may draw differently) and the config is in the kernel's
+    domain (:func:`_kernel_arguments`); the Python builder does
+    otherwise.
+    """
+    from repro.sim import native
 
-    The run keeps a *local* path history (outcomes of this program's own
+    if type(config.mix) is BehaviorMix and native.native_available():
+        arguments = _kernel_arguments(config)
+        if arguments is not None:
+            state = random.Random(seed).getstate()[1]
+            compiled = native.build_program_native(arguments, state)
+            if compiled is not None:
+                return compiled
+    return _compile(build_program(config, seed))
+
+
+def run_compiled(compiled: _Compiled, seed: int, demand: int) -> np.ndarray:
+    """The first ``demand`` codes of a compiled program, run from its
+    start with the behaviours drawing from ``random.Random(seed)``; an
+    int32 array.
+
+    The top-level procedure re-runs forever, so any demand is met.  The
+    run keeps a *local* path history (outcomes of this program's own
     recent conditional branches, 16 bits) that feeds the
     history-correlated behaviour models: data correlation is a program
     property and must not see other processes' branches, even though the
-    *predictor's* global register does.  ``seed`` seeds the one RNG the
-    behaviours draw from, so a (program, seed) pair always emits the same
-    stream, and a shorter demand emits a prefix of a longer one.
+    *predictor's* global register does.  A (program, seed) pair always
+    emits the same stream, and a shorter demand emits a prefix of a
+    longer one.
 
     The C runner (``repro_run_program``) runs the program when the
     native backend built and every behaviour is one of the five classes
@@ -793,45 +942,23 @@ def run_program(
     """
     from repro.sim import native
 
-    compiled = _compile(program)
     if demand <= 0:
-        return compiled.table, np.zeros(0, dtype=np.int32)
+        return np.zeros(0, dtype=np.int32)
     if compiled.native and native.native_available():
         state = random.Random(seed).getstate()[1]
-        return compiled.table, native.run_program_native(compiled, state, demand)
-    return compiled.table, _run_python(compiled, seed, demand)
+        return native.run_program_native(compiled, state, demand)
+    return _run_python(compiled, seed, demand)
 
 
-class ProgramExecutor:
-    """A program's unbounded event stream, consumed in order.
+def run_program(
+    program: Program, seed: int, demand: int
+) -> Tuple[List[Event], np.ndarray]:
+    """Execute ``program`` from its start until it has emitted ``demand``
+    events.
 
-    A thin wrapper over :func:`run_program` for callers that pull the
-    stream piecemeal: each :meth:`take` that outruns what has been
-    produced re-runs the program from its start to at least twice the
-    old length, so the total cost stays linear in the events taken.
+    Returns ``(table, codes)``: ``codes`` is :func:`run_compiled`'s
+    int32 array and ``codes[i]`` the row of ``table`` that holds event
+    ``i``, ``(pc, taken, conditional, target)``.
     """
-
-    def __init__(self, program: Program, seed: int):
-        self.program = program
-        self.seed = seed
-        self._table: List[Event] = []
-        self._codes = np.zeros(0, dtype=np.int32)
-        self._position = 0
-
-    def take(self, count: int) -> List[Event]:
-        """Next ``count`` events (the scheduler's quantum primitive).
-
-        Raises:
-            ValueError: if ``count`` is negative.
-        """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        end = self._position + count
-        if end > len(self._codes):
-            self._table, self._codes = run_program(
-                self.program, self.seed, max(end, 2 * len(self._codes))
-            )
-        table = self._table
-        events = [table[code] for code in self._codes[self._position:end].tolist()]
-        self._position = end
-        return events
+    compiled = _compile(program)
+    return compiled.table, run_compiled(compiled, seed, demand)

@@ -6,14 +6,17 @@ fully determines the trace (all randomness is seeded), so workloads
 behave like fixed benchmark inputs: the same config always yields
 byte-identical traces.
 
-Generation runs in three steps: plan the schedule
-(:func:`~repro.traces.synthetic.kernel.plan_schedule`), run each program
-once for its total demand (:func:`~repro.traces.synthetic.cfg.run_program`,
-in the native C kernel where it built), then lay the programs' codes
-out in schedule order, one slice of a program's stream per segment.  The
-trace keeps those codes over the programs' concatenated event tables
-(:meth:`~repro.traces.trace.Trace.from_table`): no per-event column is
-built.
+Generation runs in three steps: compile each source's program
+(:func:`~repro.traces.synthetic.cfg.compile_program`: built straight
+into its flat arrays in the native C kernel where it built) and plan the
+schedule (:func:`~repro.traces.synthetic.kernel.plan_schedule`), run
+each program once for its total demand
+(:func:`~repro.traces.synthetic.cfg.run_compiled`, in C too), then lay
+the programs' codes out in schedule order, one slice of a program's
+stream per segment.  The trace keeps those codes over the programs'
+concatenated event tables (:meth:`~repro.traces.trace.Trace.from_table`):
+no per-event column is built, and on the native path no per-branch or
+per-row Python runs.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ import numpy as np
 
 from repro.traces.synthetic.behavior import BehaviorMix
 from repro.traces.synthetic.cfg import (
-    Program,
     ProgramConfig,
-    build_program,
-    run_program,
+    _Compiled,
+    compile_program,
+    run_compiled,
 )
 from repro.traces.synthetic.kernel import SchedulerConfig, plan_schedule
 from repro.traces.trace import Trace
@@ -102,9 +105,9 @@ def generate_trace(config: WorkloadConfig) -> Trace:
     """Generate the deterministic trace described by ``config``."""
     # (program, run seed) per source: the user processes, then the
     # kernel when it runs.
-    sources: List[Tuple[Program, int]] = [
+    sources: List[Tuple[_Compiled, int]] = [
         (
-            build_program(
+            compile_program(
                 config.program_config(index), seed=config.seed * 1009 + index
             ),
             config.seed * 9176 + index,
@@ -115,7 +118,7 @@ def generate_trace(config: WorkloadConfig) -> Trace:
     if kernel:
         sources.append(
             (
-                build_program(
+                compile_program(
                     config.kernel_config(), seed=config.seed * 5407 + 101
                 ),
                 config.seed * 7919 + 103,
@@ -137,12 +140,12 @@ def generate_trace(config: WorkloadConfig) -> Trace:
     demand = [0] * len(sources)
     for source, count in segments:
         demand[source] += count
-    rows: list = []
+    rows = 0
     streams = []
     for (program, seed), need in zip(sources, demand):
-        table, codes = run_program(program, seed, need)
-        streams.append(np.asarray(codes, dtype=np.uint32) + np.uint32(len(rows)))
-        rows.extend(table)
+        codes = run_compiled(program, seed, need)
+        streams.append(codes.astype(np.uint32) + np.uint32(rows))
+        rows += len(program.pcs)
     pieces = []
     position = [0] * len(sources)
     for source, count in segments:
@@ -150,13 +153,12 @@ def generate_trace(config: WorkloadConfig) -> Trace:
         pieces.append(streams[source][start : start + count])
         position[source] = start + count
 
-    pcs, takens, conditionals, targets = zip(*rows)
     return Trace.from_table(
         np.concatenate(pieces) if pieces else np.zeros(0, np.uint32),
-        np.array(pcs, dtype=np.uint64),
-        np.array(takens, dtype=np.uint8),
-        np.array(conditionals, dtype=np.uint8),
-        np.array(targets, dtype=np.uint64),
+        *(
+            np.concatenate([getattr(program, column) for program, _ in sources])
+            for column in ("pcs", "takens", "conditionals", "targets")
+        ),
         name=config.name,
         seed=config.seed,
     )

@@ -18,8 +18,9 @@ has produced, never on what those events are.  So :func:`plan_schedule`
 runs the scheduler without any program: it returns the schedule as
 ``(source, count)`` segments, and the trace generator then runs each
 program once for its total demand and gathers the segments.  Its draws
-are ``random.Random(seed)``'s stream, drawn from numpy a block at a time
-(:class:`_Uniforms`), and each quantum's first interrupt is found with
+are ``random.Random(seed)``'s stream, drawn a block at a time
+(:class:`_Uniforms`) from the native kernel's twister where it built and
+from numpy's otherwise, and each quantum's first interrupt is found with
 one vectorized compare over the quantum's draws.
 """
 
@@ -32,9 +33,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.traces.synthetic.cfg import Event, ProgramExecutor
-
-__all__ = ["SchedulerConfig", "interleave", "plan_schedule"]
+__all__ = ["SchedulerConfig", "plan_schedule"]
 
 
 @dataclass
@@ -57,31 +56,45 @@ class SchedulerConfig:
     interrupt_rate: float = 0.0005
 
 
-#: Doubles :class:`_Uniforms` draws from numpy at a time.
+#: Doubles :class:`_Uniforms` draws at a time.
 _BLOCK = 1 << 14
 
 
 class _Uniforms:
     """The doubles of ``random.Random(seed).random()``, drawn in blocks.
 
-    numpy's legacy ``RandomState`` runs the same MT19937 and its
-    ``random_sample`` makes the same 53-bit double from the same two
-    words, so set to the state ``random.Random(seed)`` starts from it
-    yields that generator's ``random()`` stream bit for bit — a block at
-    a time, which :meth:`first_below` scans with one compare.
+    Where the native backend built, ``repro_random_block`` (the C
+    kernel's port of CPython's twister) draws each block from a state
+    this object holds.  Otherwise numpy's legacy ``RandomState`` does:
+    it runs the same MT19937 and its ``random_sample`` makes the same
+    53-bit double from the same two words, so set to the state
+    ``random.Random(seed)`` starts from it yields that stream bit for
+    bit too.  Only that path imports ``numpy.random``.  Either way a
+    block is at hand for :meth:`first_below` to scan with one compare.
     """
 
     def __init__(self, seed: int):
+        from repro.sim import native
+
         words = random.Random(seed).getstate()[1]
-        self._source = np.random.RandomState(0)
-        self._source.set_state(
-            ("MT19937", np.array(words[:-1], dtype=np.uint32), words[-1])
-        )
+        if native.native_available():
+            self._draw = native.random_block_native
+            self._state = (
+                np.array(words[:-1], dtype=np.uint32),
+                np.array(words[-1:], dtype=np.int32),
+            )
+        else:
+            source = np.random.RandomState(0)
+            source.set_state(
+                ("MT19937", np.array(words[:-1], dtype=np.uint32), words[-1])
+            )
+            self._draw = source.random_sample
+            self._state = ()
         self._block = np.empty(0)
         self._next = 0
 
     def _refill(self) -> None:
-        self._block = self._source.random_sample(_BLOCK)
+        self._block = self._draw(*self._state, _BLOCK)
         self._next = 0
 
     def random(self) -> float:
@@ -205,20 +218,3 @@ def plan_schedule(
         segments[-1] = (source, count - (total - length))
     return segments
 
-
-def interleave(
-    user_executors: List[ProgramExecutor],
-    kernel_executor: "ProgramExecutor | None",
-    length: int,
-    config: SchedulerConfig,
-    seed: int,
-) -> List[Event]:
-    """Produce ``length`` events of scheduled multi-process execution."""
-    segments = plan_schedule(
-        len(user_executors), kernel_executor is not None, length, config, seed
-    )
-    sources = [*user_executors, kernel_executor]
-    events: List[Event] = []
-    for source, count in segments:
-        events.extend(sources[source].take(count))
-    return events

@@ -41,8 +41,10 @@ from repro.sim.engine import simulate
 from repro.sim.native import (
     NATIVE_BACKEND,
     _backend,
+    build_program_native,
     native_available,
     native_supports,
+    random_block_native,
     run_program_native,
     simulate_native,
 )
@@ -62,7 +64,13 @@ from repro.sim.vectorized import (
     simulate_fast,
     simulate_walk,
 )
-from repro.traces.synthetic.cfg import Procedure, Program, _compile
+from repro.traces.synthetic.cfg import (
+    Procedure,
+    Program,
+    ProgramConfig,
+    _compile,
+    _kernel_arguments,
+)
 from repro.traces.trace import Trace
 
 from tests.strategies import traces as trace_strategy
@@ -343,15 +351,25 @@ class TestDispatch:
             )
 
     def test_program_runner_fails_cleanly_without_backend(self, monkeypatch):
-        # The generator's C entry point, repro_run_program, fails the same
-        # way; run_program never calls it then (native_available() is
-        # False), and tests/traces/synthetic/test_cfg.py pins it.
+        # The generator's C entry points — repro_run_program,
+        # repro_build_program and repro_random_block — fail the same
+        # way; the generator never calls them then (native_available()
+        # is False), and tests/traces/synthetic/test_cfg.py and
+        # test_kernel.py pin them.
         monkeypatch.setattr(native_module, "_BACKEND", "OSError: no compiler")
         monkeypatch.setattr(native_module, "_WARNED", True)
         main = Procedure("main", base_address=0x100, return_pc=0x104)
         compiled = _compile(Program([main], main=main))
+        state = random.Random(1).getstate()[1]
         with pytest.raises(RuntimeError, match="native backend"):
-            run_program_native(compiled, random.Random(1).getstate()[1], 10)
+            run_program_native(compiled, state, 10)
+        with pytest.raises(RuntimeError, match="native backend"):
+            build_program_native(_kernel_arguments(ProgramConfig()), state)
+        with pytest.raises(RuntimeError, match="native backend"):
+            random_block_native(
+                np.array(state[:-1], dtype=np.uint32),
+                np.array(state[-1:], dtype=np.int32), 4,
+            )
 
     @pytest.mark.parametrize(
         "keys,values",

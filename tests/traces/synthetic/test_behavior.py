@@ -146,6 +146,48 @@ class TestMarkovBehavior:
 
 
 class TestBehaviorMix:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"loop_weight": float("nan")},
+            {"markov_weight": float("inf")},
+            {"biased_weight": 1e308, "loop_weight": 1e308},
+            {"correlated_bits": 1},
+            {"correlated_bits": 17},
+            {"correlated_bits": 8.0},
+            {"loop_trip_mean": 0},
+            {"loop_trip_mean": -4},
+            {"loop_trip_mean": float("inf")},
+            {"bias_strength": 1.5},
+            {"bias_strength": -0.1},
+            {"correlated_noise": 1.2},
+            {"hard_fraction": -0.5},
+            {"hard_fraction": float("nan")},
+        ],
+        ids=lambda overrides: ",".join(f"{k}={v}" for k, v in overrides.items()),
+    )
+    def test_refuses_values_a_draw_would_fail_on(self, overrides):
+        # Each of these used to be accepted and then fail mid-draw
+        # (``empty range for randrange()``, ``ZeroDivisionError``, a
+        # ``p_taken`` error, a non-finite ``choices`` total) or draw
+        # truth tables no runner reads past 16 bits.
+        with pytest.raises(ValueError):
+            BehaviorMix(**overrides)
+
+    def test_accepts_the_edges_of_its_range(self):
+        for overrides in (
+            {"correlated_bits": 2}, {"correlated_bits": 16},
+            {"bias_strength": 0.0, "correlated_noise": 1.0, "hard_fraction": 1},
+            {"biased_weight": 0, "loop_weight": 0, "pattern_weight": 0,
+             "correlated_weight": 0, "markov_weight": 3},
+            {"loop_trip_mean": 1e-9},
+        ):
+            mix = BehaviorMix(**overrides)
+            rng = random.Random(1)
+            for _ in range(200):
+                mix.draw(rng)
+                mix.draw_loop(rng)
+
     def test_draw_produces_all_kinds(self):
         mix = BehaviorMix()
         rng = random.Random(123)

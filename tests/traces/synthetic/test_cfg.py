@@ -10,6 +10,7 @@ refusals (run against a stand-in kernel) need no compiler.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -18,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim.native as native_module
-from repro.sim.native import _buffer, _checked_backend, native_available, run_program_native
+from repro.sim.native import (
+    _buffer,
+    _checked_backend,
+    build_program_native,
+    native_available,
+    run_program_native,
+)
 from repro.traces.synthetic.behavior import (
     BehaviorMix,
     BiasedBehavior,
@@ -36,11 +43,13 @@ from repro.traces.synthetic.cfg import (
     Procedure,
     Program,
     ProgramConfig,
-    ProgramExecutor,
+    _Builder,
     _check_program,
     _compile,
+    _kernel_arguments,
     _run_python,
     build_program,
+    compile_program,
     run_program,
 )
 
@@ -123,28 +132,55 @@ class TestBuilder:
                     stack.extend(node.body)
         assert len(pcs) == len(set(pcs))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"block_instructions": (-1, -1)},
+            {"block_instructions": (-3, -1)},
+            {"block_instructions": (4, 2)},
+            {"block_instructions": (1.5, 3)},
+            {"procedures": 0},
+            {"procedures": -2},
+            {"max_nesting": -1},
+            {"base_address": 2**64 - 100},
+            {"base_address": 2**63},
+            {"base_address": 0x0040_0002},
+            {"base_address": -4},
+        ],
+        ids=lambda overrides: ",".join(f"{k}={v}" for k, v in overrides.items()),
+    )
+    def test_refuses_shapes_that_build_corrupt_programs(self, overrides):
+        # Negative blocks gave branches duplicate PCs, no procedures an
+        # empty program, and a high base PCs past 64 bits.
+        with pytest.raises(ValueError):
+            _config(**overrides)
+
     def test_expected_cost_positive_and_bounded(self):
         program = build_program(_config(), seed=7)
         for procedure in program.procedures[1:]:  # main excluded
             assert 0 < procedure.expected_cost < 5_000
 
 
+def _events(program, seed, count):
+    """The first ``count`` events ``run_program`` emits, as rows."""
+    table, codes = run_program(program, seed, count)
+    return [table[code] for code in codes.tolist()]
+
+
 class TestExecutor:
+    """The event stream of a program run from its start."""
+
     def test_deterministic_stream(self):
         program = build_program(_config(), seed=8)
-        a = ProgramExecutor(program, seed=1).take(2000)
-        b = ProgramExecutor(program, seed=1).take(2000)
-        assert a == b
+        assert _events(program, 1, 2000) == _events(program, 1, 2000)
 
     def test_executor_seed_changes_stream(self):
         program = build_program(_config(), seed=8)
-        a = ProgramExecutor(program, seed=1).take(2000)
-        b = ProgramExecutor(program, seed=2).take(2000)
-        assert a != b
+        assert _events(program, 1, 2000) != _events(program, 2, 2000)
 
     def test_events_well_formed(self):
         program = build_program(_config(), seed=9)
-        events = ProgramExecutor(program, seed=3).take(3000)
+        events = _events(program, 3, 3000)
         assert len(events) == 3000
         for pc, taken, conditional, target in events:
             assert pc % 4 == 0
@@ -154,7 +190,7 @@ class TestExecutor:
 
     def test_mixes_conditional_and_unconditional(self):
         program = build_program(_config(), seed=10)
-        events = ProgramExecutor(program, seed=4).take(3000)
+        events = _events(program, 4, 3000)
         conditionals = sum(1 for e in events if e[2])
         assert 0.3 < conditionals / len(events) < 0.95
 
@@ -162,7 +198,7 @@ class TestExecutor:
         """Cost bounding must keep one main iteration well under a
         typical per-process trace share."""
         program = build_program(_config(), seed=11)
-        events = ProgramExecutor(program, seed=5).take(60_000)
+        events = _events(program, 5, 60_000)
         returns = sum(
             1 for e in events if e[0] == program.main.return_pc
         )
@@ -170,34 +206,22 @@ class TestExecutor:
 
     def test_covers_most_static_branches(self):
         program = build_program(_config(), seed=12)
-        events = ProgramExecutor(program, seed=6).take(60_000)
+        events = _events(program, 6, 60_000)
         executed = {e[0] for e in events if e[2]}
         assert len(executed) >= program.static_branch_count * 0.4
 
     def test_infinite_stream(self):
         program = build_program(_config(static_branches=20, procedures=3), seed=13)
-        executor = ProgramExecutor(program, seed=7)
         # Far more events than one main iteration: must not exhaust.
-        assert len(executor.take(30_000)) == 30_000
+        assert len(_events(program, 7, 30_000)) == 30_000
 
-    def test_negative_count_is_refused(self):
-        # A negative count used to move the cursor back, so the next
-        # take re-emitted events it had already returned.
+    def test_shorter_demand_is_a_prefix(self):
+        # The generator cuts one run's stream into segments, so a run
+        # for less must be the start of a run for more.
         program = build_program(_config(), seed=14)
-        executor = ProgramExecutor(program, seed=8)
-        first = executor.take(5)
-        with pytest.raises(ValueError, match="count"):
-            executor.take(-3)
-        assert first + executor.take(3) == ProgramExecutor(program, seed=8).take(8)
-
-    def test_piecewise_takes_equal_one_take(self):
-        program = build_program(_config(), seed=14)
-        whole = ProgramExecutor(program, seed=8).take(12_000)
-        executor = ProgramExecutor(program, seed=8)
-        pieces = []
-        for count in (1, 0, 7, 300, 2, 5_000, 1, 6_689):
-            pieces.extend(executor.take(count))
-        assert pieces == whole
+        whole = _events(program, 8, 12_000)
+        for count in (0, 1, 7, 300, 5_000, 11_999):
+            assert _events(program, 8, count) == whole[:count]
 
 
 def _reference_events(program, seed, count):
@@ -278,12 +302,10 @@ class TestRunProgram:
             program, run_seed, demand
         )
 
-    def test_matches_executor_events(self):
+    def test_matches_python_runner(self):
         program = build_program(_config(), seed=16)
-        table, codes = run_program(program, seed=4, demand=5_000)
-        assert [table[code] for code in codes] == ProgramExecutor(
-            program, seed=4
-        ).take(5_000)
+        _, codes = run_program(program, seed=4, demand=5_000)
+        assert np.array_equal(codes, _run_python(_compile(program), 4, 5_000))
 
     def test_recursive_program_stops_at_call_depth_guard(self):
         """A hand-built self-recursive procedure compiles (its call site
@@ -313,7 +335,6 @@ class TestRunProgram:
         # events each (call, branch, join, return) before the back-edge.
         first_back_edge = [event[0] for event in events].index(0x2010)
         assert first_back_edge == 23 * 4
-        assert events == ProgramExecutor(program, seed=1).take(500)
         assert events == _reference_events(program, 1, 500)
         assert np.array_equal(codes, _run_python(_compile(program), 1, 500))
 
@@ -640,6 +661,7 @@ MALFORMED = [
     ("record width", _edit("nodes", lambda a: a[:, :8].copy())),
     ("no procedures", _edit("procedures", lambda a: a[:0])),
     ("behaviour arrays", _edit("ints", lambda a: a[:-1])),
+    ("event table columns", _edit("targets", lambda a: a[:-1])),
     ("custom kind", _edit("kinds", _set(0, _CUSTOM))),
     ("unknown kind", _edit("kinds", _set(0, 9))),
     ("zero trips", _edit("ints", _set((SLOTS["LoopBehavior"], 0), 0))),
@@ -702,3 +724,289 @@ class TestCheckProgram:
             run_program_native(_compile(program), _state(1), 100)
         # The Python runner takes it (nothing else guards its recursion).
         assert len(_run_python(_compile(program), 1, 100)) == 100
+
+
+# -- the C builder ------------------------------------------------------------
+
+#: ``_Compiled``'s arrays, which the C builder must make element for
+#: element as ``_compile(build_program(...))`` does.
+ARRAYS = (
+    "pcs", "takens", "conditionals", "targets", "nodes", "procedures",
+    "kinds", "ints", "floats", "blob",
+)
+
+
+def _python_build(config, state):
+    """The Python builder's compiled arrays, its rng set to ``state``."""
+    rng = random.Random()
+    rng.setstate((3, tuple(state), None))
+    return _compile(_Builder(config, rng).build())
+
+
+def _assert_same_arrays(kernel, python):
+    assert kernel is not None, "the C builder refused the config"
+    assert kernel.behaviors is None
+    for name in ARRAYS:
+        made, expected = getattr(kernel, name), getattr(python, name)
+        assert made.dtype == expected.dtype, name
+        assert made.shape == expected.shape, name
+        assert np.array_equal(made, expected), name
+
+
+def _assert_builders_agree(config, seed):
+    state = _state(seed)
+    kernel = build_program_native(_kernel_arguments(config), state)
+    _assert_same_arrays(kernel, _python_build(config, state))
+    return kernel
+
+
+def _mix(**values):
+    """A mix drawing only the kinds whose weights ``values`` names."""
+    weights = dict.fromkeys((
+        "biased_weight", "loop_weight", "pattern_weight", "correlated_weight",
+        "markov_weight",
+    ), 0)
+    return BehaviorMix(**{**weights, **values})
+
+
+_weights = st.one_of(
+    st.sampled_from([0, 0.0, 1, 2, 7]),
+    st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+)
+_fraction = st.one_of(st.sampled_from([0, 0.0, 1, 1.0, 0.5]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _program_configs(draw):
+    weights = draw(st.lists(_weights, min_size=5, max_size=5).filter(lambda w: sum(w) > 0))
+    bits = draw(st.sampled_from([2, 2, 3, 5, 8, 16]))
+    mix = BehaviorMix(
+        *weights,
+        bias_strength=draw(_fraction),
+        loop_trip_mean=draw(st.one_of(
+            st.integers(min_value=1, max_value=60),
+            st.floats(min_value=0.01, max_value=200.0),
+        )),
+        correlated_bits=bits,
+        correlated_noise=draw(_fraction),
+        hard_fraction=draw(_fraction),
+    )
+    low = draw(st.integers(min_value=0, max_value=6))
+    return ProgramConfig(
+        static_branches=draw(st.integers(min_value=0, max_value=60 if bits == 16 else 250)),
+        procedures=draw(st.integers(min_value=1, max_value=40)),
+        base_address=4 * draw(st.integers(min_value=0, max_value=(1 << 61) - (1 << 32))),
+        mix=mix,
+        max_nesting=draw(st.integers(min_value=0, max_value=5)),
+        call_fanout=draw(st.integers(min_value=-1, max_value=9)),
+        block_instructions=(low, low + draw(st.integers(min_value=0, max_value=9))),
+    )
+
+
+def _shipped_configs():
+    """Every program config the clones generate from, with its seed."""
+    from repro.traces.synthetic.workloads import (
+        IBS_BENCHMARKS,
+        IBS_EXTRA_BENCHMARKS,
+        SPEC_BENCHMARKS,
+        ibs_workload,
+    )
+
+    for name in IBS_BENCHMARKS + IBS_EXTRA_BENCHMARKS + SPEC_BENCHMARKS:
+        workload = ibs_workload(name)
+        for index in range(workload.processes):
+            yield (f"{name}.proc{index}", workload.program_config(index),
+                   workload.seed * 1009 + index)
+        yield f"{name}.kernel", workload.kernel_config(), workload.seed * 5407 + 101
+
+
+class TestNativeBuilder:
+    """``repro_build_program`` makes ``_compile(build_program(...))``'s
+    arrays, element for element, from the same twister state."""
+
+    @requires_native
+    @given(
+        config=_program_configs(),
+        seed=st.one_of(
+            st.integers(min_value=0, max_value=100),
+            st.integers(min_value=-(2**80), max_value=2**80),
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_repro_build_program_matches_the_python_builder(self, config, seed):
+        _assert_builders_agree(config, seed)
+
+    @requires_native
+    def test_every_shipped_config_matches(self):
+        configs = list(_shipped_configs())
+        assert len(configs) == 39
+        for label, config, seed in configs:
+            kernel = _assert_builders_agree(config, seed)
+            assert len(kernel.kinds) > 0, label
+
+    @requires_native
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # uniform(): Markov stay probabilities and biased p_taken.
+            _config(mix=_mix(markov_weight=1)),
+            _config(mix=_mix(biased_weight=1, hard_fraction=1)),
+            _config(mix=_mix(biased_weight=1, bias_strength=0.3, hard_fraction=0)),
+            # expovariate(): with the rate 2**-56 a trip count holds all
+            # 53 bits of -log(1 - random()).
+            _config(mix=_mix(loop_weight=1, loop_trip_mean=2**56)),
+            # choices() over integer weights, a zero weight among them.
+            _config(mix=BehaviorMix(3, 1, 0, 2, 1)),
+            # getrandbits(32) and init_by_array: 16-bit truth tables.
+            _config(mix=_mix(correlated_weight=1, correlated_bits=16), static_branches=40),
+            # sample(): its pool branch with k > 5, its set branch
+            # (past 21 callees) with k <= 5 and with k > 5.
+            _config(procedures=30, call_fanout=8, static_branches=300),
+            _config(procedures=40, call_fanout=3, static_branches=400),
+            _config(procedures=120, call_fanout=7, static_branches=600),
+            # randint() with an empty block range and shuffle() of one.
+            _config(procedures=2, block_instructions=(0, 0)),
+        ],
+        ids=[
+            "uniform-markov", "uniform-hard", "uniform-biased", "expovariate",
+            "choices-integer-weights", "getrandbits-init_by_array",
+            "sample-pool", "sample-set", "sample-set-wide", "randint-shuffle",
+        ],
+    )
+    def test_each_ported_rng_method_matches_cpython(self, config):
+        for seed in (0, 1, 2**40 + 5):
+            kernel = _assert_builders_agree(config, seed)
+        if config.mix.loop_trip_mean == 2**56:
+            assert (kernel.ints[kernel.kinds == 1, 0] >= 2**53).any()
+
+    def test_sample_configs_reach_both_branches(self):
+        # The set branch takes populations past its set size: 21, plus
+        # 4 ** ceil(log(3k, 4)) when k > 5.
+        def setsize(k):
+            return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+        assert 29 <= setsize(8)  # 30 procedures, fanout 8: the pool
+        assert 39 > setsize(3)  # 40 procedures, fanout 3: the set
+        assert 119 > setsize(7)  # 120 procedures, fanout 7: the set
+
+    @requires_native
+    def test_init_by_array_with_key_zero(self):
+        # An all-zero twister draws 0 forever: every branch is
+        # correlated, with 2 history bits and truth-table seed 0.
+        state = (0,) * 624 + (624,)
+        config = _config(mix=_mix(correlated_weight=1), max_nesting=0)
+        kernel = build_program_native(_kernel_arguments(config), state)
+        _assert_same_arrays(kernel, _python_build(config, state))
+        table = random.Random(0)
+        assert kernel.blob[:4].tolist() == [table.random() < 0.5 for _ in range(4)]
+        # Every branch is correlated (main's phase loops aside) with mask 3.
+        correlated = kernel.kinds == 3
+        assert correlated.sum() > 10
+        assert (kernel.ints[correlated, 1] == 3).all()
+
+    @requires_native
+    def test_too_small_outputs_are_refused_never_overrun(self):
+        config = _config(mix=BehaviorMix(correlated_weight=0.5, pattern_weight=0.3))
+        arguments = _kernel_arguments(config)
+        state = _state(3)
+        ffi, lib = _checked_backend()
+        expected = _python_build(config, state)
+        needed = [len(expected.nodes), len(expected.procedures), len(expected.pcs),
+                  len(expected.kinds), len(expected.blob)]
+
+        def call(capacities):
+            # Each output is its capacity plus a sentinel tail of 16
+            # units the kernel must never touch.
+            outputs = {
+                name: np.full((capacity + 16) * width, 77, dtype=native_module._DTYPES[ctype[:-2]])
+                for capacity, group in zip(capacities, native_module._PROGRAM_OUTPUTS)
+                for name, ctype, width in group
+            }
+            sizes = np.array(capacities, dtype=np.int64)
+            scalars = [
+                _buffer(ffi, "double[]", np.array(value, dtype=np.float64))
+                if isinstance(value, tuple) else value for value in arguments
+            ]
+            status = lib.repro_build_program(
+                _buffer(ffi, "uint32_t[]", np.array(state[:-1], dtype=np.uint32)),
+                state[-1], *scalars,
+                *(_buffer(ffi, ctype, outputs[name])
+                  for group in native_module._PROGRAM_OUTPUTS for name, ctype, _ in group),
+                _buffer(ffi, "int64_t[]", sizes),
+            )
+            for capacity, group in zip(capacities, native_module._PROGRAM_OUTPUTS):
+                for name, _, width in group:
+                    assert (outputs[name][capacity * width:] == 77).all(), name
+            return status, sizes.tolist(), outputs
+
+        assert call([0] * 5)[:2] == (1, needed)
+        for short in range(5):
+            capacities = list(needed)
+            capacities[short] -= 1
+            assert call(capacities)[:2] == (1, needed)
+        status, sizes, outputs = call(needed)
+        assert (status, sizes) == (0, needed)
+        assert np.array_equal(outputs["blob"][:needed[4]], expected.blob)
+        assert np.array_equal(
+            outputs["nodes"][:9 * needed[0]].reshape(-1, 9), expected.nodes
+        )
+
+    @requires_native
+    def test_outside_the_kernels_domain_the_python_builder_builds(self):
+        # Trip counts past 2**61 leave the C builder's domain (this
+        # seed draws one; an int64 still holds them).
+        config = _config(mix=_mix(loop_weight=1, loop_trip_mean=2**59))
+        assert build_program_native(_kernel_arguments(config), _state(1)) is None
+        compiled = compile_program(config, 1)
+        assert compiled.behaviors is not None
+        _assert_same_arrays(compiled._replace(behaviors=None), _python_build(config, _state(1)))
+        assert _kernel_arguments(_config(block_instructions=(0, 2**32))) is None
+        assert _kernel_arguments(_config(mix=BehaviorMix(biased_weight=2**60 + 1))) is None
+
+    @requires_native
+    def test_compile_program_dispatches_to_the_c_builder(self, monkeypatch):
+        calls = []
+        inner = native_module.build_program_native
+
+        def spy(arguments, state):
+            calls.append(arguments)
+            return inner(arguments, state)
+
+        monkeypatch.setattr(native_module, "build_program_native", spy)
+        config = _config()
+        compiled = compile_program(config, 4)
+        assert len(calls) == 1 and compiled.behaviors is None
+        _assert_same_arrays(compiled, _compile(build_program(config, 4)))
+
+    def test_custom_mixes_and_no_compiler_build_in_python(self, monkeypatch):
+        class Mix(BehaviorMix):
+            """A subclass may draw differently: Python builds it."""
+
+        def forbidden(*args):  # pragma: no cover — would fail
+            raise AssertionError("reached the C builder")
+
+        monkeypatch.setattr(native_module, "build_program_native", forbidden)
+        custom = compile_program(_config(mix=Mix()), 5)
+        assert custom.behaviors is not None
+        monkeypatch.setattr(native_module, "native_available", lambda: False)
+        plain = compile_program(_config(), 5)
+        python = _compile(build_program(_config(), 5))
+        for name in ARRAYS:
+            assert np.array_equal(getattr(plain, name), getattr(python, name))
+            assert np.array_equal(getattr(custom, name), getattr(python, name))
+
+    @requires_native
+    def test_check_program_runs_on_the_kernels_arrays(self, monkeypatch):
+        from repro.traces.synthetic.generator import WorkloadConfig, generate_trace
+
+        checked = []
+        inner = native_module._check_program
+
+        def spy(compiled, state):
+            checked.append(compiled.behaviors)
+            inner(compiled, state)
+
+        monkeypatch.setattr(native_module, "_check_program", spy)
+        generate_trace(WorkloadConfig(length=3_000, processes=2,
+                                      static_branches_per_process=50))
+        assert checked == [None, None, None]

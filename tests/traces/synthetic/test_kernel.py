@@ -2,23 +2,26 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.native as native
+from repro.sim.native import native_available
 from repro.traces.synthetic.behavior import BehaviorMix
-from repro.traces.synthetic.cfg import ProgramConfig, ProgramExecutor, build_program
+from repro.traces.synthetic.cfg import ProgramConfig, build_program, run_program
 from repro.traces.synthetic.kernel import (
     _BLOCK,
     SchedulerConfig,
     _geometric,
     _Uniforms,
-    interleave,
     plan_schedule,
 )
 
 
 def _executor(base, seed):
+    """A small program in the segment at ``base`` and its run seed."""
     config = ProgramConfig(
         static_branches=60,
         procedures=6,
@@ -26,7 +29,28 @@ def _executor(base, seed):
         mix=BehaviorMix(),
         name=f"p{base:#x}",
     )
-    return ProgramExecutor(build_program(config, seed=seed), seed=seed + 1)
+    return build_program(config, seed=seed), seed + 1
+
+
+def interleave(users, kernel, length, config, seed):
+    """``length`` scheduled events: ``plan_schedule``'s segments cut
+    from each source's one run (the trace generator's layout), as
+    ``(pc, taken, conditional, target)`` rows."""
+    segments = plan_schedule(len(users), kernel is not None, length, config, seed)
+    sources = [*users, kernel] if kernel is not None else users
+    demand = [0] * len(sources)
+    for source, count in segments:
+        demand[source] += count
+    streams = []
+    for (program, run_seed), need in zip(sources, demand):
+        table, codes = run_program(program, run_seed, need)
+        streams.append([table[code] for code in codes.tolist()])
+    events = []
+    position = [0] * len(sources)
+    for source, count in segments:
+        events.extend(streams[source][position[source]:position[source] + count])
+        position[source] += count
+    return events
 
 
 KERNEL_BASE = 0x8000_0000
@@ -215,7 +239,7 @@ class TestPlanSchedule:
 
 class TestUniforms:
     """``_Uniforms`` is ``random.Random(seed).random()``'s stream, drawn
-    from numpy a block at a time."""
+    a block at a time."""
 
     @pytest.mark.parametrize("seed", [0, 7, -(2**40), 2**80 + 3])
     def test_stream_equals_random(self, seed):
@@ -245,3 +269,42 @@ class TestUniforms:
             # The stream continues where the loop left it.
             assert uniforms.expovariate(1 / 300) == rng.expovariate(1 / 300)
             assert _geometric(uniforms, 40) == _geometric(rng, 40)
+
+    @pytest.mark.skipif(
+        not native_available(), reason="native backend unavailable (no C compiler or no cffi)"
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7, -(2**40), 2**80 + 3])
+    def test_kernel_and_numpy_blocks_agree(self, seed, monkeypatch):
+        # repro_random_block draws the blocks where the backend built,
+        # numpy's RandomState where it did not: the same doubles, across
+        # several block boundaries.
+        count = 3 * _BLOCK + 11
+        kernel = _Uniforms(seed)
+        assert kernel._draw is native.random_block_native
+        drawn = [kernel.random() for _ in range(count)]
+        monkeypatch.setattr(native, "native_available", lambda: False)
+        numpy_blocks = _Uniforms(seed)
+        assert numpy_blocks._draw is not native.random_block_native
+        assert drawn == [numpy_blocks.random() for _ in range(count)]
+
+    @pytest.mark.skipif(
+        not native_available(), reason="native backend unavailable (no C compiler or no cffi)"
+    )
+    def test_repro_random_block_advances_the_callers_state(self):
+        rng = random.Random(12)
+        state = rng.getstate()[1]
+        words = np.array(state[:-1], dtype=np.uint32)
+        index = np.array(state[-1:], dtype=np.int32)
+        for count in (0, 5, 700, 1):  # 700 doubles regenerate the words
+            block = native.random_block_native(words, index, count)
+            assert block.tolist() == [rng.random() for _ in range(count)]
+            assert (*words.tolist(), int(index[0])) == rng.getstate()[1]
+        ffi, lib = native._checked_backend()
+        out = np.zeros(4)
+        past = np.array([625], dtype=np.int32)
+        assert lib.repro_random_block(
+            native._buffer(ffi, "uint32_t[]", words),
+            native._buffer(ffi, "int32_t[]", past),
+            native._buffer(ffi, "double[]", out), 4,
+        ) == -1
+        assert (out == 0).all()
