@@ -9,16 +9,20 @@ Two views are provided:
 
 - :class:`SaturatingCounter` — a single counter object, convenient for
   unit tests and for the dict-backed unaliased/associative predictors.
-- :class:`CounterArray` — a flat bank of ``2^n`` counters stored in a
-  Python list of ints, used by the tag-less predictor banks where
-  per-entry object overhead would dominate simulation time.
+- :class:`CounterArray` — a flat bank of ``2^n`` counters stored one
+  byte each in an ``array.array('B')``, used by the tag-less predictor
+  banks: the generic interpreter indexes it like a list, and the fast
+  walks and state snapshots use its buffer in place.
 """
 
 from __future__ import annotations
 
-from typing import List
+from array import array
 
 __all__ = ["SaturatingCounter", "CounterArray", "counter_init_value"]
+
+#: The widest counter a :class:`CounterArray` byte holds.
+MAX_ARRAY_COUNTER_BITS = 8
 
 
 def counter_init_value(bits: int, taken: bool) -> int:
@@ -92,12 +96,15 @@ class SaturatingCounter:
 
 
 class CounterArray:
-    """A flat bank of ``size`` saturating counters.
+    """A flat bank of ``size`` saturating counters, 1 to 8 bits wide.
 
-    The hot methods (:meth:`prediction`, :meth:`update`) are written for
-    speed: plain list indexing, no attribute lookups in loops.  Simulation
-    engines may also reach into :attr:`values` directly; that list is part
-    of the performance-oriented API surface.
+    :attr:`values` is an ``array.array('B')``, one byte per counter, and
+    stays the same object for the bank's life: :meth:`reset`, the fast
+    walks (through zero-copy ``numpy`` views) and
+    :meth:`repro.sim.state.PredictorState.restore` all write into it in
+    place.  The hot methods (:meth:`prediction`, :meth:`update`) index
+    it directly; simulation engines may too, so it is part of the
+    performance-oriented API surface.
     """
 
     __slots__ = ("bits", "size", "values", "_max", "_threshold")
@@ -105,8 +112,11 @@ class CounterArray:
     def __init__(self, size: int, bits: int = 2, initial: int = None):
         if size < 1:
             raise ValueError(f"counter array size must be >= 1, got {size}")
-        if bits < 1:
-            raise ValueError(f"counter width must be >= 1, got {bits}")
+        if not 1 <= bits <= MAX_ARRAY_COUNTER_BITS:
+            raise ValueError(
+                f"counter width must be in [1, {MAX_ARRAY_COUNTER_BITS}], "
+                f"got {bits}"
+            )
         self.bits = bits
         self.size = size
         self._max = (1 << bits) - 1
@@ -117,7 +127,7 @@ class CounterArray:
             raise ValueError(
                 f"initial value {initial} out of range for {bits}-bit counter"
             )
-        self.values: List[int] = [initial] * size
+        self.values = array("B", [initial]) * size
 
     @property
     def threshold(self) -> int:
@@ -147,7 +157,7 @@ class CounterArray:
         return self.values[index]
 
     def reset(self, initial: int = None) -> None:
-        """Reset every entry (default: weakly-taken)."""
+        """Reset every entry (default: weakly-taken), in place."""
         if initial is None:
             initial = self._threshold
         if not 0 <= initial <= self._max:
@@ -155,7 +165,7 @@ class CounterArray:
                 f"initial value {initial} out of range for {self.bits}-bit "
                 "counter"
             )
-        self.values = [initial] * self.size
+        self.values[:] = array("B", [initial]) * self.size
 
     def __len__(self) -> int:
         return self.size

@@ -18,6 +18,8 @@ head-to-head with gskew (see
 
 from __future__ import annotations
 
+from array import array
+
 from repro.core.bank import PredictorBank
 from repro.predictors.base import GlobalHistoryPredictor
 from repro.predictors.gshare import gshare_index
@@ -52,8 +54,9 @@ class AgreePredictor(GlobalHistoryPredictor):
             bias_table_bits = index_bits
         self.bias_table_bits = bias_table_bits
         self._bias_mask = (1 << bias_table_bits) - 1
-        # None = not yet latched; afterwards the first outcome.
-        self._bias: list = [None] * (1 << bias_table_bits)
+        # One latch code per slot: -1 = not yet latched, else the first
+        # outcome (0 or 1) -- the int8 codes the fast walks take in place.
+        self._bias = array("b", [-1]) * (1 << bias_table_bits)
         history = self.history  # not ``self``: no cycle through the PHT
         self.pht = PredictorBank(
             index_bits,
@@ -68,8 +71,8 @@ class AgreePredictor(GlobalHistoryPredictor):
 
     def bias_bit(self, address: int) -> bool:
         """Current biasing bit for ``address`` (default taken)."""
-        latched = self._bias[self._bias_slot(address)]
-        return True if latched is None else latched
+        # An unlatched slot (-1) defaults to taken, like a latched 1.
+        return self._bias[self._bias_slot(address)] != 0
 
     def predict(self, address: int) -> bool:
         agree = self.pht.predict(address)
@@ -78,12 +81,11 @@ class AgreePredictor(GlobalHistoryPredictor):
 
     def train(self, address: int, taken: bool) -> None:
         slot = self._bias_slot(address)
-        if self._bias[slot] is None:
+        if self._bias[slot] < 0:
             # Latch the biasing bit on first execution; the PHT entry
             # (reset state "agree") is then already correct for it.
-            self._bias[slot] = taken
-        bias = self._bias[slot]
-        self.pht.train(address, taken == bias)
+            self._bias[slot] = 1 if taken else 0
+        self.pht.train(address, taken == self._bias[slot])
 
     def predict_and_update(self, address: int, taken: bool) -> bool:
         slot = self._bias_slot(address)
@@ -95,17 +97,17 @@ class AgreePredictor(GlobalHistoryPredictor):
         agree = counters.prediction(idx)
         # The prediction is made before the outcome is known, so it uses
         # the current bias (default taken if not yet latched).
-        effective_bias = True if bias is None else bias
+        effective_bias = bias != 0
         prediction = effective_bias if agree else not effective_bias
-        if bias is None:
-            self._bias[slot] = taken
+        if bias < 0:
+            self._bias[slot] = 1 if taken else 0
             effective_bias = taken
         counters.update(idx, taken == effective_bias)
         self.history.push(taken)
         return prediction
 
     def reset(self) -> None:
-        self._bias = [None] * (1 << self.bias_table_bits)
+        self._bias[:] = array("b", [-1]) * len(self._bias)
         self.pht.reset()
         self.reset_history()
 

@@ -28,6 +28,7 @@ class FullyAssociativePredictor(GlobalHistoryPredictor):
     """N-entry fully-associative LRU predictor over (address, history)."""
 
     name = "fa-lru"
+    state_scalars = ("hits", "misses")
 
     def __init__(
         self,

@@ -18,6 +18,7 @@ experiments rank configurations by this number, counting counter bits and
 from __future__ import annotations
 
 import abc
+from typing import Optional, Tuple
 
 from repro.core.history import GlobalHistory
 
@@ -29,6 +30,17 @@ class BranchPredictor(abc.ABC):
 
     #: human-readable scheme name, overridden by subclasses
     name: str = "abstract"
+
+    #: The spec string :func:`repro.sim.config.make_predictor` built this
+    #: predictor from (None when constructed directly).  State snapshots
+    #: carry it, and restore only into a predictor of the same spec.
+    spec: Optional[str] = None
+
+    #: Scalar attributes that are state (statistics a run updates), not
+    #: configuration: :meth:`repro.sim.state.PredictorState.restore`
+    #: writes these, and refuses a snapshot whose other scalars differ
+    #: from the target's.
+    state_scalars: Tuple[str, ...] = ()
 
     @abc.abstractmethod
     def predict(self, address: int) -> bool:

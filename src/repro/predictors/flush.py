@@ -36,6 +36,8 @@ class FlushOnSwitchPredictor(BranchPredictor):
             ``pc >> segment_shift``.
     """
 
+    state_scalars = ("_segment", "switches")
+
     def __init__(
         self,
         inner: BranchPredictor,

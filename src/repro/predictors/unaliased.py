@@ -28,6 +28,7 @@ class UnaliasedPredictor(GlobalHistoryPredictor):
     """Infinite (dict-backed) per-substream predictor table."""
 
     name = "unaliased"
+    state_scalars = ("first_encounters", "dynamic_branches")
 
     def __init__(self, history_bits: int, counter_bits: int = 2):
         super().__init__(history_bits)

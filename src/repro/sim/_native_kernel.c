@@ -41,9 +41,10 @@
  * counts conditional events: the first `warmup` of them train but are
  * not scored.
  *
- * Counter conventions (both walks): predict taken when
- * `value >= threshold`; training saturates in [0, max_value] toward the
- * trained direction.
+ * Counter conventions (both walks): a counter is one byte of the
+ * predictor's own table (repro.core.counters.CounterArray), walked in
+ * place; predict taken when `value >= threshold`; training saturates in
+ * [0, max_value] toward the trained direction, max_value <= 255.
  */
 
 #include <math.h>
@@ -317,7 +318,7 @@ static inline int64_t repro_walk_block(const uint32_t *indices,
                                        const int32_t banks,
                                        const int32_t policy,
                                        int64_t threshold, int64_t max_value,
-                                       int64_t *values, int64_t entries,
+                                       uint8_t *const *tables,
                                        int64_t warmup)
 {
     int64_t misses = 0;
@@ -325,7 +326,7 @@ static inline int64_t repro_walk_block(const uint32_t *indices,
     int32_t b;
 
     for (i = 0; i < m; i++) {
-        int64_t *slot[REPRO_MAX_BANKS];
+        uint8_t *slot[REPRO_MAX_BANKS];
         int64_t value[REPRO_MAX_BANKS];
         int32_t own[REPRO_MAX_BANKS];
         int32_t taken = (int32_t)(after[i] & 1);
@@ -333,7 +334,7 @@ static inline int64_t repro_walk_block(const uint32_t *indices,
         int32_t wrong;
 
         for (b = 0; b < banks; b++) {
-            slot[b] = values + b * entries + indices[b * REPRO_BLOCK + i];
+            slot[b] = tables[b] + indices[b * REPRO_BLOCK + i];
             value[b] = *slot[b];
             own[b] = value[b] >= threshold;
             votes += own[b];
@@ -346,7 +347,7 @@ static inline int64_t repro_walk_block(const uint32_t *indices,
              * LAZY all banks on an overall miss only. */
             if (policy == REPRO_POLICY_TOTAL || wrong
                 || (policy == REPRO_POLICY_PARTIAL && own[b] == taken))
-                *slot[b] = repro_step(value[b], taken, max_value);
+                *slot[b] = (uint8_t)repro_step(value[b], taken, max_value);
         }
     }
     return misses;
@@ -361,14 +362,13 @@ static inline int64_t walk(const uint32_t *codes, int64_t n,
                            uint64_t history_seed,
                            int32_t bank0_bits, const int32_t banks,
                            const int32_t policy, int64_t threshold,
-                           int64_t max_value, int64_t *values,
+                           int64_t max_value, uint8_t *const *tables,
                            int64_t warmup)
 {
     uint64_t words[REPRO_BLOCK];
     uint64_t after[REPRO_BLOCK];
     uint32_t indices[REPRO_MAX_BANKS * REPRO_BLOCK];
     uint64_t history = history_seed & repro_mask(history_bits);
-    int64_t entries = (int64_t)1 << bits;
     int64_t misses = 0;
     int64_t seen = 0;
     int64_t start;
@@ -381,7 +381,7 @@ static inline int64_t walk(const uint32_t *codes, int64_t n,
         repro_indices(words, after, m, scheme, banks, bits, history_bits,
                       bank0_bits, indices);
         misses += repro_walk_block(indices, after, m, banks, policy,
-                                   threshold, max_value, values, entries,
+                                   threshold, max_value, tables,
                                    warmup - seen);
         seen += m;
     }
@@ -400,15 +400,18 @@ static inline int64_t walk(const uint32_t *codes, int64_t n,
  *                 register before the first event
  *   bank0_bits    e-gskew's bank-0 history bits (0 elsewhere)
  *   policy        REPRO_POLICY_TOTAL / _PARTIAL / _LAZY
- *   values        bank-major counters; mutated to the final state
- *                 (bit-identical to the generic engine's)
+ *   max_value     at most 255: a counter is one byte
+ *   tables        one pointer per bank, each to its 1 << bits one-byte
+ *                 counters (the predictor's own buffers); mutated in
+ *                 place to the final state (bit-identical to the
+ *                 generic engine's)
  */
 int64_t repro_walk(const uint32_t *codes, int64_t n, const uint64_t *pcs,
                    const uint8_t *takens, const uint8_t *conditionals,
                    int32_t scheme, int32_t bits, int32_t history_bits,
                    uint64_t history_seed, int32_t bank0_bits,
                    int32_t banks, int32_t policy, int64_t threshold,
-                   int64_t max_value, int64_t *values, int64_t warmup)
+                   int64_t max_value, uint8_t **tables, int64_t warmup)
 {
     int32_t banks_ok;
 
@@ -429,12 +432,13 @@ int64_t repro_walk(const uint32_t *codes, int64_t n, const uint64_t *pcs,
     }
     if (!banks_ok || bits < 0 || bits > REPRO_MAX_INDEX_BITS
         || history_bits < 0 || history_bits > REPRO_MAX_HISTORY_BITS
-        || bank0_bits < 0 || bank0_bits > REPRO_MAX_HISTORY_BITS)
+        || bank0_bits < 0 || bank0_bits > REPRO_MAX_HISTORY_BITS
+        || max_value < 0 || max_value > UINT8_MAX)
         return -1;
 
 #define REPRO_WALK(B, P)                                                  \
     walk(codes, n, pcs, takens, conditionals, scheme, bits, history_bits, \
-         history_seed, bank0_bits, B, P, threshold, max_value, values,    \
+         history_seed, bank0_bits, B, P, threshold, max_value, tables,    \
          warmup)
 #define REPRO_WALK_POLICIES(B)                                            \
     switch (policy) {                                                     \
@@ -468,9 +472,10 @@ int64_t repro_walk(const uint32_t *codes, int64_t n, const uint64_t *pcs,
  *             the PHT's gshare geometry, as for repro_walk
  *   bias_bits the biasing-bit table holds 1 << bias_bits slots,
  *             indexed by the low address bits
- *   values    PHT counters, mutated to the final state
+ *   values    the PHT's 1 << bits one-byte counters, mutated in place
+ *             to the final state
  *   bias      biasing bits: -1 = unlatched, else the latched outcome;
- *             mutated as slots latch
+ *             mutated in place as slots latch
  *
  * The prediction uses the slot's bias as it stands (default taken when
  * unlatched); the slot then latches to the outcome on its first
@@ -482,7 +487,7 @@ int64_t repro_walk_agree(const uint32_t *codes, int64_t n,
                          const uint8_t *conditionals, int32_t bits,
                          int32_t history_bits, uint64_t history_seed,
                          int32_t bias_bits, int64_t threshold,
-                         int64_t max_value, int64_t *values, int8_t *bias,
+                         int64_t max_value, uint8_t *values, int8_t *bias,
                          int64_t warmup)
 {
     uint64_t words[REPRO_BLOCK];
@@ -497,7 +502,8 @@ int64_t repro_walk_agree(const uint32_t *codes, int64_t n,
 
     if (bits < 0 || bits > REPRO_MAX_INDEX_BITS || history_bits < 0
         || history_bits > REPRO_MAX_HISTORY_BITS || bias_bits < 0
-        || bias_bits > REPRO_MAX_INDEX_BITS)
+        || bias_bits > REPRO_MAX_INDEX_BITS || max_value < 0
+        || max_value > UINT8_MAX)
         return -1;
 
     for (start = 0; start < n; start += REPRO_BLOCK) {
@@ -510,7 +516,7 @@ int64_t repro_walk_agree(const uint32_t *codes, int64_t n,
         for (i = 0; i < m; i++)
             slots[i] = (uint32_t)(words[i] & slot_mask);
         for (i = 0; i < m; i++) {
-            int64_t *slot = values + indices[i];
+            uint8_t *slot = values + indices[i];
             int8_t *latch = bias + slots[i];
             int64_t value = *slot;
             int32_t taken = (int32_t)(after[i] & 1);
@@ -521,7 +527,7 @@ int64_t repro_walk_agree(const uint32_t *codes, int64_t n,
             misses += (prediction != taken) & (i + seen >= warmup);
             if (*latch < 0)
                 *latch = (int8_t)taken;
-            *slot = repro_step(value, taken == *latch, max_value);
+            *slot = (uint8_t)repro_step(value, taken == *latch, max_value);
         }
         seen += m;
     }

@@ -105,7 +105,17 @@ def _parse_common(fields: List[str]) -> Dict[str, object]:
 
 
 def make_predictor(spec: str) -> BranchPredictor:
-    """Build a predictor from a spec string (see module docstring)."""
+    """Build a predictor from a spec string (see module docstring).
+
+    The predictor records ``spec`` (:attr:`BranchPredictor.spec`), so
+    its state snapshots restore only into the same spec.
+    """
+    predictor = _build_predictor(spec)
+    predictor.spec = spec
+    return predictor
+
+
+def _build_predictor(spec: str) -> BranchPredictor:
     fields = _split_fields(spec)
     if not fields:
         raise ValueError("empty predictor spec")

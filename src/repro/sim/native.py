@@ -4,12 +4,12 @@ builder and runner as a small C kernel.
 :func:`repro.sim.vectorized.simulate_walk` is the frame both fast tiers
 share: it hands a backend the trace as it is stored — its ``uint32``
 code stream and its event table (:class:`~repro.traces.trace.Trace`) —
-the predictor's index :class:`~repro.sim.vectorized.Geometry` and a
-private copy of the predictor state as the kernel's own ``int64`` /
-``int8`` arrays, which the kernel walks in place, and writes the result
-back.  This module is its C backend — ``_native_kernel.c``, compiled on
-demand with **cffi** — with the same two walk entry points as the
-Python loops:
+the predictor's index :class:`~repro.sim.vectorized.Geometry` and
+zero-copy views of the predictor's own state buffers — one-byte
+counters, one pointer per bank, and agree's ``int8`` latch codes —
+which the kernel updates in place.  This module is its C backend —
+``_native_kernel.c``, compiled on demand with **cffi** — with the same
+two walk entry points as the Python loops:
 
 - ``repro_walk`` steps 1, 3 or 5 majority-voted banks through the
   conditional events in trace order under TOTAL, PARTIAL or LAZY
@@ -79,8 +79,9 @@ The Python↔C seam is checked where it can be checked exactly:
 - the kernel trusts its codes to name table rows and its tables to
   match the geometry, so :func:`repro.sim.vectorized._check_walk`
   checks every code against the event table's row count, the bank
-  count, index and history widths, every table's size, and that the
-  tables it writes in place are writable arrays, before the call
+  count, index and history widths, the counter maximum, one table per
+  bank, every table's size, and that the tables it writes in place are
+  writable arrays of the kernel's element types, before the call
   (``ValueError``); past it, every read and index is in range by
   construction;
 - the program runner trusts every id, range and offset in its arrays,
@@ -115,6 +116,7 @@ from repro.sim.profile import StageTimer
 from repro.sim.vectorized import (
     Geometry,
     WalkBackend,
+    WalkInterrupted,
     _check_walk,
     simulate_walk,
     supports,
@@ -148,13 +150,13 @@ int64_t repro_walk(const uint32_t *codes, int64_t n, const uint64_t *pcs,
                    int32_t scheme, int32_t bits, int32_t history_bits,
                    uint64_t history_seed, int32_t bank0_bits,
                    int32_t banks, int32_t policy, int64_t threshold,
-                   int64_t max_value, int64_t *values, int64_t warmup);
+                   int64_t max_value, uint8_t **tables, int64_t warmup);
 int64_t repro_walk_agree(const uint32_t *codes, int64_t n,
                          const uint64_t *pcs, const uint8_t *takens,
                          const uint8_t *conditionals, int32_t bits,
                          int32_t history_bits, uint64_t history_seed,
                          int32_t bias_bits, int64_t threshold,
-                         int64_t max_value, int64_t *values, int8_t *bias,
+                         int64_t max_value, uint8_t *values, int8_t *bias,
                          int64_t warmup);
 int64_t repro_run_program(const int32_t *nodes, const int32_t *procedures,
                           const int32_t *kinds, const int64_t *ints,
@@ -396,17 +398,34 @@ def _trace_buffers(
     )
 
 
+def _call_walk(entry, *arguments) -> int:
+    """Call a kernel walk over fully prepared arguments.
+
+    Raises:
+        WalkInterrupted: if the call raises: the kernel writes the
+            tables in place, so they may be partly trained.
+    """
+    try:
+        return entry(*arguments)
+    except Exception as exc:
+        raise WalkInterrupted(f"the C walk failed: {exc!r}") from exc
+
+
 def _walk(
     codes: np.ndarray, pcs: np.ndarray, takens: np.ndarray,
     conditionals: np.ndarray, geometry: Geometry, policy: int,
-    threshold: int, max_value: int, values: np.ndarray, warmup: int,
+    threshold: int, max_value: int, tables: Sequence[np.ndarray],
+    warmup: int,
 ) -> int:
-    """``repro_walk`` over the flat bank-major ``int64`` counter table
-    ``values``, in place."""
+    """``repro_walk`` over the banks' ``uint8`` counter tables, in
+    place: the kernel takes one pointer per bank."""
     ffi, lib = _checked_backend()
-    _check_walk(codes, pcs, takens, conditionals, geometry, values, policy)
+    _check_walk(
+        codes, pcs, takens, conditionals, geometry, max_value, tables, policy
+    )
     scheme, bits, history_bits, seed, bank0_bits, banks = geometry
-    misses = lib.repro_walk(
+    misses = _call_walk(
+        lib.repro_walk,
         *_trace_buffers(ffi, codes, pcs, takens, conditionals),
         scheme,
         bits,
@@ -417,7 +436,8 @@ def _walk(
         policy,
         threshold,
         max_value,
-        _buffer(ffi, "int64_t[]", values),
+        # cffi passes the list as a temporary ``uint8_t *[]``.
+        [_buffer(ffi, "uint8_t[]", table) for table in tables],
         warmup,
     )
     if misses < 0:
@@ -430,12 +450,16 @@ def _walk_agree(
     conditionals: np.ndarray, geometry: Geometry, threshold: int,
     max_value: int, values: np.ndarray, bias: np.ndarray, warmup: int,
 ) -> int:
-    """``repro_walk_agree`` over the ``int64`` PHT ``values`` and the
+    """``repro_walk_agree`` over the ``uint8`` PHT ``values`` and the
     ``int8`` latch codes ``bias``, in place."""
     ffi, lib = _checked_backend()
-    _check_walk(codes, pcs, takens, conditionals, geometry, values, bias=bias)
+    _check_walk(
+        codes, pcs, takens, conditionals, geometry, max_value, [values],
+        bias=bias,
+    )
     _, bits, history_bits, seed, bias_bits, _ = geometry
-    misses = lib.repro_walk_agree(
+    misses = _call_walk(
+        lib.repro_walk_agree,
         *_trace_buffers(ffi, codes, pcs, takens, conditionals),
         bits,
         history_bits,
@@ -443,7 +467,7 @@ def _walk_agree(
         bias_bits,
         threshold,
         max_value,
-        _buffer(ffi, "int64_t[]", values),
+        _buffer(ffi, "uint8_t[]", values),
         _buffer(ffi, "int8_t[]", bias),
         warmup,
     )

@@ -11,10 +11,11 @@ The same "where, not just how much" question applies to the fast
 engines' wall-clock: :class:`StageTimer` accumulates per-stage seconds
 when passed to ``simulate_vectorized`` / ``simulate_native`` via their
 ``stage_timer`` argument.  Both tiers are one frame over two counter-walk
-backends, so both report ``precompute`` (index streams and the state
-copy), ``scan`` (the sequential counter walk) and ``reduce`` (the state
-writeback), and a perf regression is attributable to a pipeline stage
-rather than an opaque total.
+backends, so both report ``precompute`` (the index geometry and the
+views of the predictor's tables), ``scan`` (the sequential counter walk,
+index computation included) and ``reduce`` (the history register), and
+a perf regression is attributable to a pipeline stage rather than an
+opaque total.
 
 Exposed on the command line as ``repro-trace profile``; stage timings
 surface as the ``trace_sim`` workload's ``engine.<spec>.stage.*`` rows

@@ -1,15 +1,23 @@
 """First-class, serializable predictor state.
 
 Every predictor in the suite is a small object graph over a handful of
-mutable leaf types — saturating-counter arrays, global, per-address and
-path history registers, agree bias latches, dict-backed tagged
-tables — plus immutable configuration scalars.  :class:`PredictorState`
-captures that graph generically: a typed recursive walk produces a
-JSON-able payload, :meth:`PredictorState.restore` writes it back *in
-place* (list slices, dict refills) so every alias into the live
-structures stays valid, and :meth:`PredictorState.to_bytes` /
-:meth:`PredictorState.from_bytes` round-trip it through a checksummed
-wire format.
+mutable leaf types — one-byte saturating-counter buffers, agree's
+``int8`` bias latches, global, per-address and path history registers,
+dict-backed tagged tables — plus configuration scalars.
+:class:`PredictorState` captures that graph generically as one
+versioned binary blob::
+
+    b"RPST" | version (u32 LE) | header length (u32 LE)
+    | header (UTF-8 JSON) | array bytes | SHA-256 of everything before
+
+The header is small: the predictor's class and spec string
+(:func:`repro.sim.config.make_predictor` records it), the scalar,
+register, dict and set leaves, and for each array leaf its element type
+(``"B"`` counters, ``"b"`` latch codes), length and byte offset.  The
+array bytes follow as the live buffers hold them, so a capture is one
+byte copy of each table and :meth:`PredictorState.restore` a validated
+copy back into the same buffers — every alias into the live structures
+(the fast walks' views included) stays valid.
 
 Two layers ride on it:
 
@@ -20,18 +28,25 @@ Two layers ride on it:
 - differential tests compare *final states*, not just misprediction
   counts, via :meth:`PredictorState.digest`.
 
-Corruption policy: a payload that fails its checksum, names the wrong
-class, or does not structurally fit the target predictor raises
-(:class:`StateFormatError` / :class:`StateMismatchError`) — state is
-never silently reset, and a failed :meth:`restore` never half-writes
-(validation runs before the first mutation).
+Corruption policy: a blob that fails its checksum, is truncated or has
+trailing bytes, names another version, or does not fit the target
+predictor raises (:class:`StateFormatError` /
+:class:`StateMismatchError`) — state is never silently reset, and a
+failed :meth:`restore` never half-writes (validation runs before the
+first mutation).  Fitting means the same class and spec, the same
+configuration scalars, tables of the same element type and length, and
+every value in its leaf's range: counters within their width, latch
+codes in {-1, 0, 1}, history registers within their width, and the
+tagged tables' counters and history tags within theirs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict
+import struct
+from array import array
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.bank import PredictorBank
 from repro.core.counters import CounterArray, SaturatingCounter
@@ -48,12 +63,25 @@ __all__ = [
     "STATE_VERSION",
 ]
 
-#: Wire-format identifier embedded in every serialized state.
-STATE_FORMAT = "repro-predictor-state"
+#: Magic bytes that open every serialized state.
+STATE_FORMAT = b"RPST"
 
-#: Bumped on incompatible payload-encoding changes; :meth:`from_bytes`
-#: refuses other versions rather than guessing.
-STATE_VERSION = 1
+#: Bumped on incompatible blob-layout changes; :meth:`from_bytes`
+#: refuses other versions rather than guessing.  Version 1 was a JSON
+#: document with one list slot per counter.
+STATE_VERSION = 2
+
+#: Magic, version and header length.
+_PREFIX = struct.Struct("<4sII")
+
+_DIGEST_BYTES = hashlib.sha256().digest_size
+
+#: Array leaf kind -> the element type its bytes hold.
+_ARRAY_TYPES = {"counters": "B", "latches": "b"}
+
+#: The bytes a latch code may take: -1 (unlatched), 0 and 1.  A
+#: counter's bound is its table's width.
+_LATCH_BYTES = bytes((0xFF, 0, 1))
 
 
 class StateError(ValueError):
@@ -61,24 +89,31 @@ class StateError(ValueError):
 
 
 class StateFormatError(StateError):
-    """A serialized payload is corrupt, truncated or mis-versioned."""
+    """A serialized blob is corrupt, truncated or mis-versioned."""
 
 
 class StateMismatchError(StateError):
-    """A payload does not structurally fit the target predictor."""
+    """A blob does not structurally fit the target predictor."""
 
 
-#: Scalar leaves captured verbatim (JSON-native; bool before int by
-#: isinstance order does not matter — both round-trip exactly).
+#: Scalar leaves captured verbatim (JSON-native).
 _SCALARS = (bool, int, float, str, type(None))
 
 
-def _encode(value: Any, path: str) -> Any:
-    """Encode one attribute value into the JSON-able payload grammar."""
+def _encode(value: Any, path: str, arrays: List[array]) -> Any:
+    """Encode one attribute value into a header node; array leaves are
+    appended to ``arrays`` and named by their byte offset."""
     if isinstance(value, _SCALARS):
         return value
     if isinstance(value, CounterArray):
-        return {"k": "counters", "bits": value.bits, "v": list(value.values)}
+        return {
+            "k": "counters", "bits": value.bits,
+            **_array_leaf(value.values, arrays),
+        }
+    if isinstance(value, array):
+        if value.typecode != "b":
+            raise StateError(f"cannot capture {value.typecode!r} array {path!r}")
+        return {"k": "latches", **_array_leaf(value, arrays)}
     if isinstance(value, SaturatingCounter):
         return {"k": "counter", "bits": value.bits, "v": value.value}
     if isinstance(value, GlobalHistory):
@@ -88,28 +123,33 @@ def _encode(value: Any, path: str) -> Any:
     if isinstance(value, PathHistory):
         return {"k": "phist", "bits": value.bits, "v": value.value}
     if isinstance(value, PredictorBank):
-        return {"k": "bank", "v": _encode(value.counters, path + ".counters")}
+        return {
+            "k": "bank",
+            "v": _encode(value.counters, path + ".counters", arrays),
+        }
     if isinstance(value, BranchPredictor):
-        return {"k": "pred", "v": _encode_fields(value, path)}
+        return {"k": "pred", "v": _encode_fields(value, path, arrays)}
     if isinstance(value, tuple):
         return {
             "k": "tuple",
-            "v": [_encode(item, path) for item in value],
+            "v": [_encode(item, path, arrays) for item in value],
         }
     if isinstance(value, list):
-        return {"k": "list", "v": [_encode(item, path) for item in value]}
+        return {
+            "k": "list", "v": [_encode(item, path, arrays) for item in value]
+        }
     if isinstance(value, dict):
         # Insertion order is state for the LRU-backed tagged table, so
         # dicts encode as ordered pairs, never as JSON objects.
         return {
             "k": "dict",
             "v": [
-                [_encode(key, path), _encode(item, path)]
+                [_encode(key, path, arrays), _encode(item, path, arrays)]
                 for key, item in value.items()
             ],
         }
     if isinstance(value, (set, frozenset)):
-        items = [_encode(item, path) for item in value]
+        items = [_encode(item, path, arrays) for item in value]
         items.sort(key=lambda item: json.dumps(item, sort_keys=True))
         return {"k": "set", "v": items}
     raise StateError(
@@ -119,16 +159,32 @@ def _encode(value: Any, path: str) -> Any:
     )
 
 
-def _encode_fields(obj: Any, path: str) -> Dict[str, Any]:
-    """Capture every non-callable attribute of a predictor-like object."""
-    fields: Dict[str, Any] = {}
+def _array_leaf(values: array, arrays: List[array]) -> Dict[str, Any]:
+    """Element type, length and byte offset of an array leaf."""
+    offset = sum(len(item) for item in arrays)
+    arrays.append(values)
+    return {"t": values.typecode, "n": len(values), "o": offset}
+
+
+def _field_items(obj: Any) -> Iterator[Tuple[str, Any]]:
+    """The attributes a snapshot holds: every non-callable, non-enum
+    attribute, except the spec (the blob's header carries it)."""
     for name, value in vars(obj).items():
+        if name == "spec":
+            continue
         if callable(value) and not isinstance(value, BranchPredictor):
             continue
         if type(value).__module__ == "enum" or hasattr(value, "_value_"):
             continue  # UpdatePolicy and friends: configuration, not state
-        fields[name] = _encode(value, f"{path}.{name}")
-    return fields
+        yield name, value
+
+
+def _encode_fields(obj: Any, path: str, arrays: List[array]) -> Dict[str, Any]:
+    """Capture every stateful attribute of a predictor-like object."""
+    return {
+        name: _encode(value, f"{path}.{name}", arrays)
+        for name, value in _field_items(obj)
+    }
 
 
 def _kind(encoded: Any) -> str:
@@ -136,16 +192,29 @@ def _kind(encoded: Any) -> str:
         return "scalar"
     if isinstance(encoded, dict) and isinstance(encoded.get("k"), str):
         return encoded["k"]
-    raise StateFormatError(f"malformed state payload node: {encoded!r}")
+    raise StateFormatError(f"malformed state header node: {encoded!r:.80}")
 
 
-def _decode_key(encoded: Any) -> Any:
+def _items(encoded: Dict[str, Any], path: str) -> list:
+    """The item list of a container node."""
+    items = encoded.get("v")
+    if not isinstance(items, list):
+        raise StateFormatError(f"malformed {encoded['k']!r} node at {path}")
+    return items
+
+
+def _decode_key(encoded: Any, path: str) -> Any:
     """Rebuild a dict entry or set item (scalar or tuple of scalars)."""
     if isinstance(encoded, _SCALARS):
         return encoded
     if _kind(encoded) == "tuple":
-        return tuple(_decode_key(item) for item in encoded["v"])
-    raise StateFormatError(f"unsupported dict-entry payload: {encoded!r}")
+        return tuple(_decode_key(item, path) for item in _items(encoded, path))
+    raise StateFormatError(f"unsupported dict-entry node at {path}: {encoded!r:.80}")
+
+
+def _is_int(value: Any) -> bool:
+    """An int that is not a bool (``True == 1``, but it is no counter)."""
+    return type(value) is int
 
 
 def _check(condition: bool, path: str, message: str) -> None:
@@ -153,24 +222,13 @@ def _check(condition: bool, path: str, message: str) -> None:
         raise StateMismatchError(f"state does not fit target at {path}: {message}")
 
 
-#: Scalar types one leaf may move between: an agree bias latch is None
-#: until its slot first executes, then a bool.
-_LATCH = (bool, type(None))
+def _check_width(target: Any, encoded: Dict[str, Any], path: str) -> None:
+    bits = encoded.get("bits")
+    _check(_is_int(bits) and bits == target.bits, path, "width differs")
 
 
-def _check_scalar(target: Any, encoded: Any, path: str) -> None:
-    """A scalar leaf keeps its type (a latch may also flip set/unset)."""
-    _check(
-        type(encoded) is type(target)
-        or (isinstance(target, _LATCH) and isinstance(encoded, _LATCH)),
-        path,
-        f"{type(encoded).__name__} payload over {type(target).__name__}",
-    )
-
-
-#: Payload kind -> (leaf type, attribute holding its register value(s)).
+#: Register kind -> (leaf type, attribute holding its value(s)).
 _REGISTERS = {
-    "counters": (CounterArray, "values"),
     "counter": (SaturatingCounter, "value"),
     "ghist": (GlobalHistory, "value"),
     "pahist": (PerAddressHistory, "table"),
@@ -186,31 +244,93 @@ def _check_registers(values: Any, size: int, bits: int, path: str) -> None:
         f"expected {size} values, got {values!r:.40}",
     )
     _check(
-        all(type(value) is int for value in values)
-        and (not values or (min(values) >= 0 and max(values) <= top)),
-        path,
+        all(_is_int(value) and 0 <= value <= top for value in values), path,
         f"values must be ints in [0, {top}]",
     )
 
 
-def _apply(target: Any, encoded: Any, path: str, write: bool) -> Any:
+def _check_tagged_table(owner: Any, pairs: List[Tuple[Any, Any]], path: str) -> None:
+    """A tagged table's entries: ``(word address, history)`` keys the
+    owner's history register can hold, counters within its width, and
+    no more entries than it has (``fa:*``'s capacity)."""
+    counter_bits = getattr(owner, "counter_bits", None)
+    history = getattr(owner, "history", None)
+    _check(
+        _is_int(counter_bits) and isinstance(history, GlobalHistory), path,
+        "only a tagged counter table may be a dict",
+    )
+    top, tags = (1 << counter_bits) - 1, 1 << history.bits
+    _check(
+        len(pairs) <= getattr(owner, "entries", len(pairs)), path,
+        f"more than {getattr(owner, 'entries', 0)} entries",
+    )
+    for key, value in pairs:
+        _check(
+            isinstance(key, tuple) and len(key) == 2
+            and all(_is_int(part) for part in key)
+            and key[0] >= 0 and 0 <= key[1] < tags,
+            path, f"key {key!r} is not a (word, {history.bits}-bit history) pair",
+        )
+        _check(
+            _is_int(value) and 0 <= value <= top, path,
+            f"counter {value!r} is not an int in [0, {top}]",
+        )
+
+
+def _apply_array(
+    target: array, encoded: Dict[str, Any], allowed: bytes, path: str,
+    body: memoryview, write: bool,
+) -> None:
+    """Check an array leaf against ``target``; with ``write``, copy its
+    bytes from the blob's ``body`` into ``target``'s buffer (the same
+    object stays live)."""
+    _check(
+        target.typecode == encoded["t"] and len(target) == encoded["n"], path,
+        f"expected {len(target)} {target.typecode!r} entries, got "
+        f"{encoded['n']} {encoded['t']!r}",
+    )
+    chunk = body[encoded["o"] : encoded["o"] + encoded["n"]]
+    if write:  # the checking pass has seen every value
+        with memoryview(target) as view, view.cast("B") as raw:
+            raw[:] = chunk
+    else:
+        # translate() deletes every allowed byte: anything left is out of range.
+        _check(
+            not chunk.tobytes().translate(None, allowed), path,
+            "a value is out of range",
+        )
+
+
+def _apply(
+    target: Any, encoded: Any, path: str, body: memoryview, write: bool
+) -> Any:
     """Check ``encoded`` against ``target``; with ``write``, apply it.
 
     Returns the value the *attribute* should hold afterwards (the same
     object for in-place containers, the decoded scalar otherwise).
     :meth:`PredictorState.restore` runs a checking pass over the whole
-    payload before the writing one, so a payload that cannot fully
-    apply is refused before the first write — a failing restore never
+    header before the writing one, so a blob that cannot fully apply is
+    refused before the first write — a failing restore never
     half-writes.
     """
     kind = _kind(encoded)
-    if kind == "scalar":
-        _check_scalar(target, encoded, path)
-        return encoded
+    if kind == "counters":
+        _check(isinstance(target, CounterArray), path, "expected CounterArray")
+        _check_width(target, encoded, path)
+        allowed = bytes(range(target.max_value + 1))
+        _apply_array(target.values, encoded, allowed, path, body, write)
+        return target
+    if kind == "latches":
+        _check(
+            isinstance(target, array) and target.typecode == "b", path,
+            "expected bias latch codes",
+        )
+        _apply_array(target, encoded, _LATCH_BYTES, path, body, write)
+        return target
     if kind in _REGISTERS:
         leaf, attr = _REGISTERS[kind]
         _check(isinstance(target, leaf), path, f"expected {leaf.__name__}")
-        _check(target.bits == encoded.get("bits"), path, "width differs")
+        _check_width(target, encoded, path)
         current, values = getattr(target, attr), encoded.get("v")
         if isinstance(current, list):
             _check_registers(values, len(current), target.bits, path)
@@ -223,179 +343,277 @@ def _apply(target: Any, encoded: Any, path: str, write: bool) -> Any:
         return target
     if kind == "bank":
         _check(isinstance(target, PredictorBank), path, "expected PredictorBank")
-        _apply(target.counters, encoded.get("v"), path + ".counters", write)
+        _apply(target.counters, encoded.get("v"), path + ".counters", body, write)
         return target
     if kind == "pred":
         _check(
             isinstance(target, BranchPredictor), path,
             "expected a nested predictor",
         )
-        _apply_fields(target, encoded.get("v"), path, write)
+        _apply_fields(target, encoded.get("v"), path, body, write)
         return target
-    if kind == "tuple":
-        _check(isinstance(target, tuple), path, "expected a tuple")
-        return _decode_key(encoded)
     if kind == "list":
-        items = encoded.get("v")
+        items = _items(encoded, path)
         _check(isinstance(target, list), path, "expected a list")
-        _check(
-            isinstance(items, list) and len(items) == len(target), path,
-            f"expected a {len(target)}-item list",
-        )
+        _check(len(items) == len(target), path, f"expected a {len(target)}-item list")
         values = [
-            _apply(target[i], item, f"{path}[{i}]", write)
+            _apply(target[i], item, f"{path}[{i}]", body, write)
             for i, item in enumerate(items)
         ]
         if write:
             target[:] = values
         return target
-    if kind == "dict":
-        _check(isinstance(target, dict), path, "expected a dict")
-        pairs = [
-            (_decode_key(key), _decode_key(item)) for key, item in encoded["v"]
-        ]
-        if write:
-            target.clear()
-            target.update(pairs)
-        return target
     if kind == "set":
         _check(isinstance(target, (set, frozenset)), path, "expected a set")
-        items = {_decode_key(item) for item in encoded["v"]}
+        items = {_decode_key(item, path) for item in _items(encoded, path)}
+        _check(
+            all(_is_int(item) and item >= 0 for item in items), path,
+            "set items must be non-negative ints",
+        )
         if write:
             target.clear()
             target.update(items)
         return target
-    raise StateFormatError(f"unknown state payload kind {kind!r} at {path}")
+    raise StateFormatError(f"unknown state header node kind {kind!r} at {path}")
 
 
-def _apply_fields(obj: Any, fields: Any, path: str, write: bool) -> None:
-    """:func:`_apply` over every field of a predictor-like object."""
+def _apply_fields(
+    obj: Any, fields: Any, path: str, body: memoryview, write: bool
+) -> None:
+    """:func:`_apply` over every field of a predictor-like object.
+
+    The blob must name exactly the fields a capture of ``obj`` would.
+    Scalars and tuples are configuration — they must equal the
+    target's — except the ones the class lists in
+    :attr:`~repro.predictors.base.BranchPredictor.state_scalars`,
+    which are restored; a dict is a tagged table, checked against its
+    owner.
+    """
     if not isinstance(fields, dict):
         raise StateFormatError(f"malformed field mapping at {path}")
+    current = dict(_field_items(obj))
+    _check(
+        set(fields) == set(current), path,
+        f"fields {sorted(fields)} are not {type(obj).__name__}'s "
+        f"{sorted(current)}",
+    )
+    stateful = getattr(obj, "state_scalars", ())
     for name, encoded in fields.items():
-        _check(
-            hasattr(obj, name), f"{path}.{name}",
-            f"{type(obj).__name__} has no such attribute",
-        )
-        value = _apply(getattr(obj, name), encoded, f"{path}.{name}", write)
+        where, target = f"{path}.{name}", current[name]
+        kind = _kind(encoded)
+        if kind in ("scalar", "tuple"):
+            value = encoded if kind == "scalar" else _decode_key(encoded, where)
+            if name in stateful:
+                _check(
+                    value is None or (_is_int(value) and value >= 0), where,
+                    f"{value!r} is not a count",
+                )
+            else:
+                _check(
+                    type(value) is type(target) and value == target, where,
+                    f"configuration {value!r} differs from {target!r}",
+                )
+        elif kind == "dict":
+            _check(isinstance(target, dict), where, "expected a dict")
+            pairs = _items(encoded, where)
+            if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+                raise StateFormatError(f"malformed dict entry at {where}")
+            value = [
+                (_decode_key(key, where), _decode_key(item, where))
+                for key, item in pairs
+            ]
+            _check_tagged_table(obj, value, where)
+            if write:
+                target.clear()
+                target.update(value)
+            value = target
+        else:
+            value = _apply(target, encoded, where, body, write)
         if write:
             setattr(obj, name, value)
 
 
+def _array_leaves(node: Any) -> Iterator[Dict[str, Any]]:
+    """Every array leaf under a header node."""
+    if isinstance(node, dict):
+        if isinstance(node.get("k"), str) and node["k"] in _ARRAY_TYPES:
+            yield node
+        for value in node.values():
+            yield from _array_leaves(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _array_leaves(value)
+
+
+def _check_body(fields: Dict[str, Any], size: int) -> None:
+    """The array leaves are well formed and tile the ``size`` body bytes
+    exactly: nothing truncated, nothing trailing, nothing shared."""
+    leaves = list(_array_leaves(fields))
+    for leaf in leaves:
+        if not (
+            leaf.get("t") == _ARRAY_TYPES[leaf["k"]]
+            and _is_int(leaf.get("n")) and _is_int(leaf.get("o"))
+            and leaf["n"] >= 0
+        ):
+            raise StateFormatError(f"malformed array leaf {leaf!r:.80}")
+    end = 0
+    for leaf in sorted(leaves, key=lambda leaf: leaf["o"]):
+        if leaf["o"] != end:
+            raise StateFormatError("array leaves do not tile the blob's body")
+        end += leaf["n"]
+    if end != size:
+        raise StateFormatError(
+            f"array leaves hold {end} bytes, the blob's body {size}"
+        )
+
+
 class PredictorState:
-    """A complete, serializable snapshot of one predictor's mutable state."""
+    """A complete, serializable snapshot of one predictor's mutable state,
+    held as its binary blob (see the module docstring for the layout)."""
 
-    __slots__ = ("predictor_class", "payload")
+    __slots__ = ("predictor_class", "spec", "_blob", "_fields", "_body")
 
-    def __init__(self, predictor_class: str, payload: Dict[str, Any]):
-        self.predictor_class = predictor_class
-        self.payload = payload
+    def __init__(self, blob: bytes):
+        """Parse and verify a blob (use :meth:`capture` /
+        :meth:`from_bytes`).
+
+        Raises:
+            StateFormatError: on anything short of a byte-perfect blob of
+                this version: a short or truncated blob, trailing bytes,
+                wrong magic or version, a checksum mismatch (bit flips
+                anywhere, the digest included), or a malformed header.
+        """
+        blob = bytes(blob)
+        if len(blob) < _PREFIX.size + _DIGEST_BYTES:
+            raise StateFormatError(f"predictor state of {len(blob)} bytes is truncated")
+        magic, version, header_size = _PREFIX.unpack_from(blob)
+        if magic != STATE_FORMAT:
+            raise StateFormatError(
+                f"not a predictor state: magic {magic!r}, not {STATE_FORMAT!r}"
+            )
+        if version != STATE_VERSION:
+            raise StateFormatError(
+                f"unsupported state version {version} (expected {STATE_VERSION})"
+            )
+        content = len(blob) - _DIGEST_BYTES
+        if hashlib.sha256(memoryview(blob)[:content]).digest() != blob[content:]:
+            raise StateFormatError(
+                "predictor-state checksum mismatch: the blob was corrupted "
+                "in flight or at rest"
+            )
+        body = _PREFIX.size + header_size
+        if body > content:
+            raise StateFormatError("predictor-state header overruns the blob")
+        try:
+            header = json.loads(blob[_PREFIX.size : body].decode("utf-8"))
+            if not (
+                isinstance(header, dict)
+                and isinstance(header.get("class"), str)
+                and isinstance(header.get("spec"), (str, type(None)))
+                and isinstance(header.get("fields"), dict)
+            ):
+                raise StateFormatError("predictor-state header lacks class/spec/fields")
+            _check_body(header["fields"], content - body)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise StateFormatError(f"undecodable predictor-state header: {exc!r:.200}") from None
+        self.predictor_class: str = header["class"]
+        self.spec: Optional[str] = header["spec"]
+        self._blob = blob
+        self._fields: Dict[str, Any] = header["fields"]
+        self._body = body
 
     # -- capture / restore -------------------------------------------------
 
     @classmethod
     def capture(cls, predictor: BranchPredictor) -> "PredictorState":
-        """Deep-copy every mutable leaf of ``predictor`` into a payload."""
-        return cls(
-            type(predictor).__name__,
-            _encode_fields(predictor, type(predictor).__name__),
-        )
+        """Snapshot every mutable leaf of ``predictor``: its header, then
+        one byte copy of each table."""
+        name = type(predictor).__name__
+        arrays: List[array] = []
+        fields = _encode_fields(predictor, name, arrays)
+        header = json.dumps(
+            {"class": name, "spec": predictor.spec, "fields": fields},
+            sort_keys=True, separators=(",", ":"),
+        ).encode("utf-8")
+        parts = [_PREFIX.pack(STATE_FORMAT, STATE_VERSION, len(header)), header]
+        parts.extend(memoryview(values).cast("B") for values in arrays)
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(part)
+        parts.append(digest.digest())
+        return cls._trusted(b"".join(parts), name, predictor.spec, fields,
+                            len(parts[0]) + len(header))
+
+    @classmethod
+    def _trusted(
+        cls, blob: bytes, name: str, spec: Optional[str],
+        fields: Dict[str, Any], body: int,
+    ) -> "PredictorState":
+        """A state over a blob this module just built (no re-parse)."""
+        state = cls.__new__(cls)
+        state.predictor_class, state.spec = name, spec
+        state._blob, state._fields, state._body = blob, fields, body
+        return state
 
     def restore(self, predictor: BranchPredictor) -> None:
         """Write the snapshot back into ``predictor``, in place.
 
-        Raises :class:`StateMismatchError` when the payload does not fit
-        (wrong class, table geometry, missing attributes, a leaf of the
-        wrong type or out of its register's range) *before* touching any
-        predictor state.
+        Raises :class:`StateMismatchError` when the blob does not fit
+        (another class or spec, a changed configuration scalar, table
+        geometry or element type, missing or extra attributes, a leaf of
+        the wrong type or a value out of its leaf's range) *before*
+        touching any predictor state.
         """
         if type(predictor).__name__ != self.predictor_class:
             raise StateMismatchError(
                 f"state captured from {self.predictor_class} cannot "
                 f"restore into {type(predictor).__name__}"
             )
-        _apply_fields(predictor, self.payload, self.predictor_class, False)
-        _apply_fields(predictor, self.payload, self.predictor_class, True)
+        if predictor.spec != self.spec:
+            raise StateMismatchError(
+                f"state captured from spec {self.spec!r} cannot restore "
+                f"into spec {predictor.spec!r}"
+            )
+        body = memoryview(self._blob)[self._body : -_DIGEST_BYTES]
+        _apply_fields(predictor, self._fields, self.predictor_class, body, False)
+        _apply_fields(predictor, self._fields, self.predictor_class, body, True)
 
     # -- serialization -----------------------------------------------------
 
-    def canonical(self) -> str:
-        """Deterministic JSON of the payload (the digest input)."""
-        return json.dumps(
-            self.payload, sort_keys=True, separators=(",", ":")
-        )
-
     def digest(self) -> str:
-        """SHA-256 over class name + canonical payload."""
-        material = self.predictor_class + "\n" + self.canonical()
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+        """SHA-256 of the blob's content (its last 32 bytes), as hex."""
+        return self._blob[-_DIGEST_BYTES:].hex()
 
     def to_bytes(self) -> bytes:
-        """Serialize to the checksummed wire format."""
-        document = {
-            "format": STATE_FORMAT,
-            "version": STATE_VERSION,
-            "class": self.predictor_class,
-            "digest": self.digest(),
-            "payload": self.payload,
-        }
-        return json.dumps(document, sort_keys=True).encode("utf-8")
+        """The checksummed binary blob."""
+        return self._blob
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PredictorState":
-        """Parse and verify a :meth:`to_bytes` document.
+        """Parse and verify a :meth:`to_bytes` blob.
 
-        Raises :class:`StateFormatError` on anything short of a byte-
-        perfect document: bad JSON, wrong format/version markers, or a
-        checksum mismatch (bit flips in the payload *or* the digest).
+        Raises:
+            StateFormatError: on anything short of a byte-perfect blob
+                (see :class:`PredictorState`).
         """
-        try:
-            document = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StateFormatError(f"undecodable predictor state: {exc}") from None
-        if not isinstance(document, dict):
-            raise StateFormatError("predictor state must be a JSON object")
-        if document.get("format") != STATE_FORMAT:
-            raise StateFormatError(
-                f"not a {STATE_FORMAT} document: "
-                f"format={document.get('format')!r}"
-            )
-        if document.get("version") != STATE_VERSION:
-            raise StateFormatError(
-                f"unsupported state version {document.get('version')!r} "
-                f"(expected {STATE_VERSION})"
-            )
-        klass = document.get("class")
-        payload = document.get("payload")
-        if not isinstance(klass, str) or not isinstance(payload, dict):
-            raise StateFormatError("predictor state missing class/payload")
-        state = cls(klass, payload)
-        if document.get("digest") != state.digest():
-            raise StateFormatError(
-                "predictor-state checksum mismatch: the payload was "
-                "corrupted in flight or at rest"
-            )
-        return state
+        return cls(data)
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PredictorState):
             return NotImplemented
-        return (
-            self.predictor_class == other.predictor_class
-            and self.payload == other.payload
-        )
+        return self._blob == other._blob
 
     def __ne__(self, other: object) -> bool:
         equal = self.__eq__(other)
         return NotImplemented if equal is NotImplemented else not equal
 
     def __hash__(self) -> int:
-        return hash((self.predictor_class, self.canonical()))
+        return hash(self._blob)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<PredictorState {self.predictor_class} "
+            f"<PredictorState {self.predictor_class} {self.spec!r} "
             f"digest={self.digest()[:12]}>"
         )

@@ -37,11 +37,11 @@ conditional event's indices themselves:
 
 Nothing is memoised on the trace: a walk holds what it derives only for
 the length of the call.  :func:`simulate_walk` is the one frame around
-either backend: it copies the predictor's counters into one ``int64``
-table (and agree's biasing bits into ``int8`` latch codes), the backend
-walks those arrays in place, and the frame writes the final counters,
-bias bits and history back only after the walk returns, one bank at a
-time — so a call holds at most two table-sized copies of the state.
+either backend: it hands the backend zero-copy ``numpy`` views of the
+predictor's own one-byte counter buffers, one per bank
+(:class:`~repro.core.counters.CounterArray`), and of agree's ``int8``
+latch codes; the backend updates them in place, and the frame then
+advances the history register — so a call copies no table at all.
 
 The result is behaviourally identical to :func:`repro.sim.engine.simulate`
 (asserted by the equivalence suite in ``tests/sim/test_vectorized.py``,
@@ -57,11 +57,11 @@ from __future__ import annotations
 
 import warnings
 from functools import partial
-from itertools import chain
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from repro.core.counters import MAX_ARRAY_COUNTER_BITS
 from repro.core.egskew import EnhancedSkewedPredictor
 from repro.core.gskew import SkewedPredictor
 from repro.core.update import UpdatePolicy
@@ -77,6 +77,7 @@ from repro.sim.profile import NULL_STAGE_TIMER, StageTimer
 from repro.traces.trace import Trace
 
 __all__ = [
+    "WalkInterrupted",
     "supports",
     "simulate_vectorized",
     "simulate_fast",
@@ -364,9 +365,9 @@ def supports(predictor: BranchPredictor, trace: Trace) -> bool:
 
 # -- the Python walks --------------------------------------------------------
 #
-# The loops below walk one flat, bank-major table: bank b's entries sit
-# at ``b * entries`` onward and its index stream is offset to match, so
-# every bank reads and writes the same list.
+# The loops below index each bank's own table: ``memoryview``s over the
+# predictor's one-byte counter buffers (and agree's ``int8`` latch
+# codes), read and written in place, one per bank.
 
 #: ``repro_walk``'s policy codes (``REPRO_POLICY_*`` in the C kernel).
 _TOTAL, _PARTIAL, _LAZY = 0, 1, 2
@@ -376,19 +377,16 @@ _POLICY_CODES = {
     UpdatePolicy.LAZY: _LAZY,
 }
 
-#: Biasing bits as both walks store them: the predictor's None / False /
-#: True latches become -1 / 0 / 1.  Indexed by a table of codes,
-#: ``_LATCH_OBJECTS`` maps it back in one step (index -1 is None) to the
-#: same singletons, so the loops' ``is None`` tests hold.
-_LATCH_CODES = {None: -1, False: 0, True: 1}
-_LATCH_OBJECTS = np.array((False, True, None), dtype=object)
+#: The largest counter a table byte holds.
+_MAX_COUNTER_VALUE = (1 << MAX_ARRAY_COUNTER_BITS) - 1
 
 
 def _loop_single(
-    values: List[int], threshold: int, vmax: int,
+    tables: Sequence[memoryview], threshold: int, vmax: int,
     outcomes: Sequence[bool], indices: Sequence[int],
 ) -> int:
     """One tag-less table: read, score, saturating update."""
+    (values,) = tables
     miss = 0
     for idx, t in zip(indices, outcomes):
         v = values[idx]
@@ -403,15 +401,17 @@ def _loop_single(
 
 
 def _loop3_partial(
-    values: List[int], threshold: int, vmax: int, outcomes: Sequence[bool],
+    tables: Sequence[memoryview], threshold: int, vmax: int,
+    outcomes: Sequence[bool],
     i0: Sequence[int], i1: Sequence[int], i2: Sequence[int],
 ) -> int:
     """3-bank majority vote, partial update (the paper's headline config)."""
+    bank0, bank1, bank2 = tables
     miss = 0
     for a, b, c, t in zip(i0, i1, i2, outcomes):
-        x = values[a]
-        y = values[b]
-        z = values[c]
+        x = bank0[a]
+        y = bank1[b]
+        z = bank2[c]
         p0 = x >= threshold
         p1 = y >= threshold
         p2 = z >= threshold
@@ -420,46 +420,48 @@ def _loop3_partial(
             miss += 1
             if t:
                 if x < vmax:
-                    values[a] = x + 1
+                    bank0[a] = x + 1
                 if y < vmax:
-                    values[b] = y + 1
+                    bank1[b] = y + 1
                 if z < vmax:
-                    values[c] = z + 1
+                    bank2[c] = z + 1
             else:
                 if x > 0:
-                    values[a] = x - 1
+                    bank0[a] = x - 1
                 if y > 0:
-                    values[b] = y - 1
+                    bank1[b] = y - 1
                 if z > 0:
-                    values[c] = z - 1
+                    bank2[c] = z - 1
         elif t:
             # Overall correct: strengthen only the agreeing banks.
             if p0 and x < vmax:
-                values[a] = x + 1
+                bank0[a] = x + 1
             if p1 and y < vmax:
-                values[b] = y + 1
+                bank1[b] = y + 1
             if p2 and z < vmax:
-                values[c] = z + 1
+                bank2[c] = z + 1
         else:
             if not p0 and x > 0:
-                values[a] = x - 1
+                bank0[a] = x - 1
             if not p1 and y > 0:
-                values[b] = y - 1
+                bank1[b] = y - 1
             if not p2 and z > 0:
-                values[c] = z - 1
+                bank2[c] = z - 1
     return miss
 
 
 def _loop3_total(
-    values: List[int], threshold: int, vmax: int, outcomes: Sequence[bool],
+    tables: Sequence[memoryview], threshold: int, vmax: int,
+    outcomes: Sequence[bool],
     i0: Sequence[int], i1: Sequence[int], i2: Sequence[int],
 ) -> int:
     """3-bank majority vote, total update: every bank trains every branch."""
+    bank0, bank1, bank2 = tables
     miss = 0
     for a, b, c, t in zip(i0, i1, i2, outcomes):
-        x = values[a]
-        y = values[b]
-        z = values[c]
+        x = bank0[a]
+        y = bank1[b]
+        z = bank2[c]
         p0 = x >= threshold
         p1 = y >= threshold
         p2 = z >= threshold
@@ -467,31 +469,33 @@ def _loop3_total(
             miss += 1
         if t:
             if x < vmax:
-                values[a] = x + 1
+                bank0[a] = x + 1
             if y < vmax:
-                values[b] = y + 1
+                bank1[b] = y + 1
             if z < vmax:
-                values[c] = z + 1
+                bank2[c] = z + 1
         else:
             if x > 0:
-                values[a] = x - 1
+                bank0[a] = x - 1
             if y > 0:
-                values[b] = y - 1
+                bank1[b] = y - 1
             if z > 0:
-                values[c] = z - 1
+                bank2[c] = z - 1
     return miss
 
 
 def _loop3_lazy(
-    values: List[int], threshold: int, vmax: int, outcomes: Sequence[bool],
+    tables: Sequence[memoryview], threshold: int, vmax: int,
+    outcomes: Sequence[bool],
     i0: Sequence[int], i1: Sequence[int], i2: Sequence[int],
 ) -> int:
     """3-bank majority vote, lazy update: train only on overall misses."""
+    bank0, bank1, bank2 = tables
     miss = 0
     for a, b, c, t in zip(i0, i1, i2, outcomes):
-        x = values[a]
-        y = values[b]
-        z = values[c]
+        x = bank0[a]
+        y = bank1[b]
+        z = bank2[c]
         p0 = x >= threshold
         p1 = y >= threshold
         p2 = z >= threshold
@@ -499,18 +503,18 @@ def _loop3_lazy(
             miss += 1
             if t:
                 if x < vmax:
-                    values[a] = x + 1
+                    bank0[a] = x + 1
                 if y < vmax:
-                    values[b] = y + 1
+                    bank1[b] = y + 1
                 if z < vmax:
-                    values[c] = z + 1
+                    bank2[c] = z + 1
             else:
                 if x > 0:
-                    values[a] = x - 1
+                    bank0[a] = x - 1
                 if y > 0:
-                    values[b] = y - 1
+                    bank1[b] = y - 1
                 if z > 0:
-                    values[c] = z - 1
+                    bank2[c] = z - 1
     return miss
 
 
@@ -518,7 +522,7 @@ _LOOP3 = {_TOTAL: _loop3_total, _PARTIAL: _loop3_partial, _LAZY: _loop3_lazy}
 
 
 def _loop_voted(
-    policy: int, values: List[int], threshold: int, vmax: int,
+    policy: int, tables: Sequence[memoryview], threshold: int, vmax: int,
     outcomes: Sequence[bool], *index_lists: Sequence[int],
 ) -> int:
     """Generic odd-bank-count loop (single-bank LAZY and five banks)."""
@@ -530,7 +534,7 @@ def _loop_voted(
         t = row[0]
         votes = 0
         for b in range(banks):
-            p = values[row[1 + b]] >= threshold
+            p = tables[b][row[1 + b]] >= threshold
             preds[b] = p
             if p:
                 votes += 1
@@ -544,7 +548,7 @@ def _loop_voted(
         else:  # LAZY on a correct vote
             train = ()
         for b in train:
-            idx = row[1 + b]
+            values, idx = tables[b], row[1 + b]
             v = values[idx]
             if t:
                 if v < vmax:
@@ -555,21 +559,22 @@ def _loop_voted(
 
 
 def _loop_agree(
-    values: List[int], bias: List[Optional[bool]], threshold: int, vmax: int,
+    values: memoryview, bias: memoryview, threshold: int, vmax: int,
     indices: Sequence[int], slots: Sequence[int], outcomes: Sequence[bool],
 ) -> int:
     """Agree: a PHT of agree/disagree counters over latched biasing bits.
 
-    An unlatched slot predicts from the PHT alone (its bias defaults to
-    taken), then latches to the outcome; the PHT trains toward "the
-    outcome agreed with the bias" — the order of
+    ``bias`` holds latch codes: -1 = unlatched, else the latched
+    outcome.  An unlatched slot predicts from the PHT alone (its bias
+    defaults to taken), then latches to the outcome; the PHT trains
+    toward "the outcome agreed with the bias" — the order of
     :meth:`~repro.predictors.agree.AgreePredictor.predict_and_update`.
     """
     miss = 0
     for idx, slot, t in zip(indices, slots, outcomes):
         v = values[idx]
         latched = bias[slot]
-        if latched is None:
+        if latched < 0:
             if (v >= threshold) != t:
                 miss += 1
             bias[slot] = t
@@ -592,16 +597,18 @@ def _check_walk(
     takens: np.ndarray,
     conditionals: np.ndarray,
     geometry: Geometry,
-    values: Sequence[int],
+    max_value: int,
+    tables: Sequence[np.ndarray],
     policy: int = _TOTAL,
-    bias: Optional[Sequence[int]] = None,
+    bias: Optional[np.ndarray] = None,
 ) -> None:
     """Refuse walk inputs either backend would read or write past.
 
     Indices are in range by construction once every code names a row
-    of the event table, the geometry is sound and every counter table
-    holds ``1 << bits`` entries per bank, so this is the whole of the
-    check — made before any walk starts.
+    of the event table, the geometry is sound and every bank's counter
+    table holds ``1 << bits`` entries, so this is the whole of the
+    check — made before any walk starts, so a refused walk writes
+    nothing.
 
     Raises:
         ValueError: on event-table columns of unequal length, a code at
@@ -610,9 +617,11 @@ def _check_walk(
             to ``repro_walk_agree`` only), index bits above 32 (or
             below 1 for voted banks, as the skewed predictors require),
             history bits above 63, a seed wider than the history, a
-            table (or agree's biasing-bit table) of the wrong size, or
-            one that is not a writable array (the walks write it in
-            place).
+            counter maximum a byte cannot hold, a table count other
+            than the bank count, a table (or agree's biasing-bit table)
+            of the wrong size, or one that is not a writable ``uint8``
+            (``int8`` for the biasing bits) array — the walks write the
+            tables in place.
     """
     scheme, bits, history_bits, seed, extra_bits, banks = geometry
     if not len(pcs) == len(takens) == len(conditionals):
@@ -638,22 +647,52 @@ def _check_walk(
     extra_limit = _MAX_INDEX_BITS if scheme == _AGREE else _MAX_HISTORY_BITS
     if not 0 <= extra_bits <= extra_limit:
         raise ValueError(f"extra bits must be in [0, {extra_limit}]")
-    if len(values) != banks << bits:
-        raise ValueError(f"need {banks} x {1 << bits} counters")
-    if bias is not None and len(bias) != 1 << extra_bits:
-        raise ValueError(f"need {1 << extra_bits} biasing bits")
-    for state in (values, bias):
-        if state is not None and not (
-            isinstance(state, np.ndarray) and state.flags.writeable
+    if not 0 <= max_value <= _MAX_COUNTER_VALUE:
+        raise ValueError(f"counter maximum must be in [0, {_MAX_COUNTER_VALUE}]")
+    if len(tables) != banks:
+        raise ValueError(f"need one counter table per bank ({banks})")
+    states = [(table, np.uint8, 1 << bits) for table in tables]
+    if bias is not None:
+        states.append((bias, np.int8, 1 << extra_bits))
+    for state, dtype, size in states:
+        if not (
+            isinstance(state, np.ndarray) and state.dtype == dtype
+            and state.flags.writeable
         ):
-            raise ValueError("the state tables must be writable arrays")
+            raise ValueError(
+                f"the state tables must be writable arrays of {np.dtype(dtype)}"
+            )
+        if len(state) != size:
+            raise ValueError(f"need tables of {size} entries, not {len(state)}")
+
+
+class WalkInterrupted(RuntimeError):
+    """A walk raised after it began writing the predictor's tables in
+    place: the predictor is partly trained, so no tier may resume from
+    it — :func:`simulate_fast` re-raises this rather than degrading."""
+
+
+def _scored(
+    loop: Callable[..., int], warmup: int, state: tuple, *streams: memoryview
+) -> int:
+    """``loop(*state, *streams)``, the first ``warmup`` events trained
+    but not scored; returns the scored misses.
+
+    Raises:
+        WalkInterrupted: if the loop raises (it writes the tables in
+            place, so they may be partly trained).
+    """
+    try:
+        if warmup:  # trains like any event; the misses are not scored
+            loop(*state, *(stream[:warmup] for stream in streams))
+        return loop(*state, *(stream[warmup:] for stream in streams))
+    except Exception as exc:
+        raise WalkInterrupted(f"the Python walk failed: {exc!r}") from exc
 
 
 def _bank_major(streams: List[np.ndarray]) -> np.ndarray:
-    """The per-bank index streams as one bank-major uint32 array.
-
-    Table entries are Python list slots, so every index fits 32 bits.
-    """
+    """The per-bank index streams as one bank-major uint32 array
+    (every index is below ``1 << 32``, the walks' index limit)."""
     indices = np.empty((len(streams), len(streams[0])), dtype=np.uint32)
     for b, stream in enumerate(streams):
         indices[b] = stream
@@ -663,20 +702,23 @@ def _bank_major(streams: List[np.ndarray]) -> np.ndarray:
 def _walk(
     codes: np.ndarray, pcs: np.ndarray, takens: np.ndarray,
     conditionals: np.ndarray, geometry: Geometry, policy: int,
-    threshold: int, max_value: int, values: np.ndarray, warmup: int,
+    threshold: int, max_value: int, tables: Sequence[np.ndarray],
+    warmup: int,
 ) -> int:
     """``repro_walk`` in Python: the same inputs, state and result.
 
-    ``values`` is the flat bank-major ``int64`` counter table, left in
-    its final state; the loops walk it as one Python list and write it
-    back in place.  Returns the misses past ``warmup`` conditional
-    events.
+    ``tables`` are the banks' ``uint8`` counter tables, one per bank,
+    walked in place and left in their final state.  Returns the misses
+    past ``warmup`` conditional events.
 
     Raises:
         ValueError: on inputs :func:`_check_walk` refuses (tables
             untouched).
+        WalkInterrupted: if the loop fails once it began writing.
     """
-    _check_walk(codes, pcs, takens, conditionals, geometry, values, policy)
+    _check_walk(
+        codes, pcs, takens, conditionals, geometry, max_value, tables, policy
+    )
     pcs, takens, conditionals = pcs[codes], takens[codes], conditionals[codes]
     banks = geometry.banks
     if banks == 3:
@@ -685,22 +727,16 @@ def _walk(
         loop = _loop_single  # one bank: PARTIAL trains like TOTAL
     else:
         loop = partial(_loop_voted, policy)
-    rows = _bank_major(_index_streams(geometry, pcs, takens, conditionals))
-    if banks > 1:  # offset each bank into the flat table (fits 32 bits)
-        entries = 1 << geometry.index_bits
-        rows = rows + np.arange(0, banks * entries, entries, np.uint32)[:, None]
     # Memoryviews iterate as Python ints (and the outcomes as bools, the
-    # loops' fast truth test) without building lists first.
-    rows = [memoryview(row) for row in rows]
+    # loops' fast truth test) without building lists first, and index
+    # the tables in place.
+    rows = [
+        memoryview(row)
+        for row in _bank_major(_index_streams(geometry, pcs, takens, conditionals))
+    ]
     ts = memoryview(takens[conditionals != 0].astype(np.bool_))
-    counters = values.tolist()
-    if warmup:  # trains like any event; the misses are not scored
-        loop(counters, threshold, max_value, ts[:warmup], *(r[:warmup] for r in rows))
-    misses = loop(
-        counters, threshold, max_value, ts[warmup:], *(r[warmup:] for r in rows)
-    )
-    values[:] = counters
-    return misses
+    views = [memoryview(table) for table in tables]
+    return _scored(loop, warmup, (views, threshold, max_value), ts, *rows)
 
 
 def _walk_agree(
@@ -710,35 +746,26 @@ def _walk_agree(
 ) -> int:
     """``repro_walk_agree`` in Python: the same inputs, state and result.
 
-    ``values`` (the ``int64`` PHT) and ``bias`` (``int8`` latch codes,
-    -1 = unlatched) are left in their final state; returns the misses
-    past ``warmup`` conditional events.
+    ``values`` (the ``uint8`` PHT) and ``bias`` (``int8`` latch codes,
+    -1 = unlatched) are walked in place and left in their final state;
+    returns the misses past ``warmup`` conditional events.
 
     Raises:
         ValueError: on inputs :func:`_check_walk` refuses (tables
             untouched).
+        WalkInterrupted: if the loop fails once it began writing.
     """
-    _check_walk(codes, pcs, takens, conditionals, geometry, values, bias=bias)
+    _check_walk(
+        codes, pcs, takens, conditionals, geometry, max_value, [values],
+        bias=bias,
+    )
     pcs, takens, conditionals = pcs[codes], takens[codes], conditionals[codes]
     keys, slot_list = map(
         memoryview, _bank_major(_index_streams(geometry, pcs, takens, conditionals))
     )
     ts = memoryview(takens[conditionals != 0].astype(np.bool_))
-    counters = values.tolist()
-    # The loop tests latches by identity (``is None``), its fastest form.
-    latches = _LATCH_OBJECTS[bias].tolist()
-    if warmup:
-        _loop_agree(
-            counters, latches, threshold, max_value,
-            keys[:warmup], slot_list[:warmup], ts[:warmup],
-        )
-    misses = _loop_agree(
-        counters, latches, threshold, max_value,
-        keys[warmup:], slot_list[warmup:], ts[warmup:],
-    )
-    values[:] = counters
-    bias[:] = list(map(_LATCH_CODES.__getitem__, latches))
-    return misses
+    state = (memoryview(values), memoryview(bias), threshold, max_value)
+    return _scored(_loop_agree, warmup, state, keys, slot_list, ts)
 
 
 # -- the frame ---------------------------------------------------------------
@@ -751,12 +778,13 @@ class WalkBackend(NamedTuple):
     ``repro_walk_agree`` inputs — the trace's code stream and the
     ``pcs``, ``takens`` and ``conditionals`` of its event table, the
     :class:`Geometry`, the policy code (``walk`` only), the counter
-    threshold and maximum, the state buffers and the warmup — with the
-    state buffers as the kernel's own arrays (the flat bank-major
-    ``int64`` counter table and agree's ``int8`` latch codes), which
-    they leave in their final state, and return the miss count.  They
-    touch nothing but those buffers, and refuse inputs
-    :func:`_check_walk` refuses before touching them.
+    threshold and maximum, the state tables and the warmup — with the
+    state tables as ``numpy`` views of the predictor's own buffers
+    (``walk``: one ``uint8`` counter table per bank; ``walk_agree``: the
+    ``uint8`` PHT and the ``int8`` latch codes), which they update in
+    place, and return the miss count.  They touch nothing but those
+    tables, refuse inputs :func:`_check_walk` refuses before touching
+    them, and raise :class:`WalkInterrupted` for any failure after.
     """
 
     #: ``SimulationResult.engine`` of the tier.
@@ -794,17 +822,17 @@ def simulate_walk(
 ) -> SimulationResult:
     """Run ``predictor`` over ``trace`` with ``backend``'s counter walk.
 
-    The frame both fast tiers share: the predictor's index geometry, a
-    private copy of the counter and agree-bias state as the backend's
-    arrays, the walk over the trace's codes and event table and those
-    arrays, then the writeback of counters, bias and history.  The
-    predictor is written only after the walk returns, so a backend that
-    raises leaves it exactly as it was.  The writeback gives each bank a
-    new list made from its slice of the table, one bank at a time, so a
-    call holds the ``int64`` table plus at most one bank's list.
-    ``stage_timer`` (optional) accumulates per-stage wall-clock under
-    ``"precompute"`` (the geometry and the state copy), ``"scan"`` (the
-    walk, index computation included) and ``"reduce"`` (the writeback).
+    The frame both fast tiers share: the predictor's index geometry,
+    zero-copy ``numpy`` views of its counter buffers (one per bank) and
+    of agree's latch codes, the walk over the trace's codes and event
+    table, which updates those buffers in place, then the history
+    register.  No table is copied, so a call costs nothing per table
+    entry.  Every refusal (:func:`_check_walk`, an unsupported
+    geometry) comes before the walk's first write, so a backend that
+    raises leaves the predictor exactly as it was.  ``stage_timer``
+    (optional) accumulates per-stage wall-clock under ``"precompute"``
+    (the geometry and the views), ``"scan"`` (the walk, index
+    computation included) and ``"reduce"`` (the history register).
 
     Raises:
         ValueError: if ``backend`` cannot run the predictor (callers
@@ -825,39 +853,26 @@ def simulate_walk(
         counters = [bank.counters for bank in predictor.banks]
     else:
         counters = [predictor.bank.counters]
-    entries = counters[0].size
     threshold, vmax = counters[0].threshold, counters[0].max_value
     columns = (trace.codes, *trace.table[:3])
 
     with timer.stage("precompute"):
         geometry = _geometry(predictor)
-        table = np.fromiter(
-            chain.from_iterable(c.values for c in counters),
-            dtype=np.int64, count=len(counters) * entries,
-        )
+        tables = [np.frombuffer(c.values, dtype=np.uint8) for c in counters]
         if agree:
-            bias = np.fromiter(
-                map(_LATCH_CODES.__getitem__, predictor._bias),
-                dtype=np.int8, count=len(predictor._bias),
-            )
+            bias = np.frombuffer(predictor._bias, dtype=np.int8)
     with timer.stage("scan"):
         if agree:
             misses = backend.walk_agree(
-                *columns, geometry, threshold, vmax, table, bias, warmup
+                *columns, geometry, threshold, vmax, tables[0], bias, warmup
             )
         else:
             policy = getattr(predictor, "update_policy", UpdatePolicy.TOTAL)
             misses = backend.walk(
                 *columns, geometry, _POLICY_CODES[policy], threshold, vmax,
-                table, warmup,
+                tables, warmup,
             )
     with timer.stage("reduce"):
-        if agree:
-            predictor._bias = _LATCH_OBJECTS[bias].tolist()
-        # A new list per bank, not a slice assignment: that would hold a
-        # second copy of the bank's old entries while it runs.
-        for b, c in enumerate(counters):
-            c.values = table[b * entries : (b + 1) * entries].tolist()
         history = getattr(predictor, "history", None)
         if history is not None and history.bits:
             history.value = _final_history(trace, history.bits, history.value)
@@ -917,10 +932,14 @@ def simulate_fast(
        hybrid and custom-skew schemes).
 
     A fast tier that *raises* degrades gracefully instead of killing
-    the sweep: its walk only ever touched the frame's private copy of
-    the predictor state, so a ``RuntimeWarning`` records the failure
+    the sweep: every refusal comes before its walk's first write to the
+    predictor's tables, so a ``RuntimeWarning`` records the failure
     and the next tier runs from the untouched predictor — every tier is
-    bit-identical, so the degraded result is too.  The generic
+    bit-identical, so the degraded result is too.  A walk that fails
+    *after* it began writing (:class:`WalkInterrupted`; neither backend
+    does short of an interpreter error) leaves the tables partly
+    trained, so it propagates instead: the serving layer's flush
+    restores its snapshot, and any other caller owns a dirty predictor.  The generic
     interpreter is the reference implementation and the final tier;
     its errors propagate.  The ``kernel-native`` /
     ``kernel-vectorized`` fault sites
@@ -943,6 +962,8 @@ def simulate_fast(
         try:
             maybe_fail(site)
             return engine(predictor, trace, warmup=warmup, label=label)
+        except WalkInterrupted:
+            raise  # the tables are partly trained: no tier can resume
         except Exception as exc:
             warnings.warn(
                 f"{tier_name} engine failed on "

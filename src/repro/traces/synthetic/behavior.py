@@ -182,6 +182,12 @@ class MarkovBehavior(BranchBehavior):
 #: first ``1 << 16`` entries.
 _MAX_CORRELATED_BITS = 16
 
+#: The largest mean long-loop trip count a mix draws: a draw is at most
+#: about ``37 * loop_trip_mean`` (``expovariate`` of a double tops out
+#: near ``53 * ln 2``), which stays well below the runners' trip limit
+#: (``cfg._MAX_TRIPS``, 2**62) and the int64 a compiled program holds.
+_MAX_LOOP_TRIP_MEAN = 2**50
+
 
 class BehaviorMix:
     """A weighted recipe for drawing fresh branch behaviours.
@@ -196,7 +202,7 @@ class BehaviorMix:
     Raises:
         ValueError: on a weight that is negative or not finite, weights
             summing to 0 or past a float; ``correlated_bits`` other than
-            an int in [2, 16]; ``loop_trip_mean`` not finite and > 0; or
+            an int in [2, 16]; ``loop_trip_mean`` not in (0, 2**50]; or
             ``bias_strength``, ``correlated_noise`` or ``hard_fraction``
             outside [0, 1].
     """
@@ -233,8 +239,10 @@ class BehaviorMix:
                 f"correlated_bits must be an int in [2, {_MAX_CORRELATED_BITS}], "
                 f"got {correlated_bits!r}"
             )
-        if not 0 < loop_trip_mean < math.inf:
-            raise ValueError(f"loop_trip_mean must be finite and > 0, got {loop_trip_mean}")
+        if not 0 < loop_trip_mean <= _MAX_LOOP_TRIP_MEAN:
+            raise ValueError(
+                f"loop_trip_mean must be in (0, 2**50], got {loop_trip_mean}"
+            )
         for name, p in (
             ("bias_strength", bias_strength),
             ("correlated_noise", correlated_noise),

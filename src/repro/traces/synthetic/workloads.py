@@ -25,6 +25,7 @@ same trace for a given scale.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Tuple
 
 from repro.traces.synthetic.behavior import BehaviorMix
@@ -271,7 +272,12 @@ def _workload_table() -> Dict[str, WorkloadConfig]:
 
 
 _WORKLOADS: Dict[str, WorkloadConfig] = _workload_table()
-_TRACE_CACHE: Dict[Tuple[str, float], Trace] = {}
+#: The in-process memo holds traces weakly: a trace lives as long as a
+#: caller holds it, and one nobody holds any more is freed rather than
+#: pinned until :func:`clear_trace_cache` (the disk cache serves it again).
+_TRACE_CACHE: "weakref.WeakValueDictionary[Tuple[str, float], Trace]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 def ibs_workload(name: str) -> WorkloadConfig:
@@ -289,7 +295,8 @@ def ibs_trace(name: str, scale: float = 1.0) -> Trace:
     Generation goes through the content-addressed disk cache
     (:mod:`repro.traces.cache`), so across processes and runs each
     (config, scale) trace is synthesised exactly once; within a process
-    this memo avoids even the disk load.
+    this memo avoids even the disk load while any caller still holds the
+    trace.
 
     Args:
         name: benchmark name (see :data:`IBS_BENCHMARKS`).
@@ -316,19 +323,19 @@ def clear_trace_cache() -> None:
     kept alive by an outside reference would otherwise hold both its numpy
     arrays and the Python-int lists, doubling its footprint.
     """
-    for trace in _TRACE_CACHE.values():
+    for trace in list(_TRACE_CACHE.values()):
         trace.release_columns()
     _TRACE_CACHE.clear()
 
 
 def trace_cache_key(trace: Trace) -> "Tuple[str, float] | None":
-    """The ``(name, scale)`` cache key of a memoised trace, if any.
+    """The ``(name, scale)`` cache key of a memoised (live) trace, if any.
 
     The parallel sweep runner uses this to ship a cheap descriptor across
     the process pipe instead of the trace's arrays: workers regenerate the
     trace deterministically from the workload config.
     """
-    for key, cached in _TRACE_CACHE.items():
+    for key, cached in list(_TRACE_CACHE.items()):
         if cached is trace:
             return key
     return None

@@ -49,7 +49,7 @@ class TestMetaChooser:
         meta_before = list(predictor.meta.values)
         # Fresh tables: bim and vote agree (all weakly taken).
         predictor.train(0x400100, True)
-        assert predictor.meta.values == meta_before
+        assert list(predictor.meta.values) == meta_before
 
 
 class TestBehaviour:

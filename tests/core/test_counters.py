@@ -122,9 +122,26 @@ class TestCounterArray:
         bank = CounterArray(4, bits=2, initial=0)
         bank.update(0, True)
         bank.reset()
-        assert bank.values == [2, 2, 2, 2]
+        assert list(bank.values) == [2, 2, 2, 2]
         bank.reset(initial=0)
-        assert bank.values == [0, 0, 0, 0]
+        assert list(bank.values) == [0, 0, 0, 0]
+
+    def test_values_are_one_buffer_of_bytes(self):
+        # One byte per counter, and the same buffer for the bank's life:
+        # reset writes into it, so views taken before stay live.
+        bank = CounterArray(4, bits=8, initial=255)
+        values = bank.values
+        assert values.typecode == "B" and values.itemsize == 1
+        view = memoryview(values)
+        bank.update(2, False)
+        bank.reset(initial=7)
+        assert bank.values is values
+        assert view.tolist() == [7, 7, 7, 7]
+
+    @pytest.mark.parametrize("bits", [9, 16, 64])
+    def test_refuses_widths_a_byte_cannot_hold(self, bits):
+        with pytest.raises(ValueError, match=r"\[1, 8\]"):
+            CounterArray(4, bits=bits)
 
     def test_len(self):
         assert len(CounterArray(16)) == 16

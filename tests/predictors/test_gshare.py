@@ -82,7 +82,7 @@ class TestPredictor:
         counters_before = list(predictor.bank.counters.values)
         predictor.notify_unconditional(0x400200, True)
         assert predictor.history.value == 1
-        assert predictor.bank.counters.values == counters_before
+        assert list(predictor.bank.counters.values) == counters_before
 
     def test_reset(self):
         predictor = GsharePredictor(6, 4)

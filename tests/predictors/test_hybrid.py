@@ -32,7 +32,7 @@ class TestChooser:
         # Both components start weakly-taken: they agree, so a taken
         # outcome changes counters but not the chooser.
         predictor.predict_and_update(pc, True)
-        assert predictor.chooser.values == before
+        assert list(predictor.chooser.values) == before
 
 
 class TestBehaviour:

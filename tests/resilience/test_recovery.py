@@ -23,7 +23,7 @@ from repro.sim.engine import simulate
 from repro.sim.native import native_available
 from repro.sim.parallel import RETRY_LIMIT, run_cells, recovery_stats
 from repro.sim.state import PredictorState
-from repro.sim.vectorized import simulate_fast
+from repro.sim.vectorized import WalkInterrupted, simulate_fast
 
 #: One spec per dispatch path: index-expressible (native, or the
 #: vectorized loop without a compiler) as an always-update table, a
@@ -100,15 +100,44 @@ class TestKernelDegradation:
         assert PredictorState.capture(predictor) == expected_state
 
     @pytest.mark.parametrize("spec", [TABLE_SPEC, LAZY_SPEC, AGREE_SPEC])
-    def test_native_walk_failing_mid_walk_degrades_bit_identically(
+    def test_native_walk_refused_by_the_kernel_degrades_bit_identically(
         self, monkeypatch, tiny_trace, spec
     ):
-        # The kernel-* sites fire before a tier starts; here the C walk
-        # runs to the end, writing its state buffers, and only then
-        # raises.  The next tier must start from the untouched predictor.
+        # The kernel refuses a geometry (-1) before its first write, so
+        # the next tier starts from the untouched predictor.
         if not native_available():
             pytest.skip("native backend unavailable; tier not in the ladder")
         expected, expected_state = _clean_fast(spec, tiny_trace)
+        ffi, _ = native_module._backend()
+
+        class RefusingKernel:
+            def repro_walk(self, *args):
+                return -1
+
+            def repro_walk_agree(self, *args):
+                return -1
+
+        monkeypatch.setattr(
+            native_module, "_backend", lambda: (ffi, RefusingKernel())
+        )
+        predictor = make_predictor(spec)
+        with pytest.warns(RuntimeWarning, match="native engine failed"):
+            degraded = simulate_fast(predictor, tiny_trace, label=spec)
+        assert degraded == expected
+        assert degraded.engine == "vectorized"
+        assert PredictorState.capture(predictor) == expected_state
+
+    @pytest.mark.parametrize("spec", [TABLE_SPEC, LAZY_SPEC, AGREE_SPEC])
+    def test_native_walk_failing_mid_walk_is_not_degraded(
+        self, monkeypatch, tiny_trace, spec
+    ):
+        # The kernel-* sites fire before a tier starts; here the C walk
+        # runs to the end, writing the predictor's tables in place, and
+        # only then raises.  No tier can resume from partly trained
+        # tables, so the failure propagates instead of degrading to a
+        # silently wrong result.
+        if not native_available():
+            pytest.skip("native backend unavailable; tier not in the ladder")
         ffi, lib = native_module._backend()
 
         class HalfDoneKernel:
@@ -124,22 +153,22 @@ class TestKernelDegradation:
             native_module, "_backend", lambda: (ffi, HalfDoneKernel())
         )
         predictor = make_predictor(spec)
-        with pytest.warns(RuntimeWarning, match="native engine failed"):
-            degraded = simulate_fast(predictor, tiny_trace, label=spec)
-        assert degraded == expected
-        assert degraded.engine == "vectorized"
-        assert PredictorState.capture(predictor) == expected_state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no degradation warning
+            with pytest.raises(WalkInterrupted, match="kernel died"):
+                simulate_fast(predictor, tiny_trace, label=spec)
+        fresh = PredictorState.capture(make_predictor(spec))
+        assert PredictorState.capture(predictor) != fresh  # it did write
 
     @pytest.mark.parametrize(
         "spec,loop", [(TABLE_SPEC, "_loop_single"), (AGREE_SPEC, "_loop_agree")]
     )
-    def test_python_walk_failing_mid_walk_degrades_bit_identically(
+    def test_python_walk_failing_mid_walk_is_not_degraded(
         self, monkeypatch, tiny_trace, without_native, spec, loop
     ):
         # The same for the Python walk: its loop trains the tables it
-        # was handed to the end, then raises; the generic tier must see
-        # the predictor exactly as it was before the attempt.
-        expected, expected_state = _clean_fast(spec, tiny_trace)
+        # was handed to the end, then raises; the generic tier must not
+        # run from those tables.
         inner = getattr(vectorized_module, loop)
 
         def half_done(*args):
@@ -148,11 +177,12 @@ class TestKernelDegradation:
 
         monkeypatch.setattr(vectorized_module, loop, half_done)
         predictor = make_predictor(spec)
-        with pytest.warns(RuntimeWarning, match="vectorized engine failed"):
-            degraded = simulate_fast(predictor, tiny_trace, label=spec)
-        assert degraded == expected
-        assert degraded.engine == "generic"
-        assert PredictorState.capture(predictor) == expected_state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WalkInterrupted, match="loop died"):
+                simulate_fast(predictor, tiny_trace, label=spec)
+        fresh = PredictorState.capture(make_predictor(spec))
+        assert PredictorState.capture(predictor) != fresh
 
     def test_all_fast_tiers_failing_reaches_the_generic_engine(
         self, fault_env, tiny_trace

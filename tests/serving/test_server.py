@@ -35,6 +35,7 @@ from repro.sim.state import PredictorState
 from repro.sim.vectorized import simulate_fast, simulate_vectorized
 from repro.traces.trace import Trace
 
+from tests.strategies import forge_state
 from tests.strategies import traces as trace_strategy
 
 #: Families for the tier-forced matrix: every one of these has a path on
@@ -143,21 +144,20 @@ def _event_rows(trace):
 
 
 
-#: Leaves a checksum-valid ``restore`` payload may carry that a
+#: Leaves a checksum-valid ``restore`` blob may carry that a
 #: gshare:256:h8 tenant cannot hold (2-bit counters, 8-bit history).
 POISONS = {
-    "counter-99": lambda p: p["bank"]["v"]["v"].__setitem__(0, 99),
-    "counter-str": lambda p: p["bank"]["v"]["v"].__setitem__(0, "x"),
-    "ghist-2**40": lambda p: p["history"].__setitem__("v", 2**40),
+    "counter-99": lambda f, body: body.__setitem__(f["bank"]["v"]["o"], 99),
+    # a counter table whose element type is not the one-byte "B"
+    "counter-str": lambda f, body: f["bank"]["v"].__setitem__("t", "u"),
+    "ghist-2**40": lambda f, body: f["history"].__setitem__("v", 2**40),
 }
 
 
 def _poisoned_state(spec: str, poison: str) -> str:
     """The hex wire form of a fresh ``spec`` state with one bad leaf."""
     state = PredictorState.capture(make_predictor(spec))
-    payload = json.loads(json.dumps(state.payload))
-    POISONS[poison](payload)
-    return PredictorState(state.predictor_class, payload).to_bytes().hex()
+    return forge_state(state, POISONS[poison]).hex()
 
 class TestEventValidation:
     @pytest.mark.parametrize(

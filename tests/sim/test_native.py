@@ -35,6 +35,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.sim.native as native_module
+from repro.serving.shard import Tenant
 from repro.core.update import UpdatePolicy
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
@@ -374,23 +375,25 @@ class TestDispatch:
     @pytest.mark.parametrize(
         "keys,values",
         [
-            ((3, 33), [1] * 12),  # indices wider than 32 bits
-            ((2, 2), [1] * 8),  # a bank count with no majority
-            ((3, 2), [1] * 11),  # a table one counter short
+            ((3, 33), [4, 4, 4]),  # indices wider than 32 bits
+            ((2, 2), [4, 4]),  # a bank count with no majority
+            ((3, 2), [4, 4, 3]),  # a table one counter short
         ],
     )
     def test_c_walk_refuses_out_of_bounds_inputs(
         self, keys, values, monkeypatch
     ):
         # The kernel trusts its buffers: the wrapper checks the key
-        # space (banks, index bits) against the table before the call.
+        # space (banks, index bits) against the tables before the call.
         _forbid_kernel(monkeypatch)
         banks, bits = keys
+        tables = [np.ones(size, np.uint8) for size in values]
         with pytest.raises(ValueError):
             NATIVE_BACKEND.walk(
                 *_one_event(), Geometry(_SKEW, bits, 0, 0, 0, banks), 0, 2,
-                3, values, 0,
+                3, tables, 0,
             )
+        assert all(table.tolist() == [1] * len(table) for table in tables)
 
     def test_c_walks_refuse_a_code_past_the_table(self, monkeypatch):
         # The kernel reads table rows through the codes unchecked: the
@@ -398,18 +401,18 @@ class TestDispatch:
         _forbid_kernel(monkeypatch)
         codes, *table = _one_event()
         codes = np.array([0, 1], np.uint32)
-        values, bias = [1, 2], [-1, 0]
+        values, bias = np.array([1, 2], np.uint8), np.array([-1, 0], np.int8)
         with pytest.raises(ValueError, match="code 1 is past"):
             NATIVE_BACKEND.walk(
                 codes, *table, Geometry(_BIMODAL, 1, 0, 0, 0, 1), 0, 2, 3,
-                values, 0,
+                [values], 0,
             )
         with pytest.raises(ValueError, match="code 1 is past"):
             NATIVE_BACKEND.walk_agree(
                 codes, *table, Geometry(_AGREE, 1, 0, 0, 1, 1), 2, 3, values,
                 bias, 0,
             )
-        assert values == [1, 2] and bias == [-1, 0]
+        assert values.tolist() == [1, 2] and bias.tolist() == [-1, 0]
 
     @pytest.mark.parametrize(
         "keys,slots",
@@ -427,7 +430,8 @@ class TestDispatch:
         with pytest.raises(ValueError, match="need|bits"):
             NATIVE_BACKEND.walk_agree(
                 *_one_event(), Geometry(_AGREE, bits, 0, 0, bias_bits, 1), 2,
-                3, [1] * entries, [-1] * latches, 0,
+                3, np.ones(entries, np.uint8), np.full(latches, -1, np.int8),
+                0,
             )
 
     def test_repro_native_0_disables_the_tier(self, tiny_trace, monkeypatch):
@@ -469,7 +473,7 @@ def _walk_args(ffi):
         ffi.from_buffer("uint8_t[]", np.ones(1, np.uint8)),  # table conditionals
         _BIMODAL, 0, 0, 0, 0,  # scheme, bits, history bits, seed, bank-0 bits
         1, 0, 2, 3,  # banks, policy, threshold, max_value
-        ffi.from_buffer("int64_t[]", np.ones(1, np.int64)),  # values
+        [ffi.from_buffer("uint8_t[]", np.ones(1, np.uint8))],  # one bank
         0,  # warmup
     ]
 
@@ -663,7 +667,7 @@ class TestBufferDtypes:
             return NATIVE_BACKEND.walk(
                 *arrays.values(),
                 Geometry(_BIMODAL, 0, 0, 0, 0, 1), 0, 2, 3,
-                np.ones(1, np.int64), 0,
+                [np.ones(1, np.uint8)], 0,
             )
 
         assert walk() == 0
@@ -682,7 +686,7 @@ class TestBufferDtypes:
             return NATIVE_BACKEND.walk_agree(
                 *arrays.values(),
                 Geometry(_AGREE, 0, 0, 0, 0, 1), 2, 3,
-                np.ones(1, np.int64), np.full(1, -1, np.int8), 0,
+                np.ones(1, np.uint8), np.full(1, -1, np.int8), 0,
             )
 
         assert walk() == 0
@@ -708,15 +712,17 @@ class TestBufferDtypes:
         self, entry, geometry, monkeypatch
     ):
         _forbid_kernel(monkeypatch)
-        values = [1] * (geometry.banks << 4)
+        tables = [np.ones(16, np.uint8) for _ in range(geometry.banks)]
+        bias = np.full(16, -1, np.int8)
         with pytest.raises(ValueError):
             if entry == "walk":
-                NATIVE_BACKEND.walk(*_one_event(), geometry, 0, 2, 3, values, 0)
+                NATIVE_BACKEND.walk(*_one_event(), geometry, 0, 2, 3, tables, 0)
             else:
                 NATIVE_BACKEND.walk_agree(
-                    *_one_event(), geometry, 2, 3, values, [-1] * 16, 0
+                    *_one_event(), geometry, 2, 3, tables[0], bias, 0
                 )
-        assert values == [1] * len(values)
+        assert all(table.tolist() == [1] * 16 for table in tables)
+        assert bias.tolist() == [-1] * 16
 
 
 # -- entry points vs scalar oracles -----------------------------------------
@@ -883,24 +889,25 @@ def _check_walk_against_oracle(
 ):
     """``backend.walk`` over ``columns`` (resumed at ``cuts``) against
     ``_reference_walk`` over the numpy index streams of the whole trace:
-    the same misses and the same final tables."""
-    values = np.array(init, np.int64)
+    the same misses and the same final tables.  ``init`` is the banks'
+    counters, bank after bank; each bank walks its own ``uint8`` table."""
+    entries = 1 << geometry.index_bits
+    oracle = [init[b * entries : (b + 1) * entries] for b in range(geometry.banks)]
+    tables = [np.array(bank, np.uint8) for bank in oracle]
     misses = _walk_in_pieces(
         lambda piece, g, w: backend.walk(
-            *piece, g, _POLICY_CODES[policy], threshold, max_value, values, w
+            *piece, g, _POLICY_CODES[policy], threshold, max_value, tables, w
         ),
         columns, geometry, warmup, cuts,
     )
     pcs, takens, conditionals = columns
     streams = [s.tolist() for s in _index_streams(geometry, *columns)]
     outcomes = takens[conditionals != 0].astype(bool).tolist()
-    entries = 1 << geometry.index_bits
-    oracle = [init[b * entries : (b + 1) * entries] for b in range(geometry.banks)]
     expected = _reference_walk(
         streams, outcomes, oracle, policy, threshold, max_value, warmup
     )
     assert misses == expected
-    assert values.tolist() == [v for bank in oracle for v in bank]
+    assert [table.tolist() for table in tables] == oracle
 
 
 def _check_agree_against_oracle(
@@ -909,7 +916,7 @@ def _check_agree_against_oracle(
 ):
     """The same for ``backend.walk_agree``, with a biasing-bit table
     that starts partly latched (either way) and partly unlatched."""
-    values = np.array(init, np.int64)
+    values = np.array(init, np.uint8)
     bias = np.array(init_bias, np.int8)
     misses = _walk_in_pieces(
         lambda piece, g, w: backend.walk_agree(
@@ -943,7 +950,7 @@ def _walk_entry_point_cases(backend):
 
     class Cases:
         def test_repro_walk_empty_input(self):
-            values = np.array([0, 3], np.int64)
+            values = np.array([0, 3], np.uint8)
             misses = backend.walk(
                 np.empty(0, dtype=np.uint32),
                 np.empty(0, dtype=np.uint64),
@@ -953,7 +960,7 @@ def _walk_entry_point_cases(backend):
                 _POLICY_CODES[UpdatePolicy.TOTAL],
                 2,
                 3,
-                values,
+                [values],
                 0,
             )
             assert misses == 0
@@ -963,7 +970,7 @@ def _walk_entry_point_cases(backend):
         def test_repro_walk_rejects_unknown_geometry(self, banks, policy):
             # Even bank counts (ties), more than five banks and unknown
             # policy codes raise ValueError without touching the tables.
-            values = [1] * (2 * banks)
+            tables = [np.ones(2, np.uint8) for _ in range(banks)]
             with pytest.raises(ValueError, match="bank|policy"):
                 backend.walk(
                     *_one_event(),
@@ -971,33 +978,34 @@ def _walk_entry_point_cases(backend):
                     policy,
                     1,
                     1,
-                    values,
+                    tables,
                     0,
                 )
-            assert values == [1] * (2 * banks)
+            assert [table.tolist() for table in tables] == [[1, 1]] * banks
 
         def test_code_past_the_table_is_refused(self):
             # A code naming no event-table row is refused before any
             # table is written, the counters and latches untouched.
             codes, *table = _one_event()
             codes = np.array([0, 0, 1, 0], np.uint32)
-            values, bias = [1, 2, 3, 0], [-1, 1]
+            values = np.array([1, 2, 3, 0], np.uint8)
+            bias = np.array([-1, 1], np.int8)
             with pytest.raises(ValueError, match="code 1 is past"):
                 backend.walk(
                     codes, *table, Geometry(_GSHARE, 2, 2, 0, 0, 1),
-                    _POLICY_CODES[UpdatePolicy.TOTAL], 2, 3, values, 0,
+                    _POLICY_CODES[UpdatePolicy.TOTAL], 2, 3, [values], 0,
                 )
             with pytest.raises(ValueError, match="code 1 is past"):
                 backend.walk_agree(
                     codes, *table, Geometry(_AGREE, 2, 2, 0, 1, 1), 2, 3,
                     values, bias, 0,
                 )
-            assert values == [1, 2, 3, 0] and bias == [-1, 1]
+            assert values.tolist() == [1, 2, 3, 0] and bias.tolist() == [-1, 1]
 
         def test_read_only_tables_are_refused(self):
             # Both walks write the state tables in place: a read-only
             # array (or a list) is refused before the walk.
-            values, bias = np.ones(4, np.int64), np.full(2, -1, np.int8)
+            values, bias = np.ones(4, np.uint8), np.full(2, -1, np.int8)
             for frozen in (values, bias):
                 frozen.flags.writeable = False
                 with pytest.raises(ValueError, match="writable arrays"):
@@ -1009,7 +1017,7 @@ def _walk_entry_point_cases(backend):
             with pytest.raises(ValueError, match="writable arrays"):
                 backend.walk(
                     *_one_event(), Geometry(_GSHARE, 2, 2, 0, 0, 1),
-                    _POLICY_CODES[UpdatePolicy.TOTAL], 2, 3, [1] * 4, 0,
+                    _POLICY_CODES[UpdatePolicy.TOTAL], 2, 3, [[1] * 4], 0,
                 )
             assert values.tolist() == [1] * 4 and bias.tolist() == [-1] * 2
 
@@ -1123,6 +1131,45 @@ def _walk_entry_point_cases(backend):
             assert misses == expected.mispredictions
             assert _full_state(candidate) == _full_state(reference)
 
+        @given(
+            data=st.data(),
+            spec=st.sampled_from(
+                [
+                    "gshare:64:h6",
+                    "gskew:3x32:h5:partial",
+                    "gskew:3x32:h5:lazy",
+                    "gskew:5x16:h4:total",
+                    "egskew:3x32:h5:partial",
+                    "agree:64:h6",
+                ]
+            ),
+            trace=trace_strategy(max_length=400),
+        )
+        @settings(max_examples=60, deadline=None)
+        def test_many_small_warm_batches_match_generic_engine(
+            self, data, spec, trace
+        ):
+            # As serving flushes run: the events arrive in many small
+            # batches, each its own trace whose codes are one row per
+            # event, walked in place over the same warm tables, bias
+            # latches and history register.
+            reference = make_predictor(spec)
+            expected = simulate(reference, trace)
+            candidate = make_predictor(spec)
+            sizes = st.lists(st.integers(1, 24), min_size=1, max_size=40)
+            bounds = np.cumsum([0, *data.draw(sizes, label="batch sizes")])
+            bounds = [*bounds[bounds < len(trace)].tolist(), len(trace)]
+            misses = 0
+            for lo, hi in zip(bounds, bounds[1:]):
+                batch = Trace.from_table(
+                    np.arange(hi - lo, dtype=np.uint32),
+                    trace.pcs[lo:hi], trace.takens[lo:hi],
+                    trace.conditionals[lo:hi], np.zeros(hi - lo, np.uint64),
+                )
+                misses += simulate_walk(backend, candidate, batch).mispredictions
+            assert misses == expected.mispredictions
+            assert _full_state(candidate) == _full_state(reference)
+
     return Cases
 
 
@@ -1228,11 +1275,11 @@ class TestMemoryAndViews:
     def _native_peak(spec, trace):
         """Peak traced bytes of one native ``simulate_fast`` call above
         the predictor it runs, and the bytes of the predictor's counters
-        as int64.
+        (one per counter).
 
-        The predictor is built under tracing: the walk hands each bank a
-        new list and frees the old one, and a free counts only against
-        a block allocated while tracing.
+        The predictor is built under tracing, so a table the call freed
+        and replaced would show (a free counts only against a block
+        allocated while tracing).
         """
         simulate_fast(make_predictor(spec), trace.head(10))  # warm imports
         tracemalloc.start()
@@ -1245,18 +1292,42 @@ class TestMemoryAndViews:
         finally:
             tracemalloc.stop()
         assert result.engine == "native"
-        return peak, 8 * sum(bank.counters.size for bank in _banks(predictor))
+        return peak, sum(bank.counters.size for bank in _banks(predictor))
 
     @pytest.mark.parametrize("spec", ["gshare:64k:h16", "egskew:3x16k:h16:partial"])
-    def test_native_call_holds_the_table_and_one_bank_list(self, spec):
-        # The frame's int64 table, walked in place, plus the one bank's
-        # list the writeback is building: no flat list, no tolist() of
-        # the whole table, no slice-assignment copy of a bank's entries.
+    def test_native_call_copies_no_table(self, spec):
+        # The walk updates the banks' own byte buffers through zero-copy
+        # views: no int64 copy, no list, no writeback — the call's peak
+        # is a few small objects, far below one table.
         peak, table_bytes = self._native_peak(spec, _long_trace())
-        bank_list = sys.getsizeof(_banks(make_predictor(spec))[0].counters.values)
-        assert peak <= table_bytes + bank_list + (64 << 10), (
-            peak, table_bytes, bank_list,
+        assert peak < 16 << 10 < table_bytes, (peak, table_bytes)
+
+    def test_native_call_keeps_the_banks_buffers(self):
+        # The counters stay in the same buffer objects across a walk.
+        predictor = make_predictor("gskew:3x1k:h12:partial")
+        buffers = [bank.counters.values for bank in predictor.banks]
+        before = [bytes(buffer) for buffer in buffers]
+        simulate_fast(predictor, _long_trace(20_000))
+        assert all(
+            bank.counters.values is buffer
+            for bank, buffer in zip(predictor.banks, buffers)
         )
+        assert all(bytes(buffer) != old for buffer, old in zip(buffers, before))
+
+    @pytest.mark.parametrize("spec", ["gshare:64k:h16", "agree:64k:h16"])
+    def test_small_flush_allocates_per_batch_not_per_table(self, spec):
+        # A serving flush: 256 events, each its own table row, over a
+        # warm 64K-entry table.  The call allocates for the batch, not
+        # the table: its peak matches that over a 256-entry table.
+        tenant = Tenant("s", spec)
+        rng = np.random.default_rng(5)
+        for pc, taken in zip(rng.integers(0, 1 << 20, 256), rng.integers(0, 2, 256)):
+            tenant.push(4 * int(pc), bool(taken))
+        batch = tenant.drain()
+        peak, table_bytes = self._native_peak(spec, batch)
+        small, _ = self._native_peak(spec.replace("64k", "256"), batch)
+        assert peak < 16 << 10 < table_bytes, (peak, table_bytes)
+        assert abs(peak - small) < 1 << 10, (peak, small)
 
     @pytest.mark.parametrize(
         "spec", ["gskew:3x4k:h12:partial", "gskew:1x4k:h12:lazy", "agree:4k:h12"]

@@ -11,14 +11,26 @@ unconditional shifts) — identical across suites.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import struct
+
 from hypothesis import strategies as st
 
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
-from repro.sim.state import PredictorState
+from repro.sim.state import STATE_FORMAT, STATE_VERSION, PredictorState
 from repro.traces.trace import Trace
 
-__all__ = ["trace_columns", "traces", "predictor_states", "STATE_SPECS"]
+__all__ = [
+    "trace_columns",
+    "traces",
+    "predictor_states",
+    "STATE_SPECS",
+    "split_state",
+    "join_state",
+    "forge_state",
+]
 
 
 @st.composite
@@ -94,3 +106,35 @@ def predictor_states(draw, specs=STATE_SPECS, max_length: int = 80):
     predictor = make_predictor(spec)
     simulate(predictor, trace)
     return spec, predictor, PredictorState.capture(predictor)
+
+
+# -- forging state blobs ------------------------------------------------------
+#
+# The corruption tests forge blobs by the documented layout (magic,
+# version, header length, JSON header, array bytes, SHA-256), so a
+# forged blob carries a valid checksum and only the structural checks
+# can refuse it.
+
+_PREFIX = struct.Struct("<4sII")
+
+
+def split_state(blob: bytes):
+    """A state blob's version, parsed header and array bytes."""
+    _, version, size = _PREFIX.unpack_from(blob)
+    header = json.loads(blob[_PREFIX.size : _PREFIX.size + size])
+    return version, header, bytearray(blob[_PREFIX.size + size : -32])
+
+
+def join_state(header, body, version=STATE_VERSION, magic=STATE_FORMAT) -> bytes:
+    """A state blob over ``header`` and ``body`` with a valid checksum."""
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    content = _PREFIX.pack(magic, version, len(text)) + text + bytes(body)
+    return content + hashlib.sha256(content).digest()
+
+
+def forge_state(state: PredictorState, poison) -> bytes:
+    """``state``'s blob with ``poison(fields, body)`` applied to its
+    header fields and array bytes, re-checksummed."""
+    version, header, body = split_state(state.to_bytes())
+    poison(header["fields"], body)
+    return join_state(header, body, version)

@@ -158,6 +158,7 @@ class TestBehaviorMix:
             {"loop_trip_mean": 0},
             {"loop_trip_mean": -4},
             {"loop_trip_mean": float("inf")},
+            {"loop_trip_mean": 1e30},
             {"bias_strength": 1.5},
             {"bias_strength": -0.1},
             {"correlated_noise": 1.2},
@@ -181,6 +182,7 @@ class TestBehaviorMix:
             {"biased_weight": 0, "loop_weight": 0, "pattern_weight": 0,
              "correlated_weight": 0, "markov_weight": 3},
             {"loop_trip_mean": 1e-9},
+            {"loop_trip_mean": 2**50},
         ):
             mix = BehaviorMix(**overrides)
             rng = random.Random(1)

@@ -769,6 +769,15 @@ def _mix(**values):
     return BehaviorMix(**{**weights, **values})
 
 
+def _long_loop_mix(trip_mean):
+    """A loops-only mix with a mean trip count past the 2**50 a
+    ``BehaviorMix`` accepts (its draws could fail the runner), set after
+    construction: the builders themselves must still agree there."""
+    mix = _mix(loop_weight=1)
+    mix.loop_trip_mean = trip_mean
+    return mix
+
+
 _weights = st.one_of(
     st.sampled_from([0, 0.0, 1, 2, 7]),
     st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
@@ -854,7 +863,7 @@ class TestNativeBuilder:
             _config(mix=_mix(biased_weight=1, bias_strength=0.3, hard_fraction=0)),
             # expovariate(): with the rate 2**-56 a trip count holds all
             # 53 bits of -log(1 - random()).
-            _config(mix=_mix(loop_weight=1, loop_trip_mean=2**56)),
+            _config(mix=_long_loop_mix(2**56)),
             # choices() over integer weights, a zero weight among them.
             _config(mix=BehaviorMix(3, 1, 0, 2, 1)),
             # getrandbits(32) and init_by_array: 16-bit truth tables.
@@ -955,7 +964,7 @@ class TestNativeBuilder:
     def test_outside_the_kernels_domain_the_python_builder_builds(self):
         # Trip counts past 2**61 leave the C builder's domain (this
         # seed draws one; an int64 still holds them).
-        config = _config(mix=_mix(loop_weight=1, loop_trip_mean=2**59))
+        config = _config(mix=_long_loop_mix(2**59))
         assert build_program_native(_kernel_arguments(config), _state(1)) is None
         compiled = compile_program(config, 1)
         assert compiled.behaviors is not None

@@ -1,5 +1,7 @@
 """Tests for trace generation and the IBS-clone registry."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.traces.synthetic.workloads import (
     clear_trace_cache,
     ibs_trace,
     ibs_workload,
+    trace_cache_key,
 )
 
 
@@ -65,6 +68,17 @@ class TestRegistry:
         c = ibs_trace("verilog", scale=0.05)
         assert c is not a
         assert np.array_equal(a.pcs, c.pcs)  # still deterministic
+
+    def test_memo_does_not_pin_traces(self):
+        # The memo finds a trace while a caller holds it, and lets it go
+        # once nobody does, without waiting for clear_trace_cache().
+        clear_trace_cache()
+        held = ibs_trace("verilog", scale=0.05)
+        assert trace_cache_key(held) == ("verilog", 0.05)
+        assert ibs_trace("verilog", scale=0.05) is held
+        gone = weakref.ref(ibs_trace("groff", scale=0.05))
+        assert gone() is None
+        assert trace_cache_key(held) == ("verilog", 0.05)
 
     def test_scale_shrinks(self):
         clear_trace_cache()
