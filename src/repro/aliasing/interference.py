@@ -81,14 +81,13 @@ def classify_interference(
     max_value = (1 << counter_bits) - 1
     threshold = (max_value + 1) // 2
 
-    pcs, takens, conditionals = trace.sim_columns()
     mask = (1 << history_bits) - 1 if history_bits else 0
     history = 0
     destructive = harmless = constructive = 0
     first_encounters = 0
     conditional_branches = 0
 
-    for pc, taken, conditional in zip(pcs, takens, conditionals):
+    for pc, taken, conditional in trace.sim_events():
         if conditional:
             conditional_branches += 1
             pair = (pc >> 2, history)

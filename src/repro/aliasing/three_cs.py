@@ -97,10 +97,9 @@ def pair_stream(trace: Trace, history_bits: int):
     Global history is shifted by *every* control transfer, conditional or
     not, matching the paper's trace methodology.
     """
-    pcs, takens, conditionals = trace.sim_columns()
     mask = (1 << history_bits) - 1 if history_bits else 0
     history = 0
-    for pc, taken, conditional in zip(pcs, takens, conditionals):
+    for pc, taken, conditional in trace.sim_events():
         if conditional:
             yield (pc >> 2, history)
         history = ((history << 1) | taken) & mask

@@ -8,7 +8,7 @@ from repro.sim.compare import (
 )
 from repro.sim.config import format_entries, make_predictor, parse_size
 from repro.sim.cost import CostEstimate, PipelineModel, speedup
-from repro.sim.engine import simulate
+from repro.sim.engine import miss_stream, simulate
 from repro.sim.metrics import SimulationResult
 from repro.sim.native import (
     native_available,
@@ -37,6 +37,7 @@ __all__ = [
     "format_entries",
     "make_predictor",
     "parse_size",
+    "miss_stream",
     "simulate",
     "simulate_fast",
     "simulate_native",

@@ -6,25 +6,29 @@ production evaluation needs to say whether a difference is signal.
 Because two predictors can be run over the *same* trace, the right tool
 is a paired analysis per branch:
 
-- :func:`paired_outcomes` runs two predictors in lockstep and counts the
-  2x2 agreement table (both right / only A right / only B right / both
-  wrong);
+- :func:`paired_outcomes` runs two predictors over the same trace, keeps
+  each one's miss stream and counts the 2x2 agreement table (both right /
+  only A right / only B right / both wrong);
 - :func:`mcnemar` performs McNemar's exact-ish test on the discordant
   counts (normal approximation with continuity correction; exact
   binomial via scipy when the discordant count is small);
 - :func:`bootstrap_difference` gives a percentile bootstrap confidence
   interval on the misprediction-ratio difference, resampling branch
-  blocks to respect the stream's autocorrelation.
+  blocks to respect the stream's autocorrelation; each block's sum is a
+  difference of two prefix sums.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.predictors.base import BranchPredictor
+from repro.sim.engine import miss_stream
 from repro.traces.trace import Trace
 
 __all__ = [
@@ -43,8 +47,11 @@ class PairedOutcomes:
     only_a_correct: int
     only_b_correct: int
     both_wrong: int
-    #: per-branch indicator stream: (a_correct, b_correct)
-    outcomes: Tuple[Tuple[bool, bool], ...]
+    #: each predictor's miss stream (:func:`~repro.sim.engine.miss_stream`:
+    #: a uint8 per conditional branch, 1 = mispredicted), which the
+    #: bootstrap resamples
+    a_missed: np.ndarray = field(compare=False)
+    b_missed: np.ndarray = field(compare=False)
 
     @property
     def branches(self) -> int:
@@ -73,37 +80,26 @@ def paired_outcomes(
     predictor_b: BranchPredictor,
     trace: Trace,
 ) -> PairedOutcomes:
-    """Run both predictors over ``trace`` in lockstep."""
-    pcs, takens, conditionals = trace.sim_columns()
-    step_a = predictor_a.predict_and_update
-    step_b = predictor_b.predict_and_update
-    shift_a = predictor_a.notify_unconditional
-    shift_b = predictor_b.notify_unconditional
+    """Run both predictors over ``trace`` and count their agreement.
 
-    both = only_a = only_b = neither = 0
-    outcomes: List[Tuple[bool, bool]] = []
-    for pc, taken, conditional in zip(pcs, takens, conditionals):
-        if conditional:
-            a_correct = step_a(pc, taken) == taken
-            b_correct = step_b(pc, taken) == taken
-            outcomes.append((a_correct, b_correct))
-            if a_correct and b_correct:
-                both += 1
-            elif a_correct:
-                only_a += 1
-            elif b_correct:
-                only_b += 1
-            else:
-                neither += 1
-        else:
-            shift_a(pc, taken)
-            shift_b(pc, taken)
+    Raises:
+        ValueError: if ``predictor_a`` and ``predictor_b`` are the same
+            object, which would train one predictor on every branch twice.
+    """
+    if predictor_a is predictor_b:
+        raise ValueError("paired_outcomes needs two distinct predictors")
+    a_missed = miss_stream(predictor_a, trace)
+    b_missed = miss_stream(predictor_b, trace)
+    a_wrong = int(np.count_nonzero(a_missed))
+    b_wrong = int(np.count_nonzero(b_missed))
+    both_wrong = int(np.count_nonzero(a_missed & b_missed))
     return PairedOutcomes(
-        both_correct=both,
-        only_a_correct=only_a,
-        only_b_correct=only_b,
-        both_wrong=neither,
-        outcomes=tuple(outcomes),
+        both_correct=len(a_missed) - a_wrong - b_wrong + both_wrong,
+        only_a_correct=b_wrong - both_wrong,
+        only_b_correct=a_wrong - both_wrong,
+        both_wrong=both_wrong,
+        a_missed=a_missed,
+        b_missed=b_missed,
     )
 
 
@@ -144,26 +140,24 @@ def bootstrap_difference(
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    outcomes = paired.outcomes
-    count = len(outcomes)
+    count = len(paired.a_missed)
     if count == 0:
         return (0.0, 0.0)
     block = max(1, min(block, count))
     starts = count - block + 1
     blocks_needed = max(1, count // block)
+    total = blocks_needed * block
+    # cumulative[i]: A's misses minus B's over the first i branches.
+    cumulative = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(
+        paired.a_missed.astype(np.int64) - paired.b_missed, out=cumulative[1:]
+    )
     rng = random.Random(seed)
     differences: List[float] = []
     for __ in range(resamples):
-        a_wrong = 0
-        b_wrong = 0
-        total = 0
-        for __ in range(blocks_needed):
-            start = rng.randrange(starts)
-            for a_correct, b_correct in outcomes[start : start + block]:
-                a_wrong += not a_correct
-                b_wrong += not b_correct
-                total += 1
-        differences.append((a_wrong - b_wrong) / total)
+        drawn = np.array([rng.randrange(starts) for __ in range(blocks_needed)])
+        difference = cumulative[drawn + block] - cumulative[drawn]
+        differences.append(int(difference.sum()) / total)
     differences.sort()
     lower_index = int((1.0 - confidence) / 2.0 * (resamples - 1))
     upper_index = int((1.0 + confidence) / 2.0 * (resamples - 1))

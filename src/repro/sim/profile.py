@@ -29,7 +29,10 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
 from repro.predictors.base import BranchPredictor
+from repro.sim.engine import miss_stream
 from repro.traces.trace import Trace
 
 __all__ = [
@@ -133,37 +136,32 @@ class ProfileResult:
 def profile_mispredictions(
     predictor: BranchPredictor, trace: Trace
 ) -> ProfileResult:
-    """Run ``predictor`` over ``trace`` attributing misses per branch."""
-    pcs, takens, conditionals = trace.sim_columns()
-    step = predictor.predict_and_update
-    shift = predictor.notify_unconditional
+    """Run ``predictor`` over ``trace`` attributing misses per branch.
 
-    executions: Dict[int, int] = {}
-    misses: Dict[int, int] = {}
-    taken_counts: Dict[int, int] = {}
-    total = 0
-    total_misses = 0
-    for pc, taken, conditional in zip(pcs, takens, conditionals):
-        if conditional:
-            total += 1
-            executions[pc] = executions.get(pc, 0) + 1
-            if taken:
-                taken_counts[pc] = taken_counts.get(pc, 0) + 1
-            if step(pc, taken) != taken:
-                total_misses += 1
-                misses[pc] = misses.get(pc, 0) + 1
-        else:
-            shift(pc, taken)
-
+    The miss stream is counted per table row (each conditional event's
+    code), and the rows are folded into their pcs in order of first
+    execution, so branches with equal miss counts rank in that order.
+    """
+    missed = miss_stream(predictor, trace).view(bool)
+    table = trace.table
+    rows = trace.codes[trace.conditionals.view(bool)]
+    executions = np.bincount(rows, minlength=len(table.pcs)).tolist()
+    misses = np.bincount(rows[missed], minlength=len(table.pcs)).tolist()
+    used, first = np.unique(rows, return_index=True)
+    pcs = table.pcs.tolist()
+    takens = table.takens.tolist()
+    counts: Dict[int, List[int]] = {}
+    for row in used[np.argsort(first)].tolist():
+        pc_counts = counts.setdefault(pcs[row], [0, 0, 0])
+        pc_counts[0] += executions[row]
+        pc_counts[1] += misses[row]
+        pc_counts[2] += executions[row] * takens[row]
     profiles = sorted(
         (
             BranchProfile(
-                pc=pc,
-                executions=count,
-                mispredictions=misses.get(pc, 0),
-                taken=taken_counts.get(pc, 0),
+                pc=pc, executions=runs, mispredictions=wrong, taken=taken
             )
-            for pc, count in executions.items()
+            for pc, (runs, wrong, taken) in counts.items()
         ),
         key=lambda profile: profile.mispredictions,
         reverse=True,
@@ -171,7 +169,7 @@ def profile_mispredictions(
     return ProfileResult(
         predictor=predictor.name,
         trace=trace.name,
-        total_branches=total,
-        total_mispredictions=total_misses,
+        total_branches=len(missed),
+        total_mispredictions=int(np.count_nonzero(missed)),
         profiles=profiles,
     )

@@ -14,7 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+import numpy as np
+
 from repro.predictors.base import BranchPredictor
+from repro.sim.engine import miss_stream
 from repro.traces.trace import Trace
 
 __all__ = ["WindowedResult", "windowed_misprediction"]
@@ -72,36 +75,17 @@ def windowed_misprediction(
     trace: Trace,
     window: int = 2000,
 ) -> WindowedResult:
-    """Run ``predictor`` over ``trace`` collecting per-window counts."""
+    """Run ``predictor`` over ``trace`` collecting per-window counts
+    (the miss stream summed over each ``window`` conditional branches)."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    pcs, takens, conditionals = trace.sim_columns()
-    step = predictor.predict_and_update
-    shift = predictor.notify_unconditional
-
-    misses_series: List[int] = []
-    branches_series: List[int] = []
-    in_window = 0
-    misses = 0
-    for pc, taken, conditional in zip(pcs, takens, conditionals):
-        if conditional:
-            if step(pc, taken) != taken:
-                misses += 1
-            in_window += 1
-            if in_window == window:
-                misses_series.append(misses)
-                branches_series.append(window)
-                in_window = 0
-                misses = 0
-        else:
-            shift(pc, taken)
-    if in_window:
-        misses_series.append(misses)
-        branches_series.append(in_window)
+    missed = miss_stream(predictor, trace)
+    starts = np.arange(0, len(missed), window)
+    misses = np.add.reduceat(missed, starts, dtype=np.int64) if len(missed) else starts
     return WindowedResult(
         predictor=predictor.name,
         trace=trace.name,
         window=window,
-        misses=misses_series,
-        branches=branches_series,
+        misses=misses.tolist(),
+        branches=np.diff(starts, append=len(missed)).tolist(),
     )

@@ -95,12 +95,11 @@ def bias_density(trace: Trace, history_bits: int) -> Dict[str, float]:
     """
     taken_counts: Dict[Tuple[int, int], int] = {}
     total_counts: Dict[Tuple[int, int], int] = {}
-    pcs, takens, conditionals = trace.sim_columns()
     mask = (1 << history_bits) - 1 if history_bits else 0
     history = 0
     dynamic_taken = 0
     dynamic_total = 0
-    for pc, taken, conditional in zip(pcs, takens, conditionals):
+    for pc, taken, conditional in trace.sim_events():
         if conditional:
             pair = (pc >> 2, history)
             total_counts[pair] = total_counts.get(pair, 0) + 1

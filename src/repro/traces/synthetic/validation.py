@@ -71,8 +71,6 @@ class TraceProfile:
 
 def profile_trace(trace: Trace, history_bits: int = 4) -> TraceProfile:
     """Compute the full shape profile of ``trace``."""
-    pcs, takens, conditionals = trace.sim_columns()
-
     taken_counts: Dict[int, int] = {}
     total_counts: Dict[int, int] = {}
     conditional = 0
@@ -85,7 +83,7 @@ def profile_trace(trace: Trace, history_bits: int = 4) -> TraceProfile:
     switches = 0
     previous_segment = None
 
-    for pc, taken, cond in zip(pcs, takens, conditionals):
+    for pc, taken, cond in trace.sim_events():
         segment = pc >> 24
         segments.add(segment)
         if previous_segment is not None and segment != previous_segment:

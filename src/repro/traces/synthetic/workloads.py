@@ -319,12 +319,9 @@ def ibs_trace(name: str, scale: float = 1.0) -> Trace:
 def clear_trace_cache() -> None:
     """Drop memoised traces (tests use this to bound memory).
 
-    Also releases each memoised trace's materialised column lists: a trace
-    kept alive by an outside reference would otherwise hold both its numpy
-    arrays and the Python-int lists, doubling its footprint.
+    A trace holds only its codes and its table, so a trace an outside
+    reference keeps alive costs no more than it did in the cache.
     """
-    for trace in list(_TRACE_CACHE.values()):
-        trace.release_columns()
     _TRACE_CACHE.clear()
 
 

@@ -24,26 +24,27 @@ Raw columns are built only on demand and never kept: :attr:`Trace.pcs`,
 (the aliasing measurements, the Python counter walk and the comparisons
 in tests read them).  Length, indexing and the Table 1 summaries read
 the codes and the table and build no column.  The C counter walk reads
-the codes and the table rows itself.  The generic interpreter iterates
-over cached Python-int lists (:meth:`Trace.sim_columns`) because
-per-element access to numpy arrays from interpreted loops is several
-times slower than list access; those lists are built on first use,
-cached per column and can be dropped with :meth:`Trace.release_columns`
-when a long sweep session is done with a trace.
+the codes and the table rows itself.  The per-event Python loops (the
+generic interpreter, the per-event trace statistics and the
+interference classifier) iterate :meth:`Trace.sim_events`, which maps
+the codes, one chunk at a time, through a list of the table's rows: it
+keeps nothing on the trace and holds one chunk and the table at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from itertools import chain
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["BranchRecord", "EventTable", "Trace"]
 
-#: Events per chunk when gathering a column or counting rows: numpy casts
-#: a uint32 index array to intp before indexing, so chunking bounds that
-#: transient to 512 KB whatever the trace length.
+#: Events per chunk when gathering a column, counting rows or iterating
+#: events: numpy casts a uint32 index array to intp before indexing, and
+#: a strided view's codes are copied to be read through a memoryview, so
+#: chunking bounds those transients to 512 KB whatever the trace length.
 _CHUNK = 1 << 16
 
 
@@ -187,9 +188,6 @@ class Trace:
         self._row_counts = _row_counts(self._codes, len(table.pcs))
         #: Every walk reads the conditional count; it is one dot product.
         self._conditional_count = int(self._row_counts @ table.conditionals)
-        #: per-column cache of materialised Python lists; see columns() /
-        #: sim_columns().  Keyed per column so the two views share storage.
-        self._column_lists: Dict[str, list] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -350,64 +348,29 @@ class Trace:
         for code in self._codes.tolist():
             yield records[code]
 
-    def _column(self, key: str) -> list:
-        cached = self._column_lists.get(key)
-        if cached is None:
-            table = self._table
-            if key == "pcs":
-                cached = self._gather(table.pcs).tolist()
-            elif key == "takens":
-                cached = self._gather(table.takens).tolist()
-            elif key == "conditionals":
-                cached = self._gather(table.conditionals).tolist()
-            elif key == "targets":
-                cached = self._gather(table.targets).tolist()
-            elif key == "takens_bool":
-                cached = self._gather(table.takens.astype(bool)).tolist()
-            elif key == "conditionals_bool":
-                cached = self._gather(table.conditionals.astype(bool)).tolist()
-            else:  # pragma: no cover - internal misuse
-                raise KeyError(key)
-            self._column_lists[key] = cached
-        return cached
+    def sim_events(self) -> Iterator[Tuple[int, bool, bool]]:
+        """Every event's ``(pc, taken, conditional)``, flags as bools.
 
-    def columns(self) -> Tuple[List[int], List[int], List[int], List[int]]:
-        """Hot-loop view: (pcs, takens, conditionals, targets) as int lists.
-
-        Cached after the first call; callers must not mutate the lists.
-        Callers that need no targets use :meth:`sim_columns`, which
-        builds no targets list.
+        The per-event Python loops' view: each chunk of codes is read
+        through a memoryview (Python ints, made one at a time) and mapped
+        through one tuple per table row, so the iteration holds the row
+        list and one chunk of codes (a view, or a copy of a strided
+        view's) whatever the trace length, and caches nothing.
         """
-        return (
-            self._column("pcs"),
-            self._column("takens"),
-            self._column("conditionals"),
-            self._column("targets"),
+        table = self._table
+        rows = list(zip(
+            table.pcs.tolist(),
+            table.takens.astype(bool).tolist(),
+            table.conditionals.astype(bool).tolist(),
+        ))
+        codes = self._codes
+        return chain.from_iterable(
+            map(
+                rows.__getitem__,
+                memoryview(np.ascontiguousarray(codes[start : start + _CHUNK])),
+            )
+            for start in range(0, len(codes), _CHUNK)
         )
-
-    def sim_columns(self) -> Tuple[List[int], List[bool], List[bool]]:
-        """Engine hot-loop view: (pcs, takens, conditionals), outcomes as bools.
-
-        The simulation engine's inner loop tests each event's direction and
-        kind once per branch; handing it real booleans removes the
-        per-iteration ``taken_int == 1`` comparison.  The pcs list is shared
-        with :meth:`columns`.  Cached; callers must not mutate the lists.
-        """
-        return (
-            self._column("pcs"),
-            self._column("takens_bool"),
-            self._column("conditionals_bool"),
-        )
-
-    def release_columns(self) -> None:
-        """Drop every materialised column list.
-
-        The codes and the table stay; the next :meth:`columns` /
-        :meth:`sim_columns` call re-materialises.  Long sweep sessions
-        call this (via ``clear_trace_cache``) so memoised traces don't
-        hold the Python-list storage alive indefinitely.
-        """
-        self._column_lists.clear()
 
     def head(self, count: int) -> "Trace":
         """A new trace consisting of the first ``count`` events (a view

@@ -1,11 +1,15 @@
 """Tests for the trace-driven simulation engine."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.static import AlwaysTakenPredictor
-from repro.sim.engine import simulate
+from repro.sim.config import make_predictor
+from repro.sim.engine import miss_stream, simulate
 from repro.traces.trace import BranchRecord, Trace
 
 
@@ -67,6 +71,61 @@ class TestCounting:
         result = simulate(AlwaysTakenPredictor(), _trace([]))
         assert result.conditional_branches == 0
         assert result.misprediction_ratio == 0.0
+
+
+class TestMissStream:
+    def test_one_byte_per_conditional_branch(self):
+        trace = _trace(
+            [
+                BranchRecord(pc=0x100, taken=True),
+                BranchRecord(pc=0x104, taken=False, conditional=False),
+                BranchRecord(pc=0x108, taken=False),
+                BranchRecord(pc=0x10C, taken=True),
+            ]
+        )
+        missed = miss_stream(AlwaysTakenPredictor(), trace)
+        assert missed.dtype == np.uint8
+        assert missed.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("warmup", [0, 1, 500, 10**6])
+    def test_simulate_counts_the_stream(self, warmup, tiny_trace):
+        missed = miss_stream(GsharePredictor(6, 4), tiny_trace)
+        result = simulate(GsharePredictor(6, 4), tiny_trace, warmup=warmup)
+        assert result.conditional_branches == max(0, len(missed) - warmup)
+        assert result.mispredictions == int(missed[warmup:].sum())
+
+
+class TestMemory:
+    """The interpreter holds one chunk of codes and the table's rows,
+    plus its one-byte-per-branch miss stream: nothing per event is kept
+    on the trace or built up front."""
+
+    @staticmethod
+    def _peak(spec, trace):
+        """Peak traced bytes of one generic ``simulate`` call."""
+        simulate(make_predictor(spec), trace.head(10))  # warm imports
+        predictor = make_predictor(spec)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            simulate(predictor, trace)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_generic_peak_is_a_byte_per_conditional_event(self):
+        rng = np.random.default_rng(11)
+        length = 600_000
+        trace = Trace(
+            4 * rng.integers(0, 1 << 12, length, dtype=np.uint64),
+            rng.integers(0, 2, length, dtype=np.uint8),
+            (rng.random(length) < 0.85).astype(np.uint8),
+            name="long",
+        )
+        short = self._peak("gshare:4k:h12", trace.head(6_000))
+        long = self._peak("gshare:4k:h12", trace)
+        assert long - short <= trace.conditional_count + (1 << 20), (short, long)
 
 
 class TestWarmup:

@@ -65,6 +65,7 @@ from repro.sim.vectorized import (
     simulate_fast,
     simulate_walk,
 )
+from repro.traces.stats import bias_density
 from repro.traces.synthetic.cfg import (
     Procedure,
     Program,
@@ -1356,13 +1357,17 @@ class TestMemoryAndViews:
         assert long - short < len(trace) // 8, (short, long)
 
     def test_trace_holds_no_derived_state(self):
+        # Neither tier nor the per-event statistics leave anything on
+        # the trace: no derived column, no per-event list.
         trace = _long_trace(50_000)
         before = {name: id(value) for name, value in vars(trace).items()}
         for spec in ("gskew:3x4k:h12:lazy", "agree:4k:h12", "gshare:4k:h12"):
             assert simulate_fast(make_predictor(spec), trace).engine == "native"
+        assert simulate(make_predictor("gshare:4k:h12"), trace).engine == "generic"
+        bias_density(trace, 8)
         assert {name: id(value) for name, value in vars(trace).items()} == before
-        assert trace._column_lists == {}
         assert not hasattr(trace, "_derived")
+        assert not hasattr(trace, "_column_lists")
 
     @pytest.mark.parametrize(
         "view",

@@ -54,11 +54,9 @@ def test_generation_is_deterministic(config):
 @settings(max_examples=20, deadline=None)
 def test_event_wellformedness(config):
     trace = generate_trace(config)
-    pcs, takens, conditionals, _ = trace.columns()
-    for pc, taken, conditional in zip(pcs, takens, conditionals):
-        assert pc % 4 == 0
-        assert taken in (0, 1)
-        assert conditional in (0, 1)
+    assert not (trace.pcs % 4).any()
+    assert set(trace.takens.tolist()) <= {0, 1}
+    assert set(trace.conditionals.tolist()) <= {0, 1}
 
 
 @given(configs)
