@@ -40,9 +40,9 @@ fires at the same points every run.  The injectable sites:
                        :func:`repro.sim.vectorized.simulate_fast`; the
                        engine raises before touching predictor state
 ``kernel-vectorized``  likewise for the vectorized loop engine
-``serving-shard``      counted per shard micro-batch flush in
-                       :meth:`repro.serving.shard.Shard.flush`; the shard
-                       crashes after the engine ran but *before* the
+``serving-shard``      counted per tenant micro-batch flush in
+                       :meth:`repro.serving.shard.Shard.flush_tenant`; the
+                       flush dies after the engine ran but *before* the
                        batch commits, is rolled back to its pre-batch
                        :class:`~repro.sim.state.PredictorState` snapshot
                        and replayed — byte-identical to fault-free

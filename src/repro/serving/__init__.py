@@ -2,8 +2,8 @@
 
 See ``docs/serving.md`` for the architecture.  The short version:
 
-- :mod:`repro.serving.shard` — per-tenant predictors, session-hashed
-  shards, micro-batch flushes through the fast engines, snapshot-based
+- :mod:`repro.serving.shard` — per-tenant predictors in one tenant
+  table, micro-batch flushes through the fast engines, snapshot-based
   crash recovery (the ``serving-shard`` fault site);
 - :mod:`repro.serving.server` — :class:`PredictionService` (in-process
   dispatcher) and :class:`PredictionServer` (asyncio TCP front end);
@@ -18,7 +18,7 @@ serial :func:`repro.sim.vectorized.simulate_fast` run over that stream.
 
 from repro.serving.client import PredictionClient, ServingError
 from repro.serving.server import PredictionServer, PredictionService
-from repro.serving.shard import Shard, ShardRing, Tenant, shard_of
+from repro.serving.shard import Shard, Tenant
 
 __all__ = [
     "PredictionClient",
@@ -26,7 +26,5 @@ __all__ = [
     "PredictionService",
     "ServingError",
     "Shard",
-    "ShardRing",
     "Tenant",
-    "shard_of",
 ]

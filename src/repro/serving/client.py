@@ -129,5 +129,5 @@ class PredictionClient:
         return await self.request({"op": "close", "session": session})
 
     async def stats(self) -> Dict[str, Any]:
-        """Server-wide shard-ring counters (sessions, flushes, replays)."""
+        """Server-wide counters: sessions, flushes, replays."""
         return await self.request({"op": "stats"})

@@ -22,7 +22,7 @@ Ops:
 ``restore``    ``session``, ``state`` (hex) — flush pending, then load
                a previously snapshotted state into the tenant
 ``close``      ``session`` — flush, return final stats, drop the tenant
-``stats``      server-wide counters (shards, sessions, flushes, replays)
+``stats``      server-wide counters (sessions, flushes, replays)
 =============  ==========================================================
 """
 

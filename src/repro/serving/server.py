@@ -1,23 +1,24 @@
-"""The prediction server: an asyncio front end over the shard ring.
+"""The prediction server: an asyncio front end over one tenant table.
 
 Two layers, separable on purpose:
 
 - :class:`PredictionService` is the synchronous request dispatcher —
-  shard ring, tenant lifecycle, micro-batch flushes.  It is directly
+  the tenant table, tenant lifecycle, micro-batch flushes.  It is directly
   usable in-process (the differential tests drive it without sockets,
   so engine parity failures surface as clean assertions, not connection
   resets).
 - :class:`PredictionServer` wraps the service in an asyncio TCP server
   speaking the newline-JSON protocol (:mod:`repro.serving.protocol`),
-  with per-shard locks so concurrent clients interleave safely and a
-  linger timer so partial batches don't wait forever.
+  with a linger timer so partial batches don't wait forever.
 
 Concurrency model: requests for one session are ordered by their
-connection (the protocol is request/response per line), and every shard
-mutation happens under that shard's :class:`asyncio.Lock`.  Flush
-boundaries never change results — the engines are warm-state exact — so
-the linger timer can fire whenever it likes; it trades tail latency
-against batch efficiency, nothing else.  That invariance is exactly what
+connection (the protocol is request/response per line).  Everything runs
+on one event loop, and :meth:`PredictionService.handle` and the shard's
+flushes are plain synchronous calls, so no coroutine can run in the
+middle of a table mutation and no lock is needed.  Flush boundaries
+never change results — the engines are warm-state exact — so the linger
+timer can fire whenever it likes; it trades tail latency against batch
+efficiency, nothing else.  That invariance is exactly what
 ``tests/serving/`` proves differentially.
 """
 
@@ -36,7 +37,7 @@ from repro.serving.protocol import (
     is_event,
     ok_response,
 )
-from repro.serving.shard import Shard, ShardRing
+from repro.serving.shard import Shard
 from repro.sim.state import PredictorState, StateError
 from repro.util import envvars
 
@@ -67,12 +68,8 @@ def default_linger_s() -> Optional[float]:
 class PredictionService:
     """Synchronous dispatcher: one request dict in, one response out."""
 
-    def __init__(
-        self,
-        shards: Optional[int] = None,
-        batch_size: Optional[int] = None,
-    ):
-        self.ring = ShardRing(shards=shards, batch_size=batch_size)
+    def __init__(self, batch_size: Optional[int] = None):
+        self.shard = Shard(batch_size)
 
     # -- request handling --------------------------------------------------
 
@@ -85,18 +82,21 @@ class PredictionService:
         error response and keeps the connection).
         """
         op = request["op"]
+        shard = self.shard
         if op == "stats":
-            return ok_response(**self.ring.stats())
+            return ok_response(
+                sessions=len(shard.tenants),
+                flushes=shard.flushes,
+                replays=shard.replays,
+            )
         if op == "open":
             session, spec = request["session"], request["spec"]
-            shard = self.ring.shard_for(session)
             try:
                 shard.open(session, spec)
             except ValueError as exc:
                 return error_response(str(exc))
-            return ok_response(session=session, shard=shard.index)
+            return ok_response(session=session)
         session = request["session"]
-        shard = self.ring.shard_for(session)
         try:
             if op == "events":
                 return self._handle_events(shard, session, request["events"])
@@ -158,11 +158,10 @@ class PredictionServer:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        shards: Optional[int] = None,
         batch_size: Optional[int] = None,
         linger_s: Optional[float] = None,
     ):
-        self.service = PredictionService(shards=shards, batch_size=batch_size)
+        self.service = PredictionService(batch_size=batch_size)
         self.host = host
         self.port = port
         self.linger_s = default_linger_s() if linger_s is None else (
@@ -170,7 +169,6 @@ class PredictionServer:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._linger_task: Optional[asyncio.Task] = None
-        self._locks: Tuple[asyncio.Lock, ...] = ()
         self._connections: set = set()
 
     @property
@@ -184,9 +182,6 @@ class PredictionServer:
 
     async def start(self) -> "PredictionServer":
         """Bind the listening socket and start the linger flusher."""
-        self._locks = tuple(
-            asyncio.Lock() for _ in self.service.ring.shards
-        )
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self.port, limit=LINE_LIMIT
         )
@@ -195,7 +190,12 @@ class PredictionServer:
         return self
 
     async def stop(self) -> None:
-        """Stop the linger flusher, flush every shard, close the socket."""
+        """Stop the linger flusher, close the socket, reap connections.
+
+        Nothing is flushed: events still pending stay buffered in
+        :attr:`service`, where a ``sync`` (or any other flushing request)
+        still evaluates them.
+        """
         if self._linger_task is not None:
             self._linger_task.cancel()
             try:
@@ -224,24 +224,13 @@ class PredictionServer:
 
     # -- internals ---------------------------------------------------------
 
-    def _lock_for(self, request: Dict[str, Any]) -> Optional[asyncio.Lock]:
-        session = request.get("session")
-        if not isinstance(session, str):
-            return None
-        shard = self.service.ring.shard_for(session)
-        return self._locks[shard.index]
-
     async def _handle_line(self, line: bytes) -> Dict[str, Any]:
         try:
             request = decode_request(line)
         except ProtocolError as exc:
             return error_response(str(exc))
-        lock = self._lock_for(request)
         try:
-            if lock is None:
-                return self.service.handle(request)
-            async with lock:
-                return self.service.handle(request)
+            return self.service.handle(request)
         except Exception as exc:
             # A server-side failure (e.g. a flush that kept crashing past
             # its replays, its batch requeued) answers this request only;
@@ -295,17 +284,14 @@ class PredictionServer:
         assert self.linger_s is not None
         while True:
             await asyncio.sleep(self.linger_s)
-            for shard, lock in zip(self.service.ring.shards, self._locks):
-                async with lock:
-                    try:
-                        shard.flush()
-                    except Exception as exc:
-                        warnings.warn(
-                            f"linger flush of shard {shard.index} failed "
-                            f"({type(exc).__name__}: {exc}); its batch "
-                            "stays pending for the next tick",
-                            RuntimeWarning,
-                        )
+            try:
+                self.service.shard.flush()
+            except Exception as exc:
+                warnings.warn(
+                    f"linger flush failed ({type(exc).__name__}: {exc}); "
+                    "its batch stays pending for the next tick",
+                    RuntimeWarning,
+                )
 
 
 async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:

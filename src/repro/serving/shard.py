@@ -1,10 +1,12 @@
-"""Per-tenant predictor state, sharded and micro-batched.
+"""Per-tenant predictor state, micro-batched.
 
 The serving data model: a **tenant** (client session) owns one live
-predictor; a **shard** owns an ordered set of tenants plus their pending
-event buffers.  Events arrive one at a time over the wire but are *not*
-fed through per-event Python calls — each tenant's pending buffer is
-flushed as a micro-batch :class:`~repro.traces.trace.Trace` through
+predictor; the server's one **shard** owns every tenant, in open order,
+plus their pending event buffers.  Tenants are isolated by owning their
+own tables, so one table of tenants serves them all.  Events arrive one
+at a time over the wire but are *not* fed through per-event Python
+calls — each tenant's pending buffer is flushed as a micro-batch
+:class:`~repro.traces.trace.Trace` through
 :func:`repro.sim.vectorized.simulate_fast`, which dispatches the
 native tier (the vectorized loop without a compiler).  Because every
 fast tier honors warm predictor state (counters, bias latches, and the
@@ -24,61 +26,37 @@ rolls back, keeps the batch pending and propagates.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.predictors.base import BranchPredictor
 from repro.resilience.faults import InjectedFault, maybe_fail
 from repro.sim.config import make_predictor
-from repro.sim.parallel import RETRY_LIMIT
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import simulate_fast
 from repro.traces.trace import Trace
 from repro.util import envvars
 
 __all__ = [
+    "RETRY_LIMIT",
     "Tenant",
     "Shard",
-    "ShardRing",
     "default_batch_size",
-    "default_shard_count",
-    "shard_of",
 ]
 
 #: Documented default micro-batch size (see ``REPRO_SERVING_BATCH``).
 DEFAULT_BATCH = 256
+
+#: Replays of a batch whose flush died at the ``serving-shard`` fault
+#: gate before the fault propagates.
+RETRY_LIMIT = 2
 
 
 def default_batch_size() -> int:
     """The flush threshold, from ``REPRO_SERVING_BATCH`` (min 1)."""
     value = envvars.SERVING_BATCH.int_value(DEFAULT_BATCH) or DEFAULT_BATCH
     return max(1, value)
-
-
-def default_shard_count(cpus: Optional[int] = None) -> int:
-    """Ring size from ``REPRO_SERVING_SHARDS`` (unset: CPUs, min 4)."""
-    value = envvars.SERVING_SHARDS.int_value()
-    if value is not None and value >= 1:
-        return value
-    import os
-
-    detected = cpus if cpus is not None else (os.cpu_count() or 1)
-    return max(4, detected)
-
-
-def shard_of(session: str, shards: int) -> int:
-    """Stable session→shard assignment.
-
-    sha256 rather than ``hash()``: the builtin is salted per process, and
-    shard assignment must be reproducible across runs and machines (the
-    golden serving tier pins per-tenant numbers).
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    digest = hashlib.sha256(session.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % shards
 
 
 class Tenant:
@@ -169,10 +147,9 @@ class Tenant:
 
 
 class Shard:
-    """An ordered set of tenants flushed through the fast engines."""
+    """Every open tenant, in open order, flushed through the fast engines."""
 
-    def __init__(self, index: int, batch_size: Optional[int] = None):
-        self.index = index
+    def __init__(self, batch_size: Optional[int] = None):
         self.batch_size = (
             default_batch_size() if batch_size is None else max(1, batch_size)
         )
@@ -216,12 +193,12 @@ class Shard:
 
         The crash-consistency core: snapshot → engine → fault gate →
         commit.  An :class:`InjectedFault` between the engine run and the
-        commit models a shard dying with results computed but not yet
+        commit models a flush dying with results computed but not yet
         applied; recovery restores the pre-batch snapshot and replays the
-        identical batch.  After :data:`repro.sim.parallel.RETRY_LIMIT`
-        replays — or at once for any other engine error — the predictor
-        is restored, the batch is requeued (pending events are never
-        lost) and the error propagates to the caller.
+        identical batch.  After :data:`RETRY_LIMIT` replays — or at once
+        for any other engine error — the predictor is restored, the
+        batch is requeued (pending events are never lost) and the error
+        propagates to the caller.
         """
         batch = tenant.drain()
         if batch is None:
@@ -274,39 +251,3 @@ class Shard:
         stats = tenant.stats()
         del self.tenants[session]
         return stats
-
-
-class ShardRing:
-    """The session-hashed collection of shards one server owns."""
-
-    def __init__(
-        self,
-        shards: Optional[int] = None,
-        batch_size: Optional[int] = None,
-    ):
-        count = default_shard_count() if shards is None else max(1, shards)
-        self.shards: Tuple[Shard, ...] = tuple(
-            Shard(index, batch_size) for index in range(count)
-        )
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-    def shard_for(self, session: str) -> Shard:
-        """The shard that owns ``session``."""
-        return self.shards[shard_of(session, len(self.shards))]
-
-    def sessions(self) -> List[str]:
-        """Every open session across the ring."""
-        return [
-            session for shard in self.shards for session in shard.tenants
-        ]
-
-    def stats(self) -> Dict[str, object]:
-        """Ring-wide counters: shards, sessions, flushes, replays."""
-        return {
-            "shards": len(self.shards),
-            "sessions": sum(len(shard.tenants) for shard in self.shards),
-            "flushes": sum(shard.flushes for shard in self.shards),
-            "replays": sum(shard.replays for shard in self.shards),
-        }

@@ -39,7 +39,6 @@ __all__ = [
     "NATIVE_CACHE",
     "SERVING_BATCH",
     "SERVING_LINGER_MS",
-    "SERVING_SHARDS",
     "TRACE_CACHE",
     "by_name",
     "markdown_table",
@@ -143,7 +142,7 @@ SERVING_BATCH = EnvVar(
     "REPRO_SERVING_BATCH",
     "int",
     "256",
-    "Serving-layer micro-batch size: a shard flushes a tenant's pending "
+    "Serving-layer micro-batch size: the server flushes a tenant's pending "
     "events through the fast engines once this many accumulate.  Results "
     "are identical at every setting (flush boundaries don't change "
     "predictions); only latency/throughput move.",
@@ -156,14 +155,6 @@ SERVING_LINGER_MS = EnvVar(
     "How long (milliseconds) the serving layer lets a partial batch "
     "linger before flushing it anyway; `0`/`off`/`none`/`disabled` "
     "flushes only on full batches and explicit syncs.",
-)
-
-SERVING_SHARDS = EnvVar(
-    "REPRO_SERVING_SHARDS",
-    "int",
-    "(CPU count, min 4)",
-    "Number of state shards the serving layer hashes tenant sessions "
-    "across; unset sizes the ring to the available CPUs (at least 4).",
 )
 
 TRACE_CACHE = EnvVar(
@@ -185,7 +176,6 @@ REGISTRY: Tuple[EnvVar, ...] = tuple(
             NATIVE_CACHE,
             SERVING_BATCH,
             SERVING_LINGER_MS,
-            SERVING_SHARDS,
             TRACE_CACHE,
         ),
         key=lambda var: var.name,

@@ -67,7 +67,7 @@ def _measure_serving() -> dict:
     """Per-tenant counts from the 3-tenant interleaved replay."""
     from repro.serving.server import PredictionService
 
-    service = PredictionService(shards=2, batch_size=SERVING_BATCH)
+    service = PredictionService(batch_size=SERVING_BATCH)
     sessions = {
         workload: ibs_trace(workload, GOLDEN_SCALE)
         for workload in SERVING_WORKLOADS
@@ -206,7 +206,7 @@ def test_serving_matches_golden():
     Interleaved multi-tenant serving must not only agree with serial
     runs (the differential suites prove that); its absolute per-tenant
     numbers are pinned here so drift anywhere under the serving stack —
-    sharding, batching, the state carry — shows up as a golden diff.
+    the tenant table, batching, the state carry — shows up as a golden diff.
     """
     golden = _load_golden()
     expected = golden["serving"]["tenants"]

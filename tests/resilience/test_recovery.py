@@ -17,11 +17,11 @@ import repro.serving.shard as shard_module
 import repro.sim.native as native_module
 import repro.sim.vectorized as vectorized_module
 from repro.resilience.faults import InjectedFault, reset_faults
-from repro.serving.shard import Shard
+from repro.serving.shard import RETRY_LIMIT, Shard
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
 from repro.sim.native import native_available
-from repro.sim.parallel import RETRY_LIMIT, run_cells, recovery_stats
+from repro.sim.parallel import run_cells, recovery_stats
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import WalkInterrupted, simulate_fast
 
@@ -250,7 +250,7 @@ class TestServingShardRecovery:
         stream still matches a fault-free serial run exactly."""
         expected, expected_digest = self._clean_serial(tiny_trace)
         fault_env("serving-shard@2")  # second flush dies mid-batch
-        shard = Shard(0, batch_size=37)
+        shard = Shard(batch_size=37)
         tenant = shard.open("s", self.SPEC)
         self._feed(shard, "s", tiny_trace)
         assert shard.replays == 1
@@ -263,12 +263,12 @@ class TestServingShardRecovery:
         )
 
     def test_exhausted_retries_requeue_and_raise(self, fault_env, tiny_trace):
-        """A persistently-dying shard surfaces the fault — with the batch
+        """A persistently-dying flush surfaces the fault — with the batch
         back in the pending buffer and the predictor rolled back, so no
         event is lost and no partial batch is committed."""
         expected, expected_digest = self._clean_serial(tiny_trace)
         fault_env("serving-shard@1-")  # every flush arrival fails
-        shard = Shard(0, batch_size=16)
+        shard = Shard(batch_size=16)
         tenant = shard.open("s", self.SPEC)
         pre_digest = PredictorState.capture(tenant.predictor).digest()
         with pytest.raises(InjectedFault):
@@ -303,11 +303,11 @@ class TestServingShardRecovery:
     def test_shard_flush_continues_past_a_failing_tenant(
         self, fault_env, tiny_trace
     ):
-        """A whole-shard flush (the linger timer's) does not stop at the
-        tenant whose batch keeps crashing: the tenants after it still
+        """A flush of every tenant (the linger timer's) does not stop at
+        the tenant whose batch keeps crashing: the tenants after it still
         flush, then the first fault is re-raised."""
         first, second = tiny_trace.slice(0, 40), tiny_trace.slice(40, 90)
-        shard = Shard(0, batch_size=1000)
+        shard = Shard(batch_size=1000)
         for session, trace in (("a", first), ("b", second)):
             shard.open(session, self.SPEC)
             for i in range(len(trace)):
@@ -342,7 +342,7 @@ class TestServingShardRecovery:
         """An engine error other than an injected fault is not replayed:
         the flush rewinds the predictor, keeps the batch pending and
         raises — even when the engine wrote state before failing."""
-        shard = Shard(0, batch_size=1000)
+        shard = Shard(batch_size=1000)
         tenant = shard.open("s", self.SPEC)
         self._feed(shard, "s", tiny_trace.slice(0, 30))  # warm, flushed
         for i in range(30, 42):
@@ -371,7 +371,7 @@ class TestServingShardRecovery:
         from repro.serving.server import PredictionService
 
         fault_env("serving-shard@1")
-        service = PredictionService(shards=1, batch_size=4)
+        service = PredictionService(batch_size=4)
         service.handle({"op": "open", "session": "s", "spec": "bimodal:64"})
         service.handle(
             {

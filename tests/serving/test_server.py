@@ -4,14 +4,15 @@ The acceptance criterion of the serving layer, verbatim: N interleaved
 sessions through the server produce per-tenant results and final
 ``PredictorState`` byte-identical to N serial ``simulate_fast`` runs —
 across predictor families, engine tiers (each substituted for the
-shard's ``simulate_fast``), mid-stream snapshot/restore, and arbitrary
-flush boundaries.
+shard module's ``simulate_fast``), mid-stream snapshot/restore, and
+arbitrary flush boundaries.
 """
 
 from __future__ import annotations
 
 import asyncio
 import gc
+import inspect
 import json
 import warnings
 import weakref
@@ -27,10 +28,10 @@ from repro.serving.server import (
     PredictionServer,
     PredictionService,
 )
+from repro.serving.shard import RETRY_LIMIT, Shard
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
 from repro.sim.native import native_available, simulate_native
-from repro.sim.parallel import RETRY_LIMIT
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import simulate_fast, simulate_vectorized
 from repro.traces.trace import Trace
@@ -96,7 +97,7 @@ def _served_finals(service, sessions):
     for name in sessions:
         stats = service.handle({"op": "sync", "session": name})
         assert stats["ok"], stats
-        predictor = service.ring.shard_for(name).tenant(name).predictor
+        predictor = service.shard.tenant(name).predictor
         finals[name] = (
             stats["conditional_branches"],
             stats["mispredictions"],
@@ -177,7 +178,7 @@ class TestEventValidation:
         # In-process callers skip decode_request; handle must refuse the
         # batch itself, or the bad PC stays buffered and every later
         # sync of the session raises.
-        service = PredictionService(shards=1, batch_size=8)
+        service = PredictionService(batch_size=8)
         service.handle({"op": "open", "session": "s", "spec": "bimodal:64"})
         refused = service.handle(
             {"op": "events", "session": "s", "events": [[2**64, 1]]}
@@ -192,17 +193,17 @@ class TestEventValidation:
     def test_open_refuses_unrunnable_geometry(self, spec):
         # One-entry skewed banks build nothing any engine can run; open
         # answers with an error and no session is created.
-        service = PredictionService(shards=1, batch_size=4)
+        service = PredictionService(batch_size=4)
         refused = service.handle({"op": "open", "session": "s", "spec": spec})
         assert refused["ok"] is False
         assert "bank_index_bits" in refused["error"]
-        assert service.ring.stats()["sessions"] == 0
+        assert service.handle({"op": "stats"})["sessions"] == 0
 
     @pytest.mark.parametrize(
         "event", [[2**64, 1], [-1, 1], [4, 2], [4, 1, 2], [True, 1]]
     )
     def test_handle_buffers_nothing_from_a_bad_batch(self, event):
-        service = PredictionService(shards=1, batch_size=8)
+        service = PredictionService(batch_size=8)
         service.handle({"op": "open", "session": "s", "spec": "bimodal:64"})
         refused = service.handle(
             {"op": "events", "session": "s", "events": [[4, 1], event]}
@@ -226,7 +227,7 @@ class TestInterleavedVsSerial:
         monkeypatch.setattr(shard_module, "simulate_fast", ENGINES[engine])
         sessions = {f"t{i}": _ibs_like(i + 1, 400 + 30 * i) for i in range(4)}
         specs = {name: spec for name in sessions}
-        service = PredictionService(shards=3, batch_size=64)
+        service = PredictionService(batch_size=64)
         for name in sessions:
             service.handle({"op": "open", "session": name, "spec": spec})
         _interleave_round_robin(service, sessions, chunk=37)
@@ -239,7 +240,7 @@ class TestInterleavedVsSerial:
         """Families without full tier coverage still serve identically."""
         sessions = {f"t{i}": _ibs_like(10 + i, 350) for i in range(3)}
         specs = {name: spec for name in sessions}
-        service = PredictionService(shards=2, batch_size=48)
+        service = PredictionService(batch_size=48)
         for name in sessions:
             service.handle({"op": "open", "session": name, "spec": spec})
         _interleave_round_robin(service, sessions, chunk=23)
@@ -255,7 +256,7 @@ class TestInterleavedVsSerial:
             name = f"mix{i}"
             sessions[name] = _ibs_like(100 + i, 300)
             specs[name] = spec
-        service = PredictionService(shards=4, batch_size=32)
+        service = PredictionService(batch_size=32)
         for name in sessions:
             service.handle(
                 {"op": "open", "session": name, "spec": specs[name]}
@@ -280,7 +281,7 @@ class TestInterleavedVsSerial:
         """Arbitrary session count x chunking x batch size: still exact."""
         sessions = {f"f{i}": trace for i, trace in enumerate(traces)}
         specs = {name: spec for name in sessions}
-        service = PredictionService(shards=2, batch_size=batch_size)
+        service = PredictionService(batch_size=batch_size)
         for name in sessions:
             service.handle({"op": "open", "session": name, "spec": spec})
         _interleave_round_robin(service, sessions, chunk=chunk)
@@ -296,7 +297,7 @@ class TestInterleavedVsSerial:
     )
     def test_out_of_order_sync_barriers(self, trace, sync_points, spec):
         """Forced flushes at arbitrary points don't perturb results."""
-        service = PredictionService(shards=1, batch_size=32)
+        service = PredictionService(batch_size=32)
         service.handle({"op": "open", "session": "s", "spec": spec})
         marks = set(sync_points)
         for i in range(len(trace)):
@@ -322,7 +323,7 @@ class TestSnapshotRestore:
         trace = _ibs_like(5, 600)
         half = len(trace) // 2
 
-        service = PredictionService(shards=1, batch_size=50)
+        service = PredictionService(batch_size=50)
         service.handle({"op": "open", "session": "s", "spec": spec})
         first = [
             [int(trace.pcs[i]), int(trace.takens[i]),
@@ -344,7 +345,7 @@ class TestSnapshotRestore:
         for _ in range(2):
             service.handle({"op": "events", "session": "s", "events": rest})
             service.handle({"op": "sync", "session": "s"})
-            predictor = service.ring.shard_for("s").tenant("s").predictor
+            predictor = service.shard.tenant("s").predictor
             digests.append(PredictorState.capture(predictor).digest())
             restored = service.handle(
                 {"op": "restore", "session": "s", "state": snap["state"]}
@@ -361,7 +362,7 @@ class TestSnapshotRestore:
         )
 
     def test_corrupt_restore_payload_is_refused(self):
-        service = PredictionService(shards=1, batch_size=50)
+        service = PredictionService(batch_size=50)
         service.handle({"op": "open", "session": "s", "spec": "bimodal:64"})
         snap = service.handle({"op": "snapshot", "session": "s"})
         corrupted = snap["state"][:-8] + "deadbeef"
@@ -378,7 +379,7 @@ class TestSnapshotRestore:
         spec = "gshare:256:h8"
         trace = _ibs_like(11, 300)
         rows = _event_rows(trace)
-        service = PredictionService(shards=1, batch_size=50)
+        service = PredictionService(batch_size=50)
         service.handle({"op": "open", "session": "s", "spec": spec})
         service.handle({"op": "events", "session": "s", "events": rows[:150]})
         response = service.handle(
@@ -398,20 +399,47 @@ def test_close_frees_the_sessions_predictor_without_a_collection():
     # whenever the cyclic collector next runs: a server's memory is its
     # open sessions'.
     rows = _event_rows(_ibs_like(3, 300))
-    service = PredictionService(shards=1, batch_size=64)
+    service = PredictionService(batch_size=64)
     enabled = gc.isenabled()
     gc.disable()
     try:
         service.handle({"op": "open", "session": "s", "spec": "gshare:64k:h16"})
         service.handle({"op": "events", "session": "s", "events": rows})
         assert service.handle({"op": "snapshot", "session": "s"})["ok"]
-        predictor = weakref.ref(service.ring.shard_for("s").tenant("s").predictor)
+        predictor = weakref.ref(service.shard.tenant("s").predictor)
         closed = service.handle({"op": "close", "session": "s"})
         assert closed["ok"] and closed["events"] == len(rows)
         assert predictor() is None
     finally:
         if enabled:
             gc.enable()
+
+
+class TestOneTenantTable:
+    """Every tenant lives in the service's one shard, without locks."""
+
+    def test_open_and_stats_answer_exactly_their_fields(self):
+        service = PredictionService(batch_size=4)
+        opened = service.handle(
+            {"op": "open", "session": "s", "spec": "bimodal:64"}
+        )
+        assert opened == {"ok": True, "session": "s"}
+        service.handle(
+            {"op": "events", "session": "s",
+             "events": [[4 * i, i % 2] for i in range(4)]}
+        )
+        stats = service.handle({"op": "stats"})
+        assert stats == {"ok": True, "sessions": 1, "flushes": 1, "replays": 0}
+
+    @pytest.mark.parametrize(
+        "function",
+        [PredictionService.handle, Shard.flush, Shard.flush_tenant],
+        ids=["handle", "flush", "flush_tenant"],
+    )
+    def test_table_mutations_cannot_yield_to_the_event_loop(self, function):
+        # The server takes no lock around these calls: that is only safe
+        # while no coroutine can run in the middle of one.
+        assert not inspect.iscoroutinefunction(function)
 
 
 class TestAsyncServer:
@@ -424,7 +452,7 @@ class TestAsyncServer:
             }
             spec = "gshare:128:h6"
             async with PredictionServer(
-                shards=2, batch_size=40, linger_s=0.002
+                batch_size=40, linger_s=0.002
             ) as server:
                 host, port = server.address
 
@@ -453,7 +481,7 @@ class TestAsyncServer:
                 served = await asyncio.gather(
                     *(drive(name, trace) for name, trace in sessions.items())
                 )
-                assert server.service.ring.stats()["sessions"] == 3
+                assert server.service.handle({"op": "stats"})["sessions"] == 3
                 return dict(zip(sessions, served)), sessions, spec
 
         served, sessions, spec = asyncio.run(scenario())
@@ -473,7 +501,7 @@ class TestAsyncServer:
         ]
 
         async def scenario():
-            async with PredictionServer(shards=1, batch_size=8) as server:
+            async with PredictionServer(batch_size=8) as server:
                 host, port = server.address
                 reader, writer = await asyncio.open_connection(host, port)
                 responses = []
@@ -507,7 +535,7 @@ class TestAsyncServer:
         ]
 
         async def scenario():
-            async with PredictionServer(shards=1, batch_size=8) as server:
+            async with PredictionServer(batch_size=8) as server:
                 host, port = server.address
                 reader, writer = await asyncio.open_connection(host, port)
                 responses = []
@@ -535,7 +563,7 @@ class TestAsyncServer:
         trace = _ibs_like(12, 200)
 
         async def scenario():
-            async with PredictionServer(shards=1, batch_size=40) as server:
+            async with PredictionServer(batch_size=40) as server:
                 host, port = server.address
                 async with PredictionClient(host, port) as client:
                     await client.open("s", spec)
@@ -561,7 +589,7 @@ class TestAsyncServer:
 
     def test_unknown_session_error_surfaces_in_client(self):
         async def scenario():
-            async with PredictionServer(shards=1, batch_size=8) as server:
+            async with PredictionServer(batch_size=8) as server:
                 host, port = server.address
                 async with PredictionClient(host, port) as client:
                     with pytest.raises(ServingError, match="ghost"):
@@ -588,7 +616,7 @@ class TestAsyncServer:
 
         async def scenario():
             async with PredictionServer(
-                shards=1, batch_size=len(trace), linger_s=0
+                batch_size=len(trace), linger_s=0
             ) as server:
                 host, port = server.address
                 reader, writer = await asyncio.open_connection(host, port)
@@ -600,7 +628,7 @@ class TestAsyncServer:
                     responses.append(json.loads(await reader.readline()))
                 writer.close()
                 await writer.wait_closed()
-                tenant = server.service.ring.shard_for("s").tenant("s")
+                tenant = server.service.shard.tenant("s")
                 return responses, PredictorState.capture(
                     tenant.predictor
                 ).digest()
@@ -619,15 +647,15 @@ class TestAsyncServer:
     def test_linger_loop_survives_a_failed_flush(self, fault_env):
         # The first tenant the linger timer flushes exhausts its replays
         # and raises.  The loop warns and keeps running, the other tenant
-        # on the shard still flushes, and once the fault window has passed
-        # the failed tail flushes too — with no explicit sync.
+        # still flushes, and once the fault window has passed the failed
+        # tail flushes too — with no explicit sync.
         spec = "gshare:128:h6"
         sessions = {f"linger{i}": _ibs_like(80 + i, 30) for i in range(2)}
         fault_env(f"serving-shard@1-{RETRY_LIMIT + 1}")
 
         async def scenario():
             async with PredictionServer(
-                shards=1, batch_size=1000, linger_s=0.005
+                batch_size=1000, linger_s=0.005
             ) as server:
                 host, port = server.address
                 tenants = []
@@ -636,14 +664,14 @@ class TestAsyncServer:
                         await client.open(name, spec)
                         await client.events(name, _event_rows(trace))
                         tenants.append(
-                            server.service.ring.shard_for(name).tenant(name)
+                            server.service.shard.tenant(name)
                         )
                     for _ in range(400):
                         if all(t.pending == 0 for t in tenants):
                             break
                         await asyncio.sleep(0.005)
                     assert not server._linger_task.done()
-                    replays = server.service.ring.stats()["replays"]
+                    replays = server.service.shard.replays
                 return {
                     tenant.session: (
                         tenant.conditional_branches,
@@ -664,3 +692,30 @@ class TestAsyncServer:
         )
         specs = {name: spec for name in sessions}
         assert served == _serial_finals(sessions, specs)
+
+    def test_stop_leaves_pending_events_for_a_later_sync(self):
+        # stop() flushes nothing: a partial batch stays pending in the
+        # service, and a sync there still evaluates it exactly.
+        spec = "gshare:128:h6"
+        trace = _ibs_like(21, 50)
+
+        async def scenario():
+            server = PredictionServer(batch_size=1000, linger_s=0)
+            await server.start()
+            host, port = server.address
+            async with PredictionClient(host, port) as client:
+                await client.open("s", spec)
+                await client.events("s", _event_rows(trace))
+            await server.stop()
+            return server
+
+        server = asyncio.run(scenario())
+        assert server.service.shard.tenant("s").pending == len(trace)
+        synced = server.service.handle({"op": "sync", "session": "s"})
+        predictor = server.service.shard.tenant("s").predictor
+        served = (
+            synced["conditional_branches"],
+            synced["mispredictions"],
+            PredictorState.capture(predictor).digest(),
+        )
+        assert served == _serial_finals({"s": trace}, {"s": spec})["s"]

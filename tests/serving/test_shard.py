@@ -1,11 +1,11 @@
-"""Shard/tenant mechanics: hashing, batching, lifecycle, invariance."""
+"""Shard/tenant mechanics: batching, lifecycle, invariance."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.serving.shard import Shard, ShardRing, shard_of
+from repro.serving.shard import Shard
 from repro.sim.config import make_predictor
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import simulate_fast
@@ -14,43 +14,23 @@ from repro.traces.trace import Trace
 from tests.strategies import traces as trace_strategy
 
 
-class TestShardOf:
-    def test_assignment_is_stable_and_in_range(self):
-        for shards in (1, 4, 7, 64):
-            for session in ("alice", "bob", "groff/17", ""):
-                first = shard_of(session, shards)
-                assert 0 <= first < shards
-                assert shard_of(session, shards) == first
-
-    def test_not_the_salted_builtin_hash(self):
-        # Pinned values: if these move, golden serving assignments move.
-        assert shard_of("groff", 4) == 3
-        assert shard_of("gs", 4) == 2
-        assert shard_of("mpeg_play", 4) == 3
-
-    def test_sessions_spread_across_shards(self):
-        shards = 8
-        hits = {shard_of(f"tenant-{i}", shards) for i in range(256)}
-        assert hits == set(range(shards))
-
-
 class TestTenantLifecycle:
     def test_open_is_idempotent_but_spec_conflicts_fail(self):
-        shard = Shard(0, batch_size=8)
+        shard = Shard(batch_size=8)
         tenant = shard.open("s", "bimodal:64")
         assert shard.open("s", "bimodal:64") is tenant
         with pytest.raises(ValueError, match="spec"):
             shard.open("s", "gshare:64:h5")
 
     def test_unknown_session_fails_loudly(self):
-        shard = Shard(0, batch_size=8)
+        shard = Shard(batch_size=8)
         with pytest.raises(KeyError, match="ghost"):
             shard.push("ghost", 4, True)
         with pytest.raises(KeyError, match="ghost"):
             shard.flush("ghost")
 
     def test_push_signals_full_batch_and_flush_drains(self):
-        shard = Shard(0, batch_size=4)
+        shard = Shard(batch_size=4)
         shard.open("s", "bimodal:64")
         assert [shard.push("s", 4 * i, True) for i in range(3)] == [
             False, False, False,
@@ -61,7 +41,7 @@ class TestTenantLifecycle:
         assert shard.tenant("s").conditional_branches == 4
 
     def test_close_flushes_and_reports(self):
-        shard = Shard(0, batch_size=100)
+        shard = Shard(batch_size=100)
         shard.open("s", "bimodal:64")
         for i in range(10):
             shard.push("s", 4 * (i % 3), i % 2 == 0)
@@ -88,7 +68,7 @@ class TestBatchInvariance:
     def test_any_batch_size_matches_one_serial_run(
         self, trace, batch_size, spec
     ):
-        shard = Shard(0, batch_size=batch_size)
+        shard = Shard(batch_size=batch_size)
         shard.open("s", spec)
         for i in range(len(trace)):
             if shard.push(
@@ -113,7 +93,7 @@ class TestBatchInvariance:
             [i % 11 != 0 for i in range(300)],
             name="state-parity",
         )
-        shard = Shard(0, batch_size=17)
+        shard = Shard(batch_size=17)
         tenant = shard.open("s", spec)
         for i in range(len(trace)):
             if shard.push(
@@ -130,16 +110,3 @@ class TestBatchInvariance:
             PredictorState.capture(tenant.predictor).digest()
             == PredictorState.capture(reference).digest()
         )
-
-
-class TestShardRing:
-    def test_ring_routes_and_counts(self):
-        ring = ShardRing(shards=4, batch_size=8)
-        assert len(ring) == 4
-        for name in ("a", "b", "c", "d", "e"):
-            ring.shard_for(name).open(name, "bimodal:64")
-        assert sorted(ring.sessions()) == ["a", "b", "c", "d", "e"]
-        stats = ring.stats()
-        assert stats["shards"] == 4
-        assert stats["sessions"] == 5
-        assert stats["flushes"] == 0
