@@ -1,5 +1,8 @@
 """Tests for the extension experiments (shootout, encoding, OPT, OS)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments import (
@@ -107,6 +110,16 @@ class TestOptReplacement:
 
     def test_render(self, result):
         assert "OPT vs LRU" in opt_replacement.render(result)
+
+    def test_default_curves_are_pinned(self):
+        """SHA-256 of every benchmark's LRU and OPT miss ratios (floats
+        in their exact repr) at the default sizes and history."""
+        curves = opt_replacement.run(scale=0.05).curves
+        text = json.dumps(curves, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4bb782898880155d9a028ceb6f52054d"
+            "92d1fe8182784d2633c262e0198f1c1f"
+        )
 
 
 class TestOsPressure:
