@@ -7,18 +7,20 @@ real simulation.
 The model says: a 3x(N/3)-entry gskew beats an N-entry direct-mapped
 table for references with last-use distance below ~N/10, and loses
 beyond.  So the verdict depends on the workload's distance profile,
-which we measure with the library's Fenwick-tree tracker.
+which we measure with the library's offline stack-distance pass.
 
 Run:  python examples/analytical_model.py [benchmark]
 """
 
 import sys
 
-from repro.aliasing.distance import distance_histogram
+import numpy as np
+
 from repro.model.analytical import crossover_distance
 from repro.model.extrapolation import collect_distances, extrapolate_gskew
 from repro.predictors.unaliased import UnaliasedPredictor
 from repro.sim import make_predictor, simulate_fast
+from repro.traces.pairs import distance_histogram
 from repro.traces.synthetic.workloads import ibs_trace
 
 
@@ -30,7 +32,9 @@ def main() -> None:
 
     # 1. Measure the last-use-distance profile.
     distances = collect_distances(trace, history_bits)
-    buckets, first = distance_histogram(distances)
+    buckets, first = distance_histogram(
+        np.array([-1 if d is None else d for d in distances])
+    )
     print("\nlast-use-distance profile (log2 buckets):")
     for slot, count in enumerate(buckets):
         low = (1 << slot) - 1

@@ -17,18 +17,18 @@ a reference hits an N-entry LRU table iff ``D < N``, which is how
 *all* table sizes from a single trace pass.
 
 For whole-trace work the streaming tracker is superseded by the offline
-numpy engine (:func:`repro.aliasing.vectorized.last_use_distances`),
-which produces the identical distance profile an order of magnitude
-faster; :func:`distance_histogram` accepts either representation (an
-iterable of ``Optional[int]`` or a ``-1``-marked integer array) and
-buckets arrays without a Python-level loop.
+numpy engine (:func:`repro.traces.pairs.last_use_distances`), which
+produces the identical distance profile an order of magnitude faster;
+:func:`distance_histogram` (re-exported from :mod:`repro.traces.pairs`)
+buckets its ``-1``-marked integer arrays without a Python-level loop.
+The tracker stays as the per-reference oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional
+from typing import Dict, Hashable, Optional
 
-import numpy as np
+from repro.traces.pairs import distance_histogram
 
 __all__ = ["FenwickTree", "LastUseDistanceTracker", "distance_histogram"]
 
@@ -120,38 +120,3 @@ class LastUseDistanceTracker:
     @property
     def references(self) -> int:
         return self._clock
-
-
-def distance_histogram(
-    distances: "Iterable[Optional[int]] | np.ndarray",
-) -> "tuple[List[int], int]":
-    """Bucket distances by power of two; returns (buckets, first_count).
-
-    ``buckets[i]`` counts distances ``d`` with ``2^i <= d+1 < 2^(i+1)``
-    (so bucket 0 holds d == 0); first encounters are returned separately.
-    Used by the capacity-aliasing analyses and the trace-quality report.
-    Accepts either the streaming representation (``None`` marks first
-    encounters) or the vectorized engine's integer array (``-1`` marks
-    them), bucketing the latter entirely in numpy.
-    """
-    if isinstance(distances, np.ndarray):
-        first = int((distances < 0).sum())
-        finite = distances[distances >= 0].astype(np.int64)
-        if len(finite) == 0:
-            return [], first
-        # slot = (d + 1).bit_length() - 1, exactly: frexp yields the
-        # exponent e with d + 1 = m * 2^e, 0.5 <= m < 1, so e - 1 is the
-        # bucket (ints below 2^53 are exact in the float conversion).
-        slots = np.frexp((finite + 1).astype(np.float64))[1] - 1
-        return np.bincount(slots).tolist(), first
-    buckets: List[int] = []
-    first = 0
-    for d in distances:
-        if d is None:
-            first += 1
-            continue
-        slot = (d + 1).bit_length() - 1
-        while len(buckets) <= slot:
-            buckets.append(0)
-        buckets[slot] += 1
-    return buckets, first

@@ -7,15 +7,14 @@ tags per direct-mapped table — and a Figure-1-style size sweep re-walks
 the whole trace once per table size.  This module computes the same
 numbers from whole-trace numpy arrays:
 
-1. **pair stream** — per-event global-history values come from
-   :func:`repro.sim.vectorized.history_stream`; the conditional events'
-   word addresses and histories are sliced out in one shot and factorised
-   into dense integer keys (:func:`pair_keys`);
+1. **pair stream** — the conditional events' word addresses and
+   histories, factorised into dense integer keys, come from
+   :mod:`repro.traces.pairs` (:func:`pair_columns`, :func:`pair_keys`;
+   re-exported here);
 2. **stack distances** — the last-use distance of every reference (the
-   number of *distinct* pairs since its previous occurrence) is computed
-   for the whole stream at once by :func:`last_use_distances`, an
-   offline merge-counting algorithm whose per-level work is a handful of
-   numpy passes (O(n log^2 n) total, all in C);
+   number of *distinct* pairs since its previous occurrence) comes for
+   the whole stream at once from :func:`last_use_distances`, the same
+   module's offline merge-counting pass;
 3. **fully-associative LRU, all sizes at once** — an N-entry LRU table
    hits a reference iff its distance is < N, so the miss counts of
    *every* table size in a sweep fall out of one sorted-distance array
@@ -44,7 +43,13 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.aliasing.three_cs import AliasingBreakdown
-from repro.sim.vectorized import _MAX_HISTORY_BITS, history_stream
+from repro.traces.pairs import (
+    _MAX_HISTORY_BITS,
+    last_use_distances,
+    pair_columns,
+    pair_keys,
+    pair_last_use_distances,
+)
 from repro.traces.trace import Trace
 
 __all__ = [
@@ -62,168 +67,6 @@ __all__ = [
 def supports(history_bits: int) -> bool:
     """Whether the vectorized engine can handle this history length."""
     return 0 <= history_bits <= _MAX_HISTORY_BITS
-
-
-def pair_columns(
-    trace: Trace, history_bits: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(word addresses, histories) of every conditional branch, as uint64.
-
-    Row ``i`` equals the ``i``-th pair yielded by
-    :func:`repro.aliasing.three_cs.pair_stream`: the global history is
-    shifted by every control transfer, conditional or not.
-    """
-    if not supports(history_bits):
-        raise ValueError(
-            f"history bits must be in [0, {_MAX_HISTORY_BITS}], "
-            f"got {history_bits}"
-        )
-    conditional = trace.conditionals.astype(bool)
-    words = (trace.pcs >> np.uint64(2))[conditional]
-    histories = history_stream(trace.takens, history_bits)[conditional]
-    return words, histories
-
-
-def pair_keys(
-    words: np.ndarray, histories: np.ndarray, history_bits: int
-) -> np.ndarray:
-    """Factorise (word, history) pairs into one comparable key per pair.
-
-    Equal pairs map to equal keys and distinct pairs to distinct keys —
-    all the distance and tag instruments need.  When the shifted word
-    fits, the key is the exact ``(word << history_bits) | history``
-    packing; otherwise both columns are rank-compressed first (traces
-    would need more distinct values than fit 31 bits each to overflow
-    that fallback).
-    """
-    if len(words) == 0:
-        return np.empty(0, dtype=np.uint64)
-    if history_bits == 0:
-        return words
-    if int(words.max()) < (1 << (64 - history_bits)):
-        return (words << np.uint64(history_bits)) | histories
-    word_ids = np.unique(words, return_inverse=True)[1].astype(np.uint64)
-    history_values, history_ids = np.unique(histories, return_inverse=True)
-    span = np.uint64(len(history_values))
-    return word_ids * span + history_ids.astype(np.uint64)
-
-
-def _previous_occurrences(keys: np.ndarray) -> np.ndarray:
-    """Index of each reference's previous occurrence (-1 on first use)."""
-    n = len(keys)
-    previous = np.full(n, -1, dtype=np.int64)
-    if n < 2:
-        return previous
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    same = sorted_keys[1:] == sorted_keys[:-1]
-    previous[order[1:][same]] = order[:-1][same]
-    return previous
-
-
-def _count_prior_greater(values: np.ndarray) -> np.ndarray:
-    """``out[i]`` = number of ``j < i`` with ``values[j] > values[i]``.
-
-    Bottom-up merge counting with every level batched into whole-array
-    numpy passes.  Blocks are kept individually sorted; prefixing each
-    key with its block id makes the concatenation of all left (or right)
-    blocks globally sorted, so a single ``searchsorted`` per direction
-    answers every block's "how many partner elements are smaller"
-    queries at once.  Those per-element ranks both accumulate the
-    inversion counts and *are* the merge permutation (an element's
-    merged position is its own in-block offset plus its rank among the
-    partner block), so no level ever argsorts.
-    """
-    n = len(values)
-    counts = np.zeros(n, dtype=np.int64)
-    if n < 2:
-        return counts
-    # Dense ranks, ties equal, so composite keys preserve strict order.
-    keys = np.unique(values, return_inverse=True)[1].astype(np.int64)
-    span = np.int64(keys.max()) + 1
-    order = np.arange(n, dtype=np.int64)
-    slots = np.arange(n, dtype=np.int64)
-    level = 0
-    while (1 << level) < n:
-        width = 1 << level
-        block = slots >> (level + 1)
-        is_left = (slots & width) == 0
-        composite = block * span + keys
-        left_composite = composite[is_left]
-        right_composite = composite[~is_left]
-        block_count = int(block[-1]) + 1
-        left_blocks = block[is_left]
-        right_blocks = block[~is_left]
-        left_sizes = np.bincount(left_blocks, minlength=block_count)
-        left_before = np.concatenate(([0], np.cumsum(left_sizes)[:-1]))
-        # Left elements <= each right element, within its own block pair.
-        not_greater = (
-            np.searchsorted(left_composite, right_composite, side="right")
-            - left_before[right_blocks]
-        )
-        counts[order[~is_left]] += left_sizes[right_blocks] - not_greater
-        if (1 << (level + 1)) >= n:
-            break  # counts are complete; the last merge would go unused
-        # Right elements strictly smaller than each left element (ties
-        # keep left first — the merge stays stable).
-        right_sizes = np.bincount(right_blocks, minlength=block_count)
-        right_before = np.concatenate(([0], np.cumsum(right_sizes)[:-1]))
-        smaller = (
-            np.searchsorted(right_composite, left_composite, side="left")
-            - right_before[left_blocks]
-        )
-        # An element's merged slot is its current slot shifted by its
-        # rank among the partner run (rights also shed their width gap).
-        target = np.empty(n, dtype=np.int64)
-        target[is_left] = slots[is_left] + smaller
-        target[~is_left] = slots[~is_left] - width + not_greater
-        merged_keys = np.empty_like(keys)
-        merged_keys[target] = keys
-        merged_order = np.empty_like(order)
-        merged_order[target] = order
-        keys = merged_keys
-        order = merged_order
-        level += 1
-    return counts
-
-
-def last_use_distances(keys: np.ndarray) -> np.ndarray:
-    """Last-use (LRU stack) distance of every reference; -1 on first use.
-
-    ``out[i]`` counts the *distinct* keys strictly between reference
-    ``i`` and the previous occurrence of the same key — exactly what
-    :class:`repro.aliasing.distance.LastUseDistanceTracker` computes one
-    reference at a time.  The identity used: with ``p`` the previous
-    occurrence, the window ``(p, i)`` holds ``i - p - 1`` references, of
-    which the duplicates are precisely those ``j`` whose own previous
-    occurrence also lies after ``p``; and since ``prev[j] < j`` always,
-    ``#{p < j < i: prev[j] > p} == #{j < i: prev[j] > p}``, a pure
-    2-D dominance count handled by :func:`_count_prior_greater`.
-    """
-    keys = np.asarray(keys)
-    previous = _previous_occurrences(keys)
-    # First encounters can never dominate (prev = -1) and their own
-    # distance is discarded, so only re-references enter the count; the
-    # subsequence keeps its order, which is all the count depends on.
-    repeat = previous >= 0
-    duplicates = np.zeros(len(keys), dtype=np.int64)
-    duplicates[repeat] = _count_prior_greater(previous[repeat])
-    positions = np.arange(len(keys), dtype=np.int64)
-    distances = positions - previous - 1 - duplicates
-    distances[~repeat] = -1
-    return distances
-
-
-def pair_last_use_distances(trace: Trace, history_bits: int) -> np.ndarray:
-    """Distances of the trace's (address, history) pair stream (-1 first).
-
-    Vectorized equivalent of feeding
-    :func:`repro.aliasing.three_cs.pair_stream` through a
-    :class:`~repro.aliasing.distance.LastUseDistanceTracker`; the
-    Figure 11 extrapolation pipeline consumes this.
-    """
-    words, histories = pair_columns(trace, history_bits)
-    return last_use_distances(pair_keys(words, histories, history_bits))
 
 
 def scheme_indices(

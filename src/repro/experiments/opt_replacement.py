@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.aliasing.lru_table import FullyAssociativeLRUTable
+import numpy as np
+
 from repro.aliasing.opt_table import simulate_opt
-from repro.aliasing.three_cs import pair_stream
 from repro.experiments.common import load_benchmarks
 from repro.experiments.report import format_series
+from repro.traces.pairs import last_use_distances, pair_columns, pair_keys
 
 __all__ = ["OptVsLruResult", "run", "render"]
 
@@ -44,15 +45,16 @@ def run(
     traces = load_benchmarks(benchmarks, scale)
     curves: Dict[str, Dict[str, List[float]]] = {}
     for trace in traces:
-        keys = list(pair_stream(trace, history_bits))
+        keys = pair_keys(*pair_columns(trace, history_bits), history_bits)
+        distances = last_use_distances(keys)
+        opt_keys = keys.tolist()
         lru_ratios: List[float] = []
         opt_ratios: List[float] = []
         for entries in sizes:
-            lru = FullyAssociativeLRUTable(entries)
-            for key in keys:
-                lru.access(key)
-            lru_ratios.append(lru.miss_ratio)
-            opt_ratios.append(simulate_opt(keys, entries).miss_ratio)
+            # An N-entry LRU table misses first uses and distances >= N.
+            misses = np.count_nonzero((distances < 0) | (distances >= entries))
+            lru_ratios.append(int(misses) / len(keys) if len(keys) else 0.0)
+            opt_ratios.append(simulate_opt(opt_keys, entries).miss_ratio)
         curves[trace.name] = {"lru": lru_ratios, "opt": opt_ratios}
     return OptVsLruResult(
         history_bits=history_bits, sizes=list(sizes), curves=curves

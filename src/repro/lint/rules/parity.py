@@ -1,9 +1,9 @@
 """R004 — engine parity: fast-path entry points carry equivalence tests.
 
-``sim/vectorized.py``, ``sim/native.py`` and ``aliasing/vectorized.py``
-re-implement the reference engines in closed form; their correctness
-argument *is* the equivalence suite (bit-identical results on shared
-inputs).  A public function added to any of them without a test
+``sim/vectorized.py``, ``sim/native.py``, ``aliasing/vectorized.py``
+and ``traces/pairs.py`` re-implement the reference engines in closed
+form; their correctness argument *is* the equivalence suite
+(bit-identical results on shared inputs).  A public function added to any of them without a test
 referencing it is an unverified fast path — precisely the hole this
 rule closes.
 
@@ -25,6 +25,7 @@ _TARGETS = (
     "sim/vectorized.py",
     "sim/native.py",
     "aliasing/vectorized.py",
+    "traces/pairs.py",
 )
 
 

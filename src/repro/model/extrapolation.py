@@ -23,7 +23,9 @@ from typing import List, Optional, Sequence
 
 from repro.aliasing.distance import LastUseDistanceTracker
 from repro.aliasing.three_cs import pair_stream
+from repro.aliasing.vectorized import supports
 from repro.model.analytical import aliasing_probability
+from repro.traces.pairs import pair_last_use_distances
 from repro.traces.stats import bias_density
 from repro.traces.trace import Trace
 
@@ -59,14 +61,12 @@ def collect_distances(
     ``None`` marks first encounters.  Distances depend only on the trace
     and the history length, so experiment code computes them once and
     reuses them across all table sizes.  Runs on the vectorized engine
-    (:func:`repro.aliasing.vectorized.pair_last_use_distances`) when it
+    (:func:`repro.traces.pairs.pair_last_use_distances`) when it
     supports the history length, falling back to the streaming Fenwick
     tracker otherwise; both yield the identical profile.
     """
-    from repro.aliasing import vectorized
-
-    if vectorized.supports(history_bits):
-        distances = vectorized.pair_last_use_distances(trace, history_bits)
+    if supports(history_bits):
+        distances = pair_last_use_distances(trace, history_bits)
         return [None if d < 0 else d for d in distances.tolist()]
     tracker = LastUseDistanceTracker(capacity=max(1, len(trace)))
     return [tracker.reference(pair) for pair in pair_stream(trace, history_bits)]

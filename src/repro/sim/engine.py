@@ -22,17 +22,13 @@ loop (asserted by the equivalence suites).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from repro.predictors.base import BranchPredictor
 from repro.sim.metrics import SimulationResult
-
-if TYPE_CHECKING:
-    # Annotations only: importing repro.traces runs its package, which
-    # reaches sim.vectorized, which imports this module.
-    from repro.traces.trace import Trace
+from repro.traces.trace import Trace
 
 __all__ = ["miss_stream", "simulate", "simulate_stream"]
 

@@ -30,9 +30,9 @@ conditional event's indices themselves:
   three per-event columns for the call and build the per-bank index
   streams for the whole trace with numpy
   (:func:`_index_streams`: the global-history stream by shift/OR
-  passes, then the gshare/gselect index functions and the paper's
-  skewing family in closed form — see :mod:`repro.core.skew`) and walk
-  them.  The same numpy code is the test oracle for the C kernel's
+  passes, :func:`repro.traces.pairs.history_stream`, then the
+  gshare/gselect index functions and the paper's skewing family in
+  closed form — see :mod:`repro.core.skew`) and walk them.  The same numpy code is the test oracle for the C kernel's
   indices.
 
 Nothing is memoised on the trace: a walk holds what it derives only for
@@ -74,6 +74,7 @@ from repro.resilience.faults import maybe_fail
 from repro.sim.engine import simulate
 from repro.sim.metrics import SimulationResult
 from repro.sim.profile import NULL_STAGE_TIMER, StageTimer
+from repro.traces.pairs import _MAX_HISTORY_BITS, history_stream
 from repro.traces.trace import Trace
 
 __all__ = [
@@ -83,9 +84,6 @@ __all__ = [
     "simulate_fast",
     "history_stream",
 ]
-
-#: history lengths must fit a uint64 shift register
-_MAX_HISTORY_BITS = 63
 
 #: every index fits the uint32 the walks read
 _MAX_INDEX_BITS = 32
@@ -152,40 +150,6 @@ def _geometry(predictor: BranchPredictor) -> Geometry:
 
 
 # -- index-stream precomputation (numpy, whole-trace) ----------------------
-
-
-def history_stream(
-    takens: np.ndarray, bits: int, seed: int = 0
-) -> np.ndarray:
-    """Global-history register value *before* each event, as uint64.
-
-    ``out[i]`` holds the low ``bits`` outcomes of events ``i-1, i-2, ...``
-    with the most recent in the least-significant bit — exactly the
-    register a :class:`~repro.core.history.GlobalHistory` predictor sees
-    when event ``i`` is predicted (the paper shifts unconditional
-    transfers in too, so every event contributes a bit).  ``seed`` fills
-    the bit positions older than the trace itself: before event ``i`` the
-    register holds ``((seed << i) | outcomes[:i]) & mask``, so a resumed
-    stream sees exactly the register it left off with.
-    """
-    if not 0 <= bits <= _MAX_HISTORY_BITS:
-        raise ValueError(f"history bits must be in [0, {_MAX_HISTORY_BITS}]")
-    n = len(takens)
-    out = np.zeros(n, dtype=np.uint64)
-    if bits == 0 or n == 0:
-        return out
-    t = takens.astype(np.uint64)
-    for age in range(1, min(bits, n) + 1):
-        out[age:] |= t[: n - age] << np.uint64(age - 1)
-    if seed:
-        mask = (1 << bits) - 1
-        if not 0 <= seed <= mask:
-            raise ValueError(f"history seed must fit {bits} bits")
-        # Python-int shifts: (seed << i) can exceed 64 bits near the top
-        # of the register, so the fold stays exact outside numpy.
-        for i in range(min(bits, n)):
-            out[i] |= np.uint64((seed << i) & mask)
-    return out
 
 
 def _shuffle(y: np.ndarray, n: int) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Synthetic workload generation is deterministic — a
 :class:`~repro.traces.synthetic.generator.WorkloadConfig` fully
-determines its trace — but it runs every program's branch behaviours in
-Python, event by event, which is most of a cold process's set-up time
-(the ``traces.generate_s`` row of ``bench/run.py --trace 1``).  This
-module caches generated traces on disk, keyed by a SHA-256 fingerprint
+determines its trace — but not free: it builds and runs every program,
+in C where the native kernel built and in Python, event by event, on
+hosts without a compiler (the ``traces.generate_s`` row of
+``bench/run.py --trace 1`` times it).  This module caches generated traces on disk, keyed by a SHA-256 fingerprint
 of the *complete* config (name, seed, length/scale, behaviour mix,
 scheduler — every shape parameter) plus the generator's
 :data:`~repro.traces.synthetic.generator.GENERATOR_VERSION`, so any

@@ -26,14 +26,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.sim.config import make_predictor
-from repro.sim.parallel import simulate_specs
 from repro.traces.io import (
     load_trace,
     load_trace_text,
     save_trace,
     save_trace_text,
 )
+from repro.traces.pairs import _MAX_HISTORY_BITS
 from repro.traces.stats import substream_stats, trace_counts
 from repro.traces.synthetic.workloads import ibs_trace, ibs_workload
 from repro.traces.trace import Trace
@@ -67,6 +66,16 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _history_bits(text: str) -> int:
+    """A ``--history`` value: a length the pair columns can form."""
+    bits = int(text)
+    if not 0 <= bits <= _MAX_HISTORY_BITS:
+        raise argparse.ArgumentTypeError(
+            f"history bits must be in [0, {_MAX_HISTORY_BITS}], got {bits}"
+        )
+    return bits
+
+
 def _cmd_info(args) -> int:
     trace = _load_any(Path(args.trace))
     counts = trace_counts(trace)
@@ -93,6 +102,9 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.sim.config import make_predictor
+    from repro.sim.parallel import simulate_specs
+
     trace = _load_any(Path(args.trace))
     for spec in args.specs:
         make_predictor(spec)  # reject malformed specs before any work
@@ -108,6 +120,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from repro.sim.config import make_predictor
     from repro.sim.profile import profile_mispredictions
 
     trace = _load_any(Path(args.trace))
@@ -175,7 +188,7 @@ def main(argv=None) -> int:
     info.add_argument("trace")
     info.add_argument(
         "--history",
-        type=int,
+        type=_history_bits,
         nargs="*",
         default=[4, 12],
         help="history lengths for substream statistics",

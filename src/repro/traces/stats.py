@@ -5,14 +5,20 @@
   branch address), compulsory-aliasing ratio (first encounters over
   dynamic branches), and — via the unaliased predictor — intrinsic 1-bit
   and 2-bit misprediction ratios.
+
+The substream statistics are numpy reductions of the pair columns of
+:mod:`repro.traces.pairs`; history lengths outside ``[0, 63]`` are
+refused there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Set, Tuple
+from typing import Dict
 
-from repro.aliasing.three_cs import pair_stream
+import numpy as np
+
+from repro.traces.pairs import pair_columns, pair_keys
 from repro.traces.trace import Trace
 
 __all__ = [
@@ -69,19 +75,14 @@ def trace_counts(trace: Trace) -> TraceCounts:
 
 def substream_stats(trace: Trace, history_bits: int) -> SubstreamStats:
     """Substream ratio and compulsory aliasing at one history length."""
-    pairs: Set[Tuple[int, int]] = set()
-    addresses: Set[int] = set()
-    dynamic = 0
-    for pair in pair_stream(trace, history_bits):
-        pairs.add(pair)
-        addresses.add(pair[0])
-        dynamic += 1
+    words, histories = pair_columns(trace, history_bits)
+    keys = pair_keys(words, histories, history_bits)
     return SubstreamStats(
         name=trace.name,
         history_bits=history_bits,
-        dynamic=dynamic,
-        static=len(addresses),
-        substreams=len(pairs),
+        dynamic=len(keys),
+        static=len(np.unique(words)),
+        substreams=len(np.unique(keys)),
     )
 
 
@@ -93,31 +94,18 @@ def bias_density(trace: Trace, history_bits: int) -> Dict[str, float]:
     (address, history) pairs with bias taken"), plus the dynamic taken
     ratio for reference.
     """
-    taken_counts: Dict[Tuple[int, int], int] = {}
-    total_counts: Dict[Tuple[int, int], int] = {}
-    mask = (1 << history_bits) - 1 if history_bits else 0
-    history = 0
-    dynamic_taken = 0
-    dynamic_total = 0
-    for pc, taken, conditional in trace.sim_events():
-        if conditional:
-            pair = (pc >> 2, history)
-            total_counts[pair] = total_counts.get(pair, 0) + 1
-            if taken:
-                taken_counts[pair] = taken_counts.get(pair, 0) + 1
-                dynamic_taken += 1
-            dynamic_total += 1
-        history = ((history << 1) | taken) & mask
-    if not total_counts:
+    words, histories = pair_columns(trace, history_bits)
+    if len(words) == 0:
         return {"static_taken_bias": 0.0, "dynamic_taken_ratio": 0.0}
-    biased_taken = sum(
-        1
-        for pair, total in total_counts.items()
-        if taken_counts.get(pair, 0) * 2 > total
-    )
+    takens = trace.takens[trace.conditionals.astype(bool)].astype(bool)
+    pair_ids = np.unique(
+        pair_keys(words, histories, history_bits), return_inverse=True
+    )[1]
+    totals = np.bincount(pair_ids)
+    taken = np.bincount(pair_ids[takens], minlength=len(totals))
     return {
-        "static_taken_bias": biased_taken / len(total_counts),
-        "dynamic_taken_ratio": (
-            dynamic_taken / dynamic_total if dynamic_total else 0.0
+        "static_taken_bias": (
+            int(np.count_nonzero(taken * 2 > totals)) / len(totals)
         ),
+        "dynamic_taken_ratio": int(np.count_nonzero(takens)) / len(words),
     }

@@ -23,10 +23,11 @@ workload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
-from repro.aliasing.distance import distance_histogram
-from repro.model.extrapolation import collect_distances
+import numpy as np
+
+from repro.traces.pairs import distance_histogram, pair_last_use_distances
 from repro.traces.trace import Trace
 
 __all__ = ["TraceProfile", "profile_trace", "validate_ibs_shape"]
@@ -69,85 +70,49 @@ class TraceProfile:
         return len(self.distance_buckets) - 1
 
 
+def _ratio(part: int, whole: int) -> float:
+    return part / whole if whole else 0.0
+
+
 def profile_trace(trace: Trace, history_bits: int = 4) -> TraceProfile:
     """Compute the full shape profile of ``trace``."""
-    taken_counts: Dict[int, int] = {}
-    total_counts: Dict[int, int] = {}
-    conditional = 0
-    taken_total = 0
-    run_direction = None
-    run_length = 0
-    taken_runs: List[int] = []
-    not_taken_runs: List[int] = []
-    segments = set()
-    switches = 0
-    previous_segment = None
-
-    for pc, taken, cond in trace.sim_events():
-        segment = pc >> 24
-        segments.add(segment)
-        if previous_segment is not None and segment != previous_segment:
-            switches += 1
-        previous_segment = segment
-        if not cond:
-            continue
-        conditional += 1
-        total_counts[pc] = total_counts.get(pc, 0) + 1
-        if taken:
-            taken_counts[pc] = taken_counts.get(pc, 0) + 1
-            taken_total += 1
-        direction = bool(taken)
-        if direction == run_direction:
-            run_length += 1
-        else:
-            if run_direction is True:
-                taken_runs.append(run_length)
-            elif run_direction is False:
-                not_taken_runs.append(run_length)
-            run_direction = direction
-            run_length = 1
-    if run_direction is True:
-        taken_runs.append(run_length)
-    elif run_direction is False:
-        not_taken_runs.append(run_length)
-
-    strongly_biased = 0
-    near_random = 0
-    for pc, total in total_counts.items():
-        ratio = taken_counts.get(pc, 0) / total
-        if ratio >= 0.9 or ratio <= 0.1:
-            strongly_biased += 1
-        elif 0.4 <= ratio <= 0.6:
-            near_random += 1
-    static = len(total_counts)
-
-    distances = collect_distances(trace, history_bits)
-    buckets, first = distance_histogram(distances)
-
+    buckets, first = distance_histogram(
+        pair_last_use_distances(trace, history_bits)
+    )
+    conditional = trace.conditionals.astype(bool)
+    pcs = trace.pcs
+    outcomes = trace.takens[conditional].astype(np.int8)
+    count = len(outcomes)
+    taken = int(np.count_nonzero(outcomes))
+    # Each static branch's taken ratio.
+    branch_ids = np.unique(pcs[conditional], return_inverse=True)[1]
+    totals = np.bincount(branch_ids)
+    ratios = np.bincount(branch_ids, outcomes, len(totals)) / totals
+    # A run opens at the first outcome and wherever the outcome flips.
+    opens = np.flatnonzero(np.diff(outcomes, prepend=-1))
+    taken_runs = int(np.count_nonzero(outcomes[opens]))
+    segment = pcs >> np.uint64(24)
+    switches = int(np.count_nonzero(segment[1:] != segment[:-1]))
     return TraceProfile(
         name=trace.name,
         events=len(trace),
-        conditional=conditional,
-        static=static,
-        taken_ratio=taken_total / conditional if conditional else 0.0,
-        strongly_biased_fraction=(
-            strongly_biased / static if static else 0.0
+        conditional=count,
+        static=len(totals),
+        taken_ratio=_ratio(taken, count),
+        strongly_biased_fraction=_ratio(
+            int(np.count_nonzero((ratios >= 0.9) | (ratios <= 0.1))),
+            len(totals),
         ),
-        near_random_fraction=near_random / static if static else 0.0,
-        mean_taken_run=(
-            sum(taken_runs) / len(taken_runs) if taken_runs else 0.0
+        near_random_fraction=_ratio(
+            int(np.count_nonzero((ratios >= 0.4) & (ratios <= 0.6))),
+            len(totals),
         ),
-        mean_not_taken_run=(
-            sum(not_taken_runs) / len(not_taken_runs)
-            if not_taken_runs
-            else 0.0
-        ),
+        mean_taken_run=_ratio(taken, taken_runs),
+        mean_not_taken_run=_ratio(count - taken, len(opens) - taken_runs),
         distance_buckets=buckets,
         first_encounters=first,
-        segments=len(segments),
-        interleave_rate=(
-            switches / len(trace) * 1000 if len(trace) else 0.0
-        ),
+        segments=len(np.unique(segment)),
+        interleave_rate=_ratio(switches, len(trace)) * 1000,
     )
 
 

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,7 +126,9 @@ class TestLastUseDistanceTracker:
 
 class TestDistanceHistogram:
     def test_bucketing(self):
-        buckets, first = distance_histogram([None, 0, 1, 2, 3, 7, 8, None])
+        buckets, first = distance_histogram(
+            np.array([-1, 0, 1, 2, 3, 7, 8, -1])
+        )
         # d=0 -> bucket 0; d=1,2 -> bucket 1; d=3..6 -> bucket 2; etc.
         assert first == 2
         assert buckets[0] == 1
@@ -134,9 +137,9 @@ class TestDistanceHistogram:
         assert buckets[3] == 2  # d=7 (8->bit_length 4... check) and d=8
 
     def test_empty(self):
-        assert distance_histogram([]) == ([], 0)
+        assert distance_histogram(np.empty(0, dtype=np.int64)) == ([], 0)
 
     def test_total_preserved(self):
-        distances = [None, 5, 3, None, 0, 100]
+        distances = np.array([-1, 5, 3, -1, 0, 100])
         buckets, first = distance_histogram(distances)
         assert first + sum(buckets) == len(distances)

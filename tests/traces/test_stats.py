@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.traces.cli import main
+from repro.traces.io import save_trace
 from repro.traces.stats import bias_density, substream_stats, trace_counts
+from repro.traces.synthetic.validation import profile_trace
 from repro.traces.trace import BranchRecord, Trace
 
 
@@ -73,3 +76,27 @@ class TestBiasDensity:
         trace = Trace.from_columns([], [], [])
         density = bias_density(trace, 4)
         assert density["static_taken_bias"] == 0.0
+
+
+def _info(trace, bits, tmp_path, capsys):
+    """``repro-trace info --history bits``: its exit status and stderr."""
+    path = tmp_path / "stats.npz"
+    save_trace(trace, path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["info", str(path), "--history", str(bits)])
+    assert exit_info.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bits", [-1, 64])
+@pytest.mark.parametrize(
+    "statistic", [substream_stats, bias_density, profile_trace, _info]
+)
+def test_out_of_range_history_is_refused(statistic, bits, tmp_path, capsys):
+    """Every substream statistic takes exactly the lengths the pair
+    columns can form, and the CLI refuses the rest before any work."""
+    if statistic is _info:
+        assert "[0, 63]" in _info(_trace(), bits, tmp_path, capsys)
+        return
+    with pytest.raises(ValueError, match=r"\[0, 63\]"):
+        statistic(_trace(), bits)
