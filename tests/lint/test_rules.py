@@ -278,6 +278,19 @@ class TestR004EngineParity:
         )
         assert project.lint(["R004"]).clean
 
+    def test_pair_module_is_a_target(self, project):
+        project.write(
+            "src/repro/traces/pairs.py",
+            """
+            __all__ = ["pair_columns"]
+
+            def pair_columns():
+                return 1
+            """,
+        )
+        report = project.lint(["R004"])
+        assert [v.symbol for v in report.violations] == ["pair_columns"]
+
     def test_dunder_all_limits_the_public_surface(self, project):
         project.write(
             "src/repro/aliasing/vectorized.py",
