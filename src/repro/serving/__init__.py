@@ -8,7 +8,8 @@ See ``docs/serving.md`` for the architecture.  The short version:
 - :mod:`repro.serving.server` — :class:`PredictionService` (in-process
   dispatcher) and :class:`PredictionServer` (asyncio TCP front end);
 - :mod:`repro.serving.client` — the asyncio protocol client;
-- :mod:`repro.serving.protocol` — the newline-JSON wire format.
+- :mod:`repro.serving.protocol` — the newline-JSON wire format and its
+  packed ``events`` frame.
 
 The correctness contract everything above leans on: feeding a tenant's
 event stream through the server in *any* batching is bit-identical —

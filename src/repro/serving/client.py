@@ -12,12 +12,18 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.serving.protocol import encode_message
 from repro.sim.state import PredictorState
 
 __all__ = ["PredictionClient", "ServingError"]
+
+#: The longest response line the client reads.  A ``snapshot`` response
+#: carries the state blob as hex, two characters per table byte (a
+#: ``gshare:64k:h16`` snapshot is a 131 KB line), so the limit covers
+#: tables up to 512 MiB rather than asyncio's 64 KiB default.
+RESPONSE_LIMIT = 1 << 30
 
 
 class ServingError(RuntimeError):
@@ -36,7 +42,7 @@ class PredictionClient:
     async def connect(self) -> "PredictionClient":
         """Open the TCP connection; returns self for chaining."""
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+            self.host, self.port, limit=RESPONSE_LIMIT
         )
         return self
 
@@ -86,14 +92,10 @@ class PredictionClient:
     async def events(
         self, session: str, events: Sequence[Tuple[int, ...]]
     ) -> Dict[str, Any]:
-        """Stream events: ``(pc, taken)`` or ``(pc, taken, conditional)``."""
-        payload: List[list] = [
-            [int(event[0]), int(bool(event[1]))]
-            + ([int(bool(event[2]))] if len(event) > 2 else [])
-            for event in events
-        ]
+        """Stream events: ``(pc, taken)`` or ``(pc, taken, conditional)``,
+        packed into one frame by :func:`encode_message`."""
         return await self.request(
-            {"op": "events", "session": session, "events": payload}
+            {"op": "events", "session": session, "events": events}
         )
 
     async def sync(self, session: str) -> Dict[str, Any]:

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import asyncio
 import warnings
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.serving.protocol import (
-    EVENT_ERROR,
+    EventColumns,
     ProtocolError,
     decode_request,
     encode_message,
     error_response,
-    is_event,
     ok_response,
 )
 from repro.serving.shard import Shard
@@ -44,7 +43,8 @@ from repro.util import envvars
 __all__ = ["PredictionService", "PredictionServer", "default_linger_s"]
 
 #: Longest request line the server reads (asyncio's default stream
-#: limit, ~3,000 events).  A longer line is answered with an error and
+#: limit).  At 12 base64 characters an event, an ``events`` line holds
+#: about 5,400 events.  A longer line is answered with an error and
 #: skipped; the connection and its sessions stay usable.
 LINE_LIMIT = 2**16
 
@@ -76,8 +76,11 @@ class PredictionService:
     def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Dispatch one validated request (see protocol module for ops).
 
-        Client errors (unknown sessions, spec conflicts, malformed
-        events, corrupt state payloads) come back as error responses;
+        ``request`` is what :func:`~repro.serving.protocol.decode_request`
+        returns; in-process callers build it as
+        ``decode_request(encode_message(message))``.  Client errors
+        (unknown sessions, spec conflicts, undecoded events, corrupt
+        state payloads) come back as error responses;
         anything else propagates (the TCP front end answers it with an
         error response and keeps the connection).
         """
@@ -128,24 +131,20 @@ class PredictionService:
         raise AssertionError(f"unroutable op {op!r}")  # pragma: no cover
 
     def _handle_events(
-        self, shard: Shard, session: str, events: List[list]
+        self, shard: Shard, session: str, events: EventColumns
     ) -> Dict[str, Any]:
-        # In-process callers skip decode_request, so check every event
-        # before buffering any: one bad PC would otherwise sit in the
-        # buffer and fail every later flush of the session.
-        if not isinstance(events, list) or not all(
-            is_event(event) for event in events
-        ):
-            return error_response(EVENT_ERROR)
-        full = False
-        for event in events:
-            pc, taken = event[0], bool(event[1])
-            conditional = bool(event[2]) if len(event) > 2 else True
-            full = shard.push(session, pc, taken, conditional) or full
+        # decode_request validated the frame; an in-process request
+        # that skipped it is refused whole, so nothing unchecked is
+        # buffered to fail every later flush of the session.
+        if not isinstance(events, EventColumns):
+            return error_response(
+                "events must be a frame decoded by decode_request"
+            )
+        full = shard.append(session, events)
         flushed = shard.flush(session) if full else 0
         return ok_response(
             session=session,
-            buffered=len(events),
+            buffered=len(events.pcs),
             flushed=flushed,
             pending=shard.tenant(session).pending,
         )
@@ -251,8 +250,8 @@ class PredictionServer:
                 line = await _read_line(reader)
                 if line is None:
                     response = error_response(
-                        f"request line exceeds {LINE_LIMIT} bytes; "
-                        "split the events across requests"
+                        f"request line exceeds {LINE_LIMIT} bytes "
+                        "and was skipped"
                     )
                 elif not line:
                     break

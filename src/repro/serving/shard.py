@@ -3,10 +3,11 @@
 The serving data model: a **tenant** (client session) owns one live
 predictor; the server's one **shard** owns every tenant, in open order,
 plus their pending event buffers.  Tenants are isolated by owning their
-own tables, so one table of tenants serves them all.  Events arrive one
-at a time over the wire but are *not* fed through per-event Python
-calls — each tenant's pending buffer is flushed as a micro-batch
-:class:`~repro.traces.trace.Trace` through
+own tables, so one table of tenants serves them all.  Events arrive as
+packed frames that :func:`repro.serving.protocol.decode_request`
+decodes into numpy columns, and no Python runs per event: a request's
+columns are one chunk of its tenant's pending buffer, and the buffer is
+flushed as a micro-batch :class:`~repro.traces.trace.Trace` through
 :func:`repro.sim.vectorized.simulate_fast`, which dispatches the
 native tier (the vectorized loop without a compiler).  Because every
 fast tier honors warm predictor state (counters, bias latches, and the
@@ -32,6 +33,7 @@ import numpy as np
 
 from repro.predictors.base import BranchPredictor
 from repro.resilience.faults import InjectedFault, maybe_fail
+from repro.serving.protocol import EventColumns
 from repro.sim.config import make_predictor
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import simulate_fast
@@ -66,9 +68,8 @@ class Tenant:
         "session",
         "spec",
         "predictor",
-        "pending_pcs",
-        "pending_takens",
-        "pending_conditionals",
+        "chunks",
+        "pending",
         "conditional_branches",
         "mispredictions",
         "batches",
@@ -79,51 +80,43 @@ class Tenant:
         self.session = session
         self.spec = spec
         self.predictor: BranchPredictor = make_predictor(spec)
-        self.pending_pcs: List[int] = []
-        self.pending_takens: List[int] = []
-        self.pending_conditionals: List[int] = []
+        #: Pending events, one chunk of columns per request, in order.
+        self.chunks: List[EventColumns] = []
+        self.pending = 0
         self.conditional_branches = 0
         self.mispredictions = 0
         self.batches = 0
         self.events = 0
 
-    @property
-    def pending(self) -> int:
-        return len(self.pending_pcs)
-
-    def push(self, pc: int, taken: bool, conditional: bool = True) -> None:
-        """Buffer one branch event."""
-        self.pending_pcs.append(pc)
-        self.pending_takens.append(1 if taken else 0)
-        self.pending_conditionals.append(1 if conditional else 0)
-        self.events += 1
+    def append(self, events: EventColumns) -> None:
+        """Buffer one request's events."""
+        count = len(events.pcs)
+        if count:
+            self.chunks.append(events)
+            self.pending += count
+            self.events += count
 
     def drain(self) -> Optional[Trace]:
         """Pending events as a batch trace; None when empty."""
-        if not self.pending_pcs:
+        if not self.pending:
             return None
         # A batch is a few hundred events: each is its own table row
         # (identity codes), since finding the distinct rows would cost
         # more per flush than they save.
-        events = len(self.pending_pcs)
+        chunks, events = self.chunks, self.pending
         batch = Trace.from_table(
             np.arange(events, dtype=np.uint32),
-            np.asarray(self.pending_pcs, dtype=np.uint64),
-            np.asarray(self.pending_takens, dtype=np.uint8),
-            np.asarray(self.pending_conditionals, dtype=np.uint8),
+            *(np.concatenate(column) for column in zip(*chunks)),
             np.zeros(events, dtype=np.uint64),
             name=f"{self.session}#{self.batches}",
         )
-        self.pending_pcs = []
-        self.pending_takens = []
-        self.pending_conditionals = []
+        self.chunks, self.pending = [], 0
         return batch
 
     def requeue(self, batch: Trace) -> None:
         """Put a drained batch back in front of the pending buffer."""
-        self.pending_pcs[:0] = batch.pcs.tolist()
-        self.pending_takens[:0] = batch.takens.tolist()
-        self.pending_conditionals[:0] = batch.conditionals.tolist()
+        self.chunks.insert(0, EventColumns.of(batch))
+        self.pending += len(batch)
 
     def snapshot(self) -> PredictorState:
         """Capture the live predictor as a serializable state."""
@@ -182,10 +175,11 @@ class Shard:
         except KeyError:
             raise KeyError(f"no open session {session!r}") from None
 
-    def push(self, session: str, pc: int, taken: bool, conditional: bool = True) -> bool:
-        """Buffer one event; True when the tenant crossed the batch size."""
+    def append(self, session: str, events: EventColumns) -> bool:
+        """Buffer one request's events; True when the tenant's pending
+        events reach the batch size."""
         tenant = self.tenant(session)
-        tenant.push(pc, taken, conditional)
+        tenant.append(events)
         return tenant.pending >= self.batch_size
 
     def flush_tenant(self, tenant: Tenant) -> int:

@@ -469,9 +469,15 @@ def _check_body(fields: Dict[str, Any], size: int) -> None:
 
 class PredictorState:
     """A complete, serializable snapshot of one predictor's mutable state,
-    held as its binary blob (see the module docstring for the layout)."""
+    held as its binary blob (see the module docstring for the layout).
 
-    __slots__ = ("predictor_class", "spec", "_blob", "_fields", "_body")
+    A captured state hashes its blob lazily: the SHA-256 trailer is
+    computed on the first :meth:`digest`, :meth:`to_bytes`, ``==`` or
+    ``hash()``, so a snapshot that is only ever restored in-process (a
+    serving flush's rollback copy) never pays for it.
+    """
+
+    __slots__ = ("predictor_class", "spec", "_content", "_blob", "_fields", "_body")
 
     def __init__(self, blob: bytes):
         """Parse and verify a blob (use :meth:`capture` /
@@ -495,14 +501,14 @@ class PredictorState:
             raise StateFormatError(
                 f"unsupported state version {version} (expected {STATE_VERSION})"
             )
-        content = len(blob) - _DIGEST_BYTES
-        if hashlib.sha256(memoryview(blob)[:content]).digest() != blob[content:]:
+        content = memoryview(blob)[: len(blob) - _DIGEST_BYTES]
+        if hashlib.sha256(content).digest() != blob[len(content):]:
             raise StateFormatError(
                 "predictor-state checksum mismatch: the blob was corrupted "
                 "in flight or at rest"
             )
         body = _PREFIX.size + header_size
-        if body > content:
+        if body > len(content):
             raise StateFormatError("predictor-state header overruns the blob")
         try:
             header = json.loads(blob[_PREFIX.size : body].decode("utf-8"))
@@ -513,12 +519,12 @@ class PredictorState:
                 and isinstance(header.get("fields"), dict)
             ):
                 raise StateFormatError("predictor-state header lacks class/spec/fields")
-            _check_body(header["fields"], content - body)
+            _check_body(header["fields"], len(content) - body)
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise StateFormatError(f"undecodable predictor-state header: {exc!r:.200}") from None
         self.predictor_class: str = header["class"]
         self.spec: Optional[str] = header["spec"]
-        self._blob = blob
+        self._content, self._blob = content, blob
         self._fields: Dict[str, Any] = header["fields"]
         self._body = body
 
@@ -527,7 +533,7 @@ class PredictorState:
     @classmethod
     def capture(cls, predictor: BranchPredictor) -> "PredictorState":
         """Snapshot every mutable leaf of ``predictor``: its header, then
-        one byte copy of each table."""
+        one byte copy of each table (hashed only when first asked)."""
         name = type(predictor).__name__
         arrays: List[array] = []
         fields = _encode_fields(predictor, name, arrays)
@@ -537,22 +543,10 @@ class PredictorState:
         ).encode("utf-8")
         parts = [_PREFIX.pack(STATE_FORMAT, STATE_VERSION, len(header)), header]
         parts.extend(memoryview(values).cast("B") for values in arrays)
-        digest = hashlib.sha256()
-        for part in parts:
-            digest.update(part)
-        parts.append(digest.digest())
-        return cls._trusted(b"".join(parts), name, predictor.spec, fields,
-                            len(parts[0]) + len(header))
-
-    @classmethod
-    def _trusted(
-        cls, blob: bytes, name: str, spec: Optional[str],
-        fields: Dict[str, Any], body: int,
-    ) -> "PredictorState":
-        """A state over a blob this module just built (no re-parse)."""
         state = cls.__new__(cls)
-        state.predictor_class, state.spec = name, spec
-        state._blob, state._fields, state._body = blob, fields, body
+        state.predictor_class, state.spec = name, predictor.spec
+        state._content, state._blob = b"".join(parts), None
+        state._fields, state._body = fields, _PREFIX.size + len(header)
         return state
 
     def restore(self, predictor: BranchPredictor) -> None:
@@ -574,7 +568,7 @@ class PredictorState:
                 f"state captured from spec {self.spec!r} cannot restore "
                 f"into spec {predictor.spec!r}"
             )
-        body = memoryview(self._blob)[self._body : -_DIGEST_BYTES]
+        body = memoryview(self._content)[self._body :]
         _apply_fields(predictor, self._fields, self.predictor_class, body, False)
         _apply_fields(predictor, self._fields, self.predictor_class, body, True)
 
@@ -582,10 +576,14 @@ class PredictorState:
 
     def digest(self) -> str:
         """SHA-256 of the blob's content (its last 32 bytes), as hex."""
-        return self._blob[-_DIGEST_BYTES:].hex()
+        return self.to_bytes()[-_DIGEST_BYTES:].hex()
 
     def to_bytes(self) -> bytes:
         """The checksummed binary blob."""
+        if self._blob is None:
+            content = self._content
+            self._blob = content + hashlib.sha256(content).digest()
+            self._content = memoryview(self._blob)[: len(content)]
         return self._blob
 
     @classmethod
@@ -603,14 +601,14 @@ class PredictorState:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PredictorState):
             return NotImplemented
-        return self._blob == other._blob
+        return self.to_bytes() == other.to_bytes()
 
     def __ne__(self, other: object) -> bool:
         equal = self.__eq__(other)
         return NotImplemented if equal is NotImplemented else not equal
 
     def __hash__(self) -> int:
-        return hash(self._blob)
+        return hash(self.to_bytes())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

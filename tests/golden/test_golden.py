@@ -65,6 +65,7 @@ SERVING_BATCH = 128
 
 def _measure_serving() -> dict:
     """Per-tenant counts from the 3-tenant interleaved replay."""
+    from repro.serving.protocol import decode_request, encode_message
     from repro.serving.server import PredictionService
 
     service = PredictionService(batch_size=SERVING_BATCH)
@@ -89,9 +90,8 @@ def _measure_serving() -> dict:
                 for i in range(lo, hi)
             ]
             cursors[workload] = hi
-            response = service.handle(
-                {"op": "events", "session": workload, "events": events}
-            )
+            message = {"op": "events", "session": workload, "events": events}
+            response = service.handle(decode_request(encode_message(message)))
             assert response["ok"], response
     out = {}
     for workload in sessions:

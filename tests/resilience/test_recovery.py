@@ -17,6 +17,7 @@ import repro.serving.shard as shard_module
 import repro.sim.native as native_module
 import repro.sim.vectorized as vectorized_module
 from repro.resilience.faults import InjectedFault, reset_faults
+from repro.serving.protocol import EventColumns, decode_request, encode_message
 from repro.serving.shard import RETRY_LIMIT, Shard
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
@@ -228,12 +229,7 @@ class TestServingShardRecovery:
 
     def _feed(self, shard, session, trace):
         for i in range(len(trace)):
-            if shard.push(
-                session,
-                int(trace.pcs[i]),
-                bool(trace.takens[i]),
-                bool(trace.conditionals[i]),
-            ):
+            if shard.append(session, EventColumns.of(trace.slice(i, i + 1))):
                 shard.flush(session)
         shard.flush(session)
 
@@ -285,12 +281,7 @@ class TestServingShardRecovery:
         reset_faults()
         offset = tenant.events
         for i in range(offset, len(tiny_trace)):
-            if shard.push(
-                "s",
-                int(tiny_trace.pcs[i]),
-                bool(tiny_trace.takens[i]),
-                bool(tiny_trace.conditionals[i]),
-            ):
+            if shard.append("s", EventColumns.of(tiny_trace.slice(i, i + 1))):
                 shard.flush("s")
         shard.flush("s")
         assert tenant.conditional_branches == expected.conditional_branches
@@ -310,13 +301,7 @@ class TestServingShardRecovery:
         shard = Shard(batch_size=1000)
         for session, trace in (("a", first), ("b", second)):
             shard.open(session, self.SPEC)
-            for i in range(len(trace)):
-                shard.push(
-                    session,
-                    int(trace.pcs[i]),
-                    bool(trace.takens[i]),
-                    bool(trace.conditionals[i]),
-                )
+            shard.append(session, EventColumns.of(trace))
         fault_env(f"serving-shard@1-{RETRY_LIMIT + 1}")
         with pytest.raises(InjectedFault):
             shard.flush()
@@ -345,13 +330,7 @@ class TestServingShardRecovery:
         shard = Shard(batch_size=1000)
         tenant = shard.open("s", self.SPEC)
         self._feed(shard, "s", tiny_trace.slice(0, 30))  # warm, flushed
-        for i in range(30, 42):
-            shard.push(
-                "s",
-                int(tiny_trace.pcs[i]),
-                bool(tiny_trace.takens[i]),
-                bool(tiny_trace.conditionals[i]),
-            )
+        shard.append("s", EventColumns.of(tiny_trace.slice(30, 42)))
         pending = tenant.pending
         digest = PredictorState.capture(tenant.predictor).digest()
 
@@ -373,13 +352,12 @@ class TestServingShardRecovery:
         fault_env("serving-shard@1")
         service = PredictionService(batch_size=4)
         service.handle({"op": "open", "session": "s", "spec": "bimodal:64"})
-        service.handle(
-            {
-                "op": "events",
-                "session": "s",
-                "events": [[4 * i, i % 2] for i in range(4)],
-            }
-        )
+        message = {
+            "op": "events",
+            "session": "s",
+            "events": [[4 * i, i % 2] for i in range(4)],
+        }
+        service.handle(decode_request(encode_message(message)))
         stats = service.handle({"op": "stats"})
         assert stats["ok"]
         assert stats["replays"] == 1

@@ -5,7 +5,9 @@ sessions through the server produce per-tenant results and final
 ``PredictorState`` byte-identical to N serial ``simulate_fast`` runs —
 across predictor families, engine tiers (each substituted for the
 shard module's ``simulate_fast``), mid-stream snapshot/restore, and
-arbitrary flush boundaries.
+arbitrary flush boundaries.  In-process requests go through the wire
+codec (``decode_request(encode_message(message))``), as the TCP front
+end's do.
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ from hypothesis import given, settings, strategies as st
 
 import repro.serving.shard as shard_module
 from repro.serving.client import PredictionClient, ServingError
-from repro.serving.protocol import ProtocolError, decode_request
+from repro.serving.protocol import (
+    ProtocolError,
+    decode_request,
+    encode_message,
+)
 from repro.serving.server import (
     LINE_LIMIT,
     PredictionServer,
@@ -87,7 +93,7 @@ def _interleave_round_robin(service, sessions, chunk):
             ]
             cursors[name] = hi
             response = service.handle(
-                {"op": "events", "session": name, "events": events}
+                _decoded({"op": "events", "session": name, "events": events})
             )
             assert response["ok"], response
 
@@ -131,10 +137,13 @@ def _ibs_like(seed: int, length: int) -> Trace:
     return Trace.from_columns(pcs, takens, conditionals, name=f"sess{seed}")
 
 
+def _decoded(message):
+    """``message`` as the server's decode step hands it to ``handle``."""
+    return decode_request(encode_message(message))
+
+
 def _events_line(events) -> bytes:
-    return json.dumps(
-        {"op": "events", "session": "s", "events": events}
-    ).encode("utf-8")
+    return encode_message({"op": "events", "session": "s", "events": events})
 
 
 def _event_rows(trace):
@@ -167,24 +176,31 @@ class TestEventValidation:
          [True, 1], [4, "1"]],
     )
     def test_out_of_range_event_rejected(self, event):
+        # The encoder is the frame's one writer: an event the frame
+        # cannot hold never reaches the wire.
         with pytest.raises(ProtocolError, match="each event"):
-            decode_request(_events_line([[4, 1], event]))
+            _events_line([[4, 1], event])
 
     def test_in_range_events_accepted(self):
         events = [[0, 0], [2**64 - 1, 1], [4, True, False], [8, 0, 1]]
-        assert decode_request(_events_line(events))["events"] == events
+        columns = decode_request(_events_line(events))["events"]
+        assert columns.pcs.tolist() == [0, 2**64 - 1, 4, 8]
+        assert columns.takens.tolist() == [0, 1, 1, 0]
+        assert columns.conditionals.tolist() == [1, 1, 0, 1]
 
     def test_in_process_poison_pill_leaves_session_usable(self):
-        # In-process callers skip decode_request; handle must refuse the
-        # batch itself, or the bad PC stays buffered and every later
-        # sync of the session raises.
+        # In-process callers that skip decode_request hand handle a raw
+        # list: it is refused whole, or an unchecked PC would stay
+        # buffered and every later sync of the session would raise.
         service = PredictionService(batch_size=8)
         service.handle({"op": "open", "session": "s", "spec": "bimodal:64"})
         refused = service.handle(
             {"op": "events", "session": "s", "events": [[2**64, 1]]}
         )
         assert refused["ok"] is False
-        assert "2**64" in refused["error"]
+        assert "decode_request" in refused["error"]
+        with pytest.raises(ProtocolError, match="2\\*\\*64"):
+            _events_line([[2**64, 1]])
         synced = service.handle({"op": "sync", "session": "s"})
         assert synced["ok"], synced
         assert synced["conditional_branches"] == 0
@@ -209,8 +225,10 @@ class TestEventValidation:
             {"op": "events", "session": "s", "events": [[4, 1], event]}
         )
         assert refused["ok"] is False
+        with pytest.raises(ProtocolError, match="each event"):
+            _events_line([[4, 1], event])
         accepted = service.handle(
-            {"op": "events", "session": "s", "events": [[4, 1]]}
+            _decoded({"op": "events", "session": "s", "events": [[4, 1]]})
         )
         assert accepted["pending"] == 1
         synced = service.handle({"op": "sync", "session": "s"})
@@ -302,14 +320,16 @@ class TestInterleavedVsSerial:
         marks = set(sync_points)
         for i in range(len(trace)):
             service.handle(
-                {
-                    "op": "events",
-                    "session": "s",
-                    "events": [
-                        [int(trace.pcs[i]), int(trace.takens[i]),
-                         int(trace.conditionals[i])]
-                    ],
-                }
+                _decoded(
+                    {
+                        "op": "events",
+                        "session": "s",
+                        "events": [
+                            [int(trace.pcs[i]), int(trace.takens[i]),
+                             int(trace.conditionals[i])]
+                        ],
+                    }
+                )
             )
             if i in marks:
                 service.handle({"op": "sync", "session": "s"})
@@ -335,7 +355,7 @@ class TestSnapshotRestore:
              int(trace.conditionals[i])]
             for i in range(half, len(trace))
         ]
-        service.handle({"op": "events", "session": "s", "events": first})
+        service.handle(_decoded({"op": "events", "session": "s", "events": first}))
         snap = service.handle({"op": "snapshot", "session": "s"})
         assert snap["ok"]
 
@@ -343,7 +363,9 @@ class TestSnapshotRestore:
         # rewind must reproduce the identical final digest both times.
         digests = []
         for _ in range(2):
-            service.handle({"op": "events", "session": "s", "events": rest})
+            service.handle(
+                _decoded({"op": "events", "session": "s", "events": rest})
+            )
             service.handle({"op": "sync", "session": "s"})
             predictor = service.shard.tenant("s").predictor
             digests.append(PredictorState.capture(predictor).digest())
@@ -381,14 +403,18 @@ class TestSnapshotRestore:
         rows = _event_rows(trace)
         service = PredictionService(batch_size=50)
         service.handle({"op": "open", "session": "s", "spec": spec})
-        service.handle({"op": "events", "session": "s", "events": rows[:150]})
+        service.handle(
+            _decoded({"op": "events", "session": "s", "events": rows[:150]})
+        )
         response = service.handle(
             {"op": "restore", "session": "s",
              "state": _poisoned_state(spec, poison)}
         )
         assert response["ok"] is False
         assert response["error"].startswith("restore rejected: ")
-        service.handle({"op": "events", "session": "s", "events": rows[150:]})
+        service.handle(
+            _decoded({"op": "events", "session": "s", "events": rows[150:]})
+        )
         assert _served_finals(service, {"s": trace}) == _serial_finals(
             {"s": trace}, {"s": spec}
         )
@@ -404,7 +430,9 @@ def test_close_frees_the_sessions_predictor_without_a_collection():
     gc.disable()
     try:
         service.handle({"op": "open", "session": "s", "spec": "gshare:64k:h16"})
-        service.handle({"op": "events", "session": "s", "events": rows})
+        service.handle(
+            _decoded({"op": "events", "session": "s", "events": rows})
+        )
         assert service.handle({"op": "snapshot", "session": "s"})["ok"]
         predictor = weakref.ref(service.shard.tenant("s").predictor)
         closed = service.handle({"op": "close", "session": "s"})
@@ -425,8 +453,10 @@ class TestOneTenantTable:
         )
         assert opened == {"ok": True, "session": "s"}
         service.handle(
-            {"op": "events", "session": "s",
-             "events": [[4 * i, i % 2] for i in range(4)]}
+            _decoded(
+                {"op": "events", "session": "s",
+                 "events": [[4 * i, i % 2] for i in range(4)]}
+            )
         )
         stats = service.handle({"op": "stats"})
         assert stats == {"ok": True, "sessions": 1, "flushes": 1, "replays": 0}
@@ -493,8 +523,9 @@ class TestAsyncServer:
             b"this is not json\n",
             # The connection survives a garbage line...
             b'{"op": "open", "session": "s", "spec": "bimodal:64"}\n',
-            # ...and an out-of-range PC is refused before it is buffered,
-            # so the session keeps syncing instead of raising forever.
+            # ...and the retired list form of events (here with an
+            # out-of-range PC) is refused before anything is buffered, so
+            # the session keeps syncing instead of raising forever.
             b'{"op": "events", "session": "s", "events": [[%d, 1]]}\n'
             % 2**64,
             b'{"op": "sync", "session": "s"}\n',
@@ -515,22 +546,22 @@ class TestAsyncServer:
 
         responses = asyncio.run(scenario())
         assert [r["ok"] for r in responses] == [False, True, False, True]
-        assert "2**64" in responses[2]["error"]
+        assert "base64 'events' frame" in responses[2]["error"]
         assert responses[3]["conditional_branches"] == 0
 
     @pytest.mark.parametrize("split", [False, True],
                              ids=["whole", "newline-late"])
     def test_oversized_line_is_answered_and_skipped(self, split):
-        # One events line well past the stream limit (~17 bytes per
+        # One events line well past the stream limit (12 bytes per
         # event).  "newline-late" sends it in two writes, so the limit
         # trips before the line's newline has arrived.
         big = [[0x120000000 + 4 * i, i % 2] for i in range(6000)]
-        oversized = _events_line(big) + b"\n"
+        oversized = _events_line(big)
         assert len(oversized) > LINE_LIMIT
         lines = [
             b'{"op": "open", "session": "s", "spec": "bimodal:64"}\n',
             oversized,
-            b'{"op": "events", "session": "s", "events": [[64, 1], [68, 0]]}\n',
+            _events_line([[64, 1], [68, 0]]),
             b'{"op": "sync", "session": "s"}\n',
         ]
 
@@ -607,11 +638,9 @@ class TestAsyncServer:
         spec = "gshare:128:h6"
         trace = _ibs_like(7, 8)
         lines = [
-            json.dumps({"op": "open", "session": "s", "spec": spec}),
-            json.dumps(
-                {"op": "events", "session": "s", "events": _event_rows(trace)}
-            ),
-            json.dumps({"op": "sync", "session": "s"}),
+            encode_message({"op": "open", "session": "s", "spec": spec}),
+            _events_line(_event_rows(trace)),
+            encode_message({"op": "sync", "session": "s"}),
         ]
 
         async def scenario():
@@ -623,7 +652,7 @@ class TestAsyncServer:
                 responses = []
                 for i, line in enumerate(lines):
                     fault_env("serving-shard@*" if i == 1 else "")
-                    writer.write(line.encode("utf-8") + b"\n")
+                    writer.write(line)
                     await writer.drain()
                     responses.append(json.loads(await reader.readline()))
                 writer.close()

@@ -1,10 +1,19 @@
-"""Shard/tenant mechanics: batching, lifecycle, invariance."""
+"""Shard/tenant mechanics: batching, lifecycle, invariance.
+
+Events are buffered one request's columns at a time
+(:meth:`Shard.append`); these tests append one event per call, the
+finest batching a client can ask for."""
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.sim.state as state_module
+from repro.serving.protocol import EventColumns
 from repro.serving.shard import Shard
 from repro.sim.config import make_predictor
 from repro.sim.state import PredictorState
@@ -12,6 +21,15 @@ from repro.sim.vectorized import simulate_fast
 from repro.traces.trace import Trace
 
 from tests.strategies import traces as trace_strategy
+
+
+def _event(pc, taken, conditional=True):
+    """One event as a request's columns."""
+    return EventColumns(
+        np.array([pc], dtype=np.uint64),
+        np.array([taken], dtype=np.uint8),
+        np.array([conditional], dtype=np.uint8),
+    )
 
 
 class TestTenantLifecycle:
@@ -25,17 +43,17 @@ class TestTenantLifecycle:
     def test_unknown_session_fails_loudly(self):
         shard = Shard(batch_size=8)
         with pytest.raises(KeyError, match="ghost"):
-            shard.push("ghost", 4, True)
+            shard.append("ghost", _event(4, True))
         with pytest.raises(KeyError, match="ghost"):
             shard.flush("ghost")
 
     def test_push_signals_full_batch_and_flush_drains(self):
         shard = Shard(batch_size=4)
         shard.open("s", "bimodal:64")
-        assert [shard.push("s", 4 * i, True) for i in range(3)] == [
+        assert [shard.append("s", _event(4 * i, True)) for i in range(3)] == [
             False, False, False,
         ]
-        assert shard.push("s", 12, False) is True
+        assert shard.append("s", _event(12, False)) is True
         assert shard.flush("s") == 4
         assert shard.tenant("s").pending == 0
         assert shard.tenant("s").conditional_branches == 4
@@ -44,7 +62,7 @@ class TestTenantLifecycle:
         shard = Shard(batch_size=100)
         shard.open("s", "bimodal:64")
         for i in range(10):
-            shard.push("s", 4 * (i % 3), i % 2 == 0)
+            shard.append("s", _event(4 * (i % 3), i % 2 == 0))
         stats = shard.close("s")
         assert stats["conditional_branches"] == 10
         assert stats["events"] == 10
@@ -71,12 +89,7 @@ class TestBatchInvariance:
         shard = Shard(batch_size=batch_size)
         shard.open("s", spec)
         for i in range(len(trace)):
-            if shard.push(
-                "s",
-                int(trace.pcs[i]),
-                bool(trace.takens[i]),
-                bool(trace.conditionals[i]),
-            ):
+            if shard.append("s", EventColumns.of(trace.slice(i, i + 1))):
                 shard.flush("s")
         stats = shard.close("s")
 
@@ -96,12 +109,7 @@ class TestBatchInvariance:
         shard = Shard(batch_size=17)
         tenant = shard.open("s", spec)
         for i in range(len(trace)):
-            if shard.push(
-                "s",
-                int(trace.pcs[i]),
-                bool(trace.takens[i]),
-                bool(trace.conditionals[i]),
-            ):
+            if shard.append("s", EventColumns.of(trace.slice(i, i + 1))):
                 shard.flush("s")
         shard.flush("s")
         reference = make_predictor(spec)
@@ -110,3 +118,33 @@ class TestBatchInvariance:
             PredictorState.capture(tenant.predictor).digest()
             == PredictorState.capture(reference).digest()
         )
+
+
+class TestFlushCost:
+    def test_a_flush_computes_no_digest(self, monkeypatch):
+        # The flush's rollback snapshot is only ever restored in-process,
+        # so its SHA-256 trailer is never computed; asking the same kind
+        # of capture for its digest still hashes it.
+        hashes = []
+
+        class CountingHashlib:
+            @staticmethod
+            def sha256(*args):
+                hashes.append(args)
+                return hashlib.sha256(*args)
+
+        monkeypatch.setattr(state_module, "hashlib", CountingHashlib)
+        shard = Shard(batch_size=4)
+        tenant = shard.open("s", "gshare:64k:h16")
+        for i in range(8):
+            if shard.append("s", _event(4 * i, i % 3 == 0)):
+                shard.flush("s")
+        assert shard.flushes == 2 and tenant.pending == 0
+        assert hashes == []
+        digest = tenant.snapshot().digest()
+        assert len(hashes) == 1
+        monkeypatch.undo()
+        reference = make_predictor("gshare:64k:h16")
+        pcs, takens = [4 * i for i in range(8)], [i % 3 == 0 for i in range(8)]
+        simulate_fast(reference, Trace.from_columns(pcs, takens, [True] * 8))
+        assert digest == PredictorState.capture(reference).digest()

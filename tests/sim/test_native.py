@@ -35,6 +35,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.sim.native as native_module
+from repro.serving.protocol import EventColumns
 from repro.serving.shard import Tenant
 from repro.core.update import UpdatePolicy
 from repro.sim.config import make_predictor
@@ -1322,8 +1323,13 @@ class TestMemoryAndViews:
         # the table: its peak matches that over a 256-entry table.
         tenant = Tenant("s", spec)
         rng = np.random.default_rng(5)
-        for pc, taken in zip(rng.integers(0, 1 << 20, 256), rng.integers(0, 2, 256)):
-            tenant.push(4 * int(pc), bool(taken))
+        tenant.append(
+            EventColumns(
+                4 * rng.integers(0, 1 << 20, 256).astype(np.uint64),
+                rng.integers(0, 2, 256).astype(np.uint8),
+                np.ones(256, dtype=np.uint8),
+            )
+        )
         batch = tenant.drain()
         peak, table_bytes = self._native_peak(spec, batch)
         small, _ = self._native_peak(spec.replace("64k", "256"), batch)
