@@ -81,6 +81,29 @@ class TestFingerprint:
         )
         assert config_fingerprint(_config()) != base
 
+    def test_sensitive_to_every_field(self):
+        """Each declared field reaches the fingerprint, so a config that
+        differs in any one of them can never be served another's trace.
+        A new field needs an entry here."""
+        base = _config()
+        changed = {
+            "name": "other",
+            "seed": base.seed + 1,
+            "length": base.length + 1,
+            "processes": base.processes + 1,
+            "static_branches_per_process": base.static_branches_per_process + 1,
+            "procedures_per_process": base.procedures_per_process + 1,
+            "mix": BehaviorMix(bias_strength=0.99),
+            "kernel_static_branches": base.kernel_static_branches + 1,
+            "kernel_mix": BehaviorMix(),
+            "scheduler": dataclasses.replace(base.scheduler, mean_quantum=99),
+        }
+        fields = {field.name for field in dataclasses.fields(WorkloadConfig)}
+        assert set(changed) == fields
+        for name, value in changed.items():
+            other = dataclasses.replace(base, **{name: value})
+            assert config_fingerprint(other) != config_fingerprint(base), name
+
 
 class TestCacheDir:
     def test_env_override(self, monkeypatch, tmp_path):
