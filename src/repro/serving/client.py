@@ -117,7 +117,15 @@ class PredictionClient:
     async def restore(
         self, session: str, state: PredictorState
     ) -> Dict[str, Any]:
-        """Rewind the session to a previously captured state."""
+        """Rewind the session to a previously captured state.
+
+        The state travels hex-encoded in one request line, which the
+        server caps at ``LINE_LIMIT`` (64 KiB).  So only a state blob
+        under about 32 KB restores over TCP: a ``gshare:16k:h12`` state
+        does, while a ``gshare:64k:h16`` one (a 131,578-character
+        payload) raises :class:`ServingError` with the server's
+        over-limit error and leaves the session unchanged.
+        """
         return await self.request(
             {
                 "op": "restore",

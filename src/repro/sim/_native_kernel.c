@@ -15,8 +15,8 @@
  * form one coupled state machine.
  *
  * Entry points (pinned to oracles by name in tests/sim/test_native.py,
- * tests/traces/synthetic/test_cfg.py and test_kernel.py; the R006 lint
- * rule keeps that true):
+ * tests/traces/synthetic/test_cfg.py and test_kernel.py;
+ * tests/test_engine_parity.py keeps that true):
  *
  *   repro_walk        1, 3 or 5 voted banks of saturating counters
  *                     under TOTAL / PARTIAL / LAZY update (a plain

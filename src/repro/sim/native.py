@@ -62,8 +62,8 @@ backend.
 Results are bit-identical to :func:`repro.sim.engine.simulate`
 including final counter, bias and history state (asserted by
 ``tests/sim/test_native.py``, which also pins both backends' entry
-points to scalar oracles by name — the R006 lint rule keeps that true
-for any future entry point).
+points to scalar oracles by name; ``tests/test_engine_parity.py`` keeps
+that true for any future entry point).
 
 The Python↔C seam is checked where it can be checked exactly:
 
@@ -142,8 +142,8 @@ _KERNEL_PATH = Path(__file__).with_name("_native_kernel.c")
 
 #: The backend ABI, verbatim for cffi and compiled ahead of the kernel
 #: as its prototypes.  Every function named here is a kernel entry
-#: point; the R006 lint rule requires each to be pinned by a test
-#: referencing it by name.
+#: point; ``tests/test_engine_parity.py`` requires each to be pinned by a
+#: test referencing it by name.
 _CDEF = """
 int64_t repro_walk(const uint32_t *codes, int64_t n, const uint64_t *pcs,
                    const uint8_t *takens, const uint8_t *conditionals,

@@ -2,8 +2,8 @@
 
 Every environment variable this library reads is declared here — name,
 type, documented default and a one-line docstring — and every *read*
-routes through this module (the R009 lint rule enforces both halves:
-no ``os.environ`` access to a ``REPRO_*`` name anywhere else in
+routes through this module (``tests/util/test_envvars.py`` holds both
+halves: no ``os.environ`` access to a ``REPRO_*`` name anywhere else in
 ``src/``, and every registry entry fully documented).  Centralising the
 reads buys three things:
 
@@ -49,7 +49,8 @@ __all__ = [
 OFF_VALUES = frozenset({"0", "off", "none", "disabled"})
 
 #: The declared ``type`` vocabulary (kept small so the generated docs
-#: table stays scannable; the R009 rule rejects anything else).
+#: table stays scannable; ``tests/util/test_envvars.py`` rejects
+#: anything else).
 TYPES = frozenset({"str", "int", "float", "flag", "path", "choice", "plan"})
 
 
@@ -166,7 +167,7 @@ TRACE_CACHE = EnvVar(
 )
 
 #: Every declared variable, name-sorted — the source of truth for the
-#: generated docs table and the R009 completeness checks.
+#: generated docs table and the registry tests.
 REGISTRY: Tuple[EnvVar, ...] = tuple(
     sorted(
         (

@@ -9,8 +9,8 @@ across every spec family it claims, plus event-level differential fuzz
 pinning the entry points ``repro_walk`` and ``repro_walk_agree`` of both
 counter-walk backends (the cffi kernel and the Python loops) to scalar
 oracles: the numpy index streams of ``_index_streams`` walked by a
-per-event reference loop (the R006 lint rule requires every kernel
-entry point to be referenced here by name).
+per-event reference loop (``tests/test_engine_parity.py`` requires every
+kernel entry point to be referenced by name in some test).
 
 The whole module degrades cleanly when the backend cannot build: every
 test that needs the compiled kernel skips with an explicit reason, while
