@@ -58,6 +58,13 @@ class BcGskewPredictor(GlobalHistoryPredictor):
         counter_bits: int = 2,
     ):
         super().__init__(history_bits)
+        if bank_index_bits < 1:
+            # G0 and G1 skew n-bit halves, as SkewedPredictor's banks do:
+            # a one-entry table (n = 0) has nothing to skew.
+            raise ValueError(
+                f"2Bc-gskew needs bank_index_bits >= 1 (two or more "
+                f"entries a table), got {bank_index_bits}"
+            )
         self.bank_index_bits = bank_index_bits
         mask = (1 << bank_index_bits) - 1
         history = self.history  # not ``self``: no cycle through the banks

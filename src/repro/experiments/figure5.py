@@ -60,7 +60,7 @@ def run(
 
     The bank grid is chosen so the two storage ranges overlap: banks of
     ``N/4`` put gskew points at 0.75N, interleaved with the gshare grid.
-    ``jobs`` selects sweep worker processes (see :mod:`repro.sim.parallel`).
+    ``jobs`` selects sweep threads (see :mod:`repro.sim.parallel`).
     """
     traces = load_benchmarks(benchmarks, scale)
     gskew_banks = [max(8, size // 4) for size in sizes]

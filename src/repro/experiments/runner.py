@@ -5,12 +5,12 @@ Usage (installed as ``repro-experiments``):
     repro-experiments list
     repro-experiments table1 table2
     repro-experiments figure5 --scale 0.25
-    repro-experiments figure6 figure8 --jobs 4
+    repro-experiments figure6 figure8 --jobs 2
     repro-experiments all --checkpoint-dir out/.ckpt --resume
 
 Each experiment prints the paper-shaped table/series for every
 benchmark.  ``--scale`` shrinks the traces for quick looks; ``--jobs``
-fans the sweep-shaped experiments out over worker processes (defaults
+fans the sweep-shaped experiments out over threads (defaults
 to the ``REPRO_JOBS`` environment variable, declared in
 :mod:`repro.util.envvars`; experiments that don't sweep ignore it).
 
@@ -170,7 +170,7 @@ def _main(argv=None) -> int:
         type=int,
         default=None,
         help=(
-            "worker processes for sweep-shaped experiments "
+            "threads for sweep-shaped experiments "
             f"(0 = one per CPU; default: ${envvars.JOBS.name}, else serial)"
         ),
     )

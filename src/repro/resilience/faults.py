@@ -15,21 +15,17 @@ Grammar (comma-separated clauses)::
                  | N-         fire on every arrival from N onward
                  | *          fire on every arrival
 
-    REPRO_FAULTS="worker-crash@1"                first dispatched chunk dies
-    REPRO_FAULTS="worker-crash@1-"               every dispatch dies (forces
-                                                 the serial last resort)
+    REPRO_FAULTS="kernel-native@1"               the first native walk fails
+    REPRO_FAULTS="kernel-native@1-"              every native walk fails
     REPRO_FAULTS="kernel-native@1,cache-read@2"  two independent sites
 
-Arrivals are counted per site, per process, in program order, which is
-what makes a plan deterministic: the same plan over the same workload
-fires at the same points every run.  The injectable sites:
+Arrivals are counted per site, per process, under a lock, in program
+order, which is what makes a plan deterministic: the same plan over the
+same serial workload fires at the same points every run.  A threaded
+sweep (``jobs > 1``) counts across its threads: ``kernel-native@3``
+fires once, on whichever cell arrives third.  The injectable sites:
 
 =====================  ====================================================
-``worker-crash``       counted per *chunk dispatch* in the parent of
-                       :func:`repro.sim.parallel.run_cells`; the worker
-                       raises :class:`InjectedFault` instead of simulating
-``worker-hang``        same dispatch counter family; the worker sleeps past
-                       the per-cell timeout instead of simulating
 ``cache-read``         counted per existing-entry read in
                        :func:`repro.traces.cache.generate_trace_cached`;
                        the entry is treated as unreadable
@@ -55,6 +51,7 @@ counters reset on every re-parse and via :func:`reset_faults`.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.util import envvars
@@ -77,8 +74,6 @@ FAULTS_ENV_VAR = envvars.FAULTS.name
 #: Every injectable site (see the module docstring for semantics).
 SITES = frozenset(
     {
-        "worker-crash",
-        "worker-hang",
         "cache-read",
         "cache-write",
         "kernel-native",
@@ -131,6 +126,7 @@ class FaultPlan:
                 f"known: {', '.join(sorted(SITES))}"
             )
         self._arrivals: Dict[str, int] = {}
+        self._lock = threading.Lock()
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
@@ -173,8 +169,9 @@ class FaultPlan:
         windows = self._windows.get(site)
         if not windows:
             return False
-        arrival = self._arrivals.get(site, 0) + 1
-        self._arrivals[site] = arrival
+        with self._lock:
+            arrival = self._arrivals.get(site, 0) + 1
+            self._arrivals[site] = arrival
         return any(
             first <= arrival and (last is None or arrival <= last)
             for first, last in windows

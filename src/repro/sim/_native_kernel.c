@@ -24,27 +24,30 @@
  *   repro_walk_agree  the agree predictor: a gshare-indexed PHT of
  *                     "agrees with bias" counters plus a biasing-bit
  *                     table that latches on a slot's first execution;
+ *   repro_walk_lru    an N-entry fully-associative table tagged with
+ *                     the (address, history) pair, replaced LRU;
  *   repro_run_program the synthetic trace generator's program runner;
  *   repro_random_block blocks of random.Random.random() for its
  *                     scheduler;
  *   repro_build_program its program builder (the last three at the end
  *                     of this file).
  *
- * Trace conventions (both walks): the trace is n `codes`, event i being
+ * Trace conventions (every walk): the trace is n `codes`, event i being
  * row codes[i] of the event table `pcs`, `takens`, `conditionals`
  * (repro.traces.trace.Trace: a few thousand rows, so the table stays in
  * cache while the walk streams 4 bytes per event).  The caller checks
  * every code against the row count before the call
- * (repro.sim.vectorized._check_walk).  Every event shifts its outcome
+ * (repro.sim.vectorized._check_events).  Every event shifts its outcome
  * into the global-history register (most recent in the least-significant
  * bit); only conditional events are predicted and trained.  `warmup`
  * counts conditional events: the first `warmup` of them train but are
  * not scored.
  *
- * Counter conventions (both walks): a counter is one byte of the
+ * Counter conventions (every walk): a counter is one byte of the
  * predictor's own table (repro.core.counters.CounterArray), walked in
- * place; predict taken when `value >= threshold`; training saturates in
- * [0, max_value] toward the trained direction, max_value <= 255.
+ * place, or of an LRU slot; predict taken when `value >= threshold`;
+ * training saturates in [0, max_value] toward the trained direction,
+ * max_value <= 255.
  */
 
 #include <math.h>
@@ -531,6 +534,180 @@ int64_t repro_walk_agree(const uint32_t *codes, int64_t n,
         }
         seen += m;
     }
+    return misses;
+}
+
+/* ---- The fully-associative LRU table ----------------------------------
+ *
+ * repro_walk_lru walks repro.predictors.associative.
+ * FullyAssociativePredictor: counters tagged with the full (word
+ * address, history) pair, replaced least-recently-used.  A lookup that
+ * misses predicts taken and installs the pair (evicting the LRU pair
+ * once `entries` are resident) with its counter weakly toward the
+ * outcome, counter_init_value's (max_value + 1) / 2 when taken and one
+ * less when not; a hit predicts from the counter, trains it and makes
+ * the pair the most recent.  The history is as for repro_walk.
+ *
+ * `keys` (a word, history pair per slot) and `values` hold `capacity`
+ * slots, the resident pairs first (counts[0] of them), least recent
+ * first, on entry and on return; counts[1] returns the lookups that
+ * missed.  min(entries, resident + conditional events) slots always
+ * suffice.  The walk copies them into one allocation: the slots chained
+ * from a power-of-two bucket array and threaded by a circular LRU list
+ * through one more, sentinel slot.  It returns the mispredictions past
+ * `warmup`, or -1 (nothing written) for unsupported arguments, a failed
+ * allocation or a table that outgrows its slots.
+ */
+
+typedef struct {
+    uint64_t word, history;
+    int32_t older, newer, chain; /* chain: the next in the bucket, or -1 */
+    uint8_t value;
+} repro_lru_slot;
+
+typedef struct {
+    repro_lru_slot *slots;
+    int32_t *buckets;
+    uint64_t bucket_mask;
+    int32_t sentinel; /* its newer slot is the LRU pair, its older the MRU */
+} repro_lru;
+
+static inline int32_t *repro_lru_bucket(const repro_lru *t, uint64_t word,
+                                        uint64_t history)
+{
+    /* splitmix64's finaliser over the pair. */
+    uint64_t z = word * UINT64_C(0x9E3779B97F4A7C15) + history;
+
+    z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
+    return t->buckets + ((z ^ (z >> 31)) & t->bucket_mask);
+}
+
+/* Thread slot s in as the MRU pair. */
+static inline void repro_lru_push(repro_lru *t, int32_t s)
+{
+    repro_lru_slot *sentinel = t->slots + t->sentinel;
+
+    t->slots[s].older = sentinel->older;
+    t->slots[s].newer = t->sentinel;
+    t->slots[sentinel->older].newer = s;
+    sentinel->older = s;
+}
+
+static inline void repro_lru_unlink(repro_lru *t, int32_t s)
+{
+    t->slots[t->slots[s].older].newer = t->slots[s].newer;
+    t->slots[t->slots[s].newer].older = t->slots[s].older;
+}
+
+/* Hash slot s's pair and make it the MRU pair. */
+static inline void repro_lru_insert(repro_lru *t, int32_t s)
+{
+    int32_t *bucket = repro_lru_bucket(t, t->slots[s].word,
+                                       t->slots[s].history);
+
+    t->slots[s].chain = *bucket;
+    *bucket = s;
+    repro_lru_push(t, s);
+}
+
+int64_t repro_walk_lru(const uint32_t *codes, int64_t n, const uint64_t *pcs,
+                       const uint8_t *takens, const uint8_t *conditionals,
+                       int32_t history_bits, uint64_t history_seed,
+                       int64_t entries, int64_t threshold, int64_t max_value,
+                       uint64_t *keys, uint8_t *values, int64_t capacity,
+                       int64_t *counts, int64_t warmup)
+{
+    uint64_t block_words[REPRO_BLOCK];
+    uint64_t after[REPRO_BLOCK];
+    uint64_t history = history_seed & repro_mask(history_bits);
+    uint64_t history_mask = repro_mask(history_bits);
+    int64_t size = counts[0], buckets = 2, lookups_missed = 0;
+    int64_t misses = 0, seen = 0, start, i;
+    int32_t s;
+    repro_lru t;
+
+    if (history_bits < 0 || history_bits > REPRO_MAX_HISTORY_BITS
+        || entries < 1 || max_value < 1 || max_value > UINT8_MAX
+        || capacity > INT32_MAX / 2 || size < 0 || size > capacity)
+        return -1;
+    while (buckets < 2 * capacity)
+        buckets *= 2;
+    t.slots = malloc((size_t)(capacity + 1) * sizeof(repro_lru_slot)
+                     + (size_t)buckets * sizeof(int32_t));
+    if (t.slots == NULL)
+        return -1;
+    t.buckets = (int32_t *)(t.slots + capacity + 1);
+    t.bucket_mask = (uint64_t)buckets - 1;
+    t.sentinel = (int32_t)capacity;
+    t.slots[capacity].older = t.slots[capacity].newer = t.sentinel;
+    memset(t.buckets, 0xff, (size_t)buckets * sizeof(int32_t));
+    for (s = 0; s < size; s++) {
+        t.slots[s].word = keys[2 * s];
+        t.slots[s].history = keys[2 * s + 1];
+        t.slots[s].value = values[s];
+        repro_lru_insert(&t, s);
+    }
+
+    for (start = 0; start < n; start += REPRO_BLOCK) {
+        int64_t stop = n - start > REPRO_BLOCK ? start + REPRO_BLOCK : n;
+        int64_t m = repro_gather(codes, pcs, takens, conditionals, start,
+                                 stop, &history, block_words, after);
+
+        for (i = 0; i < m; i++) {
+            uint64_t word = block_words[i];
+            uint64_t key = repro_history(after, i, history_mask);
+            int32_t taken = (int32_t)(after[i] & 1);
+            int32_t prediction = 1;
+
+            s = *repro_lru_bucket(&t, word, key);
+            while (s >= 0 && (t.slots[s].word != word
+                              || t.slots[s].history != key))
+                s = t.slots[s].chain;
+            if (s >= 0) {
+                prediction = t.slots[s].value >= threshold;
+                t.slots[s].value = (uint8_t)repro_step(t.slots[s].value,
+                                                       taken, max_value);
+                repro_lru_unlink(&t, s);
+                repro_lru_push(&t, s);
+            } else {
+                lookups_missed++;
+                if (size >= entries) {
+                    /* Evict the LRU pair: out of its chain, then the list. */
+                    int32_t *link;
+
+                    s = t.slots[t.sentinel].newer;
+                    link = repro_lru_bucket(&t, t.slots[s].word,
+                                            t.slots[s].history);
+                    while (*link != s)
+                        link = &t.slots[*link].chain;
+                    *link = t.slots[s].chain;
+                    repro_lru_unlink(&t, s);
+                } else if (size < capacity) {
+                    s = (int32_t)size++;
+                } else {
+                    free(t.slots);
+                    return -1;
+                }
+                t.slots[s].word = word;
+                t.slots[s].history = key;
+                t.slots[s].value = (uint8_t)((max_value + 1) / 2 - !taken);
+                repro_lru_insert(&t, s);
+            }
+            misses += (prediction != taken) & (i + seen >= warmup);
+        }
+        seen += m;
+    }
+
+    for (i = 0, s = t.slots[t.sentinel].newer; s != t.sentinel;
+         i++, s = t.slots[s].newer) {
+        keys[2 * i] = t.slots[s].word;
+        keys[2 * i + 1] = t.slots[s].history;
+        values[i] = t.slots[s].value;
+    }
+    counts[0] = size;
+    counts[1] = lookups_missed;
+    free(t.slots);
     return misses;
 }
 

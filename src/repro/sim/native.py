@@ -19,19 +19,24 @@ two walk entry points as the Python loops:
   gshare-indexed PHT plus a biasing-bit table that latches on each
   slot's first execution.
 
-Both read each event's code, then its row of the event table (a few
-thousand rows, which stay in cache), so the walk streams 4 bytes per
+A third walk, ``repro_walk_lru``, runs the fully-associative LRU table
+(``fa:<N>:h<k>``) outside that frame (:func:`_simulate_lru`).  It has no
+Python twin: without a compiler the table runs on the generic
+interpreter, which is also its oracle.
+
+All three read each event's code, then its row of the event table (a
+few thousand rows, which stay in cache), so a walk streams 4 bytes per
 event from memory where four raw columns would stream 10.  They compute
-every conditional event's table indices inside the walk, 2048 events at
-a time in stack buffers, so a call over a contiguous code stream
-allocates nothing per event: its memory is the counter tables, whatever
-the trace length.  A strided code stream (``Trace.slice`` / ``head`` /
-``stride_split`` views) is copied contiguous first, at 4 bytes per
-event; no per-event column is ever built for the walk.
+every conditional event's table indices (or LRU keys) inside the walk,
+2048 events at a time in stack buffers, so a call over a contiguous
+code stream allocates nothing per event: its memory is the tables,
+whatever the trace length.  A strided code stream (``Trace.slice`` /
+``head`` / ``stride_split`` views) is copied contiguous first, at 4
+bytes per event; no per-event column is ever built for the walk.
 
 Walking in order is exact for every update policy by construction, so
-:func:`native_supports` is one check — the spec is index-expressible
-and the backend built.
+:func:`native_supports` is one check — the spec is index-expressible or
+the LRU table, and the backend built.
 
 The same shared object holds the synthetic trace generator's three
 entry points, each on a port of CPython's Mersenne Twister, so each
@@ -60,10 +65,10 @@ generator runs its Python runner; nothing in the library requires the
 backend.
 
 Results are bit-identical to :func:`repro.sim.engine.simulate`
-including final counter, bias and history state (asserted by
-``tests/sim/test_native.py``, which also pins both backends' entry
-points to scalar oracles by name; ``tests/test_engine_parity.py`` keeps
-that true for any future entry point).
+including final counter, bias, LRU and history state (asserted by
+``tests/sim/test_native.py``, which also pins every entry point to an
+oracle by name; ``tests/test_engine_parity.py`` keeps that true for
+any future entry point).
 
 The Python↔C seam is checked where it can be checked exactly:
 
@@ -78,12 +83,10 @@ The Python↔C seam is checked where it can be checked exactly:
   would reinterpret silently (``ValueError``);
 - the kernel trusts its codes to name table rows and its tables to
   match the geometry, so :func:`repro.sim.vectorized._check_walk`
-  checks every code against the event table's row count, the bank
-  count, index and history widths, the counter maximum, one table per
-  bank, every table's size, and that the tables it writes in place are
-  writable arrays of the kernel's element types, before the call
-  (``ValueError``); past it, every read and index is in range by
-  construction;
+  checks both, and that the tables it writes are writable arrays of
+  its element types, before the call (``ValueError``); past it, every
+  read and index is in range by construction.  The LRU walk bounds its
+  own slots and refuses (-1) a table that outgrows them;
 - the program runner trusts every id, range and offset in its arrays,
   so :func:`repro.traces.synthetic.cfg._check_program` checks them, and
   the nesting depth against the runner's recursion limit, before the
@@ -110,17 +113,23 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.counters import MAX_ARRAY_COUNTER_BITS
+from repro.predictors.associative import FullyAssociativePredictor
 from repro.predictors.base import BranchPredictor
 from repro.sim.metrics import SimulationResult
-from repro.sim.profile import StageTimer
+from repro.sim.profile import NULL_STAGE_TIMER, StageTimer
 from repro.sim.vectorized import (
     Geometry,
     WalkBackend,
     WalkInterrupted,
+    _check_events,
     _check_walk,
+    _final_history,
+    _walk_result,
     simulate_walk,
     supports,
 )
+from repro.traces.pairs import _MAX_HISTORY_BITS
 from repro.traces.synthetic.cfg import _check_program, _Compiled
 from repro.traces.trace import Trace
 from repro.util import envvars
@@ -158,6 +167,12 @@ int64_t repro_walk_agree(const uint32_t *codes, int64_t n,
                          int32_t bias_bits, int64_t threshold,
                          int64_t max_value, uint8_t *values, int8_t *bias,
                          int64_t warmup);
+int64_t repro_walk_lru(const uint32_t *codes, int64_t n, const uint64_t *pcs,
+                       const uint8_t *takens, const uint8_t *conditionals,
+                       int32_t history_bits, uint64_t history_seed,
+                       int64_t entries, int64_t threshold, int64_t max_value,
+                       uint64_t *keys, uint8_t *values, int64_t capacity,
+                       int64_t *counts, int64_t warmup);
 int64_t repro_run_program(const int32_t *nodes, const int32_t *procedures,
                           const int32_t *kinds, const int64_t *ints,
                           const double *floats, int32_t behavior_count,
@@ -335,13 +350,26 @@ def native_available() -> bool:
 # -- the C backend ------------------------------------------------------------
 
 
+def _lru_supports(predictor: BranchPredictor) -> bool:
+    """True for an LRU table whose history and counters ``repro_walk_lru``
+    holds (63 bits, a byte)."""
+    return (
+        type(predictor) is FullyAssociativePredictor
+        and predictor.history_bits <= _MAX_HISTORY_BITS
+        and 1 <= predictor.counter_bits <= MAX_ARRAY_COUNTER_BITS
+    )
+
+
 def native_supports(predictor: BranchPredictor, trace: Trace) -> bool:
     """True if ``predictor`` has a native fast path over ``trace``.
 
     Every index-expressible spec — whatever :func:`repro.sim.vectorized.
-    supports` takes — once the backend built.
+    supports` takes — and the fully-associative LRU table, once the
+    backend built.
     """
-    return supports(predictor, trace) and native_available()
+    return (
+        supports(predictor, trace) or _lru_supports(predictor)
+    ) and native_available()
 
 
 def _checked_backend():
@@ -478,6 +506,78 @@ def _walk_agree(
 
 #: The C kernel behind the ``native`` tier.
 NATIVE_BACKEND = WalkBackend("native", native_supports, _walk, _walk_agree)
+
+
+def _walk_lru(
+    codes: np.ndarray, pcs: np.ndarray, takens: np.ndarray,
+    conditionals: np.ndarray, history_bits: int, seed: int, entries: int,
+    threshold: int, max_value: int, keys: np.ndarray, values: np.ndarray,
+    counts: np.ndarray, warmup: int,
+) -> int:
+    """``repro_walk_lru`` over an LRU table's slots, in place: ``keys``
+    (a (word, history) row per slot) and ``values``, the first
+    ``counts[0]`` of them the resident pairs, least recent first, on
+    entry and on return; ``counts[1]`` returns the lookups that missed.
+    Returns the mispredictions past ``warmup``.
+
+    No failure here is a :class:`WalkInterrupted`: the kernel writes the
+    slots only once done, and the caller its predictor only after this.
+
+    Raises:
+        ValueError: on codes :func:`repro.sim.vectorized._check_events`
+            refuses, slots of the wrong shape or dtype, or arguments the
+            kernel refuses, a table that outgrows its slots included.
+    """
+    ffi, lib = _checked_backend()
+    _check_events(codes, pcs, takens, conditionals)
+    if keys.shape != (len(values), 2):
+        raise ValueError("need one (word, history) key per LRU slot")
+    misses = lib.repro_walk_lru(
+        *_trace_buffers(ffi, codes, pcs, takens, conditionals),
+        history_bits, seed, entries, threshold, max_value,
+        _buffer(ffi, "uint64_t[]", keys), _buffer(ffi, "uint8_t[]", values),
+        len(values), _buffer(ffi, "int64_t[]", counts), warmup,
+    )
+    if misses < 0:
+        raise ValueError(f"repro_walk_lru refused {entries} entries over {len(values)} slots")
+    return misses
+
+
+def _simulate_lru(
+    predictor: FullyAssociativePredictor,
+    trace: Trace,
+    warmup: int,
+    label: Optional[str],
+    stage_timer: Optional[StageTimer],
+) -> SimulationResult:
+    """:func:`_walk_lru` seeded from the predictor's ``OrderedDict`` and
+    written back to it, with ``hits``/``misses`` and the history.  The
+    slots are the resident pairs plus one per conditional event, up to
+    the table's size: memory is the table, never the trace."""
+    timer = NULL_STAGE_TIMER if stage_timer is None else stage_timer
+    table, history = predictor.table, predictor.history
+    size, conditionals = len(table), trace.conditional_count
+    with timer.stage("precompute"):
+        capacity = max(size, min(predictor.entries, size + conditionals))
+        keys = np.zeros((capacity, 2), np.uint64)
+        values = np.zeros(capacity, np.uint8)
+        if size:
+            keys[:size], values[:size] = list(table), list(table.values())
+        counts = np.array([size, 0], np.int64)
+    with timer.stage("scan"):
+        misses = _walk_lru(
+            trace.codes, *trace.table[:3], history.bits, history.value,
+            predictor.entries, predictor._threshold, predictor._max, keys,
+            values, counts, warmup,
+        )
+    with timer.stage("reduce"):
+        size, lookups_missed = counts.tolist()
+        table.clear()
+        table.update(zip(map(tuple, keys[:size].tolist()), values[:size].tolist()))
+        predictor.hits += conditionals - lookups_missed
+        predictor.misses += lookups_missed
+        history.value = _final_history(trace, history.bits, history.value)
+    return _walk_result(predictor, trace, warmup, label, misses, "native")
 
 
 def run_program_native(
@@ -623,13 +723,17 @@ def simulate_native(
     """:func:`repro.sim.vectorized.simulate_walk` with the C kernel.
 
     Identical arguments and result to :func:`repro.sim.engine.simulate`,
-    and the same final counter, agree-bias and history state.
+    and the same final counter, agree-bias and history state; a
+    fully-associative LRU table runs ``repro_walk_lru``
+    (:func:`_simulate_lru`) instead, with the same final table.
 
     Raises:
         ValueError: if the predictor has no native path or the backend
             did not build (callers wanting automatic fallback use
             :func:`repro.sim.vectorized.simulate_fast`).
     """
+    if warmup >= 0 and _lru_supports(predictor) and native_available():
+        return _simulate_lru(predictor, trace, warmup, label, stage_timer)
     return simulate_walk(
         NATIVE_BACKEND, predictor, trace, warmup, label, stage_timer
     )

@@ -7,10 +7,10 @@ the figure captions: sizes for Figures 5/6/8, history lengths for
 Figures 7/12.
 
 Each cell runs on the fastest engine that supports it, and sweeps can
-fan out over a process pool: every sweep helper takes ``jobs``
+fan out over a thread pool: every sweep helper takes ``jobs``
 (``None`` defers to the ``REPRO_JOBS`` environment variable, declared
 in :mod:`repro.util.envvars`; see :mod:`repro.sim.parallel`).
-Grids are deterministic and identical for any worker count.
+Grids are deterministic and identical for any thread count.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def sweep_specs(
         series: mapping from series name to a list of predictor specs,
             one per x-axis point.
         points: x-axis values (must match each spec list's length).
-        jobs: worker processes (1 = serial, 0 = one per CPU, None = the
+        jobs: threads (1 = serial, 0 = one per CPU, None = the
             ``REPRO_JOBS`` environment variable, defaulting to serial).
             The grid is identical for every value.
     """
@@ -82,7 +82,7 @@ def sweep_specs(
                 f"{len(points)} points"
             )
     # Cell order is the serial nesting order; run_cells preserves it, so
-    # the grid below fills identically for any worker count.
+    # the grid below fills identically for any thread count.
     cells: List[Tuple[int, str]] = []
     cell_series: List[str] = []
     for index in range(len(traces)):

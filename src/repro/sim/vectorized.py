@@ -49,8 +49,10 @@ like the fused fast paths in the predictors themselves), including the
 predictor's final counter, biasing-bit and history state.
 :func:`simulate_fast` dispatches each spec to the fastest expressible
 engine — the C walk, then (without a compiler) the Python walk, then
-the generic interpreter for anything neither can express (tagged,
-per-address, hybrid and custom-skew schemes).
+the generic interpreter for anything neither can express (the unaliased
+table, per-address, hybrid and custom-skew schemes, and, without a
+compiler, the fully-associative LRU table, which only the C kernel
+walks).
 """
 
 from __future__ import annotations
@@ -555,6 +557,21 @@ def _loop_agree(
     return miss
 
 
+def _check_events(
+    codes: np.ndarray, pcs: np.ndarray, takens: np.ndarray,
+    conditionals: np.ndarray,
+) -> None:
+    """Refuse (``ValueError``) event-table columns of unequal length or
+    a code past the table's rows: every walk reads rows through codes
+    unchecked."""
+    if not len(pcs) == len(takens) == len(conditionals):
+        raise ValueError("event table columns differ in length")
+    if len(codes) and int(codes.max()) >= len(pcs):
+        raise ValueError(
+            f"code {int(codes.max())} is past the event table's {len(pcs)} rows"
+        )
+
+
 def _check_walk(
     codes: np.ndarray,
     pcs: np.ndarray,
@@ -588,12 +605,7 @@ def _check_walk(
             tables in place.
     """
     scheme, bits, history_bits, seed, extra_bits, banks = geometry
-    if not len(pcs) == len(takens) == len(conditionals):
-        raise ValueError("event table columns differ in length")
-    if len(codes) and int(codes.max()) >= len(pcs):
-        raise ValueError(
-            f"code {int(codes.max())} is past the event table's {len(pcs)} rows"
-        )
+    _check_events(codes, pcs, takens, conditionals)
     if banks not in _SCHEME_BANKS.get(scheme, ()):
         raise ValueError(f"scheme {scheme} cannot walk {banks} bank(s)")
     if (scheme == _AGREE) != (bias is not None):
@@ -841,6 +853,14 @@ def simulate_walk(
         if history is not None and history.bits:
             history.value = _final_history(trace, history.bits, history.value)
 
+    return _walk_result(predictor, trace, warmup, label, misses, backend.engine)
+
+
+def _walk_result(
+    predictor: BranchPredictor, trace: Trace, warmup: int,
+    label: Optional[str], misses: int, engine: str,
+) -> SimulationResult:
+    """The result of a walk that scored ``misses`` past ``warmup``."""
     return SimulationResult(
         predictor=label or predictor.name,
         trace=trace.name,
@@ -848,7 +868,7 @@ def simulate_walk(
         mispredictions=misses,
         storage_bits=predictor.storage_bits,
         history_bits=getattr(predictor, "history_bits", None),
-        engine=backend.engine,
+        engine=engine,
     )
 
 
@@ -889,11 +909,13 @@ def simulate_fast(
 
     1. :func:`repro.sim.native.simulate_native` for every
        index-expressible spec — bimodal/gshare/gselect, skewed and
-       e-gskew under any update policy, and agree — the C walk;
+       e-gskew under any update policy, and agree — and the
+       fully-associative LRU table: the C walks;
     2. when the C backend cannot build, :func:`simulate_vectorized`,
-       the same frame with the Python walk;
-    3. the generic interpreter for everything else (tagged, per-address,
-       hybrid and custom-skew schemes).
+       the same frame with the Python walk (index-expressible only);
+    3. the generic interpreter for everything else (unaliased,
+       per-address, hybrid and custom-skew schemes, and the LRU table
+       without a compiler).
 
     A fast tier that *raises* degrades gracefully instead of killing
     the sweep: every refusal comes before its walk's first write to the

@@ -14,7 +14,7 @@ bumps that version), produces a new cache entry.
 
 Entries are stored in the existing ``.npz`` trace format
 (:mod:`repro.traces.io`), written atomically (temp file + ``os.replace``
-via :mod:`repro.util.atomic`) so concurrent workers never observe
+via :mod:`repro.util.atomic`) so concurrent processes never observe
 half-written files.  A corrupt entry — truncated, bit-flipped (the zip
 CRC catches payload damage) or otherwise unreadable — is detected at
 load, counted under ``errors``, dropped, and regenerated, so a damaged

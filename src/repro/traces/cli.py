@@ -12,7 +12,7 @@ Usage (installed as ``repro-trace``):
 ``info`` prints Table-1/2-style statistics; ``convert`` transcodes
 between the binary (.npz) and text formats by extension; ``simulate``
 runs predictor specs over a cached trace, on the vectorized engine
-where one applies and optionally across worker processes
+where one applies and optionally across threads
 (``--jobs N``; default from the ``REPRO_JOBS`` environment variable);
 ``cache`` inspects (or clears) the content-addressed trace cache that
 every generation path writes through — directory from
@@ -212,7 +212,7 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         help=(
-            "worker processes (0 = one per CPU; "
+            "threads (0 = one per CPU; "
             f"default: ${envvars.JOBS.name}, else serial)"
         ),
     )

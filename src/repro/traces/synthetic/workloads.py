@@ -41,7 +41,6 @@ __all__ = [
     "ibs_trace",
     "all_ibs_traces",
     "clear_trace_cache",
-    "trace_cache_key",
 ]
 
 #: The six benchmarks every paper table/figure reports.
@@ -323,19 +322,6 @@ def clear_trace_cache() -> None:
     reference keeps alive costs no more than it did in the cache.
     """
     _TRACE_CACHE.clear()
-
-
-def trace_cache_key(trace: Trace) -> "Tuple[str, float] | None":
-    """The ``(name, scale)`` cache key of a memoised (live) trace, if any.
-
-    The parallel sweep runner uses this to ship a cheap descriptor across
-    the process pipe instead of the trace's arrays: workers regenerate the
-    trace deterministically from the workload config.
-    """
-    for key, cached in list(_TRACE_CACHE.items()):
-        if cached is trace:
-            return key
-    return None
 
 
 def all_ibs_traces(scale: float = 1.0) -> List[Trace]:

@@ -13,8 +13,8 @@ uint64, ``taken`` and ``conditional`` as uint8).  A program has a few
 thousand distinct ``(pc, taken, conditional, target)`` rows however long
 it runs, so a trace costs 4 bytes per event plus its table — against 18
 bytes per event for four raw columns.  The constructor takes raw columns
-and factorises them (:func:`_factorise`); the synthetic generator, the
-binary format and the sweep workers hand over codes and a table directly
+and factorises them (:func:`_factorise`); the synthetic generator and the
+binary format hand over codes and a table directly
 (:meth:`Trace.from_table`).  :meth:`Trace.head`, :meth:`Trace.slice` and
 :meth:`Trace.stride_split` are views of the codes that share the table.
 

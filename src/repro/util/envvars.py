@@ -33,7 +33,6 @@ from typing import Dict, Optional, Tuple
 __all__ = [
     "EnvVar",
     "REGISTRY",
-    "CELL_TIMEOUT",
     "FAULTS",
     "JOBS",
     "NATIVE_CACHE",
@@ -107,15 +106,6 @@ class EnvVar:
         return self.text().lower() in OFF_VALUES
 
 
-CELL_TIMEOUT = EnvVar(
-    "REPRO_CELL_TIMEOUT",
-    "float",
-    "300",
-    "Seconds allowed per sweep cell before a worker counts as hung "
-    "(scaled by chunk length); `0`/`off`/`none`/`disabled` disables "
-    "the timeout.",
-)
-
 FAULTS = EnvVar(
     "REPRO_FAULTS",
     "plan",
@@ -128,8 +118,8 @@ JOBS = EnvVar(
     "REPRO_JOBS",
     "int",
     "1",
-    "Default worker count for sweeps when `jobs` is not passed; "
-    "`0` or negative means one worker per CPU, invalid means serial.",
+    "Default thread count for sweeps when `jobs` is not passed; "
+    "`0` or negative means one thread per CPU, invalid means serial.",
 )
 
 NATIVE_CACHE = EnvVar(
@@ -171,7 +161,6 @@ TRACE_CACHE = EnvVar(
 REGISTRY: Tuple[EnvVar, ...] = tuple(
     sorted(
         (
-            CELL_TIMEOUT,
             FAULTS,
             JOBS,
             NATIVE_CACHE,

@@ -57,6 +57,10 @@ SPECS = [
     "hybrid:1:h4",
 ]
 
+#: one-entry tables of the families built on the skewing family: it
+#: shuffles n-bit halves, so index width 0 is refused at construction
+REFUSED = ["gskew:3x1:h4", "2bcgskew:1:h4"]
+
 #: the tiny trace of tests/conftest.py, rebuilt in the child process
 _CHILD = """
 import json, sys
@@ -130,6 +134,13 @@ def test_skew_family_refuses_width_zero():
     for f in (skew_f0, skew_f1, skew_f2):
         with deadline(), pytest.raises(ValueError):
             f(vector, 0)
+
+
+@pytest.mark.parametrize("spec", REFUSED)
+def test_skewed_families_refuse_width_zero(spec):
+    """Refused where the predictor is built, not by the first walk."""
+    with pytest.raises(ValueError, match="bank_index_bits >= 1"):
+        make_predictor(spec)
 
 
 @pytest.mark.parametrize("index_bits", [0, 1])

@@ -11,14 +11,11 @@ from __future__ import annotations
 import pytest
 
 from repro.resilience.faults import FAULTS_ENV_VAR, reset_faults
-from repro.sim.parallel import reset_recovery_stats
 
 
 @pytest.fixture(autouse=True)
 def _clean_fault_state(monkeypatch):
     monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
     reset_faults()
-    reset_recovery_stats()
     yield
     reset_faults()
-    reset_recovery_stats()

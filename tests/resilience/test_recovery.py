@@ -1,7 +1,7 @@
 """End-to-end recovery: every fault class heals with identical results.
 
 The acceptance bar for the resilience layer is *byte-identity*: a run
-that hit injected worker crashes, hangs or kernel failures must produce
+that hit injected kernel or serving failures must produce
 exactly the results of a fault-free run, with the recovery visible only
 in warnings and counters.  These tests inject each fault class through
 ``REPRO_FAULTS`` and compare against clean baselines.
@@ -22,20 +22,17 @@ from repro.serving.shard import RETRY_LIMIT, Shard
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
 from repro.sim.native import native_available
-from repro.sim.parallel import run_cells, recovery_stats
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import WalkInterrupted, simulate_fast
 
 #: One spec per dispatch path: index-expressible (native, or the
 #: vectorized loop without a compiler) as an always-update table, a
-#: coupled multi-bank LAZY walk and agree, and generic-only
-#: (per-address history).
+#: coupled multi-bank LAZY walk and agree.
 TABLE_SPEC = "gshare:512:h8"
 LAZY_SPEC = "gskew:3x64:h4:lazy"
 AGREE_SPEC = "agree:128:h6"
-GENERIC_SPEC = "fa:16:h3"
-
-SWEEP_SPECS = [TABLE_SPEC, LAZY_SPEC, GENERIC_SPEC, "bimodal:256"]
+#: The fully-associative LRU table: native, else generic (no Python walk).
+LRU_SPEC = "fa:16:h3"
 
 
 @pytest.fixture
@@ -83,6 +80,20 @@ class TestKernelDegradation:
             degraded = simulate_fast(predictor, tiny_trace, label=spec)
         assert degraded == expected
         assert degraded.engine == "vectorized"
+        assert PredictorState.capture(predictor) == expected_state
+
+    def test_lru_native_failure_degrades_to_the_generic_engine(
+        self, fault_env, tiny_trace
+    ):
+        if not native_available():
+            pytest.skip("native backend unavailable; tier not in the ladder")
+        expected, expected_state = _clean_fast(LRU_SPEC, tiny_trace)
+        fault_env("kernel-native@1")
+        predictor = make_predictor(LRU_SPEC)
+        with pytest.warns(RuntimeWarning, match="native engine failed"):
+            degraded = simulate_fast(predictor, tiny_trace, label=LRU_SPEC)
+        assert degraded == expected
+        assert degraded.engine == "generic"
         assert PredictorState.capture(predictor) == expected_state
 
     def test_vectorized_failure_degrades_bit_identically(
@@ -362,50 +373,3 @@ class TestServingShardRecovery:
         assert stats["ok"]
         assert stats["replays"] == 1
         assert stats["flushes"] == 1
-
-
-@pytest.mark.slow
-class TestWorkerRecovery:
-    """Pool-level faults; each grid must match the serial baseline."""
-
-    def _cells(self):
-        return [(0, spec) for spec in SWEEP_SPECS]
-
-    def _serial(self, trace):
-        return run_cells([trace], self._cells(), 1)
-
-    def test_crashed_chunk_is_retried(self, fault_env, tiny_trace):
-        expected = self._serial(tiny_trace)
-        fault_env("worker-crash@1")
-        results = run_cells([tiny_trace], self._cells(), 2)
-        assert results == expected
-        stats = recovery_stats()
-        assert stats["retries"] >= 1
-        assert stats["timeouts"] == 0
-        assert stats["serial_cells"] == 0
-
-    def test_persistent_crashes_fall_back_to_serial(
-        self, fault_env, tiny_trace
-    ):
-        expected = self._serial(tiny_trace)
-        fault_env("worker-crash@1-")
-        with pytest.warns(RuntimeWarning, match="computing .* serially"):
-            results = run_cells([tiny_trace], self._cells(), 2)
-        assert results == expected
-        stats = recovery_stats()
-        # Every chunk exhausted its retries, then ran in the parent.
-        assert stats["serial_cells"] == len(self._cells())
-        assert stats["retries"] > 0
-
-    def test_hung_worker_times_out_and_finishes_serially(
-        self, fault_env, monkeypatch, tiny_trace
-    ):
-        expected = self._serial(tiny_trace)
-        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "1")
-        fault_env("worker-hang@1")
-        with pytest.warns(RuntimeWarning, match="timeout"):
-            results = run_cells([tiny_trace], self._cells(), 2)
-        assert results == expected
-        stats = recovery_stats()
-        assert stats["timeouts"] == 1
-        assert stats["serial_cells"] == len(self._cells())

@@ -9,8 +9,9 @@ across every spec family it claims, plus event-level differential fuzz
 pinning the entry points ``repro_walk`` and ``repro_walk_agree`` of both
 counter-walk backends (the cffi kernel and the Python loops) to scalar
 oracles: the numpy index streams of ``_index_streams`` walked by a
-per-event reference loop (``tests/test_engine_parity.py`` requires every
-kernel entry point to be referenced by name in some test).
+per-event reference loop, and ``repro_walk_lru`` fuzzed against the
+generic interpreter, its oracle (``tests/test_engine_parity.py`` requires
+every kernel entry point to be referenced by name in some test).
 
 The whole module degrades cleanly when the backend cannot build: every
 test that needs the compiled kernel skips with an explicit reason, while
@@ -25,8 +26,10 @@ from __future__ import annotations
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
+import sysconfig
 import tracemalloc
 import warnings
 
@@ -36,8 +39,9 @@ from hypothesis import given, settings, strategies as st
 
 import repro.sim.native as native_module
 from repro.serving.protocol import EventColumns
-from repro.serving.shard import Tenant
+from repro.serving.shard import Shard, Tenant
 from repro.core.update import UpdatePolicy
+from repro.predictors.associative import FullyAssociativePredictor
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
 from repro.sim.native import (
@@ -131,15 +135,19 @@ NATIVE_SPECS = [
     "agree:64:h10",  # history folding in the PHT index
     "agree:256:h5:c1",
     *WIDE_SPECS,
+    "fa:64:h4",  # the fully-associative LRU table (repro_walk_lru)
+    "fa:1:h4",  # degenerate: one entry, every new pair evicts
+    "fa:256:h0:c1",
+    "fa:4k:h40",  # keys past 32 history bits
 ]
 
 #: Coupled specs an older native tier declined: agree's bias latches and
 #: multi-bank LAZY.  The sequential walk takes both.
 COUPLED_SPECS = ["agree:256:h5", "gskew:3x256:h6:lazy"]
 
-#: Specs with no native path: schemes with no closed-form index streams.
+#: Specs with no native path: schemes with no closed-form index streams
+#: and no walk of their own.
 NO_NATIVE_SPECS = [
-    "fa:64:h4",
     "unaliased:h6",
 ]
 
@@ -262,6 +270,9 @@ class _ForbiddenKernel:
 
     def repro_walk_agree(self, *args):  # pragma: no cover — would fail
         raise AssertionError("repro_walk_agree called with refused inputs")
+
+    def repro_walk_lru(self, *args):  # pragma: no cover — would fail
+        raise AssertionError("repro_walk_lru called with refused inputs")
 
 
 def _forbid_kernel(monkeypatch):
@@ -582,6 +593,33 @@ def _fresh_process(script, tmp_path, **env):
         text=True,
         timeout=300,
     )
+
+
+def _missing_build_prerequisite():
+    """Why this host cannot build the kernel, or None when it can: cffi
+    imports, the compiler ``$CC`` (else sysconfig's ``CC``) names is on
+    the path, and ``Python.h`` is where sysconfig says."""
+    try:
+        import cffi  # noqa: F401
+    except ImportError:
+        return "cffi is not installed"
+    compiler = os.environ.get("CC") or sysconfig.get_config_var("CC") or ""
+    if not compiler.split() or shutil.which(compiler.split()[0]) is None:
+        return f"no C compiler: {compiler!r} is not on the path"
+    include = sysconfig.get_path("include")
+    if not os.path.exists(os.path.join(include, "Python.h")):
+        return f"no Python.h under {include}"
+    return None
+
+
+def test_kernel_loads_where_it_can_build():
+    # Every native test skips when the kernel does not load, so a kernel
+    # that fails to build or load (a cdef entry with no definition, say)
+    # would otherwise pass silently on a host that has everything.
+    missing = _missing_build_prerequisite()
+    if missing is not None:
+        pytest.skip(f"the kernel cannot build here: {missing}")
+    assert native_available(), f"the kernel did not load: {native_module._BACKEND}"
 
 
 def test_compiler_failure_warns_once_with_the_childs_error(tmp_path):
@@ -1236,6 +1274,201 @@ class TestMapCodeKernels:
         seed = data.draw(st.integers(0, (1 << history_bits) - 1), label="seed")
         geometry = Geometry(_SKEW, bits, history_bits, seed, 0, banks)
         _walk_once_against_oracle(data, geometry, UpdatePolicy.PARTIAL, length)
+
+
+# -- the fully-associative LRU walk -----------------------------------------
+
+
+def _lru_check(spec, reference, candidate, expected, misses):
+    """The candidate's walk scored ``misses`` and left the reference's
+    state: the table in LRU order, the lookup counters and the history."""
+    assert misses == expected.mispredictions, spec
+    assert list(candidate.table.items()) == list(reference.table.items())
+    assert (candidate.hits, candidate.misses) == (reference.hits, reference.misses)
+    assert _full_state(candidate) == _full_state(reference)
+
+
+@requires_native
+class TestLruWalk:
+    """``repro_walk_lru`` against the generic interpreter, which is its
+    oracle: the fully-associative table has no Python walk."""
+
+    # Cold and warm tables (a prefix walked generically seeds the
+    # candidate's OrderedDict), warmups straddling the rest, one-entry
+    # tables, 1-bit counters, no history and histories past 32 bits, and
+    # the rest arriving in pieces, each seeded from what the last one
+    # wrote back.
+    @given(
+        data=st.data(),
+        entries=st.sampled_from([1, 2, 5, 64]),
+        history_bits=st.sampled_from([0, 3, 12, 33, 63]),
+        counter_bits=st.sampled_from([1, 2, 3]),
+        trace=trace_strategy(max_length=300),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_traces_match_generic_engine(
+        self, data, entries, history_bits, counter_bits, trace
+    ):
+        # Built directly: a spec's size is a power of two, the
+        # predictor's need not be.
+        spec = (entries, history_bits, counter_bits)
+        reference = FullyAssociativePredictor(*spec)
+        candidate = FullyAssociativePredictor(*spec)
+        cut = data.draw(st.integers(0, len(trace)), label="warm prefix")
+        simulate(reference, trace.slice(0, cut))
+        simulate(candidate, trace.slice(0, cut))
+        rest = trace.slice(cut, len(trace))
+        warmup = data.draw(
+            st.integers(0, rest.conditional_count + 1), label="warmup"
+        )
+        expected = simulate(reference, rest, warmup=warmup)
+        misses, seen = 0, 0
+        for lo, hi in _pieces(len(rest), _split_points(data, len(rest))):
+            piece = rest.slice(lo, hi)
+            result = simulate_native(candidate, piece, warmup=max(0, warmup - seen))
+            assert result.engine == "native"
+            misses += result.mispredictions
+            seen += piece.conditional_count
+        _lru_check(spec, reference, candidate, expected, misses)
+
+    @given(
+        data=st.data(),
+        spec=st.sampled_from(["fa:8:h5", "fa:1:h0", "fa:64:h33:c1"]),
+        trace=trace_strategy(max_length=300),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_served_session_matches_generic_engine(self, data, spec, trace):
+        # A served session: requests of a few events, flushed in batches
+        # through simulate_fast, each batch its own trace.
+        shard = Shard(batch_size=data.draw(st.integers(1, 32), label="batch"))
+        tenant = shard.open("s", spec)
+        sizes = st.lists(st.integers(1, 24), min_size=1, max_size=40)
+        bounds = np.cumsum([0, *data.draw(sizes, label="request sizes")])
+        bounds = [*bounds[bounds < len(trace)].tolist(), len(trace)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            events = EventColumns(
+                trace.pcs[lo:hi], trace.takens[lo:hi], trace.conditionals[lo:hi]
+            )
+            if shard.append("s", events):
+                shard.flush("s")
+        shard.flush("s")
+        reference = make_predictor(spec)
+        expected = simulate(reference, trace)
+        _lru_check(spec, reference, tenant.predictor, expected, tenant.mispredictions)
+
+    def test_simulate_fast_runs_the_lru_table_native(self, small_trace):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            actual = simulate_fast(make_predictor("fa:256:h4"), small_trace)
+        assert actual.engine == "native"
+        assert actual == simulate(make_predictor("fa:256:h4"), small_trace)
+
+    @pytest.mark.parametrize("spec", ["fa:16:h64", "fa:16:h4:c9"])
+    def test_tables_past_the_kernel_run_generic(self, spec, tiny_trace):
+        # A register past 63 bits or counters past a byte.
+        assert not native_supports(make_predictor(spec), tiny_trace)
+        assert simulate_fast(make_predictor(spec), tiny_trace).engine == "generic"
+
+    def test_kernel_refuses_a_table_that_outgrows_its_slots(self):
+        # Two pairs into one slot of a four-entry table: the kernel stops
+        # at the second install and writes nothing back.
+        codes = np.array([0, 1], np.uint32)
+        pcs, takens, conditionals = (
+            np.array([0x40, 0x80], np.uint64), np.ones(2, np.uint8),
+            np.ones(2, np.uint8),
+        )
+        keys, values = np.full((1, 2), 7, np.uint64), np.full(1, 1, np.uint8)
+        counts = np.array([0, 5], np.int64)
+        with pytest.raises(ValueError, match="repro_walk_lru refused"):
+            native_module._walk_lru(
+                codes, pcs, takens, conditionals, 0, 0, 4, 2, 3, keys,
+                values, counts, 0,
+            )
+        assert keys.tolist() == [[7, 7]]
+        assert values.tolist() == [1] and counts.tolist() == [0, 5]
+
+    @pytest.mark.parametrize(
+        "history_bits,entries,max_value,capacity,resident",
+        [
+            (64, 4, 3, 4, 0),  # a register past 63 bits
+            (4, 0, 3, 4, 0),  # an empty table
+            (4, 4, 0, 4, 0),  # no counter values to install
+            (4, 4, 256, 4, 0),  # counters past a byte
+            (4, 4, 3, 4, 5),  # more resident pairs than slots
+        ],
+    )
+    def test_kernel_refuses_malformed_arguments(
+        self, history_bits, entries, max_value, capacity, resident
+    ):
+        ffi, lib = _backend()
+        codes, pcs, takens, conditionals = _one_event()
+        keys = np.zeros((capacity, 2), np.uint64)
+        values = np.zeros(capacity, np.uint8)
+        counts = np.array([resident, 0], np.int64)
+        misses = lib.repro_walk_lru(
+            ffi.from_buffer("uint32_t[]", codes), 1,
+            ffi.from_buffer("uint64_t[]", pcs),
+            ffi.from_buffer("uint8_t[]", takens),
+            ffi.from_buffer("uint8_t[]", conditionals),
+            history_bits, 0, entries, 2, max_value,
+            ffi.from_buffer("uint64_t[]", keys),
+            ffi.from_buffer("uint8_t[]", values), capacity,
+            ffi.from_buffer("int64_t[]", counts), 0,
+        )
+        assert misses == -1
+        assert counts.tolist() == [resident, 0]
+
+    def test_lru_walk_memory_is_the_table_not_the_trace(self):
+        # The slots are the table's (or the resident pairs plus one per
+        # conditional event, when fewer): no per-event array.
+        trace = _long_trace()
+
+        def peak(events):
+            predictor, piece = make_predictor("fa:1k:h8"), trace.head(events)
+            simulate_fast(predictor, trace.head(10))
+            tracemalloc.start()
+            try:
+                result = simulate_fast(predictor, piece)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                assert result.engine == "native"
+
+        short, long = peak(6_000), peak(len(trace))
+        assert long - short < 64 << 10, (short, long)
+
+
+class TestLruWalkChecks:
+    """``_walk_lru``'s refusals before the call (no compiler needed)."""
+
+    def test_code_past_the_table_is_refused(self, monkeypatch):
+        _forbid_kernel(monkeypatch)
+        codes, *table = _one_event()
+        with pytest.raises(ValueError, match="code 1 is past"):
+            native_module._walk_lru(
+                np.array([0, 1], np.uint32), *table, 4, 0, 2, 2, 3,
+                np.zeros((2, 2), np.uint64), np.zeros(2, np.uint8),
+                np.zeros(2, np.int64), 0,
+            )
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 3)])
+    def test_keys_not_a_pair_per_slot_are_refused(self, shape, monkeypatch):
+        _forbid_kernel(monkeypatch)
+        with pytest.raises(ValueError, match="key per LRU slot"):
+            native_module._walk_lru(
+                *_one_event(), 4, 0, 2, 2, 3, np.zeros(shape, np.uint64),
+                np.zeros(2, np.uint8), np.zeros(2, np.int64), 0,
+            )
+
+    def test_wrongly_typed_slots_are_refused(self, monkeypatch):
+        monkeypatch.setattr(
+            native_module, "_BACKEND", (_PassThroughFFI(), _ForbiddenKernel())
+        )
+        with pytest.raises(ValueError, match="needs"):
+            native_module._walk_lru(
+                *_one_event(), 4, 0, 2, 2, 3, np.zeros((2, 2), np.uint64),
+                np.zeros(2, np.int64), np.zeros(2, np.int64), 0,
+            )
 
 
 # -- memory and views ---------------------------------------------------------

@@ -1,6 +1,6 @@
 """Tests for the parallel sweep runner.
 
-The guarantee under test: a parallel sweep produces a SweepResult grid
+The guarantee under test: a threaded sweep produces a SweepResult grid
 *identical* to the serial one — same cell order, same numbers — and the
 ``jobs`` conventions (``REPRO_JOBS`` env default, ``0`` = one per CPU,
 ``1`` = strictly serial) hold.
@@ -9,6 +9,7 @@ The guarantee under test: a parallel sweep produces a SweepResult grid
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,7 +18,6 @@ import repro.sim.parallel as parallel_module
 from repro.sim.config import make_predictor
 from repro.sim.parallel import (
     JOBS_ENV_VAR,
-    _chunk_cells,
     resolve_jobs,
     run_cells,
     simulate_specs,
@@ -58,7 +58,8 @@ class TestRunCells:
             (0, "gskew:3x64:h4:partial"),
             (0, "gskew:3x64:h4:total"),
             (0, "bimodal:128"),
-            (0, "fa:32:h4"),  # generic-engine fallback inside a worker
+            (0, "fa:32:h4"),  # the LRU walk
+            (0, "unaliased:h4"),  # the generic interpreter on a thread
         ]
         serial = run_cells([tiny_trace], cells, jobs=1)
         parallel = run_cells([tiny_trace], cells, jobs=4)
@@ -70,6 +71,27 @@ class TestRunCells:
         results = simulate_specs(tiny_trace, specs, jobs=2)
         assert [r.predictor for r in results] == specs
         assert all(r.trace == tiny_trace.name for r in results)
+
+    def test_cells_run_on_threads_of_this_process(self, tiny_trace, monkeypatch):
+        threads = []
+
+        def recording(predictor, trace, warmup=0, label=None):
+            threads.append((os.getpid(), threading.current_thread()))
+            return simulate_fast(predictor, trace, warmup=warmup, label=label)
+
+        monkeypatch.setattr(parallel_module, "simulate_fast", recording)
+        cells = [(0, spec) for spec in ("bimodal:64", "gshare:64:h3", "fa:16:h3")]
+        run_cells([tiny_trace], cells, jobs=2)
+        assert [pid for pid, _ in threads] == [os.getpid()] * len(cells)
+        assert threading.main_thread() not in {thread for _, thread in threads}
+        threads.clear()
+        run_cells([tiny_trace], cells, jobs=1)
+        assert {thread for _, thread in threads} == {threading.main_thread()}
+
+    def test_a_failing_cell_raises(self, tiny_trace):
+        cells = [(0, "bimodal:64"), (0, "no-such-scheme:64")]
+        with pytest.raises(ValueError):
+            run_cells([tiny_trace], cells, jobs=2)
 
     def test_jobs_zero_clamps_to_cpu_count(self, tiny_trace):
         cells = [(0, "bimodal:64"), (0, "gshare:64:h3")]
@@ -140,10 +162,8 @@ class TestFusedGroupDispatch:
 @pytest.mark.slow
 class TestFuzzParallelDispatch:
     # Differential fuzz over the whole dispatch stack: ad-hoc traces
-    # (shipped through the pool initializer as literal columns, the
-    # non-memoised descriptor path) must produce the same grid under
-    # jobs=2 as under the no-pool serial path.  Few examples: each one
-    # forks a pool.
+    # must produce the same grid under jobs=2, on two threads, as in
+    # the calling thread.
     @given(
         trace=trace_strategy(max_length=60),
         specs=st.lists(
@@ -172,40 +192,17 @@ class TestFuzzParallelDispatch:
         assert parallel == serial
 
 
-class TestChunking:
-    @pytest.mark.parametrize(
-        "cells,jobs", [(1, 4), (5, 2), (16, 3), (7, 16), (40, 4)]
-    )
-    def test_chunks_partition_cells_in_order(self, cells, jobs):
-        inputs = [(0, str(i)) for i in range(cells)]
-        chunks = _chunk_cells(inputs, jobs)
-        assert len(chunks) <= max(1, 2 * jobs)
-        assert all(chunks)  # no empty tasks shipped to workers
-        assert [cell for chunk in chunks for cell in chunk] == inputs
-
-    def test_chunk_count_bounded_by_workers_not_grid(self):
-        chunks = _chunk_cells([(0, str(i)) for i in range(500)], jobs=2)
-        assert len(chunks) == 4
-
-
 class TestOversubscriptionWarning:
-    @pytest.fixture(autouse=True)
-    def _reset_latch(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel_module, "_WARNED_OVERSUBSCRIBED", False
-        )
+    """Threads pay no IPC, so a pool past the CPU count costs little:
+    no run warns."""
 
-    def test_warns_once_when_jobs_exceed_cpus(self, tiny_trace):
-        jobs = (os.cpu_count() or 1) + 1
-        cells = [(0, "bimodal:64"), (0, "gshare:64:h3")]
-        with pytest.warns(RuntimeWarning, match="exceeds"):
-            run_cells([tiny_trace], cells, jobs=jobs)
-        # The latch suppresses repeats for the rest of the process.
+    def test_threads_past_the_cpu_count_do_not_warn(self, tiny_trace):
         import warnings
 
+        cells = [(0, "bimodal:64"), (0, "gshare:64:h3")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run_cells([tiny_trace], cells, jobs=jobs)
+            run_cells([tiny_trace], cells, jobs=(os.cpu_count() or 1) + 1)
 
     def test_serial_run_never_warns(self, tiny_trace):
         import warnings

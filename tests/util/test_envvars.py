@@ -31,10 +31,10 @@ class TestAccessors:
         assert envvars.JOBS.int_value(1) == 1
 
     def test_float_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "2.5")
-        assert envvars.CELL_TIMEOUT.float_value() == 2.5
-        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "soon")
-        assert envvars.CELL_TIMEOUT.float_value(300.0) == 300.0
+        monkeypatch.setenv("REPRO_SERVING_LINGER_MS", "2.5")
+        assert envvars.SERVING_LINGER_MS.float_value() == 2.5
+        monkeypatch.setenv("REPRO_SERVING_LINGER_MS", "soon")
+        assert envvars.SERVING_LINGER_MS.float_value(5.0) == 5.0
 
     def test_disabled_accepts_documented_off_values(self, monkeypatch):
         for value in ("0", "off", "NONE", " Disabled "):
