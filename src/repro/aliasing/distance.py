@@ -16,9 +16,11 @@ a reference hits an N-entry LRU table iff ``D < N``, which is how
 :mod:`repro.aliasing.three_cs` can derive capacity-aliasing curves for
 *all* table sizes from a single trace pass.
 
-For whole-trace work the streaming tracker is superseded by the offline
-numpy engine (:func:`repro.traces.pairs.last_use_distances`), which
-produces the identical distance profile an order of magnitude faster;
+For whole-trace work the streaming tracker is superseded by the pair
+pass (:func:`repro.traces.pairs.pair_pass`: the same Fenwick tree over
+positions in the C kernel, or the offline numpy merge-counting of
+:func:`repro.traces.pairs.last_use_distances`), which produces the
+identical distance profile an order of magnitude faster;
 :func:`distance_histogram` (re-exported from :mod:`repro.traces.pairs`)
 buckets its ``-1``-marked integer arrays without a Python-level loop.
 The tracker stays as the per-reference oracle.

@@ -13,8 +13,8 @@ Mirrors Hill's cache-miss taxonomy:
 tagged tables under the gshare and gselect index functions, and a
 fully-associative LRU tag store — over a trace in a single pass and
 returns the decomposition (the data behind Figures 1 and 2).  It
-dispatches to the numpy engine in :mod:`repro.aliasing.vectorized` by
-default (bit-identical, an order of magnitude faster); the
+dispatches to the one-pass engine in :mod:`repro.aliasing.vectorized`
+by default (bit-identical, one C or numpy pass over the trace); the
 per-reference tables remain available as
 :func:`measure_aliasing_reference` and serve as the equivalence oracle.
 """
@@ -119,7 +119,7 @@ def measure_aliasing(
     not depend on the index function).
 
     ``engine`` selects the implementation: ``"vectorized"`` runs the
-    numpy engine (:mod:`repro.aliasing.vectorized`), ``"reference"`` the
+    one-pass engine (:mod:`repro.aliasing.vectorized`), ``"reference"`` the
     per-reference tables, and ``"auto"`` (the default) the vectorized
     engine whenever it supports the history length.  Both produce
     bit-identical breakdowns; sweeps over many sizes should call

@@ -1,28 +1,22 @@
-"""One-pass vectorized 3Cs aliasing engine.
+"""One-pass 3Cs aliasing engine.
 
 The reference instruments in :mod:`repro.aliasing.three_cs` walk the
 (address, history) pair stream one reference at a time — an
 ``OrderedDict`` LRU for the fully-associative floor and a Python list of
 tags per direct-mapped table — and a Figure-1-style size sweep re-walks
 the whole trace once per table size.  This module computes the same
-numbers from whole-trace numpy arrays:
+numbers from one whole-trace pass, :func:`repro.traces.pairs.pair_pass`
+(the C kernel's ``repro_pair_pass`` where it built, numpy otherwise):
 
-1. **pair stream** — the conditional events' word addresses and
-   histories, factorised into dense integer keys, come from
-   :mod:`repro.traces.pairs` (:func:`pair_columns`, :func:`pair_keys`;
-   re-exported here);
-2. **stack distances** — the last-use distance of every reference (the
-   number of *distinct* pairs since its previous occurrence) comes for
-   the whole stream at once from :func:`last_use_distances`, the same
-   module's offline merge-counting pass;
-3. **fully-associative LRU, all sizes at once** — an N-entry LRU table
-   hits a reference iff its distance is < N, so the miss counts of
-   *every* table size in a sweep fall out of one sorted-distance array
-   via ``searchsorted`` (O(1) per size after the single pass);
-4. **direct-mapped tagged tables** — for each index function the
-   previous occupant of every entry is recovered with one stable argsort
-   per (scheme, size): group accesses by index, compare each key with
-   its predecessor in the group.
+1. **stack distances** — the last-use distance of every reference (the
+   number of *distinct* pairs since its previous occurrence);
+2. **fully-associative LRU, all sizes at once** — an N-entry LRU table
+   hits a reference iff its distance is < N, so the capacity misses of
+   *every* table size in a sweep are a count over the one distance
+   array; the compulsory misses are the distinct pairs;
+3. **direct-mapped tagged tables** — every (scheme, size) table's misses
+   are counted in the same pass, the tables indexed as
+   :func:`scheme_indices` indexes them.
 
 :func:`measure_aliasing_sweep` returns breakdowns **bit-identical** to
 the reference implementation (integer counts equal, hence the derived
@@ -38,7 +32,7 @@ path for those.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -49,6 +43,8 @@ from repro.traces.pairs import (
     pair_columns,
     pair_keys,
     pair_last_use_distances,
+    pair_pass,
+    scheme_indices,
 )
 from repro.traces.trace import Trace
 
@@ -69,82 +65,6 @@ def supports(history_bits: int) -> bool:
     return 0 <= history_bits <= _MAX_HISTORY_BITS
 
 
-def scheme_indices(
-    scheme: str,
-    words: np.ndarray,
-    histories: np.ndarray,
-    index_bits: int,
-    history_bits: int,
-) -> np.ndarray:
-    """Whole-stream table indices under a scheme's index function.
-
-    Mirrors :func:`repro.aliasing.three_cs.pair_index_fn` element by
-    element (gshare footnote-1 alignment and history folding included).
-    """
-    mask = np.uint64((1 << index_bits) - 1)
-    if scheme == "bimodal" or history_bits == 0:
-        if scheme not in ("bimodal", "gshare", "gselect"):
-            raise ValueError(
-                f"unknown scheme {scheme!r}; "
-                "expected gshare, gselect or bimodal"
-            )
-        return words & mask
-    if scheme == "gshare":
-        if index_bits == 0:
-            return np.zeros(len(words), dtype=np.uint64)
-        pc = words & mask
-        if history_bits <= index_bits:
-            shifted = histories << np.uint64(index_bits - history_bits)
-            return pc ^ (shifted & mask)
-        folded = np.zeros_like(histories)
-        h = histories & np.uint64((1 << history_bits) - 1)
-        shift = np.uint64(index_bits)
-        while h.any():
-            folded ^= h & mask
-            h = h >> shift
-        return pc ^ folded
-    if scheme == "gselect":
-        if history_bits >= index_bits:
-            return histories & mask
-        address_part = words & np.uint64((1 << (index_bits - history_bits)) - 1)
-        history_part = histories & np.uint64((1 << history_bits) - 1)
-        return (address_part << np.uint64(history_bits)) | history_part
-    raise ValueError(
-        f"unknown scheme {scheme!r}; expected gshare, gselect or bimodal"
-    )
-
-
-def _direct_mapped_misses(
-    indices: np.ndarray, keys: np.ndarray
-) -> Tuple[int, int]:
-    """(misses, cold misses) of a tagged direct-mapped table.
-
-    Every access writes its key, so the occupant a reference finds is
-    the key of the previous access to the same entry: group by index
-    with one stable sort, then a reference misses iff it opens its group
-    (cold) or differs from its in-group predecessor.
-    """
-    n = len(keys)
-    if n == 0:
-        return 0, 0
-    # Stable sorts of small unsigned ints hit numpy's radix path, which
-    # is several times faster than comparison sorting the uint64 view.
-    if int(indices.max()) < (1 << 16):
-        indices = indices.astype(np.uint16)
-    order = np.argsort(indices, kind="stable")
-    sorted_indices = indices[order]
-    sorted_keys = keys[order]
-    opens_group = np.empty(n, dtype=bool)
-    opens_group[0] = True
-    opens_group[1:] = sorted_indices[1:] != sorted_indices[:-1]
-    changed = np.empty(n, dtype=bool)
-    changed[0] = True
-    changed[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    cold = int(opens_group.sum())
-    misses = int((opens_group | changed).sum())
-    return misses, cold
-
-
 def _validated_index_bits(entries: int) -> int:
     """Entry count -> index width, with the reference's validation."""
     if entries < 1:
@@ -163,44 +83,39 @@ def measure_aliasing_sweep(
 ) -> Dict[int, Dict[str, AliasingBreakdown]]:
     """3Cs breakdowns for *every* size in a sweep from one trace pass.
 
-    The pair stream, key factorisation and stack distances are computed
-    once; each additional size costs two ``searchsorted`` probes (the
-    fully-associative counts) plus one argsort per scheme (the
-    direct-mapped pass).  Returns ``{entries: {scheme: breakdown}}``,
-    bit-identical to calling the reference
-    :func:`repro.aliasing.three_cs.measure_aliasing` per size.
+    One :func:`repro.traces.pairs.pair_pass` yields the stack distances
+    and every (scheme, size) table's misses; each size's fully-associative
+    counts are then one count over the distances.  Returns
+    ``{entries: {scheme: breakdown}}``, bit-identical to calling the
+    reference :func:`repro.aliasing.three_cs.measure_aliasing` per size.
     """
     index_bits = {entries: _validated_index_bits(entries) for entries in sizes}
-    words, histories = pair_columns(trace, history_bits)
-    keys = pair_keys(words, histories, history_bits)
-    distances = last_use_distances(keys)
-    finite = np.sort(distances[distances >= 0])
-    accesses = len(keys)
-    compulsory_misses = accesses - len(finite)
-    compulsory = compulsory_misses / accesses if accesses else 0.0
+    measured = pair_pass(
+        trace,
+        history_bits,
+        [(scheme, index_bits[entries]) for entries in sizes for scheme in schemes],
+    )
+    distances = measured.distances
+    accesses = len(distances)
+    compulsory = measured.pairs / accesses if accesses else 0.0
+    misses = iter(measured.misses)
 
     sweep: Dict[int, Dict[str, AliasingBreakdown]] = {}
     for entries in sizes:
-        capacity_misses = len(finite) - int(
-            np.searchsorted(finite, entries, side="left")
-        )
+        capacity_misses = int(np.count_nonzero(distances >= entries))
         capacity = capacity_misses / accesses if accesses else 0.0
-        per_scheme: Dict[str, AliasingBreakdown] = {}
-        for scheme in schemes:
-            indices = scheme_indices(
-                scheme, words, histories, index_bits[entries], history_bits
-            )
-            misses, _ = _direct_mapped_misses(indices, keys)
-            per_scheme[scheme] = AliasingBreakdown(
+        sweep[entries] = {
+            scheme: AliasingBreakdown(
                 scheme=scheme,
                 entries=entries,
                 history_bits=history_bits,
                 accesses=accesses,
-                total=misses / accesses if accesses else 0.0,
+                total=next(misses) / accesses if accesses else 0.0,
                 compulsory=compulsory,
                 capacity=capacity,
             )
-        sweep[entries] = per_scheme
+            for scheme in schemes
+        }
     return sweep
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from repro.aliasing.opt_table import simulate_opt
 from repro.experiments.common import load_benchmarks
 from repro.experiments.report import format_series
-from repro.traces.pairs import last_use_distances, pair_columns, pair_keys
+from repro.traces.pairs import pair_pass
 
 __all__ = ["OptVsLruResult", "run", "render"]
 
@@ -45,15 +45,14 @@ def run(
     traces = load_benchmarks(benchmarks, scale)
     curves: Dict[str, Dict[str, List[float]]] = {}
     for trace in traces:
-        keys = pair_keys(*pair_columns(trace, history_bits), history_bits)
-        distances = last_use_distances(keys)
-        opt_keys = keys.tolist()
+        ids, distances, _, _ = pair_pass(trace, history_bits)
+        opt_keys = ids.tolist()
         lru_ratios: List[float] = []
         opt_ratios: List[float] = []
         for entries in sizes:
             # An N-entry LRU table misses first uses and distances >= N.
             misses = np.count_nonzero((distances < 0) | (distances >= entries))
-            lru_ratios.append(int(misses) / len(keys) if len(keys) else 0.0)
+            lru_ratios.append(int(misses) / len(ids) if len(ids) else 0.0)
             opt_ratios.append(simulate_opt(opt_keys, entries).miss_ratio)
         curves[trace.name] = {"lru": lru_ratios, "opt": opt_ratios}
     return OptVsLruResult(

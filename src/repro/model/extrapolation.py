@@ -19,13 +19,15 @@ asserts exactly that relationship.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from repro.aliasing.distance import LastUseDistanceTracker
 from repro.aliasing.three_cs import pair_stream
 from repro.aliasing.vectorized import supports
 from repro.model.analytical import aliasing_probability
-from repro.traces.pairs import pair_last_use_distances
+from repro.traces.pairs import pair_pass
 from repro.traces.stats import bias_density
 from repro.traces.trace import Trace
 
@@ -53,23 +55,28 @@ class ExtrapolationResult:
         return self.aliasing_overhead + self.unaliased_rate
 
 
-def collect_distances(
-    trace: Trace, history_bits: int
-) -> List[Optional[int]]:
+def collect_distances(trace: Trace, history_bits: int) -> np.ndarray:
     """Last-use distance of every dynamic (address, history) reference.
 
-    ``None`` marks first encounters.  Distances depend only on the trace
-    and the history length, so experiment code computes them once and
-    reuses them across all table sizes.  Runs on the vectorized engine
-    (:func:`repro.traces.pairs.pair_last_use_distances`) when it
-    supports the history length, falling back to the streaming Fenwick
-    tracker otherwise; both yield the identical profile.
+    An ``int32`` array with one entry per conditional branch, ``-1``
+    marking first encounters.  Distances depend only on the trace and
+    the history length, so experiment code computes them once and reuses
+    them across all table sizes.  Comes from the one pair pass
+    (:func:`repro.traces.pairs.pair_pass`) when it supports the history
+    length, and from the streaming Fenwick tracker otherwise; both
+    yield the identical profile.
     """
     if supports(history_bits):
-        distances = pair_last_use_distances(trace, history_bits)
-        return [None if d < 0 else d for d in distances.tolist()]
+        return pair_pass(trace, history_bits).distances
     tracker = LastUseDistanceTracker(capacity=max(1, len(trace)))
-    return [tracker.reference(pair) for pair in pair_stream(trace, history_bits)]
+    distances = (
+        tracker.reference(pair) for pair in pair_stream(trace, history_bits)
+    )
+    return np.fromiter(
+        (-1 if d is None else d for d in distances),
+        dtype=np.int32,
+        count=trace.conditional_count,
+    )
 
 
 def extrapolate_gskew(
@@ -78,7 +85,7 @@ def extrapolate_gskew(
     bank_entries: int,
     banks: int = 3,
     unaliased_rate: float = 0.0,
-    distances: Optional[Sequence[Optional[int]]] = None,
+    distances: Optional[np.ndarray] = None,
     bias: Optional[float] = None,
 ) -> ExtrapolationResult:
     """Apply the analytical model to one gskew configuration.
@@ -91,8 +98,9 @@ def extrapolate_gskew(
             other counts use the generalisation).
         unaliased_rate: the Table 2 misprediction rate to add (1-bit
             counters to match the model's assumptions).
-        distances: precomputed :func:`collect_distances` output
-            (recomputed if omitted).
+        distances: precomputed :func:`collect_distances` output, an
+            integer array with -1 on first encounters (recomputed if
+            omitted).
         bias: precomputed static taken-bias density (measured from the
             trace if omitted).
     """
@@ -101,19 +109,12 @@ def extrapolate_gskew(
     if bias is None:
         bias = bias_density(trace, history_bits)["static_taken_bias"]
 
-    if not distances:
+    if len(distances) == 0:
         overhead = 0.0
     elif banks == 3:
         # Vectorised formulas (1) + (3); first encounters get p = 1.
-        import numpy as np
-
-        raw = np.fromiter(
-            (-1 if d is None else d for d in distances),
-            dtype=np.int64,
-            count=len(distances),
-        )
-        first = raw < 0
-        p = 1.0 - (1.0 - 1.0 / bank_entries) ** raw.clip(min=0)
+        first = distances < 0
+        p = 1.0 - (1.0 - 1.0 / bank_entries) ** distances.clip(min=0)
         p = np.where(first, 1.0, p)
         b = bias
         q = 1.0 - b
@@ -128,8 +129,10 @@ def extrapolate_gskew(
         from repro.model.analytical import p_sk_multibank
 
         total = 0.0
-        for distance in distances:
-            p_scalar = aliasing_probability(distance, bank_entries)
+        for distance in distances.tolist():
+            p_scalar = aliasing_probability(
+                None if distance < 0 else distance, bank_entries
+            )
             total += p_sk_multibank(p_scalar, bias, banks)
         overhead = total / len(distances)
     return ExtrapolationResult(

@@ -26,6 +26,9 @@
  *                     table that latches on a slot's first execution;
  *   repro_walk_lru    an N-entry fully-associative table tagged with
  *                     the (address, history) pair, replaced LRU;
+ *   repro_pair_pass   the (address, history) pair stream's ids and
+ *                     last-use distances, and tagged direct-mapped
+ *                     tables' misses, for the 3Cs split and the model;
  *   repro_run_program the synthetic trace generator's program runner;
  *   repro_random_block blocks of random.Random.random() for its
  *                     scheduler;
@@ -572,15 +575,20 @@ typedef struct {
     int32_t sentinel; /* its newer slot is the LRU pair, its older the MRU */
 } repro_lru;
 
-static inline int32_t *repro_lru_bucket(const repro_lru *t, uint64_t word,
-                                        uint64_t history)
+/* splitmix64's finaliser over a (word, history) pair. */
+static inline uint64_t repro_pair_hash(uint64_t word, uint64_t history)
 {
-    /* splitmix64's finaliser over the pair. */
     uint64_t z = word * UINT64_C(0x9E3779B97F4A7C15) + history;
 
     z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
-    return t->buckets + ((z ^ (z >> 31)) & t->bucket_mask);
+    return z ^ (z >> 31);
+}
+
+static inline int32_t *repro_lru_bucket(const repro_lru *t, uint64_t word,
+                                        uint64_t history)
+{
+    return t->buckets + (repro_pair_hash(word, history) & t->bucket_mask);
 }
 
 /* Thread slot s in as the MRU pair. */
@@ -709,6 +717,226 @@ int64_t repro_walk_lru(const uint32_t *codes, int64_t n, const uint64_t *pcs,
     counts[1] = lookups_missed;
     free(t.slots);
     return misses;
+}
+
+/* ---- The (address, history) pair pass --------------------------------
+ *
+ * repro_pair_pass walks the trace's conditional events once for one
+ * history length (the register seeded empty, as repro.traces.pairs
+ * forms the substream) and writes, for the k-th of them:
+ *
+ *   ids[k]        the dense id of its (word address, history) pair,
+ *                 the pairs numbered in order of first use;
+ *   distances[k]  its last-use distance: the number of distinct pairs
+ *                 referenced since the pair's previous use, or -1 on
+ *                 its first use (repro.aliasing.distance.
+ *                 LastUseDistanceTracker).
+ *
+ * The distances come from a Fenwick tree over the events' positions
+ * that holds one mark at each pair's latest use.  Every mark lies
+ * before the current position, so a reference's distance is the number
+ * of pairs seen minus the marks at or before its pair's previous use;
+ * the mark then moves to the current position.  O(log n) per event,
+ * one int32 per event.  The pairs sit in an open-addressed hash table
+ * that doubles as it fills: memory is the outputs and the tree, plus
+ * the distinct pairs.
+ *
+ * In the same pass it counts the misses of `tables` tagged
+ * direct-mapped tables (repro.aliasing.tagged_table), table t indexed
+ * under schemes[t] (bimodal, gshare or gselect, as repro_walk indexes
+ * them) with bits[t] index bits.  Each holds one uint32 tag per entry,
+ * the id + 1 of the pair that wrote it last (0: empty); a reference
+ * misses when its entry holds another tag, and writes its own.
+ * misses[t] returns the count.
+ *
+ * `count` is the room in ids and distances.  Returns the number of
+ * distinct pairs; -1 for unsupported arguments or more conditional
+ * events than `count`, -2 for a failed allocation (the outputs are then
+ * partly written).
+ */
+
+typedef struct {
+    uint64_t word, history;
+    int32_t last; /* the position of the pair's latest use */
+} repro_pair;
+
+typedef struct {
+    repro_pair *pairs;
+    int32_t *slots; /* a pair id, or -1 */
+    int64_t size, room;
+    uint64_t slot_mask;
+} repro_pairs;
+
+/* Double the slots and re-hash every pair into them. */
+static int32_t repro_pairs_rehash(repro_pairs *p)
+{
+    uint64_t mask = 2 * p->slot_mask + 1;
+    int32_t *slots = malloc((size_t)(mask + 1) * sizeof(int32_t));
+    int64_t id;
+
+    if (slots == NULL)
+        return -1;
+    memset(slots, 0xff, (size_t)(mask + 1) * sizeof(int32_t));
+    for (id = 0; id < p->size; id++) {
+        uint64_t i = repro_pair_hash(p->pairs[id].word,
+                                     p->pairs[id].history) & mask;
+
+        while (slots[i] >= 0)
+            i = (i + 1) & mask;
+        slots[i] = (int32_t)id;
+    }
+    free(p->slots);
+    p->slots = slots;
+    p->slot_mask = mask;
+    return 0;
+}
+
+/* The id of a pair, a new one on its first use; -1 if out of memory. */
+static inline int64_t repro_pairs_id(repro_pairs *p, uint64_t word,
+                                     uint64_t history)
+{
+    uint64_t i = repro_pair_hash(word, history) & p->slot_mask;
+    int32_t id;
+
+    while ((id = p->slots[i]) >= 0) {
+        if (p->pairs[id].word == word && p->pairs[id].history == history)
+            return id;
+        i = (i + 1) & p->slot_mask;
+    }
+    if (p->size == p->room) {
+        repro_pair *pairs = realloc(p->pairs, (size_t)(2 * p->room)
+                                                  * sizeof(repro_pair));
+
+        if (pairs == NULL)
+            return -1;
+        p->pairs = pairs;
+        p->room *= 2;
+    }
+    id = (int32_t)p->size++;
+    p->pairs[id].word = word;
+    p->pairs[id].history = history;
+    p->pairs[id].last = -1;
+    p->slots[i] = id;
+    if ((uint64_t)p->size * 2 > p->slot_mask && repro_pairs_rehash(p) < 0)
+        return -1;
+    return id;
+}
+
+/* Add delta at 0-based position of a Fenwick tree over `size` slots. */
+static inline void repro_fenwick_add(int32_t *tree, int64_t size,
+                                     int64_t position, int32_t delta)
+{
+    int64_t i;
+
+    for (i = position + 1; i <= size; i += i & -i)
+        tree[i] += delta;
+}
+
+/* The sum over 0-based positions [0, position]. */
+static inline int64_t repro_fenwick_prefix(const int32_t *tree,
+                                           int64_t position)
+{
+    int64_t i, sum = 0;
+
+    for (i = position + 1; i > 0; i -= i & -i)
+        sum += tree[i];
+    return sum;
+}
+
+int64_t repro_pair_pass(const uint32_t *codes, int64_t n, const uint64_t *pcs,
+                        const uint8_t *takens, const uint8_t *conditionals,
+                        int32_t history_bits, uint32_t *ids,
+                        int32_t *distances, int64_t count, int32_t tables,
+                        const int32_t *schemes, const int32_t *bits,
+                        int64_t *misses)
+{
+    uint64_t block_words[REPRO_BLOCK];
+    uint64_t after[REPRO_BLOCK];
+    uint32_t indices[REPRO_BLOCK];
+    uint64_t history = 0, history_mask = repro_mask(history_bits);
+    uint64_t entries = 0;
+    int64_t seen = 0, start, k, result = -2;
+    int32_t t, *tree = NULL;
+    uint32_t *tags = NULL;
+    repro_pairs p = {NULL, NULL, 0, 1024, 2047};
+
+    if (history_bits < 0 || history_bits > REPRO_MAX_HISTORY_BITS
+        || count < 0 || count >= INT32_MAX || tables < 0)
+        return -1;
+    for (t = 0; t < tables; t++) {
+        if (schemes[t] < REPRO_SCHEME_BIMODAL
+            || schemes[t] > REPRO_SCHEME_GSELECT || bits[t] < 0
+            || bits[t] > REPRO_MAX_INDEX_BITS)
+            return -1;
+        entries += UINT64_C(1) << bits[t];
+        misses[t] = 0;
+    }
+    if (entries > SIZE_MAX / sizeof(uint32_t))
+        return -2;
+    tree = calloc((size_t)count + 1, sizeof(int32_t));
+    tags = calloc((size_t)entries + 1, sizeof(uint32_t));
+    p.pairs = malloc((size_t)p.room * sizeof(repro_pair));
+    p.slots = malloc((size_t)(p.slot_mask + 1) * sizeof(int32_t));
+    if (tree == NULL || tags == NULL || p.pairs == NULL || p.slots == NULL)
+        goto done;
+    memset(p.slots, 0xff, (size_t)(p.slot_mask + 1) * sizeof(int32_t));
+
+    for (start = 0; start < n; start += REPRO_BLOCK) {
+        int64_t stop = n - start > REPRO_BLOCK ? start + REPRO_BLOCK : n;
+        int64_t m = repro_gather(codes, pcs, takens, conditionals, start,
+                                 stop, &history, block_words, after);
+        uint32_t *tag = tags;
+
+        if (m > count - seen) {
+            result = -1;
+            goto done;
+        }
+        for (k = 0; k < m; k++) {
+            int64_t position = seen + k;
+            int64_t id = repro_pairs_id(&p, block_words[k],
+                                        repro_history(after, k, history_mask));
+            int32_t last;
+
+            if (id < 0)
+                goto done;
+            last = p.pairs[id].last;
+            if (last >= 0) {
+                /* Each pair seen holds one mark, this one's at `last`. */
+                distances[position] = (int32_t)(
+                    p.size - repro_fenwick_prefix(tree, last));
+                repro_fenwick_add(tree, count, last, -1);
+            } else {
+                distances[position] = -1;
+            }
+            repro_fenwick_add(tree, count, position, 1);
+            p.pairs[id].last = (int32_t)position;
+            ids[position] = (uint32_t)id;
+        }
+        for (t = 0; t < tables; t++) {
+            const uint32_t *block_ids = ids + seen;
+            int64_t missed = 0;
+
+            repro_indices(block_words, after, m, schemes[t], 1, bits[t],
+                          history_bits, 0, indices);
+            for (k = 0; k < m; k++) {
+                uint32_t want = block_ids[k] + 1;
+
+                missed += tag[indices[k]] != want;
+                tag[indices[k]] = want;
+            }
+            misses[t] += missed;
+            tag += (size_t)1 << bits[t];
+        }
+        seen += m;
+    }
+    result = p.size;
+
+done:
+    free(tree);
+    free(tags);
+    free(p.pairs);
+    free(p.slots);
+    return result;
 }
 
 /* ---- The synthetic-program runner -------------------------------------

@@ -24,7 +24,13 @@ A third walk, ``repro_walk_lru``, runs the fully-associative LRU table
 Python twin: without a compiler the table runs on the generic
 interpreter, which is also its oracle.
 
-All three read each event's code, then its row of the event table (a
+A fourth, ``repro_pair_pass`` (:func:`pair_pass_native`), simulates no
+predictor: it measures the (address, history) pair stream for
+:func:`repro.traces.pairs.pair_pass` — each reference's dense pair id
+and last-use distance, and the misses of the 3Cs instruments' tagged
+direct-mapped tables — whose numpy passes are its no-compiler twin.
+
+All four read each event's code, then its row of the event table (a
 few thousand rows, which stay in cache), so a walk streams 4 bytes per
 event from memory where four raw columns would stream 10.  They compute
 every conditional event's table indices (or LRU keys) inside the walk,
@@ -109,7 +115,7 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,6 +125,10 @@ from repro.predictors.base import BranchPredictor
 from repro.sim.metrics import SimulationResult
 from repro.sim.profile import NULL_STAGE_TIMER, StageTimer
 from repro.sim.vectorized import (
+    _BIMODAL,
+    _GSELECT,
+    _GSHARE,
+    _MAX_INDEX_BITS,
     Geometry,
     WalkBackend,
     WalkInterrupted,
@@ -129,7 +139,7 @@ from repro.sim.vectorized import (
     simulate_walk,
     supports,
 )
-from repro.traces.pairs import _MAX_HISTORY_BITS
+from repro.traces.pairs import _MAX_HISTORY_BITS, PairPass
 from repro.traces.synthetic.cfg import _check_program, _Compiled
 from repro.traces.trace import Trace
 from repro.util import envvars
@@ -138,6 +148,7 @@ __all__ = [
     "build_program_native",
     "native_available",
     "native_supports",
+    "pair_pass_native",
     "random_block_native",
     "run_program_native",
     "simulate_native",
@@ -173,6 +184,12 @@ int64_t repro_walk_lru(const uint32_t *codes, int64_t n, const uint64_t *pcs,
                        int64_t entries, int64_t threshold, int64_t max_value,
                        uint64_t *keys, uint8_t *values, int64_t capacity,
                        int64_t *counts, int64_t warmup);
+int64_t repro_pair_pass(const uint32_t *codes, int64_t n, const uint64_t *pcs,
+                        const uint8_t *takens, const uint8_t *conditionals,
+                        int32_t history_bits, uint32_t *ids,
+                        int32_t *distances, int64_t count, int32_t tables,
+                        const int32_t *schemes, const int32_t *bits,
+                        int64_t *misses);
 int64_t repro_run_program(const int32_t *nodes, const int32_t *procedures,
                           const int32_t *kinds, const int64_t *ints,
                           const double *floats, int32_t behavior_count,
@@ -365,11 +382,17 @@ def native_supports(predictor: BranchPredictor, trace: Trace) -> bool:
 
     Every index-expressible spec — whatever :func:`repro.sim.vectorized.
     supports` takes — and the fully-associative LRU table, once the
-    backend built.
+    backend built.  The LRU walk copies the resident pairs in and out
+    on every call, so it takes a batch only when the batch has at least
+    as many conditional events as the table has resident pairs; a
+    shorter one (a served session's flush on a warm table) runs faster
+    on the generic interpreter, with the same result.
     """
-    return (
-        supports(predictor, trace) or _lru_supports(predictor)
-    ) and native_available()
+    lru = (
+        _lru_supports(predictor)
+        and trace.conditional_count >= len(predictor.table)
+    )
+    return (supports(predictor, trace) or lru) and native_available()
 
 
 def _checked_backend():
@@ -578,6 +601,68 @@ def _simulate_lru(
         predictor.misses += lookups_missed
         history.value = _final_history(trace, history.bits, history.value)
     return _walk_result(predictor, trace, warmup, label, misses, "native")
+
+
+#: ``repro_pair_pass``'s scheme codes: the walks' own.
+_PAIR_SCHEMES = {"bimodal": _BIMODAL, "gshare": _GSHARE, "gselect": _GSELECT}
+
+
+def pair_pass_native(
+    trace: Trace, history_bits: int, tables: Sequence[Tuple[str, int]] = ()
+) -> PairPass:
+    """``repro_pair_pass``: :func:`repro.traces.pairs.pair_pass` in one C
+    walk over the trace's codes and event table.
+
+    Its memory is the outputs (a ``uint32`` id and an ``int32`` distance
+    per conditional event), the kernel's Fenwick tree (an ``int32`` per
+    conditional event, freed on return), its hash table of the distinct
+    pairs and one ``uint32`` tag per table entry.
+
+    Raises:
+        RuntimeError: if the backend did not build.
+        ValueError: checked before the call: on codes
+            :func:`repro.sim.vectorized._check_events` refuses, a history
+            length outside ``[0, 63]``, a scheme other than bimodal,
+            gshare or gselect, index bits outside ``[0, 32]``, or more
+            conditional events than an ``int32`` position holds.
+        MemoryError: if the kernel cannot allocate its tables.
+    """
+    ffi, lib = _checked_backend()
+    codes, (pcs, takens, conditionals) = trace.codes, trace.table[:3]
+    _check_events(codes, pcs, takens, conditionals)
+    if not 0 <= history_bits <= _MAX_HISTORY_BITS:
+        raise ValueError(f"history bits must be in [0, {_MAX_HISTORY_BITS}]")
+    for scheme, bits in tables:
+        if scheme not in _PAIR_SCHEMES:
+            raise ValueError(f"repro_pair_pass has no {scheme!r} tables")
+        if not 0 <= bits <= _MAX_INDEX_BITS:
+            raise ValueError(f"index bits must be in [0, {_MAX_INDEX_BITS}]")
+    count = trace.conditional_count
+    if count >= np.iinfo(np.int32).max:
+        raise ValueError(f"{count} conditional events overflow an int32 position")
+    ids = np.empty(count, dtype=np.uint32)
+    distances = np.empty(count, dtype=np.int32)
+    misses = np.zeros(len(tables), dtype=np.int64)
+    pairs = lib.repro_pair_pass(
+        *_trace_buffers(ffi, codes, pcs, takens, conditionals),
+        history_bits,
+        _buffer(ffi, "uint32_t[]", ids),
+        _buffer(ffi, "int32_t[]", distances),
+        count,
+        len(tables),
+        _buffer(ffi, "int32_t[]", np.array(
+            [_PAIR_SCHEMES[scheme] for scheme, _ in tables], dtype=np.int32
+        )),
+        _buffer(ffi, "int32_t[]", np.array(
+            [bits for _, bits in tables], dtype=np.int32
+        )),
+        _buffer(ffi, "int64_t[]", misses),
+    )
+    if pairs == -2:
+        raise MemoryError("repro_pair_pass could not allocate its tables")
+    if pairs < 0:
+        raise ValueError("repro_pair_pass refused its arguments")
+    return PairPass(ids, distances, pairs, tuple(misses.tolist()))
 
 
 def run_program_native(

@@ -11,30 +11,50 @@ events' pairs, one comparable key each), :func:`last_use_distances`
 (every reference's LRU stack distance, by an offline merge-counting
 pass) and :func:`distance_histogram`.  Histories longer than 63 bits do
 not fit the uint64 register and are refused.  The per-reference oracle
-is :func:`repro.aliasing.three_cs.pair_stream`.  Only numpy and
-:mod:`repro.traces.trace` are imported, so the traces layer reads the
-substream without importing the layers above it.
+is :func:`repro.aliasing.three_cs.pair_stream`.
+
+:func:`pair_pass` is the whole-trace measurement the instruments share:
+each reference's dense pair id and last-use distance, plus the miss
+counts of tagged direct-mapped tables under the 3Cs index functions
+(:func:`scheme_indices`).  It runs the C kernel's ``repro_pair_pass``
+(:func:`repro.sim.native.pair_pass_native`, about 12 bytes per
+conditional event) when the kernel built, and otherwise the numpy
+merge-counting and sorting here, which give the same arrays.  Only
+numpy and :mod:`repro.traces.trace` are imported at module level, so
+the traces layer reads the substream without importing the layers above
+it; the kernel is imported when a pass runs.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.traces.trace import Trace
 
 __all__ = [
+    "PairPass",
     "history_stream",
     "pair_columns",
     "pair_keys",
     "last_use_distances",
     "pair_last_use_distances",
+    "pair_pass",
+    "scheme_indices",
     "distance_histogram",
 ]
 
 #: history lengths must fit a uint64 shift register
 _MAX_HISTORY_BITS = 63
+
+#: The direct-mapped instruments' index schemes.
+_SCHEMES = ("bimodal", "gshare", "gselect")
+
+#: The kernel's reach: uint32 table indices, and ids and positions that
+#: fit an int32.
+_MAX_KERNEL_INDEX_BITS = 32
+_MAX_KERNEL_EVENTS = (1 << 31) - 2
 
 
 def history_stream(
@@ -224,13 +244,171 @@ def last_use_distances(keys: np.ndarray) -> np.ndarray:
 def pair_last_use_distances(trace: Trace, history_bits: int) -> np.ndarray:
     """Distances of the trace's (address, history) pair stream (-1 first).
 
-    Vectorized equivalent of feeding
-    :func:`repro.aliasing.three_cs.pair_stream` through a
-    :class:`~repro.aliasing.distance.LastUseDistanceTracker`; the
-    Figure 11 extrapolation pipeline consumes this.
+    Equivalent to feeding :func:`repro.aliasing.three_cs.pair_stream`
+    through a :class:`~repro.aliasing.distance.LastUseDistanceTracker`:
+    :attr:`PairPass.distances` of :func:`pair_pass`.
     """
+    return pair_pass(trace, history_bits).distances
+
+
+def scheme_indices(
+    scheme: str,
+    words: np.ndarray,
+    histories: np.ndarray,
+    index_bits: int,
+    history_bits: int,
+) -> np.ndarray:
+    """Whole-stream table indices under a scheme's index function.
+
+    Mirrors :func:`repro.aliasing.three_cs.pair_index_fn` element by
+    element (gshare footnote-1 alignment and history folding included).
+    """
+    mask = np.uint64((1 << index_bits) - 1)
+    if scheme == "bimodal" or history_bits == 0:
+        if scheme not in _SCHEMES:
+            raise ValueError(
+                f"unknown scheme {scheme!r}; "
+                "expected gshare, gselect or bimodal"
+            )
+        return words & mask
+    if scheme == "gshare":
+        if index_bits == 0:
+            return np.zeros(len(words), dtype=np.uint64)
+        pc = words & mask
+        if history_bits <= index_bits:
+            shifted = histories << np.uint64(index_bits - history_bits)
+            return pc ^ (shifted & mask)
+        folded = np.zeros_like(histories)
+        h = histories & np.uint64((1 << history_bits) - 1)
+        shift = np.uint64(index_bits)
+        while h.any():
+            folded ^= h & mask
+            h = h >> shift
+        return pc ^ folded
+    if scheme == "gselect":
+        if history_bits >= index_bits:
+            return histories & mask
+        address_part = words & np.uint64((1 << (index_bits - history_bits)) - 1)
+        history_part = histories & np.uint64((1 << history_bits) - 1)
+        return (address_part << np.uint64(history_bits)) | history_part
+    raise ValueError(
+        f"unknown scheme {scheme!r}; expected gshare, gselect or bimodal"
+    )
+
+
+class PairPass(NamedTuple):
+    """One pass over a trace's (address, history) pair stream.
+
+    ``ids`` (``uint32``) numbers each conditional event's pair, densely
+    and in order of first use; ``distances`` (``int32``) is its
+    last-use distance, -1 on first use; ``pairs`` is the number of
+    distinct pairs; ``misses`` holds one miss count per requested
+    direct-mapped table, in request order.
+    """
+
+    ids: np.ndarray
+    distances: np.ndarray
+    pairs: int
+    misses: Tuple[int, ...]
+
+
+def pair_pass(
+    trace: Trace,
+    history_bits: int,
+    tables: Sequence[Tuple[str, int]] = (),
+) -> PairPass:
+    """Pair ids, last-use distances and direct-mapped misses in one pass.
+
+    ``tables`` lists ``(scheme, index_bits)`` tagged direct-mapped
+    tables (:class:`repro.aliasing.tagged_table.TaggedDirectMappedTable`
+    under :func:`scheme_indices`); each access writes its pair's tag, and
+    misses when the entry held another.  Runs the C kernel when it built
+    and the tables fit its 32-bit indices, and the numpy passes of this
+    module otherwise; both return the same arrays.
+
+    Raises:
+        ValueError: on a history length outside ``[0, 63]``, an unknown
+            scheme or negative index bits.
+    """
+    if not 0 <= history_bits <= _MAX_HISTORY_BITS:
+        raise ValueError(
+            f"history bits must be in [0, {_MAX_HISTORY_BITS}], "
+            f"got {history_bits}"
+        )
+    tables = [(scheme, int(bits)) for scheme, bits in tables]
+    for scheme, bits in tables:
+        if scheme not in _SCHEMES:
+            raise ValueError(
+                f"unknown scheme {scheme!r}; expected gshare, gselect or bimodal"
+            )
+        if bits < 0:
+            raise ValueError(f"index bits must be >= 0, got {bits}")
+    # Imported here: the kernel lives in the sim layer, above this one.
+    from repro.sim import native
+
+    if (
+        trace.conditional_count <= _MAX_KERNEL_EVENTS
+        and all(bits <= _MAX_KERNEL_INDEX_BITS for _, bits in tables)
+        and native.native_available()
+    ):
+        return native.pair_pass_native(trace, history_bits, tables)
+    return _pair_pass_numpy(trace, history_bits, tables)
+
+
+def _first_use_ids(keys: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Dense ``uint32`` ids of ``keys``, numbered in order of first use,
+    and the number of distinct keys."""
+    if len(keys) == 0:
+        return np.empty(0, dtype=np.uint32), 0
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.uint32)
+    rank[np.argsort(first)] = np.arange(len(first), dtype=np.uint32)
+    return rank[inverse], len(first)
+
+
+def _direct_mapped_misses(indices: np.ndarray, ids: np.ndarray) -> int:
+    """Misses of a tagged direct-mapped table.
+
+    Every access writes its pair, so the occupant a reference finds is
+    the pair of the previous access to the same entry: group by index
+    with one stable sort, then a reference misses iff it opens its group
+    (cold) or differs from its in-group predecessor.
+    """
+    n = len(ids)
+    if n == 0:
+        return 0
+    # Stable sorts of small unsigned ints hit numpy's radix path, which
+    # is several times faster than comparison sorting the uint64 view.
+    if int(indices.max()) < (1 << 16):
+        indices = indices.astype(np.uint16)
+    order = np.argsort(indices, kind="stable")
+    sorted_indices = indices[order]
+    sorted_ids = ids[order]
+    misses = np.empty(n, dtype=bool)
+    misses[0] = True
+    misses[1:] = (sorted_indices[1:] != sorted_indices[:-1]) | (
+        sorted_ids[1:] != sorted_ids[:-1]
+    )
+    return int(np.count_nonzero(misses))
+
+
+def _pair_pass_numpy(
+    trace: Trace, history_bits: int, tables: Sequence[Tuple[str, int]]
+) -> PairPass:
+    """:func:`pair_pass` without the kernel: merge-counted distances and
+    one stable sort per table."""
     words, histories = pair_columns(trace, history_bits)
-    return last_use_distances(pair_keys(words, histories, history_bits))
+    keys = pair_keys(words, histories, history_bits)
+    distances = last_use_distances(keys).astype(np.int32)
+    ids, pairs = _first_use_ids(keys)
+    del keys
+    misses = tuple(
+        _direct_mapped_misses(
+            scheme_indices(scheme, words, histories, bits, history_bits), ids
+        )
+        for scheme, bits in tables
+    )
+    return PairPass(ids, distances, pairs, misses)
 
 
 def distance_histogram(distances: np.ndarray) -> Tuple[List[int], int]:

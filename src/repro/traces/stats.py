@@ -6,9 +6,9 @@
   dynamic branches), and — via the unaliased predictor — intrinsic 1-bit
   and 2-bit misprediction ratios.
 
-The substream statistics are numpy reductions of the pair columns of
-:mod:`repro.traces.pairs`; history lengths outside ``[0, 63]`` are
-refused there.
+The substream statistics are ``np.bincount`` reductions of the pair
+ids of :func:`repro.traces.pairs.pair_pass`; history lengths outside
+``[0, 63]`` are refused there.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.traces.pairs import pair_columns, pair_keys
+from repro.traces.pairs import pair_pass
 from repro.traces.trace import Trace
 
 __all__ = [
@@ -75,14 +75,14 @@ def trace_counts(trace: Trace) -> TraceCounts:
 
 def substream_stats(trace: Trace, history_bits: int) -> SubstreamStats:
     """Substream ratio and compulsory aliasing at one history length."""
-    words, histories = pair_columns(trace, history_bits)
-    keys = pair_keys(words, histories, history_bits)
+    table = trace.table
+    used = (trace._row_counts > 0) & (table.conditionals != 0)
     return SubstreamStats(
         name=trace.name,
         history_bits=history_bits,
-        dynamic=len(keys),
-        static=len(np.unique(words)),
-        substreams=len(np.unique(keys)),
+        dynamic=trace.conditional_count,
+        static=len(np.unique(table.pcs[used] >> np.uint64(2))),
+        substreams=pair_pass(trace, history_bits).pairs,
     )
 
 
@@ -94,18 +94,13 @@ def bias_density(trace: Trace, history_bits: int) -> Dict[str, float]:
     (address, history) pairs with bias taken"), plus the dynamic taken
     ratio for reference.
     """
-    words, histories = pair_columns(trace, history_bits)
-    if len(words) == 0:
+    pair_ids, _, pairs, _ = pair_pass(trace, history_bits)
+    if pairs == 0:
         return {"static_taken_bias": 0.0, "dynamic_taken_ratio": 0.0}
     takens = trace.takens[trace.conditionals.astype(bool)].astype(bool)
-    pair_ids = np.unique(
-        pair_keys(words, histories, history_bits), return_inverse=True
-    )[1]
-    totals = np.bincount(pair_ids)
-    taken = np.bincount(pair_ids[takens], minlength=len(totals))
+    totals = np.bincount(pair_ids, minlength=pairs)
+    taken = np.bincount(pair_ids[takens], minlength=pairs)
     return {
-        "static_taken_bias": (
-            int(np.count_nonzero(taken * 2 > totals)) / len(totals)
-        ),
-        "dynamic_taken_ratio": int(np.count_nonzero(takens)) / len(words),
+        "static_taken_bias": int(np.count_nonzero(taken * 2 > totals)) / pairs,
+        "dynamic_taken_ratio": int(np.count_nonzero(takens)) / len(pair_ids),
     }

@@ -134,27 +134,29 @@ def generate_trace(config: WorkloadConfig) -> Trace:
     )
 
     # Each source's segments, in order, continue one stream: run it once
-    # for the total, its codes offset past the table rows of the sources
-    # before it, then cut the streams into the segments in schedule
-    # order.
+    # for the total and copy each segment's slice into its place in the
+    # trace's one code buffer, offset past the table rows of the sources
+    # before it.
+    placements: List[List[Tuple[int, int, int]]] = [[] for _ in sources]
     demand = [0] * len(sources)
+    length = 0
     for source, count in segments:
+        placements[source].append((length, demand[source], count))
         demand[source] += count
+        length += count
+    codes = np.empty(length, dtype=np.uint32)
     rows = 0
-    streams = []
-    for (program, seed), need in zip(sources, demand):
-        codes = run_compiled(program, seed, need)
-        streams.append(codes.astype(np.uint32) + np.uint32(rows))
+    for (program, seed), need, places in zip(sources, demand, placements):
+        stream = run_compiled(program, seed, need)
+        for at, start, count in places:
+            # The Python runner may share its stream: offset the copy.
+            target = codes[at : at + count]
+            target[:] = stream[start : start + count]
+            target += np.uint32(rows)
         rows += len(program.pcs)
-    pieces = []
-    position = [0] * len(sources)
-    for source, count in segments:
-        start = position[source]
-        pieces.append(streams[source][start : start + count])
-        position[source] = start + count
 
     return Trace.from_table(
-        np.concatenate(pieces) if pieces else np.zeros(0, np.uint32),
+        codes,
         *(
             np.concatenate([getattr(program, column) for program, _ in sources])
             for column in ("pcs", "takens", "conditionals", "targets")

@@ -27,7 +27,7 @@ from typing import List
 
 import numpy as np
 
-from repro.traces.pairs import distance_histogram, pair_last_use_distances
+from repro.traces.pairs import distance_histogram, pair_pass
 from repro.traces.trace import Trace
 
 __all__ = ["TraceProfile", "profile_trace", "validate_ibs_shape"]
@@ -76,9 +76,7 @@ def _ratio(part: int, whole: int) -> float:
 
 def profile_trace(trace: Trace, history_bits: int = 4) -> TraceProfile:
     """Compute the full shape profile of ``trace``."""
-    buckets, first = distance_histogram(
-        pair_last_use_distances(trace, history_bits)
-    )
+    buckets, first = distance_histogram(pair_pass(trace, history_bits).distances)
     conditional = trace.conditionals.astype(bool)
     pcs = trace.pcs
     outcomes = trace.takens[conditional].astype(np.int8)

@@ -1,7 +1,9 @@
 """Tests for the Figure 11 extrapolation machinery."""
 
+import numpy as np
 import pytest
 
+from repro.aliasing.distance import LastUseDistanceTracker
 from repro.aliasing.three_cs import pair_stream
 from repro.model.analytical import aliasing_probability, p_sk
 from repro.model.extrapolation import collect_distances, extrapolate_gskew
@@ -15,16 +17,26 @@ class TestCollectDistances:
         distances = collect_distances(tiny_trace, 4)
         assert len(distances) == tiny_trace.conditional_count
 
-    def test_first_encounters_are_none(self, tiny_trace):
+    def test_first_encounters_are_minus_one(self, tiny_trace):
         distances = collect_distances(tiny_trace, 4)
+        assert distances.dtype == np.int32
         pairs = list(pair_stream(tiny_trace, 4))
         seen = set()
-        for pair, distance in zip(pairs, distances):
+        for pair, distance in zip(pairs, distances.tolist()):
             if pair not in seen:
-                assert distance is None
+                assert distance == -1
                 seen.add(pair)
             else:
-                assert distance is not None
+                assert distance >= 0
+
+    def test_long_history_falls_back_to_the_tracker(self, tiny_trace):
+        # Past 63 bits the register leaves the uint64 pair pass; the
+        # streaming tracker's distances come back in the same encoding.
+        distances = collect_distances(tiny_trace, 64)
+        tracker = LastUseDistanceTracker(capacity=len(tiny_trace))
+        expected = [tracker.reference(pair) for pair in pair_stream(tiny_trace, 64)]
+        assert distances.dtype == np.int32
+        assert distances.tolist() == [-1 if d is None else d for d in expected]
 
 
 class TestExtrapolation:
@@ -37,7 +49,8 @@ class TestExtrapolation:
             tiny_trace, 4, bank_entries=256, distances=distances, bias=bias
         )
         expected = sum(
-            p_sk(aliasing_probability(d, 256), bias) for d in distances
+            p_sk(aliasing_probability(None if d < 0 else d, 256), bias)
+            for d in distances.tolist()
         ) / len(distances)
         assert result.aliasing_overhead == pytest.approx(expected, rel=1e-9)
 

@@ -1363,6 +1363,24 @@ class TestLruWalk:
         assert actual.engine == "native"
         assert actual == simulate(make_predictor("fa:256:h4"), small_trace)
 
+    def test_short_batch_on_a_warm_table_runs_generic(self, small_trace):
+        # The walk copies every resident pair in and out, so a batch with
+        # fewer conditional events than the table holds pairs runs on
+        # the generic interpreter, bit-identical to a native run.
+        warm, batch = small_trace.head(20_000), small_trace.slice(20_000, 20_200)
+        served, native_run = make_predictor("fa:256:h8"), make_predictor("fa:256:h8")
+        simulate(served, warm)
+        simulate(native_run, warm)
+        assert len(served.table) > batch.conditional_count > 0
+        result = simulate_fast(served, batch)
+        assert result.engine == "generic"
+        expected = simulate_native(native_run, batch)
+        assert expected.engine == "native"
+        _lru_check("fa:256:h8", native_run, served, expected, result.mispredictions)
+        # A fresh table holds no pairs: the same batch runs native.
+        fresh = simulate_fast(make_predictor("fa:256:h8"), batch)
+        assert fresh.engine == "native"
+
     @pytest.mark.parametrize("spec", ["fa:16:h64", "fa:16:h4:c9"])
     def test_tables_past_the_kernel_run_generic(self, spec, tiny_trace):
         # A register past 63 bits or counters past a byte.

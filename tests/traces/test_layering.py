@@ -13,8 +13,10 @@ module-level import of an upper layer.  An import inside a function
 runs at call time, long after every package has loaded, so it closes
 no cycle; each one is still listed, so that a new one is a decision:
 the synthetic generator's ``from repro.sim import native`` (is the
-compiled kernel built?) and the ``repro-trace`` tool's ``simulate``
-and ``profile`` subcommands, which run predictors.
+compiled kernel built?), the pair pass's (``traces/pairs.py``: the
+kernel's ``repro_pair_pass`` measures the substream where it built) and
+the ``repro-trace`` tool's ``simulate`` and ``profile`` subcommands,
+which run predictors.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ UPPER = ("sim", "aliasing", "model", "experiments", "serving")
 ALLOWED_IN_FUNCTIONS = {
     ("synthetic/cfg.py", "sim"),
     ("synthetic/kernel.py", "sim"),
+    ("pairs.py", "sim"),
     ("cli.py", "sim"),
 }
 
